@@ -65,7 +65,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
     """<b|op|b> for each row b of blocks."""
-    return np.einsum("bd,de,be->b", blocks.conj(), op, blocks).real
+    return np.einsum("bd,bd->b", blocks.conj(), blocks @ op.T).real
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,8 @@ class DeviceModel:
         self.name = name
         self._obs_cache: dict = {}
         self._sigma_cache: dict = {}
+        self._group_cache: dict = {}
+        self._swap_cache: np.ndarray | None = None
 
     # -- observables ---------------------------------------------------------
     def _observable_from(self, q: int, i: int) -> np.ndarray:
@@ -160,24 +162,21 @@ class DeviceModel:
             n_coords = self.logical
             for y, block in self.psi[theta].items():
                 per_coord = [self.coord_m(theta, i, y[i]) for i in range(n_coords)]
-                shape = (2,) * n_coords + (2**self.w,) * n_coords
-                if self.env_dim > 1:
-                    shape += (self.env_dim,)
-                tens = block.reshape(shape)
-                for combo in itertools.product(*[sorted(m.items()) for m in per_coord]):
-                    d = tuple(c[0] for c in combo)
-                    outs = [c[1] for c in combo]
-                    t = tens
-                    for o in outs:
-                        t = np.tensordot(t, o.conj(), axes=([n_coords], [0]))
-                    if np.vdot(t, t).real < ATOL**2:
-                        continue
-                    x_vec = outs[0]
-                    for o in outs[1:]:
-                        x_vec = np.kron(x_vec, o)
-                    rest = t.reshape(2**n_coords, self.env_dim)
-                    full = np.einsum("qe,x->qxe", rest, x_vec)
-                    out[(y, d)] = full.ravel()
+                d_lists = [sorted(m) for m in per_coord]
+                # rows of each matrix are one coordinate's outcome vectors; their
+                # Kronecker product has one row per d tuple, in product order
+                mats = [np.array([m[d] for d in ds]) for m, ds in zip(per_coord, d_lists)]
+                x_rows = mats[0]
+                for mat in mats[1:]:
+                    x_rows = np.kron(x_rows, mat)
+                tens = block.reshape(2**n_coords, x_rows.shape[1], self.env_dim)
+                rest = np.swapaxes(x_rows.conj() @ tens, 0, 1)
+                full = rest[:, :, None, :] * x_rows[:, None, :, None]
+                full = full.reshape(len(x_rows), -1)
+                masses = np.sum(np.abs(rest) ** 2, axis=(1, 2))
+                for c, d in enumerate(itertools.product(*d_lists)):
+                    if masses[c] >= ATOL**2:
+                        out[(y, d)] = full[c]
         else:
             for y, block in self.psi[theta].items():
                 for d, proj in self.m_proj[theta].items():
@@ -219,6 +218,8 @@ class DeviceModel:
 
     def grouped_sigma(self, theta):
         """(dict v -> dict (y,d) -> vector, residual trace of unassigned blocks)."""
+        if theta in self._group_cache:
+            return self._group_cache[theta]
         groups: dict = {}
         residual = 0.0
         for (y, d), vec in self.sigma_blocks(theta).items():
@@ -227,6 +228,7 @@ class DeviceModel:
                 residual += np.vdot(vec, vec).real
             else:
                 groups.setdefault(v, {})[(y, d)] = vec
+        self._group_cache[theta] = (groups, residual)
         return groups, residual
 
     # -- preimage test mass ---------------------------------------------------
@@ -402,10 +404,12 @@ def build_honest_model(
 
     claw_cache: dict = {}
 
+    hadamard = _hadamard_outcomes(w)
+
     def coord_m(theta, i, y_i):
         trap = trapdoors[theta][i]
         if trap.family == entcf.FAMILY_G:
-            return _hadamard_outcomes(w)
+            return hadamard
         cache_key = (theta, i, y_i)
         if cache_key not in claw_cache:
             x0 = entcf.decode_x(0, trap, y_i)
@@ -699,16 +703,17 @@ class FailureReport:
 
 
 def _stack_groups(model: DeviceModel, theta):
-    """(blocks array, v array) for the Sigma-assigned blocks of theta."""
+    """(blocks array, v array, labels) for the Sigma-assigned blocks of theta,
+    ordered by v and then by (y, d) label."""
     groups, _ = model.grouped_sigma(theta)
-    vecs, vs = [], []
+    vecs, vs, labels = [], [], []
     for v in sorted(groups):
         for label in sorted(groups[v]):
             vecs.append(groups[v][label])
             vs.append(v)
-    if not vecs:
-        return np.zeros((0, model.dim), dtype=complex), np.zeros((0, model.logical), dtype=int)
-    return np.array(vecs), np.array(vs)
+            labels.append(label)
+    blocks = np.array(vecs, dtype=complex).reshape(-1, model.dim)
+    return blocks, np.array(vs, dtype=int).reshape(-1, model.logical), labels
 
 
 def gamma_report(model: DeviceModel) -> GammaReport:
@@ -722,7 +727,7 @@ def gamma_report(model: DeviceModel) -> GammaReport:
     stacked = {theta: _stack_groups(model, theta) for theta in model.thetas}
 
     def signed_mass(theta, op: np.ndarray, bit_index: int) -> float:
-        blocks, vs = stacked[theta]
+        blocks, vs, _ = stacked[theta]
         if blocks.shape[0] == 0:
             return 0.0
         n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
@@ -790,43 +795,57 @@ def gamma_report(model: DeviceModel) -> GammaReport:
 
 
 def failure_report(model: DeviceModel) -> FailureReport:
-    """Exact failure probabilities from the model's block algebra."""
+    """Exact failure probabilities from the model's block algebra.
+
+    b-hat and h-hat are decoded once per (theta, label). Labels with the same
+    decoded bits get the same verdict, so each verdict is taken once per
+    distinct decoding and applied to that decoding's summed mass.
+    """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
     verdict_fn = (
         protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
     )
     questions = sorted(model.p_proj)
-    eps_h = {}
-    for q in questions:
-        accept = 0.0
-        for theta in model.thetas:
-            traps = model.trapdoors[theta]
-            blocks = model.sigma_blocks(theta)
-            labels = sorted(blocks)
-            vecs = np.array([blocks[lab] for lab in labels])
-            quads = {
-                u: _quad(vecs, proj) for u, proj in model.p_proj[q].items()
-            }
-            for idx, (y, d) in enumerate(labels):
-                bhat = [
-                    entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
-                    for t, yi in zip(traps, y)
-                ]
-                hhat = [
-                    entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
-                    for t, yi, di in zip(traps, y, d)
-                ]
-                for u in quads:
-                    verdict = verdict_fn(model.n, theta, q, u, bhat, hhat)
-                    if verdict.accept:
-                        accept += quads[u][idx]
-        eps_h[q] = 1.0 - accept / n_thetas
+    accept = dict.fromkeys(questions, 0.0)
+    for theta in model.thetas:
+        traps = model.trapdoors[theta]
+        blocks = model.sigma_blocks(theta)
+        labels = sorted(blocks)
+        vecs = np.array([blocks[lab] for lab in labels], dtype=complex).reshape(-1, model.dim)
+        decodings: dict = {}
+        index = np.array(
+            [
+                decodings.setdefault(_decode_bits(traps, y, d), len(decodings))
+                for y, d in labels
+            ],
+            dtype=int,
+        )
+        for q in questions:
+            for u, proj in model.p_proj[q].items():
+                mass = np.bincount(index, weights=_quad(vecs, proj), minlength=len(decodings))
+                for (bhat, hhat), k in decodings.items():
+                    if verdict_fn(model.n, theta, q, u, list(bhat), list(hhat)).accept:
+                        accept[q] += float(mass[k])
+    eps_h = {q: 1.0 - accept[q] / n_thetas for q in questions}
     if model.protocol == "selftest":
         eps = eps_p / 2.0 + sum(eps_h.values()) / 8.0
     else:
         eps = eps_p / 2.0 + sum(eps_h.values()) / 4.0
     return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=eps)
+
+
+def _decode_bits(traps, y, d) -> tuple:
+    """(b-hat, h-hat) tuples for one (y, d) label, None where undefined."""
+    bhat = tuple(
+        entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
+        for t, yi in zip(traps, y)
+    )
+    hhat = tuple(
+        entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
+        for t, yi, di in zip(traps, y, d)
+    )
+    return bhat, hhat
 
 
 def zeta_chi_sums(model: DeviceModel) -> dict:
@@ -836,7 +855,7 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
     for theta in model.thetas:
         if theta == THETA_DIAMOND:
             continue
-        blocks, vs = _stack_groups(model, theta)
+        blocks, vs, _ = _stack_groups(model, theta)
         if blocks.shape[0] == 0:
             for i in range(two_n):
                 if i != theta:
@@ -894,7 +913,10 @@ def check_gamma_bounds(
 
 def swap_isometry(model: DeviceModel) -> np.ndarray:
     """V = sum_u |u> (x) prod_i X_i^{u_i} prod_j Z_j^{(u_j)}, products in
-    ascending index order, as a (2^L * dim, dim) matrix."""
+    ascending index order, as a (2^L * dim, dim) matrix. Built once per
+    model and cached on it; callers must not modify it."""
+    if model._swap_cache is not None:
+        return model._swap_cache
     L = model.logical
     dim = model.dim
     for q in (0, 1):
@@ -913,6 +935,7 @@ def swap_isometry(model: DeviceModel) -> np.ndarray:
             term = term @ ((eye + (1.0 - 2.0 * u[j]) * zj) / 2.0)
         anc = pattern_vector(["computational"] * L, u)
         v += np.kron(anc[:, None], term)
+    model._swap_cache = v
     return v
 
 
@@ -1004,45 +1027,51 @@ def ideal_pattern_projectors(protocol_kind: str, n: int, q: int) -> dict:
 
 def soundness_distance(model: DeviceModel, theta) -> dict:
     """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1, the
-    post-measurement analogues per question, and commutator diagnostics."""
+    post-measurement analogues per question, and commutator diagnostics.
+
+    Every Sigma-assigned block of theta is lifted by one matmul against the
+    swap isometry; each block contributes a rank-one difference whose trace
+    norm comes from qsim.trace_norm_diff_rank1 over the stacked rows.
+    """
     L = model.logical
     dim = model.dim
     v_iso = swap_isometry(model)
-    groups, _ = model.grouped_sigma(theta)
-    per_v = {}
-    post = {q: 0.0 for q in sorted(model.p_proj)}
-    alphas = {}
-    for v in sorted(groups):
-        tau = tau_vector(model.protocol, model.n, theta, v)
-        dist = 0.0
-        alpha = {}
-        for label, vec in sorted(groups[v].items()):
-            lifted = (v_iso @ vec).reshape(2**L, dim)
-            a = tau.conj() @ lifted
-            alpha[label] = a
-            dist += qsim.trace_norm_diff_rank1(
-                lifted.ravel(), np.kron(tau, a)
+    blocks, vs, labels = _stack_groups(model, theta)
+    v_rows, row_v = np.unique(vs, axis=0, return_inverse=True)
+    row_v = row_v.ravel()
+    v_keys = [tuple(int(b) for b in row) for row in v_rows]
+    taus = np.array(
+        [tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex
+    ).reshape(-1, 2**L)[row_v]
+    lifted = (blocks @ v_iso.T).reshape(-1, 2**L, dim)
+    alpha = np.einsum("kl,kld->kd", taus.conj(), lifted)
+    target = taus[:, :, None] * alpha[:, None, :]
+    rows = len(labels)
+    dists = qsim.trace_norm_diff_rank1(lifted.reshape(rows, -1), target.reshape(rows, -1))
+    per_v = {
+        v: float(dist)
+        for v, dist in zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)))
+    }
+    alphas: dict = {v: {} for v in v_keys}
+    for k, label, a in zip(row_v, labels, alpha):
+        alphas[v_keys[k]][label] = a
+    post = {}
+    for q in sorted(model.p_proj):
+        ideal = ideal_pattern_projectors(model.protocol, model.n, q)
+        post[q] = 0.0
+        for u, proj in model.p_proj[q].items():
+            measured = blocks @ proj.T
+            # a branch the measurement annihilates contributes its target's mass
+            measured[np.vecdot(measured, measured).real < ATOL**2] = 0.0
+            coef = ideal[u] * (taus @ ideal[u].conj())[:, None]
+            post_target = (coef[:, :, None] * alpha[:, None, :]).reshape(rows, -1)
+            post[q] += float(
+                np.sum(qsim.trace_norm_diff_rank1(measured @ v_iso.T, post_target))
             )
-        per_v[v] = dist
-        alphas[v] = alpha
-        for q in post:
-            ideal = ideal_pattern_projectors(model.protocol, model.n, q)
-            for label, vec in sorted(groups[v].items()):
-                a = alpha[label]
-                for u, proj in model.p_proj[q].items():
-                    measured = proj @ vec
-                    if np.vdot(measured, measured).real < ATOL**2:
-                        target_vec = np.kron(ideal[u] * np.vdot(ideal[u], tau), a)
-                        # rank-1 trace norm is just the squared vector norm
-                        post[q] += float(np.vdot(target_vec, target_vec).real)
-                        continue
-                    lifted = v_iso @ measured
-                    target = np.kron(ideal[u] * np.vdot(ideal[u], tau), a)
-                    post[q] += qsim.trace_norm_diff_rank1(lifted, target)
     total = float(sum(per_v.values()))
-    sigma_all = qsim.CQOperator(dim)
-    for label, vec in model.sigma_blocks(theta).items():
-        sigma_all.set_block(label, vec)
+    # ||A||_sigma = sqrt(sum_b ||A b||^2), one Frobenius norm over the blocks
+    sigma_all = np.array(list(model.sigma_blocks(theta).values()), dtype=complex)
+    sigma_all = sigma_all.reshape(-1, dim)
     commutators = {}
     anticommutators = {}
     for i in range(L):
@@ -1050,9 +1079,9 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
         for j in range(L):
             z_j = model.Z(j)
             comm = z_j @ x_i - x_i @ z_j
-            commutators[(j, i)] = qsim.state_dep_norm(comm, sigma_all)
+            commutators[(j, i)] = float(np.linalg.norm(sigma_all @ comm.T))
         anti = model.Z(i) @ x_i + x_i @ model.Z(i)
-        anticommutators[i] = qsim.state_dep_norm(anti, sigma_all)
+        anticommutators[i] = float(np.linalg.norm(sigma_all @ anti.T))
     return {
         "per_v": per_v,
         "total": total,
@@ -1083,7 +1112,8 @@ def rank_bound_check(u: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int):
     eps = qsim.trace_norm(lhs - rhs)
     rank = qsim.numerical_rank(rho)
     ok = rank >= (1.0 - eps) * 2**n - 1e-9
-    a_vec = (np.kron(u, u.conj())) @ qsim.vec(qsim.sqrtm_psd(np.kron(zero, rho)))
+    # vec(u S u+) = (u (x) u-bar) vec(S), without the (dim^2 x dim^2) Kronecker
+    a_vec = qsim.vec(u @ qsim.sqrtm_psd(np.kron(zero, rho)) @ u.conj().T)
     b_vec = qsim.vec(qsim.sqrtm_psd(rhs))
     b_max = float(np.sqrt(max(np.linalg.eigvalsh(alpha).max(), 0.0) / 2**n))
     overlap = abs(np.vdot(a_vec, b_vec)) ** 2
@@ -1101,7 +1131,13 @@ def complete_isometry(v: np.ndarray) -> np.ndarray:
 
 def dimension_certificate(model: DeviceModel) -> dict:
     """Certified lower bound on the dimension of the quantum register, from
-    the all-injective Hadamard-question post-measurement states."""
+    the all-injective Hadamard-question post-measurement states.
+
+    For a block b with measured branches m_u = P_u b and extracted ancilla
+    vector a, V rho V' - 1/2^N (x) alpha is F diag(w) F' with the columns of
+    F being the V m_u and the e_j (x) a, so its trace norm comes from
+    qsim.trace_norm_lowrank over all blocks at once.
+    """
     if model.protocol != "dimtest":
         raise ModelError("the dimension certificate runs on a dimension-test model")
     n = model.n
@@ -1112,63 +1148,65 @@ def dimension_certificate(model: DeviceModel) -> dict:
     groups = {v: blk for v, blk in groups.items() if _group_trace(blk) > 1e-12}
     if not groups:
         raise ModelError("degenerate model: no Sigma-supported blocks")
-    p1 = model.p_proj[1]
+    projs = np.array(list(model.p_proj[1].values()), dtype=complex)
+    n_meas = len(projs)
     best = None
     for v in sorted(groups):
+        labels = sorted(groups[v])
+        blocks = np.array([groups[v][label] for label in labels], dtype=complex)
         trace = _group_trace(groups[v])
         tau = tau_vector("dimtest", n, THETA_ALL_G, v)
-        dist = 0.0
-        rho_blocks = {}
-        alpha_blocks = {}
-        for label, vec in sorted(groups[v].items()):
-            rho_c = np.zeros((dim, dim), dtype=complex)
-            for proj in p1.values():
-                m = proj @ vec
-                rho_c += np.outer(m, m.conj())
-            rho_blocks[label] = rho_c / trace
-            a = tau.conj() @ (v_iso @ vec).reshape(2**L, dim)
-            alpha_blocks[label] = np.outer(a, a.conj()) / trace
-        for label in rho_blocks:
-            lhs = v_iso @ rho_blocks[label] @ v_iso.conj().T
-            rhs = np.kron(np.eye(2**n) / 2**n, alpha_blocks[label])
-            dist += qsim.trace_norm(lhs - rhs)
+        measured = np.swapaxes(blocks @ projs.swapaxes(-1, -2), 0, 1)
+        alpha = np.einsum("l,kld->kd", tau.conj(), (blocks @ v_iso.T).reshape(-1, 2**L, dim))
+        factors = _certificate_factors(v_iso, measured, alpha, n)
+        weights = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))]) / trace
+        dist = float(np.sum(qsim.trace_norm_lowrank(factors, weights)))
         if best is None or dist < best[1] - 1e-15:
-            best = (v, dist, rho_blocks, alpha_blocks)
-    v_min, v_dist, rho_blocks, alpha_blocks = best
-    alpha_trace = sum(np.trace(a).real for a in alpha_blocks.values())
-    if alpha_trace < 1e-12:
+            best = (v, dist, trace, labels, measured, alpha, factors)
+    v_min, v_dist, trace, labels, measured, alpha, factors = best
+    rho_mass = np.sum(np.abs(measured) ** 2, axis=(1, 2))
+    alpha_mass = np.sum(np.abs(alpha) ** 2, axis=1)
+    if alpha_mass.sum() / trace < 1e-12:
         raise ModelError("degenerate model: extracted ancilla state vanishes")
     u = complete_isometry(v_iso)
-    best_c = None
-    for label in sorted(rho_blocks):
-        tr_rho = np.trace(rho_blocks[label]).real
-        tr_alpha = np.trace(alpha_blocks[label]).real
-        if tr_rho < 1e-12 or tr_alpha < 1e-12:
-            continue
-        rho_hat = rho_blocks[label] / tr_rho
-        alpha_hat = alpha_blocks[label] / tr_alpha
-        zero = np.zeros((2**n, 2**n), dtype=complex)
-        zero[0, 0] = 1.0
-        eps_c = qsim.trace_norm(
-            u @ np.kron(zero, rho_hat) @ u.conj().T
-            - np.kron(np.eye(2**n) / 2**n, alpha_hat)
-        )
-        if best_c is None or eps_c < best_c[1] - 1e-15:
-            best_c = (label, eps_c, rho_hat, alpha_hat)
-    if best_c is None:
+    usable = np.flatnonzero((rho_mass / trace >= 1e-12) & (alpha_mass / trace >= 1e-12))
+    if usable.size == 0:
         raise ModelError("degenerate model: no usable classical block")
-    c_star, eps_star, rho_star, alpha_star = best_c
+    # normalised blocks: rho-hat = rho / Tr rho and alpha-hat = alpha / Tr alpha
+    weights = np.concatenate(
+        [
+            np.repeat(1.0 / rho_mass[usable, None], n_meas, axis=1),
+            np.repeat(-(2.0**-n) / alpha_mass[usable, None], 2**n, axis=1),
+        ],
+        axis=1,
+    )
+    eps_all = qsim.trace_norm_lowrank(factors[usable], weights)
+    star = 0
+    for k in range(1, usable.size):
+        if eps_all[k] < eps_all[star] - 1e-15:
+            star = k
+    c = usable[star]
+    rho_star = measured[c].T @ measured[c].conj() / rho_mass[c]
+    alpha_star = np.outer(alpha[c], alpha[c].conj()) / alpha_mass[c]
     eps, rank, ok = rank_bound_check(u, rho_star, alpha_star, n)
     certified = max(0.0, (1.0 - eps) * 2**n)
     return {
         "v_min": v_min,
         "v_distance": float(v_dist),
-        "c_star": c_star,
+        "c_star": labels[c],
         "epsilon": float(eps),
         "rank": rank,
         "rank_ok": ok,
         "certified_dimension": float(certified),
     }
+
+
+def _certificate_factors(v_iso: np.ndarray, measured: np.ndarray, alpha: np.ndarray, n: int):
+    """(blocks, 2^N * dim, n_meas + 2^N) columns V m_u, then e_j (x) a."""
+    blocks = measured.shape[0]
+    lifted = measured @ v_iso.T
+    ancilla = np.einsum("jl,kd->kjld", np.eye(2**n), alpha).reshape(blocks, 2**n, -1)
+    return np.concatenate([lifted, ancilla], axis=1).swapaxes(1, 2)
 
 
 def _group_trace(blocks: dict) -> float:

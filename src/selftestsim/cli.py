@@ -107,6 +107,10 @@ def _build_model(args, rng: np.random.Generator):
 
 
 def _analyze_command(args) -> int:
+    if args.w < 2:
+        # a claw coordinate's d-measurement needs a nonzero even-parity d
+        print("error: analyze needs --w >= 2", file=sys.stderr)
+        return 2
     seed = int(os.environ.get("SELFTEST_SEED", args.seed))
     rng = np.random.default_rng(seed)
     model = _build_model(args, rng)

@@ -203,22 +203,48 @@ def _as_matrix(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def trace_norm_diff_rank1(u: np.ndarray, w: np.ndarray) -> float:
-    """||uu+ - ww+||_1 computed in the two-dimensional span (exact)."""
-    basis = []
-    for v in (u, w):
-        r = v.astype(complex).copy()
-        for b in basis:
-            r -= b * (b.conj() @ r)
-        n = np.linalg.norm(r)
-        if n > 1e-14:
-            basis.append(r / n)
-    if not basis:
-        return 0.0
-    bmat = np.array(basis)
-    gu, gw = bmat.conj() @ u, bmat.conj() @ w
-    small = np.outer(gu, gu.conj()) - np.outer(gw, gw.conj())
-    return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
+def trace_norm_diff_rank1(u: np.ndarray, w: np.ndarray):
+    """||uu+ - ww+||_1 for each row pair of u and w (any leading shape).
+
+    Exact identity: ||u - e^{i phi} w|| * ||u + e^{i phi} w||, with phi making
+    <u, e^{i phi} w> real and >= 0. Both factors are formed from the vectors
+    themselves, so the result keeps full relative precision near u = w, where
+    the Gram form sqrt((|u|^2 + |w|^2)^2 - 4|<u, w>|^2) cancels. Returns a
+    float for 1-D inputs and an array of the leading shape otherwise.
+    """
+    u = np.asarray(u, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    lead, width = u.shape[:-1], u.shape[-1]
+    u, w = u.reshape(-1, width), w.reshape(-1, width)
+    out = np.empty(len(u))
+    # row chunks of about 256 KB keep the temporaries in cache
+    step = max(1, 2**14 // max(width, 1))
+    for start in range(0, len(u), step):
+        rows = slice(start, start + step)
+        out[rows] = _rank1_rows(u[rows], w[rows])
+    return float(out[0]) if not lead else out.reshape(lead)
+
+
+def _rank1_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    overlap = np.vecdot(u, w)[:, None]
+    mag = np.abs(overlap)
+    w = w * np.where(mag > 0.0, overlap.conj() / np.where(mag > 0.0, mag, 1.0), 1.0)
+    both = u + w
+    w -= u  # e^{i phi} w - u, the same norm as u - e^{i phi} w
+    return np.sqrt(np.vecdot(w, w).real * np.vecdot(both, both).real)
+
+
+def trace_norm_lowrank(factors: np.ndarray, weights: np.ndarray):
+    """||F diag(weights) F+||_1 for factors F of shape (..., D, r).
+
+    With F = QR (reduced), F W F+ = Q (R W R+) Q+ and Q has orthonormal
+    columns, so the spectrum is that of the small Hermitian R W R+. weights
+    has shape (r,) or (..., r).
+    """
+    r = np.linalg.qr(np.asarray(factors, dtype=complex), mode="r")
+    core = (r * np.asarray(weights)[..., None, :]) @ r.conj().swapaxes(-1, -2)
+    out = np.sum(np.abs(np.linalg.eigvalsh(core)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

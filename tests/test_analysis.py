@@ -1,4 +1,6 @@
 """White-box analysis unit tests (the heavy suites live in test_acceptance)."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,195 @@ def test_key_averaged_gammas():
     avg = analysis.key_averaged_gammas(builder, draws=2, rng=np.random.default_rng(0))
     assert avg["gamma_P"] == pytest.approx(0.0, abs=1e-9)
     assert avg["gamma_T"] == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels against dense per-block references
+# ---------------------------------------------------------------------------
+
+def _ref_rank1(u, w):
+    """||uu+ - ww+||_1 from a 2x2 eigenproblem in the span of u and w."""
+    basis = []
+    for vec in (u, w):
+        r = vec.astype(complex).copy()
+        for b in basis:
+            r -= b * (b.conj() @ r)
+        norm = np.linalg.norm(r)
+        if norm > 1e-14:
+            basis.append(r / norm)
+    if not basis:
+        return 0.0
+    bmat = np.array(basis)
+    gu, gw = bmat.conj() @ u, bmat.conj() @ w
+    small = np.outer(gu, gu.conj()) - np.outer(gw, gw.conj())
+    return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
+
+
+def _ref_sigma_blocks(model, theta):
+    """Post-d blocks of a product-form d-measurement, one d tuple at a time."""
+    out = {}
+    n_coords = model.logical
+    for y, block in model.psi[theta].items():
+        per_coord = [model.coord_m(theta, i, y[i]) for i in range(n_coords)]
+        tens = block.reshape((2,) * n_coords + (2**model.w,) * n_coords + (model.env_dim,))
+        for combo in itertools.product(*[sorted(m.items()) for m in per_coord]):
+            t = tens
+            for _, outcome in combo:
+                t = np.tensordot(t, outcome.conj(), axes=([n_coords], [0]))
+            if np.vdot(t, t).real < analysis.ATOL**2:
+                continue
+            x_vec = np.ones(1, dtype=complex)
+            for _, outcome in combo:
+                x_vec = np.kron(x_vec, outcome)
+            rest = t.reshape(2**n_coords, model.env_dim)
+            d = tuple(label for label, _ in combo)
+            out[(y, d)] = np.einsum("qe,x->qxe", rest, x_vec).ravel()
+    return out
+
+
+def _ref_soundness(model, theta):
+    """(per_v, total, post_measurement), one block and one outcome at a time."""
+    L, dim = model.logical, model.dim
+    v_iso = analysis.swap_isometry(model)
+    groups, _ = model.grouped_sigma(theta)
+    per_v = {}
+    post = {q: 0.0 for q in sorted(model.p_proj)}
+    ideal = {q: analysis.ideal_pattern_projectors(model.protocol, model.n, q) for q in post}
+    for v in sorted(groups):
+        tau = analysis.tau_vector(model.protocol, model.n, theta, v)
+        per_v[v] = 0.0
+        for _, vec in sorted(groups[v].items()):
+            lifted = v_iso @ vec
+            a = tau.conj() @ lifted.reshape(2**L, dim)
+            per_v[v] += _ref_rank1(lifted, np.kron(tau, a))
+            for q in post:
+                for u, proj in model.p_proj[q].items():
+                    target = np.kron(ideal[q][u] * np.vdot(ideal[q][u], tau), a)
+                    post[q] += _ref_rank1(v_iso @ (proj @ vec), target)
+    return per_v, sum(per_v.values()), post
+
+
+def _ref_eps_h(model):
+    """eps_H per question, decoding and judging every (label, u) pair."""
+    verdict_fn = (
+        protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
+    )
+    eps_h = {}
+    for q in sorted(model.p_proj):
+        accept = 0.0
+        for theta in model.thetas:
+            traps = model.trapdoors[theta]
+            for (y, d), vec in model.sigma_blocks(theta).items():
+                bhat = [
+                    entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
+                    for t, yi in zip(traps, y)
+                ]
+                hhat = [
+                    entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
+                    for t, yi, di in zip(traps, y, d)
+                ]
+                for u, proj in model.p_proj[q].items():
+                    if verdict_fn(model.n, theta, q, u, bhat, hhat).accept:
+                        accept += np.vdot(vec, proj @ vec).real
+        eps_h[q] = 1.0 - accept / len(model.thetas)
+    return eps_h
+
+
+def _ref_certificate(model):
+    """(v_distance, min over blocks of eps_c) from dense trace norms."""
+    n, L, dim = model.n, model.logical, model.dim
+    v_iso = analysis.swap_isometry(model)
+    groups, _ = model.grouped_sigma(THETA_ALL_G)
+    mass = {v: sum(np.vdot(b, b).real for b in blk.values()) for v, blk in groups.items()}
+    best = None
+    for v in sorted(v for v in groups if mass[v] > 1e-12):
+        tau = analysis.tau_vector("dimtest", n, THETA_ALL_G, v)
+        dist, pairs = 0.0, []
+        for _, vec in sorted(groups[v].items()):
+            rho = sum(np.outer(p @ vec, (p @ vec).conj()) for p in model.p_proj[1].values())
+            a = tau.conj() @ (v_iso @ vec).reshape(2**L, dim)
+            rho, alpha = rho / mass[v], np.outer(a, a.conj()) / mass[v]
+            rhs = np.kron(np.eye(2**n) / 2**n, alpha)
+            dist += qsim.trace_norm(v_iso @ rho @ v_iso.conj().T - rhs)
+            pairs.append((rho, alpha))
+        if best is None or dist < best[1] - 1e-15:
+            best = (v, dist, pairs)
+    eps_c = []
+    for rho, alpha in best[2]:
+        tr_rho, tr_alpha = np.trace(rho).real, np.trace(alpha).real
+        if tr_rho < 1e-12 or tr_alpha < 1e-12:
+            continue
+        lhs = v_iso @ (rho / tr_rho) @ v_iso.conj().T
+        eps_c.append(qsim.trace_norm(lhs - np.kron(np.eye(2**n) / 2**n, alpha / tr_alpha)))
+    return best[1], min(eps_c)
+
+
+def test_quad_matches_three_operand_einsum():
+    rng = np.random.default_rng(7)
+    blocks = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+    op = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    for mat in (op, op + op.conj().T):
+        ref = np.einsum("bd,de,be->b", blocks.conj(), mat, blocks).real
+        assert np.max(np.abs(analysis._quad(blocks, mat) - ref)) <= 1e-9
+
+
+def test_sigma_blocks_match_per_outcome_reference(honest):
+    dim_cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(3))
+    models = [
+        honest,
+        analysis.build_bitflip_model(honest, 0.2),
+        analysis.build_honest_model(dim_cfg, "dimtest", np.random.default_rng(1)),
+    ]
+    for model in models:
+        for theta in model.thetas:
+            got = model.sigma_blocks(theta)
+            ref = _ref_sigma_blocks(model, theta)
+            assert list(got) == list(ref)
+            for label, vec in ref.items():
+                assert np.max(np.abs(got[label] - vec)) <= 1e-12
+
+
+def _oracle_models(honest):
+    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+    rng = np.random.default_rng(11)
+    randoms = [analysis.build_random_model(cfg, rng) for _ in range(5)]
+    return [honest, analysis.build_wrongbasis_model(honest)] + randoms
+
+
+def test_soundness_distance_matches_dense_reference(honest):
+    for model in _oracle_models(honest):
+        for theta in model.thetas:
+            sd = analysis.soundness_distance(model, theta)
+            per_v, total, post = _ref_soundness(model, theta)
+            assert set(sd["per_v"]) == set(per_v)
+            for v, dist in per_v.items():
+                assert sd["per_v"][v] == pytest.approx(dist, abs=1e-9)
+            assert sd["total"] == pytest.approx(total, abs=1e-9)
+            assert set(sd["post_measurement"]) == set(post)
+            for q, dist in post.items():
+                assert sd["post_measurement"][q] == pytest.approx(dist, abs=1e-9)
+
+
+def test_failure_report_matches_dense_reference(honest):
+    for model in _oracle_models(honest):
+        got = analysis.failure_report(model)
+        eps_h = _ref_eps_h(model)
+        assert set(got.eps_H) == set(eps_h)
+        for q, eps in eps_h.items():
+            assert got.eps_H[q] == pytest.approx(eps, abs=1e-9)
+        assert got.eps == pytest.approx(got.eps_P / 2.0 + sum(eps_h.values()) / 8.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,n,w,seed", [("honest", 1, 2, 0), ("honest", 1, 3, 1), ("classical", 2, 2, 3)])
+def test_dimension_certificate_matches_dense_reference(kind, n, w, seed):
+    cfg = DimTestConfig(N=n, entcf=entcf.EntcfParams.ideal(w))
+    rng = np.random.default_rng(seed)
+    if kind == "honest":
+        model = analysis.build_honest_model(cfg, "dimtest", rng)
+    else:
+        model = analysis.build_classical_model(cfg, rng)
+    cert = analysis.dimension_certificate(model)
+    v_distance, eps = _ref_certificate(model)
+    assert cert["v_distance"] == pytest.approx(v_distance, abs=1e-9)
+    assert cert["epsilon"] == pytest.approx(eps, abs=1e-9)
+

@@ -125,6 +125,22 @@ def test_cli_analyze_honest(capsys):
     assert report["all_ok"]
 
 
+def test_cli_analyze_rejects_w1(capsys):
+    assert cli.main(["analyze", "--n", "1", "--w", "1", "--model", "honest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_analyze_dimtest_n2_certifies_dimension_4(capsys):
+    argv = ["analyze", "--protocol", "dimtest", "--n", "2", "--w", "2", "--model", "honest"]
+    assert cli.main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified_dimension"] == pytest.approx(4.0, abs=1e-9)
+    assert cert["rank_ok"]
+
+
 def test_cli_entcf_check(capsys):
     assert cli.main(["entcf-check", "--backend", "ideal", "--w", "2", "--keys", "2"]) == 0
 

@@ -121,3 +121,55 @@ def test_state_dep_norm():
     z = np.diag([1.0, -1.0])
     assert qsim.state_dep_norm(z - np.eye(2), psi) == pytest.approx(0.0, abs=1e-12)
     assert qsim.state_dep_norm(z + np.eye(2), psi) == pytest.approx(2.0)
+
+
+def _dense_diff_rank1(u, w):
+    return qsim.trace_norm(np.outer(u, u.conj()) - np.outer(w, w.conj()))
+
+
+def test_batched_trace_norm_diff_rank1_matches_dense():
+    rng = np.random.default_rng(5)
+    dim = 7
+    u = rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))
+    w = rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))
+    w[0] = np.exp(0.7j) * u[0]  # parallel, with a phase
+    w[1] = 2.0 * u[1]  # parallel, different length
+    w[2] = u[2] + 1e-9 * (rng.normal(size=dim) + 1j * rng.normal(size=dim))  # near-parallel
+    w[3] = u[3] - (np.vdot(u[3], w[3]) / np.vdot(u[3], u[3])) * u[3]  # orthogonal
+    u[4] = 0.0  # one zero row
+    u[5] = w[5] = 0.0  # both zero
+    w[6] = 0.0
+    got = qsim.trace_norm_diff_rank1(u, w)
+    assert got.shape == (8,)
+    for i in range(8):
+        assert got[i] == pytest.approx(_dense_diff_rank1(u[i], w[i]), abs=1e-9)
+    # leading shape is kept, and a single pair gives a float
+    assert qsim.trace_norm_diff_rank1(u.reshape(2, 4, dim), w.reshape(2, 4, dim)).shape == (2, 4)
+    assert isinstance(qsim.trace_norm_diff_rank1(u[7], w[7]), float)
+
+
+def test_trace_norm_diff_rank1_keeps_precision_near_equal_rows():
+    rng = np.random.default_rng(6)
+    u = rng.normal(size=16) + 1j * rng.normal(size=16)
+    delta = 1e-9 * (rng.normal(size=16) + 1j * rng.normal(size=16))
+    # the distance is of size |u| |delta| ~ 1e-8; the Gram closed form would
+    # lose it in round-off of size sqrt(1e-16) |u|^2
+    got = qsim.trace_norm_diff_rank1(u, np.exp(0.3j) * (u + delta))
+    assert got == pytest.approx(_dense_diff_rank1(u, u + delta), rel=1e-6)
+    assert got > 1e-9
+
+
+@pytest.mark.parametrize("rows,cols,dim", [(3, 2, 6), (4, 5, 5), (2, 7, 4)])
+def test_trace_norm_lowrank_matches_dense(rows, cols, dim):
+    rng = np.random.default_rng(rows * 100 + cols)
+    factors = rng.normal(size=(rows, dim, cols)) + 1j * rng.normal(size=(rows, dim, cols))
+    weights = rng.normal(size=(rows, cols))
+    got = qsim.trace_norm_lowrank(factors, weights)
+    assert got.shape == (rows,)
+    for k in range(rows):
+        dense = (factors[k] * weights[k]) @ factors[k].conj().T
+        assert got[k] == pytest.approx(qsim.trace_norm(dense), abs=1e-9)
+    # shared weights broadcast over the leading shape
+    shared = qsim.trace_norm_lowrank(factors, weights[0])
+    dense0 = (factors[1] * weights[0]) @ factors[1].conj().T
+    assert shared[1] == pytest.approx(qsim.trace_norm(dense0), abs=1e-9)
