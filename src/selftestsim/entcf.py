@@ -187,7 +187,7 @@ def _gen_ideal(family, params, rng):
     if family == FAMILY_F:
         f0 = rng.permutation(params.image_space_size)[:size_x]
         s = 1 + int(rng.integers(size_x - 1))
-        f1 = np.array([f0[x ^ s] for x in range(size_x)])
+        f1 = f0[np.arange(size_x) ^ s]
         table = np.stack([f0, f1]).astype(np.int64)
         key = PublicKey(params=params, table=table)
         return key, Trapdoor(family=FAMILY_F, key=key, s=s)
@@ -371,11 +371,8 @@ def preimages(key: PublicKey, y) -> list[tuple[int, int]]:
     if 2**params.w > _DECODE_CAP:
         raise DomainError("exhaustive preimage scan capped at |X| <= 2^16")
     if params.backend == "ideal":
-        out = []
-        for b in (0, 1):
-            for x in np.flatnonzero(key.table[b] == y):
-                out.append((b, int(x)))
-        return out
+        bs, xs = np.nonzero(key.table == y)  # row-major: b first, then x
+        return list(zip(bs.tolist(), xs.tolist()))
     return [
         (b, x)
         for b in (0, 1)

@@ -73,7 +73,7 @@ def _make_verifier(protocol_kind: str, config, rng: np.random.Generator):
 def _prover_loop(channel, prover, timeout: float | None = None) -> None:
     """Serve one session: answer until a verdict arrives."""
     while True:
-        msg = channel.recv(timeout)
+        msg, _ = channel.recv(timeout)
         reply = prover.handle(msg)
         if reply is None:
             return
@@ -120,39 +120,30 @@ def run_one_session(
         p_chan = None
 
     messages = []
-    clock = 0
 
-    def record(direction: str, msg) -> None:
-        nonlocal clock
+    def record(direction: str, msg, payload: dict) -> None:
         messages.append(
-            {
-                "t": clock,
-                "dir": direction,
-                "type": type(msg).__name__,
-                "payload": codec.to_payload(msg),
-            }
+            {"t": len(messages), "dir": direction, "type": type(msg).__name__, "payload": payload}
         )
-        clock += 1
 
     verdict = None
     try:
         outgoing = verifier.step(None)
         while True:
-            record("v->p", outgoing)
-            v_chan.send(outgoing)
+            record("v->p", outgoing, v_chan.send(outgoing))
             if isinstance(outgoing, protocol.Verdict):
                 break
             if tcp_port is None:
-                msg = p_chan.recv()
+                msg, _ = p_chan.recv()
                 reply = prover.handle(msg)
                 if reply is not None:
                     p_chan.send(reply)
-            incoming = v_chan.recv(timeout)
-            record("p->v", incoming)
+            incoming, payload = v_chan.recv(timeout)
+            record("p->v", incoming, payload)
             outgoing = verifier.step(incoming)
         verdict = verifier.verdict
         if tcp_port is None:
-            prover.handle(p_chan.recv())
+            prover.handle(p_chan.recv()[0])
     except TransportError:
         verdict = protocol.Verdict(accept=0, reason="transport")
     finally:
@@ -327,27 +318,56 @@ def run_sessions(
 # Replay audit
 # ---------------------------------------------------------------------------
 
+_MESSAGE_CLASSES = {cls.__name__: cls for cls in protocol.MESSAGE_TYPES}
+
+
 def replay_audit(
     transcripts: list[dict], protocol_kind: str, config, seed: int
 ) -> bool:
     """Re-drive every persisted session through a fresh verifier with the
-    same RNG stream and check the recorded verdict is reproduced."""
+    same RNG stream. Each recorded verifier message must be the one the
+    verifier sends at that point (type and payload), the messages must
+    alternate as the protocol runs, the session id must come from the
+    session's stream, and the recorded verdict must be reproduced. Sessions
+    that ended in a transport failure are skipped."""
     codec = transport.Codec(config.entcf)
     streams = list(session_streams(seed, len(transcripts)))
     for record in transcripts:
-        v_rng, _, _ = streams[record["index"]]
-        verifier = _make_verifier(protocol_kind, config, v_rng)
-        outgoing = verifier.step(None)
-        replayed = None
-        for entry in record["messages"]:
-            cls = getattr(protocol, entry["type"])
-            msg = codec.from_payload(cls, entry["payload"])
-            if entry["dir"] == "p->v":
-                outgoing = verifier.step(msg)
-                if isinstance(outgoing, protocol.Verdict):
-                    replayed = outgoing
         if record["reason"] == "transport":
             continue
-        if replayed is None or replayed.accept != record["accept"] or replayed.reason != record["reason"]:
+        v_rng, _, s_rng = streams[record["index"]]
+        if record["session"] != transport.session_id_from_rng(s_rng).hex():
+            return False
+        verifier = _make_verifier(protocol_kind, config, v_rng)
+        try:
+            replayed = _replay(verifier, record["messages"], codec)
+        except TransportError:  # a recorded payload that does not decode
+            return False
+        if not replayed or verifier.verdict != protocol.Verdict(
+            accept=record["accept"], reason=record["reason"]
+        ):
             return False
     return True
+
+
+def _replay(verifier, messages: list[dict], codec: transport.Codec) -> bool:
+    """Feed the recorded prover messages to verifier; False as soon as a
+    recorded verifier message differs from the one it sends."""
+    pending = verifier.step(None)
+    for entry in messages:
+        if entry["dir"] == "v->p":
+            if (
+                pending is None
+                or entry["type"] != type(pending).__name__
+                or entry["payload"] != codec.to_payload(pending)
+            ):
+                return False
+            pending = None
+        elif entry["dir"] == "p->v" and pending is None and verifier.verdict is None:
+            cls = _MESSAGE_CLASSES.get(entry["type"])
+            if cls is None:
+                return False
+            pending = verifier.step(codec.from_payload(cls, entry["payload"]))
+        else:
+            return False
+    return pending is None

@@ -267,6 +267,16 @@ def sigma_set_membership(theta, v, y, d, trapdoors, n: int, protocol: str = "sel
 # Verifier state machines
 # ---------------------------------------------------------------------------
 
+# phase -> (awaited prover message, its fields); a field's entries are bits,
+# w-bit strings ("wbits") or images, which the decoders check (None).
+_AWAITED = {
+    "await_images": (Images, (("y", None),)),
+    "await_preimage": (PreimageAnswer, (("b", "bit"), ("x", "wbits"))),
+    "await_d": (HadamardD, (("d", "wbits"),)),
+    "await_answer": (FinalAnswer, (("v", "bit"),)),
+}
+
+
 class _VerifierBase:
     """Shared two-round interactive flow. The state machine is a pure
     transition function of (phase, incoming message, rng stream).
@@ -323,34 +333,49 @@ class _VerifierBase:
                 raise ProtocolError("no message expected before keys are sent")
             self.phase = "await_images"
             return Keys(keys=tuple(self.keys))
+        if self.phase == "done":
+            raise ProtocolError("verifier already finished (phase=done)")
+        reason = self._malformed(incoming)
+        if reason is not None:
+            return self._finish(Verdict(accept=0, reason=reason))
         if self.phase == "await_images":
-            if not isinstance(incoming, Images) or len(incoming.y) != self.n_coords:
-                return self._finish(Verdict(accept=0, reason="protocol"))
             self.y = tuple(incoming.y)
             self._decode_bhat()
             self.round_type = PREIMAGE if self.rng.integers(2) == 0 else HADAMARD
             self.phase = "await_preimage" if self.round_type == PREIMAGE else "await_d"
             return RoundType(kind=self.round_type)
         if self.phase == "await_preimage":
-            if not isinstance(incoming, PreimageAnswer) or len(incoming.b) != self.n_coords:
-                return self._finish(Verdict(accept=0, reason="protocol"))
             ok = entcf.chk(self.keys, self.y, incoming.b, incoming.x) == 0
             return self._finish(
                 Verdict(accept=1, reason="accept") if ok else Verdict(accept=0, reason="preimage.chk")
             )
         if self.phase == "await_d":
-            if not isinstance(incoming, HadamardD) or len(incoming.d) != self.n_coords:
-                return self._finish(Verdict(accept=0, reason="protocol"))
             self.d = tuple(incoming.d)
             self._decode_hhat()
             self.q = self._draw_question()
             self.phase = "await_answer"
             return Question(q=self.q)
-        if self.phase == "await_answer":
-            if not isinstance(incoming, FinalAnswer) or len(incoming.v) != self.n_coords:
-                return self._finish(Verdict(accept=0, reason="protocol"))
-            return self._finish(self._final_verdict(tuple(incoming.v)))
-        raise ProtocolError(f"verifier already finished (phase={self.phase})")
+        return self._finish(self._final_verdict(tuple(incoming.v)))
+
+    def _malformed(self, incoming) -> str | None:
+        """Reject reason for a reply that is not the awaited message type
+        with n_coords entries per field ("protocol"), or that has a field
+        entry outside its domain ("protocol.<field>"); None if well formed."""
+        cls, fields = _AWAITED[self.phase]
+        if not isinstance(incoming, cls):
+            return "protocol"
+        for name, _ in fields:
+            entries = getattr(incoming, name)
+            if not isinstance(entries, (tuple, list)) or len(entries) != self.n_coords:
+                return "protocol"
+        for name, kind in fields:
+            if kind is None:
+                continue
+            bound = 2 if kind == "bit" else 2**self.params.w
+            for e in getattr(incoming, name):
+                if not (isinstance(e, (int, np.integer)) and 0 <= e < bound):
+                    return f"protocol.{name}"
+        return None
 
     def _decode_bhat(self):
         for i, trap in enumerate(self.trapdoors):

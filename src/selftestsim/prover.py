@@ -4,10 +4,11 @@ The honest prover exists in two modes. "collapsed" samples the image y
 classically per coordinate and tracks only the logical qubit that survives
 the Hadamard d-measurement (a basis state for injective coordinates, a
 phase state (|0> + (-1)^h |1>)/sqrt(2) for claw coordinates); the CZ layer
-and the final question-dependent measurement are then simulated on 2-qubit
-pair states. "fullsim" builds the per-coordinate superposition
-sum_{b,x} |b>|x>|f_b(x)> explicitly and Born-measures every step; it is the
-cross-validation oracle for the collapsed fast path and is budget-limited.
+and the final question-dependent measurement of each pair are then computed
+in closed form on its 2x2 amplitude table (measure_pair). "fullsim" builds
+the per-coordinate superposition sum_{b,x} |b>|x>|f_b(x)> explicitly and
+Born-measures every step up to the final one; it is the cross-validation
+oracle for the collapsed fast path and is budget-limited.
 
 Cheat provers: ClassicalGuess holds no qubits and guesses unknown equation
 bits; BitFlip(p) wraps the honest prover and flips answer bits; WrongBasis
@@ -15,10 +16,12 @@ swaps the q=0 and q=1 measurement bases.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import entcf, protocol, qsim
-from .errors import BudgetError, ContractError, ParameterError
+from .errors import BudgetError, ContractError, DomainError, ParameterError
 
 COLLAPSED = "collapsed"
 FULLSIM = "fullsim"
@@ -26,11 +29,12 @@ FULLSIM = "fullsim"
 _COMP = "computational"
 _HAD = "hadamard"
 
-# 2-dim qubit vectors used by the collapsed path.
-_PHASE = {
-    0: np.array([1.0, 1.0]) / np.sqrt(2.0),
-    1: np.array([1.0, -1.0]) / np.sqrt(2.0),
-}
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# Qubit amplitude pairs used by the collapsed path: the computational basis
+# states, and the phase states (|0> + (-1)^h |1>)/sqrt(2).
+_BASIS = {0: (1.0, 0.0), 1: (0.0, 1.0)}
+_PHASE = {0: (_SQRT_HALF, _SQRT_HALF), 1: (_SQRT_HALF, -_SQRT_HALF)}
 
 
 def question_bases(kind: str, n: int, q: int, swap_01: bool = False) -> list[str]:
@@ -62,28 +66,61 @@ def question_bases(kind: str, n: int, q: int, swap_01: bool = False) -> list[str
     return bases
 
 
-def measure_qubit_vector(vec: np.ndarray, basis: str, rng: np.random.Generator) -> int:
-    state = qsim.StateVector(vec, [("q", 2)], normalize=True)
-    outcome, _ = state.measure("q", basis, rng)
-    return outcome
+def _in_basis(a0, a1, basis: str):
+    """Amplitudes of the qubit a0|0> + a1|1> in a measurement basis."""
+    if basis == _HAD:
+        return (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
+    if basis != _COMP:
+        raise DomainError(f"unknown basis {basis!r}")
+    return a0, a1
+
+
+def _draw(p0: float, p1: float, rng: np.random.Generator) -> int:
+    """Outcome 0 or 1 with weights (p0, p1), from one rng.random() draw.
+
+    Generator.choice(2, p=...) draws the same single double and compares it
+    with the same normalised cumulative weight, so the RNG stream and the
+    outcomes match a choice()-based measurement.
+    """
+    total = p0 + p1
+    if total <= 0.0:
+        raise DomainError("cannot measure a zero vector")
+    p0, p1 = p0 / total, p1 / total
+    return 0 if rng.random() < p0 / (p0 + p1) else 1
+
+
+def measure_qubit_vector(vec, basis: str, rng: np.random.Generator) -> int:
+    a0, a1 = _in_basis(*vec, basis)
+    return _draw(abs(a0) ** 2, abs(a1) ** 2, rng)
 
 
 def measure_pair(
-    vec_i: np.ndarray,
-    vec_j: np.ndarray,
+    vec_i,
+    vec_j,
     basis_i: str,
     basis_j: str,
     rng: np.random.Generator,
     apply_cz: bool = True,
 ) -> tuple[int, int]:
-    """CZ (optionally) then per-qubit measurement on a 2-qubit product input."""
-    amps = np.kron(vec_i, vec_j)
-    state = qsim.StateVector(amps, [("i", 2), ("j", 2)], normalize=True)
+    """CZ (optionally) then per-qubit measurement on a 2-qubit product input.
+
+    Closed form on the amplitude table a[s][t] = vec_i[s] * vec_j[t]: CZ
+    negates a[1][1], each qubit is taken to its measurement basis, then
+    qubit i is drawn from its marginal and qubit j from its conditional
+    given i.
+    """
+    i0, i1 = vec_i
+    j0, j1 = vec_j
+    a00, a01, a10, a11 = i0 * j0, i0 * j1, i1 * j0, i1 * j1
     if apply_cz:
-        state = qsim.controlled_z(state, "i", "j")
-    out_i, state = state.measure("i", basis_i, rng)
-    out_j, _ = state.measure("j", basis_j, rng)
-    return out_i, out_j
+        a11 = -a11
+    a00, a10 = _in_basis(a00, a10, basis_i)
+    a01, a11 = _in_basis(a01, a11, basis_i)
+    a00, a01 = _in_basis(a00, a01, basis_j)
+    a10, a11 = _in_basis(a10, a11, basis_j)
+    out_i = _draw(abs(a00) ** 2 + abs(a01) ** 2, abs(a10) ** 2 + abs(a11) ** 2, rng)
+    c0, c1 = (a10, a11) if out_i else (a00, a01)
+    return out_i, _draw(abs(c0) ** 2, abs(c1) ** 2, rng)
 
 
 class DeviceInterface:
@@ -156,7 +193,7 @@ class HonestProver(DeviceInterface):
         self.records = None  # per coordinate: list[(b, x)] preimage pairs of y
         self.y = None
         self.d = None
-        self.qubits = None  # per coordinate: 2-dim vector after d-measurement
+        self.qubits = None  # per coordinate: amplitude pair after d-measurement
         self._full_states = None
 
     # -- keys round ----------------------------------------------------------
@@ -242,14 +279,14 @@ class HonestProver(DeviceInterface):
             for state in self._full_states:
                 d, state = state.measure("x", _HAD, self.rng)
                 self.d.append(d)
-                self.qubits.append(state.amps.copy())
+                self.qubits.append(tuple(state.amps.tolist()))
             return self.d
         for key, pairs in zip(self.keys, self.records):
             d = int(self.rng.integers(2 ** key.params.w))
             self.d.append(d)
             if len(pairs) == 1:
                 b, _ = pairs[0]
-                self.qubits.append(qsim.basis_vector(2, b).real)
+                self.qubits.append(_BASIS[b])
             else:
                 (_, x0), (_, x1) = sorted(pairs)
                 # Post-measurement phase: (-1)^{d.x0}|0> + (-1)^{d.x1}|1>,

@@ -96,16 +96,6 @@ class StateVector:
             registers = [("scalar", 1)]
         return outcome, StateVector(sub / norm, registers)
 
-    def apply_to_register(self, matrix: np.ndarray, register: str) -> "StateVector":
-        axis = self._axis(register)
-        tens = np.moveaxis(
-            np.tensordot(matrix, self._tensor(), axes=([1], [axis])), 0, axis
-        )
-        out = StateVector.__new__(StateVector)
-        out.registers = list(self.registers)
-        out.amps = tens.ravel()
-        return out
-
 
 def controlled_z(state: StateVector, qubit_i: str, qubit_j: str) -> StateVector:
     """CZ between two dim-2 registers; symmetric in its arguments."""

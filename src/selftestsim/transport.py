@@ -33,6 +33,13 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+class Frame(bytes):
+    """One encoded frame. `payload` is the dict serialised into it, so a
+    sender can record what it put on the wire without building it again."""
+
+    payload: dict
+
+
 class Codec:
     """Message <-> frame translation for a fixed parameter set."""
 
@@ -41,9 +48,12 @@ class Codec:
 
     # -- image coordinates ---------------------------------------------------
     def encode_y(self, y_i) -> str:
-        if self.params.backend == "ideal":
-            return struct.pack(">I", int(y_i)).hex()
-        return b"".join(struct.pack(">I", int(c)) for c in y_i).hex()
+        try:
+            if self.params.backend == "ideal":
+                return struct.pack(">I", int(y_i)).hex()
+            return b"".join(struct.pack(">I", int(c)) for c in y_i).hex()
+        except struct.error as exc:
+            raise TransportError(f"image not encodable as u32: {exc}") from exc
 
     def decode_y(self, text: str):
         raw = bytes.fromhex(text)
@@ -103,19 +113,23 @@ class Codec:
         raise TransportError("unknown message type byte")
 
     # -- frames ---------------------------------------------------------------
-    def encode_frame(self, session_id: bytes, msg) -> bytes:
+    def encode_frame(self, session_id: bytes, msg) -> Frame:
         if len(session_id) != SESSION_ID_BYTES:
             raise TransportError("session id must be 16 bytes")
+        payload = self.to_payload(msg)
         body = (
             bytes([VERSION])
             + session_id
             + bytes([_TYPE_BYTES[type(msg)]])
-            + _canonical_json(self.to_payload(msg))
+            + _canonical_json(payload)
         )
-        return struct.pack(">I", len(body)) + body
+        frame = Frame(struct.pack(">I", len(body)) + body)
+        frame.payload = payload
+        return frame
 
     def decode_frame(self, frame: bytes):
-        """(session_id, message) from one complete frame."""
+        """(session_id, message, payload) from one complete frame; payload is
+        the JSON object the frame carried."""
         if len(frame) < 4:
             raise TransportError("truncated frame")
         (length,) = struct.unpack(">I", frame[:4])
@@ -132,7 +146,7 @@ class Codec:
             payload = json.loads(body[_HEADER:].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"bad payload JSON: {exc}") from exc
-        return session_id, self.from_payload(_TYPE_CLASSES[type_byte], payload)
+        return session_id, self.from_payload(_TYPE_CLASSES[type_byte], payload), payload
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +173,24 @@ class InProcChannel:
             cls(codec, session_id, a_to_b, b_to_a),
         )
 
-    def send(self, msg) -> None:
+    def send(self, msg) -> dict:
+        """Queue msg's frame; returns the payload the frame carries."""
         if not self.open:
             raise TransportError("channel closed")
-        self._outbox.append(self.codec.encode_frame(self.session_id, msg))
+        frame = self.codec.encode_frame(self.session_id, msg)
+        self._outbox.append(frame)
+        return frame.payload
 
     def recv(self, timeout: float | None = None):
+        """(message, payload) from the next queued frame."""
         if not self.open:
             raise TransportError("channel closed")
         if not self._inbox:
             raise TransportError("recv on empty in-process channel (would deadlock)")
-        session_id, msg = self.codec.decode_frame(self._inbox.popleft())
+        session_id, msg, payload = self.codec.decode_frame(self._inbox.popleft())
         if session_id != self.session_id:
             raise TransportError("session id mismatch")
-        return msg
+        return msg, payload
 
     def close(self) -> None:
         self.open = False
@@ -187,10 +205,13 @@ class TcpChannel:
         self.sock = sock
         self.open = True
 
-    def send(self, msg) -> None:
+    def send(self, msg) -> dict:
+        """Write msg's frame; returns the payload the frame carries."""
         if not self.open:
             raise TransportError("channel closed")
-        self.sock.sendall(self.codec.encode_frame(self.session_id, msg))
+        frame = self.codec.encode_frame(self.session_id, msg)
+        self.sock.sendall(frame)
+        return frame.payload
 
     def _read_exact(self, nbytes: int) -> bytes:
         chunks = b""
@@ -205,16 +226,17 @@ class TcpChannel:
         return chunks
 
     def recv(self, timeout: float | None = None):
+        """(message, payload) from the next frame on the socket."""
         if not self.open:
             raise TransportError("channel closed")
         self.sock.settimeout(timeout)
         head = self._read_exact(4)
         (length,) = struct.unpack(">I", head)
         body = self._read_exact(length)
-        session_id, msg = self.codec.decode_frame(head + body)
+        session_id, msg, payload = self.codec.decode_frame(head + body)
         if session_id != self.session_id:
             raise TransportError("session id mismatch")
-        return msg
+        return msg, payload
 
     def close(self) -> None:
         self.open = False

@@ -56,6 +56,46 @@ def test_replay_audit_passes():
     assert not harness.replay_audit(transcripts, "selftest", CFG, 3)
 
 
+def _tamper(transcripts, message_type, change):
+    """Apply change to the payload of the first recorded message_type."""
+    for record in transcripts:
+        for entry in record["messages"]:
+            if entry["type"] == message_type:
+                change(entry["payload"])
+                return
+    raise AssertionError(f"no {message_type} message recorded")
+
+
+def test_replay_audit_checks_verifier_messages():
+    _, transcripts = harness.run_sessions("selftest", "honest", CFG, 80, seed=3)
+    untouched = json.loads(json.dumps(transcripts))  # as read back from disk
+    assert harness.replay_audit(untouched, "selftest", CFG, 3)
+
+    tampered_q = json.loads(json.dumps(transcripts))
+    _tamper(tampered_q, "Question", lambda p: p.update(q=(p["q"] + 1) % 4))
+    assert not harness.replay_audit(tampered_q, "selftest", CFG, 3)
+
+    tampered_keys = json.loads(json.dumps(transcripts))
+    _tamper(tampered_keys, "Keys", lambda p: p["keys"].reverse())
+    assert not harness.replay_audit(tampered_keys, "selftest", CFG, 3)
+
+
+def test_replay_audit_rejects_reordered_truncated_or_garbled_records():
+    _, transcripts = harness.run_sessions("selftest", "honest", CFG, 20, seed=4)
+    dropped = json.loads(json.dumps(transcripts))
+    del dropped[0]["messages"][2]  # the RoundType the prover answered
+    assert not harness.replay_audit(dropped, "selftest", CFG, 4)
+    truncated = json.loads(json.dumps(transcripts))
+    del truncated[0]["messages"][-1]  # the Verdict
+    assert not harness.replay_audit(truncated, "selftest", CFG, 4)
+    garbled = json.loads(json.dumps(transcripts))
+    _tamper(garbled, "Images", lambda p: p.update(y=["not hex"] * len(p["y"])))
+    assert not harness.replay_audit(garbled, "selftest", CFG, 4)
+    swapped = json.loads(json.dumps(transcripts))
+    swapped[0]["session"], swapped[1]["session"] = swapped[1]["session"], swapped[0]["session"]
+    assert not harness.replay_audit(swapped, "selftest", CFG, 4)
+
+
 def test_output_files(tmp_path):
     harness.run_sessions("dimtest", "honest", DCFG, 20, seed=1, out_dir=tmp_path)
     stats = json.loads((tmp_path / "stats.json").read_text())

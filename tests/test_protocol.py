@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from selftestsim import entcf, protocol
+from selftestsim import entcf, protocol, transport
 from selftestsim.errors import ProtocolError
 from selftestsim.protocol import (
     THETA_ALL_G,
@@ -226,3 +226,69 @@ def test_config_validation():
         SelfTestConfig(N=0, entcf=entcf.EntcfParams.ideal(2))
     preset = SelfTestConfig.security_preset(2, entcf.EntcfParams.ideal(2))
     assert preset.N == 2 and preset.security_parameter == 2
+
+
+# ---------------------------------------------------------------------------
+# Field domains: out-of-domain replies get a reject verdict, never an exception
+# ---------------------------------------------------------------------------
+
+def _verifier_awaiting(round_type, w=2):
+    """A verifier that has sent its round type, fed genuine images."""
+    for seed in range(100):
+        v = _fresh_verifier(seed, w=w)
+        keys = v.step(None).keys
+        rng = np.random.default_rng(seed)
+        y = tuple(entcf.forward_sample(k, 0, 0, rng) for k in keys)
+        if v.step(protocol.Images(y=y)).kind == round_type:
+            return v
+    raise AssertionError("no seed reached the round type")
+
+
+def _via_codec(msg):
+    """msg as the verifier receives it over the wire."""
+    codec = transport.Codec(entcf.EntcfParams.ideal(2))
+    _, back, _ = codec.decode_frame(codec.encode_frame(bytes(16), msg))
+    return back
+
+
+@pytest.mark.parametrize(
+    "b, x, reason",
+    [
+        ((0, 0), (0, 4), "protocol.x"),  # x >= 2^w
+        ((0, 0), (-1, 0), "protocol.x"),
+        ((2, 0), (0, 0), "protocol.b"),
+        ((-1, 0), (0, 0), "protocol.b"),  # numpy would read row 1
+    ],
+)
+def test_preimage_answer_out_of_domain_rejects(b, x, reason):
+    v = _verifier_awaiting(protocol.PREIMAGE)
+    out = v.step(_via_codec(protocol.PreimageAnswer(b=b, x=x)))
+    assert out == protocol.Verdict(accept=0, reason=reason)
+
+
+def test_preimage_answer_x_arity_rejects():
+    v = _verifier_awaiting(protocol.PREIMAGE)
+    out = v.step(protocol.PreimageAnswer(b=(0, 0), x=(0,)))
+    assert out == protocol.Verdict(accept=0, reason="protocol")
+
+
+@pytest.mark.parametrize("d", [-1, 2**40, 4])
+def test_hadamard_d_out_of_domain_rejects(d):
+    v = _verifier_awaiting(protocol.HADAMARD)
+    out = v.step(_via_codec(protocol.HadamardD(d=(d, 1))))
+    assert out == protocol.Verdict(accept=0, reason="protocol.d")
+    assert v.hhat == [None, None]  # nothing was decoded from it
+
+
+@pytest.mark.parametrize("bad", [5, -1, 2])
+def test_final_answer_out_of_domain_rejects(bad):
+    v = _verifier_awaiting(protocol.HADAMARD)
+    assert isinstance(v.step(protocol.HadamardD(d=(1, 1))), protocol.Question)
+    out = v.step(_via_codec(protocol.FinalAnswer(v=(0, bad))))
+    assert out == protocol.Verdict(accept=0, reason="protocol.v")
+
+
+def test_in_domain_edges_still_accepted():
+    v = _verifier_awaiting(protocol.HADAMARD)
+    assert isinstance(v.step(protocol.HadamardD(d=(0, 3))), protocol.Question)
+    assert isinstance(v.step(protocol.FinalAnswer(v=(np.int64(1), True))), protocol.Verdict)

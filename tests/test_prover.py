@@ -1,9 +1,11 @@
 """Prover behavior tests: honest modes, adversaries, contracts."""
+import itertools
+
 import numpy as np
 import pytest
 
-from selftestsim import entcf, protocol, prover
-from selftestsim.errors import BudgetError, ContractError, ParameterError
+from selftestsim import entcf, harness, protocol, prover, qsim
+from selftestsim.errors import BudgetError, ContractError, DomainError, ParameterError
 from selftestsim.prover import (
     COLLAPSED,
     FULLSIM,
@@ -165,3 +167,147 @@ def test_make_prover_unknown_spec():
         HonestProver("selftest", np.random.default_rng(0), mode="nope")
     with pytest.raises(ParameterError):
         prover.adversary("bitflip", "selftest", np.random.default_rng(0), p=2.0)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form measurement against the state-vector reference
+# ---------------------------------------------------------------------------
+
+def reference_measure_qubit_vector(vec, basis, rng):
+    state = qsim.StateVector(vec, [("q", 2)], normalize=True)
+    outcome, _ = state.measure("q", basis, rng)
+    return outcome
+
+
+def reference_measure_pair(vec_i, vec_j, basis_i, basis_j, rng, apply_cz=True):
+    """State-vector measurement; the closed form must match it draw for draw."""
+    amps = np.kron(vec_i, vec_j)
+    state = qsim.StateVector(amps, [("i", 2), ("j", 2)], normalize=True)
+    if apply_cz:
+        state = qsim.controlled_z(state, "i", "j")
+    out_i, state = state.measure("i", basis_i, rng)
+    out_j, _ = state.measure("j", basis_j, rng)
+    return out_i, out_j
+
+
+def reference_pair_distribution(vec_i, vec_j, basis_i, basis_j, apply_cz):
+    """Joint outcome probabilities p[out_i][out_j] from the dense state."""
+    state = qsim.StateVector(np.kron(vec_i, vec_j), [("i", 2), ("j", 2)], normalize=True)
+    if apply_cz:
+        state = qsim.controlled_z(state, "i", "j")
+    change = [qsim.hadamard_matrix(1) if b == "hadamard" else np.eye(2) for b in (basis_i, basis_j)]
+    probs = np.abs(np.kron(*change) @ state.amps) ** 2
+    return (probs / probs.sum()).reshape(2, 2)
+
+
+class FixedDraws:
+    """Stands in for a Generator whose random() returns the queued values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _threshold(outcome_of_u) -> float:
+    """P(outcome 0) for a sampler that returns 0 iff its draw u is below a
+    threshold, found by bisection on u. 50 halvings give 2^-50 resolution and
+    keep u below 1, which random() never returns."""
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if outcome_of_u(mid) == 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j, apply_cz):
+    def pair(u_i, u_j):
+        return prover.measure_pair(vec_i, vec_j, basis_i, basis_j, FixedDraws(u_i, u_j), apply_cz)
+
+    p_i0 = _threshold(lambda u: pair(u, 0.5)[0])
+    out = np.zeros((2, 2))
+    # u = 0 draws outcome 0 and u just below 1 draws outcome 1 when either has mass
+    for out_i, u_i, weight in ((0, 0.0, p_i0), (1, np.nextafter(1.0, 0.0), 1.0 - p_i0)):
+        if weight > 0.0:
+            p_j0 = _threshold(lambda u: pair(u_i, u)[1])
+            out[out_i] = weight * p_j0, weight * (1.0 - p_j0)
+    return out
+
+
+def _qubit_inputs():
+    s = 1.0 / np.sqrt(2.0)
+    rng = np.random.default_rng(2024)
+    rand = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rand /= np.linalg.norm(rand)
+    return {
+        "0": (1.0, 0.0),
+        "1": (0.0, 1.0),
+        "+": (s, s),
+        "-": (s, -s),
+        "rand": tuple(rand.tolist()),
+    }
+
+
+QUBITS = _qubit_inputs()
+BASES = ("computational", "hadamard")
+
+
+@pytest.mark.parametrize("cz", [True, False], ids=["cz", "no-cz"])
+@pytest.mark.parametrize("basis_i, basis_j", list(itertools.product(BASES, repeat=2)))
+def test_measure_pair_matches_state_vector_reference(basis_i, basis_j, cz):
+    for a, b in itertools.product(QUBITS, repeat=2):
+        vec_i, vec_j = QUBITS[a], QUBITS[b]
+        expect = reference_pair_distribution(vec_i, vec_j, basis_i, basis_j, cz)
+        got = closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j, cz)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12, err_msg=f"|{a}>|{b}>")
+        # equal seeds give equal outcomes and leave the streams in step
+        for seed in range(8):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert prover.measure_pair(vec_i, vec_j, basis_i, basis_j, rng, cz) == (
+                reference_measure_pair(vec_i, vec_j, basis_i, basis_j, ref_rng, cz)
+            ), f"|{a}>|{b}> seed {seed}"
+            assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("name", list(QUBITS))
+def test_measure_qubit_vector_matches_state_vector_reference(name, basis):
+    vec = QUBITS[name]
+    change = qsim.hadamard_matrix(1) if basis == "hadamard" else np.eye(2)
+    expect = np.abs(change @ np.asarray(vec, dtype=complex)) ** 2
+    got = _threshold(lambda u: prover.measure_qubit_vector(vec, basis, FixedDraws(u)))
+    assert got == pytest.approx(expect[0] / expect.sum(), abs=1e-12)
+    for seed in range(8):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert prover.measure_qubit_vector(vec, basis, rng) == (
+            reference_measure_qubit_vector(vec, basis, ref_rng)
+        )
+        assert rng.random() == ref_rng.random()
+
+
+def test_measurement_rejects_unknown_basis_and_zero_vector():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        prover.measure_pair((1.0, 0.0), (1.0, 0.0), "diagonal", "hadamard", rng)
+    with pytest.raises(DomainError):
+        prover.measure_qubit_vector((0.0, 0.0), "computational", rng)
+
+
+@pytest.mark.parametrize(
+    "protocol_kind, config",
+    [
+        ("selftest", protocol.SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(4))),
+        ("dimtest", protocol.DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(4))),
+    ],
+)
+def test_runs_match_state_vector_reference_byte_for_byte(protocol_kind, config, tmp_path, monkeypatch):
+    harness.run_sessions(protocol_kind, "honest", config, 200, seed=21, out_dir=tmp_path / "new")
+    monkeypatch.setattr(prover, "measure_pair", reference_measure_pair)
+    monkeypatch.setattr(prover, "measure_qubit_vector", reference_measure_qubit_vector)
+    harness.run_sessions(protocol_kind, "honest", config, 200, seed=21, out_dir=tmp_path / "ref")
+    for name in ("stats.json", "transcripts.jsonl"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

@@ -37,8 +37,10 @@ ALL_MESSAGES = [
 @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=lambda m: type(m).__name__)
 def test_frame_roundtrip_every_variant(msg):
     frame = CODEC.encode_frame(SID, msg)
-    sid, back = CODEC.decode_frame(frame)
+    sid, back, payload = CODEC.decode_frame(frame)
     assert sid == SID
+    # the payload travels with the frame and comes back from the JSON as built
+    assert payload == frame.payload == CODEC.to_payload(msg)
     if isinstance(msg, protocol.Keys):
         assert all(
             np.array_equal(a.table, b.table) for a, b in zip(msg.keys, back.keys)
@@ -63,7 +65,7 @@ def test_codec_totality(b, x, d, q, reason):
         protocol.FinalAnswer(v=tuple(b)),
         protocol.Verdict(accept=1, reason=reason),
     ):
-        _, back = CODEC.decode_frame(CODEC.encode_frame(SID, msg))
+        _, back, _ = CODEC.decode_frame(CODEC.encode_frame(SID, msg))
         assert back == msg
 
 
@@ -71,8 +73,18 @@ def test_toylwe_image_roundtrip():
     params = entcf.EntcfParams.toylwe(n=1, m=2, q=8, B=1)
     codec = transport.Codec(params)
     msg = protocol.Images(y=((1, 7), (0, 3)))
-    _, back = codec.decode_frame(codec.encode_frame(SID, msg))
+    _, back, _ = codec.decode_frame(codec.encode_frame(SID, msg))
     assert back == msg
+
+
+@pytest.mark.parametrize("y", [-1, 2**32])
+def test_encode_y_out_of_range_is_a_transport_error(y):
+    with pytest.raises(TransportError):
+        CODEC.encode_y(y)
+    with pytest.raises(TransportError):
+        transport.Codec(entcf.EntcfParams.toylwe(n=1, m=2, q=8, B=1)).encode_y((0, y))
+    with pytest.raises(TransportError):
+        CODEC.encode_frame(SID, protocol.Images(y=(3, y)))
 
 
 def test_truncated_frame_rejected():
@@ -105,9 +117,9 @@ def test_bad_session_id_length():
 def test_inproc_fifo_and_byte_identity():
     a, b = transport.InProcChannel.pair(CODEC, SID)
     msgs = [protocol.Question(q=0), protocol.Question(q=1)]
-    for m in msgs:
-        a.send(m)
-    assert [b.recv() for _ in msgs] == msgs  # FIFO order
+    sent = [a.send(m) for m in msgs]
+    assert [b.recv() for _ in msgs] == list(zip(msgs, sent))  # FIFO order
+    assert sent == [CODEC.to_payload(m) for m in msgs]
     # the raw frame is exactly what the codec would emit (shared encoder)
     a.send(msgs[0])
     assert b._inbox[0] == CODEC.encode_frame(SID, msgs[0])
@@ -122,25 +134,27 @@ def test_tcp_channel_roundtrip():
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     received = []
+    sent = []
 
     def serve():
         conn, _ = listener.accept()
         chan = transport.TcpChannel(CODEC, SID, conn)
         received.append(chan.recv(timeout=5))
-        chan.send(protocol.Verdict(accept=1, reason="accept"))
+        sent.append(chan.send(protocol.Verdict(accept=1, reason="accept")))
         chan.close()
 
     t = threading.Thread(target=serve)
     t.start()
     sock = socket.create_connection(("127.0.0.1", port), timeout=5)
     chan = transport.TcpChannel(CODEC, SID, sock)
-    chan.send(protocol.FinalAnswer(v=(0, 1)))
+    answer = chan.send(protocol.FinalAnswer(v=(0, 1)))
     verdict = chan.recv(timeout=5)
     t.join()
     listener.close()
     chan.close()
-    assert received == [protocol.FinalAnswer(v=(0, 1))]
-    assert verdict == protocol.Verdict(accept=1, reason="accept")
+    assert received == [(protocol.FinalAnswer(v=(0, 1)), answer)]
+    assert answer == {"v": [0, 1]}
+    assert verdict == (protocol.Verdict(accept=1, reason="accept"), sent[0])
 
 
 def test_tcp_closed_mid_frame():
