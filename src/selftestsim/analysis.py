@@ -21,7 +21,7 @@ import numpy as np
 
 from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
-from .protocol import THETA_ALL_G, THETA_DIAMOND, partner
+from .protocol import THETA_ALL_G, THETA_DIAMOND
 from .prover import question_bases
 
 _DIM_BUDGET = 2**12
@@ -187,43 +187,17 @@ class DeviceModel:
         self._sigma_cache[theta] = out
         return out
 
-    # -- decoding ------------------------------------------------------------
-    def decode_v(self, theta, y, d):
-        """The unique v with (y, d) in Sigma(theta, v), or None."""
-        traps = self.trapdoors[theta]
-        n_coords = len(traps)
-        bhat = [
-            entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
-            for t, yi in zip(traps, y)
-        ]
-        if theta == THETA_ALL_G:
-            return None if any(b is None for b in bhat) else tuple(bhat)
-        if theta == THETA_DIAMOND:
-            v = [None] * n_coords
-            for i in range(n_coords):
-                h = entcf.decode_h(traps[i], y[i], d[i])
-                if h is None:
-                    return None
-                v[partner(i, self.n)] = h
-            return tuple(v)
-        h = entcf.decode_h(traps[theta], y[theta], d[theta])
-        if h is None or any(b is None for i, b in enumerate(bhat) if i != theta):
-            return None
-        v = list(bhat)
-        if self.protocol == "selftest":
-            v[theta] = h ^ bhat[partner(theta, self.n)]
-        else:
-            v[theta] = h
-        return tuple(v)
-
     def grouped_sigma(self, theta):
         """(dict v -> dict (y,d) -> vector, residual trace of unassigned blocks)."""
         if theta in self._group_cache:
             return self._group_cache[theta]
+        traps = self.trapdoors[theta]
         groups: dict = {}
         residual = 0.0
         for (y, d), vec in self.sigma_blocks(theta).items():
-            v = self.decode_v(theta, y, d)
+            bhat = protocol.decode_bhat(traps, y)
+            hhat = protocol.decode_hhat(traps, y, d)
+            v = protocol.sigma_v(self.protocol, self.n, theta, bhat, hhat)
             if v is None:
                 residual += np.vdot(vec, vec).real
             else:
@@ -656,18 +630,6 @@ def build_classical_model(
 # sigma, gamma, failure
 # ---------------------------------------------------------------------------
 
-def sigma_theta_v(model: DeviceModel, theta) -> dict:
-    """Map v -> CQOperator of post-d blocks restricted to Sigma(theta, v)."""
-    groups, _ = model.grouped_sigma(theta)
-    out = {}
-    for v, blocks in groups.items():
-        op = qsim.CQOperator(model.dim)
-        for label, vec in blocks.items():
-            op.set_block(label, vec)
-        out[v] = op
-    return out
-
-
 def sigma_residual(model: DeviceModel, theta) -> float:
     """trace norm of sigma^theta minus the sum of its Sigma(theta, v) parts."""
     _, residual = model.grouped_sigma(theta)
@@ -814,13 +776,11 @@ def failure_report(model: DeviceModel) -> FailureReport:
         labels = sorted(blocks)
         vecs = np.array([blocks[lab] for lab in labels], dtype=complex).reshape(-1, model.dim)
         decodings: dict = {}
-        index = np.array(
-            [
-                decodings.setdefault(_decode_bits(traps, y, d), len(decodings))
-                for y, d in labels
-            ],
-            dtype=int,
-        )
+        index = []
+        for y, d in labels:
+            bits = (tuple(protocol.decode_bhat(traps, y)), tuple(protocol.decode_hhat(traps, y, d)))
+            index.append(decodings.setdefault(bits, len(decodings)))
+        index = np.array(index, dtype=int)
         for q in questions:
             for u, proj in model.p_proj[q].items():
                 mass = np.bincount(index, weights=_quad(vecs, proj), minlength=len(decodings))
@@ -833,19 +793,6 @@ def failure_report(model: DeviceModel) -> FailureReport:
     else:
         eps = eps_p / 2.0 + sum(eps_h.values()) / 4.0
     return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=eps)
-
-
-def _decode_bits(traps, y, d) -> tuple:
-    """(b-hat, h-hat) tuples for one (y, d) label, None where undefined."""
-    bhat = tuple(
-        entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
-        for t, yi in zip(traps, y)
-    )
-    hhat = tuple(
-        entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
-        for t, yi, di in zip(traps, y, d)
-    )
-    return bhat, hhat
 
 
 def zeta_chi_sums(model: DeviceModel) -> dict:
@@ -1216,25 +1163,6 @@ def _group_trace(blocks: dict) -> float:
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-def key_averaged_gammas(
-    builder, draws: int, rng: np.random.Generator
-) -> dict:
-    """Monte-Carlo key average of the gamma quantities; builder(rng) must
-    return a fresh model per draw."""
-    sums: dict = {}
-    for _ in range(draws):
-        rep = gamma_report(builder(rng))
-        for name in (
-            "gamma_P",
-            "gamma_T0",
-            "gamma_T1",
-            "gamma_T",
-            "gamma_diamond",
-        ):
-            sums[name] = sums.get(name, 0.0) + getattr(rep, name)
-    return {name: value / draws for name, value in sums.items()}
-
 
 def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
     """Versioned JSON-ready analysis document."""

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, entcf, harness
-from .errors import SelfTestError
+from .errors import ParameterError, SelfTestError
 from .protocol import DimTestConfig, SelfTestConfig
 
 
@@ -88,22 +88,29 @@ def _build_model(args, rng: np.random.Generator):
         config = DimTestConfig(N=args.n, entcf=params)
         if args.model == "classical":
             return analysis.build_classical_model(config, rng)
+        if args.model != "honest":
+            raise ParameterError(f"unknown dimension-test model {args.model!r}")
         return analysis.build_honest_model(config, "dimtest", rng)
     config = SelfTestConfig(N=args.n, entcf=params)
     if args.model == "honest":
         return analysis.build_honest_model(config, "selftest", rng)
-    if args.model.startswith("bitflip="):
+    name, _, value = args.model.partition("=")
+    if name == "bitflip" and value:
+        try:
+            p = float(value)
+        except ValueError:
+            raise ParameterError(f"bad flip probability in {args.model!r}") from None
         honest = analysis.build_honest_model(config, "selftest", rng)
-        return analysis.build_bitflip_model(honest, float(args.model.split("=", 1)[1]))
+        return analysis.build_bitflip_model(honest, p)
     if args.model == "wrongbasis":
         return analysis.build_wrongbasis_model(
             analysis.build_honest_model(config, "selftest", rng)
         )
-    if args.model.startswith("random"):
-        if "=" in args.model:
-            rng = np.random.default_rng(int(args.model.split("=", 1)[1]))
+    if args.model == "random":
         return analysis.build_random_model(config, rng)
-    raise SelfTestError(f"unknown model {args.model!r}")
+    if name == "random" and value.isdecimal():
+        return analysis.build_random_model(config, np.random.default_rng(int(value)))
+    raise ParameterError(f"unknown model {args.model!r}")
 
 
 def _analyze_command(args) -> int:
@@ -127,10 +134,7 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
     """Exhaustive family checks; returns a list of failure descriptions."""
     failures = []
     rng = np.random.default_rng(seed)
-    if backend == "ideal":
-        params = entcf.EntcfParams.ideal(w)
-    else:
-        params = entcf.EntcfParams.toylwe(n=1, m=3, q=2**w, B=1)
+    params = _entcf_params(argparse.Namespace(backend=backend, w=w))
     size_x = 2**params.w
     for trial in range(n_keys):
         f_key, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)

@@ -275,14 +275,6 @@ def forward_sample(key: PublicKey, b: int, x: int, rng: np.random.Generator):
     return tuple((_lwe_center(key, b, x) + e) % key.params.q)
 
 
-def support_dist(key: PublicKey, b: int, x: int) -> dict:
-    """Map image -> probability under f_{k,b}(x)."""
-    members = support(key, b, x)
-    if key.params.backend == "ideal":
-        return {next(iter(members)): 1.0}
-    return {y: 1.0 / len(members) for y in members}
-
-
 def chk(keys, y, b, x) -> int:
     """0 iff y_i is in Supp(f_{k_i,b_i}(x_i)) for every coordinate. Trapdoor-free."""
     if not (len(keys) == len(y) == len(b) == len(x)) or len(keys) < 1:

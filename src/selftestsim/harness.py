@@ -278,7 +278,10 @@ def run_sessions(
     if transport_spec == "tcp":
         tcp_port = 0
     elif transport_spec.startswith("tcp:"):
-        tcp_port = int(transport_spec.split(":", 1)[1])
+        port = transport_spec.split(":", 1)[1]
+        if not (port.isdecimal() and int(port) < 2**16):
+            raise ParameterError(f"bad TCP port in {transport_spec!r}")
+        tcp_port = int(port)
     elif transport_spec != "inproc":
         raise ParameterError(f"unknown transport {transport_spec!r}")
     results = []

@@ -2,8 +2,8 @@
 
 Implements the 2N-coordinate self-test (round types Preimage/Hadamard, questions
 q in {0,1,2,3}, verdict cases A-D) and the N-coordinate dimension test
-(q in {0,1}, cases A-B), plus the Sigma(theta, v) membership predicate used by
-the white-box analysis.
+(q in {0,1}, cases A-B), plus the trapdoor decodings b-hat and h-hat and the
+Sigma(theta, v) rule, which the verifier and the white-box analysis share.
 
 theta is encoded as: an int in [0, 2N) for a claw coordinate (0-indexed),
 THETA_ALL_G ("all_g") for the all-injective case, THETA_DIAMOND ("diamond")
@@ -13,7 +13,7 @@ cause, so undecodable-d rejections are distinguishable in statistics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,20 +87,14 @@ MESSAGE_TYPES = (Keys, Images, RoundType, PreimageAnswer, HadamardD, Question, F
 
 @dataclass(frozen=True)
 class SelfTestConfig:
-    """N pairs are tested (2N coordinates). security_parameter is carried but
-    decoupled from N; security_preset ties them back together as N = lambda."""
+    """N pairs are tested (2N coordinates)."""
 
     N: int
     entcf: entcf.EntcfParams
-    security_parameter: int | None = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ProtocolError("N must be >= 1")
-
-    @classmethod
-    def security_preset(cls, lam: int, params: entcf.EntcfParams) -> "SelfTestConfig":
-        return cls(N=lam, entcf=params, security_parameter=lam)
 
 
 @dataclass(frozen=True)
@@ -235,32 +229,44 @@ def dimtest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Sigma(theta, v) membership
+# Trapdoor decodings and the Sigma(theta, v) rule
 # ---------------------------------------------------------------------------
 
-def sigma_set_membership(theta, v, y, d, trapdoors, n: int, protocol: str = "selftest") -> bool:
-    """Is (y, d) in Sigma(theta, v)? None decodings fail every equality."""
-    if protocol == "selftest":
-        if theta == THETA_ALL_G:
-            return all(entcf.decode_b(t, yi) == vi for t, yi, vi in zip(trapdoors, y, v))
-        if theta == THETA_DIAMOND:
-            return all(
-                entcf.decode_h(trapdoors[i], y[i], d[i]) == v[partner(i, n)]
-                for i in range(2 * n)
-            )
-        for i in range(2 * n):
-            if i != theta and entcf.decode_b(trapdoors[i], y[i]) != v[i]:
-                return False
-        h = entcf.decode_h(trapdoors[theta], y[theta], d[theta])
-        return h is not None and h == v[theta] ^ v[partner(theta, n)]
-    # dimension test
-    if theta == THETA_ALL_G:
-        return all(entcf.decode_b(t, yi) == vi for t, yi, vi in zip(trapdoors, y, v))
-    for i in range(n):
-        if i != theta and entcf.decode_b(trapdoors[i], y[i]) != v[i]:
-            return False
-    h = entcf.decode_h(trapdoors[theta], y[theta], d[theta])
-    return h is not None and h == v[theta]
+def decode_bhat(trapdoors, y) -> list:
+    """b-hat per coordinate: decode_b on G coordinates, None elsewhere."""
+    return [
+        entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
+        for t, yi in zip(trapdoors, y)
+    ]
+
+
+def decode_hhat(trapdoors, y, d) -> list:
+    """h-hat per coordinate: decode_h on F coordinates, None elsewhere."""
+    return [
+        entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
+        for t, yi, di in zip(trapdoors, y, d)
+    ]
+
+
+def sigma_v(kind: str, n: int, theta, bhat, hhat):
+    """The unique v with the decoded label in Sigma(theta, v), or None.
+
+    Injective coordinates fix v_i = b-hat_i. The claw coordinate fixes
+    h-hat = v_theta (dimension test) or v_theta xor v_partner (self-test);
+    under THETA_DIAMOND every coordinate is a claw and h-hat_i = v_partner(i).
+    A None decoding puts the label in no Sigma(theta, v).
+    """
+    if theta == THETA_DIAMOND:
+        v = [hhat[partner(i, n)] for i in range(2 * n)]
+    else:
+        v = list(bhat)
+        if theta != THETA_ALL_G:
+            v[theta] = hhat[theta]
+    if None in v:
+        return None
+    if kind == "selftest" and theta not in (THETA_ALL_G, THETA_DIAMOND):
+        v[theta] ^= v[partner(theta, n)]
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +274,10 @@ def sigma_set_membership(theta, v, y, d, trapdoors, n: int, protocol: str = "sel
 # ---------------------------------------------------------------------------
 
 # phase -> (awaited prover message, its fields); a field's entries are bits,
-# w-bit strings ("wbits") or images, which the decoders check (None).
+# w-bit strings ("wbits") or images: a u32 (ideal) or a length-m tuple of u32s
+# (toylwe), the values Codec.decode_y can return.
 _AWAITED = {
-    "await_images": (Images, (("y", None),)),
+    "await_images": (Images, (("y", "image"),)),
     "await_preimage": (PreimageAnswer, (("b", "bit"), ("x", "wbits"))),
     "await_d": (HadamardD, (("d", "wbits"),)),
     "await_answer": (FinalAnswer, (("v", "bit"),)),
@@ -284,8 +291,6 @@ class _VerifierBase:
     RNG draw order is pinned for reproducibility: theta, per-coordinate
     keygen, round type, question.
     """
-
-    protocol = ""
 
     def __init__(self, n_coords: int, params: entcf.EntcfParams, rng: np.random.Generator):
         self.n_coords = n_coords
@@ -340,18 +345,20 @@ class _VerifierBase:
             return self._finish(Verdict(accept=0, reason=reason))
         if self.phase == "await_images":
             self.y = tuple(incoming.y)
-            self._decode_bhat()
+            self.bhat = decode_bhat(self.trapdoors, self.y)
             self.round_type = PREIMAGE if self.rng.integers(2) == 0 else HADAMARD
             self.phase = "await_preimage" if self.round_type == PREIMAGE else "await_d"
             return RoundType(kind=self.round_type)
         if self.phase == "await_preimage":
-            ok = entcf.chk(self.keys, self.y, incoming.b, incoming.x) == 0
+            # as ints: numpy would read a bool entry as an index mask
+            b, x = [int(e) for e in incoming.b], [int(e) for e in incoming.x]
+            ok = entcf.chk(self.keys, self.y, b, x) == 0
             return self._finish(
                 Verdict(accept=1, reason="accept") if ok else Verdict(accept=0, reason="preimage.chk")
             )
         if self.phase == "await_d":
             self.d = tuple(incoming.d)
-            self._decode_hhat()
+            self.hhat = decode_hhat(self.trapdoors, self.y, self.d)
             self.q = self._draw_question()
             self.phase = "await_answer"
             return Question(q=self.q)
@@ -369,28 +376,19 @@ class _VerifierBase:
             if not isinstance(entries, (tuple, list)) or len(entries) != self.n_coords:
                 return "protocol"
         for name, kind in fields:
-            if kind is None:
-                continue
-            bound = 2 if kind == "bit" else 2**self.params.w
-            for e in getattr(incoming, name):
+            entries = getattr(incoming, name)
+            if kind == "image" and self.params.backend == "toylwe":
+                if not all(isinstance(e, tuple) and len(e) == self.params.m for e in entries):
+                    return f"protocol.{name}"
+                entries = [c for e in entries for c in e]
+            bound = {"bit": 2, "wbits": 2**self.params.w, "image": 2**32}[kind]
+            for e in entries:
                 if not (isinstance(e, (int, np.integer)) and 0 <= e < bound):
                     return f"protocol.{name}"
         return None
 
-    def _decode_bhat(self):
-        for i, trap in enumerate(self.trapdoors):
-            if trap.family == entcf.FAMILY_G:
-                self.bhat[i] = entcf.decode_b(trap, self.y[i])
-
-    def _decode_hhat(self):
-        for i, trap in enumerate(self.trapdoors):
-            if trap.family == entcf.FAMILY_F:
-                self.hhat[i] = entcf.decode_h(trap, self.y[i], self.d[i])
-
 
 class SelfTestVerifier(_VerifierBase):
-    protocol = "selftest"
-
     def __init__(self, config: SelfTestConfig, rng: np.random.Generator):
         self.config = config
         super().__init__(2 * config.N, config.entcf, rng)
@@ -414,8 +412,6 @@ class SelfTestVerifier(_VerifierBase):
 
 
 class DimTestVerifier(_VerifierBase):
-    protocol = "dimtest"
-
     def __init__(self, config: DimTestConfig, rng: np.random.Generator):
         self.config = config
         super().__init__(config.N, config.entcf, rng)

@@ -389,16 +389,6 @@ class ClassicalGuessProver(DeviceInterface):
         return list(self.b)
 
 
-def adversary(kind: str, protocol_kind: str, rng: np.random.Generator, p: float = 0.0) -> DeviceInterface:
-    if kind == "classical":
-        return ClassicalGuessProver(protocol_kind, rng)
-    if kind == "bitflip":
-        return BitFlipProver(protocol_kind, rng, p)
-    if kind == "wrongbasis":
-        return WrongBasisProver(protocol_kind, rng)
-    raise ParameterError(f"unknown adversary kind {kind!r}")
-
-
 def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> DeviceInterface:
     """Parse a prover spec string: honest, honest-fullsim, classical,
     bitflip=P, wrongbasis."""
@@ -406,11 +396,14 @@ def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> Devi
         return HonestProver(protocol_kind, rng, mode=COLLAPSED)
     if spec == "honest-fullsim":
         return HonestProver(protocol_kind, rng, mode=FULLSIM)
-    if spec.startswith("bitflip"):
-        p = float(spec.split("=", 1)[1]) if "=" in spec else 0.0
-        return adversary("bitflip", protocol_kind, rng, p)
+    if spec == "bitflip" or spec.startswith("bitflip="):
+        try:
+            p = float(spec.split("=", 1)[1]) if "=" in spec else 0.0
+        except ValueError:
+            raise ParameterError(f"bad flip probability in {spec!r}") from None
+        return BitFlipProver(protocol_kind, rng, p)
     if spec == "classical":
-        return adversary("classical", protocol_kind, rng)
+        return ClassicalGuessProver(protocol_kind, rng)
     if spec == "wrongbasis":
-        return adversary("wrongbasis", protocol_kind, rng)
+        return WrongBasisProver(protocol_kind, rng)
     raise ParameterError(f"unknown prover spec {spec!r}")

@@ -1,19 +1,16 @@
 """Small dense linear-algebra and quantum-state engine.
 
 Everything is complex128 and value-semantic. StateVector carries an ordered
-register map so measurements address registers by name; CQOperator stores a
-block per classical label (operators block-diagonal over a classical register).
-Sub-normalized operators are first-class; normalization is never implicit.
-CQOperator blocks may be 1-D (a pure, possibly sub-normalized branch vector v
-standing for the rank-one operator v v-dagger) or 2-D dense matrices.
+register map so measurements address registers by name. Sub-normalized
+operators are first-class; normalization is never implicit. A 1-D array passed
+where an operator is expected is a pure, possibly sub-normalized branch vector
+v standing for the rank-one operator v v-dagger.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import DomainError, ModelError, SelfTestError
+from .errors import DomainError, SelfTestError
 
 ATOL = 1e-10
 
@@ -58,7 +55,9 @@ class StateVector:
     def _tensor(self) -> np.ndarray:
         return self.amps.reshape([d for _, d in self.registers])
 
-    def probabilities(self, register: str, basis: str = "computational") -> np.ndarray:
+    def _in_basis(self, register: str, basis: str):
+        """(axis, amplitude tensor with that register written in basis, outcome
+        probabilities of measuring it there)."""
         axis = self._axis(register)
         tens = self._tensor()
         if basis == "hadamard":
@@ -72,20 +71,14 @@ class StateVector:
         elif basis != "computational":
             raise DomainError(f"unknown basis {basis!r}")
         moved = np.moveaxis(tens, axis, 0).reshape(self.registers[axis][1], -1)
-        return np.sum(np.abs(moved) ** 2, axis=1)
+        return axis, tens, np.sum(np.abs(moved) ** 2, axis=1)
+
+    def probabilities(self, register: str, basis: str = "computational") -> np.ndarray:
+        return self._in_basis(register, basis)[2]
 
     def measure(self, register: str, basis: str, rng: np.random.Generator):
         """Born-rule measurement; returns (outcome index, collapsed StateVector)."""
-        axis = self._axis(register)
-        tens = self._tensor()
-        if basis == "hadamard":
-            dim = self.registers[axis][1]
-            tens = np.moveaxis(
-                np.tensordot(hadamard_matrix(dim.bit_length() - 1), tens, axes=([1], [axis])),
-                0,
-                axis,
-            )
-        probs = self.probabilities(register, basis)
+        axis, tens, probs = self._in_basis(register, basis)
         outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
         sub = np.take(tens, outcome, axis=axis)
         norm = np.linalg.norm(sub)
@@ -120,39 +113,17 @@ def controlled_z(state: StateVector, qubit_i: str, qubit_j: str) -> StateVector:
 # Density-operator helpers (plain ndarrays)
 # ---------------------------------------------------------------------------
 
-def dm(vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex).ravel()
-    return np.outer(v, v.conj())
-
-
 def trace_norm(a) -> float:
-    """Sum of singular values; block-additive for CQOperator."""
-    if isinstance(a, CQOperator):
-        return sum(trace_norm(blk) for blk in a.blocks.values())
+    """Sum of singular values."""
     a = _as_matrix(a)
     if np.allclose(a, a.conj().T, atol=1e-12):
         return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(a.conj().T @ a), 0.0))))
 
 
-def state_dep_norm(a: np.ndarray, psi) -> float:
-    """||A||_psi = sqrt(Tr[A-dagger A psi]); psi may be a CQOperator."""
-    if isinstance(psi, CQOperator):
-        return np.sqrt(max(psi.expect(a.conj().T @ a).real, 0.0))
-    return float(np.sqrt(max(np.trace(a.conj().T @ a @ _as_matrix(psi)).real, 0.0)))
-
-
 def vec(a: np.ndarray) -> np.ndarray:
     """Row-major vector-operator correspondence: (B (x) C) vec(A) = vec(B A C^T)."""
     return np.asarray(a, dtype=complex).reshape(-1)
-
-
-def schmidt_coefficients(v: np.ndarray, cut: tuple[int, int]) -> np.ndarray:
-    da, db = cut
-    v = np.asarray(v, dtype=complex).ravel()
-    if da * db != v.size:
-        raise DomainError("cut does not factor the vector dimension")
-    return np.linalg.svd(v.reshape(da, db), compute_uv=False)
 
 
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
@@ -235,111 +206,3 @@ def trace_norm_lowrank(factors: np.ndarray, weights: np.ndarray):
     core = (r * np.asarray(weights)[..., None, :]) @ r.conj().swapaxes(-1, -2)
     out = np.sum(np.abs(np.linalg.eigvalsh(core)), axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Binary observables
-# ---------------------------------------------------------------------------
-
-def check_binary_observable(o: np.ndarray, atol: float = 1e-9) -> None:
-    o = np.asarray(o)
-    if not np.allclose(o, o.conj().T, atol=atol):
-        raise ModelError("observable not Hermitian")
-    if not np.allclose(o @ o, np.eye(o.shape[0]), atol=atol):
-        raise ModelError("observable does not square to identity")
-
-
-def observable_projector(o: np.ndarray, b: int) -> np.ndarray:
-    """O^{(b)} = (1 + (-1)^b O)/2."""
-    return (np.eye(o.shape[0], dtype=complex) + (-1) ** b * np.asarray(o, dtype=complex)) / 2
-
-
-# ---------------------------------------------------------------------------
-# Classical-quantum operators
-# ---------------------------------------------------------------------------
-
-class CQOperator:
-    """Operator Sum_label block (x) |label><label|, stored sparsely over labels.
-
-    Blocks are ndarray: 1-D for pure rank-one branches (vector v means v v+),
-    2-D for general blocks. Absent labels are zero blocks.
-    """
-
-    def __init__(self, block_dim: int, blocks: dict | None = None):
-        self.block_dim = block_dim
-        self.blocks: dict = {}
-        if blocks:
-            for label, blk in blocks.items():
-                self.set_block(label, blk)
-
-    def set_block(self, label, blk) -> None:
-        blk = np.asarray(blk, dtype=complex)
-        if blk.shape not in ((self.block_dim,), (self.block_dim, self.block_dim)):
-            raise DomainError("block shape mismatch")
-        self.blocks[label] = blk
-
-    def add_block(self, label, blk) -> None:
-        if label in self.blocks:
-            self.blocks[label] = _as_matrix(self.blocks[label]) + _as_matrix(blk)
-        else:
-            self.set_block(label, blk)
-
-    def matrix_block(self, label) -> np.ndarray:
-        if label not in self.blocks:
-            return np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        return _as_matrix(self.blocks[label])
-
-    def trace(self) -> float:
-        total = 0.0
-        for blk in self.blocks.values():
-            total += float(np.vdot(blk, blk).real) if blk.ndim == 1 else float(np.trace(blk).real)
-        return total
-
-    def expect(self, op: np.ndarray) -> complex:
-        """Tr[(op (x) 1_labels) . self] with the same op applied to every block."""
-        total = 0.0 + 0.0j
-        for blk in self.blocks.values():
-            if blk.ndim == 1:
-                total += np.vdot(blk, op @ blk)
-            else:
-                total += np.trace(op @ blk)
-        return total
-
-    def conjugate(self, m: np.ndarray) -> "CQOperator":
-        """Blockwise m . B . m-dagger; m may be a non-square isometry."""
-        out = CQOperator(m.shape[0])
-        for label, blk in self.blocks.items():
-            if blk.ndim == 1:
-                out.blocks[label] = m @ blk
-            else:
-                out.blocks[label] = m @ blk @ m.conj().T
-        return out
-
-    def sum_blocks(self) -> np.ndarray:
-        """Partial trace over the classical labels."""
-        out = np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        for blk in self.blocks.values():
-            out += _as_matrix(blk)
-        return out
-
-    def scaled(self, c: float) -> "CQOperator":
-        out = CQOperator(self.block_dim)
-        for label, blk in self.blocks.items():
-            out.blocks[label] = blk * (np.sqrt(c) if blk.ndim == 1 else c)
-        return out
-
-    def __sub__(self, other: "CQOperator") -> "CQOperator":
-        out = CQOperator(self.block_dim)
-        for label in set(self.blocks) | set(other.blocks):
-            out.blocks[label] = self.matrix_block(label) - other.matrix_block(label)
-        return out
-
-    def __add__(self, other: "CQOperator") -> "CQOperator":
-        out = CQOperator(self.block_dim)
-        for label in set(self.blocks) | set(other.blocks):
-            out.blocks[label] = self.matrix_block(label) + other.matrix_block(label)
-        return out
-
-
-def all_bitstrings(n: int):
-    return itertools.product((0, 1), repeat=n)

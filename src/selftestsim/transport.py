@@ -19,7 +19,7 @@ from collections import deque
 import numpy as np
 
 from . import entcf, protocol
-from .errors import TransportError
+from .errors import ProtocolError, TransportError
 
 VERSION = 0x01
 SESSION_ID_BYTES = 16
@@ -108,7 +108,9 @@ class Codec:
                 return protocol.FinalAnswer(v=tuple(int(v) for v in payload["v"]))
             if cls is protocol.Verdict:
                 return protocol.Verdict(accept=int(payload["accept"]), reason=payload["reason"])
-        except (KeyError, ValueError, TypeError) as exc:
+        # a key that PublicKey.from_bytes cannot parse raises ProtocolError or
+        # struct.error; int() of an infinite float raises OverflowError
+        except (KeyError, ValueError, TypeError, OverflowError, ProtocolError, struct.error) as exc:
             raise TransportError(f"malformed payload: {exc}") from exc
         raise TransportError("unknown message type byte")
 
@@ -144,7 +146,9 @@ class Codec:
             raise TransportError("unknown message type byte")
         try:
             payload = json.loads(body[_HEADER:].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
+        # deeply nested arrays raise RecursionError
+        except (ValueError, RecursionError) as exc:
             raise TransportError(f"bad payload JSON: {exc}") from exc
         return session_id, self.from_payload(_TYPE_CLASSES[type_byte], payload), payload
 

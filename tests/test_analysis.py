@@ -45,38 +45,48 @@ def test_p_measurement_complete(honest):
 
 
 def test_marginal_observables_commute_and_square(honest):
+    eye = np.eye(honest.dim)
     for i in range(honest.logical):
-        qsim.check_binary_observable(honest.Z(i))
-        qsim.check_binary_observable(honest.X(i))
+        for obs in (honest.Z(i), honest.X(i)):  # Hermitian binary observables
+            assert np.allclose(obs, obs.conj().T, atol=1e-9)
+            assert np.allclose(obs @ obs, eye, atol=1e-9)
         for j in range(honest.logical):
             comm = honest.Z(i) @ honest.Z(j) - honest.Z(j) @ honest.Z(i)
             assert np.max(np.abs(comm)) < 1e-12  # [Z_i, Z_j] = 0 exactly
 
 
+def _sigma_v_of(model, theta, label):
+    """protocol.sigma_v of one (y, d) label under the model's trapdoors."""
+    y, d = label
+    traps = model.trapdoors[theta]
+    bhat = protocol.decode_bhat(traps, y)
+    hhat = protocol.decode_hhat(traps, y, d)
+    return protocol.sigma_v(model.protocol, model.n, theta, bhat, hhat)
+
+
 def test_sigma_mass_bounded(honest):
     for theta in honest.thetas:
-        by_v = analysis.sigma_theta_v(honest, theta)
-        total = sum(op.trace() for op in by_v.values())
+        groups, residual = honest.grouped_sigma(theta)
+        total = sum(np.vdot(vec, vec).real for blocks in groups.values() for vec in blocks.values())
+        assert total + residual == pytest.approx(1.0, abs=1e-9)
         assert total <= 1.0 + 1e-9
-        # blocks agree with the membership predicate
-        for v, op in by_v.items():
-            for (y, d) in list(op.blocks)[:4]:
-                assert protocol.sigma_set_membership(
-                    theta, v, y, d, honest.trapdoors[theta], honest.n
-                )
+        # blocks are grouped by the shared Sigma(theta, v) rule
+        for v, blocks in groups.items():
+            for label in list(blocks)[:4]:
+                assert _sigma_v_of(honest, theta, label) == v
 
 
-def test_decode_v_unique(honest):
+def test_sigma_v_unique(honest):
     for theta in honest.thetas:
-        for (y, d) in list(honest.sigma_blocks(theta))[:16]:
-            v = honest.decode_v(theta, y, d)
+        for label in list(honest.sigma_blocks(theta))[:16]:
+            v = _sigma_v_of(honest, theta, label)
             assert v is not None
-            others = [
+            members = [
                 u
-                for u in [(a, b) for a in (0, 1) for b in (0, 1)]
-                if protocol.sigma_set_membership(theta, u, y, d, honest.trapdoors[theta], honest.n)
+                for u in analysis.all_bit_tuples(honest.logical)
+                if reference_sigma_member(theta, u, *label, honest.trapdoors[theta], honest.n)
             ]
-            assert others == [v]
+            assert members == [v]
 
 
 def test_honest_failures_vanish(honest):
@@ -207,15 +217,79 @@ def test_analysis_report_shape(honest):
     assert all(c["lhs"] <= c["rhs"] + 1e-9 for c in report["checks"])
 
 
-def test_key_averaged_gammas():
-    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+# ---------------------------------------------------------------------------
+# The shared Sigma(theta, v) rule against the membership predicate
+# ---------------------------------------------------------------------------
 
-    def builder(rng):
-        return analysis.build_honest_model(cfg, "selftest", rng)
+def reference_sigma_member(theta, v, y, d, trapdoors, n, kind="selftest") -> bool:
+    """Is (y, d) in Sigma(theta, v)? None decodings fail every equality.
+    The predicate as first written, one coordinate at a time."""
+    if kind == "selftest":
+        if theta == THETA_ALL_G:
+            return all(entcf.decode_b(t, yi) == vi for t, yi, vi in zip(trapdoors, y, v))
+        if theta == THETA_DIAMOND:
+            return all(
+                entcf.decode_h(trapdoors[i], y[i], d[i]) == v[protocol.partner(i, n)]
+                for i in range(2 * n)
+            )
+        for i in range(2 * n):
+            if i != theta and entcf.decode_b(trapdoors[i], y[i]) != v[i]:
+                return False
+        h = entcf.decode_h(trapdoors[theta], y[theta], d[theta])
+        return h is not None and h == v[theta] ^ v[protocol.partner(theta, n)]
+    if theta == THETA_ALL_G:
+        return all(entcf.decode_b(t, yi) == vi for t, yi, vi in zip(trapdoors, y, v))
+    for i in range(n):
+        if i != theta and entcf.decode_b(trapdoors[i], y[i]) != v[i]:
+            return False
+    h = entcf.decode_h(trapdoors[theta], y[theta], d[theta])
+    return h is not None and h == v[theta]
 
-    avg = analysis.key_averaged_gammas(builder, draws=2, rng=np.random.default_rng(0))
-    assert avg["gamma_P"] == pytest.approx(0.0, abs=1e-9)
-    assert avg["gamma_T"] == pytest.approx(0.0, abs=1e-9)
+
+def _assert_sigma_v_matches_reference(model, theta, labels):
+    """sigma_v is the unique member of Sigma(theta, .) and None when there is none."""
+    traps = model.trapdoors[theta]
+    answers = analysis.all_bit_tuples(model.logical)
+    for label in labels:
+        members = [
+            u
+            for u in answers
+            if reference_sigma_member(theta, u, *label, traps, model.n, model.protocol)
+        ]
+        v = _sigma_v_of(model, theta, label)
+        assert members == ([] if v is None else [v]), (theta, label)
+
+
+def _sigma_oracle_models():
+    """Honest, bitflip, random and classical models of both protocols."""
+    st1 = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+    honest = analysis.build_honest_model(st1, "selftest", np.random.default_rng(5))
+    yield honest
+    yield analysis.build_bitflip_model(honest, 0.2)
+    st3 = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(3))
+    yield analysis.build_honest_model(st3, "selftest", np.random.default_rng(6))
+    yield analysis.build_random_model(st1, np.random.default_rng(7))
+    for n in (1, 2):
+        dim = DimTestConfig(N=n, entcf=entcf.EntcfParams.ideal(2))
+        yield analysis.build_honest_model(dim, "dimtest", np.random.default_rng(8 + n))
+        yield analysis.build_classical_model(dim, np.random.default_rng(10 + n))
+
+
+def test_sigma_v_matches_membership_predicate():
+    rng = np.random.default_rng(12)
+    for model in _sigma_oracle_models():
+        params = model.keys[model.thetas[0]][0].params
+        for theta in model.thetas:
+            # every label the model puts mass on
+            _assert_sigma_v_matches_reference(model, theta, model.sigma_blocks(theta))
+            # random labels: images off the key ranges, and d with zero entries
+            labels = []
+            for _ in range(200):
+                y = tuple(int(rng.integers(params.image_space_size)) for _ in range(model.logical))
+                d = rng.integers(2**params.w, size=model.logical)
+                d[rng.random(model.logical) < 0.3] = 0
+                labels.append((y, tuple(int(e) for e in d)))
+            _assert_sigma_v_matches_reference(model, theta, labels)
 
 
 # ---------------------------------------------------------------------------

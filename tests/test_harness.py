@@ -111,6 +111,12 @@ def test_bad_args():
         harness.run_sessions("selftest", "honest", CFG, 0, seed=1)
     with pytest.raises(ParameterError):
         harness.run_sessions("selftest", "honest", CFG, 1, seed=1, transport_spec="pigeon")
+    for spec in ("tcp:abc", "tcp:-1", "tcp:", "tcp:65536"):
+        with pytest.raises(ParameterError):
+            harness.run_sessions("selftest", "honest", CFG, 1, seed=1, transport_spec=spec)
+    for prover_spec in ("bitflip=abc", "bitflipx"):
+        with pytest.raises(ParameterError):
+            harness.run_sessions("selftest", prover_spec, CFG, 1, seed=1)
     with pytest.raises(ParameterError):
         harness.run_one_session(
             0,
@@ -167,6 +173,26 @@ def test_cli_analyze_honest(capsys):
 
 def test_cli_analyze_rejects_w1(capsys):
     assert cli.main(["analyze", "--n", "1", "--w", "1", "--model", "honest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "run", "--prover", "bitflip=abc", "--sessions", "2"],
+        ["selftest", "run", "--prover", "bitflipx", "--sessions", "2"],
+        ["selftest", "run", "--transport", "tcp:abc", "--sessions", "2"],
+        ["analyze", "--model", "bitflip=abc"],
+        ["analyze", "--model", "random=x"],
+        ["analyze", "--model", "random=-1"],
+        ["analyze", "--protocol", "dimtest", "--model", "bitflip=0.1"],
+    ],
+)
+def test_cli_bad_spec_is_one_error_line(capsys, argv):
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()

@@ -120,8 +120,15 @@ def test_verdict_arity_check():
 
 
 # ---------------------------------------------------------------------------
-# Sigma membership vs decoded values
+# The Sigma(theta, v) rule vs decoded values
 # ---------------------------------------------------------------------------
+
+def _label_sigma_v(theta, y, d, traps, n):
+    """(b-hat, h-hat, sigma_v) of a self-test label."""
+    bhat = protocol.decode_bhat(traps, y)
+    hhat = protocol.decode_hhat(traps, y, d)
+    return bhat, hhat, protocol.sigma_v("selftest", n, theta, bhat, hhat)
+
 
 def test_sigma_membership_consistency():
     rng = np.random.default_rng(0)
@@ -136,13 +143,13 @@ def test_sigma_membership_consistency():
             traps.append(t)
         y = tuple(entcf.forward_sample(k, 0, 1, rng) for k in keys)
         d = (3, 3)
-        matches = [
-            v
-            for v in [(a, b) for a in (0, 1) for b in (0, 1)]
-            if protocol.sigma_set_membership(theta, v, y, d, traps, n)
-        ]
         # valid (y, d) pairs land in exactly one Sigma(theta, v)
-        assert len(matches) == 1
+        bhat, hhat, v = _label_sigma_v(theta, y, d, traps, n)
+        assert v is not None and len(v) == 2 * n
+        if theta != THETA_DIAMOND:
+            # outside the all-claw case, that v passes every question
+            for q in range(4):
+                assert protocol.selftest_verdict(n, theta, q, v, bhat, hhat).accept == 1
 
 
 def test_sigma_membership_d_zero_fails():
@@ -152,8 +159,8 @@ def test_sigma_membership_d_zero_fails():
         *[entcf.gen_keypair(f, params, rng) for f in protocol.selftest_families(0, 1)]
     )
     y = tuple(entcf.forward_sample(k, 0, 0, rng) for k in keys)
-    for v in [(a, b) for a in (0, 1) for b in (0, 1)]:
-        assert not protocol.sigma_set_membership(0, v, y, (0, 0), traps, 1)
+    assert _label_sigma_v(0, y, (0, 0), traps, 1)[2] is None
+    assert _label_sigma_v(0, y, (1, 0), traps, 1)[2] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +231,8 @@ def test_dimtest_verifier_theta_range():
 def test_config_validation():
     with pytest.raises(ProtocolError):
         SelfTestConfig(N=0, entcf=entcf.EntcfParams.ideal(2))
-    preset = SelfTestConfig.security_preset(2, entcf.EntcfParams.ideal(2))
-    assert preset.N == 2 and preset.security_parameter == 2
+    with pytest.raises(ProtocolError):
+        DimTestConfig(N=0, entcf=entcf.EntcfParams.ideal(2))
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +299,55 @@ def test_in_domain_edges_still_accepted():
     v = _verifier_awaiting(protocol.HADAMARD)
     assert isinstance(v.step(protocol.HadamardD(d=(0, 3))), protocol.Question)
     assert isinstance(v.step(protocol.FinalAnswer(v=(np.int64(1), True))), protocol.Verdict)
+
+
+TOYLWE = entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1)
+
+
+def _images_reply(params, bad, good, seeds=range(8)):
+    """Verdicts for Images(y=(bad, good)) over seeds whose thetas put G and F
+    keys on the probed coordinate."""
+    out = set()
+    for seed in seeds:
+        v = protocol.SelfTestVerifier(SelfTestConfig(N=1, entcf=params), np.random.default_rng(seed))
+        v.step(None)
+        out.add(v.step(protocol.Images(y=(bad, good))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "bad", [(1, 2), (1, 2, 3), -1, 2**32, 1.0, "7"], ids=["2-tuple", "3-tuple", "-1", "2^32", "float", "str"]
+)
+def test_ideal_image_outside_u32_rejects(bad):
+    assert _images_reply(entcf.EntcfParams.ideal(2), bad, 0) == {
+        protocol.Verdict(accept=0, reason="protocol.y")
+    }
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [2**70, "abc", b"x", None, (1, 2), [1, 2, 3], (1, 2, 2**32), (1, 2, -1)],
+    ids=["2^70", "str", "bytes", "None", "2-tuple", "list", "entry-2^32", "entry-negative"],
+)
+def test_toylwe_image_outside_codec_domain_rejects(bad):
+    assert _images_reply(TOYLWE, bad, (0, 0, 0), seeds=range(4)) == {
+        protocol.Verdict(accept=0, reason="protocol.y")
+    }
+
+
+def test_image_domain_edges_still_accepted():
+    assert all(
+        isinstance(out, protocol.RoundType)
+        for out in _images_reply(entcf.EntcfParams.ideal(2), 2**32 - 1, np.int64(0))
+    )
+    assert all(
+        isinstance(out, protocol.RoundType)
+        for out in _images_reply(TOYLWE, (0, np.int64(5), 2**32 - 1), (0, 0, 0), seeds=range(4))
+    )
+
+
+def test_preimage_answer_bool_entries_are_bits():
+    v = _verifier_awaiting(protocol.PREIMAGE)
+    out = v.step(protocol.PreimageAnswer(b=(True, False), x=(True, 0)))
+    assert isinstance(out, protocol.Verdict)
+

@@ -165,8 +165,11 @@ def test_make_prover_unknown_spec():
         make_prover("nope", "selftest", np.random.default_rng(0))
     with pytest.raises(ParameterError):
         HonestProver("selftest", np.random.default_rng(0), mode="nope")
-    with pytest.raises(ParameterError):
-        prover.adversary("bitflip", "selftest", np.random.default_rng(0), p=2.0)
+    for spec in ("bitflip=2.0", "bitflip=abc", "bitflip=", "bitflipx", "bitflip0.5"):
+        with pytest.raises(ParameterError):
+            make_prover(spec, "selftest", np.random.default_rng(0))
+    assert make_prover("bitflip", "selftest", np.random.default_rng(0)).p == 0.0
+    assert make_prover("bitflip=0.25", "dimtest", np.random.default_rng(0)).p == 0.25
 
 
 # ---------------------------------------------------------------------------

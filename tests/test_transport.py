@@ -1,4 +1,5 @@
 """Wire codec and channel tests."""
+import json
 import socket
 import struct
 import threading
@@ -85,6 +86,24 @@ def test_encode_y_out_of_range_is_a_transport_error(y):
         transport.Codec(entcf.EntcfParams.toylwe(n=1, m=2, q=8, B=1)).encode_y((0, y))
     with pytest.raises(TransportError):
         CODEC.encode_frame(SID, protocol.Images(y=(3, y)))
+
+
+def _keys_frame(keys) -> bytes:
+    body = bytes([transport.VERSION]) + SID + bytes([1]) + json.dumps({"keys": keys}).encode()
+    return struct.pack(">I", len(body)) + body
+
+
+@pytest.mark.parametrize("key_hex", ["01", "0109", "010000"])
+def test_unparsable_key_is_a_transport_error(key_hex):
+    with pytest.raises(TransportError):
+        CODEC.decode_frame(_keys_frame([key_hex]))
+
+
+@pytest.mark.parametrize("body", [b"[" * 100_000, b"7" * 5_000, b'{"q": Infinity}'])
+def test_hostile_json_is_a_transport_error(body):
+    frame = bytes([transport.VERSION]) + SID + bytes([6]) + body
+    with pytest.raises(TransportError):
+        CODEC.decode_frame(struct.pack(">I", len(frame)) + frame)
 
 
 def test_truncated_frame_rejected():
