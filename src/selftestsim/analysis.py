@@ -22,7 +22,6 @@ import numpy as np
 from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
 from .protocol import THETA_ALL_G, THETA_DIAMOND
-from .prover import question_bases
 
 _DIM_BUDGET = 2**12
 ATOL = 1e-10
@@ -319,12 +318,6 @@ def _cz_signs(n: int) -> np.ndarray:
     return signs
 
 
-def model_thetas(protocol_kind: str, n: int) -> list:
-    if protocol_kind == "selftest":
-        return list(range(2 * n)) + [THETA_ALL_G, THETA_DIAMOND]
-    return list(range(n)) + [THETA_ALL_G]
-
-
 def build_honest_model(
     config: protocol.SelfTestConfig | protocol.DimTestConfig,
     protocol_kind: str,
@@ -335,29 +328,21 @@ def build_honest_model(
     if params.backend != "ideal":
         raise ModelError("white-box analysis supports the ideal backend only")
     n, w = config.N, params.w
-    logical = 2 * n if protocol_kind == "selftest" else n
+    logical = protocol.n_coords(protocol_kind, n)
     if 2**logical * (2**w) ** logical > budget:
         raise ModelError("honest model dimension exceeds the analysis budget")
-    thetas = model_thetas(protocol_kind, n)
-    families = {
-        theta: (
-            protocol.selftest_families(theta, n)
-            if protocol_kind == "selftest"
-            else protocol.dimtest_families(theta, n)
-        )
-        for theta in thetas
-    }
+    thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, coord_support = {}, {}, {}
     for theta in thetas:
         ks, ts, sup = [], [], []
-        for family in families[theta]:
+        for family in protocol.families(protocol_kind, theta, n):
             key, trap = entcf.gen_keypair(family, params, rng)
             ks.append(key)
             ts.append(trap)
             sup.append(_coord_y_support(key, trap))
         keys[theta], trapdoors[theta], coord_support[theta] = tuple(ks), tuple(ts), sup
 
-    cz = _cz_signs(n) if protocol_kind == "selftest" else None
+    cz = _cz_signs(n) if protocol.paired(protocol_kind) else None
     x_dim = (2**w) ** logical
     psi = {}
     for theta in thetas:
@@ -391,11 +376,10 @@ def build_honest_model(
             claw_cache[cache_key] = _claw_basis(w, x0, x1)
         return claw_cache[cache_key]
 
-    questions = (0, 1, 2, 3) if protocol_kind == "selftest" else (0, 1)
     eye_x = np.eye(x_dim)
     p_proj = {}
-    for q in questions:
-        bases = question_bases(protocol_kind, n, q)
+    for q in protocol.questions(protocol_kind):
+        bases = protocol.question_bases(protocol_kind, n, q)
         p_proj[q] = {}
         for u in all_bit_tuples(logical):
             vec = pattern_vector(bases, u)
@@ -501,11 +485,11 @@ def build_random_model(
     n, w = config.N, params.w
     logical = 2 * n
     dim = 2**logical
-    thetas = model_thetas("selftest", n)
+    thetas = protocol.thetas("selftest", n)
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     for theta in thetas:
         ks, ts = [], []
-        for family in protocol.selftest_families(theta, n):
+        for family in protocol.families("selftest", theta, n):
             key, trap = entcf.gen_keypair(family, params, rng)
             ks.append(key)
             ts.append(trap)
@@ -575,12 +559,12 @@ def build_classical_model(
     n, w = config.N, params.w
     logical = n
     dim = 2**logical
-    thetas = model_thetas("dimtest", n)
+    thetas = protocol.thetas("dimtest", n)
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     basis = np.eye(dim, dtype=complex)
     for theta in thetas:
         ks, ts = [], []
-        for family in protocol.dimtest_families(theta, n):
+        for family in protocol.families("dimtest", theta, n):
             key, trap = entcf.gen_keypair(family, params, rng)
             ks.append(key)
             ts.append(trap)
@@ -765,9 +749,6 @@ def failure_report(model: DeviceModel) -> FailureReport:
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
-    verdict_fn = (
-        protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
-    )
     questions = sorted(model.p_proj)
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
@@ -785,14 +766,13 @@ def failure_report(model: DeviceModel) -> FailureReport:
             for u, proj in model.p_proj[q].items():
                 mass = np.bincount(index, weights=_quad(vecs, proj), minlength=len(decodings))
                 for (bhat, hhat), k in decodings.items():
-                    if verdict_fn(model.n, theta, q, u, list(bhat), list(hhat)).accept:
+                    verdict = protocol.hadamard_verdict(
+                        model.protocol, model.n, theta, q, u, list(bhat), list(hhat)
+                    )
+                    if verdict.accept:
                         accept[q] += float(mass[k])
     eps_h = {q: 1.0 - accept[q] / n_thetas for q in questions}
-    if model.protocol == "selftest":
-        eps = eps_p / 2.0 + sum(eps_h.values()) / 8.0
-    else:
-        eps = eps_p / 2.0 + sum(eps_h.values()) / 4.0
-    return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=eps)
+    return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h))
 
 
 def zeta_chi_sums(model: DeviceModel) -> dict:
@@ -945,15 +925,9 @@ def _ancilla_pauli(L: int, k: int, op2: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tau_vector(protocol_kind: str, n: int, theta, v) -> np.ndarray:
-    logical = 2 * n if protocol_kind == "selftest" else n
+    logical = protocol.n_coords(protocol_kind, n)
     if theta == THETA_DIAMOND:
-        state = pattern_vector(["hadamard"] * logical, (0,) * logical)
-        tens = state.reshape((2,) * logical)
-        for idx in np.ndindex(*(2,) * logical):
-            par = sum(idx[i] & idx[n + i] for i in range(n)) % 2
-            if par:
-                tens[idx] *= -1.0
-        state = tens.ravel()
+        state = pattern_vector(["hadamard"] * logical, (0,) * logical) * _cz_signs(n)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         flip = np.array([[1.0]], dtype=complex)
         for bit in v:
@@ -967,8 +941,8 @@ def tau_vector(protocol_kind: str, n: int, theta, v) -> np.ndarray:
 
 def ideal_pattern_projectors(protocol_kind: str, n: int, q: int) -> dict:
     """The ideal question-q measurement on the logical qubits alone."""
-    logical = 2 * n if protocol_kind == "selftest" else n
-    bases = question_bases(protocol_kind, n, q)
+    logical = protocol.n_coords(protocol_kind, n)
+    bases = protocol.question_bases(protocol_kind, n, q)
     return {u: pattern_vector(bases, u) for u in all_bit_tuples(logical)}
 
 

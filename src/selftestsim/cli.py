@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, entcf, harness
 from .errors import ParameterError, SelfTestError
-from .protocol import DimTestConfig, SelfTestConfig
+from .protocol import KINDS, DimTestConfig, SelfTestConfig
 
 
 def _entcf_params(args) -> entcf.EntcfParams:
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="selftestsim")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for kind in ("selftest", "dimtest"):
+    for kind in KINDS:
         sub = subs.add_parser(kind)
         actions = sub.add_subparsers(dest="action", required=True)
         run = actions.add_parser("run")
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--n", type=int, default=1)
     an.add_argument("--w", type=int, default=2)
     an.add_argument("--model", default="honest")
-    an.add_argument("--protocol", choices=("selftest", "dimtest"), default="selftest")
+    an.add_argument("--protocol", choices=KINDS, default="selftest")
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--report", default=None)
 
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command in ("selftest", "dimtest"):
+        if args.command in KINDS:
             return _run_command(args)
         if args.command == "analyze":
             return _analyze_command(args)

@@ -116,6 +116,8 @@ class PublicKey:
             _, _, w, n, m, q, B = struct.unpack(">BBBHHIH", raw[:13])
             params = EntcfParams(backend="toylwe", w=w, n=n, m=m, q=q, B=B)
             flat = np.frombuffer(raw[13:], dtype=">u4").astype(np.int64)
+            if len(flat) != m * n + m:
+                raise ProtocolError("toylwe key needs m*n entries of A and m of u")
             return cls(params=params, A=flat[: m * n].reshape(m, n), u=flat[m * n :])
         raise ProtocolError("bad key backend byte")
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import protocol, transport
 from .errors import ParameterError, TransportError
-from .protocol import THETA_ALL_G, THETA_DIAMOND
 from .prover import make_prover
 
 Z_95 = 1.959963984540054
@@ -34,16 +33,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def theta_class(protocol_kind: str, theta, n: int) -> str:
-    if theta == THETA_ALL_G:
-        return "all_g"
-    if theta == THETA_DIAMOND:
-        return "diamond"
-    if protocol_kind == "dimtest":
-        return "claw"
-    return "claw_first" if theta < n else "claw_second"
 
 
 @dataclass
@@ -61,14 +50,6 @@ class SessionResult:
 # ---------------------------------------------------------------------------
 # Single-session drive loop
 # ---------------------------------------------------------------------------
-
-def _make_verifier(protocol_kind: str, config, rng: np.random.Generator):
-    if protocol_kind == "selftest":
-        return protocol.SelfTestVerifier(config, rng)
-    if protocol_kind == "dimtest":
-        return protocol.DimTestVerifier(config, rng)
-    raise ParameterError(f"unknown protocol kind {protocol_kind!r}")
-
 
 def _prover_loop(channel, prover, timeout: float | None = None) -> None:
     """Serve one session: answer until a verdict arrives."""
@@ -93,7 +74,7 @@ def run_one_session(
 ) -> SessionResult:
     codec = transport.Codec(config.entcf)
     session_id = transport.session_id_from_rng(session_rng)
-    verifier = _make_verifier(protocol_kind, config, verifier_rng)
+    verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
 
     if tcp_port is None:
@@ -153,7 +134,7 @@ def run_one_session(
                 server.join(timeout=timeout)
             listener.close()
 
-    cls = theta_class(protocol_kind, verifier.theta, config.N)
+    cls = protocol.theta_class(protocol_kind, verifier.theta, config.N)
     transcript = {
         "session": session_id.hex(),
         "index": index,
@@ -200,7 +181,7 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
 
     pre_rej, pre_n = rate(lambda r: r.round_type == protocol.PREIMAGE)
     eps_p = pre_rej / pre_n if pre_n else 0.0
-    questions = (0, 1, 2, 3) if protocol_kind == "selftest" else (0, 1)
+    questions = protocol.questions(protocol_kind)
     eps_h = {}
     eps_h_ci = {}
     for q in questions:
@@ -208,8 +189,7 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
         eps_h[q] = rej / nq if nq else 0.0
         lo, hi = wilson_interval(rej, nq)
         eps_h_ci[q] = [lo, hi]
-    divisor = 8.0 if protocol_kind == "selftest" else 4.0
-    eps = eps_p / 2.0 + sum(eps_h.values()) / divisor
+    eps = protocol.eps(eps_p, eps_h)
     accepts = sum(r.accept for r in results)
     acc_lo, acc_hi = wilson_interval(accepts, total)
     ep_lo, ep_hi = wilson_interval(pre_rej, pre_n)
@@ -341,7 +321,7 @@ def replay_audit(
         v_rng, _, s_rng = streams[record["index"]]
         if record["session"] != transport.session_id_from_rng(s_rng).hex():
             return False
-        verifier = _make_verifier(protocol_kind, config, v_rng)
+        verifier = protocol.make_verifier(protocol_kind, config, v_rng)
         try:
             replayed = _replay(verifier, record["messages"], codec)
         except TransportError:  # a recorded payload that does not decode

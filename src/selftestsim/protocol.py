@@ -2,8 +2,11 @@
 
 Implements the 2N-coordinate self-test (round types Preimage/Hadamard, questions
 q in {0,1,2,3}, verdict cases A-D) and the N-coordinate dimension test
-(q in {0,1}, cases A-B), plus the trapdoor decodings b-hat and h-hat and the
-Sigma(theta, v) rule, which the verifier and the white-box analysis share.
+(q in {0,1}, cases A-B). The two differ only in what the protocol table below
+gives per kind: the coordinates, the theta set, the questions and whether a
+CZ partner pairs each coordinate; one Hadamard-round rule, the trapdoor
+decodings b-hat and h-hat and the Sigma(theta, v) rule serve both, and the
+verifier, the provers, the harness and the white-box analysis read them here.
 
 theta is encoded as: an int in [0, 2N) for a claw coordinate (0-indexed),
 THETA_ALL_G ("all_g") for the all-injective case, THETA_DIAMOND ("diamond")
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entcf
-from .errors import ProtocolError
+from .errors import ParameterError, ProtocolError
 
 THETA_ALL_G = "all_g"
 THETA_DIAMOND = "diamond"
@@ -107,125 +110,146 @@ class DimTestConfig:
             raise ProtocolError("N must be >= 1")
 
 
-def selftest_families(theta, n: int) -> list[str]:
-    """Key family per coordinate for the self-test (2n coordinates)."""
-    if theta == THETA_ALL_G:
-        return [entcf.FAMILY_G] * (2 * n)
+# ---------------------------------------------------------------------------
+# The protocol table: what differs between the self-test and the dimension test
+# ---------------------------------------------------------------------------
+
+KINDS = ("selftest", "dimtest")
+
+_COMP = "computational"
+_HAD = "hadamard"
+
+
+def paired(kind: str) -> bool:
+    """Whether coordinate i has a CZ partner: the self-test's 2N coordinates
+    are paired as (i, i+N); the dimension test's N coordinates are not."""
+    return kind == "selftest"
+
+
+def n_coords(kind: str, n: int) -> int:
+    return 2 * n if paired(kind) else n
+
+
+def thetas(kind: str, n: int) -> tuple:
+    """The verifier's theta choices, in draw order: each claw coordinate,
+    then THETA_ALL_G, then (self-test only) THETA_DIAMOND."""
+    if paired(kind):
+        return (*range(2 * n), THETA_ALL_G, THETA_DIAMOND)
+    return (*range(n), THETA_ALL_G)
+
+
+def families(kind: str, theta, n: int) -> list[str]:
+    """Key family per coordinate: F on the claw coordinate(s), G elsewhere."""
     if theta == THETA_DIAMOND:
-        return [entcf.FAMILY_F] * (2 * n)
-    return [entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(2 * n)]
+        return [entcf.FAMILY_F] * n_coords(kind, n)
+    return [entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(n_coords(kind, n))]
 
 
-def dimtest_families(theta, n: int) -> list[str]:
-    if theta == THETA_ALL_G:
-        return [entcf.FAMILY_G] * n
-    return [entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(n)]
+def questions(kind: str) -> tuple:
+    return (0, 1, 2, 3) if paired(kind) else (0, 1)
+
+
+def question_bases(kind: str, n: int, q: int) -> list[str]:
+    """Per-coordinate measurement basis for question q.
+
+    Self-test (2n coordinates): q=0 all computational, q=1 all Hadamard,
+    q=2 first n computational / last n Hadamard, q=3 the reverse. Dimension
+    test (n coordinates): q=0 computational, q=1 Hadamard.
+    """
+    if q not in questions(kind):
+        raise ParameterError(f"bad question {q}")
+    if not paired(kind):
+        return [_HAD if q else _COMP] * n
+    first = _COMP if q in (0, 2) else _HAD
+    second = _COMP if q in (0, 3) else _HAD
+    return [first] * n + [second] * n
+
+
+def theta_class(kind: str, theta, n: int) -> str:
+    if theta in (THETA_ALL_G, THETA_DIAMOND):
+        return theta
+    if not paired(kind):
+        return "claw"
+    return "claw_first" if theta < n else "claw_second"
+
+
+# verdict case letter per theta class
+_CASES = {
+    "selftest": {"claw_first": "A", "claw_second": "B", THETA_ALL_G: "C", THETA_DIAMOND: "D"},
+    "dimtest": {THETA_ALL_G: "A", "claw": "B"},
+}
+
+
+def eps(eps_p: float, eps_h: dict) -> float:
+    """eps = eps_P / 2 + mean_q eps_H(q) / 2, for eps_h: question -> eps_H."""
+    return eps_p / 2.0 + sum(eps_h.values()) / (2.0 * len(eps_h))
 
 
 # ---------------------------------------------------------------------------
-# Verdict functions (pure)
+# Verdict (pure)
 # ---------------------------------------------------------------------------
 
-def _scan_bhat(v, bhat, indices):
-    for i in indices:
-        if bhat[i] is None:
-            return ".bhat.bot"
-        if bhat[i] != v[i]:
-            return ".bhat"
-    return None
+def _hadamard_rule(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict:
+    """The Hadamard-round verdict of either protocol.
 
-
-def _scan_equation(v, bhat, hhat, i_claw, i_inj):
-    """Clause h-hat(i_claw) xor b-hat(i_inj) == v[i_claw]."""
-    if hhat[i_claw] is None or bhat[i_inj] is None:
-        return ".equation.bot"
-    if hhat[i_claw] ^ bhat[i_inj] != v[i_claw]:
-        return ".equation"
-    return None
+    bhat/hhat are per-coordinate decoded bits (None where undefined):
+    bhat[i] = b-hat(k_i, y_i) on injective coordinates, hhat[i] =
+    h-hat(k_i, y_i, d_i) on claw coordinates. First, every injective
+    coordinate that q measures in the computational basis must answer b-hat.
+    Then every claw coordinate that q measures in the Hadamard basis must
+    answer h-hat xor its CZ partner's known bit: an injective partner's b-hat
+    (".equation"), or a claw partner's own answer when q measures that
+    partner in the computational basis (".bell"); with no partner (dimension
+    test) the check is h-hat alone. A None decoding rejects with ".bot".
+    """
+    bases = question_bases(kind, n, q)
+    if len(v) != len(bases):
+        raise ProtocolError("answer arity mismatch")
+    fams = families(kind, theta, n)
+    fail = None
+    for i, basis in enumerate(bases):
+        if fams[i] == entcf.FAMILY_G and basis == _COMP and bhat[i] != v[i]:
+            fail = ".bhat.bot" if bhat[i] is None else ".bhat"
+            break
+    else:
+        for i, basis in enumerate(bases):
+            if fams[i] != entcf.FAMILY_F or basis != _HAD:
+                continue
+            known, tag = 0, ".equation"
+            if paired(kind):
+                j = partner(i, n)
+                if fams[j] == entcf.FAMILY_G:
+                    known = bhat[j]
+                elif bases[j] == _COMP:
+                    known, tag = v[j], ".bell"
+                else:
+                    continue
+            if hhat[i] is None or known is None:
+                fail = tag + ".bot"
+                break
+            if hhat[i] ^ known != v[i]:
+                fail = tag
+                break
+    if fail is None:
+        return Verdict(accept=1, reason="accept")
+    return Verdict(accept=0, reason=f"{_CASES[kind][theta_class(kind, theta, n)]}.q{q}{fail}")
 
 
 def selftest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    """Hadamard-round verdict for the self-test.
-
-    bhat/hhat are length-2n lists of decoded bits (None where undefined):
-    bhat[i] = b-hat(k_i, y_i) on injective coordinates, hhat[i] =
-    h-hat(k_i, y_i, d_i) on claw coordinates.
-    """
-    two_n = 2 * n
-    if len(v) != two_n:
-        raise ProtocolError("answer arity mismatch")
-    if theta == THETA_ALL_G:
-        case = "C"
-        if q == 0:
-            fail = _scan_bhat(v, bhat, range(two_n))
-        elif q == 1:
-            fail = None
-        elif q == 2:
-            fail = _scan_bhat(v, bhat, range(n))
-        else:
-            fail = _scan_bhat(v, bhat, range(n, two_n))
-    elif theta == THETA_DIAMOND:
-        case = "D"
-        fail = None
-        if q in (2, 3):
-            for i in range(n):
-                h = hhat[n + i] if q == 2 else hhat[i]
-                if h is None:
-                    fail = ".bell.bot"
-                    break
-                if v[i] ^ v[n + i] != h:
-                    fail = ".bell"
-                    break
-    elif theta < n:
-        case = "A"
-        others = [i for i in range(two_n) if i != theta]
-        if q == 0:
-            fail = _scan_bhat(v, bhat, others)
-        elif q == 1:
-            fail = _scan_equation(v, bhat, hhat, theta, theta + n)
-        elif q == 2:
-            fail = _scan_bhat(v, bhat, [i for i in range(n) if i != theta])
-        else:
-            fail = _scan_bhat(v, bhat, range(n, two_n)) or _scan_equation(
-                v, bhat, hhat, theta, theta + n
-            )
-    else:
-        case = "B"
-        others = [i for i in range(two_n) if i != theta]
-        if q == 0:
-            fail = _scan_bhat(v, bhat, others)
-        elif q == 1:
-            fail = _scan_equation(v, bhat, hhat, theta, theta - n)
-        elif q == 2:
-            fail = _scan_bhat(v, bhat, range(n)) or _scan_equation(
-                v, bhat, hhat, theta, theta - n
-            )
-        else:
-            fail = _scan_bhat(v, bhat, [i for i in range(n, two_n) if i != theta])
-    if fail is None:
-        return Verdict(accept=1, reason="accept")
-    return Verdict(accept=0, reason=f"{case}.q{q}{fail}")
+    """Hadamard-round verdict for the self-test (2n coordinates, cases A-D)."""
+    return _hadamard_rule("selftest", n, theta, q, v, bhat, hhat)
 
 
 def dimtest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    if len(v) != n:
-        raise ProtocolError("answer arity mismatch")
-    if theta == THETA_ALL_G:
-        if q == 0:
-            fail = _scan_bhat(v, bhat, range(n))
-            if fail:
-                return Verdict(accept=0, reason=f"A.q0{fail}")
-        return Verdict(accept=1, reason="accept")
-    if q == 0:
-        fail = _scan_bhat(v, bhat, [i for i in range(n) if i != theta])
-        if fail:
-            return Verdict(accept=0, reason=f"B.q0{fail}")
-        return Verdict(accept=1, reason="accept")
-    if hhat[theta] is None:
-        return Verdict(accept=0, reason="B.q1.equation.bot")
-    if hhat[theta] != v[theta]:
-        return Verdict(accept=0, reason="B.q1.equation")
-    return Verdict(accept=1, reason="accept")
+    """Hadamard-round verdict for the dimension test (n coordinates, cases A-B)."""
+    return _hadamard_rule("dimtest", n, theta, q, v, bhat, hhat)
+
+
+def hadamard_verdict(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict:
+    """The Hadamard-round verdict of protocol kind: selftest_verdict or
+    dimtest_verdict, looked up at call time so wrappers of either see it."""
+    verdict = selftest_verdict if paired(kind) else dimtest_verdict
+    return verdict(n, theta, q, v, bhat, hhat)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +288,7 @@ def sigma_v(kind: str, n: int, theta, bhat, hhat):
             v[theta] = hhat[theta]
     if None in v:
         return None
-    if kind == "selftest" and theta not in (THETA_ALL_G, THETA_DIAMOND):
+    if paired(kind) and theta not in (THETA_ALL_G, THETA_DIAMOND):
         v[theta] ^= v[partner(theta, n)]
     return tuple(v)
 
@@ -292,15 +316,18 @@ class _VerifierBase:
     keygen, round type, question.
     """
 
-    def __init__(self, n_coords: int, params: entcf.EntcfParams, rng: np.random.Generator):
-        self.n_coords = n_coords
-        self.params = params
+    def __init__(self, kind: str, config, rng: np.random.Generator):
+        self.kind = kind
+        self.config = config
+        self.n_coords = n_coords(kind, config.N)
+        self.params = config.entcf
         self.rng = rng
-        self.theta = self._draw_theta()
+        choices = thetas(kind, config.N)
+        self.theta = choices[int(rng.integers(len(choices)))]
         self.keys = []
         self.trapdoors = []
-        for family in self._families():
-            key, trap = entcf.gen_keypair(family, params, rng)
+        for family in families(kind, self.theta, config.N):
+            key, trap = entcf.gen_keypair(family, self.params, rng)
             self.keys.append(key)
             self.trapdoors.append(trap)
         self.phase = "send_keys"
@@ -308,24 +335,10 @@ class _VerifierBase:
         self.y = None
         self.d = None
         self.q = None
-        self.bhat = [None] * n_coords
-        self.hhat = [None] * n_coords
+        self.bhat = [None] * self.n_coords
+        self.hhat = [None] * self.n_coords
         self.verdict = None
 
-    # subclass hooks -------------------------------------------------------
-    def _draw_theta(self):
-        raise NotImplementedError
-
-    def _families(self):
-        raise NotImplementedError
-
-    def _draw_question(self) -> int:
-        raise NotImplementedError
-
-    def _final_verdict(self, v) -> Verdict:
-        raise NotImplementedError
-
-    # ----------------------------------------------------------------------
     def _finish(self, verdict: Verdict) -> Verdict:
         self.verdict = verdict
         self.phase = "done"
@@ -359,10 +372,14 @@ class _VerifierBase:
         if self.phase == "await_d":
             self.d = tuple(incoming.d)
             self.hhat = decode_hhat(self.trapdoors, self.y, self.d)
-            self.q = self._draw_question()
+            qs = questions(self.kind)
+            self.q = qs[int(self.rng.integers(len(qs)))]
             self.phase = "await_answer"
             return Question(q=self.q)
-        return self._finish(self._final_verdict(tuple(incoming.v)))
+        v = tuple(incoming.v)
+        return self._finish(
+            hadamard_verdict(self.kind, self.config.N, self.theta, self.q, v, self.bhat, self.hhat)
+        )
 
     def _malformed(self, incoming) -> str | None:
         """Reject reason for a reply that is not the awaited message type
@@ -390,41 +407,16 @@ class _VerifierBase:
 
 class SelfTestVerifier(_VerifierBase):
     def __init__(self, config: SelfTestConfig, rng: np.random.Generator):
-        self.config = config
-        super().__init__(2 * config.N, config.entcf, rng)
-
-    def _draw_theta(self):
-        pick = int(self.rng.integers(self.n_coords + 2))
-        if pick == self.n_coords:
-            return THETA_ALL_G
-        if pick == self.n_coords + 1:
-            return THETA_DIAMOND
-        return pick
-
-    def _families(self):
-        return selftest_families(self.theta, self.config.N)
-
-    def _draw_question(self):
-        return int(self.rng.integers(4))
-
-    def _final_verdict(self, v):
-        return selftest_verdict(self.config.N, self.theta, self.q, v, self.bhat, self.hhat)
+        super().__init__("selftest", config, rng)
 
 
 class DimTestVerifier(_VerifierBase):
     def __init__(self, config: DimTestConfig, rng: np.random.Generator):
-        self.config = config
-        super().__init__(config.N, config.entcf, rng)
+        super().__init__("dimtest", config, rng)
 
-    def _draw_theta(self):
-        pick = int(self.rng.integers(self.n_coords + 1))
-        return THETA_ALL_G if pick == self.n_coords else pick
 
-    def _families(self):
-        return dimtest_families(self.theta, self.config.N)
-
-    def _draw_question(self):
-        return int(self.rng.integers(2))
-
-    def _final_verdict(self, v):
-        return dimtest_verdict(self.config.N, self.theta, self.q, v, self.bhat, self.hhat)
+def make_verifier(kind: str, config, rng: np.random.Generator) -> _VerifierBase:
+    if kind not in KINDS:
+        raise ParameterError(f"unknown protocol kind {kind!r}")
+    verifier = SelfTestVerifier if paired(kind) else DimTestVerifier
+    return verifier(config, rng)

@@ -37,35 +37,6 @@ _BASIS = {0: (1.0, 0.0), 1: (0.0, 1.0)}
 _PHASE = {0: (_SQRT_HALF, _SQRT_HALF), 1: (_SQRT_HALF, -_SQRT_HALF)}
 
 
-def question_bases(kind: str, n: int, q: int, swap_01: bool = False) -> list[str]:
-    """Per-qubit measurement basis for question q.
-
-    Self-test (2n qubits): q=0 all computational, q=1 all Hadamard, q=2
-    first n computational / last n Hadamard, q=3 the reverse. Dimension
-    test (n qubits): q=0 computational, q=1 Hadamard. swap_01 exchanges the
-    q=0 and q=1 assignments (the WrongBasis cheat).
-    """
-    if kind == "selftest":
-        if q == 0:
-            bases = [_COMP] * (2 * n)
-        elif q == 1:
-            bases = [_HAD] * (2 * n)
-        elif q == 2:
-            bases = [_COMP] * n + [_HAD] * n
-        elif q == 3:
-            bases = [_HAD] * n + [_COMP] * n
-        else:
-            raise ParameterError(f"bad question {q}")
-    else:
-        if q not in (0, 1):
-            raise ParameterError(f"bad question {q}")
-        bases = [_COMP if q == 0 else _HAD] * n
-    if swap_01 and q in (0, 1):
-        flip = {_COMP: _HAD, _HAD: _COMP}
-        bases = [flip[b] for b in bases]
-    return bases
-
-
 def _in_basis(a0, a1, basis: str):
     """Amplitudes of the qubit a0|0> + a1|1> in a measurement basis."""
     if basis == _HAD:
@@ -128,7 +99,7 @@ class DeviceInterface:
     returns the reply (None once a Verdict arrives)."""
 
     def __init__(self, kind: str, rng: np.random.Generator):
-        if kind not in ("selftest", "dimtest"):
+        if kind not in protocol.KINDS:
             raise ParameterError(f"unknown protocol kind {kind!r}")
         self.kind = kind
         self.rng = rng
@@ -299,32 +270,24 @@ class HonestProver(DeviceInterface):
     def on_question(self, q: int):
         if self.qubits is None:
             raise ContractError("question answered before the hadamard round")
-        return self._measure_answer(q, swap_01=False)
-
-    def _measure_answer(self, q: int, swap_01: bool):
-        n_coords = len(self.qubits)
-        bases = question_bases(self.kind, n_coords // 2 if self.kind == "selftest" else n_coords, q, swap_01)
-        v = [None] * n_coords
-        if self.kind == "selftest":
-            n = n_coords // 2
-            for i in range(n):
-                v[i], v[n + i] = measure_pair(
-                    self.qubits[i], self.qubits[n + i], bases[i], bases[n + i], self.rng
-                )
-        else:
-            for i in range(n_coords):
-                v[i] = measure_qubit_vector(self.qubits[i], bases[i], self.rng)
+        qubits = self.qubits
+        if not protocol.paired(self.kind):
+            bases = protocol.question_bases(self.kind, len(qubits), q)
+            return [measure_qubit_vector(vec, b, self.rng) for vec, b in zip(qubits, bases)]
+        n = len(qubits) // 2
+        bases = protocol.question_bases(self.kind, n, q)
+        v = [None] * (2 * n)
+        for i in range(n):
+            v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
         return v
 
 
 class WrongBasisProver(HonestProver):
     """Honest until the last step, then measures q=0 in the Hadamard basis and
-    q=1 in the computational basis."""
+    q=1 in the computational basis: it answers the other of the two questions."""
 
     def on_question(self, q: int):
-        if self.qubits is None:
-            raise ContractError("question answered before the hadamard round")
-        return self._measure_answer(q, swap_01=True)
+        return super().on_question({0: 1, 1: 0}.get(q, q))
 
 
 class BitFlipProver(DeviceInterface):

@@ -73,9 +73,6 @@ class StateVector:
         moved = np.moveaxis(tens, axis, 0).reshape(self.registers[axis][1], -1)
         return axis, tens, np.sum(np.abs(moved) ** 2, axis=1)
 
-    def probabilities(self, register: str, basis: str = "computational") -> np.ndarray:
-        return self._in_basis(register, basis)[2]
-
     def measure(self, register: str, basis: str, rng: np.random.Generator):
         """Born-rule measurement; returns (outcome index, collapsed StateVector)."""
         axis, tens, probs = self._in_basis(register, basis)

@@ -74,7 +74,7 @@ def test_collapsed_matches_fullsim_distribution():
     params = entcf.EntcfParams.ideal(2)
     keys = tuple(
         entcf.gen_keypair(fam, params, rng)[0]
-        for fam in protocol.selftest_families(0, 1)
+        for fam in protocol.families("selftest", 0, 1)
     )
     samples = 20_000
     fast = _hadamard_samples(prover.COLLAPSED, keys, samples, seed=1)

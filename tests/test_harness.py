@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from selftestsim import cli, entcf, harness
+from selftestsim import cli, entcf, harness, protocol
 from selftestsim.errors import ParameterError
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
 
@@ -21,11 +21,12 @@ def test_wilson_interval_properties():
 
 
 def test_theta_class():
-    assert harness.theta_class("selftest", 0, 2) == "claw_first"
-    assert harness.theta_class("selftest", 3, 2) == "claw_second"
-    assert harness.theta_class("selftest", "all_g", 2) == "all_g"
-    assert harness.theta_class("selftest", "diamond", 2) == "diamond"
-    assert harness.theta_class("dimtest", 1, 2) == "claw"
+    assert protocol.theta_class("selftest", 0, 2) == "claw_first"
+    assert protocol.theta_class("selftest", 3, 2) == "claw_second"
+    assert protocol.theta_class("selftest", "all_g", 2) == "all_g"
+    assert protocol.theta_class("selftest", "diamond", 2) == "diamond"
+    assert protocol.theta_class("dimtest", 1, 2) == "claw"
+    assert protocol.theta_class("dimtest", "all_g", 2) == "all_g"
 
 
 def test_run_sessions_stats_consistency():

@@ -1,4 +1,6 @@
 """Verdict logic and verifier state machine tests."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,12 @@ def test_partner_involution():
 
 
 def test_families_per_theta():
-    assert protocol.selftest_families(0, 2) == ["F", "G", "G", "G"]
-    assert protocol.selftest_families(3, 2) == ["G", "G", "G", "F"]
-    assert protocol.selftest_families(THETA_ALL_G, 2) == ["G"] * 4
-    assert protocol.selftest_families(THETA_DIAMOND, 2) == ["F"] * 4
-    assert protocol.dimtest_families(1, 3) == ["G", "F", "G"]
+    assert protocol.families("selftest", 0, 2) == ["F", "G", "G", "G"]
+    assert protocol.families("selftest", 3, 2) == ["G", "G", "G", "F"]
+    assert protocol.families("selftest", THETA_ALL_G, 2) == ["G"] * 4
+    assert protocol.families("selftest", THETA_DIAMOND, 2) == ["F"] * 4
+    assert protocol.families("dimtest", 1, 3) == ["G", "F", "G"]
+    assert protocol.families("dimtest", THETA_ALL_G, 3) == ["G"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +120,162 @@ def test_dimtest_verdicts():
 def test_verdict_arity_check():
     with pytest.raises(ProtocolError):
         protocol.selftest_verdict(1, 0, 0, (0,), [None, 1], [0, None])
+    with pytest.raises(ProtocolError):
+        protocol.dimtest_verdict(2, 0, 0, (0,), [None, 1], [0, None])
+
+
+# ---------------------------------------------------------------------------
+# Verdict oracle: the hand-written case tables the one rule replaced
+# ---------------------------------------------------------------------------
+
+def _scan_bhat(v, bhat, indices):
+    for i in indices:
+        if bhat[i] is None:
+            return ".bhat.bot"
+        if bhat[i] != v[i]:
+            return ".bhat"
+    return None
+
+
+def _scan_equation(v, bhat, hhat, i_claw, i_inj):
+    """Clause h-hat(i_claw) xor b-hat(i_inj) == v[i_claw]."""
+    if hhat[i_claw] is None or bhat[i_inj] is None:
+        return ".equation.bot"
+    if hhat[i_claw] ^ bhat[i_inj] != v[i_claw]:
+        return ".equation"
+    return None
+
+
+def reference_selftest_verdict(n, theta, q, v, bhat, hhat):
+    two_n = 2 * n
+    if len(v) != two_n:
+        raise ProtocolError("answer arity mismatch")
+    if theta == THETA_ALL_G:
+        case = "C"
+        if q == 0:
+            fail = _scan_bhat(v, bhat, range(two_n))
+        elif q == 1:
+            fail = None
+        elif q == 2:
+            fail = _scan_bhat(v, bhat, range(n))
+        else:
+            fail = _scan_bhat(v, bhat, range(n, two_n))
+    elif theta == THETA_DIAMOND:
+        case = "D"
+        fail = None
+        if q in (2, 3):
+            for i in range(n):
+                h = hhat[n + i] if q == 2 else hhat[i]
+                if h is None:
+                    fail = ".bell.bot"
+                    break
+                if v[i] ^ v[n + i] != h:
+                    fail = ".bell"
+                    break
+    elif theta < n:
+        case = "A"
+        others = [i for i in range(two_n) if i != theta]
+        if q == 0:
+            fail = _scan_bhat(v, bhat, others)
+        elif q == 1:
+            fail = _scan_equation(v, bhat, hhat, theta, theta + n)
+        elif q == 2:
+            fail = _scan_bhat(v, bhat, [i for i in range(n) if i != theta])
+        else:
+            fail = _scan_bhat(v, bhat, range(n, two_n)) or _scan_equation(
+                v, bhat, hhat, theta, theta + n
+            )
+    else:
+        case = "B"
+        others = [i for i in range(two_n) if i != theta]
+        if q == 0:
+            fail = _scan_bhat(v, bhat, others)
+        elif q == 1:
+            fail = _scan_equation(v, bhat, hhat, theta, theta - n)
+        elif q == 2:
+            fail = _scan_bhat(v, bhat, range(n)) or _scan_equation(
+                v, bhat, hhat, theta, theta - n
+            )
+        else:
+            fail = _scan_bhat(v, bhat, [i for i in range(n, two_n) if i != theta])
+    if fail is None:
+        return protocol.Verdict(accept=1, reason="accept")
+    return protocol.Verdict(accept=0, reason=f"{case}.q{q}{fail}")
+
+
+def reference_dimtest_verdict(n, theta, q, v, bhat, hhat):
+    if len(v) != n:
+        raise ProtocolError("answer arity mismatch")
+    if theta == THETA_ALL_G:
+        if q == 0:
+            fail = _scan_bhat(v, bhat, range(n))
+            if fail:
+                return protocol.Verdict(accept=0, reason=f"A.q0{fail}")
+        return protocol.Verdict(accept=1, reason="accept")
+    if q == 0:
+        fail = _scan_bhat(v, bhat, [i for i in range(n) if i != theta])
+        if fail:
+            return protocol.Verdict(accept=0, reason=f"B.q0{fail}")
+        return protocol.Verdict(accept=1, reason="accept")
+    if hhat[theta] is None:
+        return protocol.Verdict(accept=0, reason="B.q1.equation.bot")
+    if hhat[theta] != v[theta]:
+        return protocol.Verdict(accept=0, reason="B.q1.equation")
+    return protocol.Verdict(accept=1, reason="accept")
+
+
+_VERDICTS = {
+    "selftest": (protocol.selftest_verdict, reference_selftest_verdict),
+    "dimtest": (protocol.dimtest_verdict, reference_dimtest_verdict),
+}
+
+
+def _exhaustive_cases(kind, n):
+    m = protocol.n_coords(kind, n)
+    decoded = list(itertools.product((None, 0, 1), repeat=m))
+    return itertools.product(
+        protocol.thetas(kind, n),
+        protocol.questions(kind),
+        itertools.product((0, 1), repeat=m),
+        decoded,
+        decoded,
+    )
+
+
+def _sampled_cases(kind, n, count, seed):
+    rng = np.random.default_rng(seed)
+    m = protocol.n_coords(kind, n)
+    thetas, qs = protocol.thetas(kind, n), protocol.questions(kind)
+    for _ in range(count):
+        vals = [(None, 0, 1)[k] for k in rng.integers(3, size=2 * m)]
+        yield (
+            thetas[int(rng.integers(len(thetas)))],
+            qs[int(rng.integers(len(qs)))],
+            tuple(int(b) for b in rng.integers(2, size=m)),
+            vals[:m],
+            vals[m:],
+        )
+
+
+@pytest.mark.parametrize(
+    "kind,n,cases,count",
+    [
+        ("selftest", 1, lambda: _exhaustive_cases("selftest", 1), 4 * 4 * 4 * 9 * 9),
+        ("dimtest", 1, lambda: _exhaustive_cases("dimtest", 1), 2 * 2 * 2 * 3 * 3),
+        ("dimtest", 2, lambda: _exhaustive_cases("dimtest", 2), 3 * 2 * 4 * 9 * 9),
+        ("selftest", 2, lambda: _sampled_cases("selftest", 2, 20_000, seed=2), 20_000),
+        ("selftest", 3, lambda: _sampled_cases("selftest", 3, 20_000, seed=3), 20_000),
+    ],
+    ids=["selftest-1-all", "dimtest-1-all", "dimtest-2-all", "selftest-2-sample", "selftest-3-sample"],
+)
+def test_verdict_rule_matches_case_tables(kind, n, cases, count):
+    rule, reference = _VERDICTS[kind]
+    checked = 0
+    for theta, q, v, bhat, hhat in cases():
+        got = rule(n, theta, q, v, list(bhat), list(hhat))
+        assert got == reference(n, theta, q, v, bhat, hhat), (theta, q, v, bhat, hhat)
+        checked += 1
+    assert checked == count
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +296,7 @@ def test_sigma_membership_consistency():
     for theta in (0, 1, THETA_ALL_G, THETA_DIAMOND):
         traps = []
         keys = []
-        for fam in protocol.selftest_families(theta, n):
+        for fam in protocol.families("selftest", theta, n):
             k, t = entcf.gen_keypair(fam, params, rng)
             keys.append(k)
             traps.append(t)
@@ -156,7 +315,7 @@ def test_sigma_membership_d_zero_fails():
     rng = np.random.default_rng(1)
     params = entcf.EntcfParams.ideal(2)
     keys, traps = zip(
-        *[entcf.gen_keypair(f, params, rng) for f in protocol.selftest_families(0, 1)]
+        *[entcf.gen_keypair(f, params, rng) for f in protocol.families("selftest", 0, 1)]
     )
     y = tuple(entcf.forward_sample(k, 0, 0, rng) for k in keys)
     assert _label_sigma_v(0, y, (0, 0), traps, 1)[2] is None

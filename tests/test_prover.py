@@ -13,8 +13,8 @@ from selftestsim.prover import (
     HonestProver,
     WrongBasisProver,
     make_prover,
-    question_bases,
 )
+from selftestsim.protocol import question_bases
 
 
 def fixed_keys(theta, n=1, w=2, seed=0):
@@ -22,7 +22,7 @@ def fixed_keys(theta, n=1, w=2, seed=0):
     params = entcf.EntcfParams.ideal(w)
     pairs = [
         entcf.gen_keypair(fam, params, rng)
-        for fam in protocol.selftest_families(theta, n)
+        for fam in protocol.families("selftest", theta, n)
     ]
     return tuple(k for k, _ in pairs), tuple(t for _, t in pairs)
 
@@ -42,9 +42,11 @@ def test_question_bases_patterns():
     assert question_bases("selftest", 2, 2) == ["computational"] * 2 + ["hadamard"] * 2
     assert question_bases("selftest", 2, 3) == ["hadamard"] * 2 + ["computational"] * 2
     assert question_bases("dimtest", 3, 1) == ["hadamard"] * 3
-    # the wrong-basis flag swaps only q=0 and q=1
-    assert question_bases("selftest", 1, 0, swap_01=True) == ["hadamard"] * 2
-    assert question_bases("selftest", 1, 2, swap_01=True) == ["computational", "hadamard"]
+    assert question_bases("dimtest", 3, 0) == ["computational"] * 3
+    with pytest.raises(ParameterError):
+        question_bases("selftest", 1, 4)
+    with pytest.raises(ParameterError):
+        question_bases("dimtest", 1, 2)
 
 
 def test_honest_images_are_valid(seed=0):
@@ -158,6 +160,19 @@ def test_wrongbasis_differs_from_honest_on_q0():
         assert wy == hy and wd == hd  # only the last measurement differs
         diffs += tuple(wv) != tuple(hv)
     assert diffs > 0
+
+
+@pytest.mark.parametrize("kind,theta", [("selftest", 0), ("selftest", protocol.THETA_DIAMOND), ("dimtest", 0)])
+def test_wrongbasis_answers_the_swapped_question(kind, theta):
+    # q=0 and q=1 trade measurement bases; q=2 and q=3 are measured honestly
+    rng = np.random.default_rng(3)
+    params = entcf.EntcfParams.ideal(2)
+    keys = tuple(entcf.gen_keypair(f, params, rng)[0] for f in protocol.families(kind, theta, 1))
+    for q, honest_q in [(0, 1), (1, 0), (2, 2), (3, 3)][: len(protocol.questions(kind))]:
+        for seed in range(8):
+            wrong = drive_hadamard(WrongBasisProver(kind, np.random.default_rng(seed)), keys, q)
+            honest = drive_hadamard(HonestProver(kind, np.random.default_rng(seed)), keys, honest_q)
+            assert wrong == honest
 
 
 def test_make_prover_unknown_spec():

@@ -21,13 +21,6 @@ def test_statevector_measure_removes_register():
     assert np.allclose(collapsed.amps, [0, 1])
 
 
-def test_hadamard_probabilities():
-    rng = np.random.default_rng(0)
-    sv = qsim.StateVector([1, 0], [("q", 2)])
-    probs = sv.probabilities("q", "hadamard")
-    assert np.allclose(probs, [0.5, 0.5])
-
-
 def test_hadamard_measure_transforms_once(monkeypatch):
     real = qsim.hadamard_matrix
     calls = []

@@ -93,7 +93,20 @@ def _keys_frame(keys) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-@pytest.mark.parametrize("key_hex", ["01", "0109", "010000"])
+# toylwe keys at n=1, m=3: A carries m*n = 3 entries and u must carry m = 3
+TOYLWE_HEAD = "01010400010003000000100001" + "0000000d0000000a00000008"
+
+
+@pytest.mark.parametrize(
+    "key_hex",
+    [
+        "01",
+        "0109",
+        "010000",
+        TOYLWE_HEAD + "000000040000000800000000" + "00000005",  # u with 4 entries
+        TOYLWE_HEAD + "0000000400000008",  # u with 2 entries
+    ],
+)
 def test_unparsable_key_is_a_transport_error(key_hex):
     with pytest.raises(TransportError):
         CODEC.decode_frame(_keys_frame([key_hex]))
