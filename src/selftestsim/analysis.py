@@ -8,12 +8,21 @@ isometry with its exact identities, soundness distances against the ideal
 target states, the rank proposition, and the quantum-dimension certificate.
 
 Conventions: a model's quantum space H_D is laid out as (logical qubits,
-x registers, optional environment registers). Classical labels are (y, d)
-tuples; every state block is a pure (unnormalized) vector whose squared norm
-is the block's probability mass. theta uses the protocol module's encoding.
+x registers, optional environment registers), but no operator is built on
+all of it. The preimage state psi lives on logical (x) x, the one place the
+x registers matter (the preimage test reads them). The Hadamard round
+measures the x registers: on an honest-family device each d outcome leaves
+a block rest (x) x_row with x_row a unit vector, and every question
+measurement is the identity on x. So x drops out of every trace the
+analysis takes, and sigma blocks and question operators live on
+logical (x) env; an environment is a unit vector tensored onto each block.
+Classical labels are (y, d) tuples; every state block is a pure
+(unnormalized) vector whose squared norm is the block's probability mass.
+theta uses the protocol module's encoding.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, asdict
 
@@ -23,6 +32,7 @@ from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
 from .protocol import THETA_ALL_G, THETA_DIAMOND
 
+# largest full H_D = logical (x) x (x) env a model may have
 _DIM_BUDGET = 2**12
 ATOL = 1e-10
 
@@ -67,6 +77,14 @@ def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("bd,bd->b", blocks.conj(), blocks @ op.T).real
 
 
+def _check_size(logical: int, x_dim: int, env_dim: int) -> None:
+    """Refuse a model whose full H_D exceeds _DIM_BUDGET; builders call this
+    before they build anything."""
+    size = 2**logical * x_dim * env_dim
+    if size > _DIM_BUDGET:
+        raise ModelError(f"model dimension {size} exceeds budget {_DIM_BUDGET}")
+
+
 # ---------------------------------------------------------------------------
 # Device model
 # ---------------------------------------------------------------------------
@@ -74,14 +92,23 @@ def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
 class DeviceModel:
     """Block-diagonal device description.
 
-    psi[theta]: dict y -> pure vector on H_D (squared norm = Pr[y]).
-    p_proj[q]: dict u -> projector on H_D (zero projectors omitted).
+    psi[theta]: dict y -> pure vector on logical (x) x (squared norm = Pr[y]).
+    env: unit vector on the environment, in a product with psi (default: no
+    environment).
+    p_proj[q]: dict u -> projector on logical (x) env (zero projectors
+    omitted); `dim` is the size of that space.
     The d-measurement comes in two flavors: a per-coordinate product form
     (coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register,
     used by the honest family) or an explicit y-independent m_proj[theta]:
-    dict d -> projector. The preimage measurement is either the marker
-    "computational" (product basis on qubits and x registers) or an explicit
-    dict (b, x) -> projector.
+    dict d -> projector on the psi space, for models with x_dim = 1. The
+    preimage measurement is either the marker "computational" (product basis
+    on qubits and x registers) or an explicit dict (b, x) -> projector on the
+    psi space.
+
+    Sigma blocks live on logical (x) env: an outcome d leaves psi's block as
+    rest (x) x_row (x) env with x_row a unit vector, and the question
+    projectors are the identity on x, so rest (x) env has every trace the
+    full block has.
     """
 
     def __init__(
@@ -91,7 +118,6 @@ class DeviceModel:
         w: int,
         logical: int,
         x_dim: int,
-        env_dim: int,
         thetas: list,
         keys: dict,
         trapdoors: dict,
@@ -100,18 +126,17 @@ class DeviceModel:
         coord_m=None,
         m_proj: dict | None = None,
         pi_proj="computational",
+        env: np.ndarray | None = None,
         name: str = "model",
-        budget: int = _DIM_BUDGET,
     ):
         self.protocol = protocol_kind
         self.n = n
         self.w = w
         self.logical = logical
         self.x_dim = x_dim
-        self.env_dim = env_dim
-        self.dim = 2**logical * x_dim * env_dim
-        if self.dim > budget:
-            raise ModelError(f"model dimension {self.dim} exceeds budget {budget}")
+        self.env = np.ones(1, dtype=complex) if env is None else env
+        self.env_dim = self.env.size
+        self.dim = 2**logical * self.env_dim
         self.thetas = list(thetas)
         self.keys = keys
         self.trapdoors = trapdoors
@@ -153,7 +178,8 @@ class DeviceModel:
 
     # -- sigma blocks ----------------------------------------------------------
     def sigma_blocks(self, theta) -> dict:
-        """dict (y, d) -> pure vector, the post-d-measurement blocks."""
+        """dict (y, d) -> pure vector on logical (x) env, the
+        post-d-measurement blocks."""
         if theta in self._sigma_cache:
             return self._sigma_cache[theta]
         out = {}
@@ -165,21 +191,17 @@ class DeviceModel:
                 # rows of each matrix are one coordinate's outcome vectors; their
                 # Kronecker product has one row per d tuple, in product order
                 mats = [np.array([m[d] for d in ds]) for m, ds in zip(per_coord, d_lists)]
-                x_rows = mats[0]
-                for mat in mats[1:]:
-                    x_rows = np.kron(x_rows, mat)
-                tens = block.reshape(2**n_coords, x_rows.shape[1], self.env_dim)
-                rest = np.swapaxes(x_rows.conj() @ tens, 0, 1)
-                full = rest[:, :, None, :] * x_rows[:, None, :, None]
-                full = full.reshape(len(x_rows), -1)
-                masses = np.sum(np.abs(rest) ** 2, axis=(1, 2))
+                x_rows = functools.reduce(np.kron, mats)
+                rest = x_rows.conj() @ block.reshape(2**n_coords, -1).T
+                rest = (rest[:, :, None] * self.env).reshape(len(x_rows), self.dim)
+                masses = np.sum(np.abs(rest) ** 2, axis=1)
                 for c, d in enumerate(itertools.product(*d_lists)):
                     if masses[c] >= ATOL**2:
-                        out[(y, d)] = full[c]
+                        out[(y, d)] = rest[c]
         else:
             for y, block in self.psi[theta].items():
                 for d, proj in self.m_proj[theta].items():
-                    vec = proj @ block
+                    vec = np.kron(proj @ block, self.env)
                     if np.vdot(vec, vec).real < ATOL**2:
                         continue
                     out[(y, d)] = vec
@@ -206,43 +228,25 @@ class DeviceModel:
 
     # -- preimage test mass ---------------------------------------------------
     def t_theta(self, theta) -> float:
+        """Preimage-test pass mass; the environment is a unit vector, so it
+        does not enter."""
         keys = self.keys[theta]
         total = 0.0
         if self.pi_proj == "computational":
-            n_coords = self.logical
+            shape = (2,) * self.logical + (2**self.w,) * self.logical
             for y, block in self.psi[theta].items():
-                tens = block.reshape(2**n_coords, (2**self.w) ** n_coords, self.env_dim)
+                tens = block.reshape(shape)
                 for combo in itertools.product(
                     *[entcf.preimages(k, yi) for k, yi in zip(keys, y)]
                 ):
-                    b_flat = bits_to_int(c[0] for c in combo)
-                    x_flat = 0
-                    for c in combo:
-                        x_flat = x_flat * 2**self.w + c[1]
-                    sub = tens[b_flat, x_flat, :]
-                    total += np.vdot(sub, sub).real
+                    bs, xs = zip(*combo)
+                    total += abs(tens[bs + xs]) ** 2
         else:
             for y, block in self.psi[theta].items():
                 for (b, x), proj in self.pi_proj.items():
                     if entcf.chk(keys, y, b, x) == 0:
                         total += _quad(block[None, :], proj)[0]
         return total
-
-    # -- reductions -----------------------------------------------------------
-    def registers(self) -> list[tuple[str, int]]:
-        regs = [(f"q{i}", 2) for i in range(self.logical)]
-        regs += [(f"x{i}", 2**self.w) for i in range(self.logical)]
-        if self.env_dim > 1:
-            regs.append(("env", self.env_dim))
-        return regs
-
-    def logical_marginal(self, blocks: dict) -> np.ndarray:
-        """Sum the blocks and trace out everything but the logical qubits."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for vec in blocks.values():
-            total += np.outer(vec, vec.conj())
-        keep = [f"q{i}" for i in range(self.logical)]
-        return qsim.partial_trace(total, self.registers(), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +326,14 @@ def build_honest_model(
     config: protocol.SelfTestConfig | protocol.DimTestConfig,
     protocol_kind: str,
     rng: np.random.Generator,
-    budget: int = _DIM_BUDGET,
 ) -> DeviceModel:
     params = config.entcf
     if params.backend != "ideal":
         raise ModelError("white-box analysis supports the ideal backend only")
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
-    if 2**logical * (2**w) ** logical > budget:
-        raise ModelError("honest model dimension exceeds the analysis budget")
+    x_dim = (2**w) ** logical
+    _check_size(logical, x_dim, 1)
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, coord_support = {}, {}, {}
     for theta in thetas:
@@ -343,7 +346,6 @@ def build_honest_model(
         keys[theta], trapdoors[theta], coord_support[theta] = tuple(ks), tuple(ts), sup
 
     cz = _cz_signs(n) if protocol.paired(protocol_kind) else None
-    x_dim = (2**w) ** logical
     psi = {}
     for theta in thetas:
         blocks = {}
@@ -376,14 +378,13 @@ def build_honest_model(
             claw_cache[cache_key] = _claw_basis(w, x0, x1)
         return claw_cache[cache_key]
 
-    eye_x = np.eye(x_dim)
     p_proj = {}
     for q in protocol.questions(protocol_kind):
         bases = protocol.question_bases(protocol_kind, n, q)
         p_proj[q] = {}
         for u in all_bit_tuples(logical):
             vec = pattern_vector(bases, u)
-            p_proj[q][u] = np.kron(np.outer(vec, vec.conj()), eye_x)
+            p_proj[q][u] = np.outer(vec, vec.conj())
 
     return DeviceModel(
         protocol_kind,
@@ -391,7 +392,6 @@ def build_honest_model(
         w,
         logical,
         x_dim,
-        1,
         thetas,
         keys,
         trapdoors,
@@ -399,40 +399,30 @@ def build_honest_model(
         p_proj,
         coord_m=coord_m,
         name="honest",
-        budget=budget,
     )
 
 
-def build_bitflip_model(honest: DeviceModel, p: float, budget: int = _DIM_BUDGET) -> DeviceModel:
+def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
     """Dilate the answer-bit flips into an environment register: the flip
-    pattern e lives in a product state and P_q^u reads the pattern-shifted
-    honest projector on each branch."""
+    pattern e lives in a product state beside the honest psi, and P_q^u is
+    sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("flip probability must lie in [0, 1]")
     logical = honest.logical
-    anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
-    env = anc
-    for _ in range(logical - 1):
-        env = np.kron(env, anc)
     env_dim = 2**logical
-    psi = {
-        theta: {y: np.kron(vec, env) for y, vec in honest.psi[theta].items()}
-        for theta in honest.thetas
-    }
+    _check_size(logical, honest.x_dim, env_dim)
+    anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
+    env = functools.reduce(np.kron, [anc] * logical)
     e_tuples = all_bit_tuples(logical)
     p_proj = {}
     for q, projs in honest.p_proj.items():
         p_proj[q] = {}
         for u in projs:
-            mat = np.zeros((honest.dim * env_dim,) * 2, dtype=complex)
-            for e in e_tuples:
-                shifted = tuple(ui ^ ei for ui, ei in zip(u, e))
-                e_vec = pattern_vector(["computational"] * logical, e)
-                mat += np.kron(projs[shifted], np.outer(e_vec, e_vec.conj()))
-            p_proj[q][u] = mat
-
-    def coord_m(theta, i, y_i):
-        return honest.coord_m(theta, i, y_i)
+            # block-diagonal in e: the (k, k) block is the shifted projector
+            mat = np.zeros((honest.dim, env_dim, honest.dim, env_dim), dtype=complex)
+            for k, e in enumerate(e_tuples):
+                mat[:, k, :, k] = projs[tuple(ui ^ ei for ui, ei in zip(u, e))]
+            p_proj[q][u] = mat.reshape(honest.dim * env_dim, -1)
 
     return DeviceModel(
         honest.protocol,
@@ -440,15 +430,14 @@ def build_bitflip_model(honest: DeviceModel, p: float, budget: int = _DIM_BUDGET
         honest.w,
         logical,
         honest.x_dim,
-        env_dim,
         honest.thetas,
         honest.keys,
         honest.trapdoors,
-        psi,
+        honest.psi,
         p_proj,
-        coord_m=coord_m,
+        coord_m=honest.coord_m,
+        env=env,
         name=f"bitflip({p})",
-        budget=budget,
     )
 
 
@@ -461,7 +450,6 @@ def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
         honest.w,
         honest.logical,
         honest.x_dim,
-        honest.env_dim,
         honest.thetas,
         honest.keys,
         honest.trapdoors,
@@ -470,6 +458,7 @@ def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
         coord_m=honest.coord_m,
         m_proj=honest.m_proj,
         pi_proj=honest.pi_proj,
+        env=honest.env,
         name="wrongbasis",
     )
 
@@ -535,7 +524,6 @@ def build_random_model(
         w,
         logical,
         1,
-        1,
         thetas,
         keys,
         trapdoors,
@@ -597,7 +585,6 @@ def build_classical_model(
         n,
         w,
         logical,
-        1,
         1,
         thetas,
         keys,
@@ -804,6 +791,10 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
     return out
 
 
+def _check(name: str, lhs, rhs, slack: float = 1e-9) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + slack)}
+
+
 def check_gamma_bounds(
     gammas: GammaReport, failures: FailureReport, n: int, slack: float = 1e-9
 ) -> list[dict]:
@@ -828,10 +819,7 @@ def check_gamma_bounds(
         ("gamma_T <= 8(2N+2) eps", gammas.gamma_T, 8 * m * failures.eps),
         ("gamma_diamond <= 8(2N+2) eps", gammas.gamma_diamond, 8 * m * failures.eps),
     ]
-    return [
-        {"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + slack)}
-        for name, lhs, rhs in checks
-    ]
+    return [_check(name, lhs, rhs, slack) for name, lhs, rhs in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -1160,34 +1148,14 @@ def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
         }
         checks = check_gamma_bounds(gammas, failures, model.n)
         sums = zeta_chi_sums(model)
+        rhs = 4 * gammas.gamma_T
         for (theta, i), val in sums["zeta"].items():
-            checks.append(
-                {
-                    "name": f"sum_v zeta(i={i}, theta={theta}) <= 4 gamma_T",
-                    "lhs": val,
-                    "rhs": 4 * gammas.gamma_T,
-                    "ok": bool(val <= 4 * gammas.gamma_T + 1e-9),
-                }
-            )
+            checks.append(_check(f"sum_v zeta(i={i}, theta={theta}) <= 4 gamma_T", val, rhs))
         for theta, val in sums["chi"].items():
-            checks.append(
-                {
-                    "name": f"sum_v chi(theta={theta}) <= 4 gamma_T",
-                    "lhs": val,
-                    "rhs": 4 * gammas.gamma_T,
-                    "ok": bool(val <= 4 * gammas.gamma_T + 1e-9),
-                }
-            )
+            checks.append(_check(f"sum_v chi(theta={theta}) <= 4 gamma_T", val, rhs))
         for theta in model.thetas:
-            residual = sigma_residual(model, theta)
-            checks.append(
-                {
-                    "name": f"||sigma^theta - sum_v sigma^theta_v||_1 <= gamma_P (theta={theta})",
-                    "lhs": residual,
-                    "rhs": gammas.gamma_P,
-                    "ok": bool(residual <= gammas.gamma_P + 1e-9),
-                }
-            )
+            name = f"||sigma^theta - sum_v sigma^theta_v||_1 <= gamma_P (theta={theta})"
+            checks.append(_check(name, sigma_residual(model, theta), gammas.gamma_P))
         report["checks"] = checks
         report["soundness"] = {
             str(theta): {

@@ -4,7 +4,8 @@ run_sessions drives verifier/prover pairs over the in-process or TCP
 transport, records one JSON-able transcript per session (logical timestamps,
 full message sequence, revealed theta and decodings), and aggregates
 acceptance statistics stratified by (theta class, round type, question) with
-Wilson confidence intervals and the derived gamma upper bounds.
+Wilson confidence intervals and, for the self-test, the derived gamma upper
+bounds.
 
 Everything is deterministic in (seed, config): per-session RNG streams come
 from numpy SeedSequence spawning, independent of transport and parallelism.
@@ -77,6 +78,7 @@ def run_one_session(
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
 
+    prover_error: list[Exception] = []
     if tcp_port is None:
         v_chan, p_chan = transport.InProcChannel.pair(codec, session_id)
         server = None
@@ -84,15 +86,17 @@ def run_one_session(
         listener = socket.create_server(("127.0.0.1", tcp_port))
         port = listener.getsockname()[1]
 
-        p_holder = {}
-
         def _serve():
             conn, _ = listener.accept()
-            p_holder["chan"] = transport.TcpChannel(codec, session_id, conn)
+            chan = transport.TcpChannel(codec, session_id, conn)
             try:
-                _prover_loop(p_holder["chan"], prover, timeout)
+                _prover_loop(chan, prover, timeout)
             except TransportError:
                 pass
+            except Exception as exc:  # re-raised below, as in process
+                prover_error.append(exc)
+            finally:
+                chan.close()
 
         server = threading.Thread(target=_serve, daemon=True)
         server.start()
@@ -133,6 +137,10 @@ def run_one_session(
             if server is not None:
                 server.join(timeout=timeout)
             listener.close()
+    # a prover that raised over TCP aborts the batch as it does in process;
+    # its closed socket ended the session above without waiting for a timeout
+    if prover_error:
+        raise prover_error[0]
 
     cls = protocol.theta_class(protocol_kind, verifier.theta, config.N)
     transcript = {
@@ -193,7 +201,6 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
     accepts = sum(r.accept for r in results)
     acc_lo, acc_hi = wilson_interval(accepts, total)
     ep_lo, ep_hi = wilson_interval(pre_rej, pre_n)
-    m = 2 * n + 2
     reasons: dict = {}
     for r in results:
         reasons[r.reason] = reasons.get(r.reason, 0) + 1
@@ -210,18 +217,21 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
         "eps_H": {str(q): eps_h[q] for q in questions},
         "eps_H_ci95": {str(q): eps_h_ci[q] for q in questions},
         "eps": eps,
-        "gamma_bounds": {
-            "gamma_P": m * eps_p,
-            "gamma_T0": m * eps_h.get(0, 0.0),
-            "gamma_T1": m * eps_h.get(1, 0.0),
-            "gamma_T": 8 * m * eps,
-            "gamma_diamond": 8 * m * eps,
-        },
         "cells": {
             "|".join(key): cell for key, cell in sorted(cells.items())
         },
         "reasons": dict(sorted(reasons.items())),
     }
+    if protocol_kind == "selftest":
+        # the paper's gamma bounds are self-test quantities (m = 2N+2 thetas)
+        m = 2 * n + 2
+        stats["gamma_bounds"] = {
+            "gamma_P": m * eps_p,
+            "gamma_T0": m * eps_h[0],
+            "gamma_T1": m * eps_h[1],
+            "gamma_T": 8 * m * eps,
+            "gamma_diamond": 8 * m * eps,
+        }
     return stats
 
 

@@ -1,10 +1,12 @@
 """White-box analysis unit tests (the heavy suites live in test_acceptance)."""
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selftestsim import analysis, entcf, protocol, qsim
+from selftestsim import analysis, cli, entcf, protocol, qsim
 from selftestsim.errors import ModelError, ParameterError
 from selftestsim.protocol import THETA_ALL_G, THETA_DIAMOND, DimTestConfig, SelfTestConfig
 
@@ -143,7 +145,6 @@ def test_swap_isometry_rejects_nonprojective(honest):
         2,
         2,
         1,
-        1,
         [THETA_ALL_G],
         {THETA_ALL_G: honest.keys[THETA_ALL_G][:2]},
         {THETA_ALL_G: honest.trapdoors[THETA_ALL_G][:2]},
@@ -198,9 +199,11 @@ def test_budget_guard():
     cfg = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(3))
     with pytest.raises(ModelError):
         analysis.build_honest_model(cfg, "selftest", np.random.default_rng(0))
-    small = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
-    with pytest.raises(ModelError):
-        analysis.build_honest_model(small, "selftest", np.random.default_rng(0), budget=2**5)
+    # an N=2 w=2 honest-shaped model sits at the budget (2^4 * 4^4); its bitflip
+    # dilation adds a 2^4 environment and is refused before anything is built
+    at_budget = analysis.DeviceModel("selftest", 2, 2, 4, 4**4, [], {}, {}, {}, {})
+    with pytest.raises(ModelError, match="exceeds budget"):
+        analysis.build_bitflip_model(at_budget, 0.1)
 
 
 def test_toylwe_models_unsupported():
@@ -315,12 +318,14 @@ def _ref_rank1(u, w):
 
 
 def _ref_sigma_blocks(model, theta):
-    """Post-d blocks of a product-form d-measurement, one d tuple at a time."""
+    """Post-d blocks of a product-form d-measurement, one d tuple at a time,
+    as (rest, x_vec) with the full block rest (x) x_vec on logical (x) x (x) env."""
     out = {}
     n_coords = model.logical
     for y, block in model.psi[theta].items():
         per_coord = [model.coord_m(theta, i, y[i]) for i in range(n_coords)]
-        tens = block.reshape((2,) * n_coords + (2**model.w,) * n_coords + (model.env_dim,))
+        full = np.kron(block, model.env)
+        tens = full.reshape((2,) * n_coords + (2**model.w,) * n_coords + (model.env_dim,))
         for combo in itertools.product(*[sorted(m.items()) for m in per_coord]):
             t = tens
             for _, outcome in combo:
@@ -330,9 +335,8 @@ def _ref_sigma_blocks(model, theta):
             x_vec = np.ones(1, dtype=complex)
             for _, outcome in combo:
                 x_vec = np.kron(x_vec, outcome)
-            rest = t.reshape(2**n_coords, model.env_dim)
             d = tuple(label for label, _ in combo)
-            out[(y, d)] = np.einsum("qe,x->qxe", rest, x_vec).ravel()
+            out[(y, d)] = (t.ravel(), x_vec)
     return out
 
 
@@ -434,8 +438,10 @@ def test_sigma_blocks_match_per_outcome_reference(honest):
             got = model.sigma_blocks(theta)
             ref = _ref_sigma_blocks(model, theta)
             assert list(got) == list(ref)
-            for label, vec in ref.items():
-                assert np.max(np.abs(got[label] - vec)) <= 1e-12
+            for label, (rest, x_vec) in ref.items():
+                # the x part is a unit vector, so the rest part carries every trace
+                assert abs(np.linalg.norm(x_vec) - 1.0) <= 1e-12
+                assert np.max(np.abs(got[label] - rest)) <= 1e-12
 
 
 def _oracle_models(honest):
@@ -482,3 +488,42 @@ def test_dimension_certificate_matches_dense_reference(kind, n, w, seed):
     assert cert["v_distance"] == pytest.approx(v_distance, abs=1e-9)
     assert cert["epsilon"] == pytest.approx(eps, abs=1e-9)
 
+
+
+# ---------------------------------------------------------------------------
+# Reports against numbers recorded with the dense logical (x) x (x) env engine
+# ---------------------------------------------------------------------------
+
+# analyze --seed 0 reports recorded at commit ccc0244, where every sigma block
+# and question projector still carried the x registers; certificate.v_min
+# names one of several tied minimisers and is left out, as is `swap`, whose
+# deviations are round-off
+GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
+
+
+def _assert_close(got, want, path):
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, bool):
+        assert got is want, path
+    else:
+        assert abs(got - want) <= 1e-9, (path, got, want)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c['protocol']}-{c['model']}-n{c['n']}w{c['w']}")
+def test_report_matches_dense_engine(case, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["analyze", "--protocol", case["protocol"], "--n", str(case["n"]), "--w", str(case["w"])]
+    argv += ["--model", case["model"], "--seed", "0", "--report", str(path)]
+    assert cli.main(argv) == case["exit"]
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    sections = [key for key in ("failures", "gammas", "soundness", "certificate") if key in case]
+    assert sections == [key for key in ("failures", "gammas", "soundness", "certificate") if key in report]
+    for key in sections:
+        got = report[key]
+        if key == "certificate":
+            got = {k: v for k, v in got.items() if k != "v_min"}
+        _assert_close(got, case[key], key)

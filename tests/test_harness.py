@@ -1,5 +1,6 @@
 """Harness and CLI tests: determinism, stats, replay, exit codes."""
 import json
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,29 @@ def test_tcp_matches_inproc():
     assert a[1] == b[1]
 
 
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_prover_error_aborts_the_batch_on_both_transports(capsys, transport):
+    # the fullsim prover refuses w=10 keys when it receives them
+    argv = ["selftest", "run", "--n", "1", "--w", "10", "--prover", "honest-fullsim"]
+    argv += ["--sessions", "2", "--transport", transport]
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    # the prover closes its socket, so no session waits out the 10 s timeout
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: fullsim coordinate exceeds the simulator budget"]
+
+
+def test_gamma_bounds_only_in_selftest_stats():
+    selftest_stats, _ = harness.run_sessions("selftest", "honest", CFG, 10, seed=3)
+    assert set(selftest_stats["gamma_bounds"]) == {
+        "gamma_P", "gamma_T0", "gamma_T1", "gamma_T", "gamma_diamond"
+    }
+    dimtest_stats, _ = harness.run_sessions("dimtest", "honest", DCFG, 10, seed=3)
+    assert "gamma_bounds" not in dimtest_stats
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -206,6 +230,24 @@ def test_cli_analyze_dimtest_n2_certifies_dimension_4(capsys):
     cert = json.loads(capsys.readouterr().out)["certificate"]
     assert cert["certified_dimension"] == pytest.approx(4.0, abs=1e-9)
     assert cert["rank_ok"]
+
+
+def test_cli_analyze_dimtest_n3_certifies_dimension_8(capsys):
+    argv = ["analyze", "--protocol", "dimtest", "--n", "3", "--w", "2", "--model", "honest"]
+    assert cli.main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified_dimension"] == pytest.approx(8.0, abs=1e-6)
+    assert cert["rank_ok"]
+
+
+def test_cli_analyze_over_budget_is_one_error_line(capsys):
+    # selftest bitflip at N=2 w=2: full H_D 2^4 * 4^4 * 2^4 exceeds the budget
+    assert cli.main(["analyze", "--n", "2", "--w", "2", "--model", "bitflip=0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_entcf_check(capsys):
