@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -402,15 +402,23 @@ def build_honest_model(
     )
 
 
+def check_bitflip(protocol_kind: str, n: int, w: int, p: float) -> None:
+    """Refuse a flip probability outside [0, 1], or a bitflip model whose
+    dilated H_D (an environment qubit per logical qubit) exceeds the budget,
+    before the honest model it dilates is built."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError("flip probability must lie in [0, 1]")
+    logical = protocol.n_coords(protocol_kind, n)
+    _check_size(logical, 2 ** (w * logical), 2**logical)
+
+
 def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
     """Dilate the answer-bit flips into an environment register: the flip
     pattern e lives in a product state beside the honest psi, and P_q^u is
     sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("flip probability must lie in [0, 1]")
+    check_bitflip(honest.protocol, honest.n, honest.w, p)
     logical = honest.logical
     env_dim = 2**logical
-    _check_size(logical, honest.x_dim, env_dim)
     anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
     env = functools.reduce(np.kron, [anc] * logical)
     e_tuples = all_bit_tuples(logical)
@@ -619,13 +627,6 @@ class GammaReport:
     gamma_diamond_0: float
     gamma_diamond_1: float
     gamma_diamond: float
-    t_table: dict = field(default_factory=dict)
-    r_table: dict = field(default_factory=dict)
-    s_table: dict = field(default_factory=dict)
-    r_tilde_table: dict = field(default_factory=dict)
-    s_tilde_table: dict = field(default_factory=dict)
-    r_diamond_table: dict = field(default_factory=dict)
-    s_diamond_table: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -636,17 +637,16 @@ class FailureReport:
 
 
 def _stack_groups(model: DeviceModel, theta):
-    """(blocks array, v array, labels) for the Sigma-assigned blocks of theta,
+    """(blocks array, v array) for the Sigma-assigned blocks of theta,
     ordered by v and then by (y, d) label."""
     groups, _ = model.grouped_sigma(theta)
-    vecs, vs, labels = [], [], []
+    vecs, vs = [], []
     for v in sorted(groups):
         for label in sorted(groups[v]):
             vecs.append(groups[v][label])
             vs.append(v)
-            labels.append(label)
     blocks = np.array(vecs, dtype=complex).reshape(-1, model.dim)
-    return blocks, np.array(vs, dtype=int).reshape(-1, model.logical), labels
+    return blocks, np.array(vs, dtype=int).reshape(-1, model.logical)
 
 
 def gamma_report(model: DeviceModel) -> GammaReport:
@@ -660,7 +660,7 @@ def gamma_report(model: DeviceModel) -> GammaReport:
     stacked = {theta: _stack_groups(model, theta) for theta in model.thetas}
 
     def signed_mass(theta, op: np.ndarray, bit_index: int) -> float:
-        blocks, vs, _ = stacked[theta]
+        blocks, vs = stacked[theta]
         if blocks.shape[0] == 0:
             return 0.0
         n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
@@ -717,13 +717,6 @@ def gamma_report(model: DeviceModel) -> GammaReport:
         gamma_diamond_0=gd0,
         gamma_diamond_1=gd1,
         gamma_diamond=max(gd0, gd1),
-        t_table=t_table,
-        r_table=r_table,
-        s_table=s_table,
-        r_tilde_table=rt_table,
-        s_tilde_table=st_table,
-        r_diamond_table=rd_table,
-        s_diamond_table=sd_table,
     )
 
 
@@ -769,7 +762,7 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
     for theta in model.thetas:
         if theta == THETA_DIAMOND:
             continue
-        blocks, vs, _ = _stack_groups(model, theta)
+        blocks, vs = _stack_groups(model, theta)
         if blocks.shape[0] == 0:
             for i in range(two_n):
                 if i != theta:
@@ -854,58 +847,34 @@ def swap_isometry(model: DeviceModel) -> np.ndarray:
     return v
 
 
-def swap_circuit(model: DeviceModel) -> np.ndarray:
-    """The equivalent circuit: Hadamard layer on the ancilla, controlled-Z_i
-    layer, Hadamard layer, controlled-X_i layer, as a full unitary."""
-    L = model.logical
-    dim = model.dim
-    h_layer = np.kron(qsim.hadamard_matrix(L), np.eye(dim))
-    u = h_layer.copy()
-    for i in range(L):
-        u = _controlled_gate(L, dim, i, model.Z(i)) @ u
-    u = h_layer @ u
-    for i in range(L):
-        u = _controlled_gate(L, dim, i, model.X(i)) @ u
-    return u
-
-
-def _controlled_gate(L: int, dim: int, anc_index: int, gate: np.ndarray) -> np.ndarray:
-    out = np.zeros((2**L * dim, 2**L * dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for a in range(2**L):
-        bit = (a >> (L - 1 - anc_index)) & 1
-        block = gate if bit else eye
-        out[a * dim : (a + 1) * dim, a * dim : (a + 1) * dim] = block
-    return out
-
-
 def swap_identity_checks(model: DeviceModel, rng: np.random.Generator, trials: int = 3) -> dict:
-    """Deviations for V'V = 1, V'(sZ_k x 1)V = Z_k, and circuit agreement."""
+    """Deviations for V'V = 1, V'(Z_k x 1)V = Z_k, and agreement of V with
+    the circuit: Hadamard layer on the ancilla, controlled-Z_i layer,
+    Hadamard layer, controlled-X_i layer, applied to random states held as
+    (2^L, dim) arrays whose row a is ancilla basis state a."""
     L = model.logical
     dim = model.dim
     v = swap_isometry(model)
     vtv_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
-    zk_dev = 0.0
-    for k in range(L):
-        pauli_z = _ancilla_pauli(L, k, np.diag([1.0, -1.0]).astype(complex))
-        lhs = v.conj().T @ np.kron(pauli_z, np.eye(dim)) @ v
-        zk_dev = max(zk_dev, float(np.max(np.abs(lhs - model.Z(k)))))
-    circuit = swap_circuit(model)
+    # anc_bits[k, a] is ancilla qubit k of row a, qubit 0 most significant
+    anc_bits = (np.arange(2**L)[None, :] >> np.arange(L - 1, -1, -1)[:, None]) & 1
+    v_rows = v.reshape(2**L, dim, dim)
+    zk = np.einsum("ka,aji,ajl->kil", 1.0 - 2.0 * anc_bits, v_rows.conj(), v_rows, optimize=True)
+    zk_dev = max(float(np.max(np.abs(zk[k] - model.Z(k)))) for k in range(L))
+    h_layer = qsim.hadamard_matrix(L)
     circ_dev = 0.0
-    zero = qsim.basis_vector(2**L, 0)
     for _ in range(trials):
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        lhs = circuit @ np.kron(zero, state)
-        circ_dev = max(circ_dev, float(np.max(np.abs(lhs - v @ state))))
+        rows = np.zeros((2**L, dim), dtype=complex)
+        rows[0] = state
+        for paulis in (model.Z, model.X):
+            rows = h_layer @ rows
+            for i in range(L):
+                on = anc_bits[i] == 1
+                rows[on] = rows[on] @ paulis(i).T
+        circ_dev = max(circ_dev, float(np.max(np.abs(rows.ravel() - v @ state))))
     return {"vtv": vtv_dev, "zk": zk_dev, "circuit": circ_dev}
-
-
-def _ancilla_pauli(L: int, k: int, op2: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for i in range(L):
-        out = np.kron(out, op2 if i == k else np.eye(2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +904,8 @@ def ideal_pattern_projectors(protocol_kind: str, n: int, q: int) -> dict:
 
 
 def soundness_distance(model: DeviceModel, theta) -> dict:
-    """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1, the
-    post-measurement analogues per question, and commutator diagnostics.
+    """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1 and
+    the post-measurement analogues per question.
 
     Every Sigma-assigned block of theta is lifted by one matmul against the
     swap isometry; each block contributes a rank-one difference whose trace
@@ -945,7 +914,7 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     L = model.logical
     dim = model.dim
     v_iso = swap_isometry(model)
-    blocks, vs, labels = _stack_groups(model, theta)
+    blocks, vs = _stack_groups(model, theta)
     v_rows, row_v = np.unique(vs, axis=0, return_inverse=True)
     row_v = row_v.ravel()
     v_keys = [tuple(int(b) for b in row) for row in v_rows]
@@ -955,15 +924,12 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     lifted = (blocks @ v_iso.T).reshape(-1, 2**L, dim)
     alpha = np.einsum("kl,kld->kd", taus.conj(), lifted)
     target = taus[:, :, None] * alpha[:, None, :]
-    rows = len(labels)
+    rows = blocks.shape[0]
     dists = qsim.trace_norm_diff_rank1(lifted.reshape(rows, -1), target.reshape(rows, -1))
     per_v = {
         v: float(dist)
         for v, dist in zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)))
     }
-    alphas: dict = {v: {} for v in v_keys}
-    for k, label, a in zip(row_v, labels, alpha):
-        alphas[v_keys[k]][label] = a
     post = {}
     for q in sorted(model.p_proj):
         ideal = ideal_pattern_projectors(model.protocol, model.n, q)
@@ -977,65 +943,37 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
             post[q] += float(
                 np.sum(qsim.trace_norm_diff_rank1(measured @ v_iso.T, post_target))
             )
-    total = float(sum(per_v.values()))
-    # ||A||_sigma = sqrt(sum_b ||A b||^2), one Frobenius norm over the blocks
-    sigma_all = np.array(list(model.sigma_blocks(theta).values()), dtype=complex)
-    sigma_all = sigma_all.reshape(-1, dim)
-    commutators = {}
-    anticommutators = {}
-    for i in range(L):
-        x_i = model.X(i)
-        for j in range(L):
-            z_j = model.Z(j)
-            comm = z_j @ x_i - x_i @ z_j
-            commutators[(j, i)] = float(np.linalg.norm(sigma_all @ comm.T))
-        anti = model.Z(i) @ x_i + x_i @ model.Z(i)
-        anticommutators[i] = float(np.linalg.norm(sigma_all @ anti.T))
-    return {
-        "per_v": per_v,
-        "total": total,
-        "post_measurement": post,
-        "alphas": alphas,
-        "commutators": commutators,
-        "anticommutators": anticommutators,
-    }
+    return {"per_v": per_v, "total": float(sum(per_v.values())), "post_measurement": post}
 
 
 # ---------------------------------------------------------------------------
 # Rank proposition and the dimension certificate
 # ---------------------------------------------------------------------------
 
-def rank_bound_check(u: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int):
-    """epsilon, numerical rank, and whether rank >= (1 - epsilon) 2^n; also
-    verifies the Schmidt-overlap inequality |<a|b>|^2 <= R b^2 on the vec
-    vectors underlying the proof."""
+def rank_bound_check(v: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int):
+    """epsilon = ||V rho V' - 1/2^n (x) alpha||_1 for the isometry V, the
+    numerical rank of rho, and whether rank >= (1 - epsilon) 2^n; also
+    verifies the Schmidt-overlap inequality |<a|b>|^2 <= R b^2 for
+    a = vec(V sqrt(rho) V') and b = vec(sqrt(1/2^n (x) alpha)), the vectors
+    underlying the proof."""
     dim = rho.shape[0]
-    if u.shape != (2**n * dim, 2**n * dim):
-        raise ParameterError("unitary dimension mismatch")
-    if np.linalg.norm(u.conj().T @ u - np.eye(2**n * dim)) > 1e-9 * 2**n * dim:
-        raise ParameterError("U is not unitary")
-    zero = np.zeros((2**n, 2**n), dtype=complex)
-    zero[0, 0] = 1.0
-    lhs = u @ np.kron(zero, rho) @ u.conj().T
-    rhs = np.kron(np.eye(2**n) / 2**n, alpha)
-    eps = qsim.trace_norm(lhs - rhs)
+    if v.shape != (2**n * dim, dim):
+        raise ParameterError("isometry dimension mismatch")
+    if np.linalg.norm(v.conj().T @ v - np.eye(dim)) > 1e-9 * dim:
+        raise ParameterError("V is not an isometry")
+    diff = (v @ rho @ v.conj().T).reshape(2**n, dim, 2**n, dim)
+    diag = np.arange(2**n)
+    diff[diag, :, diag, :] -= alpha / 2**n
+    eps = qsim.trace_norm(diff.reshape(2**n * dim, -1))
     rank = qsim.numerical_rank(rho)
     ok = rank >= (1.0 - eps) * 2**n - 1e-9
-    # vec(u S u+) = (u (x) u-bar) vec(S), without the (dim^2 x dim^2) Kronecker
-    a_vec = qsim.vec(u @ qsim.sqrtm_psd(np.kron(zero, rho)) @ u.conj().T)
-    b_vec = qsim.vec(qsim.sqrtm_psd(rhs))
+    # <a|b> = Tr(V sqrt(rho) V' (1 (x) sqrt(alpha))) / 2^(n/2), on dim x dim blocks
+    v_rows = v.reshape(2**n, dim, dim)
+    pulled = np.einsum("kji,jl,klm->im", v_rows.conj(), qsim.sqrtm_psd(alpha), v_rows)
+    overlap = abs(np.trace(qsim.sqrtm_psd(rho) @ pulled)) ** 2 / 2**n
     b_max = float(np.sqrt(max(np.linalg.eigvalsh(alpha).max(), 0.0) / 2**n))
-    overlap = abs(np.vdot(a_vec, b_vec)) ** 2
     schmidt_ok = overlap <= rank * b_max**2 + 1e-9
     return float(eps), int(rank), bool(ok and schmidt_ok)
-
-
-def complete_isometry(v: np.ndarray) -> np.ndarray:
-    """Unitary U with U(|0...0> (x) phi) = V phi for an isometry V."""
-    _, cols = v.shape
-    w, _, _ = np.linalg.svd(v, full_matrices=True)
-    # columns of w beyond the range of v complete the basis
-    return np.concatenate([v, w[:, cols:]], axis=1)
 
 
 def dimension_certificate(model: DeviceModel) -> dict:
@@ -1077,7 +1015,6 @@ def dimension_certificate(model: DeviceModel) -> dict:
     alpha_mass = np.sum(np.abs(alpha) ** 2, axis=1)
     if alpha_mass.sum() / trace < 1e-12:
         raise ModelError("degenerate model: extracted ancilla state vanishes")
-    u = complete_isometry(v_iso)
     usable = np.flatnonzero((rho_mass / trace >= 1e-12) & (alpha_mass / trace >= 1e-12))
     if usable.size == 0:
         raise ModelError("degenerate model: no usable classical block")
@@ -1097,7 +1034,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
     c = usable[star]
     rho_star = measured[c].T @ measured[c].conj() / rho_mass[c]
     alpha_star = np.outer(alpha[c], alpha[c].conj()) / alpha_mass[c]
-    eps, rank, ok = rank_bound_check(u, rho_star, alpha_star, n)
+    eps, rank, ok = rank_bound_check(v_iso, rho_star, alpha_star, n)
     certified = max(0.0, (1.0 - eps) * 2**n)
     return {
         "v_min": v_min,
@@ -1143,9 +1080,7 @@ def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
     }
     if model.protocol == "selftest":
         gammas = gamma_report(model)
-        report["gammas"] = {
-            k: v for k, v in asdict(gammas).items() if not k.endswith("_table")
-        }
+        report["gammas"] = asdict(gammas)
         checks = check_gamma_bounds(gammas, failures, model.n)
         sums = zeta_chi_sums(model)
         rhs = 4 * gammas.gamma_T

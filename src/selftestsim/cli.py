@@ -100,6 +100,7 @@ def _build_model(args, rng: np.random.Generator):
             p = float(value)
         except ValueError:
             raise ParameterError(f"bad flip probability in {args.model!r}") from None
+        analysis.check_bitflip("selftest", args.n, args.w, p)
         honest = analysis.build_honest_model(config, "selftest", rng)
         return analysis.build_bitflip_model(honest, p)
     if args.model == "wrongbasis":
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
         return _entcf_check_command(args)
     except SelfTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -118,11 +118,6 @@ def trace_norm(a) -> float:
     return float(np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(a.conj().T @ a), 0.0))))
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Row-major vector-operator correspondence: (B (x) C) vec(A) = vec(B A C^T)."""
-    return np.asarray(a, dtype=complex).reshape(-1)
-
-
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(_as_matrix(a))
     vals = np.sqrt(np.maximum(vals, 0.0))

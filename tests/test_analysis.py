@@ -157,25 +157,13 @@ def test_swap_isometry_rejects_nonprojective(honest):
         analysis.swap_isometry(bad)
 
 
-def test_rank_bound_swap_example():
-    for n in (1, 2):
-        dim = 2**n
-        swap = np.zeros((dim * dim, dim * dim))
-        for a in range(dim):
-            for b in range(dim):
-                swap[b * dim + a, a * dim + b] = 1.0
-        rho = np.eye(dim) / dim
-        alpha = np.zeros((dim, dim))
-        alpha[0, 0] = 1.0
-        eps, rank, ok = analysis.rank_bound_check(swap, rho, alpha, n)
-        assert eps <= 1e-10 and rank == dim and ok
-
-
-def test_rank_bound_rejects_nonunitary():
+def test_rank_bound_rejects_nonisometry():
+    # right shape (2^n * dim, dim) but V'V != 1
     with pytest.raises(ParameterError):
-        analysis.rank_bound_check(np.ones((4, 4)), np.eye(2) / 2, np.eye(2) / 2, 1)
+        analysis.rank_bound_check(np.ones((4, 2)), np.eye(2) / 2, np.eye(2) / 2, 1)
+    # an isometry of the wrong shape for n = 1, dim = 2
     with pytest.raises(ParameterError):
-        analysis.rank_bound_check(np.eye(8), np.eye(2) / 2, np.eye(2) / 2, 1)
+        analysis.rank_bound_check(np.eye(8)[:, :2], np.eye(2) / 2, np.eye(2) / 2, 1)
 
 
 def test_dimension_certificate_requires_dimtest(honest):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from selftestsim import cli, entcf, harness, protocol
+from selftestsim import analysis, cli, entcf, harness, protocol
 from selftestsim.errors import ParameterError
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
 
@@ -248,6 +248,33 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("the honest model was built before the bitflip checks")
+
+
+# N=2 w=2 is over budget at any p; 1.5 is no probability, even where N=1 fits
+@pytest.mark.parametrize("n,p", [("2", "0.1"), ("1", "1.5")])
+def test_cli_analyze_bitflip_refuses_before_building(capsys, monkeypatch, n, p):
+    monkeypatch.setattr(analysis, "build_honest_model", _never_built)
+    assert cli.main(["analyze", "--n", n, "--w", "2", "--model", f"bitflip={p}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_memory_error_is_one_error_line(capsys, monkeypatch):
+    def out_of_memory(model, rng):
+        raise MemoryError("Unable to allocate 4.88 GiB")
+
+    monkeypatch.setattr(analysis, "analysis_report", out_of_memory)
+    assert cli.main(["analyze", "--n", "1", "--w", "2", "--model", "honest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_entcf_check(capsys):

@@ -1,0 +1,83 @@
+"""Every function, class and method in the package is used: referenced
+somewhere in `src/` outside its own definition, wrapped by the benchmark
+tracer, or a public entry point. Code that nothing calls is deleted, not
+kept."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import selftestsim
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "selftestsim"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# entry points called from outside the package: the audit of a run directory
+# and the names the package exports
+ENTRY_POINTS = {"replay_audit"} | set(selftestsim.__all__)
+
+
+def _references(node, module: str, modules: set) -> Counter:
+    """Uses under `node`, in a file of `module`, keyed by (module, name) for
+    names of the package's modules and by (None, name) for any attribute: a
+    bare name is `module`'s own, `qsim.trace_norm` is qsim's (and, since a
+    local variable may share a module's name, also an attribute),
+    `from .errors import X` is errors', and `obj.method` is (None, "method")."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[(module, sub.id)] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[(None, sub.attr)] += 1
+            owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+            if owner in modules:
+                out[(owner, sub.attr)] += 1
+        elif isinstance(sub, ast.ImportFrom) and sub.module:
+            out.update((sub.module.rsplit(".", 1)[-1], alias.name) for alias in sub.names)
+    return out
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of each class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _traced_names() -> set:
+    """The attribute names perfbench/tracer.py wraps: the strings in
+    `_targets` and `_PROVER_HOOKS`."""
+    tree = ast.parse(TRACER.read_text())
+    owners = [
+        node
+        for node in tree.body
+        if (isinstance(node, ast.FunctionDef) and node.name == "_targets")
+        or (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_PROVER_HOOKS" for t in node.targets))
+    ]
+    return {
+        sub.value
+        for node in owners
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    }
+
+
+def test_every_definition_is_referenced():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    modules = set(trees)
+    everywhere = sum((_references(tree, m, modules) for m, tree in trees.items()), Counter())
+    exempt = ENTRY_POINTS | _traced_names()
+    dead = []
+    for module, tree in trees.items():
+        top_level = {id(node) for node in tree.body}
+        for node in _definitions(tree):
+            name = node.name
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            # a module-level name is used as module.name; a method as obj.name
+            key = (module, name) if id(node) in top_level else (None, name)
+            if everywhere[key] - _references(node, module, modules)[key] <= 0:
+                dead.append(f"{module}.py:{node.lineno} {name}")
+    assert dead == [], "defined but never referenced in src/: " + ", ".join(dead)

@@ -85,15 +85,6 @@ def test_numerical_rank():
     assert qsim.numerical_rank(np.zeros((3, 3))) == 0
 
 
-def test_vec_kron_identity():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3))
-    c = rng.normal(size=(3, 3))
-    lhs = np.kron(b, c) @ qsim.vec(a)
-    assert np.allclose(lhs, qsim.vec(b @ a @ c.T), atol=1e-10)
-
-
 def _dense_diff_rank1(u, w):
     return qsim.trace_norm(np.outer(u, u.conj()) - np.outer(w, w.conj()))
 
