@@ -1,17 +1,20 @@
 """Session orchestration, Monte Carlo statistics, and transcript persistence.
 
-run_sessions drives verifier/prover pairs over the in-process or TCP
-transport, records one JSON-able transcript per session (logical timestamps,
+run_sessions drives verifier/prover pairs with one send/recv/step loop over
+either transport (an in-process payload link or a per-session TCP socket),
+records one JSON-able transcript per session (logical timestamps,
 full message sequence, revealed theta and decodings), and aggregates
 acceptance statistics stratified by (theta class, round type, question) with
 Wilson confidence intervals and, for the self-test, the derived gamma upper
 bounds.
 
-Everything is deterministic in (seed, config): per-session RNG streams come
-from numpy SeedSequence spawning, independent of transport and parallelism.
+Everything is deterministic in (seed, config): stream j of session i is the
+numpy SeedSequence with spawn key (i, j), built on demand, so it is the same
+whatever the transport or the order sessions are run or audited in.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -62,6 +65,43 @@ def _prover_loop(channel, prover, timeout: float | None = None) -> None:
         channel.send(reply)
 
 
+@contextlib.contextmanager
+def _tcp_link(codec, session_id: bytes, prover, port: int, timeout: float):
+    """The verifier's TcpChannel to prover, served on a thread behind a
+    listener on 127.0.0.1:port for one session. A prover that raised is
+    re-raised on exit, as in process; its closed socket has already ended the
+    session without waiting for a timeout."""
+    listener = socket.create_server(("127.0.0.1", port))
+    prover_error: list[Exception] = []
+
+    def _serve():
+        conn, _ = listener.accept()
+        chan = transport.TcpChannel(codec, session_id, conn)
+        try:
+            _prover_loop(chan, prover, timeout)
+        except TransportError:
+            pass
+        except Exception as exc:  # re-raised below
+            prover_error.append(exc)
+        finally:
+            chan.close()
+
+    server = threading.Thread(target=_serve, daemon=True)
+    server.start()
+    try:
+        sock = socket.create_connection(("127.0.0.1", listener.getsockname()[1]), timeout=timeout)
+        chan = transport.TcpChannel(codec, session_id, sock)
+        try:
+            yield chan
+        finally:
+            chan.close()
+            server.join(timeout=timeout)
+    finally:
+        listener.close()
+    if prover_error:
+        raise prover_error[0]
+
+
 def run_one_session(
     index: int,
     protocol_kind: str,
@@ -77,32 +117,10 @@ def run_one_session(
     session_id = transport.session_id_from_rng(session_rng)
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
-
-    prover_error: list[Exception] = []
     if tcp_port is None:
-        v_chan, p_chan = transport.InProcChannel.pair(codec, session_id)
-        server = None
+        link = contextlib.nullcontext(transport.InProcChannel(codec, prover))
     else:
-        listener = socket.create_server(("127.0.0.1", tcp_port))
-        port = listener.getsockname()[1]
-
-        def _serve():
-            conn, _ = listener.accept()
-            chan = transport.TcpChannel(codec, session_id, conn)
-            try:
-                _prover_loop(chan, prover, timeout)
-            except TransportError:
-                pass
-            except Exception as exc:  # re-raised below, as in process
-                prover_error.append(exc)
-            finally:
-                chan.close()
-
-        server = threading.Thread(target=_serve, daemon=True)
-        server.start()
-        sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        v_chan = transport.TcpChannel(codec, session_id, sock)
-        p_chan = None
+        link = _tcp_link(codec, session_id, prover, tcp_port, timeout)
 
     messages = []
 
@@ -111,36 +129,19 @@ def run_one_session(
             {"t": len(messages), "dir": direction, "type": type(msg).__name__, "payload": payload}
         )
 
-    verdict = None
-    try:
-        outgoing = verifier.step(None)
-        while True:
-            record("v->p", outgoing, v_chan.send(outgoing))
-            if isinstance(outgoing, protocol.Verdict):
-                break
-            if tcp_port is None:
-                msg, _ = p_chan.recv()
-                reply = prover.handle(msg)
-                if reply is not None:
-                    p_chan.send(reply)
-            incoming, payload = v_chan.recv(timeout)
-            record("p->v", incoming, payload)
-            outgoing = verifier.step(incoming)
-        verdict = verifier.verdict
-        if tcp_port is None:
-            prover.handle(p_chan.recv()[0])
-    except TransportError:
-        verdict = protocol.Verdict(accept=0, reason="transport")
-    finally:
-        v_chan.close()
-        if tcp_port is not None:
-            if server is not None:
-                server.join(timeout=timeout)
-            listener.close()
-    # a prover that raised over TCP aborts the batch as it does in process;
-    # its closed socket ended the session above without waiting for a timeout
-    if prover_error:
-        raise prover_error[0]
+    with link as channel:
+        try:
+            outgoing = verifier.step(None)
+            while True:
+                record("v->p", outgoing, channel.send(outgoing))
+                if isinstance(outgoing, protocol.Verdict):
+                    break
+                incoming, payload = channel.recv(timeout)
+                record("p->v", incoming, payload)
+                outgoing = verifier.step(incoming)
+            verdict = verifier.verdict
+        except TransportError:
+            verdict = protocol.Verdict(accept=0, reason="transport")
 
     cls = protocol.theta_class(protocol_kind, verifier.theta, config.N)
     transcript = {
@@ -239,16 +240,17 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
 # Runs
 # ---------------------------------------------------------------------------
 
+def session_stream(seed: int, index: int, stream: int) -> np.random.Generator:
+    """Stream `stream` of session `index`: the generator of
+    SeedSequence(seed).spawn(...)[index].spawn(3)[stream], built directly from
+    its spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stream)))
+
+
 def session_streams(seed: int, sessions: int):
     """Deterministic (verifier, prover, session-id) RNG triples per session."""
-    children = np.random.SeedSequence(seed).spawn(sessions)
-    for child in children:
-        v_ss, p_ss, s_ss = child.spawn(3)
-        yield (
-            np.random.default_rng(v_ss),
-            np.random.default_rng(p_ss),
-            np.random.default_rng(s_ss),
-        )
+    for index in range(sessions):
+        yield tuple(session_stream(seed, index, stream) for stream in range(3))
 
 
 def run_sessions(
@@ -322,23 +324,33 @@ def replay_audit(
     verifier sends at that point (type and payload), the messages must
     alternate as the protocol runs, the session id must come from the
     session's stream, and the recorded verdict must be reproduced. Sessions
-    that ended in a transport failure are skipped."""
+    that ended in a transport failure are skipped. A malformed record (a
+    missing field, an index that is not a distinct int in
+    range(len(transcripts)), an entry that does not decode) fails the audit."""
     codec = transport.Codec(config.entcf)
-    streams = list(session_streams(seed, len(transcripts)))
+    seen: set[int] = set()
     for record in transcripts:
-        if record["reason"] == "transport":
-            continue
-        v_rng, _, s_rng = streams[record["index"]]
-        if record["session"] != transport.session_id_from_rng(s_rng).hex():
-            return False
-        verifier = protocol.make_verifier(protocol_kind, config, v_rng)
         try:
-            replayed = _replay(verifier, record["messages"], codec)
-        except TransportError:  # a recorded payload that does not decode
+            index, messages, session, reason, accept = (
+                record[key] for key in ("index", "messages", "session", "reason", "accept")
+            )
+        except (KeyError, TypeError):
             return False
-        if not replayed or verifier.verdict != protocol.Verdict(
-            accept=record["accept"], reason=record["reason"]
-        ):
+        if type(index) is not int or not 0 <= index < len(transcripts) or index in seen:
+            return False
+        seen.add(index)
+        if reason == "transport":
+            continue
+        if session != transport.session_id_from_rng(session_stream(seed, index, 2)).hex():
+            return False
+        verifier = protocol.make_verifier(protocol_kind, config, session_stream(seed, index, 0))
+        try:
+            replayed = _replay(verifier, messages, codec)
+        # a recorded payload that does not decode, or an entry that is not a
+        # {"dir", "type", "payload"} mapping
+        except (TransportError, KeyError, TypeError):
+            return False
+        if not replayed or verifier.verdict != protocol.Verdict(accept=accept, reason=reason):
             return False
     return True
 

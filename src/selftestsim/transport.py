@@ -6,15 +6,16 @@ a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
 Public keys and images travel as lowercase hex strings. Trapdoors are not
 part of the message vocabulary and never touch the wire.
 
-Two transports share the codec byte-for-byte: an in-process FIFO pair and a
-framed TCP stream; a transcript recorded over one replays over the other.
+Two transports share the payload codec. TCP carries framed bytes; the
+in-process link hands each payload straight to the other side and rebuilds the
+message from it, so both ends see exactly what a TCP peer would decode and the
+recorded payloads and transcripts are the same over either transport.
 """
 from __future__ import annotations
 
 import json
 import socket
 import struct
-from collections import deque
 
 import numpy as np
 
@@ -158,46 +159,29 @@ class Codec:
 # ---------------------------------------------------------------------------
 
 class InProcChannel:
-    """One endpoint of an in-process FIFO pair; frames are still produced so
-    the bytes match the TCP transport exactly."""
+    """The verifier's end of an in-process link to a prover. Messages pass as
+    payloads, never as frames: `send` encodes and rebuilds the message for the
+    prover and keeps its reply, `recv` encodes and rebuilds that reply, so the
+    two sides never share an object."""
 
-    def __init__(self, codec: Codec, session_id: bytes, inbox: deque, outbox: deque):
+    def __init__(self, codec: Codec, prover):
         self.codec = codec
-        self.session_id = session_id
-        self._inbox = inbox
-        self._outbox = outbox
-        self.open = True
-
-    @classmethod
-    def pair(cls, codec: Codec, session_id: bytes):
-        a_to_b: deque = deque()
-        b_to_a: deque = deque()
-        return (
-            cls(codec, session_id, b_to_a, a_to_b),
-            cls(codec, session_id, a_to_b, b_to_a),
-        )
+        self.prover = prover
+        self._reply = None
 
     def send(self, msg) -> dict:
-        """Queue msg's frame; returns the payload the frame carries."""
-        if not self.open:
-            raise TransportError("channel closed")
-        frame = self.codec.encode_frame(self.session_id, msg)
-        self._outbox.append(frame)
-        return frame.payload
+        """Hand msg to the prover; returns the payload it was rebuilt from."""
+        payload = self.codec.to_payload(msg)
+        self._reply = self.prover.handle(self.codec.from_payload(type(msg), payload))
+        return payload
 
     def recv(self, timeout: float | None = None):
-        """(message, payload) from the next queued frame."""
-        if not self.open:
-            raise TransportError("channel closed")
-        if not self._inbox:
-            raise TransportError("recv on empty in-process channel (would deadlock)")
-        session_id, msg, payload = self.codec.decode_frame(self._inbox.popleft())
-        if session_id != self.session_id:
-            raise TransportError("session id mismatch")
-        return msg, payload
-
-    def close(self) -> None:
-        self.open = False
+        """(message, payload) of the prover's reply to the last send."""
+        reply, self._reply = self._reply, None
+        if reply is None:
+            raise TransportError("recv with no reply from the in-process prover")
+        payload = self.codec.to_payload(reply)
+        return self.codec.from_payload(type(reply), payload), payload
 
 
 class TcpChannel:

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from selftestsim import analysis, cli, entcf, harness, protocol
+from selftestsim import analysis, cli, entcf, harness, protocol, prover, transport
 from selftestsim.errors import ParameterError
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
 
@@ -131,10 +131,71 @@ def test_bad_args():
         )
 
 
+def test_replay_audit_is_total_on_malformed_records():
+    _, transcripts = harness.run_sessions("selftest", "honest", CFG, 6, seed=4)
+    assert harness.replay_audit(transcripts, "selftest", CFG, 4)
+
+    def audit(change) -> bool:
+        records = json.loads(json.dumps(transcripts))
+        change(records)
+        return harness.replay_audit(records, "selftest", CFG, 4)
+
+    for index in (len(transcripts), 10**30, -1, "0", 1.0, None, True):
+        assert not audit(lambda r, index=index: r[0].update(index=index))
+    for key in ("index", "messages", "session", "reason", "accept"):
+        assert not audit(lambda r, key=key: r[0].pop(key))
+    # a duplicated record: each session's streams are rebuilt on demand, so
+    # only the index check stops it
+    assert not audit(lambda r: r.__setitem__(1, r[0]))
+    assert not audit(lambda r: r.__setitem__(0, None))
+    assert not audit(lambda r: r[0]["messages"][1].pop("dir"))
+    assert not audit(lambda r: r[0].update(messages=None))
+
+
+def test_session_stream_matches_the_spawn_tree():
+    tree = np.random.SeedSequence(9).spawn(1000)
+    for i in (0, 1, 7, 999):
+        children = tree[i].spawn(3)
+        for j in range(3):
+            expect = np.random.default_rng(children[j]).bit_generator.state
+            assert harness.session_stream(9, i, j).bit_generator.state == expect
+    streams = list(harness.session_streams(9, 8))
+    assert streams[7][2].bit_generator.state == harness.session_stream(9, 7, 2).bit_generator.state
+
+
 def test_tcp_matches_inproc():
-    a = harness.run_sessions("selftest", "honest", CFG, 8, seed=2)
-    b = harness.run_sessions("selftest", "honest", CFG, 8, seed=2, transport_spec="tcp")
-    assert a[1] == b[1]
+    for protocol_kind, prover_spec, config in (
+        ("selftest", "honest", CFG),
+        ("dimtest", "classical", DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(4))),
+    ):
+        a = harness.run_sessions(protocol_kind, prover_spec, config, 8, seed=2)
+        b = harness.run_sessions(protocol_kind, prover_spec, config, 8, seed=2, transport_spec="tcp")
+        assert a[1] == b[1]
+        assert json.dumps(a[0], sort_keys=True) == json.dumps(b[0], sort_keys=True)
+
+
+def test_unencodable_reply_gives_the_same_transcript_on_both_transports(monkeypatch):
+    monkeypatch.setattr(prover.HonestProver, "on_keys", lambda self, keys: [2**32] * len(keys))
+    runs = [
+        harness.run_sessions("selftest", "honest", CFG, 4, seed=5, transport_spec=spec)
+        for spec in ("inproc", "tcp")
+    ]
+    assert runs[0][1] == runs[1][1]
+    for record in runs[0][1]:
+        assert record["reason"] == "transport"
+        assert [entry["type"] for entry in record["messages"]] == ["Keys"]
+    assert harness.replay_audit(runs[0][1], "selftest", CFG, 5)
+
+
+def test_inproc_run_builds_no_frames(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was built in process")
+
+    monkeypatch.setattr(transport.Codec, "encode_frame", refuse)
+    monkeypatch.setattr(transport.Codec, "decode_frame", refuse)
+    stats, transcripts = harness.run_sessions("selftest", "honest", CFG, 20, seed=8)
+    assert stats["sessions"] == len(transcripts) == 20
+    assert stats["reasons"].get("transport", 0) == 0
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])

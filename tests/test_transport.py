@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selftestsim import entcf, protocol, transport
+from selftestsim import entcf, harness, protocol, transport
 from selftestsim.errors import TransportError
 
 PARAMS = entcf.EntcfParams.ideal(2)
@@ -146,20 +146,66 @@ def test_bad_session_id_length():
         CODEC.encode_frame(b"\x00" * 4, protocol.Question(q=1))
 
 
-def test_inproc_fifo_and_byte_identity():
-    a, b = transport.InProcChannel.pair(CODEC, SID)
-    msgs = [protocol.Question(q=0), protocol.Question(q=1)]
-    sent = [a.send(m) for m in msgs]
-    assert [b.recv() for _ in msgs] == list(zip(msgs, sent))  # FIFO order
-    assert sent == [CODEC.to_payload(m) for m in msgs]
-    # the raw frame is exactly what the codec would emit (shared encoder)
-    a.send(msgs[0])
-    assert b._inbox[0] == CODEC.encode_frame(SID, msgs[0])
+def _same_message(a, b) -> bool:
+    # keys hold numpy tables, so they compare through their canonical payload
+    if isinstance(a, protocol.Keys):
+        return type(b) is protocol.Keys and CODEC.to_payload(a) == CODEC.to_payload(b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize(
+    "protocol_kind, config",
+    [
+        ("selftest", protocol.SelfTestConfig(N=1, entcf=PARAMS)),
+        ("selftest", protocol.SelfTestConfig(N=1, entcf=entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1))),
+        ("dimtest", protocol.DimTestConfig(N=2, entcf=entcf.EntcfParams.ideal(4))),
+        ("dimtest", protocol.DimTestConfig(N=2, entcf=entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1))),
+    ],
+    ids=["selftest-ideal", "selftest-toylwe", "dimtest-ideal", "dimtest-toylwe"],
+)
+def test_inproc_link_hands_over_what_a_frame_carries(monkeypatch, protocol_kind, config):
+    """Every message the in-process link hands to either side, and the payload
+    recorded for it, is what a TCP peer decodes from that message's frame."""
+    handed = []  # (sent message, payload, message handed to the other side)
+    to_payload, from_payload = transport.Codec.to_payload, transport.Codec.from_payload
+    pending = []
+
+    def spy_to(codec, msg):
+        payload = to_payload(codec, msg)
+        pending.append((msg, payload))
+        return payload
+
+    def spy_from(codec, cls, payload):
+        msg, sent_payload = pending.pop()
+        assert payload is sent_payload and cls is type(msg)
+        rebuilt = from_payload(codec, cls, payload)
+        handed.append((msg, payload, rebuilt))
+        return rebuilt
+
+    with monkeypatch.context() as m:
+        m.setattr(transport.Codec, "to_payload", spy_to)
+        m.setattr(transport.Codec, "from_payload", spy_from)
+        _, transcripts = harness.run_sessions(protocol_kind, "honest", config, 12, seed=6)
+    recorded = [entry for t in transcripts for entry in t["messages"]]
+    assert not pending and len(handed) == len(recorded)
+    codec = transport.Codec(config.entcf)
+    for (msg, payload, rebuilt), entry in zip(handed, recorded):
+        assert entry["payload"] == payload and entry["type"] == type(msg).__name__
+        sid, decoded, frame_payload = codec.decode_frame(codec.encode_frame(SID, msg))
+        assert sid == SID and frame_payload == payload
+        assert _same_message(decoded, rebuilt) and _same_message(rebuilt, msg)
+        assert rebuilt is not msg  # the two sides never share an object
+
+
+def test_inproc_recv_without_reply_is_a_transport_error():
+    class Silent:
+        def handle(self, message):
+            return None
+
+    link = transport.InProcChannel(CODEC, Silent())
+    assert link.send(protocol.Question(q=1)) == {"q": 1}
     with pytest.raises(TransportError):
-        a.recv()  # nothing queued
-    a.close()
-    with pytest.raises(TransportError):
-        a.send(msgs[0])
+        link.recv()
 
 
 def test_tcp_channel_roundtrip():
@@ -209,8 +255,11 @@ def test_tcp_closed_mid_frame():
 
 
 def test_session_id_mismatch():
-    a, b = transport.InProcChannel.pair(CODEC, SID)
-    b.session_id = bytes(16)
-    a.send(protocol.Question(q=0))
+    left, right = socket.socketpair()
+    sender = transport.TcpChannel(CODEC, SID, left)
+    receiver = transport.TcpChannel(CODEC, bytes(16), right)
+    sender.send(protocol.Question(q=0))
     with pytest.raises(TransportError):
-        b.recv()
+        receiver.recv(timeout=5)
+    sender.close()
+    receiver.close()
