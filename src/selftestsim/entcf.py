@@ -307,10 +307,10 @@ def decode_b(trapdoor: Trapdoor, y) -> int | None:
     if trapdoor.family != FAMILY_G:
         raise FamilyError("decode_b is defined only for G trapdoors")
     if trapdoor.params.backend == "ideal":
-        for b in (0, 1):
-            if y in trapdoor.key.table[b]:
-                return b
-        return None
+        # one scan of both rows; they share no image, so at most one entry hits
+        hits = trapdoor.key.table == y
+        first = int(hits.argmax())
+        return first // hits.shape[1] if hits.flat[first] else None
     for b in (0, 1):
         if _lwe_search(trapdoor, b, y) is not None:
             return b
@@ -343,9 +343,12 @@ def decode_h(trapdoor: Trapdoor, y, d: int) -> int | None:
     x0 = decode_x(0, trapdoor, y)
     if x0 is None:
         return None
-    x1 = decode_x(1, trapdoor, y)
-    if x1 is None:
-        return None
+    if trapdoor.params.backend == "ideal":
+        x1 = x0 ^ trapdoor.s  # f1 = f0[x ^ s]
+    else:
+        x1 = decode_x(1, trapdoor, y)
+        if x1 is None:
+            return None
     return parity(d & (x0 ^ x1))
 
 

@@ -1,12 +1,12 @@
 """Session orchestration, Monte Carlo statistics, and transcript persistence.
 
 run_sessions drives verifier/prover pairs with one send/recv/step loop over
-either transport (an in-process payload link or a per-session TCP socket),
-records one JSON-able transcript per session (logical timestamps,
-full message sequence, revealed theta and decodings), and aggregates
-acceptance statistics stratified by (theta class, round type, question) with
-Wilson confidence intervals and, for the self-test, the derived gamma upper
-bounds.
+either transport (an in-process payload link, or one loopback TCP connection
+per run that serves the sessions in order), records one JSON-able transcript
+per session (logical timestamps, full message sequence, revealed theta and
+decodings), and aggregates acceptance statistics stratified by (theta class,
+round type, question) with Wilson confidence intervals and, for the
+self-test, the derived gamma upper bounds.
 
 Everything is deterministic in (seed, config): stream j of session i is the
 numpy SeedSequence with spawn key (i, j), built on demand, so it is the same
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import queue
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .errors import ParameterError, TransportError
 from .prover import make_prover
 
 Z_95 = 1.959963984540054
+TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -55,51 +57,77 @@ class SessionResult:
 # Single-session drive loop
 # ---------------------------------------------------------------------------
 
-def _prover_loop(channel, prover, timeout: float | None = None) -> None:
-    """Serve one session: answer until a verdict arrives."""
-    while True:
-        msg, _ = channel.recv(timeout)
-        reply = prover.handle(msg)
-        if reply is None:
-            return
-        channel.send(reply)
+def _nodelay(sock: socket.socket) -> socket.socket:
+    # each frame is one request or reply that the peer waits for: Nagle's
+    # algorithm would hold it back for the delayed ACK of the previous one
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-@contextlib.contextmanager
-def _tcp_link(codec, session_id: bytes, prover, port: int, timeout: float):
-    """The verifier's TcpChannel to prover, served on a thread behind a
-    listener on 127.0.0.1:port for one session. A prover that raised is
-    re-raised on exit, as in process; its closed socket has already ended the
-    session without waiting for a timeout."""
-    listener = socket.create_server(("127.0.0.1", port))
-    prover_error: list[Exception] = []
+class _TcpLink:
+    """One loopback listener, connection and prover thread for a whole run.
+    The thread serves sessions in the order `session` hands it their provers,
+    checking each frame against the id of the session it serves. A
+    TransportError on either end closes the connection on both, and the next
+    session connects afresh, so no frame of a failed session reaches the
+    next. A prover that raised is re-raised when its session ends, as in
+    process; its closed socket has already ended the session."""
 
-    def _serve():
-        conn, _ = listener.accept()
-        chan = transport.TcpChannel(codec, session_id, conn)
+    def __init__(self, codec, port: int, timeout: float):
+        self.codec = codec
+        self.timeout = timeout
+        self._listener = socket.create_server(("127.0.0.1", port))
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._channel = None
+        self._server = threading.Thread(target=self._serve, daemon=True)
+        self._server.start()
+
+    def _serve(self) -> None:
+        channel = None
+        for session_id, prover in iter(self._jobs.get, None):
+            try:
+                if channel is None or not channel.open:
+                    conn, _ = self._listener.accept()
+                    channel = transport.TcpChannel(self.codec, session_id, _nodelay(conn))
+                channel.session_id = session_id
+                # answer until the verdict, to which the prover has no reply
+                while (reply := prover.handle(channel.recv(self.timeout)[0])) is not None:
+                    channel.send(reply)
+                self._done.put(None)
+            except Exception as exc:  # handed to session(), which re-raises it
+                if channel is not None:
+                    channel.close()
+                self._done.put(exc)
+        if channel is not None:
+            channel.close()
+
+    @contextlib.contextmanager
+    def session(self, session_id: bytes, prover):
+        """The verifier's channel for one session served by prover."""
+        if self._channel is None or not self._channel.open:
+            sock = socket.create_connection(self._listener.getsockname(), timeout=self.timeout)
+            self._channel = transport.TcpChannel(self.codec, session_id, _nodelay(sock))
+        self._channel.session_id = session_id
+        self._jobs.put((session_id, prover))
         try:
-            _prover_loop(chan, prover, timeout)
-        except TransportError:
-            pass
-        except Exception as exc:  # re-raised below
-            prover_error.append(exc)
+            yield self._channel
+        except BaseException:
+            self._channel.close()  # so that a prover still reading sees the end
+            raise
         finally:
-            chan.close()
+            error = self._done.get()
+            if error is not None:
+                self._channel.close()
+                if not isinstance(error, TransportError):
+                    raise error
 
-    server = threading.Thread(target=_serve, daemon=True)
-    server.start()
-    try:
-        sock = socket.create_connection(("127.0.0.1", listener.getsockname()[1]), timeout=timeout)
-        chan = transport.TcpChannel(codec, session_id, sock)
-        try:
-            yield chan
-        finally:
-            chan.close()
-            server.join(timeout=timeout)
-    finally:
-        listener.close()
-    if prover_error:
-        raise prover_error[0]
+    def close(self) -> None:
+        if self._channel is not None:
+            self._channel.close()
+        self._jobs.put(None)
+        self._server.join(self.timeout)
+        self._listener.close()
 
 
 def run_one_session(
@@ -110,17 +138,19 @@ def run_one_session(
     verifier_rng: np.random.Generator,
     prover_rng: np.random.Generator,
     session_rng: np.random.Generator,
-    tcp_port: int | None = None,
-    timeout: float = 10.0,
+    link: _TcpLink | None = None,
+    timeout: float = TIMEOUT_S,
 ) -> SessionResult:
-    codec = transport.Codec(config.entcf)
+    """One session over the run's TCP link, or in process when link is None."""
     session_id = transport.session_id_from_rng(session_rng)
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
-    if tcp_port is None:
-        link = contextlib.nullcontext(transport.InProcChannel(codec, prover))
+    if link is None:
+        session = contextlib.nullcontext(
+            transport.InProcChannel(transport.Codec(config.entcf), prover)
+        )
     else:
-        link = _tcp_link(codec, session_id, prover, tcp_port, timeout)
+        session = link.session(session_id, prover)
 
     messages = []
 
@@ -129,8 +159,8 @@ def run_one_session(
             {"t": len(messages), "dir": direction, "type": type(msg).__name__, "payload": payload}
         )
 
-    with link as channel:
-        try:
+    try:
+        with session as channel:
             outgoing = verifier.step(None)
             while True:
                 record("v->p", outgoing, channel.send(outgoing))
@@ -139,9 +169,9 @@ def run_one_session(
                 incoming, payload = channel.recv(timeout)
                 record("p->v", incoming, payload)
                 outgoing = verifier.step(incoming)
-            verdict = verifier.verdict
-        except TransportError:
-            verdict = protocol.Verdict(accept=0, reason="transport")
+        verdict = verifier.verdict
+    except TransportError:
+        verdict = protocol.Verdict(accept=0, reason="transport")
 
     cls = protocol.theta_class(protocol_kind, verifier.theta, config.N)
     transcript = {
@@ -276,20 +306,25 @@ def run_sessions(
         tcp_port = int(port)
     elif transport_spec != "inproc":
         raise ParameterError(f"unknown transport {transport_spec!r}")
+    if tcp_port is None:
+        link = contextlib.nullcontext()
+    else:
+        link = contextlib.closing(_TcpLink(transport.Codec(config.entcf), tcp_port, TIMEOUT_S))
     results = []
-    for index, (v_rng, p_rng, s_rng) in enumerate(session_streams(seed, sessions)):
-        results.append(
-            run_one_session(
-                index,
-                protocol_kind,
-                config,
-                prover_spec,
-                v_rng,
-                p_rng,
-                s_rng,
-                tcp_port=tcp_port,
+    with link as tcp_link:
+        for index, (v_rng, p_rng, s_rng) in enumerate(session_streams(seed, sessions)):
+            results.append(
+                run_one_session(
+                    index,
+                    protocol_kind,
+                    config,
+                    prover_spec,
+                    v_rng,
+                    p_rng,
+                    s_rng,
+                    link=tcp_link,
+                )
             )
-        )
     stats = session_stats(results, protocol_kind, config.N)
     stats["seed"] = seed
     stats["prover"] = prover_spec

@@ -185,7 +185,8 @@ class InProcChannel:
 
 
 class TcpChannel:
-    """Framed messages over a connected socket."""
+    """Framed messages over a connected socket, for the session `session_id`
+    names: a frame with another id, or a socket error, is a TransportError."""
 
     def __init__(self, codec: Codec, session_id: bytes, sock: socket.socket):
         self.codec = codec
@@ -198,7 +199,10 @@ class TcpChannel:
         if not self.open:
             raise TransportError("channel closed")
         frame = self.codec.encode_frame(self.session_id, msg)
-        self.sock.sendall(frame)
+        try:
+            self.sock.sendall(frame)
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}") from exc
         return frame.payload
 
     def _read_exact(self, nbytes: int) -> bytes:
@@ -208,6 +212,8 @@ class TcpChannel:
                 chunk = self.sock.recv(nbytes - len(chunks))
             except socket.timeout as exc:
                 raise TransportError("recv timeout") from exc
+            except OSError as exc:
+                raise TransportError(f"recv failed: {exc}") from exc
             if not chunk:
                 raise TransportError("connection closed mid-frame")
             chunks += chunk

@@ -86,6 +86,38 @@ def test_invalid_y_decodes_to_none(ideal_pair):
     assert entcf.decode_b(g_trap, spare_g) is None
 
 
+def _scan_decode_b(trapdoor, y):
+    """Reference: decode_b as a membership scan of each row of the table."""
+    for b in (0, 1):
+        if y in trapdoor.key.table[b]:
+            return b
+    return None
+
+
+def _scan_decode_h(trapdoor, y, d):
+    """Reference: decode_h with both preimages found by their own decode_x."""
+    if d == 0:
+        return None
+    x0, x1 = (entcf.decode_x(b, trapdoor, y) for b in (0, 1))
+    return None if x0 is None or x1 is None else entcf.parity(d & (x0 ^ x1))
+
+
+@pytest.mark.parametrize("w", [2, 4, 8])
+def test_ideal_decoding_matches_the_table_scans(w):
+    rng = np.random.default_rng(w)
+    params = entcf.EntcfParams.ideal(w)
+    for _ in range(3):
+        _, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
+        _, g_trap = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
+        ds = {0, 1, f_trap.s, 2**w - 1, *rng.integers(2**w, size=4).tolist()}
+        # the whole image space holds every image of both tables and some in
+        # neither; the last two lie outside the space
+        for y in [*range(params.image_space_size), 2**w * 8, 2**32 - 1]:
+            assert entcf.decode_b(g_trap, y) == _scan_decode_b(g_trap, y)
+            for d in ds:
+                assert entcf.decode_h(f_trap, y, d) == _scan_decode_h(f_trap, y, d)
+
+
 @given(b=st.integers(0, 1), x=st.integers(0, 7), y=st.integers(0, 17))
 @settings(max_examples=200, deadline=None)
 def test_chk_equals_support_membership(ideal_pair, b, x, y):

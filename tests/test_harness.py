@@ -1,5 +1,7 @@
 """Harness and CLI tests: determinism, stats, replay, exit codes."""
+import itertools
 import json
+import socket
 import time
 
 import numpy as np
@@ -196,6 +198,87 @@ def test_inproc_run_builds_no_frames(monkeypatch):
     stats, transcripts = harness.run_sessions("selftest", "honest", CFG, 20, seed=8)
     assert stats["sessions"] == len(transcripts) == 20
     assert stats["reasons"].get("transport", 0) == 0
+
+
+def _count_accepts(monkeypatch) -> list:
+    accepted = []
+    accept = socket.socket.accept
+
+    def counting(sock):
+        accepted.append(sock.getsockname())
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", counting)
+    return accepted
+
+
+def test_tcp_run_uses_one_connection(monkeypatch):
+    accepted = _count_accepts(monkeypatch)
+    stats, _ = harness.run_sessions("selftest", "honest", CFG, 20, seed=6, transport_spec="tcp")
+    assert stats["sessions"] == 20 and "transport" not in stats["reasons"]
+    assert len(accepted) == 1
+
+
+def test_tcp_sockets_send_without_delay(monkeypatch):
+    nodelay = {}
+    send = transport.TcpChannel.send
+
+    def recording(chan, msg):
+        option = chan.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        nodelay.setdefault(type(msg).__name__, set()).add(option)
+        return send(chan, msg)
+
+    monkeypatch.setattr(transport.TcpChannel, "send", recording)
+    harness.run_sessions("selftest", "honest", CFG, 3, seed=6, transport_spec="tcp")
+    # Keys leave the verifier's socket, Images the prover's
+    assert nodelay["Keys"] == nodelay["Images"] == {1}
+
+
+def test_failed_sessions_do_not_disturb_the_next_over_one_link(monkeypatch):
+    on_keys = prover.HonestProver.on_keys
+
+    def run(spec):
+        calls = itertools.count()
+
+        def every_third_unencodable(self, keys):
+            if next(calls) % 3 == 0:
+                return [2**32] * len(keys)
+            return on_keys(self, keys)
+
+        monkeypatch.setattr(prover.HonestProver, "on_keys", every_third_unencodable)
+        stats, transcripts = harness.run_sessions(
+            "selftest", "honest", CFG, 20, seed=7, transport_spec=spec
+        )
+        return json.dumps(stats, sort_keys=True), transcripts
+
+    _, clean = harness.run_sessions("selftest", "honest", CFG, 20, seed=7)
+    inproc = run("inproc")
+    accepted = _count_accepts(monkeypatch)
+    tcp = run("tcp")
+    assert inproc == tcp
+    failed = [i for i, record in enumerate(tcp[1]) if record["reason"] == "transport"]
+    assert failed == list(range(0, 20, 3))
+    # every other session, the ones right after a failure included, gets the
+    # transcript and verdict it gets when no session fails
+    assert [tcp[1][i] for i in range(20) if i not in failed] == [
+        clean[i] for i in range(20) if i not in failed
+    ]
+    # the first session, and each one after a failure, connects afresh
+    assert len(accepted) == 1 + len([i for i in failed if i + 1 < 20])
+    assert harness.replay_audit(tcp[1], "selftest", CFG, 7)
+    assert harness.replay_audit(inproc[1], "selftest", CFG, 7)
+
+
+def test_tcp_runs_back_to_back_on_one_port():
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    spec = f"tcp:{port}"
+    runs = [
+        harness.run_sessions("selftest", "honest", CFG, 5, seed=9, transport_spec=spec)
+        for _ in range(2)
+    ]
+    assert runs[0][1] == runs[1][1]
+    assert "transport" not in runs[1][0]["reasons"]
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
