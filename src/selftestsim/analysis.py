@@ -85,9 +85,44 @@ def _check_size(logical: int, x_dim: int, env_dim: int) -> None:
         raise ModelError(f"model dimension {size} exceeds budget {_DIM_BUDGET}")
 
 
+def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
+    """decode(key) for each entry of keys, called once per distinct key;
+    a None decoding is -1."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = [decode(int(k)) for k in distinct]
+    return np.array([-1 if v is None else v for v in values], dtype=np.int8)[inverse.ravel()]
+
+
+def _bits(codes) -> tuple:
+    return tuple(None if c < 0 else c for c in codes)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: it is cached and shared."""
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Device model
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LabelTable:
+    """One theta's sorted (y, d) labels with nonzero mass. rows[k] is the
+    sigma block of labels[k], which decodes to the distinct (b-hat, h-hat)
+    pair decodings[index[k]]; vs[index[k]] is its Sigma(theta, v) (None: no
+    v). blocks are the Sigma-assigned rows ordered by v and then by label,
+    and block_v their v's. The arrays are read-only."""
+
+    labels: list
+    rows: np.ndarray
+    index: np.ndarray
+    decodings: list
+    vs: list
+    blocks: np.ndarray
+    block_v: np.ndarray
+
 
 class DeviceModel:
     """Block-diagonal device description.
@@ -99,11 +134,11 @@ class DeviceModel:
     omitted); `dim` is the size of that space.
     The d-measurement comes in two flavors: a per-coordinate product form
     (coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register,
-    used by the honest family) or an explicit y-independent m_proj[theta]:
-    dict d -> projector on the psi space, for models with x_dim = 1. The
-    preimage measurement is either the marker "computational" (product basis
-    on qubits and x registers) or an explicit dict (b, x) -> projector on the
-    psi space.
+    for every d_i in range(2^w), used by the honest family) or an explicit
+    y-independent m_proj[theta]: dict d -> projector on the psi space, for
+    models with x_dim = 1. The preimage measurement is either the marker
+    "computational" (product basis on qubits and x registers) or an explicit
+    dict (b, x) -> projector on the psi space.
 
     Sigma blocks live on logical (x) env: an outcome d leaves psi's block as
     rest (x) x_row (x) env with x_row a unit vector, and the question
@@ -147,8 +182,7 @@ class DeviceModel:
         self.pi_proj = pi_proj
         self.name = name
         self._obs_cache: dict = {}
-        self._sigma_cache: dict = {}
-        self._group_cache: dict = {}
+        self._tables: dict = {}
         self._swap_cache: np.ndarray | None = None
 
     # -- observables ---------------------------------------------------------
@@ -177,53 +211,87 @@ class DeviceModel:
         return self._obs_cache[key]
 
     # -- sigma blocks ----------------------------------------------------------
+    def label_table(self, theta) -> LabelTable:
+        """theta's labels, sigma blocks and decodings, built once."""
+        if theta not in self._tables:
+            self._tables[theta] = self._build_table(theta)
+        return self._tables[theta]
+
+    def _build_table(self, theta) -> LabelTable:
+        """Every label with nonzero mass. protocol.decode_bhat runs once per
+        distinct (coordinate, y_i) and decode_hhat once per distinct
+        (coordinate, y_i, d_i)."""
+        L, w = self.logical, self.w
+        ys = sorted(self.psi[theta])
+        psi = np.array([self.psi[theta][y] for y in ys], dtype=complex)
+        if self.coord_m is not None:
+            d_tuples = list(itertools.product(range(2**w), repeat=L))
+            rest = self._contract_outcomes(theta, ys, psi)
+        else:
+            d_tuples = sorted(self.m_proj[theta])
+            rest = np.array([[self.m_proj[theta][d] @ block for d in d_tuples] for block in psi])
+        grid = (rest[..., None] * self.env).reshape(-1, self.dim)
+        keep = np.flatnonzero(np.sum(np.abs(grid) ** 2, axis=1) >= ATOL**2)
+        yrow, dcol = np.divmod(keep, len(d_tuples))
+        labels = [(ys[r], d_tuples[c]) for r, c in zip(yrow.tolist(), dcol.tolist())]
+        y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
+        # per label: b-hat of each coordinate, then h-hat of each, -1 for None
+        codes = np.empty((keep.size, 2 * L), dtype=np.int8)
+        for i, trap in enumerate(self.trapdoors[theta]):
+            codes[:, i] = _decode_once(y_arr[:, i], lambda y: protocol.decode_bhat([trap], [y])[0])
+            codes[:, L + i] = _decode_once(
+                y_arr[:, i] << w | d_arr[:, i],
+                lambda k: protocol.decode_hhat([trap], [k >> w], [k % 2**w])[0],
+            )
+        key = (codes + 1).astype(np.int64) @ 3 ** np.arange(2 * L)
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # distinct decodings in order of first label
+        index = np.argsort(order)[index.ravel()]
+        decodings = [(_bits(row[:L]), _bits(row[L:])) for row in codes[first[order]].tolist()]
+        vs = [protocol.sigma_v(self.protocol, self.n, theta, list(b), list(h)) for b, h in decodings]
+        v_keys = sorted({v for v in vs if v is not None})
+        rank = np.array([-1 if v is None else v_keys.index(v) for v in vs], dtype=int)[index]
+        stack = np.flatnonzero(rank >= 0)
+        stack = stack[np.argsort(rank[stack], kind="stable")]
+        rows, block_v = grid[keep], np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
+        return LabelTable(
+            labels, _frozen(rows), _frozen(index), decodings, vs, _frozen(rows[stack]), _frozen(block_v)
+        )
+
+    def _contract_outcomes(self, theta, ys, psi) -> np.ndarray:
+        """(y, d tuple, logical) array: the psi blocks contracted with each
+        coordinate's d-outcome vectors, one einsum per x axis, batched over
+        y; d tuples run in product order."""
+        L, x = self.logical, 2**self.w
+        t = psi.reshape((len(ys), 2**L) + (x,) * L)
+        axes = list(range(L + 2))  # y, logical, then the x axis of each coordinate
+        for i in range(L):
+            mats = {}
+            for yi in {y[i] for y in ys}:
+                outcomes = self.coord_m(theta, i, yi)
+                mats[yi] = [outcomes[d] for d in range(x)]
+            out = axes.copy()
+            out[2 + i] = L + 2
+            t = np.einsum(np.array([mats[y[i]] for y in ys]).conj(), [0, L + 2, 2 + i], t, axes, out)
+        return np.moveaxis(t, 1, -1).reshape(len(ys), x**L, 2**L)
+
     def sigma_blocks(self, theta) -> dict:
         """dict (y, d) -> pure vector on logical (x) env, the
-        post-d-measurement blocks."""
-        if theta in self._sigma_cache:
-            return self._sigma_cache[theta]
-        out = {}
-        if self.coord_m is not None:
-            n_coords = self.logical
-            for y, block in self.psi[theta].items():
-                per_coord = [self.coord_m(theta, i, y[i]) for i in range(n_coords)]
-                d_lists = [sorted(m) for m in per_coord]
-                # rows of each matrix are one coordinate's outcome vectors; their
-                # Kronecker product has one row per d tuple, in product order
-                mats = [np.array([m[d] for d in ds]) for m, ds in zip(per_coord, d_lists)]
-                x_rows = functools.reduce(np.kron, mats)
-                rest = x_rows.conj() @ block.reshape(2**n_coords, -1).T
-                rest = (rest[:, :, None] * self.env).reshape(len(x_rows), self.dim)
-                masses = np.sum(np.abs(rest) ** 2, axis=1)
-                for c, d in enumerate(itertools.product(*d_lists)):
-                    if masses[c] >= ATOL**2:
-                        out[(y, d)] = rest[c]
-        else:
-            for y, block in self.psi[theta].items():
-                for d, proj in self.m_proj[theta].items():
-                    vec = np.kron(proj @ block, self.env)
-                    if np.vdot(vec, vec).real < ATOL**2:
-                        continue
-                    out[(y, d)] = vec
-        self._sigma_cache[theta] = out
-        return out
+        post-d-measurement blocks, in label order."""
+        table = self.label_table(theta)
+        return dict(zip(table.labels, table.rows))
 
     def grouped_sigma(self, theta):
         """(dict v -> dict (y,d) -> vector, residual trace of unassigned blocks)."""
-        if theta in self._group_cache:
-            return self._group_cache[theta]
-        traps = self.trapdoors[theta]
+        table = self.label_table(theta)
         groups: dict = {}
         residual = 0.0
-        for (y, d), vec in self.sigma_blocks(theta).items():
-            bhat = protocol.decode_bhat(traps, y)
-            hhat = protocol.decode_hhat(traps, y, d)
-            v = protocol.sigma_v(self.protocol, self.n, theta, bhat, hhat)
+        for (label, vec), k in zip(self.sigma_blocks(theta).items(), table.index.tolist()):
+            v = table.vs[k]
             if v is None:
                 residual += np.vdot(vec, vec).real
             else:
-                groups.setdefault(v, {})[(y, d)] = vec
-        self._group_cache[theta] = (groups, residual)
+                groups.setdefault(v, {})[label] = vec
         return groups, residual
 
     # -- preimage test mass ---------------------------------------------------
@@ -257,23 +325,16 @@ def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
     """(y, weight, state array (2, 2^w)) triples for one honest coordinate."""
     w = key.params.w
     out = []
-    if trapdoor.family == entcf.FAMILY_G:
-        for y in entcf.image_iter(key):
+    # image_iter is sorted, so each theta's psi is in sorted y order; a claw
+    # key's images are those of f_0, each hit by one x0 and one x1
+    for y in entcf.image_iter(key):
+        arr = np.zeros((2, 2**w), dtype=complex)
+        if trapdoor.family == entcf.FAMILY_G:
             b = entcf.decode_b(trapdoor, y)
-            x = entcf.decode_x(b, trapdoor, y)
-            arr = np.zeros((2, 2**w), dtype=complex)
-            arr[b, x] = 1.0
+            arr[b, entcf.decode_x(b, trapdoor, y)] = 1.0
             out.append((y, 2.0 ** -(w + 1), arr))
-    else:
-        seen = set()
-        for x in range(2**w):
-            (y,) = entcf.support(key, 0, x)
-            if y in seen:
-                continue
-            seen.add(y)
-            x0 = entcf.decode_x(0, trapdoor, y)
-            x1 = entcf.decode_x(1, trapdoor, y)
-            arr = np.zeros((2, 2**w), dtype=complex)
+        else:
+            x0, x1 = entcf.decode_x(0, trapdoor, y), entcf.decode_x(1, trapdoor, y)
             arr[0, x0] = arr[1, x1] = 1.0 / np.sqrt(2.0)
             out.append((y, 2.0**-w, arr))
     return out
@@ -313,13 +374,8 @@ def _hadamard_outcomes(w: int) -> dict:
 
 def _cz_signs(n: int) -> np.ndarray:
     """(-1)^(sum_i q_i q_(N+i)) over the 2N-qubit computational basis."""
-    signs = np.ones(2 ** (2 * n))
-    for idx in range(2 ** (2 * n)):
-        bits = [(idx >> (2 * n - 1 - j)) & 1 for j in range(2 * n)]
-        par = sum(bits[i] & bits[n + i] for i in range(n)) % 2
-        if par:
-            signs[idx] = -1.0
-    return signs
+    bits = (np.arange(2 ** (2 * n))[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * (np.sum(bits[:, :n] & bits[:, n:], axis=1) % 2)
 
 
 def build_honest_model(
@@ -352,9 +408,7 @@ def build_honest_model(
         for combo in itertools.product(*coord_support[theta]):
             y = tuple(c[0] for c in combo)
             weight = np.prod([c[1] for c in combo])
-            tens = combo[0][2]
-            for c in combo[1:]:
-                tens = np.multiply.outer(tens, c[2])
+            tens = functools.reduce(np.multiply.outer, [c[2] for c in combo])
             # axes are (q0, x0, q1, x1, ...); reorder to qubits then x parts
             order = list(range(0, 2 * logical, 2)) + list(range(1, 2 * logical, 2))
             tens = np.transpose(tens, order).reshape(2**logical, x_dim)
@@ -363,20 +417,13 @@ def build_honest_model(
             blocks[y] = np.sqrt(weight) * tens.ravel()
         psi[theta] = blocks
 
-    claw_cache: dict = {}
-
     hadamard = _hadamard_outcomes(w)
 
     def coord_m(theta, i, y_i):
         trap = trapdoors[theta][i]
         if trap.family == entcf.FAMILY_G:
             return hadamard
-        cache_key = (theta, i, y_i)
-        if cache_key not in claw_cache:
-            x0 = entcf.decode_x(0, trap, y_i)
-            x1 = entcf.decode_x(1, trap, y_i)
-            claw_cache[cache_key] = _claw_basis(w, x0, x1)
-        return claw_cache[cache_key]
+        return _claw_basis(w, entcf.decode_x(0, trap, y_i), entcf.decode_x(1, trap, y_i))
 
     p_proj = {}
     for q in protocol.questions(protocol_kind):
@@ -639,14 +686,8 @@ class FailureReport:
 def _stack_groups(model: DeviceModel, theta):
     """(blocks array, v array) for the Sigma-assigned blocks of theta,
     ordered by v and then by (y, d) label."""
-    groups, _ = model.grouped_sigma(theta)
-    vecs, vs = [], []
-    for v in sorted(groups):
-        for label in sorted(groups[v]):
-            vecs.append(groups[v][label])
-            vs.append(v)
-    blocks = np.array(vecs, dtype=complex).reshape(-1, model.dim)
-    return blocks, np.array(vs, dtype=int).reshape(-1, model.logical)
+    table = model.label_table(theta)
+    return table.blocks, table.block_v
 
 
 def gamma_report(model: DeviceModel) -> GammaReport:
@@ -661,8 +702,6 @@ def gamma_report(model: DeviceModel) -> GammaReport:
 
     def signed_mass(theta, op: np.ndarray, bit_index: int) -> float:
         blocks, vs = stacked[theta]
-        if blocks.shape[0] == 0:
-            return 0.0
         n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
         quad = _quad(blocks, op)
         signs = 1.0 - 2.0 * vs[:, bit_index]
@@ -723,29 +762,21 @@ def gamma_report(model: DeviceModel) -> GammaReport:
 def failure_report(model: DeviceModel) -> FailureReport:
     """Exact failure probabilities from the model's block algebra.
 
-    b-hat and h-hat are decoded once per (theta, label). Labels with the same
-    decoded bits get the same verdict, so each verdict is taken once per
-    distinct decoding and applied to that decoding's summed mass.
+    Labels with the same decoded bits get the same verdict, so each verdict
+    is taken once per distinct decoding of the label table and applied to
+    that decoding's summed mass.
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
     questions = sorted(model.p_proj)
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
-        traps = model.trapdoors[theta]
-        blocks = model.sigma_blocks(theta)
-        labels = sorted(blocks)
-        vecs = np.array([blocks[lab] for lab in labels], dtype=complex).reshape(-1, model.dim)
-        decodings: dict = {}
-        index = []
-        for y, d in labels:
-            bits = (tuple(protocol.decode_bhat(traps, y)), tuple(protocol.decode_hhat(traps, y, d)))
-            index.append(decodings.setdefault(bits, len(decodings)))
-        index = np.array(index, dtype=int)
+        table = model.label_table(theta)
         for q in questions:
             for u, proj in model.p_proj[q].items():
-                mass = np.bincount(index, weights=_quad(vecs, proj), minlength=len(decodings))
-                for (bhat, hhat), k in decodings.items():
+                weights = _quad(table.rows, proj)
+                mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
+                for k, (bhat, hhat) in enumerate(table.decodings):
                     verdict = protocol.hadamard_verdict(
                         model.protocol, model.n, theta, q, u, list(bhat), list(hhat)
                     )
@@ -763,13 +794,6 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
         if theta == THETA_DIAMOND:
             continue
         blocks, vs = _stack_groups(model, theta)
-        if blocks.shape[0] == 0:
-            for i in range(two_n):
-                if i != theta:
-                    out["zeta"][(theta, i)] = 0.0
-            if theta != THETA_ALL_G:
-                out["chi"][theta] = 0.0
-            continue
         n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
         for i in range(two_n):
             if i == theta:
@@ -881,7 +905,9 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator, trials: i
 # tau states and soundness distances
 # ---------------------------------------------------------------------------
 
-def tau_vector(protocol_kind: str, n: int, theta, v) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def tau_vector(protocol_kind: str, n: int, theta, v: tuple) -> np.ndarray:
+    """The ideal state of (theta, v), cached and read-only."""
     logical = protocol.n_coords(protocol_kind, n)
     if theta == THETA_DIAMOND:
         state = pattern_vector(["hadamard"] * logical, (0,) * logical) * _cz_signs(n)
@@ -889,18 +915,20 @@ def tau_vector(protocol_kind: str, n: int, theta, v) -> np.ndarray:
         flip = np.array([[1.0]], dtype=complex)
         for bit in v:
             flip = np.kron(flip, x if bit else np.eye(2))
-        return flip @ state
+        return _frozen(flip @ state)
     bases = ["computational"] * logical
     if theta != THETA_ALL_G:
         bases[theta] = "hadamard"
-    return pattern_vector(bases, v)
+    return _frozen(pattern_vector(bases, v))
 
 
+@functools.lru_cache(maxsize=None)
 def ideal_pattern_projectors(protocol_kind: str, n: int, q: int) -> dict:
-    """The ideal question-q measurement on the logical qubits alone."""
+    """The ideal question-q measurement on the logical qubits alone, cached:
+    callers must not modify the dict; its vectors are read-only."""
     logical = protocol.n_coords(protocol_kind, n)
     bases = protocol.question_bases(protocol_kind, n, q)
-    return {u: pattern_vector(bases, u) for u in all_bit_tuples(logical)}
+    return {u: _frozen(pattern_vector(bases, u)) for u in all_bit_tuples(logical)}
 
 
 def soundness_distance(model: DeviceModel, theta) -> dict:

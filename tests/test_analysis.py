@@ -305,12 +305,13 @@ def _ref_rank1(u, w):
     return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
 
 
-def _ref_sigma_blocks(model, theta):
+def _ref_sigma_blocks(model, theta, n_y=None):
     """Post-d blocks of a product-form d-measurement, one d tuple at a time,
-    as (rest, x_vec) with the full block rest (x) x_vec on logical (x) x (x) env."""
+    as (rest, x_vec) with the full block rest (x) x_vec on logical (x) x (x) env;
+    for the first n_y y's of psi (all when None)."""
     out = {}
     n_coords = model.logical
-    for y, block in model.psi[theta].items():
+    for y, block in itertools.islice(model.psi[theta].items(), n_y):
         per_coord = [model.coord_m(theta, i, y[i]) for i in range(n_coords)]
         full = np.kron(block, model.env)
         tens = full.reshape((2,) * n_coords + (2**model.w,) * n_coords + (model.env_dim,))
@@ -416,20 +417,57 @@ def test_quad_matches_three_operand_einsum():
 
 def test_sigma_blocks_match_per_outcome_reference(honest):
     dim_cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(3))
+    # three coordinates: the first size where contracting one x axis at a
+    # time can put the d axes in the wrong order; the first 16 y's per theta
+    dim3_cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
     models = [
-        honest,
-        analysis.build_bitflip_model(honest, 0.2),
-        analysis.build_honest_model(dim_cfg, "dimtest", np.random.default_rng(1)),
+        (honest, None),
+        (analysis.build_bitflip_model(honest, 0.2), None),
+        (analysis.build_honest_model(dim_cfg, "dimtest", np.random.default_rng(1)), None),
+        (analysis.build_honest_model(dim3_cfg, "dimtest", np.random.default_rng(2)), 16),
     ]
-    for model in models:
+    for model, n_y in models:
         for theta in model.thetas:
             got = model.sigma_blocks(theta)
-            ref = _ref_sigma_blocks(model, theta)
+            assert list(got) == sorted(got)
+            ref = _ref_sigma_blocks(model, theta, n_y)
+            first_ys = {y for y, _ in ref}
+            got = {label: vec for label, vec in got.items() if label[0] in first_ys}
             assert list(got) == list(ref)
             for label, (rest, x_vec) in ref.items():
                 # the x part is a unit vector, so the rest part carries every trace
                 assert abs(np.linalg.norm(x_vec) - 1.0) <= 1e-12
                 assert np.max(np.abs(got[label] - rest)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,w", [("selftest", 2), ("dimtest", 4)])
+def test_label_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
+    cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
+    model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
+    calls = {"b": 0, "h": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(entcf, "decode_b", counted("b", entcf.decode_b))
+    monkeypatch.setattr(entcf, "decode_h", counted("h", entcf.decode_h))
+    b_values, h_values = set(), set()
+    for theta in model.thetas:
+        model.grouped_sigma(theta)
+        for i, trap in enumerate(model.trapdoors[theta]):
+            for y, d in model.sigma_blocks(theta):
+                if trap.family == entcf.FAMILY_G:
+                    b_values.add((theta, i, y[i]))
+                else:
+                    h_values.add((theta, i, y[i], d[i]))
+    assert 0 < calls["b"] <= len(b_values)
+    assert 0 < calls["h"] <= len(h_values)
+    calls.update(b=0, h=0)
+    analysis.failure_report(model)
+    assert calls == {"b": 0, "h": 0}
 
 
 def _oracle_models(honest):

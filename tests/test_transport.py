@@ -248,8 +248,11 @@ def test_tcp_closed_mid_frame():
     t.start()
     sock = socket.create_connection(("127.0.0.1", port), timeout=5)
     chan = transport.TcpChannel(CODEC, SID, sock)
-    with pytest.raises(TransportError):
-        chan.recv(timeout=5)
+    try:
+        with pytest.raises(TransportError):
+            chan.recv(timeout=5)
+    finally:
+        chan.close()
     t.join()
     listener.close()
 
