@@ -9,21 +9,22 @@ target states, the rank proposition, and the quantum-dimension certificate.
 
 Conventions: a model's quantum space H_D is laid out as (logical qubits,
 x registers, optional environment registers), but no operator is built on
-all of it. The preimage state psi lives on logical (x) x, the one place the
-x registers matter (the preimage test reads them). The Hadamard round
-measures the x registers: on an honest-family device each d outcome leaves
-a block rest (x) x_row with x_row a unit vector, and every question
-measurement is the identity on x. So x drops out of every trace the
-analysis takes, and sigma blocks and question operators live on
-logical (x) env; an environment is a unit vector tensored onto each block.
-Classical labels are (y, d) tuples; every state block is a pure
+all of it. The Hadamard round measures the x registers: on an honest-family
+device each d outcome leaves a block rest (x) x_row with x_row a unit
+vector, and every question measurement is the identity on x. So x drops out
+of every trace the analysis takes, and sigma blocks and question operators
+live on logical (x) env; an environment is a unit vector tensored onto each
+block. Classical labels are (y, d) tuples; every state block is a pure
 (unnormalized) vector whose squared norm is the block's probability mass.
-theta uses the protocol module's encoding.
+Every report is a sum over labels of a quantity of degree 2 in the block,
+so labels whose blocks are parallel and share a decoding are summed as one
+row: a decoding class. theta uses the protocol module's encoding.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -77,6 +78,18 @@ def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("bd,bd->b", blocks.conj(), blocks @ op.T).real
 
 
+def _mass(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each vector along the last axis."""
+    return np.einsum("...d,...d->...", rows.conj(), rows).real
+
+
+def _first_min(values) -> int:
+    """Index of the first value within 1e-12 of the minimum: among equal
+    distances the first (smallest v, or first block) wins, not round-off."""
+    values = np.asarray(values)
+    return int(np.flatnonzero(values <= values.min() + 1e-12)[0])
+
+
 def _check_size(logical: int, x_dim: int, env_dim: int) -> None:
     """Refuse a model whose full H_D exceeds _DIM_BUDGET; builders call this
     before they build anything."""
@@ -91,6 +104,15 @@ def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
     distinct, inverse = np.unique(keys, return_inverse=True)
     values = [decode(int(k)) for k in distinct]
     return np.array([-1 if v is None else v for v in values], dtype=np.int8)[inverse.ravel()]
+
+
+def _coord_codes(trap: entcf.Trapdoor, ys: np.ndarray, ds: np.ndarray, w: int) -> np.ndarray:
+    """(outcomes, 2) codes of one coordinate's (y_i, d_i) outcomes: b-hat_i,
+    then h-hat_i, -1 for None. protocol.decode_bhat runs once per distinct
+    y_i and decode_hhat once per distinct (y_i, d_i)."""
+    bhat = _decode_once(ys, lambda y: protocol.decode_bhat([trap], [y])[0])
+    hhat = _decode_once(ys << w | ds, lambda k: protocol.decode_hhat([trap], [k >> w], [k % 2**w])[0])
+    return np.stack([bhat, hhat], axis=1)
 
 
 def _bits(codes) -> tuple:
@@ -108,42 +130,45 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LabelTable:
-    """One theta's sorted (y, d) labels with nonzero mass. rows[k] is the
-    sigma block of labels[k], which decodes to the distinct (b-hat, h-hat)
-    pair decodings[index[k]]; vs[index[k]] is its Sigma(theta, v) (None: no
-    v). blocks are the Sigma-assigned rows ordered by v and then by label,
-    and block_v their v's. The arrays are read-only."""
+class ClassTable:
+    """One theta's sigma rows. Each row stands for a set of (y, d) labels
+    with nonzero mass that share a decoding and whose blocks are parallel;
+    the row is their common direction scaled to the root of their summed
+    mass, so |row><row| is the sum of their |block><block|. A product-form
+    model merges every such set; an explicit model keeps a row per label.
+    rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]];
+    vs[index[k]] is its Sigma(theta, v) (None: no v). blocks are the
+    Sigma-assigned rows ordered by v, block_v their v's, and residual the
+    mass of the other rows. The arrays are read-only."""
 
-    labels: list
     rows: np.ndarray
     index: np.ndarray
     decodings: list
     vs: list
     blocks: np.ndarray
     block_v: np.ndarray
+    residual: float
 
 
 class DeviceModel:
-    """Block-diagonal device description.
+    """Block-diagonal device description, in one of two forms.
 
-    psi[theta]: dict y -> pure vector on logical (x) x (squared norm = Pr[y]).
+    A product-form model (coord_m given; the honest family) keeps psi
+    factored: psi[theta][i] lists coordinate i's (y_i, weight, state array
+    (2, 2^w) on qubit (x) x register) triples, and psi's block at y is the
+    product of its coordinates' sqrt(weight) * state, times the CZ signs
+    when the protocol pairs coordinates. It measures d per coordinate:
+    coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register, for
+    every d_i in range(2^w). Its preimage measurement is the computational
+    basis on qubits and x registers.
+    An explicit model (m_proj given) has x_dim = 1 and keeps psi[theta]:
+    dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
+    d-measurement is the y-independent m_proj[theta]: dict d -> projector,
+    and its preimage measurement pi_proj: dict (b, x) -> projector.
     env: unit vector on the environment, in a product with psi (default: no
     environment).
     p_proj[q]: dict u -> projector on logical (x) env (zero projectors
     omitted); `dim` is the size of that space.
-    The d-measurement comes in two flavors: a per-coordinate product form
-    (coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register,
-    for every d_i in range(2^w), used by the honest family) or an explicit
-    y-independent m_proj[theta]: dict d -> projector on the psi space, for
-    models with x_dim = 1. The preimage measurement is either the marker
-    "computational" (product basis on qubits and x registers) or an explicit
-    dict (b, x) -> projector on the psi space.
-
-    Sigma blocks live on logical (x) env: an outcome d leaves psi's block as
-    rest (x) x_row (x) env with x_row a unit vector, and the question
-    projectors are the identity on x, so rest (x) env has every trace the
-    full block has.
     """
 
     def __init__(
@@ -160,7 +185,7 @@ class DeviceModel:
         p_proj: dict,
         coord_m=None,
         m_proj: dict | None = None,
-        pi_proj="computational",
+        pi_proj: dict | None = None,
         env: np.ndarray | None = None,
         name: str = "model",
     ):
@@ -179,10 +204,11 @@ class DeviceModel:
         self.p_proj = p_proj
         self.coord_m = coord_m
         self.m_proj = m_proj
-        self.pi_proj = pi_proj
+        self.pi_proj = {} if pi_proj is None else pi_proj
         self.name = name
         self._obs_cache: dict = {}
         self._tables: dict = {}
+        self._t_cache: dict = {}
         self._swap_cache: np.ndarray | None = None
 
     # -- observables ---------------------------------------------------------
@@ -210,42 +236,19 @@ class DeviceModel:
             self._obs_cache[key] = self._observable_from(q, i)
         return self._obs_cache[key]
 
-    # -- sigma blocks ----------------------------------------------------------
-    def label_table(self, theta) -> LabelTable:
-        """theta's labels, sigma blocks and decodings, built once."""
+    # -- sigma rows ------------------------------------------------------------
+    def class_table(self, theta) -> ClassTable:
+        """theta's sigma rows and decodings, built once."""
         if theta not in self._tables:
             self._tables[theta] = self._build_table(theta)
         return self._tables[theta]
 
-    def _build_table(self, theta) -> LabelTable:
-        """Every label with nonzero mass. protocol.decode_bhat runs once per
-        distinct (coordinate, y_i) and decode_hhat once per distinct
-        (coordinate, y_i, d_i)."""
-        L, w = self.logical, self.w
-        ys = sorted(self.psi[theta])
-        psi = np.array([self.psi[theta][y] for y in ys], dtype=complex)
-        if self.coord_m is not None:
-            d_tuples = list(itertools.product(range(2**w), repeat=L))
-            rest = self._contract_outcomes(theta, ys, psi)
-        else:
-            d_tuples = sorted(self.m_proj[theta])
-            rest = np.array([[self.m_proj[theta][d] @ block for d in d_tuples] for block in psi])
-        grid = (rest[..., None] * self.env).reshape(-1, self.dim)
-        keep = np.flatnonzero(np.sum(np.abs(grid) ** 2, axis=1) >= ATOL**2)
-        yrow, dcol = np.divmod(keep, len(d_tuples))
-        labels = [(ys[r], d_tuples[c]) for r, c in zip(yrow.tolist(), dcol.tolist())]
-        y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
-        # per label: b-hat of each coordinate, then h-hat of each, -1 for None
-        codes = np.empty((keep.size, 2 * L), dtype=np.int8)
-        for i, trap in enumerate(self.trapdoors[theta]):
-            codes[:, i] = _decode_once(y_arr[:, i], lambda y: protocol.decode_bhat([trap], [y])[0])
-            codes[:, L + i] = _decode_once(
-                y_arr[:, i] << w | d_arr[:, i],
-                lambda k: protocol.decode_hhat([trap], [k >> w], [k % 2**w])[0],
-            )
+    def _build_table(self, theta) -> ClassTable:
+        L = self.logical
+        rows, codes = self._product_rows(theta) if self.coord_m is not None else self._label_rows(theta)
         key = (codes + 1).astype(np.int64) @ 3 ** np.arange(2 * L)
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # distinct decodings in order of first label
+        order = np.argsort(first)  # distinct decodings in order of first row
         index = np.argsort(order)[index.ravel()]
         decodings = [(_bits(row[:L]), _bits(row[L:])) for row in codes[first[order]].tolist()]
         vs = [protocol.sigma_v(self.protocol, self.n, theta, list(b), list(h)) for b, h in decodings]
@@ -253,80 +256,107 @@ class DeviceModel:
         rank = np.array([-1 if v is None else v_keys.index(v) for v in vs], dtype=int)[index]
         stack = np.flatnonzero(rank >= 0)
         stack = stack[np.argsort(rank[stack], kind="stable")]
-        rows, block_v = grid[keep], np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
-        return LabelTable(
-            labels, _frozen(rows), _frozen(index), decodings, vs, _frozen(rows[stack]), _frozen(block_v)
+        block_v = np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
+        residual = float(np.sum(_mass(rows[rank < 0])))
+        return ClassTable(
+            _frozen(rows), _frozen(index), decodings, vs, _frozen(rows[stack]), _frozen(block_v), residual
         )
 
-    def _contract_outcomes(self, theta, ys, psi) -> np.ndarray:
-        """(y, d tuple, logical) array: the psi blocks contracted with each
-        coordinate's d-outcome vectors, one einsum per x axis, batched over
-        y; d tuples run in product order."""
-        L, x = self.logical, 2**self.w
-        t = psi.reshape((len(ys), 2**L) + (x,) * L)
-        axes = list(range(L + 2))  # y, logical, then the x axis of each coordinate
-        for i in range(L):
-            mats = {}
-            for yi in {y[i] for y in ys}:
-                outcomes = self.coord_m(theta, i, yi)
-                mats[yi] = [outcomes[d] for d in range(x)]
-            out = axes.copy()
-            out[2 + i] = L + 2
-            t = np.einsum(np.array([mats[y[i]] for y in ys]).conj(), [0, L + 2, 2 + i], t, axes, out)
-        return np.moveaxis(t, 1, -1).reshape(len(ys), x**L, 2**L)
+    def _label_rows(self, theta):
+        """(rows, codes) of an explicit model: one row per (y, d) label with
+        nonzero mass, in label order."""
+        L, w = self.logical, self.w
+        ys = sorted(self.psi[theta])
+        d_tuples = sorted(self.m_proj[theta])
+        rest = np.array([[self.m_proj[theta][d] @ self.psi[theta][y] for d in d_tuples] for y in ys])
+        grid = (rest[..., None] * self.env).reshape(-1, self.dim)
+        keep = np.flatnonzero(_mass(grid) >= ATOL**2)
+        yrow, dcol = np.divmod(keep, len(d_tuples))
+        y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
+        codes = np.empty((keep.size, 2 * L), dtype=np.int8)
+        for i, trap in enumerate(self.trapdoors[theta]):
+            codes[:, [i, L + i]] = _coord_codes(trap, y_arr[:, i], d_arr[:, i], w)
+        return grid[keep], codes
 
-    def sigma_blocks(self, theta) -> dict:
-        """dict (y, d) -> pure vector on logical (x) env, the
-        post-d-measurement blocks, in label order."""
-        table = self.label_table(theta)
-        return dict(zip(table.labels, table.rows))
+    def _product_rows(self, theta):
+        """(rows, codes) of a product-form model: the product of its
+        coordinates' classes, coordinate 0 slowest, times the CZ signs and
+        tensored with env. Parallel factors give parallel products, so each
+        product is one decoding class."""
+        L = self.logical
+        classes = [self._coord_classes(theta, i) for i in range(L)]
+        grid = np.indices([len(codes) for codes, _ in classes]).reshape(L, -1)
+        rows = np.ones((grid.shape[1], 1), dtype=complex)
+        for (_, vecs), pick in zip(classes, grid):
+            rows = (rows[:, :, None] * vecs[pick][:, None, :]).reshape(grid.shape[1], -1)
+        if protocol.paired(self.protocol):
+            rows = rows * _cz_signs(self.n)
+        rows = (rows[:, :, None] * self.env).reshape(grid.shape[1], self.dim)
+        codes = np.array([coord_codes[pick] for (coord_codes, _), pick in zip(classes, grid)])  # (L, rows, 2)
+        return rows, np.concatenate([codes[:, :, 0].T, codes[:, :, 1].T], axis=1)
 
-    def grouped_sigma(self, theta):
-        """(dict v -> dict (y,d) -> vector, residual trace of unassigned blocks)."""
-        table = self.label_table(theta)
-        groups: dict = {}
-        residual = 0.0
-        for (label, vec), k in zip(self.sigma_blocks(theta).items(), table.index.tolist()):
-            v = table.vs[k]
-            if v is None:
-                residual += np.vdot(vec, vec).real
-            else:
-                groups.setdefault(v, {})[label] = vec
-        return groups, residual
+    def _coord_classes(self, theta, i):
+        """(codes, vecs) of coordinate i: its (y_i, d_i) outcomes with
+        nonzero mass, grouped by their code (b-hat_i, h-hat_i) and by the
+        direction of their qubit vector sqrt(weight) * state . x_row*; a
+        class's vector is its first outcome's direction scaled to the root
+        of the class mass."""
+        w = self.w
+        ys, weights, states = zip(*self.psi[theta][i])
+        x_rows = np.array([[out[d] for d in range(2**w)] for out in (self.coord_m(theta, i, y) for y in ys)])
+        vecs = np.einsum("yqx,ydx->ydq", np.array(states), x_rows.conj()) * np.sqrt(weights)[:, None, None]
+        y_idx, d_idx = np.nonzero(_mass(vecs) >= ATOL**2)
+        vecs = vecs[y_idx, d_idx]
+        codes = _coord_codes(self.trapdoors[theta][i], np.array(ys, dtype=np.int64)[y_idx], d_idx, w)
+        out_codes, out_vecs = [], []
+        left = np.arange(len(vecs))
+        while left.size:
+            unit = vecs[left[0]] / np.linalg.norm(vecs[left[0]])
+            mass = _mass(vecs[left])
+            same = np.all(codes[left] == codes[left[0]], axis=1) & (
+                np.abs(vecs[left] @ unit.conj()) ** 2 >= (1.0 - 1e-12) * mass
+            )
+            out_codes.append(codes[left[0]])
+            out_vecs.append(np.sqrt(np.sum(mass[same])) * unit)
+            left = left[~same]
+        return np.array(out_codes), np.array(out_vecs)
 
     # -- preimage test mass ---------------------------------------------------
     def t_theta(self, theta) -> float:
-        """Preimage-test pass mass; the environment is a unit vector, so it
-        does not enter."""
-        keys = self.keys[theta]
-        total = 0.0
-        if self.pi_proj == "computational":
-            shape = (2,) * self.logical + (2**self.w,) * self.logical
-            for y, block in self.psi[theta].items():
-                tens = block.reshape(shape)
-                for combo in itertools.product(
-                    *[entcf.preimages(k, yi) for k, yi in zip(keys, y)]
-                ):
-                    bs, xs = zip(*combo)
-                    total += abs(tens[bs + xs]) ** 2
-        else:
-            for y, block in self.psi[theta].items():
-                for (b, x), proj in self.pi_proj.items():
-                    if entcf.chk(keys, y, b, x) == 0:
-                        total += _quad(block[None, :], proj)[0]
-        return total
+        """Preimage-test pass mass, computed once per theta; the environment
+        is a unit vector, so it does not enter. A product-form model's mass
+        is the product over coordinates of each one's share on preimages."""
+        if theta not in self._t_cache:
+            keys = self.keys[theta]
+            if self.coord_m is not None:
+                total = math.prod(_preimage_share(key, coord) for key, coord in zip(keys, self.psi[theta]))
+            else:
+                total = 0.0
+                for y, block in self.psi[theta].items():
+                    for (b, x), proj in self.pi_proj.items():
+                        if entcf.chk(keys, y, b, x) == 0:
+                            total += _quad(block[None, :], proj)[0]
+            self._t_cache[theta] = total
+        return self._t_cache[theta]
 
 
 # ---------------------------------------------------------------------------
 # Honest model construction
 # ---------------------------------------------------------------------------
 
+def _keypairs(protocol_kind: str, theta, n: int, params: entcf.EntcfParams, rng: np.random.Generator):
+    """(keys, trapdoors) of theta's coordinates, one key pair per family in
+    coordinate order."""
+    pairs = [entcf.gen_keypair(family, params, rng) for family in protocol.families(protocol_kind, theta, n)]
+    return tuple(key for key, _ in pairs), tuple(trap for _, trap in pairs)
+
+
 def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
     """(y, weight, state array (2, 2^w)) triples for one honest coordinate."""
     w = key.params.w
     out = []
-    # image_iter is sorted, so each theta's psi is in sorted y order; a claw
-    # key's images are those of f_0, each hit by one x0 and one x1
+    # image_iter is sorted, so the triples are in y order; a claw key's
+    # images are those of f_0, each hit by one x0 and one x1
     for y in entcf.image_iter(key):
         arr = np.zeros((2, 2**w), dtype=complex)
         if trapdoor.family == entcf.FAMILY_G:
@@ -338,6 +368,19 @@ def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
             arr[0, x0] = arr[1, x1] = 1.0 / np.sqrt(2.0)
             out.append((y, 2.0**-w, arr))
     return out
+
+
+def _preimage_share(key: entcf.PublicKey, coord) -> float:
+    """sum_{y_i} weight sum_{(b, x) preimage of y_i} |state[b, x]|^2 over one
+    coordinate's (y_i, weight, state) triples, divided by the same sum over
+    every (b, x): the coordinate has unit mass, and the ratio cancels the
+    round-off of amplitudes such as 1/sqrt(2)."""
+    hit = total = 0.0
+    for y, weight, state in coord:
+        mass = weight * np.abs(state) ** 2
+        hit += sum(mass[b, x] for b, x in entcf.preimages(key, y))
+        total += mass.sum()
+    return float(hit / total)
 
 
 def _claw_basis(w: int, x0: int, x1: int) -> dict:
@@ -391,31 +434,10 @@ def build_honest_model(
     x_dim = (2**w) ** logical
     _check_size(logical, x_dim, 1)
     thetas = protocol.thetas(protocol_kind, n)
-    keys, trapdoors, coord_support = {}, {}, {}
+    keys, trapdoors, psi = {}, {}, {}
     for theta in thetas:
-        ks, ts, sup = [], [], []
-        for family in protocol.families(protocol_kind, theta, n):
-            key, trap = entcf.gen_keypair(family, params, rng)
-            ks.append(key)
-            ts.append(trap)
-            sup.append(_coord_y_support(key, trap))
-        keys[theta], trapdoors[theta], coord_support[theta] = tuple(ks), tuple(ts), sup
-
-    cz = _cz_signs(n) if protocol.paired(protocol_kind) else None
-    psi = {}
-    for theta in thetas:
-        blocks = {}
-        for combo in itertools.product(*coord_support[theta]):
-            y = tuple(c[0] for c in combo)
-            weight = np.prod([c[1] for c in combo])
-            tens = functools.reduce(np.multiply.outer, [c[2] for c in combo])
-            # axes are (q0, x0, q1, x1, ...); reorder to qubits then x parts
-            order = list(range(0, 2 * logical, 2)) + list(range(1, 2 * logical, 2))
-            tens = np.transpose(tens, order).reshape(2**logical, x_dim)
-            if cz is not None:
-                tens = tens * cz[:, None]
-            blocks[y] = np.sqrt(weight) * tens.ravel()
-        psi[theta] = blocks
+        keys[theta], trapdoors[theta] = _keypairs(protocol_kind, theta, n, params, rng)
+        psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
 
     hadamard = _hadamard_outcomes(w)
 
@@ -511,8 +533,6 @@ def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
         honest.psi,
         p_proj,
         coord_m=honest.coord_m,
-        m_proj=honest.m_proj,
-        pi_proj=honest.pi_proj,
         env=honest.env,
         name="wrongbasis",
     )
@@ -532,13 +552,8 @@ def build_random_model(
     thetas = protocol.thetas("selftest", n)
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     for theta in thetas:
-        ks, ts = [], []
-        for family in protocol.families("selftest", theta, n):
-            key, trap = entcf.gen_keypair(family, params, rng)
-            ks.append(key)
-            ts.append(trap)
-        keys[theta], trapdoors[theta] = tuple(ks), tuple(ts)
-        y_lists = [sorted(entcf.image_iter(k)) for k in ks]
+        keys[theta], trapdoors[theta] = _keypairs("selftest", theta, n, params, rng)
+        y_lists = [sorted(entcf.image_iter(k)) for k in keys[theta]]
         chosen = set()
         while len(chosen) < n_states:
             chosen.add(tuple(ys[rng.integers(len(ys))] for ys in y_lists))
@@ -606,12 +621,8 @@ def build_classical_model(
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     basis = np.eye(dim, dtype=complex)
     for theta in thetas:
-        ks, ts = [], []
-        for family in protocol.families("dimtest", theta, n):
-            key, trap = entcf.gen_keypair(family, params, rng)
-            ks.append(key)
-            ts.append(trap)
-        keys[theta], trapdoors[theta] = tuple(ks), tuple(ts)
+        ks, ts = _keypairs("dimtest", theta, n, params, rng)
+        keys[theta], trapdoors[theta] = ks, ts
         y, d, v = [], [], []
         for i, trap in enumerate(ts):
             if trap.family == entcf.FAMILY_G:
@@ -658,8 +669,7 @@ def build_classical_model(
 
 def sigma_residual(model: DeviceModel, theta) -> float:
     """trace norm of sigma^theta minus the sum of its Sigma(theta, v) parts."""
-    _, residual = model.grouped_sigma(theta)
-    return residual
+    return model.class_table(theta).residual
 
 
 @dataclass
@@ -683,29 +693,18 @@ class FailureReport:
     eps: float
 
 
-def _stack_groups(model: DeviceModel, theta):
-    """(blocks array, v array) for the Sigma-assigned blocks of theta,
-    ordered by v and then by (y, d) label."""
-    table = model.label_table(theta)
-    return table.blocks, table.block_v
-
-
 def gamma_report(model: DeviceModel) -> GammaReport:
     if model.protocol != "selftest":
         raise ModelError("gamma quantities are defined for the self-test model")
     n = model.n
     two_n = 2 * n
-    t_table = {theta: model.t_theta(theta) for theta in model.thetas}
-    gamma_p = 1.0 - min(t_table.values())
-
-    stacked = {theta: _stack_groups(model, theta) for theta in model.thetas}
+    gamma_p = 1.0 - min(model.t_theta(theta) for theta in model.thetas)
 
     def signed_mass(theta, op: np.ndarray, bit_index: int) -> float:
-        blocks, vs = stacked[theta]
-        n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
-        quad = _quad(blocks, op)
-        signs = 1.0 - 2.0 * vs[:, bit_index]
-        return float(np.sum((n2 + signs * quad) / 2.0))
+        table = model.class_table(theta)
+        quad = _quad(table.blocks, op)
+        signs = 1.0 - 2.0 * table.block_v[:, bit_index]
+        return float(np.sum((_mass(table.blocks) + signs * quad) / 2.0))
 
     r_table, s_table, rt_table, st_table = {}, {}, {}, {}
     non_diamond = [t for t in model.thetas if t != THETA_DIAMOND]
@@ -762,8 +761,8 @@ def gamma_report(model: DeviceModel) -> GammaReport:
 def failure_report(model: DeviceModel) -> FailureReport:
     """Exact failure probabilities from the model's block algebra.
 
-    Labels with the same decoded bits get the same verdict, so each verdict
-    is taken once per distinct decoding of the label table and applied to
+    Rows with the same decoded bits get the same verdict, so each verdict
+    is taken once per distinct decoding of the class table and applied to
     that decoding's summed mass.
     """
     n_thetas = len(model.thetas)
@@ -771,7 +770,7 @@ def failure_report(model: DeviceModel) -> FailureReport:
     questions = sorted(model.p_proj)
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
-        table = model.label_table(theta)
+        table = model.class_table(theta)
         for q in questions:
             for u, proj in model.p_proj[q].items():
                 weights = _quad(table.rows, proj)
@@ -793,8 +792,9 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
     for theta in model.thetas:
         if theta == THETA_DIAMOND:
             continue
-        blocks, vs = _stack_groups(model, theta)
-        n2 = np.einsum("bd,bd->b", blocks.conj(), blocks).real
+        table = model.class_table(theta)
+        blocks, vs = table.blocks, table.block_v
+        n2 = _mass(blocks)
         for i in range(two_n):
             if i == theta:
                 continue
@@ -935,14 +935,16 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1 and
     the post-measurement analogues per question.
 
-    Every Sigma-assigned block of theta is lifted by one matmul against the
-    swap isometry; each block contributes a rank-one difference whose trace
-    norm comes from qsim.trace_norm_diff_rank1 over the stacked rows.
+    Every Sigma-assigned row of theta's class table is lifted by one matmul
+    against the swap isometry; each row contributes a rank-one difference
+    whose trace norm comes from qsim.trace_norm_diff_rank1 over the stacked
+    rows.
     """
     L = model.logical
     dim = model.dim
     v_iso = swap_isometry(model)
-    blocks, vs = _stack_groups(model, theta)
+    table = model.class_table(theta)
+    blocks, vs = table.blocks, table.block_v
     v_rows, row_v = np.unique(vs, axis=0, return_inverse=True)
     row_v = row_v.ravel()
     v_keys = [tuple(int(b) for b in row) for row in v_rows]
@@ -1019,26 +1021,27 @@ def dimension_certificate(model: DeviceModel) -> dict:
     L = model.logical
     dim = model.dim
     v_iso = swap_isometry(model)
-    groups, _ = model.grouped_sigma(THETA_ALL_G)
-    groups = {v: blk for v, blk in groups.items() if _group_trace(blk) > 1e-12}
-    if not groups:
-        raise ModelError("degenerate model: no Sigma-supported blocks")
+    table = model.class_table(THETA_ALL_G)
+    mass = _mass(table.blocks)
+    v_rows, start, count = np.unique(table.block_v, axis=0, return_index=True, return_counts=True)
     projs = np.array(list(model.p_proj[1].values()), dtype=complex)
     n_meas = len(projs)
-    best = None
-    for v in sorted(groups):
-        labels = sorted(groups[v])
-        blocks = np.array([groups[v][label] for label in labels], dtype=complex)
-        trace = _group_trace(groups[v])
+    candidates = []
+    for v_row, lo, hi in zip(v_rows, start, start + count):
+        trace = float(np.sum(mass[lo:hi]))
+        if trace <= 1e-12:
+            continue
+        blocks, v = table.blocks[lo:hi], tuple(int(b) for b in v_row)
         tau = tau_vector("dimtest", n, THETA_ALL_G, v)
         measured = np.swapaxes(blocks @ projs.swapaxes(-1, -2), 0, 1)
         alpha = np.einsum("l,kld->kd", tau.conj(), (blocks @ v_iso.T).reshape(-1, 2**L, dim))
         factors = _certificate_factors(v_iso, measured, alpha, n)
         weights = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))]) / trace
         dist = float(np.sum(qsim.trace_norm_lowrank(factors, weights)))
-        if best is None or dist < best[1] - 1e-15:
-            best = (v, dist, trace, labels, measured, alpha, factors)
-    v_min, v_dist, trace, labels, measured, alpha, factors = best
+        candidates.append((v, dist, trace, measured, alpha, factors))
+    if not candidates:
+        raise ModelError("degenerate model: no Sigma-supported blocks")
+    v_min, v_dist, trace, measured, alpha, factors = candidates[_first_min([c[1] for c in candidates])]
     rho_mass = np.sum(np.abs(measured) ** 2, axis=(1, 2))
     alpha_mass = np.sum(np.abs(alpha) ** 2, axis=1)
     if alpha_mass.sum() / trace < 1e-12:
@@ -1054,12 +1057,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
         ],
         axis=1,
     )
-    eps_all = qsim.trace_norm_lowrank(factors[usable], weights)
-    star = 0
-    for k in range(1, usable.size):
-        if eps_all[k] < eps_all[star] - 1e-15:
-            star = k
-    c = usable[star]
+    c = usable[_first_min(qsim.trace_norm_lowrank(factors[usable], weights))]
     rho_star = measured[c].T @ measured[c].conj() / rho_mass[c]
     alpha_star = np.outer(alpha[c], alpha[c].conj()) / alpha_mass[c]
     eps, rank, ok = rank_bound_check(v_iso, rho_star, alpha_star, n)
@@ -1067,7 +1065,6 @@ def dimension_certificate(model: DeviceModel) -> dict:
     return {
         "v_min": v_min,
         "v_distance": float(v_dist),
-        "c_star": labels[c],
         "epsilon": float(eps),
         "rank": rank,
         "rank_ok": ok,
@@ -1081,10 +1078,6 @@ def _certificate_factors(v_iso: np.ndarray, measured: np.ndarray, alpha: np.ndar
     lifted = measured @ v_iso.T
     ancilla = np.einsum("jl,kd->kjld", np.eye(2**n), alpha).reshape(blocks, 2**n, -1)
     return np.concatenate([lifted, ancilla], axis=1).swapaxes(1, 2)
-
-
-def _group_trace(blocks: dict) -> float:
-    return float(sum(np.vdot(v, v).real for v in blocks.values()))
 
 
 # ---------------------------------------------------------------------------

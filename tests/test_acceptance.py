@@ -135,14 +135,14 @@ def test_honest_logical_marginals_are_ideal():
     n, w = 1, 2
     model = analysis.build_honest_model(selftest_config(n, w), "selftest", rng)
     for theta in model.thetas:
-        groups, residual = model.grouped_sigma(theta)
-        assert residual <= 1e-12
-        for v, blocks in groups.items():
+        table = model.class_table(theta)
+        assert table.residual <= 1e-12
+        for v in {tuple(v) for v in table.block_v.tolist()}:
             tau = analysis.tau_vector("selftest", n, theta, v)
             target = np.outer(tau, tau.conj()) / 2 ** (2 * n)
-            # blocks live on the logical qubits: the honest model has no environment
-            marginal = sum(np.outer(vec, vec.conj()) for vec in blocks.values())
-            assert np.abs(marginal - target).max() <= 1e-9
+            # rows live on the logical qubits: the honest model has no environment
+            rows = table.blocks[np.all(table.block_v == v, axis=1)]
+            assert np.abs(rows.T @ rows.conj() - target).max() <= 1e-9
 
 
 def test_honest_soundness_distances():
@@ -155,6 +155,22 @@ def test_honest_soundness_distances():
         assert sd["total"] <= min(bound, 1e-8)
         for total in sd["post_measurement"].values():
             assert total <= min(bound, 1e-8)
+
+
+@pytest.mark.parametrize("kind,n", [("selftest", 2), ("dimtest", 4)])
+def test_honest_reports_at_scale(kind, n, tmp_path, capsys):
+    # w=2 models with up to 2,101,248 (y, d) labels per report; their class
+    # tables have a few dozen rows, and psi is never built over x
+    path = tmp_path / "report.json"
+    argv = ["analyze", "--protocol", kind, "--n", str(n), "--w", "2", "--seed", "7", "--report", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    assert report["all_ok"]
+    if kind == "dimtest":
+        cert = report["certificate"]
+        assert cert["rank"] == 2**n and cert["rank_ok"]
+        assert cert["certified_dimension"] == pytest.approx(2.0**n, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """White-box analysis unit tests (the heavy suites live in test_acceptance)."""
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -25,15 +26,18 @@ def honest_dim():
 
 def test_psi_blocks_are_normalized(honest):
     for theta in honest.thetas:
-        mass = sum(np.vdot(v, v).real for v in honest.psi[theta].values())
+        # psi is a product over coordinates, so each factor has unit mass
+        for coord in honest.psi[theta]:
+            mass = sum(weight * np.vdot(state, state).real for _, weight, state in coord)
+            assert mass == pytest.approx(1.0, abs=1e-12)
+        mass = sum(np.vdot(v, v).real for v in _ref_psi(honest, theta).values())
         assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_m_measurement_orthonormal(honest):
     for theta in honest.thetas:
-        y = sorted(honest.psi[theta])[0]
-        for i in range(honest.logical):
-            outcomes = honest.coord_m(theta, i, y[i])
+        for i, coord in enumerate(honest.psi[theta]):
+            outcomes = honest.coord_m(theta, i, coord[0][0])
             mat = np.array([outcomes[d] for d in sorted(outcomes)])
             assert np.allclose(mat @ mat.conj().T, np.eye(len(outcomes)), atol=1e-12)
 
@@ -57,6 +61,13 @@ def test_marginal_observables_commute_and_square(honest):
             assert np.max(np.abs(comm)) < 1e-12  # [Z_i, Z_j] = 0 exactly
 
 
+def _decoding_of(model, theta, label):
+    """(b-hat, h-hat) of one (y, d) label under the model's trapdoors."""
+    y, d = label
+    traps = model.trapdoors[theta]
+    return tuple(protocol.decode_bhat(traps, y)), tuple(protocol.decode_hhat(traps, y, d))
+
+
 def _sigma_v_of(model, theta, label):
     """protocol.sigma_v of one (y, d) label under the model's trapdoors."""
     y, d = label
@@ -68,19 +79,19 @@ def _sigma_v_of(model, theta, label):
 
 def test_sigma_mass_bounded(honest):
     for theta in honest.thetas:
-        groups, residual = honest.grouped_sigma(theta)
-        total = sum(np.vdot(vec, vec).real for blocks in groups.values() for vec in blocks.values())
-        assert total + residual == pytest.approx(1.0, abs=1e-9)
+        table = honest.class_table(theta)
+        total = float(np.sum(np.abs(table.blocks) ** 2))
+        assert total + table.residual == pytest.approx(1.0, abs=1e-9)
         assert total <= 1.0 + 1e-9
-        # blocks are grouped by the shared Sigma(theta, v) rule
-        for v, blocks in groups.items():
-            for label in list(blocks)[:4]:
-                assert _sigma_v_of(honest, theta, label) == v
+        # a decoding's v is the shared Sigma(theta, v) rule's v of its labels
+        for label in _ref_sigma_blocks(honest, theta, 2):
+            k = table.decodings.index(_decoding_of(honest, theta, label))
+            assert table.vs[k] == _sigma_v_of(honest, theta, label)
 
 
 def test_sigma_v_unique(honest):
     for theta in honest.thetas:
-        for label in list(honest.sigma_blocks(theta))[:16]:
+        for label in list(_ref_sigma_blocks(honest, theta, 2))[:16]:
             v = _sigma_v_of(honest, theta, label)
             assert v is not None
             members = [
@@ -272,7 +283,7 @@ def test_sigma_v_matches_membership_predicate():
         params = model.keys[model.thetas[0]][0].params
         for theta in model.thetas:
             # every label the model puts mass on
-            _assert_sigma_v_matches_reference(model, theta, model.sigma_blocks(theta))
+            _assert_sigma_v_matches_reference(model, theta, _ref_sigma_blocks(model, theta))
             # random labels: images off the key ranges, and d with zero entries
             labels = []
             for _ in range(200):
@@ -305,35 +316,66 @@ def _ref_rank1(u, w):
     return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
 
 
-def _ref_sigma_blocks(model, theta, n_y=None):
-    """Post-d blocks of a product-form d-measurement, one d tuple at a time,
-    as (rest, x_vec) with the full block rest (x) x_vec on logical (x) x (x) env;
-    for the first n_y y's of psi (all when None)."""
+def _ref_psi(model, theta, n_y=None):
+    """dict y -> psi block on logical (x) x for the first n_y y's (all when
+    None), in y order: an explicit model's stored blocks, or a product-form
+    model's coordinate triples multiplied out with the CZ signs, one y at a
+    time."""
+    if model.coord_m is None:
+        return dict(itertools.islice(sorted(model.psi[theta].items()), n_y))
+    L = model.logical
+    cz = analysis._cz_signs(model.n) if protocol.paired(model.protocol) else np.ones(2**L)
+    order = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))  # qubits, then x registers
     out = {}
-    n_coords = model.logical
-    for y, block in itertools.islice(model.psi[theta].items(), n_y):
-        per_coord = [model.coord_m(theta, i, y[i]) for i in range(n_coords)]
-        full = np.kron(block, model.env)
-        tens = full.reshape((2,) * n_coords + (2**model.w,) * n_coords + (model.env_dim,))
-        for combo in itertools.product(*[sorted(m.items()) for m in per_coord]):
-            t = tens
-            for _, outcome in combo:
-                t = np.tensordot(t, outcome.conj(), axes=([n_coords], [0]))
-            if np.vdot(t, t).real < analysis.ATOL**2:
-                continue
-            x_vec = np.ones(1, dtype=complex)
-            for _, outcome in combo:
-                x_vec = np.kron(x_vec, outcome)
-            d = tuple(label for label, _ in combo)
-            out[(y, d)] = (t.ravel(), x_vec)
+    for combo in itertools.islice(itertools.product(*model.psi[theta]), n_y):
+        tens = functools.reduce(np.multiply.outer, [state for _, _, state in combo])
+        block = np.transpose(tens, order).reshape(2**L, -1) * cz[:, None]
+        weight = np.prod([weight for _, weight, _ in combo])
+        out[tuple(y for y, _, _ in combo)] = np.sqrt(weight) * block.ravel()
     return out
 
 
+def _ref_sigma_blocks(model, theta, n_y=None):
+    """Post-d blocks of every (y, d) label with nonzero mass, one d tuple at
+    a time, in label order, as (rest, x_vec) with the full block
+    rest (x) x_vec on logical (x) x (x) env; for the first n_y y's of psi
+    (all when None). An explicit model has no x registers: x_vec is [1]."""
+    out = {}
+    for y, block in _ref_psi(model, theta, n_y).items():
+        if model.coord_m is None:
+            outcomes = [(d, proj @ block, np.ones(1)) for d, proj in sorted(model.m_proj[theta].items())]
+        else:
+            # (qubits, x registers): contract the x part with each d tuple's x_vec
+            full = block.reshape(2**model.logical, -1)
+            per_coord = [sorted(model.coord_m(theta, i, y[i]).items()) for i in range(model.logical)]
+            outcomes = []
+            for combo in itertools.product(*per_coord):
+                x_vec = functools.reduce(np.multiply.outer, [outcome for _, outcome in combo]).ravel()
+                outcomes.append((tuple(d for d, _ in combo), full @ x_vec.conj(), x_vec))
+        for d, rest, x_vec in outcomes:
+            rest = np.multiply.outer(rest, model.env).ravel()
+            if np.vdot(rest, rest).real >= analysis.ATOL**2:
+                out[(y, d)] = (rest, x_vec)
+    return out
+
+
+def _ref_groups(model, theta):
+    """dict v -> dict (y, d) -> block on logical (x) env, over the labels
+    with v = sigma_v(label)."""
+    groups = {}
+    for label, (rest, _) in _ref_sigma_blocks(model, theta).items():
+        v = _sigma_v_of(model, theta, label)
+        if v is not None:
+            groups.setdefault(v, {})[label] = rest
+    return groups
+
+
 def _ref_soundness(model, theta):
-    """(per_v, total, post_measurement), one block and one outcome at a time."""
+    """(per_v, total, post_measurement), one label block and one outcome at a
+    time."""
     L, dim = model.logical, model.dim
     v_iso = analysis.swap_isometry(model)
-    groups, _ = model.grouped_sigma(theta)
+    groups = _ref_groups(model, theta)
     per_v = {}
     post = {q: 0.0 for q in sorted(model.p_proj)}
     ideal = {q: analysis.ideal_pattern_projectors(model.protocol, model.n, q) for q in post}
@@ -361,7 +403,7 @@ def _ref_eps_h(model):
         accept = 0.0
         for theta in model.thetas:
             traps = model.trapdoors[theta]
-            for (y, d), vec in model.sigma_blocks(theta).items():
+            for (y, d), (vec, _) in _ref_sigma_blocks(model, theta).items():
                 bhat = [
                     entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
                     for t, yi in zip(traps, y)
@@ -378,12 +420,13 @@ def _ref_eps_h(model):
 
 
 def _ref_certificate(model):
-    """(v_distance, min over blocks of eps_c) from dense trace norms."""
+    """(v_distance, min over blocks of eps_c) from dense trace norms, one
+    label block at a time; v is the smallest within 1e-12 of the minimum."""
     n, L, dim = model.n, model.logical, model.dim
     v_iso = analysis.swap_isometry(model)
-    groups, _ = model.grouped_sigma(THETA_ALL_G)
+    groups = _ref_groups(model, THETA_ALL_G)
     mass = {v: sum(np.vdot(b, b).real for b in blk.values()) for v, blk in groups.items()}
-    best = None
+    dists = {}
     for v in sorted(v for v in groups if mass[v] > 1e-12):
         tau = analysis.tau_vector("dimtest", n, THETA_ALL_G, v)
         dist, pairs = 0.0, []
@@ -394,16 +437,17 @@ def _ref_certificate(model):
             rhs = np.kron(np.eye(2**n) / 2**n, alpha)
             dist += qsim.trace_norm(v_iso @ rho @ v_iso.conj().T - rhs)
             pairs.append((rho, alpha))
-        if best is None or dist < best[1] - 1e-15:
-            best = (v, dist, pairs)
+        dists[v] = (dist, pairs)
+    least = min(dist for dist, _ in dists.values())
+    v_dist, pairs = next(dists[v] for v in sorted(dists) if dists[v][0] <= least + 1e-12)
     eps_c = []
-    for rho, alpha in best[2]:
+    for rho, alpha in pairs:
         tr_rho, tr_alpha = np.trace(rho).real, np.trace(alpha).real
         if tr_rho < 1e-12 or tr_alpha < 1e-12:
             continue
         lhs = v_iso @ (rho / tr_rho) @ v_iso.conj().T
         eps_c.append(qsim.trace_norm(lhs - np.kron(np.eye(2**n) / 2**n, alpha / tr_alpha)))
-    return best[1], min(eps_c)
+    return v_dist, min(eps_c)
 
 
 def test_quad_matches_three_operand_einsum():
@@ -415,33 +459,67 @@ def test_quad_matches_three_operand_einsum():
         assert np.max(np.abs(analysis._quad(blocks, mat) - ref)) <= 1e-9
 
 
-def test_sigma_blocks_match_per_outcome_reference(honest):
-    dim_cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(3))
-    # three coordinates: the first size where contracting one x axis at a
-    # time can put the d axes in the wrong order; the first 16 y's per theta
-    dim3_cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
-    models = [
-        (honest, None),
-        (analysis.build_bitflip_model(honest, 0.2), None),
-        (analysis.build_honest_model(dim_cfg, "dimtest", np.random.default_rng(1)), None),
-        (analysis.build_honest_model(dim3_cfg, "dimtest", np.random.default_rng(2)), 16),
-    ]
-    for model, n_y in models:
+def _phase_key(vec):
+    """vec's direction: the unit vector whose first entry above 1e-6 in
+    modulus is real and positive, rounded to 8 decimals."""
+    unit = vec / np.linalg.norm(vec)
+    lead = unit[np.flatnonzero(np.abs(unit) > 1e-6)[0]]
+    return tuple(np.round(unit * abs(lead) / lead, 8).tolist())
+
+
+def _class_models():
+    for w, seed in ((2, 1), (3, 2)):
+        cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(w))
+        honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(seed))
+        yield from (honest, analysis.build_bitflip_model(honest, 0.2), analysis.build_wrongbasis_model(honest))
+    for n, seed in ((1, 3), (2, 4)):
+        cfg = DimTestConfig(N=n, entcf=entcf.EntcfParams.ideal(3))
+        yield analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(seed))
+
+
+def test_sigma_blocks_match_per_outcome_reference():
+    """The per-label reference blocks, grouped by decoding and direction:
+    each group's summed |b><b| is one class row's outer product."""
+    for model in _class_models():
         for theta in model.thetas:
-            got = model.sigma_blocks(theta)
-            assert list(got) == sorted(got)
-            ref = _ref_sigma_blocks(model, theta, n_y)
-            first_ys = {y for y, _ in ref}
-            got = {label: vec for label, vec in got.items() if label[0] in first_ys}
-            assert list(got) == list(ref)
-            for label, (rest, x_vec) in ref.items():
+            table = model.class_table(theta)
+            groups = {}
+            for label, (rest, x_vec) in _ref_sigma_blocks(model, theta).items():
                 # the x part is a unit vector, so the rest part carries every trace
                 assert abs(np.linalg.norm(x_vec) - 1.0) <= 1e-12
-                assert np.max(np.abs(got[label] - rest)) <= 1e-12
+                key = (_decoding_of(model, theta, label), _phase_key(rest))
+                groups.setdefault(key, []).append(rest)
+            assert len(groups) == len(table.rows), (model.name, theta)
+            unmatched = list(range(len(table.rows)))
+            for (decoding, _), blocks in groups.items():
+                blocks = np.array(blocks)
+                summed = blocks.T @ blocks.conj()
+                match = [
+                    k
+                    for k in unmatched
+                    if table.decodings[table.index[k]] == decoding
+                    and np.max(np.abs(np.outer(table.rows[k], table.rows[k].conj()) - summed)) <= 1e-12
+                ]
+                assert len(match) == 1, (model.name, theta, decoding)
+                unmatched.remove(match[0])
+
+
+def test_class_rows_keep_coordinate_order():
+    # three coordinates, the first size where a product taken in the wrong
+    # axis order can still match at two; the first 16 y's per theta: each
+    # label block is parallel to a row with its decoding
+    cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(2))
+    for theta in model.thetas:
+        table = model.class_table(theta)
+        for label, (rest, _) in _ref_sigma_blocks(model, theta, 16).items():
+            rows = table.rows[[table.decodings[k] == _decoding_of(model, theta, label) for k in table.index]]
+            overlap = np.abs(rows.conj() @ rest) ** 2 / np.sum(np.abs(rows) ** 2, axis=1)
+            assert np.max(overlap) == pytest.approx(np.vdot(rest, rest).real, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind,w", [("selftest", 2), ("dimtest", 4)])
-def test_label_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
+def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
     calls = {"b": 0, "h": 0}
@@ -456,18 +534,53 @@ def test_label_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
     monkeypatch.setattr(entcf, "decode_h", counted("h", entcf.decode_h))
     b_values, h_values = set(), set()
     for theta in model.thetas:
-        model.grouped_sigma(theta)
-        for i, trap in enumerate(model.trapdoors[theta]):
-            for y, d in model.sigma_blocks(theta):
+        model.class_table(theta)
+        for i, (trap, coord) in enumerate(zip(model.trapdoors[theta], model.psi[theta])):
+            for y, _, state in coord:
                 if trap.family == entcf.FAMILY_G:
-                    b_values.add((theta, i, y[i]))
-                else:
-                    h_values.add((theta, i, y[i], d[i]))
+                    b_values.add((theta, i, y))
+                    continue
+                # the (y_i, d_i) outcomes with mass
+                for d, x_row in model.coord_m(theta, i, y).items():
+                    if np.linalg.norm(state @ x_row.conj()) > 1e-12:
+                        h_values.add((theta, i, y, d))
     assert 0 < calls["b"] <= len(b_values)
     assert 0 < calls["h"] <= len(h_values)
     calls.update(b=0, h=0)
     analysis.failure_report(model)
     assert calls == {"b": 0, "h": 0}
+
+
+def test_preimage_mass_computed_once_per_coordinate_value(monkeypatch):
+    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
+    calls = []
+    preimages = entcf.preimages
+
+    def counted(key, y):
+        calls.append((key, y))
+        return preimages(key, y)
+
+    monkeypatch.setattr(entcf, "preimages", counted)
+    report = analysis.analysis_report(model, np.random.default_rng(0))
+    assert report["failures"]["eps_P"] == pytest.approx(0.0, abs=1e-12)
+    distinct = sum(len(coord) for theta in model.thetas for coord in model.psi[theta])
+    assert 0 < len(calls) <= distinct
+
+
+def test_first_min_breaks_ties_by_order_not_round_off():
+    assert analysis._first_min([3e-13, 0.0, 2.0]) == 0
+    assert analysis._first_min([1.5e-12, 0.8e-12, 0.0]) == 1
+    assert analysis._first_min([2.0, 1.0 + 2e-12, 1.0, 1.0 + 5e-13]) == 2
+
+
+def test_certificate_v_min_is_the_smallest_tied_v():
+    # every v of an honest model is at a round-off distance, so v_min is 0^N
+    cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(7))
+    cert = analysis.dimension_certificate(model)
+    assert cert["v_distance"] <= 1e-12
+    assert cert["v_min"] == (0, 0, 0)
 
 
 def _oracle_models(honest):
