@@ -33,8 +33,8 @@ from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
 from .protocol import THETA_ALL_G, THETA_DIAMOND
 
-# largest full H_D = logical (x) x (x) env a model may have
-_DIM_BUDGET = 2**12
+# most entries one array of the analysis may have
+_ENTRY_BUDGET = 2**25
 ATOL = 1e-10
 
 
@@ -90,12 +90,16 @@ def _first_min(values) -> int:
     return int(np.flatnonzero(values <= values.min() + 1e-12)[0])
 
 
-def _check_size(logical: int, x_dim: int, env_dim: int) -> None:
-    """Refuse a model whose full H_D exceeds _DIM_BUDGET; builders call this
-    before they build anything."""
-    size = 2**logical * x_dim * env_dim
-    if size > _DIM_BUDGET:
-        raise ModelError(f"model dimension {size} exceeds budget {_DIM_BUDGET}")
+def _check_size(logical: int, w: int, env_dim: int) -> None:
+    """Refuse a model whose largest array exceeds _ENTRY_BUDGET entries;
+    builders call this before they build anything. The largest are the swap
+    isometry V, 2^L * dim^2 with dim = 2^L * env_dim (as is one question's
+    projector set), and one coordinate's outcome grid in _coord_classes,
+    2^(3w+1)."""
+    dim = 2**logical * env_dim
+    size = max(2**logical * dim**2, 2 ** (3 * w + 1))
+    if size > _ENTRY_BUDGET:
+        raise ModelError(f"model array of {size} entries exceeds budget {_ENTRY_BUDGET}")
 
 
 def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
@@ -161,7 +165,7 @@ class DeviceModel:
     coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register, for
     every d_i in range(2^w). Its preimage measurement is the computational
     basis on qubits and x registers.
-    An explicit model (m_proj given) has x_dim = 1 and keeps psi[theta]:
+    An explicit model (m_proj given) has no x registers and keeps psi[theta]:
     dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
     d-measurement is the y-independent m_proj[theta]: dict d -> projector,
     and its preimage measurement pi_proj: dict (b, x) -> projector.
@@ -177,7 +181,6 @@ class DeviceModel:
         n: int,
         w: int,
         logical: int,
-        x_dim: int,
         thetas: list,
         keys: dict,
         trapdoors: dict,
@@ -193,7 +196,6 @@ class DeviceModel:
         self.n = n
         self.w = w
         self.logical = logical
-        self.x_dim = x_dim
         self.env = np.ones(1, dtype=complex) if env is None else env
         self.env_dim = self.env.size
         self.dim = 2**logical * self.env_dim
@@ -431,8 +433,7 @@ def build_honest_model(
         raise ModelError("white-box analysis supports the ideal backend only")
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
-    x_dim = (2**w) ** logical
-    _check_size(logical, x_dim, 1)
+    _check_size(logical, w, 1)
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, psi = {}, {}, {}
     for theta in thetas:
@@ -460,7 +461,6 @@ def build_honest_model(
         n,
         w,
         logical,
-        x_dim,
         thetas,
         keys,
         trapdoors,
@@ -473,12 +473,12 @@ def build_honest_model(
 
 def check_bitflip(protocol_kind: str, n: int, w: int, p: float) -> None:
     """Refuse a flip probability outside [0, 1], or a bitflip model whose
-    dilated H_D (an environment qubit per logical qubit) exceeds the budget,
-    before the honest model it dilates is built."""
+    largest array (with an environment qubit per logical qubit) exceeds the
+    budget, before the honest model it dilates is built."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("flip probability must lie in [0, 1]")
     logical = protocol.n_coords(protocol_kind, n)
-    _check_size(logical, 2 ** (w * logical), 2**logical)
+    _check_size(logical, w, 2**logical)
 
 
 def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
@@ -506,7 +506,6 @@ def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
         honest.n,
         honest.w,
         logical,
-        honest.x_dim,
         honest.thetas,
         honest.keys,
         honest.trapdoors,
@@ -526,7 +525,6 @@ def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
         honest.n,
         honest.w,
         honest.logical,
-        honest.x_dim,
         honest.thetas,
         honest.keys,
         honest.trapdoors,
@@ -593,7 +591,6 @@ def build_random_model(
         n,
         w,
         logical,
-        1,
         thetas,
         keys,
         trapdoors,
@@ -651,7 +648,6 @@ def build_classical_model(
         n,
         w,
         logical,
-        1,
         thetas,
         keys,
         trapdoors,
@@ -980,10 +976,10 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
 # Rank proposition and the dimension certificate
 # ---------------------------------------------------------------------------
 
-def rank_bound_check(v: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int):
-    """epsilon = ||V rho V' - 1/2^n (x) alpha||_1 for the isometry V, the
-    numerical rank of rho, and whether rank >= (1 - epsilon) 2^n; also
-    verifies the Schmidt-overlap inequality |<a|b>|^2 <= R b^2 for
+def rank_bound_check(v: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int, eps: float):
+    """The numerical rank of rho, and whether rank >= (1 - eps) 2^n for
+    eps = ||V rho V' - 1/2^n (x) alpha||_1 and the isometry V; also verifies
+    the Schmidt-overlap inequality |<a|b>|^2 <= R b^2 for
     a = vec(V sqrt(rho) V') and b = vec(sqrt(1/2^n (x) alpha)), the vectors
     underlying the proof."""
     dim = rho.shape[0]
@@ -991,19 +987,14 @@ def rank_bound_check(v: np.ndarray, rho: np.ndarray, alpha: np.ndarray, n: int):
         raise ParameterError("isometry dimension mismatch")
     if np.linalg.norm(v.conj().T @ v - np.eye(dim)) > 1e-9 * dim:
         raise ParameterError("V is not an isometry")
-    diff = (v @ rho @ v.conj().T).reshape(2**n, dim, 2**n, dim)
-    diag = np.arange(2**n)
-    diff[diag, :, diag, :] -= alpha / 2**n
-    eps = qsim.trace_norm(diff.reshape(2**n * dim, -1))
     rank = qsim.numerical_rank(rho)
     ok = rank >= (1.0 - eps) * 2**n - 1e-9
     # <a|b> = Tr(V sqrt(rho) V' (1 (x) sqrt(alpha))) / 2^(n/2), on dim x dim blocks
-    v_rows = v.reshape(2**n, dim, dim)
-    pulled = np.einsum("kji,jl,klm->im", v_rows.conj(), qsim.sqrtm_psd(alpha), v_rows)
+    pulled = v.conj().T @ (qsim.sqrtm_psd(alpha) @ v.reshape(2**n, dim, dim)).reshape(-1, dim)
     overlap = abs(np.trace(qsim.sqrtm_psd(rho) @ pulled)) ** 2 / 2**n
     b_max = float(np.sqrt(max(np.linalg.eigvalsh(alpha).max(), 0.0) / 2**n))
     schmidt_ok = overlap <= rank * b_max**2 + 1e-9
-    return float(eps), int(rank), bool(ok and schmidt_ok)
+    return int(rank), bool(ok and schmidt_ok)
 
 
 def dimension_certificate(model: DeviceModel) -> dict:
@@ -1013,35 +1004,33 @@ def dimension_certificate(model: DeviceModel) -> dict:
     For a block b with measured branches m_u = P_u b and extracted ancilla
     vector a, V rho V' - 1/2^N (x) alpha is F diag(w) F' with the columns of
     F being the V m_u and the e_j (x) a, so its trace norm comes from
-    qsim.trace_norm_lowrank over all blocks at once.
+    qsim.trace_norm_lowrank over all blocks at once; epsilon is that of the
+    chosen block. Only the chosen v's arrays are kept.
     """
     if model.protocol != "dimtest":
         raise ModelError("the dimension certificate runs on a dimension-test model")
     n = model.n
-    L = model.logical
-    dim = model.dim
     v_iso = swap_isometry(model)
     table = model.class_table(THETA_ALL_G)
     mass = _mass(table.blocks)
     v_rows, start, count = np.unique(table.block_v, axis=0, return_index=True, return_counts=True)
     projs = np.array(list(model.p_proj[1].values()), dtype=complex)
     n_meas = len(projs)
-    candidates = []
+    candidates, dists = [], []
     for v_row, lo, hi in zip(v_rows, start, start + count):
         trace = float(np.sum(mass[lo:hi]))
         if trace <= 1e-12:
             continue
-        blocks, v = table.blocks[lo:hi], tuple(int(b) for b in v_row)
-        tau = tau_vector("dimtest", n, THETA_ALL_G, v)
-        measured = np.swapaxes(blocks @ projs.swapaxes(-1, -2), 0, 1)
-        alpha = np.einsum("l,kld->kd", tau.conj(), (blocks @ v_iso.T).reshape(-1, 2**L, dim))
-        factors = _certificate_factors(v_iso, measured, alpha, n)
+        v = tuple(int(b) for b in v_row)
+        _, _, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v)
         weights = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))]) / trace
-        dist = float(np.sum(qsim.trace_norm_lowrank(factors, weights)))
-        candidates.append((v, dist, trace, measured, alpha, factors))
+        candidates.append((v, lo, hi, trace))
+        dists.append(float(np.sum(qsim.trace_norm_lowrank(factors, weights))))
     if not candidates:
         raise ModelError("degenerate model: no Sigma-supported blocks")
-    v_min, v_dist, trace, measured, alpha, factors = candidates[_first_min([c[1] for c in candidates])]
+    best = _first_min(dists)
+    v_min, lo, hi, trace = candidates[best]
+    measured, alpha, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v_min)
     rho_mass = np.sum(np.abs(measured) ** 2, axis=(1, 2))
     alpha_mass = np.sum(np.abs(alpha) ** 2, axis=1)
     if alpha_mass.sum() / trace < 1e-12:
@@ -1057,27 +1046,35 @@ def dimension_certificate(model: DeviceModel) -> dict:
         ],
         axis=1,
     )
-    c = usable[_first_min(qsim.trace_norm_lowrank(factors[usable], weights))]
+    eps_all = qsim.trace_norm_lowrank(factors[usable], weights)
+    star = _first_min(eps_all)
+    c = usable[star]
     rho_star = measured[c].T @ measured[c].conj() / rho_mass[c]
     alpha_star = np.outer(alpha[c], alpha[c].conj()) / alpha_mass[c]
-    eps, rank, ok = rank_bound_check(v_iso, rho_star, alpha_star, n)
-    certified = max(0.0, (1.0 - eps) * 2**n)
+    eps = float(eps_all[star])
+    rank, ok = rank_bound_check(v_iso, rho_star, alpha_star, n, eps)
     return {
         "v_min": v_min,
-        "v_distance": float(v_dist),
-        "epsilon": float(eps),
+        "v_distance": dists[best],
+        "epsilon": eps,
         "rank": rank,
         "rank_ok": ok,
-        "certified_dimension": float(certified),
+        "certified_dimension": max(0.0, (1.0 - eps) * 2**n),
     }
 
 
-def _certificate_factors(v_iso: np.ndarray, measured: np.ndarray, alpha: np.ndarray, n: int):
-    """(blocks, 2^N * dim, n_meas + 2^N) columns V m_u, then e_j (x) a."""
-    blocks = measured.shape[0]
+def _certificate_arrays(model: DeviceModel, projs: np.ndarray, blocks: np.ndarray, v: tuple):
+    """(measured, alpha, factors) of v's Sigma rows: the (blocks, n_meas,
+    dim) branches P_u b, the extracted ancilla vectors, and the (blocks,
+    2^N * dim, n_meas + 2^N) columns V m_u, then e_j (x) a."""
+    n, dim = model.n, model.dim
+    v_iso = swap_isometry(model)
+    tau = tau_vector("dimtest", n, THETA_ALL_G, v)
+    measured = np.swapaxes(blocks @ projs.swapaxes(-1, -2), 0, 1)
+    alpha = np.einsum("l,kld->kd", tau.conj(), (blocks @ v_iso.T).reshape(-1, 2**model.logical, dim))
     lifted = measured @ v_iso.T
-    ancilla = np.einsum("jl,kd->kjld", np.eye(2**n), alpha).reshape(blocks, 2**n, -1)
-    return np.concatenate([lifted, ancilla], axis=1).swapaxes(1, 2)
+    ancilla = np.einsum("jl,kd->kjld", np.eye(2**n), alpha).reshape(len(blocks), 2**n, -1)
+    return measured, alpha, np.concatenate([lifted, ancilla], axis=1).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,16 @@ def test_honest_soundness_distances():
             assert total <= min(bound, 1e-8)
 
 
-@pytest.mark.parametrize("kind,n", [("selftest", 2), ("dimtest", 4)])
-def test_honest_reports_at_scale(kind, n, tmp_path, capsys):
-    # w=2 models with up to 2,101,248 (y, d) labels per report; their class
-    # tables have a few dozen rows, and psi is never built over x
+@pytest.mark.parametrize(
+    "kind,n,w",
+    [("selftest", 2, 2), ("dimtest", 4, 2), ("dimtest", 5, 2), ("selftest", 2, 3)],
+    ids=["selftest-2", "dimtest-4", "dimtest-5", "selftest-2-w3"],
+)
+def test_honest_reports_at_scale(kind, n, w, tmp_path, capsys):
+    # models with up to 2,101,248 (y, d) labels per report at w=2; their
+    # class tables have a few dozen rows, and psi is never built over x
     path = tmp_path / "report.json"
-    argv = ["analyze", "--protocol", kind, "--n", str(n), "--w", "2", "--seed", "7", "--report", str(path)]
+    argv = ["analyze", "--protocol", kind, "--n", str(n), "--w", str(w), "--seed", "7", "--report", str(path)]
     assert cli.main(argv) == 0
     capsys.readouterr()
     report = json.loads(path.read_text())
@@ -207,6 +211,11 @@ def test_gamma_failure_inequalities_hold_for_all_models():
 # Rank lower bound
 # ---------------------------------------------------------------------------
 
+def _dense_epsilon(v, rho, alpha, n):
+    """||V rho V' - 1/2^n (x) alpha||_1 from the dense operator."""
+    return qsim.trace_norm(v @ rho @ v.conj().T - np.kron(np.eye(2**n) / 2**n, alpha))
+
+
 def _swap_unitary(dim):
     u = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
@@ -221,7 +230,9 @@ def test_rank_bound_swap_example(n):
     rho = np.eye(dim) / dim
     alpha = np.zeros((dim, dim))
     alpha[0, 0] = 1.0
-    eps, rank, ok = analysis.rank_bound_check(_swap_unitary(dim)[:, :dim], rho, alpha, n)
+    v = _swap_unitary(dim)[:, :dim]
+    eps = _dense_epsilon(v, rho, alpha, n)
+    rank, ok = analysis.rank_bound_check(v, rho, alpha, n, eps)
     assert eps <= 1e-10
     assert rank == dim
     assert ok
@@ -240,7 +251,7 @@ def test_rank_bound_random_instances():
         zero[0, 0] = 1.0
         lhs = u @ np.kron(zero, rho) @ u.conj().T
         alpha = qsim.partial_trace(lhs, [("a", 2**n), ("b", d)], ["b"])
-        _, _, ok = analysis.rank_bound_check(u[:, :d], rho, alpha, n)
+        _, ok = analysis.rank_bound_check(u[:, :d], rho, alpha, n, _dense_epsilon(u[:, :d], rho, alpha, n))
         assert ok
 
 

@@ -155,7 +155,6 @@ def test_swap_isometry_rejects_nonprojective(honest):
         1,
         2,
         2,
-        1,
         [THETA_ALL_G],
         {THETA_ALL_G: honest.keys[THETA_ALL_G][:2]},
         {THETA_ALL_G: honest.trapdoors[THETA_ALL_G][:2]},
@@ -170,11 +169,13 @@ def test_swap_isometry_rejects_nonprojective(honest):
 
 def test_rank_bound_rejects_nonisometry():
     # right shape (2^n * dim, dim) but V'V != 1
+    v, half = np.ones((4, 2)), np.eye(2) / 2
+    eps = qsim.trace_norm(v @ half @ v.T - np.kron(np.eye(2) / 2, half))
     with pytest.raises(ParameterError):
-        analysis.rank_bound_check(np.ones((4, 2)), np.eye(2) / 2, np.eye(2) / 2, 1)
+        analysis.rank_bound_check(v, half, half, 1, eps)
     # an isometry of the wrong shape for n = 1, dim = 2
     with pytest.raises(ParameterError):
-        analysis.rank_bound_check(np.eye(8)[:, :2], np.eye(2) / 2, np.eye(2) / 2, 1)
+        analysis.rank_bound_check(np.eye(8)[:, :2], half, half, 1, eps)
 
 
 def test_dimension_certificate_requires_dimtest(honest):
@@ -194,15 +195,22 @@ def test_certificate_separates_honest_from_classical(honest_dim):
     assert cert_c["rank"] == 1
 
 
-def test_budget_guard():
-    cfg = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(3))
-    with pytest.raises(ModelError):
-        analysis.build_honest_model(cfg, "selftest", np.random.default_rng(0))
-    # an N=2 w=2 honest-shaped model sits at the budget (2^4 * 4^4); its bitflip
-    # dilation adds a 2^4 environment and is refused before anything is built
-    at_budget = analysis.DeviceModel("selftest", 2, 2, 4, 4**4, [], {}, {}, {}, {})
+def _never_called(*args, **kwargs):
+    raise AssertionError("a key was generated for a model over budget")
+
+
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(entcf, "gen_keypair", _never_called)
+    # dimtest N=1 w=9: one coordinate's outcome grid has 2^28 entries
+    cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(9))
     with pytest.raises(ModelError, match="exceeds budget"):
-        analysis.build_bitflip_model(at_budget, 0.1)
+        analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
+    # an N=3 w=2 honest-shaped model fits; its bitflip dilation adds a 2^6
+    # environment, so V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries, and it is
+    # refused before anything is built
+    fits = analysis.DeviceModel("selftest", 3, 2, 6, [], {}, {}, {}, {})
+    with pytest.raises(ModelError, match="exceeds budget"):
+        analysis.build_bitflip_model(fits, 0.1)
 
 
 def test_toylwe_models_unsupported():
@@ -614,7 +622,9 @@ def test_failure_report_matches_dense_reference(honest):
         assert got.eps == pytest.approx(got.eps_P / 2.0 + sum(eps_h.values()) / 8.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("kind,n,w,seed", [("honest", 1, 2, 0), ("honest", 1, 3, 1), ("classical", 2, 2, 3)])
+@pytest.mark.parametrize(
+    "kind,n,w,seed", [("honest", 1, 2, 0), ("honest", 1, 3, 1), ("classical", 2, 2, 3), ("honest", 2, 2, 2)]
+)
 def test_dimension_certificate_matches_dense_reference(kind, n, w, seed):
     cfg = DimTestConfig(N=n, entcf=entcf.EntcfParams.ideal(w))
     rng = np.random.default_rng(seed)
@@ -627,6 +637,16 @@ def test_dimension_certificate_matches_dense_reference(kind, n, w, seed):
     assert cert["v_distance"] == pytest.approx(v_distance, abs=1e-9)
     assert cert["epsilon"] == pytest.approx(eps, abs=1e-9)
 
+
+def test_dimension_certificate_builds_no_dense_operator(honest_dim, monkeypatch):
+    # epsilon comes from the low-rank factors, never from a (2^N dim)^2 operator
+    def dense(a):
+        raise AssertionError("qsim.trace_norm called")
+
+    monkeypatch.setattr(qsim, "trace_norm", dense)
+    cert = analysis.dimension_certificate(honest_dim)
+    assert cert["epsilon"] <= 1e-12
+    assert cert["rank"] == 2 and cert["rank_ok"]
 
 
 # ---------------------------------------------------------------------------

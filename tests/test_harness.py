@@ -384,22 +384,34 @@ def test_cli_analyze_dimtest_n3_certifies_dimension_8(capsys):
     assert cert["rank_ok"]
 
 
-def test_cli_analyze_over_budget_is_one_error_line(capsys):
-    # selftest bitflip at N=2 w=2: full H_D 2^4 * 4^4 * 2^4 exceeds the budget
-    assert cli.main(["analyze", "--n", "2", "--w", "2", "--model", "bitflip=0.1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "Traceback" not in captured.err
+def test_cli_analyze_bitflip_n2_is_all_ok(capsys):
+    # dim 16 * 16 = 256: V has 2^20 entries, inside the budget
+    assert cli.main(["analyze", "--n", "2", "--w", "2", "--model", "bitflip=0.1", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"]
 
 
 def _never_built(*args, **kwargs):
-    raise AssertionError("the honest model was built before the bitflip checks")
+    raise AssertionError("a model was built before its checks")
 
 
-# N=2 w=2 is over budget at any p; 1.5 is no probability, even where N=1 fits
-@pytest.mark.parametrize("n,p", [("2", "0.1"), ("1", "1.5")])
+def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(entcf, "gen_keypair", _never_built)
+    for argv in (
+        # selftest bitflip at N=3 w=2: V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries
+        ["--n", "3", "--w", "2", "--model", "bitflip=0.1"],
+        # dimtest honest at N=1 w=9: one coordinate's outcome grid has 2^28
+        ["--protocol", "dimtest", "--n", "1", "--w", "9", "--model", "honest"],
+    ):
+        assert cli.main(["analyze"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
+
+# N=3 w=2 is over budget at any p; 1.5 is no probability, even where N=1 fits
+@pytest.mark.parametrize("n,p", [("3", "0.1"), ("1", "1.5")])
 def test_cli_analyze_bitflip_refuses_before_building(capsys, monkeypatch, n, p):
     monkeypatch.setattr(analysis, "build_honest_model", _never_built)
     assert cli.main(["analyze", "--n", n, "--w", "2", "--model", f"bitflip={p}"]) == 1
