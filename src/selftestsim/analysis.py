@@ -73,6 +73,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _projectors(basis: np.ndarray, labels) -> dict:
+    """labels[j] -> the projector on column j of basis."""
+    return {label: np.outer(basis[:, j], basis[:, j].conj()) for j, label in enumerate(labels)}
+
+
 def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
     """<b|op|b> for each row b of blocks."""
     return np.einsum("bd,bd->b", blocks.conj(), blocks @ op.T).real
@@ -213,6 +218,15 @@ class DeviceModel:
         self._t_cache: dict = {}
         self._swap_cache: np.ndarray | None = None
 
+    def derived(self, p_proj: dict, env: np.ndarray, name: str) -> "DeviceModel":
+        """This device with other question projectors and environment; the
+        states and the other measurements are shared."""
+        return DeviceModel(
+            self.protocol, self.n, self.w, self.logical, self.thetas, self.keys, self.trapdoors,
+            self.psi, p_proj, coord_m=self.coord_m, m_proj=self.m_proj, pi_proj=self.pi_proj,
+            env=env, name=name,
+        )
+
     # -- observables ---------------------------------------------------------
     def _observable_from(self, q: int, i: int) -> np.ndarray:
         op = np.zeros((self.dim, self.dim), dtype=complex)
@@ -346,13 +360,6 @@ class DeviceModel:
 # Honest model construction
 # ---------------------------------------------------------------------------
 
-def _keypairs(protocol_kind: str, theta, n: int, params: entcf.EntcfParams, rng: np.random.Generator):
-    """(keys, trapdoors) of theta's coordinates, one key pair per family in
-    coordinate order."""
-    pairs = [entcf.gen_keypair(family, params, rng) for family in protocol.families(protocol_kind, theta, n)]
-    return tuple(key for key, _ in pairs), tuple(trap for _, trap in pairs)
-
-
 def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
     """(y, weight, state array (2, 2^w)) triples for one honest coordinate."""
     w = key.params.w
@@ -396,19 +403,11 @@ def _claw_basis(w: int, x0: int, x1: int) -> dict:
     delta = x0 ^ x1
     d_plus = next(d for d in range(1, 2**w) if entcf.parity(d & delta) == 0)
     d_minus = next(d for d in range(2**w) if entcf.parity(d & delta) == 1)
-    out = {}
-    plus = np.zeros(2**w, dtype=complex)
-    plus[x0] = plus[x1] = 1.0 / np.sqrt(2.0)
-    minus = np.zeros(2**w, dtype=complex)
-    minus[x0], minus[x1] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-    out[d_plus] = plus
-    out[d_minus] = minus
+    eye = np.eye(2**w, dtype=complex)
+    out = {d_plus: (eye[x0] + eye[x1]) / np.sqrt(2.0), d_minus: (eye[x0] - eye[x1]) / np.sqrt(2.0)}
     rest_d = [d for d in range(2**w) if d not in (d_plus, d_minus)]
     rest_x = [x for x in range(2**w) if x not in (x0, x1)]
-    for d, x in zip(rest_d, rest_x):
-        e = np.zeros(2**w, dtype=complex)
-        e[x] = 1.0
-        out[d] = e
+    out.update(zip(rest_d, eye[rest_x]))
     return out
 
 
@@ -437,7 +436,7 @@ def build_honest_model(
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, psi = {}, {}, {}
     for theta in thetas:
-        keys[theta], trapdoors[theta] = _keypairs(protocol_kind, theta, n, params, rng)
+        keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
         psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
 
     hadamard = _hadamard_outcomes(w)
@@ -500,40 +499,13 @@ def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
             for k, e in enumerate(e_tuples):
                 mat[:, k, :, k] = projs[tuple(ui ^ ei for ui, ei in zip(u, e))]
             p_proj[q][u] = mat.reshape(honest.dim * env_dim, -1)
-
-    return DeviceModel(
-        honest.protocol,
-        honest.n,
-        honest.w,
-        logical,
-        honest.thetas,
-        honest.keys,
-        honest.trapdoors,
-        honest.psi,
-        p_proj,
-        coord_m=honest.coord_m,
-        env=env,
-        name=f"bitflip({p})",
-    )
+    return honest.derived(p_proj, env, f"bitflip({p})")
 
 
 def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
     p_proj = dict(honest.p_proj)
     p_proj[0], p_proj[1] = honest.p_proj[1], honest.p_proj[0]
-    return DeviceModel(
-        honest.protocol,
-        honest.n,
-        honest.w,
-        honest.logical,
-        honest.thetas,
-        honest.keys,
-        honest.trapdoors,
-        honest.psi,
-        p_proj,
-        coord_m=honest.coord_m,
-        env=honest.env,
-        name="wrongbasis",
-    )
+    return honest.derived(p_proj, honest.env, "wrongbasis")
 
 
 def build_random_model(
@@ -550,7 +522,7 @@ def build_random_model(
     thetas = protocol.thetas("selftest", n)
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     for theta in thetas:
-        keys[theta], trapdoors[theta] = _keypairs("selftest", theta, n, params, rng)
+        keys[theta], trapdoors[theta] = protocol.keypairs("selftest", theta, n, params, rng)
         y_lists = [sorted(entcf.image_iter(k)) for k in keys[theta]]
         chosen = set()
         while len(chosen) < n_states:
@@ -565,27 +537,15 @@ def build_random_model(
         d_labels = set()
         while len(d_labels) < dim:
             d_labels.add(tuple(int(rng.integers(2**w)) for _ in range(logical)))
-        m_proj[theta] = {
-            d: np.outer(basis[:, j], basis[:, j].conj())
-            for j, d in enumerate(sorted(d_labels))
-        }
-    p_proj = {}
-    for q in range(4):
-        basis = haar_unitary(dim, rng)
-        p_proj[q] = {
-            u: np.outer(basis[:, j], basis[:, j].conj())
-            for j, u in enumerate(all_bit_tuples(logical))
-        }
+        m_proj[theta] = _projectors(basis, sorted(d_labels))
+    p_proj = {q: _projectors(haar_unitary(dim, rng), all_bit_tuples(logical)) for q in range(4)}
     basis = haar_unitary(dim, rng)
     labels = set()
     while len(labels) < dim:
         b = tuple(int(rng.integers(2)) for _ in range(logical))
         x = tuple(int(rng.integers(2**w)) for _ in range(logical))
         labels.add((b, x))
-    pi_proj = {
-        lab: np.outer(basis[:, j], basis[:, j].conj())
-        for j, lab in enumerate(sorted(labels))
-    }
+    pi_proj = _projectors(basis, sorted(labels))
     return DeviceModel(
         "selftest",
         n,
@@ -618,31 +578,20 @@ def build_classical_model(
     keys, trapdoors, psi, m_proj = {}, {}, {}, {}
     basis = np.eye(dim, dtype=complex)
     for theta in thetas:
-        ks, ts = _keypairs("dimtest", theta, n, params, rng)
+        ks, ts = protocol.keypairs("dimtest", theta, n, params, rng)
         keys[theta], trapdoors[theta] = ks, ts
         y, d, v = [], [], []
-        for i, trap in enumerate(ts):
-            if trap.family == entcf.FAMILY_G:
-                bit = int(rng.integers(2))
-                x = int(rng.integers(2**w))
-                y.append(entcf.forward_sample(ks[i], bit, x, rng))
-                d.append(int(rng.integers(1, 2**w)))
-                v.append(bit)
-            else:
-                x = int(rng.integers(2**w))
-                y.append(entcf.forward_sample(ks[i], 0, x, rng))
-                d.append(int(rng.integers(1, 2**w)))
-                v.append(entcf.decode_h(trap, y[-1], d[-1]))
+        for key, trap in zip(ks, ts):
+            # an injective coordinate answers its own b, a claw one its h-hat
+            injective = trap.family == entcf.FAMILY_G
+            bit = int(rng.integers(2)) if injective else 0
+            y.append(entcf.forward_sample(key, bit, int(rng.integers(2**w)), rng))
+            d.append(int(rng.integers(1, 2**w)))
+            v.append(bit if injective else entcf.decode_h(trap, y[-1], d[-1]))
         j = bits_to_int(v)
         psi[theta] = {tuple(y): basis[:, j].copy()}
         m_proj[theta] = {tuple(d): np.eye(dim, dtype=complex)}
-    p_proj = {
-        q: {
-            u: np.outer(basis[:, j], basis[:, j].conj())
-            for j, u in enumerate(all_bit_tuples(logical))
-        }
-        for q in (0, 1)
-    }
+    p_proj = {q: _projectors(basis, all_bit_tuples(logical)) for q in (0, 1)}
     return DeviceModel(
         "dimtest",
         n,
@@ -759,7 +708,8 @@ def failure_report(model: DeviceModel) -> FailureReport:
 
     Rows with the same decoded bits get the same verdict, so each verdict
     is taken once per distinct decoding of the class table and applied to
-    that decoding's summed mass.
+    that decoding's summed mass; a decoding whose mass is exactly 0.0 adds
+    nothing whatever its verdict, and is skipped.
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
@@ -771,7 +721,8 @@ def failure_report(model: DeviceModel) -> FailureReport:
             for u, proj in model.p_proj[q].items():
                 weights = _quad(table.rows, proj)
                 mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
-                for k, (bhat, hhat) in enumerate(table.decodings):
+                for k in np.flatnonzero(mass):
+                    bhat, hhat = table.decodings[k]
                     verdict = protocol.hadamard_verdict(
                         model.protocol, model.n, theta, q, u, list(bhat), list(hhat)
                     )

@@ -8,6 +8,7 @@ failure, 2 usage error. SELFTEST_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,10 @@ def _add_run_flags(sub):
     sub.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    and gives each call a fresh namespace of its command's defaults."""
     parser = argparse.ArgumentParser(prog="selftestsim")
     subs = parser.add_subparsers(dest="command", required=True)
 

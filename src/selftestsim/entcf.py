@@ -17,6 +17,7 @@ Conventions: preimages x and Hadamard strings d are ints holding w bits
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -109,9 +110,8 @@ class PublicKey:
         kind = raw[1]
         if kind == 0:
             _, _, w, size = struct.unpack(">BBBI", raw[:7])
-            params = EntcfParams(backend="ideal", w=w, image_space_size=size)
-            table = np.frombuffer(raw[7:], dtype=">u4").astype(np.int64)
-            return cls(params=params, table=table.reshape(2, 2**w))
+            table = np.frombuffer(raw, dtype=">u4", offset=7).astype(np.int64)
+            return cls(params=_ideal_params(w, size), table=table.reshape(2, 2**w))
         if kind == 1:
             _, _, w, n, m, q, B = struct.unpack(">BBBHHIH", raw[:13])
             params = EntcfParams(backend="toylwe", w=w, n=n, m=m, q=q, B=B)
@@ -120,6 +120,14 @@ class PublicKey:
                 raise ProtocolError("toylwe key needs m*n entries of A and m of u")
             return cls(params=params, A=flat[: m * n].reshape(m, n), u=flat[m * n :])
         raise ProtocolError("bad key backend byte")
+
+
+@functools.lru_cache(maxsize=64)
+def _ideal_params(w: int, size: int) -> EntcfParams:
+    """The ideal parameters a key header names, validated once per header;
+    a header that fails validation raises each time (lru_cache keeps no
+    exception)."""
+    return EntcfParams(backend="ideal", w=w, image_space_size=size)
 
 
 @dataclass(frozen=True)
@@ -185,17 +193,16 @@ def gen_keypair(family: str, params: EntcfParams, rng: np.random.Generator) -> t
 
 
 def _gen_ideal(family, params, rng):
+    # each table is a fresh int64 array taken from one permutation: F's rows
+    # are f0 = its first 2^w entries and f1(x) = f0(x ^ s), G's its first 2^(w+1)
+    perm = rng.permutation(params.image_space_size)
     size_x = 2**params.w
     if family == FAMILY_F:
-        f0 = rng.permutation(params.image_space_size)[:size_x]
         s = 1 + int(rng.integers(size_x - 1))
-        f1 = f0[np.arange(size_x) ^ s]
-        table = np.stack([f0, f1]).astype(np.int64)
-        key = PublicKey(params=params, table=table)
+        x = np.arange(size_x)
+        key = PublicKey(params=params, table=perm[np.array([x, x ^ s])])
         return key, Trapdoor(family=FAMILY_F, key=key, s=s)
-    both = rng.permutation(params.image_space_size)[: 2 * size_x]
-    table = both.reshape(2, size_x).astype(np.int64)
-    key = PublicKey(params=params, table=table)
+    key = PublicKey(params=params, table=perm[: 2 * size_x].reshape(2, size_x).copy())
     return key, Trapdoor(family=FAMILY_G, key=key)
 
 
@@ -322,8 +329,8 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
     if b is None:
         return None
     if trapdoor.params.backend == "ideal":
-        matches = np.flatnonzero(trapdoor.key.table[b] == y)
-        return int(matches[0]) if len(matches) else None
+        row = trapdoor.key.table[b].tolist()
+        return row.index(y) if y in row else None
     if trapdoor.family == FAMILY_F and b == 1:
         # f1(J(z)) = f0(J(z+s)): invert side 0 and shift by the secret
         x0 = _lwe_search(trapdoor, 0, y)
@@ -368,7 +375,7 @@ def preimages(key: PublicKey, y) -> list[tuple[int, int]]:
     if 2**params.w > _DECODE_CAP:
         raise DomainError("exhaustive preimage scan capped at |X| <= 2^16")
     if params.backend == "ideal":
-        bs, xs = np.nonzero(key.table == y)  # row-major: b first, then x
+        bs, xs = (key.table == y).nonzero()  # row-major: b first, then x
         return list(zip(bs.tolist(), xs.tolist()))
     return [
         (b, x)

@@ -15,11 +15,13 @@ whatever the transport or the order sessions are run or audited in.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import operator
+import pathlib
 import queue
 import socket
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +41,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass
-class SessionResult:
-    index: int
-    theta: object
-    theta_cls: str
-    round_type: str | None
-    q: int | None
-    accept: int
-    reason: str
-    transcript: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +130,9 @@ def run_one_session(
     session_rng: np.random.Generator,
     link: _TcpLink | None = None,
     timeout: float = TIMEOUT_S,
-) -> SessionResult:
-    """One session over the run's TCP link, or in process when link is None."""
+) -> dict:
+    """One session over the run's TCP link, or in process when link is None;
+    returns its transcript."""
     session_id = transport.session_id_from_rng(session_rng)
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
@@ -156,7 +147,7 @@ def run_one_session(
 
     def record(direction: str, msg, payload: dict) -> None:
         messages.append(
-            {"t": len(messages), "dir": direction, "type": type(msg).__name__, "payload": payload}
+            {"dir": direction, "payload": payload, "t": len(messages), "type": type(msg).__name__}
         )
 
     try:
@@ -173,68 +164,59 @@ def run_one_session(
     except TransportError:
         verdict = protocol.Verdict(accept=0, reason="transport")
 
-    cls = protocol.theta_class(protocol_kind, verifier.theta, config.N)
-    transcript = {
-        "session": session_id.hex(),
+    # keys in sorted order at every level, as _TRANSCRIPT_LINE writes them
+    return {
+        "accept": verdict.accept,
+        "bhat": list(verifier.bhat),
+        "hhat": list(verifier.hhat),
         "index": index,
+        "messages": messages,
         "protocol": protocol_kind,
         "prover": prover_spec,
-        "theta": str(verifier.theta),
-        "theta_class": cls,
-        "round_type": verifier.round_type,
         "q": verifier.q,
-        "bhat": [b for b in verifier.bhat],
-        "hhat": [h for h in verifier.hhat],
-        "accept": verdict.accept,
         "reason": verdict.reason,
-        "messages": messages,
+        "round_type": verifier.round_type,
+        "session": session_id.hex(),
+        "theta": str(verifier.theta),
+        "theta_class": protocol.theta_class(protocol_kind, verifier.theta, config.N),
     }
-    return SessionResult(
-        index=index,
-        theta=verifier.theta,
-        theta_cls=cls,
-        round_type=verifier.round_type,
-        q=verifier.q,
-        accept=verdict.accept,
-        reason=verdict.reason,
-        transcript=transcript,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
 
-def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> dict:
-    total = len(results)
+def session_stats(transcripts: list[dict], protocol_kind: str, n: int) -> dict:
+    """Acceptance statistics of a batch, from its transcripts."""
+    total = len(transcripts)
     cells: dict = {}
-    for r in results:
-        key = (r.theta_cls, r.round_type or "aborted", "-" if r.q is None else str(r.q))
+    for t in transcripts:
+        key = (t["theta_class"], t["round_type"] or "aborted", "-" if t["q"] is None else str(t["q"]))
         cell = cells.setdefault(key, {"sessions": 0, "accepts": 0})
         cell["sessions"] += 1
-        cell["accepts"] += r.accept
+        cell["accepts"] += t["accept"]
 
     def rate(pred) -> tuple[int, int]:
-        sel = [r for r in results if pred(r)]
-        return sum(1 - r.accept for r in sel), len(sel)
+        sel = [t for t in transcripts if pred(t)]
+        return sum(1 - t["accept"] for t in sel), len(sel)
 
-    pre_rej, pre_n = rate(lambda r: r.round_type == protocol.PREIMAGE)
+    pre_rej, pre_n = rate(lambda t: t["round_type"] == protocol.PREIMAGE)
     eps_p = pre_rej / pre_n if pre_n else 0.0
     questions = protocol.questions(protocol_kind)
     eps_h = {}
     eps_h_ci = {}
     for q in questions:
-        rej, nq = rate(lambda r, q=q: r.round_type == protocol.HADAMARD and r.q == q)
+        rej, nq = rate(lambda t, q=q: t["round_type"] == protocol.HADAMARD and t["q"] == q)
         eps_h[q] = rej / nq if nq else 0.0
         lo, hi = wilson_interval(rej, nq)
         eps_h_ci[q] = [lo, hi]
     eps = protocol.eps(eps_p, eps_h)
-    accepts = sum(r.accept for r in results)
+    accepts = sum(t["accept"] for t in transcripts)
     acc_lo, acc_hi = wilson_interval(accepts, total)
     ep_lo, ep_hi = wilson_interval(pre_rej, pre_n)
     reasons: dict = {}
-    for r in results:
-        reasons[r.reason] = reasons.get(r.reason, 0) + 1
+    for t in transcripts:
+        reasons[t["reason"]] = reasons.get(t["reason"], 0) + 1
     stats = {
         "version": 1,
         "protocol": protocol_kind,
@@ -270,17 +252,91 @@ def session_stats(results: list[SessionResult], protocol_kind: str, n: int) -> d
 # Runs
 # ---------------------------------------------------------------------------
 
+# numpy's SeedSequence hash constants (fixed by NEP 19)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_BLOCK = 256  # sessions whose seeds are hashed together
+
+
+@functools.lru_cache(maxsize=1)
+def _block_words(seed: int, block: int) -> np.ndarray:
+    """The four uint64 words SeedSequence(seed, spawn_key=(i, j)) gives PCG64,
+    for the _BLOCK sessions i of a block and j < 3: shape (_BLOCK, 3, 4).
+    SeedSequence's entropy mixing and state generation, run on whole columns."""
+    seed = operator.index(seed)
+    if seed < 0 or not 0 <= block < 2**32 // _BLOCK:
+        raise ParameterError("the seed must be >= 0 and session indices in [0, 2^32)")
+    index = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # short entropy is padded to the pool size before the spawn key (i, j); the
+    # seed's words are the same for every key, so they mix as Python ints
+    entropy = words + [0] * (4 - len(words))
+    entropy += [np.repeat(index, 3), np.tile(np.arange(3, dtype=np.uint64), _BLOCK)]
+    mult = _INIT_A
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ mult
+        mult = (mult * _MULT_A) & _MASK32
+        value = (value * mult) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    mult, state = _INIT_B, np.zeros((3 * _BLOCK, 4), dtype=np.uint64)
+    for k in range(8):
+        value = pool[k % 4] ^ mult
+        mult = (mult * _MULT_B) & _MASK32
+        value = (value * mult) & _MASK32
+        state[:, k // 2] |= (value ^ (value >> 16)) << (32 * (k % 2))
+    state = state.reshape(_BLOCK, 3, 4)
+    first = np.random.SeedSequence(seed, spawn_key=(block * _BLOCK, 0))
+    if not np.array_equal(state[0, 0], first.generate_state(4, np.uint64)):
+        raise RuntimeError("numpy's SeedSequence no longer hashes as session_stream does")
+    state.flags.writeable = False
+    return state
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 words computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def session_stream(seed: int, index: int, stream: int) -> np.random.Generator:
-    """Stream `stream` of session `index`: the generator of
-    SeedSequence(seed).spawn(...)[index].spawn(3)[stream], built directly from
-    its spawn key."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stream)))
+    """Stream `stream` (< 3) of session `index`: the generator of
+    SeedSequence(seed).spawn(...)[index].spawn(3)[stream], seeded with the
+    words its spawn key hashes to. The words of a block of sessions are
+    hashed at once, so a run or an audit pays for the hash a block at a time."""
+    words = _block_words(seed, index // _BLOCK)[index % _BLOCK, stream]
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def session_streams(seed: int, sessions: int):
     """Deterministic (verifier, prover, session-id) RNG triples per session."""
     for index in range(sessions):
         yield tuple(session_stream(seed, index, stream) for stream in range(3))
+
+
+# One transcript per line as canonical JSON. It need not sort: the records
+# run_one_session builds, and payloads built by Codec.to_payload or parsed
+# from a Codec.encode_frame frame, have their keys in sorted order.
+_TRANSCRIPT_LINE = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def run_sessions(
@@ -310,28 +366,15 @@ def run_sessions(
         link = contextlib.nullcontext()
     else:
         link = contextlib.closing(_TcpLink(transport.Codec(config.entcf), tcp_port, TIMEOUT_S))
-    results = []
     with link as tcp_link:
-        for index, (v_rng, p_rng, s_rng) in enumerate(session_streams(seed, sessions)):
-            results.append(
-                run_one_session(
-                    index,
-                    protocol_kind,
-                    config,
-                    prover_spec,
-                    v_rng,
-                    p_rng,
-                    s_rng,
-                    link=tcp_link,
-                )
-            )
-    stats = session_stats(results, protocol_kind, config.N)
+        transcripts = [
+            run_one_session(index, protocol_kind, config, prover_spec, *streams, link=tcp_link)
+            for index, streams in enumerate(session_streams(seed, sessions))
+        ]
+    stats = session_stats(transcripts, protocol_kind, config.N)
     stats["seed"] = seed
     stats["prover"] = prover_spec
-    transcripts = [r.transcript for r in results]
     if out_dir is not None:
-        import pathlib
-
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "stats.json").write_bytes(
@@ -339,8 +382,7 @@ def run_sessions(
         )
         with open(out / "transcripts.jsonl", "wb") as fh:
             for t in transcripts:
-                fh.write(json.dumps(t, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-                fh.write(b"\n")
+                fh.write(_TRANSCRIPT_LINE.encode(t).encode("utf-8") + b"\n")
     return stats, transcripts
 
 

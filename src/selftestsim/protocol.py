@@ -89,25 +89,21 @@ MESSAGE_TYPES = (Keys, Images, RoundType, PreimageAnswer, HadamardD, Question, F
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SelfTestConfig:
+class _Config:
+    N: int
+    entcf: entcf.EntcfParams
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ProtocolError("N must be >= 1")
+
+
+class SelfTestConfig(_Config):
     """N pairs are tested (2N coordinates)."""
 
-    N: int
-    entcf: entcf.EntcfParams
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ProtocolError("N must be >= 1")
-
-
-@dataclass(frozen=True)
-class DimTestConfig:
-    N: int
-    entcf: entcf.EntcfParams
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ProtocolError("N must be >= 1")
+class DimTestConfig(_Config):
+    """N coordinates are tested."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +139,13 @@ def families(kind: str, theta, n: int) -> list[str]:
     if theta == THETA_DIAMOND:
         return [entcf.FAMILY_F] * n_coords(kind, n)
     return [entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(n_coords(kind, n))]
+
+
+def keypairs(kind: str, theta, n: int, params: entcf.EntcfParams, rng: np.random.Generator):
+    """(keys, trapdoors) of theta's coordinates: one entcf.gen_keypair per
+    coordinate, in coordinate order."""
+    keys, trapdoors = zip(*(entcf.gen_keypair(family, params, rng) for family in families(kind, theta, n)))
+    return keys, trapdoors
 
 
 def questions(kind: str) -> tuple:
@@ -324,12 +327,7 @@ class _VerifierBase:
         self.rng = rng
         choices = thetas(kind, config.N)
         self.theta = choices[int(rng.integers(len(choices)))]
-        self.keys = []
-        self.trapdoors = []
-        for family in families(kind, self.theta, config.N):
-            key, trap = entcf.gen_keypair(family, self.params, rng)
-            self.keys.append(key)
-            self.trapdoors.append(trap)
+        self.keys, self.trapdoors = keypairs(kind, self.theta, config.N, self.params, rng)
         self.phase = "send_keys"
         self.round_type = None
         self.y = None
@@ -350,7 +348,7 @@ class _VerifierBase:
             if incoming is not None:
                 raise ProtocolError("no message expected before keys are sent")
             self.phase = "await_images"
-            return Keys(keys=tuple(self.keys))
+            return Keys(keys=self.keys)
         if self.phase == "done":
             raise ProtocolError("verifier already finished (phase=done)")
         reason = self._malformed(incoming)

@@ -11,7 +11,7 @@ Born-measures every step up to the final one; it is the cross-validation
 oracle for the collapsed fast path and is budget-limited.
 
 Cheat provers: ClassicalGuess holds no qubits and guesses unknown equation
-bits; BitFlip(p) wraps the honest prover and flips answer bits; WrongBasis
+bits; BitFlip(p) is the honest prover with flipped answer bits; WrongBasis
 swaps the q=0 and q=1 measurement bases.
 """
 from __future__ import annotations
@@ -290,29 +290,19 @@ class WrongBasisProver(HonestProver):
         return super().on_question({0: 1, 1: 0}.get(q, q))
 
 
-class BitFlipProver(DeviceInterface):
-    """Wraps an honest prover; each answer bit v_i is flipped independently
-    with probability p. The flip draws happen after every honest draw, so
-    p = 0 is transcript-identical to the honest prover under the same seed."""
+class BitFlipProver(HonestProver):
+    """The honest prover, with each answer bit v_i flipped independently with
+    probability p. The flip draws happen after every honest draw, so p = 0 is
+    transcript-identical to the honest prover under the same seed."""
 
     def __init__(self, kind: str, rng: np.random.Generator, p: float, mode: str = COLLAPSED):
         if not 0.0 <= p <= 1.0:
             raise ParameterError("flip probability must lie in [0, 1]")
-        super().__init__(kind, rng)
+        super().__init__(kind, rng, mode=mode)
         self.p = p
-        self.inner = HonestProver(kind, rng, mode=mode)
-
-    def on_keys(self, keys):
-        return self.inner.on_keys(keys)
-
-    def on_preimage(self):
-        return self.inner.on_preimage()
-
-    def on_hadamard(self):
-        return self.inner.on_hadamard()
 
     def on_question(self, q: int):
-        v = self.inner.on_question(q)
+        v = super().on_question(q)
         flips = self.rng.random(len(v)) < self.p
         return [int(bit) ^ int(flip) for bit, flip in zip(v, flips)]
 

@@ -622,6 +622,26 @@ def test_failure_report_matches_dense_reference(honest):
         assert got.eps == pytest.approx(got.eps_P / 2.0 + sum(eps_h.values()) / 8.0, abs=1e-9)
 
 
+def test_failure_report_skips_decodings_without_mass(monkeypatch):
+    """dimtest honest N=4 w=2, seed 7: the report is bit for bit the one the
+    full verdict loop gave (recorded before the skip), from 912 verdicts
+    instead of 2,560; only the decodings that carry mass are judged."""
+    cfg = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(7))
+    calls = []
+    verdict = protocol.hadamard_verdict
+
+    def counted(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(protocol, "hadamard_verdict", counted)
+    report = analysis.failure_report(model)
+    assert (report.eps_P, report.eps_H, report.eps) == (
+        0.0, {0: 2.220446049250313e-16, 1: 2.220446049250313e-16}, 1.1102230246251565e-16
+    )
+    assert len(calls) == 912
+
 @pytest.mark.parametrize(
     "kind,n,w,seed", [("honest", 1, 2, 0), ("honest", 1, 3, 1), ("classical", 2, 2, 3), ("honest", 2, 2, 2)]
 )

@@ -8,8 +8,12 @@ function breaks every traced benchmark run while the rest of the suite passes.
 benchmark run.
 """
 import ast
+import contextlib
 import importlib.util
+import io
+import json
 import types
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,3 +52,36 @@ def test_every_worker_package_name_exists(monkeypatch):
     }
     missing = [f"{name}.{attr}" for name, attr in sorted(package) if not hasattr(getattr(worker, name), attr)]
     assert {m for m, _ in package} >= {"cli", "harness", "entcf"} and not missing, missing
+
+
+def test_session_path_calls_the_traced_names(monkeypatch, tmp_path):
+    """A fast path that skipped these module attributes would read as zero in
+    `entcf.keygen_us`, `harness.streams_us` or `transport.decode_us`."""
+    from selftestsim import cli, entcf, harness, transport
+
+    calls = Counter()
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in (
+        (entcf, "gen_keypair"),
+        (harness, "session_streams"),
+        (transport.Codec, "to_payload"),
+        (transport.Codec, "from_payload"),
+    ):
+        counted(owner, attr)
+    argv = ["selftest", "run", "--n", "2", "--w", "4", "--sessions", "5", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls["gen_keypair"] == 4 * 5
+    assert calls["session_streams"] == 1
+    # each message is encoded once and rebuilt once on the other side
+    messages = sum(len(json.loads(line)["messages"]) for line in (tmp_path / "transcripts.jsonl").open())
+    assert calls["to_payload"] == calls["from_payload"] == messages

@@ -1,4 +1,8 @@
 """Function-family unit tests: key generation, supports, decoding, codec."""
+import itertools
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +214,44 @@ def test_toylwe_key_codec(lwe_pair):
     (key, _), _ = lwe_pair
     back = entcf.PublicKey.from_bytes(key.to_bytes())
     assert np.array_equal(back.A, key.A) and np.array_equal(back.u, key.u)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_ideal_tables_are_fresh_int64_arrays(w):
+    rng = np.random.default_rng(w)
+    params = entcf.EntcfParams.ideal(w)
+    tables = [entcf.gen_keypair(fam, params, rng)[0].table for fam in ("F", "G", "F", "G")]
+    for table in tables:
+        assert table.dtype == np.int64 and table.shape == (2, 2**w)
+        assert table.flags.owndata and table.flags.c_contiguous and table.flags.writeable
+    for a, b in itertools.combinations(tables, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_ideal_keygen_draws_are_unchanged():
+    """f0 is the first 2^w entries of one permutation draw and f1(x) = f0(x ^ s)
+    for the next draw s; G's rows are the first 2^(w+1) entries of one draw."""
+    params = entcf.EntcfParams.ideal(3)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    f_key, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
+    g_key, _ = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
+    f0 = ref.permutation(params.image_space_size)[:8]
+    s = 1 + int(ref.integers(7))
+    assert f_trap.s == s
+    assert f_key.table.tolist() == [f0.tolist(), f0[np.arange(8) ^ s].tolist()]
+    assert g_key.table.tolist() == ref.permutation(params.image_space_size)[:16].reshape(2, 8).tolist()
+
+
+@pytest.mark.parametrize(
+    "w,size,message",
+    [(0, 34, "w must be >= 1"), (2, 3, "image_space_size must be >= 2^(w+1)")],
+)
+def test_bad_key_header_raises_on_every_call(w, size, message):
+    """The parameters of a key header are cached; a header that fails
+    validation is not, so it raises the same error each time."""
+    raw = struct.pack(">BBBI", 1, 0, w, size) + bytes(8 * 2**w)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            entcf.PublicKey.from_bytes(raw)
+    good = entcf.PublicKey.from_bytes(struct.pack(">BBBI", 1, 0, 2, 10) + bytes(32))
+    assert good.params == entcf.EntcfParams.ideal(2)

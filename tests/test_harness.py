@@ -165,6 +165,31 @@ def test_session_stream_matches_the_spawn_tree():
     assert streams[7][2].bit_generator.state == harness.session_stream(9, 7, 2).bit_generator.state
 
 
+def test_session_id_is_the_streams_first_sixteen_bytes():
+    for seed, index in itertools.product((0, 3, 2**40 + 1), range(0, 1000, 3)):
+        expect = harness.session_stream(seed, index, 2).bytes(16)
+        assert transport.session_id_from_rng(harness.session_stream(seed, index, 2)) == expect
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+def test_session_streams_match_seed_sequence(seed):
+    """The block hash agrees with numpy's SeedSequence for seeds of one to
+    five 32-bit words, across a block boundary and at the last index."""
+    streams = list(harness.session_streams(seed, 260))
+    for index in (0, 1, 254, 255, 256, 259):
+        for j in range(3):
+            expect = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, j)))
+            assert streams[index][j].bit_generator.state == expect.bit_generator.state
+    last = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32 - 1, 1)))
+    assert harness.session_stream(seed, 2**32 - 1, 1).bit_generator.state == last.bit_generator.state
+
+
+@pytest.mark.parametrize("seed,index", [(-1, 0), (1, -1), (1, 2**32)])
+def test_session_stream_out_of_range_is_a_parameter_error(seed, index):
+    with pytest.raises(ParameterError):
+        harness.session_stream(seed, index, 0)
+
+
 def test_tcp_matches_inproc():
     for protocol_kind, prover_spec, config in (
         ("selftest", "honest", CFG),
@@ -338,6 +363,25 @@ def test_cli_analyze_honest(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["gammas"]["gamma_P"] <= 1e-12
     assert report["all_ok"]
+
+
+def test_cli_parser_is_built_once_and_keeps_each_commands_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_analyze_command", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_run_command", lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(["analyze", "--n", "3", "--seed", "5"]) == 0
+    assert cli.main(["selftest", "run", "--sessions", "7"]) == 0
+    assert cli.main(["analyze"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert seen[0] == {
+        "command": "analyze", "n": 3, "w": 2, "model": "honest",
+        "protocol": "selftest", "seed": 5, "report": None,
+    }
+    assert seen[1] == {
+        "command": "selftest", "action": "run", "n": 2, "w": 4, "backend": "ideal",
+        "prover": "honest", "sessions": 7, "seed": 0, "transport": "inproc", "out": None,
+    }
+    assert seen[2] == dict(seen[0], n=1, seed=0)
 
 
 def test_cli_analyze_rejects_w1(capsys):
