@@ -19,6 +19,12 @@ block. Classical labels are (y, d) tuples; every state block is a pure
 Every report is a sum over labels of a quantity of degree 2 in the block,
 so labels whose blocks are parallel and share a decoding are summed as one
 row: a decoding class. theta uses the protocol module's encoding.
+
+Every question, explicit d and preimage measurement is a Measurement: an
+orthonormal basis whose columns carry outcome labels. The failure, gamma,
+zeta and chi reports all read one array of outcome masses <row|P_u|row> per
+(theta, question): a gamma term is the Sigma mass whose answer bits agree
+with v, a zeta or chi term four times the Sigma mass on which they disagree.
 """
 from __future__ import annotations
 
@@ -53,34 +59,17 @@ def all_bit_tuples(n: int):
     return list(itertools.product((0, 1), repeat=n))
 
 
-def qubit_basis_vector(basis: str, bit: int) -> np.ndarray:
-    if basis == "computational":
-        return qsim.basis_vector(2, bit)
-    v = np.array([1.0, -1.0 if bit else 1.0], dtype=complex) / np.sqrt(2.0)
-    return v
-
-
-def pattern_vector(bases: list[str], u) -> np.ndarray:
-    vec = np.array([1.0], dtype=complex)
-    for basis, bit in zip(bases, u):
-        vec = np.kron(vec, qubit_basis_vector(basis, bit))
-    return vec
+def _kron_basis(bases) -> np.ndarray:
+    """Kronecker product of per-qubit bases, "computational" or "hadamard":
+    column bits_to_int(u) is the pattern state of answer u."""
+    qubit = {"computational": np.eye(2, dtype=complex), "hadamard": qsim.hadamard_matrix(1)}
+    return functools.reduce(np.kron, [qubit[b] for b in bases], np.ones((1, 1), dtype=complex))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _projectors(basis: np.ndarray, labels) -> dict:
-    """labels[j] -> the projector on column j of basis."""
-    return {label: np.outer(basis[:, j], basis[:, j].conj()) for j, label in enumerate(labels)}
-
-
-def _quad(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """<b|op|b> for each row b of blocks."""
-    return np.einsum("bd,bd->b", blocks.conj(), blocks @ op.T).real
 
 
 def _mass(rows: np.ndarray) -> np.ndarray:
@@ -138,6 +127,37 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # Device model
 # ---------------------------------------------------------------------------
 
+class Measurement:
+    """A projective measurement in an orthonormal basis: column j of `basis`
+    answers labels[j]. `outcomes` are the distinct labels, sorted, and
+    projectors[k], built once, is the sum of |b_j><b_j| over the columns j
+    that answer outcomes[k]. A basis that is not square and orthonormal is
+    refused. basis and projectors are read-only."""
+
+    def __init__(self, basis: np.ndarray, labels):
+        self.labels = list(labels)
+        size = len(self.labels)
+        basis = np.array(basis, dtype=complex)
+        if basis.shape != (size, size) or np.linalg.norm(basis.conj().T @ basis - np.eye(size)) > 1e-8:
+            raise ModelError("measurement basis is not orthonormal")
+        self.basis = _frozen(basis)
+        self.outcomes = sorted(set(self.labels))
+
+    @functools.cached_property
+    def projectors(self) -> np.ndarray:
+        cols = [self.basis[:, [label == u for label in self.labels]] for u in self.outcomes]
+        return _frozen(np.array([c @ c.conj().T for c in cols]))
+
+    def masses(self, rows: np.ndarray) -> np.ndarray:
+        """(outcomes, rows) array of <b|P_k|b> for each row b: P_k is applied,
+        then a row-wise dot taken, so a row P_k annihilates has mass 0.0."""
+        return np.einsum("...d,...d->...", rows.conj(), rows @ self.projectors.swapaxes(1, 2)).real
+
+    def observable(self, i: int) -> np.ndarray:
+        """The +-1 observable of answer bit i, sum_k (-1)^(outcomes[k][i]) P_k."""
+        return np.tensordot([1.0 - 2.0 * u[i] for u in self.outcomes], self.projectors, axes=1)
+
+
 @dataclass(frozen=True)
 class ClassTable:
     """One theta's sigma rows. Each row stands for a set of (y, d) labels
@@ -147,13 +167,14 @@ class ClassTable:
     model merges every such set; an explicit model keeps a row per label.
     rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]];
     vs[index[k]] is its Sigma(theta, v) (None: no v). blocks are the
-    Sigma-assigned rows ordered by v, block_v their v's, and residual the
-    mass of the other rows. The arrays are read-only."""
+    Sigma-assigned rows ordered by v, rows[stack], block_v their v's, and
+    residual the mass of the other rows. The arrays are read-only."""
 
     rows: np.ndarray
     index: np.ndarray
     decodings: list
     vs: list
+    stack: np.ndarray
     blocks: np.ndarray
     block_v: np.ndarray
     residual: float
@@ -167,17 +188,18 @@ class DeviceModel:
     (2, 2^w) on qubit (x) x register) triples, and psi's block at y is the
     product of its coordinates' sqrt(weight) * state, times the CZ signs
     when the protocol pairs coordinates. It measures d per coordinate:
-    coord_m(theta, i, y_i) -> dict d_i -> unit vector on the x register, for
-    every d_i in range(2^w). Its preimage measurement is the computational
-    basis on qubits and x registers.
-    An explicit model (m_proj given) has no x registers and keeps psi[theta]:
+    coord_m(theta, i, y_i) is the (2^w, 2^w) matrix whose row d_i is the
+    unit vector of outcome d_i on the x register. Its preimage measurement
+    is the computational basis on qubits and x registers.
+    An explicit model (d_meas given) has no x registers and keeps psi[theta]:
     dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
-    d-measurement is the y-independent m_proj[theta]: dict d -> projector,
-    and its preimage measurement pi_proj: dict (b, x) -> projector.
+    d-measurement is the y-independent Measurement d_meas[theta], labelled by
+    d tuples, and its preimage measurement `preimage` is labelled by (b, x)
+    tuples (None: no preimage passes).
     env: unit vector on the environment, in a product with psi (default: no
     environment).
-    p_proj[q]: dict u -> projector on logical (x) env (zero projectors
-    omitted); `dim` is the size of that space.
+    questions[q]: the Measurement of question q on logical (x) env, labelled
+    by answer tuples u; `dim` is the size of that space.
     """
 
     def __init__(
@@ -190,10 +212,10 @@ class DeviceModel:
         keys: dict,
         trapdoors: dict,
         psi: dict,
-        p_proj: dict,
+        questions: dict,
         coord_m=None,
-        m_proj: dict | None = None,
-        pi_proj: dict | None = None,
+        d_meas: dict | None = None,
+        preimage: Measurement | None = None,
         env: np.ndarray | None = None,
         name: str = "model",
     ):
@@ -208,49 +230,36 @@ class DeviceModel:
         self.keys = keys
         self.trapdoors = trapdoors
         self.psi = psi
-        self.p_proj = p_proj
+        self.questions = questions
         self.coord_m = coord_m
-        self.m_proj = m_proj
-        self.pi_proj = {} if pi_proj is None else pi_proj
+        self.d_meas = d_meas
+        self.preimage = preimage
         self.name = name
-        self._obs_cache: dict = {}
         self._tables: dict = {}
+        self._masses: dict = {}
         self._t_cache: dict = {}
         self._swap_cache: np.ndarray | None = None
 
-    def derived(self, p_proj: dict, env: np.ndarray, name: str) -> "DeviceModel":
-        """This device with other question projectors and environment; the
+    def derived(self, questions: dict, env: np.ndarray, name: str) -> "DeviceModel":
+        """This device with other question measurements and environment; the
         states and the other measurements are shared."""
         return DeviceModel(
             self.protocol, self.n, self.w, self.logical, self.thetas, self.keys, self.trapdoors,
-            self.psi, p_proj, coord_m=self.coord_m, m_proj=self.m_proj, pi_proj=self.pi_proj,
+            self.psi, questions, coord_m=self.coord_m, d_meas=self.d_meas, preimage=self.preimage,
             env=env, name=name,
         )
 
-    # -- observables ---------------------------------------------------------
-    def _observable_from(self, q: int, i: int) -> np.ndarray:
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        for u, proj in self.p_proj[q].items():
-            op += (-1) ** u[i] * proj
-        return op
-
     def Z(self, i: int) -> np.ndarray:
-        return self._obs("Z", i, 0)
+        return self.questions[0].observable(i)
 
     def X(self, i: int) -> np.ndarray:
-        return self._obs("X", i, 1)
+        return self.questions[1].observable(i)
 
-    def Zt(self, i: int) -> np.ndarray:
-        return self._obs("Zt", i, 2 if i < self.n else 3)
-
-    def Xt(self, i: int) -> np.ndarray:
-        return self._obs("Xt", i, 3 if i < self.n else 2)
-
-    def _obs(self, kind: str, i: int, q: int) -> np.ndarray:
-        key = (kind, i)
-        if key not in self._obs_cache:
-            self._obs_cache[key] = self._observable_from(q, i)
-        return self._obs_cache[key]
+    def outcome_masses(self, theta, q: int) -> np.ndarray:
+        """questions[q].masses of theta's class rows, computed once."""
+        if (theta, q) not in self._masses:
+            self._masses[theta, q] = _frozen(self.questions[q].masses(self.class_table(theta).rows))
+        return self._masses[theta, q]
 
     # -- sigma rows ------------------------------------------------------------
     def class_table(self, theta) -> ClassTable:
@@ -275,7 +284,8 @@ class DeviceModel:
         block_v = np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
         residual = float(np.sum(_mass(rows[rank < 0])))
         return ClassTable(
-            _frozen(rows), _frozen(index), decodings, vs, _frozen(rows[stack]), _frozen(block_v), residual
+            _frozen(rows), _frozen(index), decodings, vs, _frozen(stack), _frozen(rows[stack]),
+            _frozen(block_v), residual,
         )
 
     def _label_rows(self, theta):
@@ -283,8 +293,9 @@ class DeviceModel:
         nonzero mass, in label order."""
         L, w = self.logical, self.w
         ys = sorted(self.psi[theta])
-        d_tuples = sorted(self.m_proj[theta])
-        rest = np.array([[self.m_proj[theta][d] @ self.psi[theta][y] for d in d_tuples] for y in ys])
+        d_tuples = self.d_meas[theta].outcomes
+        psi = np.array([self.psi[theta][y] for y in ys])
+        rest = (psi @ self.d_meas[theta].projectors.swapaxes(1, 2)).swapaxes(0, 1)  # [y, d]: P_d psi_y
         grid = (rest[..., None] * self.env).reshape(-1, self.dim)
         keep = np.flatnonzero(_mass(grid) >= ATOL**2)
         yrow, dcol = np.divmod(keep, len(d_tuples))
@@ -319,7 +330,7 @@ class DeviceModel:
         of the class mass."""
         w = self.w
         ys, weights, states = zip(*self.psi[theta][i])
-        x_rows = np.array([[out[d] for d in range(2**w)] for out in (self.coord_m(theta, i, y) for y in ys)])
+        x_rows = np.array([self.coord_m(theta, i, y) for y in ys])
         vecs = np.einsum("yqx,ydx->ydq", np.array(states), x_rows.conj()) * np.sqrt(weights)[:, None, None]
         y_idx, d_idx = np.nonzero(_mass(vecs) >= ATOL**2)
         vecs = vecs[y_idx, d_idx]
@@ -346,12 +357,13 @@ class DeviceModel:
             keys = self.keys[theta]
             if self.coord_m is not None:
                 total = math.prod(_preimage_share(key, coord) for key, coord in zip(keys, self.psi[theta]))
-            else:
+            elif self.preimage is None:
                 total = 0.0
-                for y, block in self.psi[theta].items():
-                    for (b, x), proj in self.pi_proj.items():
-                        if entcf.chk(keys, y, b, x) == 0:
-                            total += _quad(block[None, :], proj)[0]
+            else:
+                ys = sorted(self.psi[theta])
+                masses = self.preimage.masses(np.array([self.psi[theta][y] for y in ys]))
+                passed = [[entcf.chk(keys, y, b, x) == 0 for y in ys] for b, x in self.preimage.outcomes]
+                total = float(np.sum(masses[np.array(passed)]))
             self._t_cache[theta] = total
         return self._t_cache[theta]
 
@@ -392,8 +404,9 @@ def _preimage_share(key: entcf.PublicKey, coord) -> float:
     return float(hit / total)
 
 
-def _claw_basis(w: int, x0: int, x1: int) -> dict:
-    """d-labelled orthonormal basis of the x register for a claw coordinate.
+def _claw_basis(w: int, x0: int, x1: int) -> np.ndarray:
+    """Orthonormal basis of the x register for a claw coordinate, row d the
+    outcome d.
 
     The claw superposition has support only on the two claw-basis vectors, so
     labelling them with the smallest d of each h-parity gives a measurement
@@ -404,16 +417,11 @@ def _claw_basis(w: int, x0: int, x1: int) -> dict:
     d_plus = next(d for d in range(1, 2**w) if entcf.parity(d & delta) == 0)
     d_minus = next(d for d in range(2**w) if entcf.parity(d & delta) == 1)
     eye = np.eye(2**w, dtype=complex)
-    out = {d_plus: (eye[x0] + eye[x1]) / np.sqrt(2.0), d_minus: (eye[x0] - eye[x1]) / np.sqrt(2.0)}
+    out = np.empty_like(eye)
+    out[d_plus], out[d_minus] = (eye[x0] + eye[x1]) / np.sqrt(2.0), (eye[x0] - eye[x1]) / np.sqrt(2.0)
     rest_d = [d for d in range(2**w) if d not in (d_plus, d_minus)]
-    rest_x = [x for x in range(2**w) if x not in (x0, x1)]
-    out.update(zip(rest_d, eye[rest_x]))
+    out[rest_d] = eye[[x for x in range(2**w) if x not in (x0, x1)]]
     return out
-
-
-def _hadamard_outcomes(w: int) -> dict:
-    h = qsim.hadamard_matrix(w)
-    return {d: h[d].astype(complex) for d in range(2**w)}
 
 
 def _cz_signs(n: int) -> np.ndarray:
@@ -439,7 +447,7 @@ def build_honest_model(
         keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
         psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
 
-    hadamard = _hadamard_outcomes(w)
+    hadamard = qsim.hadamard_matrix(w)
 
     def coord_m(theta, i, y_i):
         trap = trapdoors[theta][i]
@@ -447,26 +455,9 @@ def build_honest_model(
             return hadamard
         return _claw_basis(w, entcf.decode_x(0, trap, y_i), entcf.decode_x(1, trap, y_i))
 
-    p_proj = {}
-    for q in protocol.questions(protocol_kind):
-        bases = protocol.question_bases(protocol_kind, n, q)
-        p_proj[q] = {}
-        for u in all_bit_tuples(logical):
-            vec = pattern_vector(bases, u)
-            p_proj[q][u] = np.outer(vec, vec.conj())
-
+    questions = {q: question_measurement(protocol_kind, n, q) for q in protocol.questions(protocol_kind)}
     return DeviceModel(
-        protocol_kind,
-        n,
-        w,
-        logical,
-        thetas,
-        keys,
-        trapdoors,
-        psi,
-        p_proj,
-        coord_m=coord_m,
-        name="honest",
+        protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, coord_m=coord_m, name="honest"
     )
 
 
@@ -482,50 +473,44 @@ def check_bitflip(protocol_kind: str, n: int, w: int, p: float) -> None:
 
 def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
     """Dilate the answer-bit flips into an environment register: the flip
-    pattern e lives in a product state beside the honest psi, and P_q^u is
-    sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
+    pattern e lives in a product state beside the honest psi, and question q
+    measures in the basis kron(B_q, 1_env), whose column (u, e) answers
+    u xor e; so P_q^u is sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
     check_bitflip(honest.protocol, honest.n, honest.w, p)
     logical = honest.logical
-    env_dim = 2**logical
     anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
     env = functools.reduce(np.kron, [anc] * logical)
-    e_tuples = all_bit_tuples(logical)
-    p_proj = {}
-    for q, projs in honest.p_proj.items():
-        p_proj[q] = {}
-        for u in projs:
-            # block-diagonal in e: the (k, k) block is the shifted projector
-            mat = np.zeros((honest.dim, env_dim, honest.dim, env_dim), dtype=complex)
-            for k, e in enumerate(e_tuples):
-                mat[:, k, :, k] = projs[tuple(ui ^ ei for ui, ei in zip(u, e))]
-            p_proj[q][u] = mat.reshape(honest.dim * env_dim, -1)
-    return honest.derived(p_proj, env, f"bitflip({p})")
+    flips = all_bit_tuples(logical)
+    questions = {
+        q: Measurement(
+            np.kron(meas.basis, np.eye(2**logical)),
+            [tuple(a ^ b for a, b in zip(u, e)) for u in meas.labels for e in flips],
+        )
+        for q, meas in honest.questions.items()
+    }
+    return honest.derived(questions, env, f"bitflip({p})")
 
 
 def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
-    p_proj = dict(honest.p_proj)
-    p_proj[0], p_proj[1] = honest.p_proj[1], honest.p_proj[0]
-    return honest.derived(p_proj, honest.env, "wrongbasis")
+    questions = dict(honest.questions)
+    questions[0], questions[1] = honest.questions[1], honest.questions[0]
+    return honest.derived(questions, honest.env, "wrongbasis")
 
 
-def build_random_model(
-    config: protocol.SelfTestConfig,
-    rng: np.random.Generator,
-    n_states: int = 4,
-) -> DeviceModel:
+def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator) -> DeviceModel:
     """Random projective device: Haar-random measurement bases assigned to
-    random labels, random pure state blocks on a handful of valid y tuples."""
+    random labels, random pure state blocks on four valid y tuples."""
     params = config.entcf
     n, w = config.N, params.w
     logical = 2 * n
     dim = 2**logical
     thetas = protocol.thetas("selftest", n)
-    keys, trapdoors, psi, m_proj = {}, {}, {}, {}
+    keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs("selftest", theta, n, params, rng)
         y_lists = [sorted(entcf.image_iter(k)) for k in keys[theta]]
         chosen = set()
-        while len(chosen) < n_states:
+        while len(chosen) < 4:
             chosen.add(tuple(ys[rng.integers(len(ys))] for ys in y_lists))
         weights = rng.dirichlet(np.ones(len(chosen)))
         blocks = {}
@@ -537,28 +522,17 @@ def build_random_model(
         d_labels = set()
         while len(d_labels) < dim:
             d_labels.add(tuple(int(rng.integers(2**w)) for _ in range(logical)))
-        m_proj[theta] = _projectors(basis, sorted(d_labels))
-    p_proj = {q: _projectors(haar_unitary(dim, rng), all_bit_tuples(logical)) for q in range(4)}
+        d_meas[theta] = Measurement(basis, sorted(d_labels))
+    questions = {q: Measurement(haar_unitary(dim, rng), all_bit_tuples(logical)) for q in range(4)}
     basis = haar_unitary(dim, rng)
     labels = set()
     while len(labels) < dim:
         b = tuple(int(rng.integers(2)) for _ in range(logical))
         x = tuple(int(rng.integers(2**w)) for _ in range(logical))
         labels.add((b, x))
-    pi_proj = _projectors(basis, sorted(labels))
     return DeviceModel(
-        "selftest",
-        n,
-        w,
-        logical,
-        thetas,
-        keys,
-        trapdoors,
-        psi,
-        p_proj,
-        m_proj=m_proj,
-        pi_proj=pi_proj,
-        name="random",
+        "selftest", n, w, logical, thetas, keys, trapdoors, psi, questions, d_meas=d_meas,
+        preimage=Measurement(basis, sorted(labels)), name="random",
     )
 
 
@@ -575,7 +549,7 @@ def build_classical_model(
     logical = n
     dim = 2**logical
     thetas = protocol.thetas("dimtest", n)
-    keys, trapdoors, psi, m_proj = {}, {}, {}, {}
+    keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     basis = np.eye(dim, dtype=complex)
     for theta in thetas:
         ks, ts = protocol.keypairs("dimtest", theta, n, params, rng)
@@ -590,21 +564,10 @@ def build_classical_model(
             v.append(bit if injective else entcf.decode_h(trap, y[-1], d[-1]))
         j = bits_to_int(v)
         psi[theta] = {tuple(y): basis[:, j].copy()}
-        m_proj[theta] = {tuple(d): np.eye(dim, dtype=complex)}
-    p_proj = {q: _projectors(basis, all_bit_tuples(logical)) for q in (0, 1)}
+        d_meas[theta] = Measurement(basis, [tuple(d)] * dim)
+    questions = {q: Measurement(basis, all_bit_tuples(logical)) for q in (0, 1)}
     return DeviceModel(
-        "dimtest",
-        n,
-        w,
-        logical,
-        thetas,
-        keys,
-        trapdoors,
-        psi,
-        p_proj,
-        m_proj=m_proj,
-        pi_proj={},
-        name="classical",
+        "dimtest", n, w, logical, thetas, keys, trapdoors, psi, questions, d_meas=d_meas, name="classical"
     )
 
 
@@ -638,57 +601,40 @@ class FailureReport:
     eps: float
 
 
+def _agreement(model: DeviceModel, theta, q: int, bits: list, v_bit: int) -> float:
+    """The Sigma mass of theta whose question-q answer bits `bits` xor to bit
+    v_bit of the block's v. For the +-1 observable O = sum_u (-1)^(xor of
+    u's bits) P_u and a block b of v, it is (|b|^2 + (-1)^(v[v_bit]) <b|O|b>) / 2."""
+    table = model.class_table(theta)
+    parity = np.array([sum(u[j] for j in bits) % 2 for u in model.questions[q].outcomes])
+    masses = model.outcome_masses(theta, q)[:, table.stack]
+    return float(np.sum(masses[parity[:, None] == table.block_v[:, v_bit]]))
+
+
 def gamma_report(model: DeviceModel) -> GammaReport:
+    """Each gamma is 1 minus the least agreement mass of its terms: question
+    0 tests Z_i, question 1 X_theta, questions 2 and 3 the tilde observables
+    (Z on the coordinates they measure computationally, X on the others) and
+    the diamond products Z~_i X~_(N+i) and X~_i Z~_(N+i)."""
     if model.protocol != "selftest":
         raise ModelError("gamma quantities are defined for the self-test model")
     n = model.n
-    two_n = 2 * n
+    coords = list(range(2 * n))
+
+    def gamma(terms) -> float:
+        return 1.0 - min(_agreement(model, *term) for term in terms)
+
     gamma_p = 1.0 - min(model.t_theta(theta) for theta in model.thetas)
-
-    def signed_mass(theta, op: np.ndarray, bit_index: int) -> float:
-        table = model.class_table(theta)
-        quad = _quad(table.blocks, op)
-        signs = 1.0 - 2.0 * table.block_v[:, bit_index]
-        return float(np.sum((_mass(table.blocks) + signs * quad) / 2.0))
-
-    r_table, s_table, rt_table, st_table = {}, {}, {}, {}
     non_diamond = [t for t in model.thetas if t != THETA_DIAMOND]
-    for theta in non_diamond:
-        for i in range(two_n):
-            r_table[(theta, i)] = signed_mass(theta, model.Z(i), i)
-            rt_table[(theta, i)] = signed_mass(theta, model.Zt(i), i)
-        if theta != THETA_ALL_G:
-            s_table[(theta, theta)] = signed_mass(theta, model.X(theta), theta)
-            st_table[(theta, theta)] = signed_mass(theta, model.Xt(theta), theta)
-
-    rd_table, sd_table = {}, {}
-    for i in range(n):
-        zx = model.Zt(i) @ model.Xt(n + i)
-        xz = model.Xt(i) @ model.Zt(n + i)
-        rd_table[i] = signed_mass(THETA_DIAMOND, zx, i)
-        sd_table[i] = signed_mass(THETA_DIAMOND, xz, n + i)
-
-    coords = list(range(two_n))
-    gamma_t0 = 1.0 - min(
-        r_table[(t, i)] for t in non_diamond for i in coords if i != t
-    )
-    gamma_t1 = 1.0 - min(s_table[(t, t)] for t in coords)
-    gamma_t0t = 1.0 - min(
-        rt_table[(t, i)]
-        for t in list(range(n)) + [THETA_ALL_G]
-        for i in range(n)
-        if i != t
-    )
-    gamma_t0tp = 1.0 - min(
-        rt_table[(t, i)]
-        for t in list(range(n, two_n)) + [THETA_ALL_G]
-        for i in range(n, two_n)
-        if i != t
-    )
-    gamma_t1t = 1.0 - min(st_table[(t, t)] for t in coords)
+    gamma_t0 = gamma((t, 0, [i], i) for t in non_diamond for i in coords if i != t)
+    gamma_t1 = gamma((t, 1, [t], t) for t in coords)
+    low, high = coords[:n], coords[n:]
+    gamma_t0t = gamma((t, 2, [i], i) for t in [*low, THETA_ALL_G] for i in low if i != t)
+    gamma_t0tp = gamma((t, 3, [i], i) for t in [*high, THETA_ALL_G] for i in high if i != t)
+    gamma_t1t = gamma((t, 3 if t < n else 2, [t], t) for t in coords)
     gamma_t = max(gamma_t0, gamma_t1, gamma_t0t, gamma_t0tp, gamma_t1t)
-    gd0 = 1.0 - min(rd_table.values())
-    gd1 = 1.0 - min(sd_table.values())
+    gd0 = gamma((THETA_DIAMOND, 2, [i, n + i], i) for i in range(n))
+    gd1 = gamma((THETA_DIAMOND, 3, [i, n + i], n + i) for i in range(n))
     return GammaReport(
         gamma_P=gamma_p,
         gamma_T0=gamma_t0,
@@ -713,13 +659,12 @@ def failure_report(model: DeviceModel) -> FailureReport:
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
-    questions = sorted(model.p_proj)
+    questions = sorted(model.questions)
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
         table = model.class_table(theta)
         for q in questions:
-            for u, proj in model.p_proj[q].items():
-                weights = _quad(table.rows, proj)
+            for u, weights in zip(model.questions[q].outcomes, model.outcome_masses(theta, q)):
                 mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
                 for k in np.flatnonzero(mass):
                     bhat, hhat = table.decodings[k]
@@ -733,37 +678,28 @@ def failure_report(model: DeviceModel) -> FailureReport:
 
 
 def zeta_chi_sums(model: DeviceModel) -> dict:
-    """sum_v zeta(i, theta, v) and sum_v chi(theta, v) tables."""
+    """sum_v zeta(i, theta, v) and sum_v chi(theta, v) tables: four times the
+    Sigma mass on which Z_i, or X_theta, disagrees with v."""
     out = {"zeta": {}, "chi": {}}
-    two_n = 2 * model.n
     for theta in model.thetas:
         if theta == THETA_DIAMOND:
             continue
-        table = model.class_table(theta)
-        blocks, vs = table.blocks, table.block_v
-        n2 = _mass(blocks)
-        for i in range(two_n):
-            if i == theta:
-                continue
-            quad = _quad(blocks, model.Z(i))
-            signs = 1.0 - 2.0 * vs[:, i]
-            out["zeta"][(theta, i)] = float(np.sum(2.0 * n2 - 2.0 * signs * quad))
+        sigma = float(np.sum(_mass(model.class_table(theta).blocks)))
+        for i in range(2 * model.n):
+            if i != theta:
+                out["zeta"][(theta, i)] = 4.0 * (sigma - _agreement(model, theta, 0, [i], i))
         if theta != THETA_ALL_G:
-            quad = _quad(blocks, model.X(theta))
-            signs = 1.0 - 2.0 * vs[:, theta]
-            out["chi"][theta] = float(np.sum(2.0 * n2 - 2.0 * signs * quad))
+            out["chi"][theta] = 4.0 * (sigma - _agreement(model, theta, 1, [theta], theta))
     return out
 
 
-def _check(name: str, lhs, rhs, slack: float = 1e-9) -> dict:
-    return {"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + slack)}
+def _check(name: str, lhs, rhs) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + 1e-9)}
 
 
-def check_gamma_bounds(
-    gammas: GammaReport, failures: FailureReport, n: int, slack: float = 1e-9
-) -> list[dict]:
+def check_gamma_bounds(gammas: GammaReport, failures: FailureReport, n: int) -> list[dict]:
     """The gamma-versus-failure inequality suite; each entry reports lhs,
-    rhs, and whether lhs <= rhs + slack."""
+    rhs, and whether lhs <= rhs + 1e-9."""
     m = 2 * n + 2
     eh = failures.eps_H
     checks = [
@@ -783,7 +719,7 @@ def check_gamma_bounds(
         ("gamma_T <= 8(2N+2) eps", gammas.gamma_T, 8 * m * failures.eps),
         ("gamma_diamond <= 8(2N+2) eps", gammas.gamma_diamond, 8 * m * failures.eps),
     ]
-    return [_check(name, lhs, rhs, slack) for name, lhs, rhs in checks]
+    return [_check(name, lhs, rhs) for name, lhs, rhs in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -792,33 +728,23 @@ def check_gamma_bounds(
 
 def swap_isometry(model: DeviceModel) -> np.ndarray:
     """V = sum_u |u> (x) prod_i X_i^{u_i} prod_j Z_j^{(u_j)}, products in
-    ascending index order, as a (2^L * dim, dim) matrix. Built once per
-    model and cached on it; callers must not modify it."""
-    if model._swap_cache is not None:
-        return model._swap_cache
-    L = model.logical
-    dim = model.dim
-    for q in (0, 1):
-        for u, proj in model.p_proj[q].items():
-            if np.linalg.norm(proj @ proj - proj) > 1e-8:
-                raise ModelError("question measurement is not projective")
-    v = np.zeros((2**L * dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for u in all_bit_tuples(L):
-        term = eye.copy()
-        for i in range(L):
-            if u[i]:
-                term = term @ model.X(i)
-        for j in range(L):
-            zj = model.Z(j)
-            term = term @ ((eye + (1.0 - 2.0 * u[j]) * zj) / 2.0)
-        anc = pattern_vector(["computational"] * L, u)
-        v += np.kron(anc[:, None], term)
-    model._swap_cache = v
-    return v
+    ascending index order, as a (2^L * dim, dim) matrix. The Z_j are the
+    marginals of question 0, so prod_j Z_j^{(u_j)} is its projector P_u.
+    Built once per model and cached on it; callers must not modify it."""
+    if model._swap_cache is None:
+        L, dim = model.logical, model.dim
+        xs = [model.X(i) for i in range(L)]
+        v = np.zeros((2**L, dim, dim), dtype=complex)
+        for u, term in zip(model.questions[0].outcomes, model.questions[0].projectors):
+            for i in reversed(range(L)):
+                if u[i]:
+                    term = xs[i] @ term
+            v[bits_to_int(u)] = term
+        model._swap_cache = v.reshape(-1, dim)
+    return model._swap_cache
 
 
-def swap_identity_checks(model: DeviceModel, rng: np.random.Generator, trials: int = 3) -> dict:
+def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     """Deviations for V'V = 1, V'(Z_k x 1)V = Z_k, and agreement of V with
     the circuit: Hadamard layer on the ancilla, controlled-Z_i layer,
     Hadamard layer, controlled-X_i layer, applied to random states held as
@@ -826,24 +752,25 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator, trials: i
     L = model.logical
     dim = model.dim
     v = swap_isometry(model)
+    zs, xs = [model.Z(k) for k in range(L)], [model.X(k) for k in range(L)]
     vtv_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
     # anc_bits[k, a] is ancilla qubit k of row a, qubit 0 most significant
     anc_bits = (np.arange(2**L)[None, :] >> np.arange(L - 1, -1, -1)[:, None]) & 1
     v_rows = v.reshape(2**L, dim, dim)
     zk = np.einsum("ka,aji,ajl->kil", 1.0 - 2.0 * anc_bits, v_rows.conj(), v_rows, optimize=True)
-    zk_dev = max(float(np.max(np.abs(zk[k] - model.Z(k)))) for k in range(L))
+    zk_dev = max(float(np.max(np.abs(zk[k] - zs[k]))) for k in range(L))
     h_layer = qsim.hadamard_matrix(L)
     circ_dev = 0.0
-    for _ in range(trials):
+    for _ in range(3):
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
         rows = np.zeros((2**L, dim), dtype=complex)
         rows[0] = state
-        for paulis in (model.Z, model.X):
+        for paulis in (zs, xs):
             rows = h_layer @ rows
             for i in range(L):
                 on = anc_bits[i] == 1
-                rows[on] = rows[on] @ paulis(i).T
+                rows[on] = rows[on] @ paulis[i].T
         circ_dev = max(circ_dev, float(np.max(np.abs(rows.ravel() - v @ state))))
     return {"vtv": vtv_dev, "zk": zk_dev, "circuit": circ_dev}
 
@@ -857,7 +784,7 @@ def tau_vector(protocol_kind: str, n: int, theta, v: tuple) -> np.ndarray:
     """The ideal state of (theta, v), cached and read-only."""
     logical = protocol.n_coords(protocol_kind, n)
     if theta == THETA_DIAMOND:
-        state = pattern_vector(["hadamard"] * logical, (0,) * logical) * _cz_signs(n)
+        state = _kron_basis(["hadamard"] * logical)[:, 0] * _cz_signs(n)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         flip = np.array([[1.0]], dtype=complex)
         for bit in v:
@@ -866,16 +793,16 @@ def tau_vector(protocol_kind: str, n: int, theta, v: tuple) -> np.ndarray:
     bases = ["computational"] * logical
     if theta != THETA_ALL_G:
         bases[theta] = "hadamard"
-    return _frozen(pattern_vector(bases, v))
+    return _frozen(_kron_basis(bases)[:, bits_to_int(v)].copy())
 
 
 @functools.lru_cache(maxsize=None)
-def ideal_pattern_projectors(protocol_kind: str, n: int, q: int) -> dict:
-    """The ideal question-q measurement on the logical qubits alone, cached:
-    callers must not modify the dict; its vectors are read-only."""
-    logical = protocol.n_coords(protocol_kind, n)
+def question_measurement(protocol_kind: str, n: int, q: int) -> Measurement:
+    """The ideal question-q measurement on the logical qubits, cached: the
+    Kronecker basis of protocol.question_bases, column bits_to_int(u)
+    answering u."""
     bases = protocol.question_bases(protocol_kind, n, q)
-    return {u: _frozen(pattern_vector(bases, u)) for u in all_bit_tuples(logical)}
+    return Measurement(_kron_basis(bases), all_bit_tuples(len(bases)))
 
 
 def soundness_distance(model: DeviceModel, theta) -> dict:
@@ -908,14 +835,15 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
         for v, dist in zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)))
     }
     post = {}
-    for q in sorted(model.p_proj):
-        ideal = ideal_pattern_projectors(model.protocol, model.n, q)
+    for q in sorted(model.questions):
+        ideal = question_measurement(model.protocol, model.n, q).basis
         post[q] = 0.0
-        for u, proj in model.p_proj[q].items():
+        for u, proj in zip(model.questions[q].outcomes, model.questions[q].projectors):
             measured = blocks @ proj.T
             # a branch the measurement annihilates contributes its target's mass
             measured[np.vecdot(measured, measured).real < ATOL**2] = 0.0
-            coef = ideal[u] * (taus @ ideal[u].conj())[:, None]
+            ideal_u = ideal[:, bits_to_int(u)]
+            coef = ideal_u * (taus @ ideal_u.conj())[:, None]
             post_target = (coef[:, :, None] * alpha[:, None, :]).reshape(rows, -1)
             post[q] += float(
                 np.sum(qsim.trace_norm_diff_rank1(measured @ v_iso.T, post_target))
@@ -965,7 +893,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
     table = model.class_table(THETA_ALL_G)
     mass = _mass(table.blocks)
     v_rows, start, count = np.unique(table.block_v, axis=0, return_index=True, return_counts=True)
-    projs = np.array(list(model.p_proj[1].values()), dtype=complex)
+    projs = model.questions[1].projectors
     n_meas = len(projs)
     candidates, dists = [], []
     for v_row, lo, hi in zip(v_rows, start, start + count):

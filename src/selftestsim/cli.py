@@ -66,8 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(args) -> int:
+    """SELFTEST_SEED if it is set, else --seed: a non-negative integer."""
+    text = os.environ.get("SELFTEST_SEED", str(args.seed))
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParameterError(f"the seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _run_command(args) -> int:
-    seed = int(os.environ.get("SELFTEST_SEED", args.seed))
+    seed = _seed(args)
     params = _entcf_params(args)
     if args.command == "selftest":
         config = SelfTestConfig(N=args.n, entcf=params)
@@ -123,8 +135,7 @@ def _analyze_command(args) -> int:
         # a claw coordinate's d-measurement needs a nonzero even-parity d
         print("error: analyze needs --w >= 2", file=sys.stderr)
         return 2
-    seed = int(os.environ.get("SELFTEST_SEED", args.seed))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(args))
     model = _build_model(args, rng)
     report = analysis.analysis_report(model, rng)
     text = json.dumps(report, sort_keys=True, indent=2)
@@ -187,7 +198,7 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
 
 
 def _entcf_check_command(args) -> int:
-    failures = entcf_property_suite(args.backend, args.w, args.seed, args.keys)
+    failures = entcf_property_suite(args.backend, args.w, _seed(args), args.keys)
     if failures:
         for line in failures:
             print(line, file=sys.stderr)

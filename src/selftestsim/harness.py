@@ -29,11 +29,11 @@ from . import protocol, transport
 from .errors import ParameterError, TransportError
 from .prover import make_prover
 
-Z_95 = 1.959963984540054
 TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.959963984540054  # two-sided 95 %
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials

@@ -71,9 +71,8 @@ def measure_pair(
     basis_i: str,
     basis_j: str,
     rng: np.random.Generator,
-    apply_cz: bool = True,
 ) -> tuple[int, int]:
-    """CZ (optionally) then per-qubit measurement on a 2-qubit product input.
+    """CZ then per-qubit measurement on a 2-qubit product input.
 
     Closed form on the amplitude table a[s][t] = vec_i[s] * vec_j[t]: CZ
     negates a[1][1], each qubit is taken to its measurement basis, then
@@ -82,9 +81,7 @@ def measure_pair(
     """
     i0, i1 = vec_i
     j0, j1 = vec_j
-    a00, a01, a10, a11 = i0 * j0, i0 * j1, i1 * j0, i1 * j1
-    if apply_cz:
-        a11 = -a11
+    a00, a01, a10, a11 = i0 * j0, i0 * j1, i1 * j0, -(i1 * j1)
     a00, a10 = _in_basis(a00, a10, basis_i)
     a01, a11 = _in_basis(a01, a11, basis_i)
     a00, a01 = _in_basis(a00, a01, basis_j)
@@ -295,10 +292,10 @@ class BitFlipProver(HonestProver):
     probability p. The flip draws happen after every honest draw, so p = 0 is
     transcript-identical to the honest prover under the same seed."""
 
-    def __init__(self, kind: str, rng: np.random.Generator, p: float, mode: str = COLLAPSED):
+    def __init__(self, kind: str, rng: np.random.Generator, p: float):
         if not 0.0 <= p <= 1.0:
             raise ParameterError("flip probability must lie in [0, 1]")
-        super().__init__(kind, rng, mode=mode)
+        super().__init__(kind, rng)
         self.p = p
 
     def on_question(self, q: int):

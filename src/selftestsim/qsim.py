@@ -23,12 +23,6 @@ def hadamard_matrix(nbits: int) -> np.ndarray:
     return out
 
 
-def basis_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 class StateVector:
     """Dense pure state over named registers (ordered list of (name, dim))."""
 
@@ -141,12 +135,12 @@ def partial_trace(rho: np.ndarray, registers, keep) -> np.ndarray:
     return rho.reshape(kept, kept)
 
 
-def numerical_rank(rho: np.ndarray, rel_tol: float = 1e-8) -> int:
+def numerical_rank(rho: np.ndarray) -> int:
     vals = np.abs(np.linalg.eigvalsh(_as_matrix(rho)))
     top = vals.max(initial=0.0)
     if top == 0.0:
         return 0
-    return int(np.sum(vals > rel_tol * top))
+    return int(np.sum(vals > 1e-8 * top))
 
 
 def _as_matrix(block: np.ndarray) -> np.ndarray:

@@ -37,17 +37,58 @@ def test_psi_blocks_are_normalized(honest):
 def test_m_measurement_orthonormal(honest):
     for theta in honest.thetas:
         for i, coord in enumerate(honest.psi[theta]):
-            outcomes = honest.coord_m(theta, i, coord[0][0])
-            mat = np.array([outcomes[d] for d in sorted(outcomes)])
-            assert np.allclose(mat @ mat.conj().T, np.eye(len(outcomes)), atol=1e-12)
+            mat = honest.coord_m(theta, i, coord[0][0])  # row d is outcome d
+            assert np.allclose(mat @ mat.conj().T, np.eye(2**honest.w), atol=1e-12)
 
 
-def test_p_measurement_complete(honest):
-    for q, projs in honest.p_proj.items():
-        total = sum(projs.values())
-        assert np.allclose(total, np.eye(honest.dim), atol=1e-12)
-        for proj in projs.values():
-            assert np.allclose(proj @ proj, proj, atol=1e-12)
+def _projector_dict(meas):
+    """dict outcome -> dense projector of a Measurement, summed from its
+    basis one labelled column at a time."""
+    out = {}
+    for label, col in zip(meas.labels, meas.basis.T):
+        out[label] = out.get(label, 0) + np.outer(col, col.conj())
+    return out
+
+
+def test_p_measurement_complete():
+    # the question measurements of every model: complete, idempotent, and
+    # the stacked projectors are the labelled columns' sums
+    for model in _every_model():
+        for q, meas in model.questions.items():
+            projs = _projector_dict(meas)
+            assert sorted(projs) == meas.outcomes
+            assert np.allclose(sum(projs.values()), np.eye(model.dim), atol=1e-12)
+            for u, stacked in zip(meas.outcomes, meas.projectors):
+                assert np.allclose(projs[u] @ projs[u], projs[u], atol=1e-12)
+                assert np.allclose(stacked, projs[u], atol=1e-12)
+
+
+def test_measurement_rejects_non_orthonormal_basis():
+    labels = analysis.all_bit_tuples(2)
+    for basis in (np.full((4, 4), 0.5), np.eye(4)[:, :3], np.eye(4) * 1.01):
+        with pytest.raises(ModelError, match="not orthonormal"):
+            analysis.Measurement(basis, labels[: basis.shape[1]])
+    # a label per basis column
+    with pytest.raises(ModelError):
+        analysis.Measurement(np.eye(4), labels[:3])
+
+
+def test_bitflip_projectors_are_shifted_honest_projectors(honest):
+    """P^u of question q is sum_e P_(u xor e) (x) |e><e|, the honest
+    projectors on the diagonal blocks of the flip register."""
+    bf = analysis.build_bitflip_model(honest, 0.2)
+    flips = analysis.all_bit_tuples(honest.logical)
+    for q, meas in honest.questions.items():
+        honest_projs = _projector_dict(meas)
+        expect = {}
+        for u in honest_projs:
+            mat = np.zeros((honest.dim, len(flips), honest.dim, len(flips)), dtype=complex)
+            for k, e in enumerate(flips):
+                mat[:, k, :, k] = honest_projs[tuple(a ^ b for a, b in zip(u, e))]
+            expect[u] = mat.reshape(bf.dim, bf.dim)
+        assert bf.questions[q].outcomes == sorted(expect)
+        for u, proj in zip(bf.questions[q].outcomes, bf.questions[q].projectors):
+            assert np.max(np.abs(proj - expect[u])) <= 1e-15
 
 
 def test_marginal_observables_commute_and_square(honest):
@@ -150,21 +191,11 @@ def test_tau_states(honest):
 
 
 def test_swap_isometry_rejects_nonprojective(honest):
-    bad = analysis.DeviceModel(
-        "selftest",
-        1,
-        2,
-        2,
-        [THETA_ALL_G],
-        {THETA_ALL_G: honest.keys[THETA_ALL_G][:2]},
-        {THETA_ALL_G: honest.trapdoors[THETA_ALL_G][:2]},
-        {THETA_ALL_G: {}},
-        {q: {u: np.eye(4) * 0.5 for u in [(0, 0), (0, 1), (1, 0), (1, 1)]} for q in (0, 1)},
-        m_proj={THETA_ALL_G: {}},
-        pi_proj={},
-    )
+    # a question measurement whose "projectors" are each half the identity
+    # has no orthonormal basis, so no model (and no isometry) gets built
     with pytest.raises(ModelError):
-        analysis.swap_isometry(bad)
+        half = analysis.Measurement(np.full((4, 4), 0.5), analysis.all_bit_tuples(2))
+        analysis.swap_isometry(honest.derived({0: half, 1: half}, honest.env, "bad"))
 
 
 def test_rank_bound_rejects_nonisometry():
@@ -351,11 +382,12 @@ def _ref_sigma_blocks(model, theta, n_y=None):
     out = {}
     for y, block in _ref_psi(model, theta, n_y).items():
         if model.coord_m is None:
-            outcomes = [(d, proj @ block, np.ones(1)) for d, proj in sorted(model.m_proj[theta].items())]
+            projs = sorted(_projector_dict(model.d_meas[theta]).items())
+            outcomes = [(d, proj @ block, np.ones(1)) for d, proj in projs]
         else:
             # (qubits, x registers): contract the x part with each d tuple's x_vec
             full = block.reshape(2**model.logical, -1)
-            per_coord = [sorted(model.coord_m(theta, i, y[i]).items()) for i in range(model.logical)]
+            per_coord = [list(enumerate(model.coord_m(theta, i, y[i]))) for i in range(model.logical)]
             outcomes = []
             for combo in itertools.product(*per_coord):
                 x_vec = functools.reduce(np.multiply.outer, [outcome for _, outcome in combo]).ravel()
@@ -385,8 +417,11 @@ def _ref_soundness(model, theta):
     v_iso = analysis.swap_isometry(model)
     groups = _ref_groups(model, theta)
     per_v = {}
-    post = {q: 0.0 for q in sorted(model.p_proj)}
-    ideal = {q: analysis.ideal_pattern_projectors(model.protocol, model.n, q) for q in post}
+    post = {q: 0.0 for q in sorted(model.questions)}
+    ideal = {}
+    for q in post:
+        meas = analysis.question_measurement(model.protocol, model.n, q)
+        ideal[q] = dict(zip(meas.labels, meas.basis.T))
     for v in sorted(groups):
         tau = analysis.tau_vector(model.protocol, model.n, theta, v)
         per_v[v] = 0.0
@@ -395,7 +430,7 @@ def _ref_soundness(model, theta):
             a = tau.conj() @ lifted.reshape(2**L, dim)
             per_v[v] += _ref_rank1(lifted, np.kron(tau, a))
             for q in post:
-                for u, proj in model.p_proj[q].items():
+                for u, proj in _projector_dict(model.questions[q]).items():
                     target = np.kron(ideal[q][u] * np.vdot(ideal[q][u], tau), a)
                     post[q] += _ref_rank1(v_iso @ (proj @ vec), target)
     return per_v, sum(per_v.values()), post
@@ -407,7 +442,7 @@ def _ref_eps_h(model):
         protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
     )
     eps_h = {}
-    for q in sorted(model.p_proj):
+    for q in sorted(model.questions):
         accept = 0.0
         for theta in model.thetas:
             traps = model.trapdoors[theta]
@@ -420,7 +455,7 @@ def _ref_eps_h(model):
                     entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
                     for t, yi, di in zip(traps, y, d)
                 ]
-                for u, proj in model.p_proj[q].items():
+                for u, proj in _projector_dict(model.questions[q]).items():
                     if verdict_fn(model.n, theta, q, u, bhat, hhat).accept:
                         accept += np.vdot(vec, proj @ vec).real
         eps_h[q] = 1.0 - accept / len(model.thetas)
@@ -439,7 +474,8 @@ def _ref_certificate(model):
         tau = analysis.tau_vector("dimtest", n, THETA_ALL_G, v)
         dist, pairs = 0.0, []
         for _, vec in sorted(groups[v].items()):
-            rho = sum(np.outer(p @ vec, (p @ vec).conj()) for p in model.p_proj[1].values())
+            branches = [p @ vec for p in _projector_dict(model.questions[1]).values()]
+            rho = sum(np.outer(b, b.conj()) for b in branches)
             a = tau.conj() @ (v_iso @ vec).reshape(2**L, dim)
             rho, alpha = rho / mass[v], np.outer(a, a.conj()) / mass[v]
             rhs = np.kron(np.eye(2**n) / 2**n, alpha)
@@ -458,21 +494,19 @@ def _ref_certificate(model):
     return v_dist, min(eps_c)
 
 
-def test_quad_matches_three_operand_einsum():
-    rng = np.random.default_rng(7)
-    blocks = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
-    op = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    for mat in (op, op + op.conj().T):
-        ref = np.einsum("bd,de,be->b", blocks.conj(), mat, blocks).real
-        assert np.max(np.abs(analysis._quad(blocks, mat) - ref)) <= 1e-9
-
-
 def _phase_key(vec):
     """vec's direction: the unit vector whose first entry above 1e-6 in
     modulus is real and positive, rounded to 8 decimals."""
     unit = vec / np.linalg.norm(vec)
     lead = unit[np.flatnonzero(np.abs(unit) > 1e-6)[0]]
     return tuple(np.round(unit * abs(lead) / lead, 8).tolist())
+
+
+def _every_model():
+    """One model of each kind, both protocols."""
+    yield from _sigma_oracle_models()
+    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+    yield analysis.build_wrongbasis_model(analysis.build_honest_model(cfg, "selftest", np.random.default_rng(4)))
 
 
 def _class_models():
@@ -549,7 +583,7 @@ def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
                     b_values.add((theta, i, y))
                     continue
                 # the (y_i, d_i) outcomes with mass
-                for d, x_row in model.coord_m(theta, i, y).items():
+                for d, x_row in enumerate(model.coord_m(theta, i, y)):
                     if np.linalg.norm(state @ x_row.conj()) > 1e-12:
                         h_values.add((theta, i, y, d))
     assert 0 < calls["b"] <= len(b_values)

@@ -486,6 +486,32 @@ def test_cli_usage_error():
     assert cli.main(["selftest", "run", "--unknown-flag"]) == 2
 
 
+@pytest.mark.parametrize("env,flag", [("abc", None), ("-3", None), (None, "-1")], ids=["env-abc", "env-neg", "flag-neg"])
+@pytest.mark.parametrize(
+    "command",
+    [["selftest", "run", "--sessions", "2"], ["analyze"], ["entcf-check", "--keys", "1"]],
+    ids=["run", "analyze", "entcf-check"],
+)
+def test_cli_bad_seed_is_one_error_line(capsys, monkeypatch, command, env, flag):
+    if env is None:
+        monkeypatch.delenv("SELFTEST_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SELFTEST_SEED", env)
+    assert cli.main(command + ([] if flag is None else ["--seed", flag])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_entcf_check_reads_seed_env(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "entcf_property_suite", lambda backend, w, seed, n_keys: seeds.append(seed) or [])
+    monkeypatch.setenv("SELFTEST_SEED", "5")
+    assert cli.main(["entcf-check", "--seed", "1"]) == 0
+    assert seeds == [5]
+
+
 def test_cli_seed_env_override(capsys, monkeypatch, tmp_path):
     args = ["dimtest", "run", "--n", "1", "--w", "2", "--sessions", "30", "--seed", "1"]
     monkeypatch.setenv("SELFTEST_SEED", "99")

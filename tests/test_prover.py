@@ -197,22 +197,21 @@ def reference_measure_qubit_vector(vec, basis, rng):
     return outcome
 
 
-def reference_measure_pair(vec_i, vec_j, basis_i, basis_j, rng, apply_cz=True):
-    """State-vector measurement; the closed form must match it draw for draw."""
+def reference_measure_pair(vec_i, vec_j, basis_i, basis_j, rng):
+    """State-vector CZ and measurement; the closed form must match it draw
+    for draw."""
     amps = np.kron(vec_i, vec_j)
     state = qsim.StateVector(amps, [("i", 2), ("j", 2)], normalize=True)
-    if apply_cz:
-        state = qsim.controlled_z(state, "i", "j")
+    state = qsim.controlled_z(state, "i", "j")
     out_i, state = state.measure("i", basis_i, rng)
     out_j, _ = state.measure("j", basis_j, rng)
     return out_i, out_j
 
 
-def reference_pair_distribution(vec_i, vec_j, basis_i, basis_j, apply_cz):
-    """Joint outcome probabilities p[out_i][out_j] from the dense state."""
+def reference_pair_distribution(vec_i, vec_j, basis_i, basis_j):
+    """Joint outcome probabilities p[out_i][out_j] from the dense state after CZ."""
     state = qsim.StateVector(np.kron(vec_i, vec_j), [("i", 2), ("j", 2)], normalize=True)
-    if apply_cz:
-        state = qsim.controlled_z(state, "i", "j")
+    state = qsim.controlled_z(state, "i", "j")
     change = [qsim.hadamard_matrix(1) if b == "hadamard" else np.eye(2) for b in (basis_i, basis_j)]
     probs = np.abs(np.kron(*change) @ state.amps) ** 2
     return (probs / probs.sum()).reshape(2, 2)
@@ -242,9 +241,9 @@ def _threshold(outcome_of_u) -> float:
     return hi
 
 
-def closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j, apply_cz):
+def closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j):
     def pair(u_i, u_j):
-        return prover.measure_pair(vec_i, vec_j, basis_i, basis_j, FixedDraws(u_i, u_j), apply_cz)
+        return prover.measure_pair(vec_i, vec_j, basis_i, basis_j, FixedDraws(u_i, u_j))
 
     p_i0 = _threshold(lambda u: pair(u, 0.5)[0])
     out = np.zeros((2, 2))
@@ -274,19 +273,23 @@ QUBITS = _qubit_inputs()
 BASES = ("computational", "hadamard")
 
 
-@pytest.mark.parametrize("cz", [True, False], ids=["cz", "no-cz"])
-@pytest.mark.parametrize("basis_i, basis_j", list(itertools.product(BASES, repeat=2)))
-def test_measure_pair_matches_state_vector_reference(basis_i, basis_j, cz):
+# measure_pair always applies CZ, as the ids say
+@pytest.mark.parametrize(
+    "basis_i, basis_j",
+    list(itertools.product(BASES, repeat=2)),
+    ids=[f"{a}-{b}-cz" for a, b in itertools.product(BASES, repeat=2)],
+)
+def test_measure_pair_matches_state_vector_reference(basis_i, basis_j):
     for a, b in itertools.product(QUBITS, repeat=2):
         vec_i, vec_j = QUBITS[a], QUBITS[b]
-        expect = reference_pair_distribution(vec_i, vec_j, basis_i, basis_j, cz)
-        got = closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j, cz)
+        expect = reference_pair_distribution(vec_i, vec_j, basis_i, basis_j)
+        got = closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12, err_msg=f"|{a}>|{b}>")
         # equal seeds give equal outcomes and leave the streams in step
         for seed in range(8):
             ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert prover.measure_pair(vec_i, vec_j, basis_i, basis_j, rng, cz) == (
-                reference_measure_pair(vec_i, vec_j, basis_i, basis_j, ref_rng, cz)
+            assert prover.measure_pair(vec_i, vec_j, basis_i, basis_j, rng) == (
+                reference_measure_pair(vec_i, vec_j, basis_i, basis_j, ref_rng)
             ), f"|{a}>|{b}> seed {seed}"
             assert rng.random() == ref_rng.random()
 
