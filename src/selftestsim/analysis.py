@@ -7,24 +7,24 @@ quantities and failure probabilities with their inequality suite, the swap
 isometry with its exact identities, soundness distances against the ideal
 target states, the rank proposition, and the quantum-dimension certificate.
 
-Conventions: a model's quantum space H_D is laid out as (logical qubits,
-x registers, optional environment registers), but no operator is built on
-all of it. The Hadamard round measures the x registers: on an honest-family
-device each d outcome leaves a block rest (x) x_row with x_row a unit
-vector, and every question measurement is the identity on x. So x drops out
-of every trace the analysis takes, and sigma blocks and question operators
-live on logical (x) env; an environment is a unit vector tensored onto each
-block. Classical labels are (y, d) tuples; every state block is a pure
+Conventions: a model's quantum space H_D is laid out as (logical qubits, x
+registers, optional environment registers), but no operator is built on all
+of it. The Hadamard round measures each x register in the Hadamard basis: on
+an honest-family device each basis column c leaves a block rest_c (x) c, and
+every question measurement is the identity on x. So x drops out of every
+trace the analysis takes, and sigma blocks and question operators live on
+logical (x) env; an environment is a unit vector tensored onto each block.
+Classical labels are (y, d) tuples; every state block is a pure
 (unnormalized) vector whose squared norm is the block's probability mass.
-Every report is a sum over labels of a quantity of degree 2 in the block,
-so labels whose blocks are parallel and share a decoding are summed as one
-row: a decoding class. theta uses the protocol module's encoding.
+Every report is a sum over labels of a quantity of degree 2 in the block, so
+labels whose blocks are parallel and share a decoding are summed as one row:
+a decoding class. theta uses the protocol module's encoding.
 
-Every question, explicit d and preimage measurement is a Measurement: an
-orthonormal basis whose columns carry outcome labels. The failure, gamma,
-zeta and chi reports all read one array of outcome masses <row|P_u|row> per
-(theta, question): a gamma term is the Sigma mass whose answer bits agree
-with v, a zeta or chi term four times the Sigma mass on which they disagree.
+Every question, d and preimage measurement is a Measurement: an orthonormal
+basis whose columns carry outcome labels. The failure, gamma, zeta and chi
+reports all read one array of outcome masses <row|P_u|row> per (theta,
+question): a gamma term is the Sigma mass whose answer bits agree with v, a
+zeta or chi term four times the Sigma mass on which they disagree.
 """
 from __future__ import annotations
 
@@ -88,10 +88,10 @@ def _check_size(logical: int, w: int, env_dim: int) -> None:
     """Refuse a model whose largest array exceeds _ENTRY_BUDGET entries;
     builders call this before they build anything. The largest are the swap
     isometry V, 2^L * dim^2 with dim = 2^L * env_dim (as is one question's
-    projector set), and one coordinate's outcome grid in _coord_classes,
-    2^(3w+1)."""
+    projector set), and one coordinate's outcome array in _coord_classes,
+    2^(w+1) images x 2^w columns x 2 amplitudes = 2^(2w+2)."""
     dim = 2**logical * env_dim
-    size = max(2**logical * dim**2, 2 ** (3 * w + 1))
+    size = max(2**logical * dim**2, 2 ** (2 * w + 2))
     if size > _ENTRY_BUDGET:
         raise ModelError(f"model array of {size} entries exceeds budget {_ENTRY_BUDGET}")
 
@@ -188,9 +188,9 @@ class DeviceModel:
     (2, 2^w) on qubit (x) x register) triples, and psi's block at y is the
     product of its coordinates' sqrt(weight) * state, times the CZ signs
     when the protocol pairs coordinates. It measures d per coordinate:
-    coord_m(theta, i, y_i) is the (2^w, 2^w) matrix whose row d_i is the
-    unit vector of outcome d_i on the x register. Its preimage measurement
-    is the computational basis on qubits and x registers.
+    coord_m[theta][i] is the Measurement of coordinate i's x register, the
+    same for every y_i, labelled by d_i. Its preimage measurement is the
+    computational basis on qubits and x registers.
     An explicit model (d_meas given) has no x registers and keeps psi[theta]:
     dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
     d-measurement is the y-independent Measurement d_meas[theta], labelled by
@@ -323,18 +323,18 @@ class DeviceModel:
         return rows, np.concatenate([codes[:, :, 0].T, codes[:, :, 1].T], axis=1)
 
     def _coord_classes(self, theta, i):
-        """(codes, vecs) of coordinate i: its (y_i, d_i) outcomes with
-        nonzero mass, grouped by their code (b-hat_i, h-hat_i) and by the
-        direction of their qubit vector sqrt(weight) * state . x_row*; a
-        class's vector is its first outcome's direction scaled to the root
-        of the class mass."""
-        w = self.w
+        """(codes, vecs) of coordinate i: its (y_i, column) outcomes with
+        nonzero mass, each decoded by its column's label d_i, grouped by
+        their code (b-hat_i, h-hat_i) and by the direction of their qubit
+        vector sqrt(weight) * <column|state>; a class's vector is its first
+        outcome's direction scaled to the root of the class mass."""
         ys, weights, states = zip(*self.psi[theta][i])
-        x_rows = np.array([self.coord_m(theta, i, y) for y in ys])
-        vecs = np.einsum("yqx,ydx->ydq", np.array(states), x_rows.conj()) * np.sqrt(weights)[:, None, None]
-        y_idx, d_idx = np.nonzero(_mass(vecs) >= ATOL**2)
-        vecs = vecs[y_idx, d_idx]
-        codes = _coord_codes(self.trapdoors[theta][i], np.array(ys, dtype=np.int64)[y_idx], d_idx, w)
+        meas = self.coord_m[theta][i]
+        vecs = (np.array(states) @ meas.basis.conj()).swapaxes(1, 2) * np.sqrt(weights)[:, None, None]
+        y_idx, col = np.nonzero(_mass(vecs) >= ATOL**2)
+        vecs = vecs[y_idx, col]
+        ds = np.array(meas.labels, dtype=np.int64)[col]
+        codes = _coord_codes(self.trapdoors[theta][i], np.array(ys, dtype=np.int64)[y_idx], ds, self.w)
         out_codes, out_vecs = [], []
         left = np.arange(len(vecs))
         while left.size:
@@ -404,24 +404,15 @@ def _preimage_share(key: entcf.PublicKey, coord) -> float:
     return float(hit / total)
 
 
-def _claw_basis(w: int, x0: int, x1: int) -> np.ndarray:
-    """Orthonormal basis of the x register for a claw coordinate, row d the
-    outcome d.
-
-    The claw superposition has support only on the two claw-basis vectors, so
-    labelling them with the smallest d of each h-parity gives a measurement
-    with zero mass on undecodable outcomes while reproducing the decoded
-    h-hat statistics exactly.
-    """
-    delta = x0 ^ x1
-    d_plus = next(d for d in range(1, 2**w) if entcf.parity(d & delta) == 0)
-    d_minus = next(d for d in range(2**w) if entcf.parity(d & delta) == 1)
-    eye = np.eye(2**w, dtype=complex)
-    out = np.empty_like(eye)
-    out[d_plus], out[d_minus] = (eye[x0] + eye[x1]) / np.sqrt(2.0), (eye[x0] - eye[x1]) / np.sqrt(2.0)
-    rest_d = [d for d in range(2**w) if d not in (d_plus, d_minus)]
-    out[rest_d] = eye[[x for x in range(2**w) if x not in (x0, x1)]]
-    return out
+def _claw_measurement(hadamard: Measurement, s: int) -> Measurement:
+    """The Hadamard measurement of a claw coordinate with shift s: column d
+    answers the smallest nonzero d of its h-parity parity(d & s). The
+    even-parity columns project |x0> onto (|x0> + |x0 xor s>) / 2, so on the
+    claw superposition the two labels leave its +- branches, and no column
+    answers the undecodable d = 0."""
+    parities = [entcf.parity(d & s) for d in hadamard.labels]
+    first = [next(d for d in hadamard.labels[1:] if parities[d] == p) for p in (0, 1)]
+    return Measurement(hadamard.basis, [first[p] for p in parities])
 
 
 def _cz_signs(n: int) -> np.ndarray:
@@ -442,19 +433,15 @@ def build_honest_model(
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, w, 1)
     thetas = protocol.thetas(protocol_kind, n)
-    keys, trapdoors, psi = {}, {}, {}
+    hadamard = Measurement(qsim.hadamard_matrix(w), range(2**w))
+    keys, trapdoors, psi, coord_m = {}, {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
         psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
-
-    hadamard = qsim.hadamard_matrix(w)
-
-    def coord_m(theta, i, y_i):
-        trap = trapdoors[theta][i]
-        if trap.family == entcf.FAMILY_G:
-            return hadamard
-        return _claw_basis(w, entcf.decode_x(0, trap, y_i), entcf.decode_x(1, trap, y_i))
-
+        coord_m[theta] = [
+            hadamard if t.family == entcf.FAMILY_G else _claw_measurement(hadamard, t.s)
+            for t in trapdoors[theta]
+        ]
     questions = {q: question_measurement(protocol_kind, n, q) for q in protocol.questions(protocol_kind)}
     return DeviceModel(
         protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, coord_m=coord_m, name="honest"

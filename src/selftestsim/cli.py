@@ -198,6 +198,8 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
 
 
 def _entcf_check_command(args) -> int:
+    if args.keys < 1:
+        raise ParameterError(f"--keys must be >= 1, got {args.keys}")
     failures = entcf_property_suite(args.backend, args.w, _seed(args), args.keys)
     if failures:
         for line in failures:

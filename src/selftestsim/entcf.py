@@ -67,11 +67,9 @@ class EntcfParams:
             raise ParameterError(f"unknown backend {self.backend!r}")
 
     @classmethod
-    def ideal(cls, w: int, image_space_size: int | None = None) -> "EntcfParams":
-        if image_space_size is None:
-            # slack beyond the 2^(w+1) range union keeps "invalid y" reachable
-            image_space_size = 2 ** (w + 1) + 2
-        return cls(backend="ideal", w=w, image_space_size=image_space_size)
+    def ideal(cls, w: int) -> "EntcfParams":
+        # slack beyond the 2^(w+1) range union keeps "invalid y" reachable
+        return cls(backend="ideal", w=w, image_space_size=2 ** (w + 1) + 2)
 
     @classmethod
     def toylwe(cls, n: int, m: int, q: int, B: int) -> "EntcfParams":
@@ -332,12 +330,9 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
         row = trapdoor.key.table[b].tolist()
         return row.index(y) if y in row else None
     if trapdoor.family == FAMILY_F and b == 1:
-        # f1(J(z)) = f0(J(z+s)): invert side 0 and shift by the secret
+        # invert side 0 and take the claw partner
         x0 = _lwe_search(trapdoor, 0, y)
-        if x0 is None:
-            return None
-        z1 = (x_to_z(x0, trapdoor.params) - np.array(trapdoor.s_vec)) % trapdoor.params.q
-        return z_to_x(z1, trapdoor.params)
+        return None if x0 is None else claw_partner(trapdoor, x0)
     return _lwe_search(trapdoor, b, y)
 
 
@@ -350,13 +345,7 @@ def decode_h(trapdoor: Trapdoor, y, d: int) -> int | None:
     x0 = decode_x(0, trapdoor, y)
     if x0 is None:
         return None
-    if trapdoor.params.backend == "ideal":
-        x1 = x0 ^ trapdoor.s  # f1 = f0[x ^ s]
-    else:
-        x1 = decode_x(1, trapdoor, y)
-        if x1 is None:
-            return None
-    return parity(d & (x0 ^ x1))
+    return parity(d & (x0 ^ claw_partner(trapdoor, x0)))
 
 
 def claw_partner(trapdoor: Trapdoor, x0: int) -> int:

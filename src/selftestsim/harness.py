@@ -129,7 +129,6 @@ def run_one_session(
     prover_rng: np.random.Generator,
     session_rng: np.random.Generator,
     link: _TcpLink | None = None,
-    timeout: float = TIMEOUT_S,
 ) -> dict:
     """One session over the run's TCP link, or in process when link is None;
     returns its transcript."""
@@ -157,7 +156,7 @@ def run_one_session(
                 record("v->p", outgoing, channel.send(outgoing))
                 if isinstance(outgoing, protocol.Verdict):
                     break
-                incoming, payload = channel.recv(timeout)
+                incoming, payload = channel.recv(TIMEOUT_S)
                 record("p->v", incoming, payload)
                 outgoing = verifier.step(incoming)
         verdict = verifier.verdict

@@ -25,6 +25,8 @@ from .errors import BudgetError, ContractError, DomainError, ParameterError
 
 COLLAPSED = "collapsed"
 FULLSIM = "fullsim"
+# most amplitudes one fullsim coordinate may hold
+FULLSIM_BUDGET = 2**20
 
 _COMP = "computational"
 _HAD = "hadamard"
@@ -150,13 +152,11 @@ class HonestProver(DeviceInterface):
         kind: str,
         rng: np.random.Generator,
         mode: str = COLLAPSED,
-        budget: int = 2**20,
     ):
         super().__init__(kind, rng)
         if mode not in (COLLAPSED, FULLSIM):
             raise ParameterError(f"unknown prover mode {mode!r}")
         self.mode = mode
-        self.budget = budget
         self.keys = None
         self.records = None  # per coordinate: list[(b, x)] preimage pairs of y
         self.y = None
@@ -191,7 +191,7 @@ class HonestProver(DeviceInterface):
             raise BudgetError("fullsim with a toylwe backend handles one coordinate only")
         for key in self.keys:
             n_images = len(self._image_labels(key))
-            if 2 ** (1 + key.params.w) * n_images > self.budget:
+            if 2 ** (1 + key.params.w) * n_images > FULLSIM_BUDGET:
                 raise BudgetError("fullsim coordinate exceeds the simulator budget")
 
     @staticmethod

@@ -2,6 +2,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,15 @@ def test_psi_blocks_are_normalized(honest):
 
 
 def test_m_measurement_orthonormal(honest):
+    # one Hadamard measurement per coordinate; a claw coordinate's columns
+    # answer two nonzero d's, an injective one's answer their own d
     for theta in honest.thetas:
-        for i, coord in enumerate(honest.psi[theta]):
-            mat = honest.coord_m(theta, i, coord[0][0])  # row d is outcome d
-            assert np.allclose(mat @ mat.conj().T, np.eye(2**honest.w), atol=1e-12)
+        for trap, meas in zip(honest.trapdoors[theta], honest.coord_m[theta]):
+            assert np.allclose(meas.basis.conj().T @ meas.basis, np.eye(2**honest.w), atol=1e-12)
+            if trap.family == entcf.FAMILY_G:
+                assert meas.labels == list(range(2**honest.w))
+            else:
+                assert len(meas.outcomes) == 2 and 0 not in meas.outcomes
 
 
 def _projector_dict(meas):
@@ -232,8 +238,8 @@ def _never_called(*args, **kwargs):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
-    # dimtest N=1 w=9: one coordinate's outcome grid has 2^28 entries
-    cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(9))
+    # dimtest N=1 w=12: one coordinate's outcome array has 2^26 entries
+    cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(12))
     with pytest.raises(ModelError, match="exceeds budget"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
     # an N=3 w=2 honest-shaped model fits; its bitflip dilation adds a 2^6
@@ -374,28 +380,41 @@ def _ref_psi(model, theta, n_y=None):
     return out
 
 
+def _rank_one_factor(op):
+    """u with op = |u><u|, up to a phase; op must have rank one."""
+    j = int(np.argmax(op.diagonal().real))
+    u = op[:, j] / np.sqrt(op[j, j].real) if op[j, j].real > 0 else op[:, j]
+    assert np.max(np.abs(op - np.outer(u, u.conj()))) <= 1e-12
+    return u
+
+
 def _ref_sigma_blocks(model, theta, n_y=None):
-    """Post-d blocks of every (y, d) label with nonzero mass, one d tuple at
-    a time, in label order, as (rest, x_vec) with the full block
-    rest (x) x_vec on logical (x) x (x) env; for the first n_y y's of psi
-    (all when None). An explicit model has no x registers: x_vec is [1]."""
+    """Post-d blocks on logical (x) env of every (y, d) label with nonzero
+    mass, one d tuple at a time, in label order; for the first n_y y's of psi
+    (all when None). A product-form model's block is the rank-one factor of
+    the summed |rest><rest| over the (y, column tuple) pairs whose columns'
+    labels make up d, rest being the block contracted with the columns on the
+    x registers."""
     out = {}
     for y, block in _ref_psi(model, theta, n_y).items():
         if model.coord_m is None:
             projs = sorted(_projector_dict(model.d_meas[theta]).items())
-            outcomes = [(d, proj @ block, np.ones(1)) for d, proj in projs]
+            outcomes = [(d, proj @ block) for d, proj in projs]
         else:
-            # (qubits, x registers): contract the x part with each d tuple's x_vec
+            # (qubits, x registers): contract the x part with each column tuple
             full = block.reshape(2**model.logical, -1)
-            per_coord = [list(enumerate(model.coord_m(theta, i, y[i]))) for i in range(model.logical)]
-            outcomes = []
+            per_coord = [list(zip(meas.labels, meas.basis.T)) for meas in model.coord_m[theta]]
+            summed = {}
             for combo in itertools.product(*per_coord):
-                x_vec = functools.reduce(np.multiply.outer, [outcome for _, outcome in combo]).ravel()
-                outcomes.append((tuple(d for d, _ in combo), full @ x_vec.conj(), x_vec))
-        for d, rest, x_vec in outcomes:
+                x_vec = functools.reduce(np.multiply.outer, [col for _, col in combo]).ravel()
+                rest = full @ x_vec.conj()
+                d = tuple(label for label, _ in combo)
+                summed[d] = summed.get(d, 0) + np.outer(rest, rest.conj())
+            outcomes = [(d, _rank_one_factor(op)) for d, op in sorted(summed.items())]
+        for d, rest in outcomes:
             rest = np.multiply.outer(rest, model.env).ravel()
             if np.vdot(rest, rest).real >= analysis.ATOL**2:
-                out[(y, d)] = (rest, x_vec)
+                out[(y, d)] = rest
     return out
 
 
@@ -403,7 +422,7 @@ def _ref_groups(model, theta):
     """dict v -> dict (y, d) -> block on logical (x) env, over the labels
     with v = sigma_v(label)."""
     groups = {}
-    for label, (rest, _) in _ref_sigma_blocks(model, theta).items():
+    for label, rest in _ref_sigma_blocks(model, theta).items():
         v = _sigma_v_of(model, theta, label)
         if v is not None:
             groups.setdefault(v, {})[label] = rest
@@ -446,7 +465,7 @@ def _ref_eps_h(model):
         accept = 0.0
         for theta in model.thetas:
             traps = model.trapdoors[theta]
-            for (y, d), (vec, _) in _ref_sigma_blocks(model, theta).items():
+            for (y, d), vec in _ref_sigma_blocks(model, theta).items():
                 bhat = [
                     entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
                     for t, yi in zip(traps, y)
@@ -526,9 +545,7 @@ def test_sigma_blocks_match_per_outcome_reference():
         for theta in model.thetas:
             table = model.class_table(theta)
             groups = {}
-            for label, (rest, x_vec) in _ref_sigma_blocks(model, theta).items():
-                # the x part is a unit vector, so the rest part carries every trace
-                assert abs(np.linalg.norm(x_vec) - 1.0) <= 1e-12
+            for label, rest in _ref_sigma_blocks(model, theta).items():
                 key = (_decoding_of(model, theta, label), _phase_key(rest))
                 groups.setdefault(key, []).append(rest)
             assert len(groups) == len(table.rows), (model.name, theta)
@@ -554,7 +571,7 @@ def test_class_rows_keep_coordinate_order():
     model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(2))
     for theta in model.thetas:
         table = model.class_table(theta)
-        for label, (rest, _) in _ref_sigma_blocks(model, theta, 16).items():
+        for label, rest in _ref_sigma_blocks(model, theta, 16).items():
             rows = table.rows[[table.decodings[k] == _decoding_of(model, theta, label) for k in table.index]]
             overlap = np.abs(rows.conj() @ rest) ** 2 / np.sum(np.abs(rows) ** 2, axis=1)
             assert np.max(overlap) == pytest.approx(np.vdot(rest, rest).real, rel=1e-12)
@@ -582,15 +599,76 @@ def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
                 if trap.family == entcf.FAMILY_G:
                     b_values.add((theta, i, y))
                     continue
-                # the (y_i, d_i) outcomes with mass
-                for d, x_row in enumerate(model.coord_m(theta, i, y)):
-                    if np.linalg.norm(state @ x_row.conj()) > 1e-12:
+                # the (y_i, d_i) labels of the columns with mass
+                meas = model.coord_m[theta][i]
+                for d, col in zip(meas.labels, meas.basis.T):
+                    if np.linalg.norm(state @ col.conj()) > 1e-12:
                         h_values.add((theta, i, y, d))
     assert 0 < calls["b"] <= len(b_values)
     assert 0 < calls["h"] <= len(h_values)
     calls.update(b=0, h=0)
     analysis.failure_report(model)
     assert calls == {"b": 0, "h": 0}
+
+
+def _per_image_claw_basis(w, x0, x1):
+    """The claw basis the d-measurement once used per image, row d outcome d:
+    (|x0> +- |x1>)/sqrt(2) at the smallest nonzero d of each h-parity of
+    x0 xor x1, the other computational states on the remaining rows."""
+    delta = x0 ^ x1
+    d_plus = next(d for d in range(1, 2**w) if entcf.parity(d & delta) == 0)
+    d_minus = next(d for d in range(2**w) if entcf.parity(d & delta) == 1)
+    eye = np.eye(2**w, dtype=complex)
+    out = np.empty_like(eye)
+    out[d_plus], out[d_minus] = (eye[x0] + eye[x1]) / np.sqrt(2.0), (eye[x0] - eye[x1]) / np.sqrt(2.0)
+    rest_d = [d for d in range(2**w) if d not in (d_plus, d_minus)]
+    out[rest_d] = eye[[x for x in range(2**w) if x not in (x0, x1)]]
+    return out
+
+
+@pytest.mark.parametrize("kind,n,w", [("selftest", 1, 2), ("selftest", 1, 3), ("dimtest", 2, 3)])
+def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
+    """Each coordinate's codes, and its summed |v><v| per code, are those of
+    the per-image claw bases (the Hadamard basis on injective coordinates)."""
+    cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=n, entcf=entcf.EntcfParams.ideal(w))
+    model = analysis.build_honest_model(cfg, kind, np.random.default_rng(w))
+    for theta in model.thetas:
+        for i, (trap, coord) in enumerate(zip(model.trapdoors[theta], model.psi[theta])):
+            want = {}
+            for y, weight, state in coord:
+                if trap.family == entcf.FAMILY_G:
+                    rows = qsim.hadamard_matrix(w).T
+                else:
+                    rows = _per_image_claw_basis(w, entcf.decode_x(0, trap, y), entcf.decode_x(1, trap, y))
+                for d, row in enumerate(rows):
+                    vec = np.sqrt(weight) * (state @ row.conj())
+                    if np.vdot(vec, vec).real >= analysis.ATOL**2:
+                        bhat, hhat = protocol.decode_bhat([trap], [y]), protocol.decode_hhat([trap], [y], [d])
+                        code = (bhat[0], hhat[0])
+                        want[code] = want.get(code, 0) + np.outer(vec, vec.conj())
+            got = {}
+            for code, vec in zip(*model._coord_classes(theta, i)):
+                code = analysis._bits(code)
+                got[code] = got.get(code, 0) + np.outer(vec, vec.conj())
+            assert set(got) == set(want), (theta, i)
+            for code, summed in want.items():
+                assert np.max(np.abs(got[code] - summed)) <= 1e-12, (theta, i, code)
+
+
+def test_class_tables_of_a_wide_coordinate_stay_small():
+    # dimtest N=1 w=8: the d-measurement's outcome arrays have 2^18 entries;
+    # a grid of one matrix per image had 2^25 and peaked near 1 GB
+    tracemalloc.start()
+    try:
+        model = analysis.build_honest_model(
+            DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(8)), "dimtest", np.random.default_rng(7)
+        )
+        for theta in model.thetas:
+            model.class_table(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_preimage_mass_computed_once_per_coordinate_value(monkeypatch):

@@ -402,6 +402,8 @@ def test_cli_analyze_rejects_w1(capsys):
         ["analyze", "--model", "random=x"],
         ["analyze", "--model", "random=-1"],
         ["analyze", "--protocol", "dimtest", "--model", "bitflip=0.1"],
+        ["entcf-check", "--keys", "0"],
+        ["entcf-check", "--keys", "-1"],
     ],
 )
 def test_cli_bad_spec_is_one_error_line(capsys, argv):
@@ -443,8 +445,8 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
     for argv in (
         # selftest bitflip at N=3 w=2: V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries
         ["--n", "3", "--w", "2", "--model", "bitflip=0.1"],
-        # dimtest honest at N=1 w=9: one coordinate's outcome grid has 2^28
-        ["--protocol", "dimtest", "--n", "1", "--w", "9", "--model", "honest"],
+        # dimtest honest at N=1 w=12: one coordinate's outcome array has 2^26
+        ["--protocol", "dimtest", "--n", "1", "--w", "12", "--model", "honest"],
     ):
         assert cli.main(["analyze"] + argv) == 1
         captured = capsys.readouterr()

@@ -1,7 +1,7 @@
-"""Every function, class and method in the package is used: referenced
-somewhere in `src/` outside its own definition, wrapped by the benchmark
-tracer, or a public entry point. Code that nothing calls is deleted, not
-kept."""
+"""Every function, class, method and module-level constant in the package is
+used: referenced somewhere in `src/` outside its own definition, wrapped by
+the benchmark tracer, or a public entry point. Code that nothing calls is
+deleted, not kept."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -38,12 +38,17 @@ def _references(node, module: str, modules: set) -> Counter:
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the methods of each class."""
+    """(name, node) of the top-level functions, classes and constants (names
+    a module-level assignment binds), and of the methods of each class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+            yield from ((m.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((sub.id, node) for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
 def _traced_names() -> set:
@@ -72,8 +77,7 @@ def test_every_definition_is_referenced():
     dead = []
     for module, tree in trees.items():
         top_level = {id(node) for node in tree.body}
-        for node in _definitions(tree):
-            name = node.name
+        for name, node in _definitions(tree):
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
             # a module-level name is used as module.name; a method as obj.name

@@ -107,9 +107,10 @@ def test_fullsim_budget_error_toylwe():
         p.on_keys(keys)
 
 
-def test_fullsim_budget_error_small_budget():
+def test_fullsim_budget_error_small_budget(monkeypatch):
     keys, _ = fixed_keys(theta=0)
-    p = HonestProver("selftest", np.random.default_rng(0), mode=FULLSIM, budget=4)
+    monkeypatch.setattr(prover, "FULLSIM_BUDGET", 4)
+    p = HonestProver("selftest", np.random.default_rng(0), mode=FULLSIM)
     with pytest.raises(BudgetError):
         p.on_keys(keys)
 
