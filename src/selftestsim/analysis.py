@@ -10,10 +10,11 @@ target states, the rank proposition, and the quantum-dimension certificate.
 Conventions: a model's quantum space H_D is laid out as (logical qubits, x
 registers, optional environment registers), but no operator is built on all
 of it. The Hadamard round measures each x register in the Hadamard basis: on
-an honest-family device each basis column c leaves a block rest_c (x) c, and
-every question measurement is the identity on x. So x drops out of every
-trace the analysis takes, and sigma blocks and question operators live on
-logical (x) env; an environment is a unit vector tensored onto each block.
+an honest-family device column d of an image's claw state leaves a qubit
+vector that depends on d only through an h-parity, up to sign, and every
+question measurement is the identity on x. So x drops out of every trace the
+analysis takes, and sigma blocks and question operators live on logical (x)
+env; an environment is a unit vector tensored onto each block.
 Classical labels are (y, d) tuples; every state block is a pure
 (unnormalized) vector whose squared norm is the block's probability mass.
 Every report is a sum over labels of a quantity of degree 2 in the block, so
@@ -84,14 +85,13 @@ def _first_min(values) -> int:
     return int(np.flatnonzero(values <= values.min() + 1e-12)[0])
 
 
-def _check_size(logical: int, w: int, env_dim: int) -> None:
+def _check_size(logical: int, env_dim: int) -> None:
     """Refuse a model whose largest array exceeds _ENTRY_BUDGET entries;
-    builders call this before they build anything. The largest are the swap
+    builders call this before they build anything. The largest is the swap
     isometry V, 2^L * dim^2 with dim = 2^L * env_dim (as is one question's
-    projector set), and one coordinate's outcome array in _coord_classes,
-    2^(w+1) images x 2^w columns x 2 amplitudes = 2^(2w+2)."""
-    dim = 2**logical * env_dim
-    size = max(2**logical * dim**2, 2 ** (2 * w + 2))
+    projector set); nothing the analysis builds grows with 2^w faster than
+    the key tables."""
+    size = 2**logical * (2**logical * env_dim) ** 2
     if size > _ENTRY_BUDGET:
         raise ModelError(f"model array of {size} entries exceeds budget {_ENTRY_BUDGET}")
 
@@ -183,14 +183,16 @@ class ClassTable:
 class DeviceModel:
     """Block-diagonal device description, in one of two forms.
 
-    A product-form model (coord_m given; the honest family) keeps psi
-    factored: psi[theta][i] lists coordinate i's (y_i, weight, state array
-    (2, 2^w) on qubit (x) x register) triples, and psi's block at y is the
-    product of its coordinates' sqrt(weight) * state, times the CZ signs
-    when the protocol pairs coordinates. It measures d per coordinate:
-    coord_m[theta][i] is the Measurement of coordinate i's x register, the
-    same for every y_i, labelled by d_i. Its preimage measurement is the
-    computational basis on qubits and x registers.
+    A product-form model (d_meas None; the honest family) keeps psi
+    factored: psi[theta][i] lists coordinate i's (y_i, weight, support)
+    triples, the state on qubit (x) x register being the sum of
+    amplitude |b, x> over the support's (b, x, amplitude) terms, and psi's
+    block at y is the product of its coordinates' sqrt(weight) * state,
+    times the CZ signs when the protocol pairs coordinates. It measures each
+    x register in the Hadamard basis, a claw coordinate's column d answering
+    the smallest nonzero d of its h-parity, so d = 0 is never answered. Its
+    preimage measurement is the computational basis on qubits and x
+    registers.
     An explicit model (d_meas given) has no x registers and keeps psi[theta]:
     dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
     d-measurement is the y-independent Measurement d_meas[theta], labelled by
@@ -213,7 +215,6 @@ class DeviceModel:
         trapdoors: dict,
         psi: dict,
         questions: dict,
-        coord_m=None,
         d_meas: dict | None = None,
         preimage: Measurement | None = None,
         env: np.ndarray | None = None,
@@ -231,7 +232,6 @@ class DeviceModel:
         self.trapdoors = trapdoors
         self.psi = psi
         self.questions = questions
-        self.coord_m = coord_m
         self.d_meas = d_meas
         self.preimage = preimage
         self.name = name
@@ -245,8 +245,7 @@ class DeviceModel:
         states and the other measurements are shared."""
         return DeviceModel(
             self.protocol, self.n, self.w, self.logical, self.thetas, self.keys, self.trapdoors,
-            self.psi, questions, coord_m=self.coord_m, d_meas=self.d_meas, preimage=self.preimage,
-            env=env, name=name,
+            self.psi, questions, d_meas=self.d_meas, preimage=self.preimage, env=env, name=name,
         )
 
     def Z(self, i: int) -> np.ndarray:
@@ -270,7 +269,7 @@ class DeviceModel:
 
     def _build_table(self, theta) -> ClassTable:
         L = self.logical
-        rows, codes = self._product_rows(theta) if self.coord_m is not None else self._label_rows(theta)
+        rows, codes = self._product_rows(theta) if self.d_meas is None else self._label_rows(theta)
         key = (codes + 1).astype(np.int64) @ 3 ** np.arange(2 * L)
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(first)  # distinct decodings in order of first row
@@ -323,28 +322,37 @@ class DeviceModel:
         return rows, np.concatenate([codes[:, :, 0].T, codes[:, :, 1].T], axis=1)
 
     def _coord_classes(self, theta, i):
-        """(codes, vecs) of coordinate i: its (y_i, column) outcomes with
-        nonzero mass, each decoded by its column's label d_i, grouped by
-        their code (b-hat_i, h-hat_i) and by the direction of their qubit
-        vector sqrt(weight) * <column|state>; a class's vector is its first
-        outcome's direction scaled to the root of the class mass."""
-        ys, weights, states = zip(*self.psi[theta][i])
-        meas = self.coord_m[theta][i]
-        vecs = (np.array(states) @ meas.basis.conj()).swapaxes(1, 2) * np.sqrt(weights)[:, None, None]
-        y_idx, col = np.nonzero(_mass(vecs) >= ATOL**2)
-        vecs = vecs[y_idx, col]
-        ds = np.array(meas.labels, dtype=np.int64)[col]
-        codes = _coord_codes(self.trapdoors[theta][i], np.array(ys, dtype=np.int64)[y_idx], ds, self.w)
+        """(codes, vecs) of coordinate i. Column d of the Hadamard round maps
+        an image's support {(b_k, x_k, a_k)} to 2^(-w/2) sum_k (-1)^(d.x_k)
+        a_k |b_k>. Up to sign, that vector is the same for every d when the
+        image has one preimage, and depends on d only through parity(d & t),
+        t = x_0 xor x_1, when it has a claw's two. So an image has one
+        outcome per coset of d's (one or two), of mass weight * |coset| /
+        2^w, decoded once at the coset's smallest nonzero d. The outcomes
+        are grouped by their code (b-hat_i, h-hat_i) and by direction; a
+        class's vector is its first outcome's direction scaled to the root
+        of the class mass."""
+        outcomes = []
+        for y, weight, support in self.psi[theta][i]:
+            t = support[0][1] ^ support[-1][1]
+            cosets = (0, 1) if t else (0,)
+            for p in cosets:
+                d = next(d for d in range(1, 2**self.w) if entcf.parity(d & t) == p)
+                vec = np.zeros(2, dtype=complex)
+                for b, x, amp in support:
+                    vec[b] += (-1) ** entcf.parity(d & x) * amp
+                outcomes.append((y, d, vec / np.linalg.norm(vec), weight / len(cosets)))
+        ys, ds, units, masses = (np.array(column) for column in zip(*outcomes))
+        codes = _coord_codes(self.trapdoors[theta][i], ys, ds, self.w)
         out_codes, out_vecs = [], []
-        left = np.arange(len(vecs))
+        left = np.arange(len(units))
         while left.size:
-            unit = vecs[left[0]] / np.linalg.norm(vecs[left[0]])
-            mass = _mass(vecs[left])
+            unit = units[left[0]]
             same = np.all(codes[left] == codes[left[0]], axis=1) & (
-                np.abs(vecs[left] @ unit.conj()) ** 2 >= (1.0 - 1e-12) * mass
+                np.abs(units[left] @ unit.conj()) ** 2 >= 1.0 - 1e-12
             )
             out_codes.append(codes[left[0]])
-            out_vecs.append(np.sqrt(np.sum(mass[same])) * unit)
+            out_vecs.append(np.sqrt(np.sum(masses[left[same]])) * unit)
             left = left[~same]
         return np.array(out_codes), np.array(out_vecs)
 
@@ -355,7 +363,7 @@ class DeviceModel:
         is the product over coordinates of each one's share on preimages."""
         if theta not in self._t_cache:
             keys = self.keys[theta]
-            if self.coord_m is not None:
+            if self.d_meas is None:
                 total = math.prod(_preimage_share(key, coord) for key, coord in zip(keys, self.psi[theta]))
             elif self.preimage is None:
                 total = 0.0
@@ -373,46 +381,29 @@ class DeviceModel:
 # ---------------------------------------------------------------------------
 
 def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
-    """(y, weight, state array (2, 2^w)) triples for one honest coordinate."""
-    w = key.params.w
+    """(y, weight, support) triples for one honest coordinate, in y order: the
+    state at y is the sum of amplitude |b, x> over its (b, x, amplitude)
+    support, an injective key's one preimage or a claw's two, and each
+    preimage carries mass 2^-(w+1)."""
     out = []
-    # image_iter is sorted, so the triples are in y order; a claw key's
-    # images are those of f_0, each hit by one x0 and one x1
     for y in entcf.image_iter(key):
-        arr = np.zeros((2, 2**w), dtype=complex)
-        if trapdoor.family == entcf.FAMILY_G:
-            b = entcf.decode_b(trapdoor, y)
-            arr[b, entcf.decode_x(b, trapdoor, y)] = 1.0
-            out.append((y, 2.0 ** -(w + 1), arr))
-        else:
-            x0, x1 = entcf.decode_x(0, trapdoor, y), entcf.decode_x(1, trapdoor, y)
-            arr[0, x0] = arr[1, x1] = 1.0 / np.sqrt(2.0)
-            out.append((y, 2.0**-w, arr))
+        bs = (entcf.decode_b(trapdoor, y),) if trapdoor.family == entcf.FAMILY_G else (0, 1)
+        support = tuple((b, entcf.decode_x(b, trapdoor, y), 1.0 / np.sqrt(len(bs))) for b in bs)
+        out.append((y, len(bs) * 2.0 ** -(key.params.w + 1), support))
     return out
 
 
 def _preimage_share(key: entcf.PublicKey, coord) -> float:
-    """sum_{y_i} weight sum_{(b, x) preimage of y_i} |state[b, x]|^2 over one
-    coordinate's (y_i, weight, state) triples, divided by the same sum over
-    every (b, x): the coordinate has unit mass, and the ratio cancels the
-    round-off of amplitudes such as 1/sqrt(2)."""
+    """sum_{y_i} weight sum_{(b, x) preimage of y_i} |amplitude|^2 over one
+    coordinate's (y_i, weight, support) triples, divided by the same sum over
+    the whole support: the coordinate has unit mass, and the ratio cancels
+    the round-off of amplitudes such as 1/sqrt(2)."""
     hit = total = 0.0
-    for y, weight, state in coord:
-        mass = weight * np.abs(state) ** 2
-        hit += sum(mass[b, x] for b, x in entcf.preimages(key, y))
-        total += mass.sum()
+    for y, weight, support in coord:
+        found = entcf.preimages(key, y)
+        hit += sum(weight * abs(amp) ** 2 for b, x, amp in support if (b, x) in found)
+        total += sum(weight * abs(amp) ** 2 for _, _, amp in support)
     return float(hit / total)
-
-
-def _claw_measurement(hadamard: Measurement, s: int) -> Measurement:
-    """The Hadamard measurement of a claw coordinate with shift s: column d
-    answers the smallest nonzero d of its h-parity parity(d & s). The
-    even-parity columns project |x0> onto (|x0> + |x0 xor s>) / 2, so on the
-    claw superposition the two labels leave its +- branches, and no column
-    answers the undecodable d = 0."""
-    parities = [entcf.parity(d & s) for d in hadamard.labels]
-    first = [next(d for d in hadamard.labels[1:] if parities[d] == p) for p in (0, 1)]
-    return Measurement(hadamard.basis, [first[p] for p in parities])
 
 
 def _cz_signs(n: int) -> np.ndarray:
@@ -431,31 +422,26 @@ def build_honest_model(
         raise ModelError("white-box analysis supports the ideal backend only")
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
-    _check_size(logical, w, 1)
+    _check_size(logical, 1)
+    # t_theta's preimage lookups scan X
+    entcf.check_scan(params)
     thetas = protocol.thetas(protocol_kind, n)
-    hadamard = Measurement(qsim.hadamard_matrix(w), range(2**w))
-    keys, trapdoors, psi, coord_m = {}, {}, {}, {}
+    keys, trapdoors, psi = {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
         psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
-        coord_m[theta] = [
-            hadamard if t.family == entcf.FAMILY_G else _claw_measurement(hadamard, t.s)
-            for t in trapdoors[theta]
-        ]
     questions = {q: question_measurement(protocol_kind, n, q) for q in protocol.questions(protocol_kind)}
-    return DeviceModel(
-        protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, coord_m=coord_m, name="honest"
-    )
+    return DeviceModel(protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, name="honest")
 
 
-def check_bitflip(protocol_kind: str, n: int, w: int, p: float) -> None:
+def check_bitflip(protocol_kind: str, n: int, p: float) -> None:
     """Refuse a flip probability outside [0, 1], or a bitflip model whose
     largest array (with an environment qubit per logical qubit) exceeds the
     budget, before the honest model it dilates is built."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("flip probability must lie in [0, 1]")
     logical = protocol.n_coords(protocol_kind, n)
-    _check_size(logical, w, 2**logical)
+    _check_size(logical, 2**logical)
 
 
 def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
@@ -463,7 +449,7 @@ def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
     pattern e lives in a product state beside the honest psi, and question q
     measures in the basis kron(B_q, 1_env), whose column (u, e) answers
     u xor e; so P_q^u is sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
-    check_bitflip(honest.protocol, honest.n, honest.w, p)
+    check_bitflip(honest.protocol, honest.n, p)
     logical = honest.logical
     anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
     env = functools.reduce(np.kron, [anc] * logical)
@@ -490,6 +476,7 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
     params = config.entcf
     n, w = config.N, params.w
     logical = 2 * n
+    _check_size(logical, 1)
     dim = 2**logical
     thetas = protocol.thetas("selftest", n)
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}
@@ -534,6 +521,7 @@ def build_classical_model(
     params = config.entcf
     n, w = config.N, params.w
     logical = n
+    _check_size(logical, 1)
     dim = 2**logical
     thetas = protocol.thetas("dimtest", n)
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}

@@ -116,7 +116,7 @@ def _build_model(args, rng: np.random.Generator):
             p = float(value)
         except ValueError:
             raise ParameterError(f"bad flip probability in {args.model!r}") from None
-        analysis.check_bitflip("selftest", args.n, args.w, p)
+        analysis.check_bitflip("selftest", args.n, p)
         honest = analysis.build_honest_model(config, "selftest", rng)
         return analysis.build_bitflip_model(honest, p)
     if args.model == "wrongbasis":

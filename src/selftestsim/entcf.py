@@ -29,11 +29,17 @@ from .errors import DomainError, FamilyError, ParameterError, ProtocolError
 FAMILY_F = "F"
 FAMILY_G = "G"
 
-_DECODE_CAP = 2**16  # largest |X| for which exhaustive ToyLwe decoding is allowed
+_DECODE_CAP = 2**16  # largest |X| the exhaustive scans over X allow
 
 
 def parity(n: int) -> int:
     return bin(n).count("1") & 1
+
+
+def check_scan(params: EntcfParams) -> None:
+    """Refuse |X| > 2^16: ToyLwe keygen and decoding, and preimages, scan X."""
+    if 2**params.w > _DECODE_CAP:
+        raise DomainError(f"exhaustive scans of X capped at |X| <= 2^16, got 2^{params.w}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,7 @@ _KEYGEN_TRIES = 10_000
 
 def _gen_toylwe(family, params, rng):
     q, B = params.q, params.B
-    if 2**params.w > _DECODE_CAP:
-        raise DomainError("ToyLwe key generation capped at |X| <= 2^16")
+    check_scan(params)
     offset = np.full(params.m, q // 2, dtype=np.int64)
     lattice_x = np.stack([x_to_z(x, params) for x in range(2**params.w)])
     for _ in range(_KEYGEN_TRIES):
@@ -299,8 +304,7 @@ def chk(keys, y, b, x) -> int:
 def _lwe_search(trapdoor: Trapdoor, b: int, y) -> int | None:
     """Exhaustive preimage search; returns the smallest matching x or None."""
     params = trapdoor.params
-    if 2**params.w > _DECODE_CAP:
-        raise DomainError("ToyLwe decoding capped at |X| <= 2^16")
+    check_scan(params)
     for x in range(2**params.w):
         if support_contains(trapdoor.key, b, x, y):
             return x
@@ -361,8 +365,7 @@ def claw_partner(trapdoor: Trapdoor, x0: int) -> int:
 def preimages(key: PublicKey, y) -> list[tuple[int, int]]:
     """All (b, x) with y in Supp(f_{k,b}(x)). Public (trapdoor-free) exhaustive scan."""
     params = key.params
-    if 2**params.w > _DECODE_CAP:
-        raise DomainError("exhaustive preimage scan capped at |X| <= 2^16")
+    check_scan(params)
     if params.backend == "ideal":
         bs, xs = (key.table == y).nonzero()  # row-major: b first, then x
         return list(zip(bs.tolist(), xs.tolist()))

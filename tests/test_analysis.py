@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from selftestsim import analysis, cli, entcf, protocol, qsim
-from selftestsim.errors import ModelError, ParameterError
+from selftestsim.errors import DomainError, ModelError, ParameterError
 from selftestsim.protocol import THETA_ALL_G, THETA_DIAMOND, DimTestConfig, SelfTestConfig
 
 
@@ -25,26 +25,37 @@ def honest_dim():
     return analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
 
 
+def _dense_state(support, w):
+    """The (2, 2^w) state on qubit (x) x register of one image's (b, x,
+    amplitude) support."""
+    state = np.zeros((2, 2**w), dtype=complex)
+    for b, x, amp in support:
+        state[b, x] += amp
+    return state
+
+
+def _hadamard_columns(trap, w):
+    """(label, column) pairs of the Hadamard basis of one coordinate's x
+    register: column d answers d on an injective coordinate, and on a claw
+    coordinate with shift s the smallest nonzero d of its h-parity
+    parity(d & s), so no column answers d = 0."""
+    cols = qsim.hadamard_matrix(w).T
+    if trap.family == entcf.FAMILY_G:
+        return list(enumerate(cols))
+    first = [next(d for d in range(1, 2**w) if entcf.parity(d & trap.s) == p) for p in (0, 1)]
+    return [(first[entcf.parity(d & trap.s)], col) for d, col in enumerate(cols)]
+
+
 def test_psi_blocks_are_normalized(honest):
     for theta in honest.thetas:
         # psi is a product over coordinates, so each factor has unit mass
         for coord in honest.psi[theta]:
-            mass = sum(weight * np.vdot(state, state).real for _, weight, state in coord)
+            mass = sum(
+                weight * np.sum(np.abs(_dense_state(support, honest.w)) ** 2) for _, weight, support in coord
+            )
             assert mass == pytest.approx(1.0, abs=1e-12)
         mass = sum(np.vdot(v, v).real for v in _ref_psi(honest, theta).values())
         assert mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_m_measurement_orthonormal(honest):
-    # one Hadamard measurement per coordinate; a claw coordinate's columns
-    # answer two nonzero d's, an injective one's answer their own d
-    for theta in honest.thetas:
-        for trap, meas in zip(honest.trapdoors[theta], honest.coord_m[theta]):
-            assert np.allclose(meas.basis.conj().T @ meas.basis, np.eye(2**honest.w), atol=1e-12)
-            if trap.family == entcf.FAMILY_G:
-                assert meas.labels == list(range(2**honest.w))
-            else:
-                assert len(meas.outcomes) == 2 and 0 not in meas.outcomes
 
 
 def _projector_dict(meas):
@@ -238,9 +249,9 @@ def _never_called(*args, **kwargs):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
-    # dimtest N=1 w=12: one coordinate's outcome array has 2^26 entries
-    cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(12))
-    with pytest.raises(ModelError, match="exceeds budget"):
+    # dimtest N=1 w=17: t_theta's preimage lookups would scan 2^17 x's
+    cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(17))
+    with pytest.raises(DomainError, match="capped"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
     # an N=3 w=2 honest-shaped model fits; its bitflip dilation adds a 2^6
     # environment, so V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries, and it is
@@ -366,14 +377,15 @@ def _ref_psi(model, theta, n_y=None):
     None), in y order: an explicit model's stored blocks, or a product-form
     model's coordinate triples multiplied out with the CZ signs, one y at a
     time."""
-    if model.coord_m is None:
+    if model.d_meas is not None:
         return dict(itertools.islice(sorted(model.psi[theta].items()), n_y))
     L = model.logical
     cz = analysis._cz_signs(model.n) if protocol.paired(model.protocol) else np.ones(2**L)
     order = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))  # qubits, then x registers
     out = {}
     for combo in itertools.islice(itertools.product(*model.psi[theta]), n_y):
-        tens = functools.reduce(np.multiply.outer, [state for _, _, state in combo])
+        states = [_dense_state(support, model.w) for _, _, support in combo]
+        tens = functools.reduce(np.multiply.outer, states)
         block = np.transpose(tens, order).reshape(2**L, -1) * cz[:, None]
         weight = np.prod([weight for _, weight, _ in combo])
         out[tuple(y for y, _, _ in combo)] = np.sqrt(weight) * block.ravel()
@@ -397,13 +409,13 @@ def _ref_sigma_blocks(model, theta, n_y=None):
     x registers."""
     out = {}
     for y, block in _ref_psi(model, theta, n_y).items():
-        if model.coord_m is None:
+        if model.d_meas is not None:
             projs = sorted(_projector_dict(model.d_meas[theta]).items())
             outcomes = [(d, proj @ block) for d, proj in projs]
         else:
             # (qubits, x registers): contract the x part with each column tuple
             full = block.reshape(2**model.logical, -1)
-            per_coord = [list(zip(meas.labels, meas.basis.T)) for meas in model.coord_m[theta]]
+            per_coord = [_hadamard_columns(trap, model.w) for trap in model.trapdoors[theta]]
             summed = {}
             for combo in itertools.product(*per_coord):
                 x_vec = functools.reduce(np.multiply.outer, [col for _, col in combo]).ravel()
@@ -579,9 +591,12 @@ def test_class_rows_keep_coordinate_order():
 
 @pytest.mark.parametrize("kind,w", [("selftest", 2), ("dimtest", 4)])
 def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
+    """At most one decode_b per injective image, one decode_h per coset of a
+    claw image (two), and one protocol.decode_hhat per outcome: never one
+    per (image, d) pair."""
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
-    calls = {"b": 0, "h": 0}
+    calls = {"b": 0, "h": 0, "hhat": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -591,24 +606,18 @@ def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
 
     monkeypatch.setattr(entcf, "decode_b", counted("b", entcf.decode_b))
     monkeypatch.setattr(entcf, "decode_h", counted("h", entcf.decode_h))
-    b_values, h_values = set(), set()
+    monkeypatch.setattr(protocol, "decode_hhat", counted("hhat", protocol.decode_hhat))
+    images = {entcf.FAMILY_G: 0, entcf.FAMILY_F: 0}
     for theta in model.thetas:
         model.class_table(theta)
-        for i, (trap, coord) in enumerate(zip(model.trapdoors[theta], model.psi[theta])):
-            for y, _, state in coord:
-                if trap.family == entcf.FAMILY_G:
-                    b_values.add((theta, i, y))
-                    continue
-                # the (y_i, d_i) labels of the columns with mass
-                meas = model.coord_m[theta][i]
-                for d, col in zip(meas.labels, meas.basis.T):
-                    if np.linalg.norm(state @ col.conj()) > 1e-12:
-                        h_values.add((theta, i, y, d))
-    assert 0 < calls["b"] <= len(b_values)
-    assert 0 < calls["h"] <= len(h_values)
-    calls.update(b=0, h=0)
+        for trap, coord in zip(model.trapdoors[theta], model.psi[theta]):
+            images[trap.family] += len(coord)
+    assert 0 < calls["b"] <= images[entcf.FAMILY_G]
+    assert 0 < calls["h"] <= 2 * images[entcf.FAMILY_F]
+    assert calls["hhat"] <= images[entcf.FAMILY_G] + 2 * images[entcf.FAMILY_F]
+    calls.update(b=0, h=0, hhat=0)
     analysis.failure_report(model)
-    assert calls == {"b": 0, "h": 0}
+    assert calls == {"b": 0, "h": 0, "hhat": 0}
 
 
 def _per_image_claw_basis(w, x0, x1):
@@ -626,7 +635,13 @@ def _per_image_claw_basis(w, x0, x1):
     return out
 
 
-@pytest.mark.parametrize("kind,n,w", [("selftest", 1, 2), ("selftest", 1, 3), ("dimtest", 2, 3)])
+@pytest.mark.parametrize(
+    "kind,n,w",
+    [
+        ("selftest", 1, 2), ("selftest", 1, 3), ("dimtest", 2, 3),
+        ("selftest", 2, 2), ("dimtest", 3, 2), ("dimtest", 1, 6),
+    ],
+)
 def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
     """Each coordinate's codes, and its summed |v><v| per code, are those of
     the per-image claw bases (the Hadamard basis on injective coordinates)."""
@@ -635,7 +650,8 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
     for theta in model.thetas:
         for i, (trap, coord) in enumerate(zip(model.trapdoors[theta], model.psi[theta])):
             want = {}
-            for y, weight, state in coord:
+            for y, weight, support in coord:
+                state = _dense_state(support, w)
                 if trap.family == entcf.FAMILY_G:
                     rows = qsim.hadamard_matrix(w).T
                 else:
@@ -656,8 +672,9 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
 
 
 def test_class_tables_of_a_wide_coordinate_stay_small():
-    # dimtest N=1 w=8: the d-measurement's outcome arrays have 2^18 entries;
-    # a grid of one matrix per image had 2^25 and peaked near 1 GB
+    # dimtest N=1 w=8: each image leaves one or two qubit vectors; dense
+    # (2, 2^w) states times the Hadamard basis peaked near 26 MiB, and a
+    # grid of one matrix per image near 1 GB
     tracemalloc.start()
     try:
         model = analysis.build_honest_model(
@@ -668,7 +685,7 @@ def test_class_tables_of_a_wide_coordinate_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_preimage_mass_computed_once_per_coordinate_value(monkeypatch):
@@ -734,10 +751,26 @@ def test_failure_report_matches_dense_reference(honest):
         assert got.eps == pytest.approx(got.eps_P / 2.0 + sum(eps_h.values()) / 8.0, abs=1e-9)
 
 
+def _unskipped_eps_h(model):
+    """eps_H with a verdict on every decoding of every class table, those
+    without mass included: failure_report's loop without its skip."""
+    accept = dict.fromkeys(sorted(model.questions), 0.0)
+    for theta in model.thetas:
+        table = model.class_table(theta)
+        for q in accept:
+            for u, weights in zip(model.questions[q].outcomes, model.outcome_masses(theta, q)):
+                mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
+                for k, (bhat, hhat) in enumerate(table.decodings):
+                    args = (model.protocol, model.n, theta, q, u, list(bhat), list(hhat))
+                    if protocol.hadamard_verdict(*args).accept:
+                        accept[q] += float(mass[k])
+    return {q: 1.0 - a / len(model.thetas) for q, a in accept.items()}
+
+
 def test_failure_report_skips_decodings_without_mass(monkeypatch):
-    """dimtest honest N=4 w=2, seed 7: the report is bit for bit the one the
-    full verdict loop gave (recorded before the skip), from 912 verdicts
-    instead of 2,560; only the decodings that carry mass are judged."""
+    """dimtest honest N=4 w=2, seed 7: the report is bit for bit the one a
+    verdict on every decoding gives, from 912 verdicts instead of 2,560;
+    only the decodings that carry mass are judged."""
     cfg = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(7))
     calls = []
@@ -749,10 +782,12 @@ def test_failure_report_skips_decodings_without_mass(monkeypatch):
 
     monkeypatch.setattr(protocol, "hadamard_verdict", counted)
     report = analysis.failure_report(model)
-    assert (report.eps_P, report.eps_H, report.eps) == (
-        0.0, {0: 2.220446049250313e-16, 1: 2.220446049250313e-16}, 1.1102230246251565e-16
-    )
     assert len(calls) == 912
+    eps_h = _unskipped_eps_h(model)
+    assert len(calls) == 912 + 2560
+    assert (report.eps_P, report.eps_H, report.eps) == (0.0, eps_h, protocol.eps(0.0, eps_h))
+    assert all(abs(e) <= 1e-15 for e in eps_h.values())
+
 
 @pytest.mark.parametrize(
     "kind,n,w,seed", [("honest", 1, 2, 0), ("honest", 1, 3, 1), ("classical", 2, 2, 3), ("honest", 2, 2, 2)]

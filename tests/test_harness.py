@@ -430,6 +430,15 @@ def test_cli_analyze_dimtest_n3_certifies_dimension_8(capsys):
     assert cert["rank_ok"]
 
 
+def test_cli_analyze_dimtest_w10_certifies_dimension_2(capsys):
+    # 2^11 images per coordinate, each with one or two outcomes
+    argv = ["analyze", "--protocol", "dimtest", "--n", "1", "--w", "10", "--model", "honest"]
+    assert cli.main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["certified_dimension"] == pytest.approx(2.0, abs=1e-9)
+    assert cert["rank_ok"]
+
+
 def test_cli_analyze_bitflip_n2_is_all_ok(capsys):
     # dim 16 * 16 = 256: V has 2^20 entries, inside the budget
     assert cli.main(["analyze", "--n", "2", "--w", "2", "--model", "bitflip=0.1", "--seed", "7"]) == 0
@@ -445,8 +454,12 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
     for argv in (
         # selftest bitflip at N=3 w=2: V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries
         ["--n", "3", "--w", "2", "--model", "bitflip=0.1"],
-        # dimtest honest at N=1 w=12: one coordinate's outcome array has 2^26
-        ["--protocol", "dimtest", "--n", "1", "--w", "12", "--model", "honest"],
+        # dimtest honest at N=1 w=17: the preimage lookups would scan 2^17 x's
+        ["--protocol", "dimtest", "--n", "1", "--w", "17", "--model", "honest"],
+        # selftest random at N=5: V has 2^10 * (2^10)^2 = 2^30 entries
+        ["--n", "5", "--model", "random"],
+        # dimtest classical at N=9: V has 2^9 * (2^9)^2 = 2^27 entries
+        ["--protocol", "dimtest", "--n", "9", "--model", "classical"],
     ):
         assert cli.main(["analyze"] + argv) == 1
         captured = capsys.readouterr()
