@@ -85,15 +85,17 @@ def _first_min(values) -> int:
     return int(np.flatnonzero(values <= values.min() + 1e-12)[0])
 
 
-def _check_size(logical: int, env_dim: int) -> None:
-    """Refuse a model whose largest array exceeds _ENTRY_BUDGET entries;
-    builders call this before they build anything. The largest is the swap
-    isometry V, 2^L * dim^2 with dim = 2^L * env_dim (as is one question's
-    projector set); nothing the analysis builds grows with 2^w faster than
-    the key tables."""
-    size = 2**logical * (2**logical * env_dim) ** 2
+def _check_size(logical: int, env_dim: int, projectors: int = 0) -> None:
+    """Refuse a model whose largest array, or whose cached projectors
+    together, exceed _ENTRY_BUDGET entries; builders call this before they
+    build anything. The largest array is the swap isometry V, 2^L * dim^2
+    with dim = 2^L * env_dim (as is one question's projector set); an
+    explicit model also caches `projectors` dim x dim projectors, one per
+    outcome of each question, d-measurement and preimage measurement.
+    Nothing the analysis builds grows with 2^w faster than the key tables."""
+    size = max(2**logical, projectors) * (2**logical * env_dim) ** 2
     if size > _ENTRY_BUDGET:
-        raise ModelError(f"model array of {size} entries exceeds budget {_ENTRY_BUDGET}")
+        raise ModelError(f"model of {size} array entries exceeds budget {_ENTRY_BUDGET}")
 
 
 def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
@@ -476,9 +478,9 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
     params = config.entcf
     n, w = config.N, params.w
     logical = 2 * n
-    _check_size(logical, 1)
     dim = 2**logical
     thetas = protocol.thetas("selftest", n)
+    _check_size(logical, 1, (4 + len(thetas) + 1) * dim)
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs("selftest", theta, n, params, rng)
@@ -521,9 +523,9 @@ def build_classical_model(
     params = config.entcf
     n, w = config.N, params.w
     logical = n
-    _check_size(logical, 1)
     dim = 2**logical
     thetas = protocol.thetas("dimtest", n)
+    _check_size(logical, 1, 2 * dim + len(thetas))
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     basis = np.eye(dim, dtype=complex)
     for theta in thetas:

@@ -2,7 +2,8 @@
 
 run_sessions drives verifier/prover pairs with one send/recv/step loop over
 either transport (an in-process payload link, or one loopback TCP connection
-per run that serves the sessions in order), records one JSON-able transcript
+per run that serves the sessions in order, both of its ends driven by the
+thread that runs the sessions), records one JSON-able transcript
 per session (logical timestamps, full message sequence, revealed theta and
 decodings), and aggregates acceptance statistics stratified by (theta class,
 round type, question) with Wilson confidence intervals and, for the
@@ -19,9 +20,7 @@ import functools
 import json
 import operator
 import pathlib
-import queue
 import socket
-import threading
 
 import numpy as np
 
@@ -55,68 +54,55 @@ def _nodelay(sock: socket.socket) -> socket.socket:
 
 
 class _TcpLink:
-    """One loopback listener, connection and prover thread for a whole run.
-    The thread serves sessions in the order `session` hands it their provers,
-    checking each frame against the id of the session it serves. A
-    TransportError on either end closes the connection on both, and the next
-    session connects afresh, so no frame of a failed session reaches the
-    next. A prover that raised is re-raised when its session ends, as in
-    process; its closed socket has already ended the session."""
+    """One loopback connection for a whole run, whose two ends the thread
+    that runs the sessions drives; the link is each session's verifier
+    channel. `send` writes the verifier's frame, reads it at the prover's end
+    and has the prover answer, as in process; `recv` writes the answer and
+    reads it at the verifier's end. A session that raises closes the
+    connection, and the next one connects afresh."""
 
-    def __init__(self, codec, port: int, timeout: float):
+    def __init__(self, codec, port: int):
         self.codec = codec
-        self.timeout = timeout
         self._listener = socket.create_server(("127.0.0.1", port))
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._channel = None
-        self._server = threading.Thread(target=self._serve, daemon=True)
-        self._server.start()
-
-    def _serve(self) -> None:
-        channel = None
-        for session_id, prover in iter(self._jobs.get, None):
-            try:
-                if channel is None or not channel.open:
-                    conn, _ = self._listener.accept()
-                    channel = transport.TcpChannel(self.codec, session_id, _nodelay(conn))
-                channel.session_id = session_id
-                # answer until the verdict, to which the prover has no reply
-                while (reply := prover.handle(channel.recv(self.timeout)[0])) is not None:
-                    channel.send(reply)
-                self._done.put(None)
-            except Exception as exc:  # handed to session(), which re-raises it
-                if channel is not None:
-                    channel.close()
-                self._done.put(exc)
-        if channel is not None:
-            channel.close()
+        self._ends: list = []  # the verifier's channel, then the prover's
+        self._prover = self._reply = None
 
     @contextlib.contextmanager
     def session(self, session_id: bytes, prover):
-        """The verifier's channel for one session served by prover."""
-        if self._channel is None or not self._channel.open:
-            sock = socket.create_connection(self._listener.getsockname(), timeout=self.timeout)
-            self._channel = transport.TcpChannel(self.codec, session_id, _nodelay(sock))
-        self._channel.session_id = session_id
-        self._jobs.put((session_id, prover))
+        """This link, as the verifier's channel for one session served by prover."""
+        if not self._ends or not self._ends[0].open:
+            sock = socket.create_connection(self._listener.getsockname(), timeout=TIMEOUT_S)
+            conn = self._listener.accept()[0]
+            conn.settimeout(TIMEOUT_S)
+            self._ends = [transport.TcpChannel(self.codec, session_id, _nodelay(s)) for s in (sock, conn)]
+            self._ends[0].peer, self._ends[1].peer = self._ends[1], self._ends[0]
+        for end in self._ends:
+            end.session_id = session_id
+        self._prover = prover
         try:
-            yield self._channel
+            yield self
         except BaseException:
-            self._channel.close()  # so that a prover still reading sees the end
+            for end in self._ends:
+                end.close()
             raise
-        finally:
-            error = self._done.get()
-            if error is not None:
-                self._channel.close()
-                if not isinstance(error, TransportError):
-                    raise error
+
+    def send(self, msg) -> dict:
+        """Write msg's frame and have the prover read and answer it; returns
+        the payload the frame carries."""
+        payload = self._ends[0].send(msg)
+        self._reply = self._prover.handle(self._ends[1].recv(TIMEOUT_S)[0])
+        return payload
+
+    def recv(self, timeout: float):
+        """(message, payload) of the prover's answer to the last send."""
+        reply, self._reply = self._reply, None
+        if reply is not None:
+            self._ends[1].send(reply)
+        return self._ends[0].recv(timeout)
 
     def close(self) -> None:
-        if self._channel is not None:
-            self._channel.close()
-        self._jobs.put(None)
-        self._server.join(self.timeout)
+        for end in self._ends:
+            end.close()
         self._listener.close()
 
 
@@ -351,20 +337,15 @@ def run_sessions(
     transcripts.jsonl to out_dir when given."""
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
-    tcp_port: int | None = None
-    if transport_spec == "tcp":
-        tcp_port = 0
-    elif transport_spec.startswith("tcp:"):
-        port = transport_spec.split(":", 1)[1]
-        if not (port.isdecimal() and int(port) < 2**16):
-            raise ParameterError(f"bad TCP port in {transport_spec!r}")
-        tcp_port = int(port)
-    elif transport_spec != "inproc":
-        raise ParameterError(f"unknown transport {transport_spec!r}")
-    if tcp_port is None:
+    kind, colon, port = transport_spec.partition(":")
+    if kind == "tcp" and (not colon or port.isdecimal() and int(port) < 2**16):
+        link = contextlib.closing(_TcpLink(transport.Codec(config.entcf), int(port or 0)))
+    elif kind == "tcp":
+        raise ParameterError(f"bad TCP port in {transport_spec!r}")
+    elif transport_spec == "inproc":
         link = contextlib.nullcontext()
     else:
-        link = contextlib.closing(_TcpLink(transport.Codec(config.entcf), tcp_port, TIMEOUT_S))
+        raise ParameterError(f"unknown transport {transport_spec!r}")
     with link as tcp_link:
         transcripts = [
             run_one_session(index, protocol_kind, config, prover_spec, *streams, link=tcp_link)

@@ -6,10 +6,13 @@ a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
 Public keys and images travel as lowercase hex strings. Trapdoors are not
 part of the message vocabulary and never touch the wire.
 
-Two transports share the payload codec. TCP carries framed bytes; the
-in-process link hands each payload straight to the other side and rebuilds the
-message from it, so both ends see exactly what a TCP peer would decode and the
-recorded payloads and transcripts are the same over either transport.
+Two transports share the payload codec. TCP carries framed bytes, each read
+with one recv in the common case; a channel whose peer is read by the same
+thread pumps its sends, so a frame larger than the kernel's socket buffers
+goes through without a second thread. The in-process link hands each payload
+straight to the other side and rebuilds the message from it, so both ends see
+exactly what a TCP peer would decode and the recorded payloads and transcripts
+are the same over either transport.
 """
 from __future__ import annotations
 
@@ -28,10 +31,10 @@ _HEADER = 1 + SESSION_ID_BYTES + 1  # version + session id + type byte
 
 _TYPE_BYTES = {cls: i + 1 for i, cls in enumerate(protocol.MESSAGE_TYPES)}
 _TYPE_CLASSES = {v: k for k, v in _TYPE_BYTES.items()}
+_READ = 1 << 16  # the fewest bytes a recv asks for
 
-
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+# one encoder for every frame: json.dumps with these options builds a new one per call
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 class Frame(bytes):
@@ -124,7 +127,7 @@ class Codec:
             bytes([VERSION])
             + session_id
             + bytes([_TYPE_BYTES[type(msg)]])
-            + _canonical_json(payload)
+            + _CANONICAL_JSON.encode(payload).encode("utf-8")
         )
         frame = Frame(struct.pack(">I", len(body)) + body)
         frame.payload = payload
@@ -186,13 +189,20 @@ class InProcChannel:
 
 class TcpChannel:
     """Framed messages over a connected socket, for the session `session_id`
-    names: a frame with another id, or a socket error, is a TransportError."""
+    names: a frame with another id, or a socket error, is a TransportError.
+    Bytes read past the end of a frame wait in the channel for the next recv.
+    `peer`, when set, is the channel at the socket's other end, read by the
+    same thread: a send that fills the kernel's buffers then drains them into
+    the peer instead of waiting for a reader that cannot run."""
 
     def __init__(self, codec: Codec, session_id: bytes, sock: socket.socket):
         self.codec = codec
         self.session_id = session_id
         self.sock = sock
+        self.peer: TcpChannel | None = None
         self.open = True
+        self._buffer = b""
+        self._timeout = sock.gettimeout()
 
     def send(self, msg) -> dict:
         """Write msg's frame; returns the payload the frame carries."""
@@ -200,34 +210,40 @@ class TcpChannel:
             raise TransportError("channel closed")
         frame = self.codec.encode_frame(self.session_id, msg)
         try:
-            self.sock.sendall(frame)
+            if self.peer is None:
+                self.sock.sendall(frame)
+            else:
+                unsent = memoryview(frame)
+                # the peer reads all that went out, so the next send finds the kernel's buffers empty
+                while unsent := unsent[(sent := self.sock.send(unsent)) :]:
+                    self.peer._read_to(len(self.peer._buffer) + sent)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
         return frame.payload
 
-    def _read_exact(self, nbytes: int) -> bytes:
-        chunks = b""
-        while len(chunks) < nbytes:
+    def _read_to(self, size: int) -> None:
+        """recv until the channel's buffer holds at least size bytes."""
+        while len(self._buffer) < size:
             try:
-                chunk = self.sock.recv(nbytes - len(chunks))
-            except socket.timeout as exc:
-                raise TransportError("recv timeout") from exc
-            except OSError as exc:
+                chunk = self.sock.recv(max(size - len(self._buffer), _READ))
+            except OSError as exc:  # a timeout included
                 raise TransportError(f"recv failed: {exc}") from exc
             if not chunk:
                 raise TransportError("connection closed mid-frame")
-            chunks += chunk
-        return chunks
+            self._buffer += chunk
 
     def recv(self, timeout: float | None = None):
         """(message, payload) from the next frame on the socket."""
         if not self.open:
             raise TransportError("channel closed")
-        self.sock.settimeout(timeout)
-        head = self._read_exact(4)
-        (length,) = struct.unpack(">I", head)
-        body = self._read_exact(length)
-        session_id, msg, payload = self.codec.decode_frame(head + body)
+        if timeout != self._timeout:
+            self.sock.settimeout(timeout)
+            self._timeout = timeout
+        self._read_to(4)
+        size = 4 + int.from_bytes(self._buffer[:4], "big")
+        self._read_to(size)
+        frame, self._buffer = self._buffer[:size], self._buffer[size:]
+        session_id, msg, payload = self.codec.decode_frame(frame)
         if session_id != self.session_id:
             raise TransportError("session id mismatch")
         return msg, payload

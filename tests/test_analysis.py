@@ -259,6 +259,17 @@ def test_budget_guard(monkeypatch):
     fits = analysis.DeviceModel("selftest", 3, 2, 6, [], {}, {}, {}, {})
     with pytest.raises(ModelError, match="exceeds budget"):
         analysis.build_bitflip_model(fits, 0.1)
+    # random N=4 caches 4 question, 10 d- and 1 preimage projector stacks of
+    # 2^8 * (2^8)^2 entries; the guard counts them all
+    with pytest.raises(ModelError, match="exceeds budget"):
+        analysis.build_random_model(SelfTestConfig(N=4, entcf=entcf.EntcfParams.ideal(2)), None)
+
+
+def test_budget_admits_random_n3():
+    # 13 stacks of 2^6 * (2^6)^2 entries: 3.4 million in all
+    cfg = SelfTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_random_model(cfg, np.random.default_rng(0))
+    assert model.dim == 64 and len(model.d_meas) == 8
 
 
 def test_toylwe_models_unsupported():

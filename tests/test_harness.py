@@ -2,6 +2,7 @@
 import itertools
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -306,6 +307,53 @@ def test_tcp_runs_back_to_back_on_one_port():
     assert "transport" not in runs[1][0]["reasons"]
 
 
+def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
+    """Both ends run on one thread, so a send that fills the kernel's buffers
+    must drain them into the peer itself. The buffers shrink to 4 KiB before
+    the connection is made, so its window is small too; dimtest N=4 w=8 has
+    17 KB Keys frames."""
+    def small(sock):
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 4096)
+        return sock
+
+    def create_connection(address, timeout):
+        sock = small(socket.socket())
+        sock.settimeout(timeout)
+        sock.connect(address)
+        return sock
+
+    send, partial = socket.socket.send, []
+
+    def counting(sock, data, *flags):
+        sent = send(sock, data, *flags)
+        partial.append(sent < len(data))
+        return sent
+
+    create_server = socket.create_server
+    monkeypatch.setattr(socket, "create_server", lambda *a, **k: small(create_server(*a, **k)))
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    monkeypatch.setattr(socket.socket, "send", counting)
+    config = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(8))
+    inproc = harness.run_sessions("dimtest", "classical", config, 6, seed=3)
+    start = time.perf_counter()
+    tcp = harness.run_sessions("dimtest", "classical", config, 6, seed=3, transport_spec="tcp")
+    assert time.perf_counter() - start < 5.0
+    assert tcp[1] == inproc[1] and "transport" not in tcp[0]["reasons"]
+    assert any(partial)  # the frames did not fit in one send
+
+
+def test_tcp_run_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    stats, transcripts = harness.run_sessions("selftest", "honest", CFG, 5, seed=6, transport_spec="tcp")
+    assert stats["sessions"] == 5 and "transport" not in stats["reasons"]
+    assert transcripts == harness.run_sessions("selftest", "honest", CFG, 5, seed=6)[1]
+    assert not {"threading", "queue"} & set(vars(harness))
+
+
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_prover_error_aborts_the_batch_on_both_transports(capsys, transport):
     # the fullsim prover refuses w=10 keys when it receives them
@@ -458,6 +506,9 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
         ["--protocol", "dimtest", "--n", "1", "--w", "17", "--model", "honest"],
         # selftest random at N=5: V has 2^10 * (2^10)^2 = 2^30 entries
         ["--n", "5", "--model", "random"],
+        # selftest random at N=4: V has 2^24 entries, but the model caches
+        # 15 projector stacks of 2^8 * (2^8)^2 entries each
+        ["--n", "4", "--model", "random"],
         # dimtest classical at N=9: V has 2^9 * (2^9)^2 = 2^27 entries
         ["--protocol", "dimtest", "--n", "9", "--model", "classical"],
     ):

@@ -85,3 +85,26 @@ def test_every_definition_is_referenced():
             if everywhere[key] - _references(node, module, modules)[key] <= 0:
                 dead.append(f"{module}.py:{node.lineno} {name}")
     assert dead == [], "defined but never referenced in src/: " + ", ".join(dead)
+
+
+def test_every_module_level_import_is_used():
+    """A module-level import is read by name somewhere in its own module (or,
+    in `__init__.py`, exported through `__all__`); one nothing reads is
+    deleted too."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= set(selftestsim.__all__)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".", 1)[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == [], "imported but never used: " + ", ".join(unused)
