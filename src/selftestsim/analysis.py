@@ -167,15 +167,14 @@ class ClassTable:
     the row is their common direction scaled to the root of their summed
     mass, so |row><row| is the sum of their |block><block|. A product-form
     model merges every such set; an explicit model keeps a row per label.
-    rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]];
-    vs[index[k]] is its Sigma(theta, v) (None: no v). blocks are the
-    Sigma-assigned rows ordered by v, rows[stack], block_v their v's, and
-    residual the mass of the other rows. The arrays are read-only."""
+    rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]].
+    blocks are the rows with a Sigma(theta, v), ordered by v, rows[stack],
+    block_v their v's, and residual the mass of the other rows. The arrays
+    are read-only."""
 
     rows: np.ndarray
     index: np.ndarray
     decodings: list
-    vs: list
     stack: np.ndarray
     blocks: np.ndarray
     block_v: np.ndarray
@@ -285,7 +284,7 @@ class DeviceModel:
         block_v = np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
         residual = float(np.sum(_mass(rows[rank < 0])))
         return ClassTable(
-            _frozen(rows), _frozen(index), decodings, vs, _frozen(stack), _frozen(rows[stack]),
+            _frozen(rows), _frozen(index), decodings, _frozen(stack), _frozen(rows[stack]),
             _frozen(block_v), residual,
         )
 

@@ -331,8 +331,10 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
     if b is None:
         return None
     if trapdoor.params.backend == "ideal":
-        row = trapdoor.key.table[b].tolist()
-        return row.index(y) if y in row else None
+        # one scan of the row; its images are distinct, so at most one entry hits
+        hits = trapdoor.key.table[b] == y
+        x = int(hits.argmax())
+        return x if hits[x] else None
     if trapdoor.family == FAMILY_F and b == 1:
         # invert side 0 and take the claw partner
         x0 = _lwe_search(trapdoor, 0, y)

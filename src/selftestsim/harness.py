@@ -1,13 +1,13 @@
 """Session orchestration, Monte Carlo statistics, and transcript persistence.
 
 run_sessions drives verifier/prover pairs with one send/recv/step loop over
-either transport (an in-process payload link, or one loopback TCP connection
-per run that serves the sessions in order, both of its ends driven by the
-thread that runs the sessions), records one JSON-able transcript
-per session (logical timestamps, full message sequence, revealed theta and
-decodings), and aggregates acceptance statistics stratified by (theta class,
-round type, question) with Wilson confidence intervals and, for the
-self-test, the derived gamma upper bounds.
+the run's one `transport.Link` (in process, or one loopback TCP connection
+that serves the sessions in order, both of its ends driven by the thread
+that runs the sessions), records one JSON-able transcript per session
+(logical timestamps, full message sequence, revealed theta and decodings),
+and aggregates acceptance statistics stratified by (theta class, round
+type, question) with Wilson confidence intervals and, for the self-test,
+the derived gamma upper bounds.
 
 Everything is deterministic in (seed, config): stream j of session i is the
 numpy SeedSequence with spawn key (i, j), built on demand, so it is the same
@@ -20,15 +20,12 @@ import functools
 import json
 import operator
 import pathlib
-import socket
 
 import numpy as np
 
 from . import protocol, transport
 from .errors import ParameterError, TransportError
 from .prover import make_prover
-
-TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -46,66 +43,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # Single-session drive loop
 # ---------------------------------------------------------------------------
 
-def _nodelay(sock: socket.socket) -> socket.socket:
-    # each frame is one request or reply that the peer waits for: Nagle's
-    # algorithm would hold it back for the delayed ACK of the previous one
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
-class _TcpLink:
-    """One loopback connection for a whole run, whose two ends the thread
-    that runs the sessions drives; the link is each session's verifier
-    channel. `send` writes the verifier's frame, reads it at the prover's end
-    and has the prover answer, as in process; `recv` writes the answer and
-    reads it at the verifier's end. A session that raises closes the
-    connection, and the next one connects afresh."""
-
-    def __init__(self, codec, port: int):
-        self.codec = codec
-        self._listener = socket.create_server(("127.0.0.1", port))
-        self._ends: list = []  # the verifier's channel, then the prover's
-        self._prover = self._reply = None
-
-    @contextlib.contextmanager
-    def session(self, session_id: bytes, prover):
-        """This link, as the verifier's channel for one session served by prover."""
-        if not self._ends or not self._ends[0].open:
-            sock = socket.create_connection(self._listener.getsockname(), timeout=TIMEOUT_S)
-            conn = self._listener.accept()[0]
-            conn.settimeout(TIMEOUT_S)
-            self._ends = [transport.TcpChannel(self.codec, session_id, _nodelay(s)) for s in (sock, conn)]
-            self._ends[0].peer, self._ends[1].peer = self._ends[1], self._ends[0]
-        for end in self._ends:
-            end.session_id = session_id
-        self._prover = prover
-        try:
-            yield self
-        except BaseException:
-            for end in self._ends:
-                end.close()
-            raise
-
-    def send(self, msg) -> dict:
-        """Write msg's frame and have the prover read and answer it; returns
-        the payload the frame carries."""
-        payload = self._ends[0].send(msg)
-        self._reply = self._prover.handle(self._ends[1].recv(TIMEOUT_S)[0])
-        return payload
-
-    def recv(self, timeout: float):
-        """(message, payload) of the prover's answer to the last send."""
-        reply, self._reply = self._reply, None
-        if reply is not None:
-            self._ends[1].send(reply)
-        return self._ends[0].recv(timeout)
-
-    def close(self) -> None:
-        for end in self._ends:
-            end.close()
-        self._listener.close()
-
-
 def run_one_session(
     index: int,
     protocol_kind: str,
@@ -114,20 +51,12 @@ def run_one_session(
     verifier_rng: np.random.Generator,
     prover_rng: np.random.Generator,
     session_rng: np.random.Generator,
-    link: _TcpLink | None = None,
+    link: transport.Link,
 ) -> dict:
-    """One session over the run's TCP link, or in process when link is None;
-    returns its transcript."""
+    """One session over the run's link; returns its transcript."""
     session_id = transport.session_id_from_rng(session_rng)
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
     prover = make_prover(prover_spec, protocol_kind, prover_rng)
-    if link is None:
-        session = contextlib.nullcontext(
-            transport.InProcChannel(transport.Codec(config.entcf), prover)
-        )
-    else:
-        session = link.session(session_id, prover)
-
     messages = []
 
     def record(direction: str, msg, payload: dict) -> None:
@@ -135,16 +64,16 @@ def run_one_session(
             {"dir": direction, "payload": payload, "t": len(messages), "type": type(msg).__name__}
         )
 
+    link.session(session_id, prover)
     try:
-        with session as channel:
-            outgoing = verifier.step(None)
-            while True:
-                record("v->p", outgoing, channel.send(outgoing))
-                if isinstance(outgoing, protocol.Verdict):
-                    break
-                incoming, payload = channel.recv(TIMEOUT_S)
-                record("p->v", incoming, payload)
-                outgoing = verifier.step(incoming)
+        outgoing = verifier.step(None)
+        while True:
+            record("v->p", outgoing, link.send(outgoing))
+            if isinstance(outgoing, protocol.Verdict):
+                break
+            incoming, payload = link.recv()
+            record("p->v", incoming, payload)
+            outgoing = verifier.step(incoming)
         verdict = verifier.verdict
     except TransportError:
         verdict = protocol.Verdict(accept=0, reason="transport")
@@ -338,17 +267,14 @@ def run_sessions(
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
     kind, colon, port = transport_spec.partition(":")
-    if kind == "tcp" and (not colon or port.isdecimal() and int(port) < 2**16):
-        link = contextlib.closing(_TcpLink(transport.Codec(config.entcf), int(port or 0)))
-    elif kind == "tcp":
-        raise ParameterError(f"bad TCP port in {transport_spec!r}")
-    elif transport_spec == "inproc":
-        link = contextlib.nullcontext()
-    else:
+    if kind != "tcp" and transport_spec != "inproc":
         raise ParameterError(f"unknown transport {transport_spec!r}")
-    with link as tcp_link:
+    if colon and not (port.isdecimal() and int(port) < 2**16):
+        raise ParameterError(f"bad TCP port in {transport_spec!r}")
+    port = int(port or 0) if kind == "tcp" else None
+    with contextlib.closing(transport.Link(transport.Codec(config.entcf), port)) as link:
         transcripts = [
-            run_one_session(index, protocol_kind, config, prover_spec, *streams, link=tcp_link)
+            run_one_session(index, protocol_kind, config, prover_spec, *streams, link)
             for index, streams in enumerate(session_streams(seed, sessions))
         ]
     stats = session_stats(transcripts, protocol_kind, config.N)

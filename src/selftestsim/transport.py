@@ -6,13 +6,14 @@ a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
 Public keys and images travel as lowercase hex strings. Trapdoors are not
 part of the message vocabulary and never touch the wire.
 
-Two transports share the payload codec. TCP carries framed bytes, each read
-with one recv in the common case; a channel whose peer is read by the same
-thread pumps its sends, so a frame larger than the kernel's socket buffers
-goes through without a second thread. The in-process link hands each payload
-straight to the other side and rebuilds the message from it, so both ends see
-exactly what a TCP peer would decode and the recorded payloads and transcripts
-are the same over either transport.
+One `Link` joins the verifier to the prover over either transport and holds
+the prover's answer to each message the same way; only the carrying differs.
+In process it hands each payload straight to the other side and rebuilds the
+message from it, so both ends see exactly what a TCP peer would decode and the
+recorded payloads and transcripts are the same over either transport. Over TCP
+it carries framed bytes, each read with one recv in the common case; a
+channel whose peer is read by the same thread pumps its sends, so a frame
+larger than the kernel's socket buffers goes through without a second thread.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ _HEADER = 1 + SESSION_ID_BYTES + 1  # version + session id + type byte
 _TYPE_BYTES = {cls: i + 1 for i, cls in enumerate(protocol.MESSAGE_TYPES)}
 _TYPE_CLASSES = {v: k for k, v in _TYPE_BYTES.items()}
 _READ = 1 << 16  # the fewest bytes a recv asks for
+TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 
 # one encoder for every frame: json.dumps with these options builds a new one per call
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
@@ -161,32 +163,6 @@ class Codec:
 # Channels
 # ---------------------------------------------------------------------------
 
-class InProcChannel:
-    """The verifier's end of an in-process link to a prover. Messages pass as
-    payloads, never as frames: `send` encodes and rebuilds the message for the
-    prover and keeps its reply, `recv` encodes and rebuilds that reply, so the
-    two sides never share an object."""
-
-    def __init__(self, codec: Codec, prover):
-        self.codec = codec
-        self.prover = prover
-        self._reply = None
-
-    def send(self, msg) -> dict:
-        """Hand msg to the prover; returns the payload it was rebuilt from."""
-        payload = self.codec.to_payload(msg)
-        self._reply = self.prover.handle(self.codec.from_payload(type(msg), payload))
-        return payload
-
-    def recv(self, timeout: float | None = None):
-        """(message, payload) of the prover's reply to the last send."""
-        reply, self._reply = self._reply, None
-        if reply is None:
-            raise TransportError("recv with no reply from the in-process prover")
-        payload = self.codec.to_payload(reply)
-        return self.codec.from_payload(type(reply), payload), payload
-
-
 class TcpChannel:
     """Framed messages over a connected socket, for the session `session_id`
     names: a frame with another id, or a socket error, is a TransportError.
@@ -202,7 +178,6 @@ class TcpChannel:
         self.peer: TcpChannel | None = None
         self.open = True
         self._buffer = b""
-        self._timeout = sock.gettimeout()
 
     def send(self, msg) -> dict:
         """Write msg's frame; returns the payload the frame carries."""
@@ -232,13 +207,11 @@ class TcpChannel:
                 raise TransportError("connection closed mid-frame")
             self._buffer += chunk
 
-    def recv(self, timeout: float | None = None):
-        """(message, payload) from the next frame on the socket."""
+    def recv(self):
+        """(message, payload) from the next frame on the socket, waiting no
+        longer than the socket's timeout for each read."""
         if not self.open:
             raise TransportError("channel closed")
-        if timeout != self._timeout:
-            self.sock.settimeout(timeout)
-            self._timeout = timeout
         self._read_to(4)
         size = 4 + int.from_bytes(self._buffer[:4], "big")
         self._read_to(size)
@@ -254,6 +227,79 @@ class TcpChannel:
             self.sock.close()
         except OSError:
             pass
+
+
+def _nodelay(sock: socket.socket) -> socket.socket:
+    # each frame is one request or reply that the peer waits for: Nagle's
+    # algorithm would hold it back for the delayed ACK of the previous one
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class Link:
+    """The verifier's one path to a prover, built once per run: in process
+    when port is None, else over one loopback TCP connection whose two ends
+    the calling thread drives. It is each session's verifier channel: `send`
+    carries a message to the prover, which answers at once, and the link
+    holds the answer for `recv` to carry back. In process a message is
+    carried as its payload and rebuilt from it, so the two sides never share
+    an object; over TCP the sender's channel writes its frame and the
+    receiver's reads it. A transport failure closes the connection, and the
+    next session connects afresh."""
+
+    def __init__(self, codec: Codec, port: int | None = None):
+        self.codec = codec
+        self._listener = None if port is None else socket.create_server(("127.0.0.1", port))
+        self._ends: list = []  # over TCP, the verifier's channel, then the prover's
+        self._prover = self._reply = None
+
+    def session(self, session_id: bytes, prover) -> None:
+        """Make this link the verifier's channel for one session, with its id
+        and prover; over TCP, connect afresh if the last connection failed."""
+        if self._listener is not None and not (self._ends and self._ends[0].open):
+            sock = socket.create_connection(self._listener.getsockname(), timeout=TIMEOUT_S)
+            conn = self._listener.accept()[0]
+            conn.settimeout(TIMEOUT_S)
+            self._ends = [TcpChannel(self.codec, session_id, _nodelay(s)) for s in (sock, conn)]
+            self._ends[0].peer, self._ends[1].peer = self._ends[1], self._ends[0]
+        for end in self._ends:
+            end.session_id = session_id
+        self._prover, self._reply = prover, None
+
+    def _carry(self, msg, sender: int):
+        """(payload sent, message received, payload received) when msg goes
+        from side sender (0: the verifier, 1: the prover) to the other side."""
+        if self._listener is None:
+            payload = self.codec.to_payload(msg)
+            return payload, self.codec.from_payload(type(msg), payload), payload
+        try:
+            return (self._ends[sender].send(msg), *self._ends[1 - sender].recv())
+        except TransportError:
+            # a frame may be cut off, so the stream is out of step: drop it
+            for end in self._ends:
+                end.close()
+            raise
+
+    def send(self, msg) -> dict:
+        """Carry msg to the prover and hold its answer; returns the payload
+        msg was sent as."""
+        payload, received, _ = self._carry(msg, 0)
+        self._reply = self._prover.handle(received)
+        return payload
+
+    def recv(self):
+        """(message, payload) of the prover's answer to the last send, as
+        the verifier receives it."""
+        reply, self._reply = self._reply, None
+        if reply is None:
+            raise TransportError("recv with no reply from the prover")
+        return self._carry(reply, 1)[1:]
+
+    def close(self) -> None:
+        for end in self._ends:
+            end.close()
+        if self._listener is not None:
+            self._listener.close()
 
 
 def session_id_from_rng(rng: np.random.Generator) -> bytes:

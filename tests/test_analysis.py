@@ -141,10 +141,14 @@ def test_sigma_mass_bounded(honest):
         total = float(np.sum(np.abs(table.blocks) ** 2))
         assert total + table.residual == pytest.approx(1.0, abs=1e-9)
         assert total <= 1.0 + 1e-9
-        # a decoding's v is the shared Sigma(theta, v) rule's v of its labels
+        # a decoding's rows are stacked under the shared Sigma(theta, v)
+        # rule's v of its labels, or left out of the stack when it has none
         for label in _ref_sigma_blocks(honest, theta, 2):
             k = table.decodings.index(_decoding_of(honest, theta, label))
-            assert table.vs[k] == _sigma_v_of(honest, theta, label)
+            stacked = np.isin(table.stack, np.flatnonzero(table.index == k))
+            v = _sigma_v_of(honest, theta, label)
+            assert stacked.any() == (v is not None)
+            assert all(tuple(row) == tuple(v) for row in table.block_v[stacked].tolist())
 
 
 def test_sigma_v_unique(honest):

@@ -98,11 +98,17 @@ def _scan_decode_b(trapdoor, y):
     return None
 
 
+def _scan_decode_x(b, trapdoor, y):
+    """Reference: decode_x as an index search of row b of the table."""
+    row = trapdoor.key.table[b].tolist()
+    return row.index(y) if y in row else None
+
+
 def _scan_decode_h(trapdoor, y, d):
-    """Reference: decode_h with both preimages found by their own decode_x."""
+    """Reference: decode_h with both preimages found by their own row scan."""
     if d == 0:
         return None
-    x0, x1 = (entcf.decode_x(b, trapdoor, y) for b in (0, 1))
+    x0, x1 = (_scan_decode_x(b, trapdoor, y) for b in (0, 1))
     return None if x0 is None or x1 is None else entcf.parity(d & (x0 ^ x1))
 
 
@@ -118,6 +124,9 @@ def test_ideal_decoding_matches_the_table_scans(w):
         # neither; the last two lie outside the space
         for y in [*range(params.image_space_size), 2**w * 8, 2**32 - 1]:
             assert entcf.decode_b(g_trap, y) == _scan_decode_b(g_trap, y)
+            for trap in (f_trap, g_trap):
+                for b in (0, 1):
+                    assert entcf.decode_x(b, trap, y) == _scan_decode_x(b, trap, y)
             for d in ds:
                 assert entcf.decode_h(f_trap, y, d) == _scan_decode_h(f_trap, y, d)
 

@@ -131,6 +131,7 @@ def test_bad_args():
             np.random.default_rng(0),
             np.random.default_rng(1),
             np.random.default_rng(2),
+            transport.Link(transport.Codec(CFG.entcf)),
         )
 
 

@@ -108,3 +108,31 @@ def test_every_module_level_import_is_used():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == [], "imported but never used: " + ", ".join(unused)
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a `@dataclass` is read as an attribute (`obj.field`)
+    somewhere in `src/`; a field that is only ever filled in is deleted with
+    the code that fills it."""
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{field.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert unread == [], "dataclass fields never read in src/: " + ", ".join(unread)

@@ -3,6 +3,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -197,15 +198,23 @@ def test_inproc_link_hands_over_what_a_frame_carries(monkeypatch, protocol_kind,
         assert rebuilt is not msg  # the two sides never share an object
 
 
-def test_inproc_recv_without_reply_is_a_transport_error():
+@pytest.mark.parametrize("port", [None, 0], ids=["inproc", "tcp"])
+def test_recv_without_reply_is_a_transport_error(port):
+    """A recv with no answer held fails at once, without waiting on the socket."""
     class Silent:
         def handle(self, message):
             return None
 
-    link = transport.InProcChannel(CODEC, Silent())
-    assert link.send(protocol.Question(q=1)) == {"q": 1}
-    with pytest.raises(TransportError):
-        link.recv()
+    link = transport.Link(CODEC, port)
+    start = time.perf_counter()
+    try:
+        link.session(SID, Silent())
+        assert link.send(protocol.Question(q=1)) == {"q": 1}
+        with pytest.raises(TransportError):
+            link.recv()
+    finally:
+        link.close()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tcp_channel_roundtrip():
@@ -216,8 +225,9 @@ def test_tcp_channel_roundtrip():
 
     def serve():
         conn, _ = listener.accept()
+        conn.settimeout(5)
         chan = transport.TcpChannel(CODEC, SID, conn)
-        received.append(chan.recv(timeout=5))
+        received.append(chan.recv())
         sent.append(chan.send(protocol.Verdict(accept=1, reason="accept")))
         chan.close()
 
@@ -226,7 +236,7 @@ def test_tcp_channel_roundtrip():
     sock = socket.create_connection(("127.0.0.1", port), timeout=5)
     chan = transport.TcpChannel(CODEC, SID, sock)
     answer = chan.send(protocol.FinalAnswer(v=(0, 1)))
-    verdict = chan.recv(timeout=5)
+    verdict = chan.recv()
     t.join()
     listener.close()
     chan.close()
@@ -250,7 +260,7 @@ def test_tcp_closed_mid_frame():
     chan = transport.TcpChannel(CODEC, SID, sock)
     try:
         with pytest.raises(TransportError):
-            chan.recv(timeout=5)
+            chan.recv()
     finally:
         chan.close()
     t.join()
@@ -260,9 +270,10 @@ def test_tcp_closed_mid_frame():
 def test_session_id_mismatch():
     left, right = socket.socketpair()
     sender = transport.TcpChannel(CODEC, SID, left)
+    right.settimeout(5)
     receiver = transport.TcpChannel(CODEC, bytes(16), right)
     sender.send(protocol.Question(q=0))
     with pytest.raises(TransportError):
-        receiver.recv(timeout=5)
+        receiver.recv()
     sender.close()
     receiver.close()
