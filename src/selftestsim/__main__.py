@@ -1,0 +1,7 @@
+"""`python -m selftestsim ...`: the command line of `selftestsim.cli`."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

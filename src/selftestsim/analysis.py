@@ -25,7 +25,10 @@ Every question, d and preimage measurement is a Measurement: an orthonormal
 basis whose columns carry outcome labels. The failure, gamma, zeta and chi
 reports all read one array of outcome masses <row|P_u|row> per (theta,
 question): a gamma term is the Sigma mass whose answer bits agree with v, a
-zeta or chi term four times the Sigma mass on which they disagree.
+zeta or chi term four times the Sigma mass on which they disagree; the
+failure report sums them per decoding with one product. soundness_distance
+stacks a question's branches P_u b and lifts them a chunk of outcomes at a
+time, a chunk's arrays together within qsim.CHUNK_ENTRIES entries.
 """
 from __future__ import annotations
 
@@ -99,11 +102,11 @@ def _check_size(logical: int, env_dim: int, projectors: int = 0) -> None:
 
 
 def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
-    """decode(key) for each entry of keys, called once per distinct key;
-    a None decoding is -1."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = [decode(int(k)) for k in distinct]
-    return np.array([-1 if v is None else v for v in values], dtype=np.int8)[inverse.ravel()]
+    """decode(key) for each entry of keys, called once per distinct key
+    through a dict memo; a None decoding is -1."""
+    memo: dict = {}
+    values = [memo[k] if k in memo else memo.setdefault(k, decode(k)) for k in keys.tolist()]
+    return np.array([-1 if v is None else v for v in values], dtype=np.int8)
 
 
 def _coord_codes(trap: entcf.Trapdoor, ys: np.ndarray, ds: np.ndarray, w: int) -> np.ndarray:
@@ -332,19 +335,21 @@ class DeviceModel:
         2^w, decoded once at the coset's smallest nonzero d. The outcomes
         are grouped by their code (b-hat_i, h-hat_i) and by direction; a
         class's vector is its first outcome's direction scaled to the root
-        of the class mass."""
-        outcomes = []
-        for y, weight, support in self.psi[theta][i]:
-            t = support[0][1] ^ support[-1][1]
-            cosets = (0, 1) if t else (0,)
-            for p in cosets:
-                d = next(d for d in range(1, 2**self.w) if entcf.parity(d & t) == p)
-                vec = np.zeros(2, dtype=complex)
-                for b, x, amp in support:
-                    vec[b] += (-1) ** entcf.parity(d & x) * amp
-                outcomes.append((y, d, vec / np.linalg.norm(vec), weight / len(cosets)))
-        ys, ds, units, masses = (np.array(column) for column in zip(*outcomes))
-        codes = _coord_codes(self.trapdoors[theta][i], ys, ds, self.w)
+        of the class mass. Outcomes are (image, coset) arrays, image-major."""
+        coord = self.psi[theta][i]
+        # each image's first and last (b, x, amplitude) terms; a lone preimage's amplitude counts once
+        b, x, amp = (np.array([[s[0][k], s[-1][k]] for _, _, s in coord]) for k in range(3))
+        amp[:, 1] *= [len(s) - 1 for _, _, s in coord]
+        t = x[:, 0] ^ x[:, 1]
+        # smallest nonzero d per coset: 1, 2 or 3 for parity(d & t) = 0 (w >= 2), t's low bit for 1
+        ds = np.stack([np.where(t & 1 == 0, 1, np.where(t & 2 == 0, 2, 3)), t & -t], axis=1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(ds[:, :, None] & x[:, None, :]) & 1)
+        vecs = (signs * amp[:, None, :]) @ (b[:, :, None] == np.arange(2))  # (images, cosets, 2)
+        keep = np.stack([np.ones_like(t, dtype=bool), t != 0], axis=1).ravel()
+        units = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).reshape(-1, 2)[keep].astype(complex)
+        masses = np.repeat(np.array([weight for _, weight, _ in coord]) / (1 + (t != 0)), 2)[keep]
+        ys = np.repeat(np.array([y for y, _, _ in coord], dtype=np.int64), 2)[keep]
+        codes = _coord_codes(self.trapdoors[theta][i], ys, ds.ravel()[keep], self.w)
         out_codes, out_vecs = [], []
         left = np.arange(len(units))
         while left.size:
@@ -419,8 +424,8 @@ def build_honest_model(
     rng: np.random.Generator,
 ) -> DeviceModel:
     params = config.entcf
-    if params.backend != "ideal":
-        raise ModelError("white-box analysis supports the ideal backend only")
+    if params.backend != "ideal" or params.w < 2:  # w >= 2: a claw's even coset has a nonzero d
+        raise ModelError("white-box analysis supports the ideal backend with w >= 2 only")
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
@@ -631,7 +636,9 @@ def failure_report(model: DeviceModel) -> FailureReport:
     Rows with the same decoded bits get the same verdict, so each verdict
     is taken once per distinct decoding of the class table and applied to
     that decoding's summed mass; a decoding whose mass is exactly 0.0 adds
-    nothing whatever its verdict, and is skipped.
+    nothing whatever its verdict, and is skipped. A (theta, question)'s
+    (outcomes, decodings) masses are one product of its outcome masses with
+    the rows x decodings indicator of the table's index.
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
@@ -639,9 +646,10 @@ def failure_report(model: DeviceModel) -> FailureReport:
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
         table = model.class_table(theta)
+        indicator = np.eye(len(table.decodings))[table.index]
         for q in questions:
-            for u, weights in zip(model.questions[q].outcomes, model.outcome_masses(theta, q)):
-                mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
+            masses = model.outcome_masses(theta, q) @ indicator
+            for u, mass in zip(model.questions[q].outcomes, masses):
                 for k in np.flatnonzero(mass):
                     bhat, hhat = table.decodings[k]
                     verdict = protocol.hadamard_verdict(
@@ -788,42 +796,45 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     Every Sigma-assigned row of theta's class table is lifted by one matmul
     against the swap isometry; each row contributes a rank-one difference
     whose trace norm comes from qsim.trace_norm_diff_rank1 over the stacked
-    rows.
+    rows. A question's branches P_u b are stacked as (outcomes, rows, dim)
+    and lifted by one product per chunk of outcomes, with one
+    trace_norm_diff_rank1 call: at least one outcome, and as many as keep the
+    four chunk-sized arrays alive at once (lifted branches, targets and that
+    call's two temporaries) within qsim.CHUNK_ENTRIES entries.
     """
-    L = model.logical
-    dim = model.dim
+    L, dim = model.logical, model.dim
     v_iso = swap_isometry(model)
     table = model.class_table(theta)
     blocks, vs = table.blocks, table.block_v
     v_rows, row_v = np.unique(vs, axis=0, return_inverse=True)
     row_v = row_v.ravel()
     v_keys = [tuple(int(b) for b in row) for row in v_rows]
-    taus = np.array(
-        [tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex
-    ).reshape(-1, 2**L)[row_v]
+    taus = np.array([tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex)
+    taus = taus.reshape(-1, 2**L)[row_v]
     lifted = (blocks @ v_iso.T).reshape(-1, 2**L, dim)
     alpha = np.einsum("kl,kld->kd", taus.conj(), lifted)
     target = taus[:, :, None] * alpha[:, None, :]
     rows = blocks.shape[0]
     dists = qsim.trace_norm_diff_rank1(lifted.reshape(rows, -1), target.reshape(rows, -1))
-    per_v = {
-        v: float(dist)
-        for v, dist in zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)))
-    }
+    per_v = dict(zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)).tolist()))
     post = {}
+    width = v_iso.shape[0]
+    step = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
     for q in sorted(model.questions):
+        meas = model.questions[q]
         ideal = question_measurement(model.protocol, model.n, q).basis
+        ideal = ideal[:, [bits_to_int(u) for u in meas.outcomes]].T  # [k]: outcome k's ideal column
+        overlap = ideal.conj() @ taus.T  # [k, r]: <ideal_k|tau_r>
         post[q] = 0.0
-        for u, proj in zip(model.questions[q].outcomes, model.questions[q].projectors):
-            measured = blocks @ proj.T
+        for lo in range(0, len(ideal), step):
+            k = slice(lo, lo + step)
+            measured = blocks @ meas.projectors[k].swapaxes(1, 2)  # [k, r]: P_k b_r
             # a branch the measurement annihilates contributes its target's mass
             measured[np.vecdot(measured, measured).real < ATOL**2] = 0.0
-            ideal_u = ideal[:, bits_to_int(u)]
-            coef = ideal_u * (taus @ ideal_u.conj())[:, None]
-            post_target = (coef[:, :, None] * alpha[:, None, :]).reshape(rows, -1)
-            post[q] += float(
-                np.sum(qsim.trace_norm_diff_rank1(measured @ v_iso.T, post_target))
-            )
+            coef = ideal[k, None, :] * overlap[k, :, None]  # [k, r]: ideal_k <ideal_k|tau_r>
+            target = (coef[..., None] * alpha[:, None, :]).reshape(-1, width)
+            # the lift is a temporary: it is freed before the next chunk's is made
+            post[q] += float(np.sum(qsim.trace_norm_diff_rank1(measured.reshape(-1, dim) @ v_iso.T, target)))
     return {"per_v": per_v, "total": float(sum(per_v.values())), "post_measurement": post}
 
 
@@ -871,6 +882,8 @@ def dimension_certificate(model: DeviceModel) -> dict:
     v_rows, start, count = np.unique(table.block_v, axis=0, return_index=True, return_counts=True)
     projs = model.questions[1].projectors
     n_meas = len(projs)
+    # the weights of the factor columns V m_u, then e_j (x) a, for a block of unit mass
+    unit = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))])
     candidates, dists = [], []
     for v_row, lo, hi in zip(v_rows, start, start + count):
         trace = float(np.sum(mass[lo:hi]))
@@ -878,9 +891,8 @@ def dimension_certificate(model: DeviceModel) -> dict:
             continue
         v = tuple(int(b) for b in v_row)
         _, _, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v)
-        weights = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))]) / trace
         candidates.append((v, lo, hi, trace))
-        dists.append(float(np.sum(qsim.trace_norm_lowrank(factors, weights))))
+        dists.append(float(np.sum(qsim.trace_norm_lowrank(factors, unit / trace))))
     if not candidates:
         raise ModelError("degenerate model: no Sigma-supported blocks")
     best = _first_min(dists)
@@ -894,13 +906,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
     if usable.size == 0:
         raise ModelError("degenerate model: no usable classical block")
     # normalised blocks: rho-hat = rho / Tr rho and alpha-hat = alpha / Tr alpha
-    weights = np.concatenate(
-        [
-            np.repeat(1.0 / rho_mass[usable, None], n_meas, axis=1),
-            np.repeat(-(2.0**-n) / alpha_mass[usable, None], 2**n, axis=1),
-        ],
-        axis=1,
-    )
+    weights = unit / np.where(np.arange(unit.size) < n_meas, rho_mass[usable, None], alpha_mass[usable, None])
     eps_all = qsim.trace_norm_lowrank(factors[usable], weights)
     star = _first_min(eps_all)
     c = usable[star]
@@ -965,32 +971,18 @@ def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
             name = f"||sigma^theta - sum_v sigma^theta_v||_1 <= gamma_P (theta={theta})"
             checks.append(_check(name, sigma_residual(model, theta), gammas.gamma_P))
         report["checks"] = checks
-        report["soundness"] = {
-            str(theta): {
-                "total": sd["total"],
-                "post_measurement": {str(q): t for q, t in sd["post_measurement"].items()},
-            }
-            for theta, sd in (
-                (theta, soundness_distance(model, theta)) for theta in model.thetas
-            )
-        }
+        report["soundness"] = {}
+        for theta in model.thetas:
+            sd = soundness_distance(model, theta)
+            post = {str(q): t for q, t in sd["post_measurement"].items()}
+            report["soundness"][str(theta)] = {"total": sd["total"], "post_measurement": post}
     else:
         cert = dimension_certificate(model)
-        report["certificate"] = {
-            "v_min": list(cert["v_min"]),
-            "epsilon": cert["epsilon"],
-            "rank": cert["rank"],
-            "rank_ok": cert["rank_ok"],
-            "certified_dimension": cert["certified_dimension"],
-        }
-        report["checks"] = [
-            {
-                "name": "rank >= (1 - eps) 2^N",
-                "lhs": cert["rank"],
-                "rhs": (1 - cert["epsilon"]) * 2**model.n,
-                "ok": cert["rank_ok"],
-            }
-        ]
+        keys = ("epsilon", "rank", "rank_ok", "certified_dimension")
+        report["certificate"] = {"v_min": list(cert["v_min"]), **{key: cert[key] for key in keys}}
+        rhs = (1 - cert["epsilon"]) * 2**model.n
+        check = {"name": "rank >= (1 - eps) 2^N", "lhs": cert["rank"], "rhs": rhs, "ok": cert["rank_ok"]}
+        report["checks"] = [check]
     report["swap"] = swap_identity_checks(model, rng)
     report["all_ok"] = all(c["ok"] for c in report.get("checks", []))
     return report

@@ -135,6 +135,8 @@ def _analyze_command(args) -> int:
         # a claw coordinate's d-measurement needs a nonzero even-parity d
         print("error: analyze needs --w >= 2", file=sys.stderr)
         return 2
+    if args.report and (os.path.isdir(args.report) or not os.path.isdir(os.path.dirname(args.report) or ".")):
+        raise ParameterError(f"cannot write the report to {args.report!r}")
     rng = np.random.default_rng(_seed(args))
     model = _build_model(args, rng)
     report = analysis.analysis_report(model, rng)
@@ -221,13 +223,9 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _analyze_command(args)
         return _entcf_check_command(args)
-    except SelfTestError as exc:
+    except (SelfTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -263,7 +263,7 @@ def run_sessions(
     out_dir=None,
 ) -> tuple[dict, list[dict]]:
     """Run the batch; returns (stats, transcripts) and writes stats.json and
-    transcripts.jsonl to out_dir when given."""
+    transcripts.jsonl to out_dir when given, made before the first session."""
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
     kind, colon, port = transport_spec.partition(":")
@@ -272,6 +272,9 @@ def run_sessions(
     if colon and not (port.isdecimal() and int(port) < 2**16):
         raise ParameterError(f"bad TCP port in {transport_spec!r}")
     port = int(port or 0) if kind == "tcp" else None
+    out = None if out_dir is None else pathlib.Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     with contextlib.closing(transport.Link(transport.Codec(config.entcf), port)) as link:
         transcripts = [
             run_one_session(index, protocol_kind, config, prover_spec, *streams, link)
@@ -280,9 +283,7 @@ def run_sessions(
     stats = session_stats(transcripts, protocol_kind, config.N)
     stats["seed"] = seed
     stats["prover"] = prover_spec
-    if out_dir is not None:
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "stats.json").write_bytes(
             json.dumps(stats, sort_keys=True, indent=2).encode("utf-8") + b"\n"
         )

@@ -13,6 +13,8 @@ import numpy as np
 from .errors import DomainError, SelfTestError
 
 ATOL = 1e-10
+# entries per row chunk of a batched trace norm: about 256 KB of complex128
+CHUNK_ENTRIES = 2**14
 
 
 def hadamard_matrix(nbits: int) -> np.ndarray:
@@ -164,8 +166,8 @@ def trace_norm_diff_rank1(u: np.ndarray, w: np.ndarray):
     lead, width = u.shape[:-1], u.shape[-1]
     u, w = u.reshape(-1, width), w.reshape(-1, width)
     out = np.empty(len(u))
-    # row chunks of about 256 KB keep the temporaries in cache
-    step = max(1, 2**14 // max(width, 1))
+    # row chunks of CHUNK_ENTRIES keep the temporaries in cache
+    step = max(1, CHUNK_ENTRIES // max(width, 1))
     for start in range(0, len(u), step):
         rows = slice(start, start + step)
         out[rows] = _rank1_rows(u[rows], w[rows])

@@ -282,6 +282,14 @@ def test_toylwe_models_unsupported():
         analysis.build_honest_model(cfg, "selftest", np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kind", ["selftest", "dimtest"])
+def test_honest_models_need_w2(kind):
+    # at w = 1 a claw coordinate's even coset of d's holds only d = 0
+    cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(1))
+    with pytest.raises(ModelError):
+        analysis.build_honest_model(cfg, kind, np.random.default_rng(0))
+
+
 def test_analysis_report_shape(honest):
     rng = np.random.default_rng(0)
     report = analysis.analysis_report(honest, rng)
@@ -465,6 +473,7 @@ def _ref_soundness(model, theta):
     per_v = {}
     post = {q: 0.0 for q in sorted(model.questions)}
     ideal = {}
+    projs = {q: _projector_dict(model.questions[q]) for q in post}
     for q in post:
         meas = analysis.question_measurement(model.protocol, model.n, q)
         ideal[q] = dict(zip(meas.labels, meas.basis.T))
@@ -476,7 +485,7 @@ def _ref_soundness(model, theta):
             a = tau.conj() @ lifted.reshape(2**L, dim)
             per_v[v] += _ref_rank1(lifted, np.kron(tau, a))
             for q in post:
-                for u, proj in _projector_dict(model.questions[q]).items():
+                for u, proj in projs[q].items():
                     target = np.kron(ideal[q][u] * np.vdot(ideal[q][u], tau), a)
                     post[q] += _ref_rank1(v_iso @ (proj @ vec), target)
     return per_v, sum(per_v.values()), post
@@ -488,11 +497,13 @@ def _ref_eps_h(model):
         protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
     )
     eps_h = {}
+    blocks = {theta: _ref_sigma_blocks(model, theta) for theta in model.thetas}
     for q in sorted(model.questions):
+        projs = _projector_dict(model.questions[q])
         accept = 0.0
         for theta in model.thetas:
             traps = model.trapdoors[theta]
-            for (y, d), vec in _ref_sigma_blocks(model, theta).items():
+            for (y, d), vec in blocks[theta].items():
                 bhat = [
                     entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
                     for t, yi in zip(traps, y)
@@ -501,7 +512,7 @@ def _ref_eps_h(model):
                     entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
                     for t, yi, di in zip(traps, y, d)
                 ]
-                for u, proj in _projector_dict(model.questions[q]).items():
+                for u, proj in projs.items():
                     if verdict_fn(model.n, theta, q, u, bhat, hhat).accept:
                         accept += np.vdot(vec, proj @ vec).real
         eps_h[q] = 1.0 - accept / len(model.thetas)
@@ -703,6 +714,24 @@ def test_class_tables_of_a_wide_coordinate_stay_small():
     assert peak < 4 * 2**20
 
 
+def test_soundness_distances_stay_small():
+    # selftest honest N=2 w=2: each question's branches are stacked and
+    # lifted a chunk of outcomes at a time; stacking all 16 outcomes of a
+    # question at once peaked near 4.0 MiB
+    cfg = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(2))
+    model = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(7))
+    for theta in model.thetas:
+        model.class_table(theta)
+    tracemalloc.start()
+    try:
+        for theta in model.thetas:
+            analysis.soundness_distance(model, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_preimage_mass_computed_once_per_coordinate_value(monkeypatch):
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
@@ -739,7 +768,8 @@ def _oracle_models(honest):
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     rng = np.random.default_rng(11)
     randoms = [analysis.build_random_model(cfg, rng) for _ in range(5)]
-    return [honest, analysis.build_wrongbasis_model(honest)] + randoms
+    noisy = [analysis.build_wrongbasis_model(honest), analysis.build_bitflip_model(honest, 0.1)]
+    return [honest, *noisy, *randoms]
 
 
 def test_soundness_distance_matches_dense_reference(honest):
@@ -757,13 +787,19 @@ def test_soundness_distance_matches_dense_reference(honest):
 
 
 def test_failure_report_matches_dense_reference(honest):
-    for model in _oracle_models(honest):
+    rng = np.random.default_rng(5)
+    dimtest = [
+        analysis.build_honest_model(DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(4)), "dimtest", rng),
+        analysis.build_classical_model(DimTestConfig(N=2, entcf=entcf.EntcfParams.ideal(2)), rng),
+    ]
+    for model in [*_oracle_models(honest), *dimtest]:
         got = analysis.failure_report(model)
         eps_h = _ref_eps_h(model)
         assert set(got.eps_H) == set(eps_h)
         for q, eps in eps_h.items():
             assert got.eps_H[q] == pytest.approx(eps, abs=1e-9)
-        assert got.eps == pytest.approx(got.eps_P / 2.0 + sum(eps_h.values()) / 8.0, abs=1e-9)
+        # eps = eps_P / 2 + the mean of eps_H over the questions / 2
+        assert got.eps == pytest.approx(got.eps_P / 2.0 + np.mean(list(eps_h.values())) / 2.0, abs=1e-9)
 
 
 def _unskipped_eps_h(model):

@@ -1,9 +1,13 @@
 """Harness and CLI tests: determinism, stats, replay, exit codes."""
 import itertools
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from selftestsim.protocol import DimTestConfig, SelfTestConfig
 
 CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
 DCFG = DimTestConfig(N=2, entcf=entcf.EntcfParams.ideal(4))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_wilson_interval_properties():
@@ -530,6 +535,41 @@ def test_cli_analyze_bitflip_refuses_before_building(capsys, monkeypatch, n, p):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_cli_analyze_unwritable_report_fails_before_building(capsys, monkeypatch, tmp_path, where):
+    monkeypatch.setattr(analysis, "build_honest_model", _never_built)
+    report = tmp_path / "nowhere" / "x.json" if where == "missing-directory" else tmp_path
+    assert cli.main(["analyze", "--n", "1", "--w", "2", "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_cli_run_out_on_a_file_fails_before_any_session(capsys, monkeypatch, tmp_path):
+    def never_run(*args, **kwargs):
+        raise AssertionError("a session ran before the output directory was made")
+
+    monkeypatch.setattr(harness, "run_one_session", never_run)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert cli.main(["selftest", "run", "--sessions", "3", "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert taken.read_text() == "keep"
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "selftestsim", "entcf-check", "--w", "2", "--keys", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("entcf-check: OK")
 
 
 def test_cli_memory_error_is_one_error_line(capsys, monkeypatch):
