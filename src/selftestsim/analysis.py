@@ -521,9 +521,11 @@ def build_classical_model(
 ) -> DeviceModel:
     """Deterministic-table device for the dimension test: the device picks
     preimages classically, answers with the decoded bits, and every state and
-    measurement is diagonal in one fixed basis. It passes the protocol, but
-    its post-measurement states are pure, so the certified dimension
-    collapses."""
+    measurement is diagonal in one fixed basis. It passes every Hadamard
+    round but has no preimage measurement, so it fails every preimage round
+    (eps_P = 1, eps = 1/2), unlike the Monte Carlo `classical` prover, which
+    passes them. Its post-measurement states are pure, so the certified
+    dimension collapses."""
     params = config.entcf
     n, w = config.N, params.w
     logical = n

@@ -135,8 +135,10 @@ def _analyze_command(args) -> int:
         # a claw coordinate's d-measurement needs a nonzero even-parity d
         print("error: analyze needs --w >= 2", file=sys.stderr)
         return 2
-    if args.report and (os.path.isdir(args.report) or not os.path.isdir(os.path.dirname(args.report) or ".")):
-        raise ParameterError(f"cannot write the report to {args.report!r}")
+    if args.report:
+        folder = os.path.dirname(args.report) or "."
+        if os.path.isdir(args.report) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ParameterError(f"cannot write the report to {args.report!r}")
     rng = np.random.default_rng(_seed(args))
     model = _build_model(args, rng)
     report = analysis.analysis_report(model, rng)

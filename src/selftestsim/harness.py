@@ -15,6 +15,7 @@ whatever the transport or the order sessions are run or audited in.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import json
@@ -101,52 +102,46 @@ def run_one_session(
 # ---------------------------------------------------------------------------
 
 def session_stats(transcripts: list[dict], protocol_kind: str, n: int) -> dict:
-    """Acceptance statistics of a batch, from its transcripts."""
-    total = len(transcripts)
-    cells: dict = {}
-    for t in transcripts:
-        key = (t["theta_class"], t["round_type"] or "aborted", "-" if t["q"] is None else str(t["q"]))
-        cell = cells.setdefault(key, {"sessions": 0, "accepts": 0})
-        cell["sessions"] += 1
-        cell["accepts"] += t["accept"]
+    """Acceptance statistics of a batch, from one count of its transcripts per
+    (cell, accept, reason), a cell being (theta class, round type, question)."""
+    counts = collections.Counter(
+        ((t["theta_class"], t["round_type"] or "aborted", "-" if t["q"] is None else str(t["q"])),
+         t["accept"], t["reason"])
+        for t in transcripts
+    )
+    sessions, accepts, reasons = collections.Counter(), collections.Counter(), collections.Counter()
+    for (cell, accept, reason), count in counts.items():
+        sessions[cell] += count
+        accepts[cell] += accept * count
+        reasons[reason] += count
 
-    def rate(pred) -> tuple[int, int]:
-        sel = [t for t in transcripts if pred(t)]
-        return sum(1 - t["accept"] for t in sel), len(sel)
+    def rejects(round_type: str, q: str) -> tuple[int, int]:
+        """(rejections, sessions) over the cells of a round type and question."""
+        cells = [cell for cell in sessions if cell[1:] == (round_type, q)]
+        return sum(sessions[c] - accepts[c] for c in cells), sum(sessions[c] for c in cells)
 
-    pre_rej, pre_n = rate(lambda t: t["round_type"] == protocol.PREIMAGE)
-    eps_p = pre_rej / pre_n if pre_n else 0.0
     questions = protocol.questions(protocol_kind)
-    eps_h = {}
-    eps_h_ci = {}
-    for q in questions:
-        rej, nq = rate(lambda t, q=q: t["round_type"] == protocol.HADAMARD and t["q"] == q)
-        eps_h[q] = rej / nq if nq else 0.0
-        lo, hi = wilson_interval(rej, nq)
-        eps_h_ci[q] = [lo, hi]
+    # a preimage round asks no question
+    preimage = rejects(protocol.PREIMAGE, "-")
+    hadamard = {q: rejects(protocol.HADAMARD, str(q)) for q in questions}
+    eps_p = preimage[0] / preimage[1] if preimage[1] else 0.0
+    eps_h = {q: rej / nq if nq else 0.0 for q, (rej, nq) in hadamard.items()}
     eps = protocol.eps(eps_p, eps_h)
-    accepts = sum(t["accept"] for t in transcripts)
-    acc_lo, acc_hi = wilson_interval(accepts, total)
-    ep_lo, ep_hi = wilson_interval(pre_rej, pre_n)
-    reasons: dict = {}
-    for t in transcripts:
-        reasons[t["reason"]] = reasons.get(t["reason"], 0) + 1
+    total, accepted = len(transcripts), sum(accepts.values())
     stats = {
         "version": 1,
         "protocol": protocol_kind,
         "N": n,
         "sessions": total,
-        "accepts": accepts,
-        "acceptance_rate": accepts / total if total else 0.0,
-        "acceptance_ci95": [acc_lo, acc_hi],
+        "accepts": accepted,
+        "acceptance_rate": accepted / total if total else 0.0,
+        "acceptance_ci95": list(wilson_interval(accepted, total)),
         "eps_P": eps_p,
-        "eps_P_ci95": [ep_lo, ep_hi],
+        "eps_P_ci95": list(wilson_interval(*preimage)),
         "eps_H": {str(q): eps_h[q] for q in questions},
-        "eps_H_ci95": {str(q): eps_h_ci[q] for q in questions},
+        "eps_H_ci95": {str(q): list(wilson_interval(*hadamard[q])) for q in questions},
         "eps": eps,
-        "cells": {
-            "|".join(key): cell for key, cell in sorted(cells.items())
-        },
+        "cells": {"|".join(c): {"sessions": sessions[c], "accepts": accepts[c]} for c in sorted(sessions)},
         "reasons": dict(sorted(reasons.items())),
     }
     if protocol_kind == "selftest":
@@ -353,10 +348,7 @@ def _replay(verifier, messages: list[dict], codec: transport.Codec) -> bool:
                 return False
             pending = None
         elif entry["dir"] == "p->v" and pending is None and verifier.verdict is None:
-            cls = _MESSAGE_CLASSES.get(entry["type"])
-            if cls is None:
-                return False
-            pending = verifier.step(codec.from_payload(cls, entry["payload"]))
+            pending = verifier.step(codec.from_payload(_MESSAGE_CLASSES[entry["type"]], entry["payload"]))
         else:
             return False
     return pending is None

@@ -1,4 +1,5 @@
-"""Verifier state machines and message vocabulary.
+"""Verifier state machines and the message vocabulary, FIELDS: each message's
+fields and their kinds, which the wire codec and the verifier's checks read.
 
 Implements the 2N-coordinate self-test (round types Preimage/Hadamard, questions
 q in {0,1,2,3}, verdict cases A-D) and the N-coordinate dimension test
@@ -41,7 +42,7 @@ def partner(i: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Keys:
-    keys: tuple  # tuple[PublicKey, ...]
+    keys: tuple
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,13 @@ class RoundType:
 
 @dataclass(frozen=True)
 class PreimageAnswer:
-    b: tuple  # bits
-    x: tuple  # ints
+    b: tuple
+    x: tuple
 
 
 @dataclass(frozen=True)
 class HadamardD:
-    d: tuple  # ints, w bits each
+    d: tuple
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Question:
 
 @dataclass(frozen=True)
 class FinalAnswer:
-    v: tuple  # bits
+    v: tuple
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,20 @@ class Verdict:
     reason: str
 
 
-MESSAGE_TYPES = (Keys, Images, RoundType, PreimageAnswer, HadamardD, Question, FinalAnswer, Verdict)
+# message class -> its (field, kind) pairs, in field order. A bit, wbits (w-bit
+# int), image (a u32, or for toylwe a length-m tuple of u32s) or key (a
+# PublicKey) field has one entry per coordinate; an int or str field is one value.
+FIELDS = {
+    Keys: (("keys", "key"),),
+    Images: (("y", "image"),),
+    RoundType: (("kind", "str"),),
+    PreimageAnswer: (("b", "bit"), ("x", "wbits")),
+    HadamardD: (("d", "wbits"),),
+    Question: (("q", "int"),),
+    FinalAnswer: (("v", "bit"),),
+    Verdict: (("accept", "int"), ("reason", "str")),
+}
+MESSAGE_TYPES = tuple(FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +314,11 @@ def sigma_v(kind: str, n: int, theta, bhat, hhat):
 # Verifier state machines
 # ---------------------------------------------------------------------------
 
-# phase -> (awaited prover message, its fields); a field's entries are bits,
-# w-bit strings ("wbits") or images: a u32 (ideal) or a length-m tuple of u32s
-# (toylwe), the values Codec.decode_y can return.
 _AWAITED = {
-    "await_images": (Images, (("y", "image"),)),
-    "await_preimage": (PreimageAnswer, (("b", "bit"), ("x", "wbits"))),
-    "await_d": (HadamardD, (("d", "wbits"),)),
-    "await_answer": (FinalAnswer, (("v", "bit"),)),
+    "await_images": Images,
+    "await_preimage": PreimageAnswer,
+    "await_d": HadamardD,
+    "await_answer": FinalAnswer,
 }
 
 
@@ -331,7 +342,6 @@ class _VerifierBase:
         self.phase = "send_keys"
         self.round_type = None
         self.y = None
-        self.d = None
         self.q = None
         self.bhat = [None] * self.n_coords
         self.hhat = [None] * self.n_coords
@@ -368,8 +378,7 @@ class _VerifierBase:
                 Verdict(accept=1, reason="accept") if ok else Verdict(accept=0, reason="preimage.chk")
             )
         if self.phase == "await_d":
-            self.d = tuple(incoming.d)
-            self.hhat = decode_hhat(self.trapdoors, self.y, self.d)
+            self.hhat = decode_hhat(self.trapdoors, self.y, tuple(incoming.d))
             qs = questions(self.kind)
             self.q = qs[int(self.rng.integers(len(qs)))]
             self.phase = "await_answer"
@@ -383,14 +392,14 @@ class _VerifierBase:
         """Reject reason for a reply that is not the awaited message type
         with n_coords entries per field ("protocol"), or that has a field
         entry outside its domain ("protocol.<field>"); None if well formed."""
-        cls, fields = _AWAITED[self.phase]
+        cls = _AWAITED[self.phase]
         if not isinstance(incoming, cls):
             return "protocol"
-        for name, _ in fields:
+        for name, _ in FIELDS[cls]:
             entries = getattr(incoming, name)
             if not isinstance(entries, (tuple, list)) or len(entries) != self.n_coords:
                 return "protocol"
-        for name, kind in fields:
+        for name, kind in FIELDS[cls]:
             entries = getattr(incoming, name)
             if kind == "image" and self.params.backend == "toylwe":
                 if not all(isinstance(e, tuple) and len(e) == self.params.m for e in entries):

@@ -1,14 +1,14 @@
 """Device-side provers: the honest quantum device and scripted cheats.
 
-The honest prover exists in two modes. "collapsed" samples the image y
+The honest device has two classes. HonestProver samples the image y
 classically per coordinate and tracks only the logical qubit that survives
 the Hadamard d-measurement (a basis state for injective coordinates, a
 phase state (|0> + (-1)^h |1>)/sqrt(2) for claw coordinates); the CZ layer
 and the final question-dependent measurement of each pair are then computed
-in closed form on its 2x2 amplitude table (measure_pair). "fullsim" builds
-the per-coordinate superposition sum_{b,x} |b>|x>|f_b(x)> explicitly and
-Born-measures every step up to the final one; it is the cross-validation
-oracle for the collapsed fast path and is budget-limited.
+in closed form on its 2x2 amplitude table (measure_pair). FullsimProver
+builds the per-coordinate superposition sum_{b,x} |b>|x>|f_b(x)> explicitly
+and Born-measures every step up to the final one; it is the
+cross-validation oracle for the collapsed fast path and is budget-limited.
 
 Cheat provers: ClassicalGuess holds no qubits and guesses unknown equation
 bits; BitFlip(p) is the honest prover with flipped answer bits; WrongBasis
@@ -23,8 +23,6 @@ import numpy as np
 from . import entcf, protocol, qsim
 from .errors import BudgetError, ContractError, DomainError, ParameterError
 
-COLLAPSED = "collapsed"
-FULLSIM = "fullsim"
 # most amplitudes one fullsim coordinate may hold
 FULLSIM_BUDGET = 2**20
 
@@ -147,90 +145,32 @@ class DeviceInterface:
 
 
 class HonestProver(DeviceInterface):
-    def __init__(
-        self,
-        kind: str,
-        rng: np.random.Generator,
-        mode: str = COLLAPSED,
-    ):
+    """The honest device on the collapsed path."""
+
+    def __init__(self, kind: str, rng: np.random.Generator):
         super().__init__(kind, rng)
-        if mode not in (COLLAPSED, FULLSIM):
-            raise ParameterError(f"unknown prover mode {mode!r}")
-        self.mode = mode
         self.keys = None
         self.records = None  # per coordinate: list[(b, x)] preimage pairs of y
         self.y = None
-        self.d = None
         self.qubits = None  # per coordinate: amplitude pair after d-measurement
-        self._full_states = None
 
     # -- keys round ----------------------------------------------------------
     def on_keys(self, keys):
         self.keys = list(keys)
-        if self.mode == COLLAPSED:
-            self.y = [self._sample_y_collapsed(k) for k in self.keys]
-        else:
-            self._check_fullsim_budget()
-            self._full_states = []
-            self.y = []
-            for key in self.keys:
-                y, state = self._sample_y_fullsim(key)
-                self.y.append(y)
-                self._full_states.append(state)
+        self.y = [self._sample_y(k) for k in self.keys]
         self.records = [entcf.preimages(key, y) for key, y in zip(self.keys, self.y)]
         return self.y
 
-    def _sample_y_collapsed(self, key):
+    def _sample_y(self, key):
         b = int(self.rng.integers(2))
         x = int(self.rng.integers(2 ** key.params.w))
         return entcf.forward_sample(key, b, x, self.rng)
-
-    def _check_fullsim_budget(self):
-        params = self.keys[0].params
-        if params.backend == "toylwe" and len(self.keys) > 1:
-            raise BudgetError("fullsim with a toylwe backend handles one coordinate only")
-        for key in self.keys:
-            n_images = len(self._image_labels(key))
-            if 2 ** (1 + key.params.w) * n_images > FULLSIM_BUDGET:
-                raise BudgetError("fullsim coordinate exceeds the simulator budget")
-
-    @staticmethod
-    def _image_labels(key) -> list:
-        labels = set()
-        for b in (0, 1):
-            for x in range(2 ** key.params.w):
-                labels.update(entcf.support(key, b, x))
-        return sorted(labels)
-
-    def _sample_y_fullsim(self, key):
-        labels = self._image_labels(key)
-        index = {y: i for i, y in enumerate(labels)}
-        w = key.params.w
-        tens = np.zeros((2, 2**w, len(labels)), dtype=complex)
-        for b in (0, 1):
-            for x in range(2**w):
-                supp = entcf.support(key, b, x)
-                amp = 1.0 / np.sqrt(2.0 * 2**w * len(supp))
-                for y in supp:
-                    tens[b, x, index[y]] += amp
-        state = qsim.StateVector(
-            tens, [("b", 2), ("x", 2**w), ("y", len(labels))], normalize=True
-        )
-        outcome, state = state.measure("y", _COMP, self.rng)
-        return labels[outcome], state
 
     # -- preimage round --------------------------------------------------------
     def on_preimage(self):
         if self.records is None:
             raise ContractError("preimage answer requested before keys")
         bs, xs = [], []
-        if self.mode == FULLSIM:
-            for i, state in enumerate(self._full_states):
-                b, state = state.measure("b", _COMP, self.rng)
-                x, _ = state.measure("x", _COMP, self.rng)
-                bs.append(b)
-                xs.append(x)
-            return bs, xs
         for pairs in self.records:
             b, x = pairs[int(self.rng.integers(len(pairs)))] if len(pairs) > 1 else pairs[0]
             bs.append(b)
@@ -241,17 +181,11 @@ class HonestProver(DeviceInterface):
     def on_hadamard(self):
         if self.records is None:
             raise ContractError("hadamard answer requested before keys")
-        self.d = []
+        ds = []
         self.qubits = []
-        if self.mode == FULLSIM:
-            for state in self._full_states:
-                d, state = state.measure("x", _HAD, self.rng)
-                self.d.append(d)
-                self.qubits.append(tuple(state.amps.tolist()))
-            return self.d
         for key, pairs in zip(self.keys, self.records):
             d = int(self.rng.integers(2 ** key.params.w))
-            self.d.append(d)
+            ds.append(d)
             if len(pairs) == 1:
                 b, _ = pairs[0]
                 self.qubits.append(_BASIS[b])
@@ -261,7 +195,7 @@ class HonestProver(DeviceInterface):
                 # i.e. h = d.(x0 xor x1) up to a global sign.
                 h = entcf.parity(d & (x0 ^ x1))
                 self.qubits.append(_PHASE[h])
-        return self.d
+        return ds
 
     # -- final answer ---------------------------------------------------------
     def on_question(self, q: int):
@@ -277,6 +211,59 @@ class HonestProver(DeviceInterface):
         for i in range(n):
             v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
         return v
+
+
+class FullsimProver(HonestProver):
+    """The honest device as a full state vector, up to the final measurement,
+    which it shares with HonestProver."""
+
+    def __init__(self, kind: str, rng: np.random.Generator):
+        super().__init__(kind, rng)
+        self._full_states = []  # per coordinate: the state its y measurement leaves
+
+    def _sample_y(self, key):
+        """y from Born-measuring the coordinate's superposition; keeps the state it leaves."""
+        if key.params.backend == "toylwe" and len(self.keys) > 1:
+            raise BudgetError("fullsim with a toylwe backend handles one coordinate only")
+        w = key.params.w
+        supports = {(b, x): entcf.support(key, b, x) for b in (0, 1) for x in range(2**w)}
+        labels = sorted(frozenset().union(*supports.values()))
+        if 2 ** (1 + w) * len(labels) > FULLSIM_BUDGET:
+            raise BudgetError("fullsim coordinate exceeds the simulator budget")
+        index = {y: i for i, y in enumerate(labels)}
+        tens = np.zeros((2, 2**w, len(labels)), dtype=complex)
+        for (b, x), supp in supports.items():
+            amp = 1.0 / np.sqrt(2.0 * 2**w * len(supp))
+            for y in supp:
+                tens[b, x, index[y]] += amp
+        state = qsim.StateVector(
+            tens, [("b", 2), ("x", 2**w), ("y", len(labels))], normalize=True
+        )
+        outcome, state = state.measure("y", _COMP, self.rng)
+        self._full_states.append(state)
+        return labels[outcome]
+
+    def on_preimage(self):
+        if self.records is None:
+            raise ContractError("preimage answer requested before keys")
+        bs, xs = [], []
+        for state in self._full_states:
+            b, state = state.measure("b", _COMP, self.rng)
+            x, _ = state.measure("x", _COMP, self.rng)
+            bs.append(b)
+            xs.append(x)
+        return bs, xs
+
+    def on_hadamard(self):
+        if self.records is None:
+            raise ContractError("hadamard answer requested before keys")
+        ds = []
+        self.qubits = []
+        for state in self._full_states:
+            d, state = state.measure("x", _HAD, self.rng)
+            ds.append(d)
+            self.qubits.append(tuple(state.amps.tolist()))
+        return ds
 
 
 class WrongBasisProver(HonestProver):
@@ -343,9 +330,9 @@ def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> Devi
     """Parse a prover spec string: honest, honest-fullsim, classical,
     bitflip=P, wrongbasis."""
     if spec == "honest":
-        return HonestProver(protocol_kind, rng, mode=COLLAPSED)
+        return HonestProver(protocol_kind, rng)
     if spec == "honest-fullsim":
-        return HonestProver(protocol_kind, rng, mode=FULLSIM)
+        return FullsimProver(protocol_kind, rng)
     if spec == "bitflip" or spec.startswith("bitflip="):
         try:
             p = float(spec.split("=", 1)[1]) if "=" in spec else 0.0

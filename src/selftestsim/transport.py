@@ -3,8 +3,9 @@
 One canonical encoding for every protocol message: a 4-byte big-endian length
 prefix, a version byte (0x01), a 16-byte session id, a message type byte, and
 a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
-Public keys and images travel as lowercase hex strings. Trapdoors are not
-part of the message vocabulary and never touch the wire.
+A payload maps each field to its value, coded by its kind in `protocol.FIELDS`:
+keys and images as lowercase hex, numbers as JSON numbers, strings as they
+are. Trapdoors are not part of the message vocabulary and never touch the wire.
 
 One `Link` joins the verifier to the prover over either transport and holds
 the prover's answer to each message the same way; only the carrying differs.
@@ -24,6 +25,7 @@ import struct
 import numpy as np
 
 from . import entcf, protocol
+from .entcf import PublicKey
 from .errors import ProtocolError, TransportError
 
 VERSION = 0x01
@@ -39,6 +41,11 @@ TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
+def _each(encode, decode):
+    """(encode, decode) of a list field, from those of one entry."""
+    return (lambda values: list(map(encode, values))), (lambda values: tuple(map(decode, values)))
+
+
 class Frame(bytes):
     """One encoded frame. `payload` is the dict serialised into it, so a
     sender can record what it put on the wire without building it again."""
@@ -51,6 +58,19 @@ class Codec:
 
     def __init__(self, params: entcf.EntcfParams):
         self.params = params
+        # (encode, decode) of a field's value, per kind
+        coder = {
+            "bit": _each(int, int),
+            "wbits": _each(int, int),
+            "image": _each(self.encode_y, self.decode_y),
+            "key": _each(lambda k: k.to_bytes().hex(), lambda h: PublicKey.from_bytes(bytes.fromhex(h))),
+            "int": (int, int),
+            "str": (lambda s: s, lambda s: s),
+        }
+        # message class -> its fields' (name, encode, decode)
+        self._coders = {
+            cls: [(name, *coder[kind]) for name, kind in fields] for cls, fields in protocol.FIELDS.items()
+        }
 
     # -- image coordinates ---------------------------------------------------
     def encode_y(self, y_i) -> str:
@@ -73,52 +93,19 @@ class Codec:
 
     # -- message payloads ------------------------------------------------------
     def to_payload(self, msg) -> dict:
-        if isinstance(msg, protocol.Keys):
-            return {"keys": [k.to_bytes().hex() for k in msg.keys]}
-        if isinstance(msg, protocol.Images):
-            return {"y": [self.encode_y(y) for y in msg.y]}
-        if isinstance(msg, protocol.RoundType):
-            return {"kind": msg.kind}
-        if isinstance(msg, protocol.PreimageAnswer):
-            return {"b": [int(b) for b in msg.b], "x": [int(x) for x in msg.x]}
-        if isinstance(msg, protocol.HadamardD):
-            return {"d": [int(d) for d in msg.d]}
-        if isinstance(msg, protocol.Question):
-            return {"q": int(msg.q)}
-        if isinstance(msg, protocol.FinalAnswer):
-            return {"v": [int(v) for v in msg.v]}
-        if isinstance(msg, protocol.Verdict):
-            return {"accept": int(msg.accept), "reason": msg.reason}
-        raise TransportError(f"unknown message type {type(msg).__name__}")
+        coders = self._coders.get(type(msg))
+        if coders is None:
+            raise TransportError(f"unknown message type {type(msg).__name__}")
+        return {name: encode(getattr(msg, name)) for name, encode, _ in coders}
 
     def from_payload(self, cls, payload: dict):
         try:
-            if cls is protocol.Keys:
-                return protocol.Keys(
-                    keys=tuple(entcf.PublicKey.from_bytes(bytes.fromhex(h)) for h in payload["keys"])
-                )
-            if cls is protocol.Images:
-                return protocol.Images(y=tuple(self.decode_y(t) for t in payload["y"]))
-            if cls is protocol.RoundType:
-                return protocol.RoundType(kind=payload["kind"])
-            if cls is protocol.PreimageAnswer:
-                return protocol.PreimageAnswer(
-                    b=tuple(int(b) for b in payload["b"]),
-                    x=tuple(int(x) for x in payload["x"]),
-                )
-            if cls is protocol.HadamardD:
-                return protocol.HadamardD(d=tuple(int(d) for d in payload["d"]))
-            if cls is protocol.Question:
-                return protocol.Question(q=int(payload["q"]))
-            if cls is protocol.FinalAnswer:
-                return protocol.FinalAnswer(v=tuple(int(v) for v in payload["v"]))
-            if cls is protocol.Verdict:
-                return protocol.Verdict(accept=int(payload["accept"]), reason=payload["reason"])
+            # positional: FIELDS lists each class's fields in their order
+            return cls(*[decode(payload[name]) for name, _, decode in self._coders[cls]])
         # a key that PublicKey.from_bytes cannot parse raises ProtocolError or
         # struct.error; int() of an infinite float raises OverflowError
         except (KeyError, ValueError, TypeError, OverflowError, ProtocolError, struct.error) as exc:
             raise TransportError(f"malformed payload: {exc}") from exc
-        raise TransportError("unknown message type byte")
 
     # -- frames ---------------------------------------------------------------
     def encode_frame(self, session_id: bytes, msg) -> Frame:

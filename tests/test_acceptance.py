@@ -53,12 +53,12 @@ def test_dimtest_honest_acceptance_and_rejection_reasons():
 # Collapsed simulation agrees with the full state-vector simulation
 # ---------------------------------------------------------------------------
 
-def _hadamard_samples(mode, keys, samples, seed):
+def _hadamard_samples(device, keys, samples, seed):
     """Per-coordinate (y, d, v) counters for repeated Hadamard rounds."""
     streams = np.random.SeedSequence(seed).spawn(samples)
     counts = [collections.Counter(), collections.Counter()]
     for stream in streams:
-        p = prover.HonestProver("selftest", np.random.default_rng(stream), mode=mode)
+        p = device("selftest", np.random.default_rng(stream))
         images = p.handle(protocol.Keys(keys=keys))
         d_msg = p.handle(protocol.RoundType(kind=protocol.HADAMARD))
         v_msg = p.handle(protocol.Question(q=1))
@@ -77,8 +77,8 @@ def test_collapsed_matches_fullsim_distribution():
         for fam in protocol.families("selftest", 0, 1)
     )
     samples = 20_000
-    fast = _hadamard_samples(prover.COLLAPSED, keys, samples, seed=1)
-    full = _hadamard_samples(prover.FULLSIM, keys, samples, seed=2)
+    fast = _hadamard_samples(prover.HonestProver, keys, samples, seed=1)
+    full = _hadamard_samples(prover.FullsimProver, keys, samples, seed=2)
     for i in range(2):
         assert set(fast[i]) == set(full[i])
         support = set(fast[i]) | set(full[i])

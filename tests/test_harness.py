@@ -537,10 +537,14 @@ def test_cli_analyze_bitflip_refuses_before_building(capsys, monkeypatch, n, p):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "read-only-directory"])
 def test_cli_analyze_unwritable_report_fails_before_building(capsys, monkeypatch, tmp_path, where):
     monkeypatch.setattr(analysis, "build_honest_model", _never_built)
     report = tmp_path / "nowhere" / "x.json" if where == "missing-directory" else tmp_path
+    if where == "read-only-directory":
+        # a superuser may write any directory, so os.access is made to deny this one
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: not (path == str(tmp_path) and mode & os.W_OK))
+        report = tmp_path / "x.json"
     assert cli.main(["analyze", "--n", "1", "--w", "2", "--report", str(report)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

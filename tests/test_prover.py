@@ -7,9 +7,8 @@ import pytest
 from selftestsim import entcf, harness, protocol, prover, qsim
 from selftestsim.errors import BudgetError, ContractError, DomainError, ParameterError
 from selftestsim.prover import (
-    COLLAPSED,
-    FULLSIM,
     ClassicalGuessProver,
+    FullsimProver,
     HonestProver,
     WrongBasisProver,
     make_prover,
@@ -102,7 +101,7 @@ def test_fullsim_budget_error_toylwe():
     rng = np.random.default_rng(0)
     params = entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1)
     keys = tuple(entcf.gen_keypair("G", params, rng)[0] for _ in range(2))
-    p = HonestProver("selftest", rng, mode=FULLSIM)
+    p = FullsimProver("selftest", rng)
     with pytest.raises(BudgetError):
         p.on_keys(keys)
 
@@ -110,7 +109,7 @@ def test_fullsim_budget_error_toylwe():
 def test_fullsim_budget_error_small_budget(monkeypatch):
     keys, _ = fixed_keys(theta=0)
     monkeypatch.setattr(prover, "FULLSIM_BUDGET", 4)
-    p = HonestProver("selftest", np.random.default_rng(0), mode=FULLSIM)
+    p = FullsimProver("selftest", np.random.default_rng(0))
     with pytest.raises(BudgetError):
         p.on_keys(keys)
 
@@ -179,8 +178,6 @@ def test_wrongbasis_answers_the_swapped_question(kind, theta):
 def test_make_prover_unknown_spec():
     with pytest.raises(ParameterError):
         make_prover("nope", "selftest", np.random.default_rng(0))
-    with pytest.raises(ParameterError):
-        HonestProver("selftest", np.random.default_rng(0), mode="nope")
     for spec in ("bitflip=2.0", "bitflip=abc", "bitflip=", "bitflipx", "bitflip0.5"):
         with pytest.raises(ParameterError):
             make_prover(spec, "selftest", np.random.default_rng(0))

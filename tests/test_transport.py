@@ -1,4 +1,5 @@
 """Wire codec and channel tests."""
+import dataclasses
 import json
 import socket
 import struct
@@ -49,6 +50,65 @@ def test_frame_roundtrip_every_variant(msg):
         )
     else:
         assert back == msg
+
+
+TOYLWE = entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1)
+IDEAL_KEY = entcf.PublicKey(params=PARAMS, table=np.array([[5, 0, 7, 2], [1, 6, 3, 4]]))
+TOYLWE_KEY = entcf.PublicKey(params=TOYLWE, A=np.array([[1], [2], [3]]), u=np.array([4, 5, 6]))
+
+# (parameters, message, the payload it travels as): one message of each type,
+# and keys and images of both backends
+WIRE = [
+    (
+        PARAMS,
+        protocol.Keys(keys=(IDEAL_KEY,)),
+        {"keys": ["0100020000000a" "00000005000000000000000700000002" "00000001000000060000000300000004"]},
+    ),
+    (
+        TOYLWE,
+        protocol.Keys(keys=(TOYLWE_KEY,)),
+        {"keys": ["01010400010003000000100001" "000000010000000200000003" "000000040000000500000006"]},
+    ),
+    (PARAMS, protocol.Images(y=(3, 2**32 - 1)), {"y": ["00000003", "ffffffff"]}),
+    (
+        TOYLWE,
+        protocol.Images(y=((1, 15, 0), (2, 3, 4))),
+        {"y": ["000000010000000f00000000", "000000020000000300000004"]},
+    ),
+    (PARAMS, protocol.RoundType(kind=protocol.HADAMARD), {"kind": "hadamard"}),
+    (PARAMS, protocol.PreimageAnswer(b=(0, 1), x=(3, 0)), {"b": [0, 1], "x": [3, 0]}),
+    (PARAMS, protocol.HadamardD(d=(2, 1)), {"d": [2, 1]}),
+    (PARAMS, protocol.Question(q=3), {"q": 3}),
+    (PARAMS, protocol.FinalAnswer(v=(1, 0)), {"v": [1, 0]}),
+    (PARAMS, protocol.Verdict(accept=0, reason="B.q2.bell"), {"accept": 0, "reason": "B.q2.bell"}),
+]
+
+
+@pytest.mark.parametrize(
+    "params, msg, payload", WIRE, ids=[f"{params.backend}-{type(msg).__name__}" for params, msg, _ in WIRE]
+)
+def test_wire_payload_of_every_message(params, msg, payload):
+    codec = transport.Codec(params)
+    assert codec.to_payload(msg) == payload
+    back = codec.from_payload(type(msg), payload)
+    if isinstance(msg, protocol.Keys):
+        for a, b in zip(msg.keys, back.keys, strict=True):
+            assert a.params == b.params
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("table", "A", "u"))
+    else:
+        assert back == msg
+
+
+def test_fields_name_every_message_and_its_dataclass_fields():
+    # the type bytes are the 1-based positions in this order
+    assert protocol.MESSAGE_TYPES == tuple(protocol.FIELDS) == (
+        protocol.Keys, protocol.Images, protocol.RoundType, protocol.PreimageAnswer,
+        protocol.HadamardD, protocol.Question, protocol.FinalAnswer, protocol.Verdict,
+    )
+    kinds = {"bit", "wbits", "image", "key", "int", "str"}
+    for cls, fields in protocol.FIELDS.items():
+        assert [name for name, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+        assert {kind for _, kind in fields} <= kinds
 
 
 @given(
