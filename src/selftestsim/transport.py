@@ -4,8 +4,9 @@ One canonical encoding for every protocol message: a 4-byte big-endian length
 prefix, a version byte (0x01), a 16-byte session id, a message type byte, and
 a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
 A payload maps each field to its value, coded by its kind in `protocol.FIELDS`:
-keys and images as lowercase hex, numbers as JSON numbers, strings as they
-are. Trapdoors are not part of the message vocabulary and never touch the wire.
+keys and images as lowercase hex, numbers as JSON numbers, strings as they are;
+no other JSON type or hex decodes, and `payload_json` writes hex by joins, as it
+needs no escaping. Trapdoors are not part of the message vocabulary and never touch the wire.
 
 One `Link` joins the verifier to the prover over either transport and holds
 the prover's answer to each message the same way; only the carrying differs.
@@ -41,9 +42,38 @@ TIMEOUT_S = 10.0  # longest wait for a peer's next frame
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
+def _exact(kind):
+    """A decoder that passes only values of type kind: a bool is no int."""
+    def decode(value):
+        if type(value) is not kind:
+            raise TypeError(f"{type(value).__name__} where {kind.__name__} belongs")
+        return value
+    return decode
+
+
 def _each(encode, decode):
     """(encode, decode) of a list field, from those of one entry."""
-    return (lambda values: list(map(encode, values))), (lambda values: tuple(map(decode, values)))
+    array = _exact(list)
+    return (lambda values: list(map(encode, values))), (lambda values: tuple(map(decode, array(values))))
+
+
+def _unhex(text: str) -> bytes:
+    """bytes.fromhex of lowercase hex only, without the spaces it skips."""
+    if (raw := bytes.fromhex(text)).hex() != text:
+        raise ValueError("hex must be lowercase without spaces")
+    return raw
+
+
+# a field's JSON text from its payload value, per kind: only strings need escaping
+_WRITE = dict.fromkeys(("image", "key"), lambda hexes: '["' + '","'.join(hexes) + '"]' if hexes else "[]")
+_WRITE.update(dict.fromkeys(("bit", "wbits", "int"), lambda value: str(value).replace(" ", "")))
+_WRITE["str"] = lambda text: _CANONICAL_JSON.encode(text)
+
+
+def payload_json(cls, payload: dict) -> str:
+    """_CANONICAL_JSON.encode(payload) of a cls message's payload; FIELDS lists its keys sorted."""
+    fields = ",".join(f'"{name}":{_WRITE[kind](payload[name])}' for name, kind in protocol.FIELDS[cls])
+    return "{" + fields + "}"
 
 
 class Frame(bytes):
@@ -60,12 +90,12 @@ class Codec:
         self.params = params
         # (encode, decode) of a field's value, per kind
         coder = {
-            "bit": _each(int, int),
-            "wbits": _each(int, int),
+            "bit": _each(int, _exact(int)),
+            "wbits": _each(int, _exact(int)),
             "image": _each(self.encode_y, self.decode_y),
-            "key": _each(lambda k: k.to_bytes().hex(), lambda h: PublicKey.from_bytes(bytes.fromhex(h))),
-            "int": (int, int),
-            "str": (lambda s: s, lambda s: s),
+            "key": _each(lambda k: k.to_bytes().hex(), lambda h: PublicKey.from_bytes(_unhex(h))),
+            "int": (int, _exact(int)),
+            "str": (lambda s: s, _exact(str)),
         }
         # message class -> its fields' (name, encode, decode)
         self._coders = {
@@ -82,14 +112,10 @@ class Codec:
             raise TransportError(f"image not encodable as u32: {exc}") from exc
 
     def decode_y(self, text: str):
-        raw = bytes.fromhex(text)
+        # hex of another length raises struct.error
         if self.params.backend == "ideal":
-            if len(raw) != 4:
-                raise TransportError("bad image encoding length")
-            return struct.unpack(">I", raw)[0]
-        if len(raw) != 4 * self.params.m:
-            raise TransportError("bad image encoding length")
-        return tuple(struct.unpack(f">{self.params.m}I", raw))
+            return struct.unpack(">I", _unhex(text))[0]
+        return struct.unpack(f">{self.params.m}I", _unhex(text))
 
     # -- message payloads ------------------------------------------------------
     def to_payload(self, msg) -> dict:
@@ -102,9 +128,8 @@ class Codec:
         try:
             # positional: FIELDS lists each class's fields in their order
             return cls(*[decode(payload[name]) for name, _, decode in self._coders[cls]])
-        # a key that PublicKey.from_bytes cannot parse raises ProtocolError or
-        # struct.error; int() of an infinite float raises OverflowError
-        except (KeyError, ValueError, TypeError, OverflowError, ProtocolError, struct.error) as exc:
+        # a key that PublicKey.from_bytes cannot parse raises ProtocolError or struct.error
+        except (KeyError, ValueError, TypeError, ProtocolError, struct.error) as exc:
             raise TransportError(f"malformed payload: {exc}") from exc
 
     # -- frames ---------------------------------------------------------------
@@ -116,7 +141,7 @@ class Codec:
             bytes([VERSION])
             + session_id
             + bytes([_TYPE_BYTES[type(msg)]])
-            + _CANONICAL_JSON.encode(payload).encode("utf-8")
+            + payload_json(type(msg), payload).encode("utf-8")
         )
         frame = Frame(struct.pack(">I", len(body)) + body)
         frame.payload = payload

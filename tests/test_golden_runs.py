@@ -1,7 +1,8 @@
 """Seeded runs give the same output bytes as when the golden hashes were
 recorded at commit d1ab99f: `tests/data/run_golden.json` holds the sha256 of
-`stats.json` and `transcripts.jsonl` for one in-process self-test run and one
-TCP dimension-test run. A speed-up that moves a single draw, or changes how a
+`stats.json` and `transcripts.jsonl` for one in-process self-test run, one
+TCP dimension-test run and one TCP self-test run with toylwe keys and images
+(recorded at 8a39965). A speed-up that moves a single draw, or changes how a
 transcript is encoded, changes a hash."""
 import contextlib
 import hashlib

@@ -221,6 +221,66 @@ def test_unencodable_reply_gives_the_same_transcript_on_both_transports(monkeypa
     assert harness.replay_audit(runs[0][1], "selftest", CFG, 5)
 
 
+TOYLWE_CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1))
+
+
+@pytest.mark.parametrize("spec", ["inproc", "tcp"])
+@pytest.mark.parametrize("config", [CFG, TOYLWE_CFG], ids=["ideal", "toylwe"])
+def test_transcript_line_is_the_json_encoding_of_the_record(config, spec):
+    _, transcripts = harness.run_sessions("selftest", "bitflip=0.3", config, 30, seed=4, transport_spec=spec)
+    record = transcripts[0]
+    codec = transport.Codec(config.entcf)
+    # a device's reply parsed from a frame that carries a key besides its fields
+    body = json.dumps({"junk": ['\u00e9"', 1], **record["messages"][1]["payload"]}).encode()
+    frame = bytes([transport.VERSION]) + bytes(16) + bytes([transport._TYPE_BYTES[protocol.Images]]) + body
+    _, _, parsed = codec.decode_frame(len(frame).to_bytes(4, "big") + frame)
+    reply = {**record["messages"][1], "payload": parsed}
+    variants = [
+        {**record, "messages": []},
+        {**record, "messages": record["messages"][:1]},
+        {**record, "messages": record["messages"][1:]},
+        {**record, "messages": [record["messages"][0], reply, *record["messages"][2:]]},
+    ]
+    assert "junk" in parsed and len(transcripts) == 30
+    for t in transcripts + variants:
+        assert harness._transcript_line(t) == harness._TRANSCRIPT_LINE.encode(t)
+
+
+def _longest_str(obj) -> int:
+    if isinstance(obj, str):
+        return len(obj)
+    if isinstance(obj, dict):
+        return max(map(_longest_str, [*obj, *obj.values()]), default=0)
+    if isinstance(obj, (list, tuple)):
+        return max(map(_longest_str, obj), default=0)
+    return 0
+
+
+def test_key_hex_skips_the_json_encoders(monkeypatch, tmp_path):
+    """Keys frames and transcript lines write a key's hex (4,110 characters
+    at w=8) without the JSON encoders' escape scan: no string longer than 64
+    characters reaches the frame or the transcript encoder."""
+    longest = {}
+
+    class Spy:
+        def __init__(self, name, encoder):
+            self.name, self.encoder = name, encoder
+
+        def encode(self, obj):
+            longest.setdefault(self.name, []).append(_longest_str(obj))
+            return self.encoder.encode(obj)
+
+    monkeypatch.setattr(transport, "_CANONICAL_JSON", Spy("frame", transport._CANONICAL_JSON))
+    monkeypatch.setattr(harness, "_TRANSCRIPT_LINE", Spy("line", harness._TRANSCRIPT_LINE))
+    config = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(8))
+    stats, _ = harness.run_sessions(
+        "dimtest", "classical", config, 6, seed=7, transport_spec="tcp", out_dir=tmp_path
+    )
+    assert stats["sessions"] == 6 and "transport" not in stats["reasons"]
+    assert sorted(longest) == ["frame", "line"]
+    assert max(max(lengths) for lengths in longest.values()) <= 64, longest
+
+
 def test_inproc_run_builds_no_frames(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a frame was built in process")

@@ -149,9 +149,79 @@ def test_encode_y_out_of_range_is_a_transport_error(y):
         CODEC.encode_frame(SID, protocol.Images(y=(3, y)))
 
 
-def _keys_frame(keys) -> bytes:
-    body = bytes([transport.VERSION]) + SID + bytes([1]) + json.dumps({"keys": keys}).encode()
+def _messages(cls, params):
+    """Messages of class cls under params, with every value the encoder can
+    take: any int (or bool) where ints go, any text where strings go."""
+    ints = st.integers() | st.booleans()
+    int_lists = st.lists(ints, max_size=4).map(tuple)
+    u32 = st.integers(0, 2**32 - 1)
+    image = u32 if params.backend == "ideal" else st.tuples(*[u32] * params.m)
+    family = st.sampled_from([entcf.FAMILY_F, entcf.FAMILY_G])
+    key = st.builds(lambda f, seed: entcf.gen_keypair(f, params, np.random.default_rng(seed))[0], family, u32)
+    return {
+        protocol.Keys: st.builds(protocol.Keys, st.lists(key, max_size=3).map(tuple)),
+        protocol.Images: st.builds(protocol.Images, st.lists(image, max_size=4).map(tuple)),
+        protocol.RoundType: st.builds(protocol.RoundType, st.text()),
+        protocol.PreimageAnswer: st.builds(protocol.PreimageAnswer, int_lists, int_lists),
+        protocol.HadamardD: st.builds(protocol.HadamardD, int_lists),
+        protocol.Question: st.builds(protocol.Question, ints),
+        protocol.FinalAnswer: st.builds(protocol.FinalAnswer, int_lists),
+        protocol.Verdict: st.builds(protocol.Verdict, ints, st.text()),
+    }[cls]
+
+
+@pytest.mark.parametrize("params", [entcf.EntcfParams.ideal(3), TOYLWE], ids=["ideal", "toylwe"])
+@pytest.mark.parametrize("cls", protocol.MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_frame_json_is_the_json_encoding_of_the_payload(params, cls, data):
+    """The frame's JSON, written field by field, is byte for byte what the
+    json module makes of the payload: quotes, control characters and
+    non-ASCII text in strings included."""
+    codec = transport.Codec(params)
+    msg = data.draw(_messages(cls, params))
+    frame = codec.encode_frame(SID, msg)
+    expected = transport._CANONICAL_JSON.encode(codec.to_payload(msg)).encode("utf-8")
+    assert frame[4 + transport._HEADER :] == expected
+
+
+def _frame(cls, payload) -> bytes:
+    body = bytes([transport.VERSION, *SID, transport._TYPE_BYTES[cls]]) + json.dumps(payload).encode()
     return struct.pack(">I", len(body)) + body
+
+
+IDEAL_KEY_HEX = WIRE[0][2]["keys"][0]
+
+
+@pytest.mark.parametrize(
+    "cls, payload",
+    [
+        (protocol.FinalAnswer, {"v": [1.9, True]}),
+        (protocol.FinalAnswer, {"v": {"1": 0, "0": 1}}),
+        (protocol.Images, {"y": ["00 00 00 1F"]}),
+        (protocol.Question, {"q": "2"}),
+        (protocol.Question, {"q": True}),
+        (protocol.Question, {"q": 2.0}),
+        (protocol.Images, {"y": ["0000001F"]}),
+        (protocol.Images, {"y": "00000003"}),
+        (protocol.Images, {"y": ["000003"]}),
+        (protocol.PreimageAnswer, {"b": [0], "x": [False]}),
+        (protocol.PreimageAnswer, {"b": "01", "x": [2, 3]}),
+        (protocol.PreimageAnswer, {"b": [0, 1], "x": [2.5, "3"]}),
+        (protocol.HadamardD, {"d": [None]}),
+        (protocol.RoundType, {"kind": ["preimage"]}),
+        (protocol.Verdict, {"accept": 1, "reason": 7}),
+        (protocol.Keys, {"keys": [IDEAL_KEY_HEX.upper()]}),
+        (protocol.Keys, {"keys": [" " + IDEAL_KEY_HEX]}),
+    ],
+)
+def test_values_of_another_json_type_or_hex_do_not_decode(cls, payload):
+    """Each value must be of its kind's JSON type: an int (no bool, no float),
+    an array, a string, or lowercase hex of the exact length."""
+    with pytest.raises(TransportError):
+        CODEC.from_payload(cls, payload)
+    with pytest.raises(TransportError):
+        CODEC.decode_frame(_frame(cls, payload))
 
 
 # toylwe keys at n=1, m=3: A carries m*n = 3 entries and u must carry m = 3
@@ -170,7 +240,7 @@ TOYLWE_HEAD = "01010400010003000000100001" + "0000000d0000000a00000008"
 )
 def test_unparsable_key_is_a_transport_error(key_hex):
     with pytest.raises(TransportError):
-        CODEC.decode_frame(_keys_frame([key_hex]))
+        CODEC.decode_frame(_frame(protocol.Keys, {"keys": [key_hex]}))
 
 
 @pytest.mark.parametrize("body", [b"[" * 100_000, b"7" * 5_000, b'{"q": Infinity}'])
