@@ -1,13 +1,12 @@
 """Session orchestration, Monte Carlo statistics, and transcript persistence.
 
-run_sessions drives verifier/prover pairs with one send/recv/step loop over
-the run's one `transport.Link` (in process, or one loopback TCP connection
-that serves the sessions in order, both of its ends driven by the thread
-that runs the sessions), records one JSON-able transcript per session
-(logical timestamps, full message sequence, revealed theta and decodings),
-and aggregates acceptance statistics stratified by (theta class, round
-type, question) with Wilson confidence intervals and, for the self-test,
-the derived gamma upper bounds.
+One send/recv/step loop drives each session, run or audited. run_sessions
+runs it over the run's one `transport.Link` (in process, or one loopback TCP
+connection whose ends the calling thread drives) and records one JSON-able
+transcript per session (timestamps, messages, theta and decodings); replay_audit
+runs it over a playback of each record and passes the record only if the replay
+writes it again. Statistics per (theta class, round type, question) carry Wilson
+intervals and, for the self-test, the derived gamma upper bounds.
 
 Everything is deterministic in (seed, config): stream j of session i is the
 numpy SeedSequence with spawn key (i, j), built on demand, so it is the same
@@ -41,7 +40,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Single-session drive loop
+# The session loop
 # ---------------------------------------------------------------------------
 
 def run_one_session(
@@ -57,7 +56,14 @@ def run_one_session(
     """One session over the run's link; returns its transcript."""
     session_id = transport.session_id_from_rng(session_rng)
     verifier = protocol.make_verifier(protocol_kind, config, verifier_rng)
-    prover = make_prover(prover_spec, protocol_kind, prover_rng)
+    link.session(session_id, make_prover(prover_spec, protocol_kind, prover_rng))
+    return _session(index, prover_spec, verifier, session_id, link)
+
+
+def _session(index: int, prover_spec: str, verifier, session_id: bytes, link) -> dict:
+    """The session loop of a run and of its audit; returns the transcript. The
+    verifier sends by link.send and receives by link.recv until its verdict;
+    a TransportError ends the session with reason "transport"."""
     messages = []
 
     def record(direction: str, msg, payload: dict) -> None:
@@ -65,7 +71,6 @@ def run_one_session(
             {"dir": direction, "payload": payload, "t": len(messages), "type": type(msg).__name__}
         )
 
-    link.session(session_id, prover)
     try:
         outgoing = verifier.step(None)
         while True:
@@ -86,14 +91,14 @@ def run_one_session(
         "hhat": list(verifier.hhat),
         "index": index,
         "messages": messages,
-        "protocol": protocol_kind,
+        "protocol": verifier.kind,
         "prover": prover_spec,
         "q": verifier.q,
         "reason": verdict.reason,
         "round_type": verifier.round_type,
         "session": session_id.hex(),
         "theta": str(verifier.theta),
-        "theta_class": protocol.theta_class(protocol_kind, verifier.theta, config.N),
+        "theta_class": protocol.theta_class(verifier.kind, verifier.theta, verifier.config.N),
     }
 
 
@@ -306,60 +311,50 @@ def run_sessions(
 _MESSAGE_CLASSES = {cls.__name__: cls for cls in protocol.MESSAGE_TYPES}
 
 
-def replay_audit(
-    transcripts: list[dict], protocol_kind: str, config, seed: int
-) -> bool:
-    """Re-drive every persisted session through a fresh verifier with the
-    same RNG stream. Each recorded verifier message must be the one the
-    verifier sends at that point (type and payload), the messages must
-    alternate as the protocol runs, the session id must come from the
-    session's stream, and the recorded verdict must be reproduced. Sessions
-    that ended in a transport failure are skipped. A malformed record (a
-    missing field, an index that is not a distinct int in
-    range(len(transcripts)), an entry that does not decode) fails the audit."""
+class _Playback:
+    """A record played back to its verifier as the session's link: `send` and
+    `recv` each take the record's next entry, which must go v->p or p->v, or
+    raise TransportError, as a live link would. Both hand back the canonical
+    payload of the message sent or decoded, so no other payload is replayed."""
+
+    def __init__(self, codec: transport.Codec, messages: list):
+        self.codec = codec
+        self._entries = iter(messages)
+
+    def _next(self, direction: str) -> dict:
+        entry = next(self._entries, None)
+        if entry is None or entry["dir"] != direction:
+            raise TransportError(f"the record has no {direction} entry here")
+        return entry
+
+    def send(self, msg) -> dict:
+        self._next("v->p")
+        return self.codec.to_payload(msg)
+
+    def recv(self):
+        entry = self._next("p->v")
+        msg = self.codec.from_payload(_MESSAGE_CLASSES[entry["type"]], entry["payload"])
+        return msg, self.codec.to_payload(msg)
+
+
+def replay_audit(transcripts: list[dict], protocol_kind: str, config, seed: int) -> bool:
+    """Pass each record only if the run's session loop, replaying it with a fresh
+    verifier on the session's stream 0 and the session id from its stream 2,
+    writes it again. A malformed record (an index that is not a distinct int in
+    range(len(transcripts)), a missing field, a non-mapping entry) fails."""
     codec = transport.Codec(config.entcf)
     seen: set[int] = set()
     for record in transcripts:
         try:
-            index, messages, session, reason, accept = (
-                record[key] for key in ("index", "messages", "session", "reason", "accept")
-            )
+            index = record["index"]
+            if type(index) is not int or not 0 <= index < len(transcripts) or index in seen:
+                return False
+            seen.add(index)
+            verifier = protocol.make_verifier(protocol_kind, config, session_stream(seed, index, 0))
+            session_id = transport.session_id_from_rng(session_stream(seed, index, 2))
+            link = _Playback(codec, record["messages"])
+            if _session(index, record["prover"], verifier, session_id, link) != record:
+                return False
         except (KeyError, TypeError):
             return False
-        if type(index) is not int or not 0 <= index < len(transcripts) or index in seen:
-            return False
-        seen.add(index)
-        if reason == "transport":
-            continue
-        if session != transport.session_id_from_rng(session_stream(seed, index, 2)).hex():
-            return False
-        verifier = protocol.make_verifier(protocol_kind, config, session_stream(seed, index, 0))
-        try:
-            replayed = _replay(verifier, messages, codec)
-        # a recorded payload that does not decode, or an entry that is not a
-        # {"dir", "type", "payload"} mapping
-        except (TransportError, KeyError, TypeError):
-            return False
-        if not replayed or verifier.verdict != protocol.Verdict(accept=accept, reason=reason):
-            return False
     return True
-
-
-def _replay(verifier, messages: list[dict], codec: transport.Codec) -> bool:
-    """Feed the recorded prover messages to verifier; False as soon as a
-    recorded verifier message differs from the one it sends."""
-    pending = verifier.step(None)
-    for entry in messages:
-        if entry["dir"] == "v->p":
-            if (
-                pending is None
-                or entry["type"] != type(pending).__name__
-                or entry["payload"] != codec.to_payload(pending)
-            ):
-                return False
-            pending = None
-        elif entry["dir"] == "p->v" and pending is None and verifier.verdict is None:
-            pending = verifier.step(codec.from_payload(_MESSAGE_CLASSES[entry["type"]], entry["payload"]))
-        else:
-            return False
-    return pending is None

@@ -1,12 +1,12 @@
 """Wire codec and channels.
 
-One canonical encoding for every protocol message: a 4-byte big-endian length
-prefix, a version byte (0x01), a 16-byte session id, a message type byte, and
-a canonical-JSON payload (UTF-8, sorted keys, no insignificant whitespace).
-A payload maps each field to its value, coded by its kind in `protocol.FIELDS`:
-keys and images as lowercase hex, numbers as JSON numbers, strings as they are;
-no other JSON type or hex decodes, and `payload_json` writes hex by joins, as it
-needs no escaping. Trapdoors are not part of the message vocabulary and never touch the wire.
+One canonical encoding for every protocol message (a trapdoor never travels): a
+4-byte big-endian length prefix, a version byte (0x01), a 16-byte session id, a
+message type byte, and a canonical-JSON payload (UTF-8, sorted keys, no spaces)
+mapping each field to its value by its kind in `protocol.FIELDS`: keys and
+images as lowercase hex, numbers as JSON numbers, strings as they are.
+`payload_json` writes it, hex by joins as hex needs no escaping. A frame decodes
+only if each value has its kind's JSON type and its JSON is that very text.
 
 One `Link` joins the verifier to the prover over either transport and holds
 the prover's answer to each message the same way; only the carrying differs.
@@ -59,7 +59,7 @@ def _each(encode, decode):
 
 def _unhex(text: str) -> bytes:
     """bytes.fromhex of lowercase hex only, without the spaces it skips."""
-    if (raw := bytes.fromhex(text)).hex() != text:
+    if len(text) != 2 * len(raw := bytes.fromhex(text)) or text.lower() != text:
         raise ValueError("hex must be lowercase without spaces")
     return raw
 
@@ -148,8 +148,8 @@ class Codec:
         return frame
 
     def decode_frame(self, frame: bytes):
-        """(session_id, message, payload) from one complete frame; payload is
-        the JSON object the frame carried."""
+        """(session_id, message, payload) from one complete frame, whose JSON
+        must be the one text of its message: no other spacing, order or key."""
         if len(frame) < 4:
             raise TransportError("truncated frame")
         (length,) = struct.unpack(">I", frame[:4])
@@ -159,16 +159,20 @@ class Codec:
         if body[0] != VERSION:
             raise TransportError(f"unknown wire version {body[0]}")
         session_id = body[1 : 1 + SESSION_ID_BYTES]
-        type_byte = body[1 + SESSION_ID_BYTES]
-        if type_byte not in _TYPE_CLASSES:
+        cls = _TYPE_CLASSES.get(body[1 + SESSION_ID_BYTES])
+        if cls is None:
             raise TransportError("unknown message type byte")
         try:
-            payload = json.loads(body[_HEADER:].decode("utf-8"))
+            text = body[_HEADER:].decode("utf-8")
+            payload = json.loads(text)
         # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
         # deeply nested arrays raise RecursionError
         except (ValueError, RecursionError) as exc:
             raise TransportError(f"bad payload JSON: {exc}") from exc
-        return session_id, self.from_payload(_TYPE_CLASSES[type_byte], payload), payload
+        msg = self.from_payload(cls, payload)
+        if text != payload_json(cls, payload):
+            raise TransportError("payload JSON is not the canonical encoding of its message")
+        return session_id, msg, payload
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,65 @@ def test_replay_audit_rejects_reordered_truncated_or_garbled_records():
     assert not harness.replay_audit(swapped, "selftest", CFG, 4)
 
 
+def _flip(bits):
+    return [1 if b is None else 1 - b for b in bits]
+
+
+# edits to one record that leave its messages and verdict as they are
+RECORD_EDITS = {
+    "q": lambda r: r.update(q=(r["q"] + 1) % 4),
+    "round_type": lambda r: r.update(round_type=protocol.PREIMAGE),
+    "theta_class": lambda r: r.update(theta_class="diamond" if r["theta_class"] != "diamond" else "all_g"),
+    "bhat": lambda r: r.update(bhat=_flip(r["bhat"])),
+    "hhat": lambda r: r.update(hhat=_flip(r["hhat"])),
+    "theta": lambda r: r.update(theta="diamond" if r["theta"] != "diamond" else "all_g"),
+    "protocol": lambda r: r.update(protocol="dimtest"),
+    "message-t": lambda r: r["messages"][3].update(t=7),
+    "device-payload-key": lambda r: r["messages"][1]["payload"].update(junk=[1]),
+}
+
+
+@pytest.mark.parametrize("edit", RECORD_EDITS)
+def test_replay_audit_checks_every_field_of_a_record(edit):
+    """The audit passes a record only if replaying it writes the same record:
+    the fields session_stats counts by, the decodings and theta, each
+    message's timestamp and a device's exact payload included."""
+    _, transcripts = harness.run_sessions("selftest", "honest", CFG, 40, seed=3)
+    records = json.loads(json.dumps(transcripts))
+    assert harness.replay_audit(records, "selftest", CFG, 3)
+    hadamard = next(r for r in records if r["round_type"] == protocol.HADAMARD and r["accept"])
+    RECORD_EDITS[edit](hadamard)
+    assert not harness.replay_audit(records, "selftest", CFG, 3)
+
+
+def _every_third_session_fails(monkeypatch, spec):
+    """A run whose every third session ends in a transport failure: the
+    device answers the keys with an image that has no u32 encoding."""
+    on_keys, calls = prover.HonestProver.on_keys, itertools.count()
+
+    def every_third_unencodable(self, keys):
+        return [2**32] * len(keys) if next(calls) % 3 == 0 else on_keys(self, keys)
+
+    monkeypatch.setattr(prover.HonestProver, "on_keys", every_third_unencodable)
+    return harness.run_sessions("selftest", "honest", CFG, 12, seed=7, transport_spec=spec)[1]
+
+
+@pytest.mark.parametrize("spec", ["inproc", "tcp"])
+def test_replay_audit_checks_sessions_that_ended_in_a_transport_failure(monkeypatch, spec):
+    _, clean = harness.run_sessions("selftest", "honest", CFG, 12, seed=7)  # before the patch
+    transcripts = _every_third_session_fails(monkeypatch, spec)
+    assert [r["reason"] for r in transcripts[::3]] == ["transport"] * 4
+    assert harness.replay_audit(transcripts, "selftest", CFG, 7)
+
+    changed = json.loads(json.dumps(transcripts))
+    changed[3]["bhat"] = [0, 1]
+    assert not harness.replay_audit(changed, "selftest", CFG, 7)
+    # the device's images of the clean run, recorded after the failure point
+    appended = json.loads(json.dumps(transcripts))
+    appended[3]["messages"].append(clean[3]["messages"][1])
+    assert not harness.replay_audit(appended, "selftest", CFG, 7)
+
+
 def test_output_files(tmp_path):
     harness.run_sessions("dimtest", "honest", DCFG, 20, seed=1, out_dir=tmp_path)
     stats = json.loads((tmp_path / "stats.json").read_text())
@@ -229,11 +288,10 @@ TOYLWE_CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.toylwe(n=1, m=3, q=16, 
 def test_transcript_line_is_the_json_encoding_of_the_record(config, spec):
     _, transcripts = harness.run_sessions("selftest", "bitflip=0.3", config, 30, seed=4, transport_spec=spec)
     record = transcripts[0]
-    codec = transport.Codec(config.entcf)
-    # a device's reply parsed from a frame that carries a key besides its fields
+    # a reply payload that carries a key besides its fields, as json.loads parses
+    # it (decode_frame refuses such a frame)
     body = json.dumps({"junk": ['\u00e9"', 1], **record["messages"][1]["payload"]}).encode()
-    frame = bytes([transport.VERSION]) + bytes(16) + bytes([transport._TYPE_BYTES[protocol.Images]]) + body
-    _, _, parsed = codec.decode_frame(len(frame).to_bytes(4, "big") + frame)
+    parsed = json.loads(body)
     reply = {**record["messages"][1], "payload": parsed}
     variants = [
         {**record, "messages": []},

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from selftestsim import entcf, harness, protocol, transport
 from selftestsim.errors import TransportError
 
+import test_fuzz
+
 PARAMS = entcf.EntcfParams.ideal(2)
 CODEC = transport.Codec(PARAMS)
 SID = bytes(range(16))
@@ -222,6 +224,64 @@ def test_values_of_another_json_type_or_hex_do_not_decode(cls, payload):
         CODEC.from_payload(cls, payload)
     with pytest.raises(TransportError):
         CODEC.decode_frame(_frame(cls, payload))
+
+
+@pytest.mark.parametrize(
+    "cls, body",
+    [
+        (protocol.Question, b'{"junk":[1],"q":2}'),
+        (protocol.Question, b'{"q": 2}'),
+        (protocol.PreimageAnswer, b'{"x":[2,3],"b":[0,1]}'),
+        (protocol.Question, b'{"q":1,"q":2}'),
+        (protocol.RoundType, b'{"kind":"\\u0070reimage"}'),
+    ],
+    ids=["extra-key", "spacing", "key-order", "duplicate-key", "escape"],
+)
+def test_a_frame_whose_json_is_not_the_canonical_text_does_not_decode(cls, body):
+    """Each value decodes, but the frame's JSON is not the one text its message
+    is written as, so a device cannot send one answer as many byte strings."""
+    msg = CODEC.from_payload(cls, json.loads(body))
+    with pytest.raises(TransportError):
+        CODEC.decode_frame(test_fuzz._frame(transport._TYPE_BYTES[cls], body))
+    assert CODEC.decode_frame(CODEC.encode_frame(SID, msg))[1] == msg
+
+
+@st.composite
+def _candidate_frames(draw, backend: str) -> bytes:
+    """Frames near the wire's: an honest session's frame as sent, its payload
+    written again with other json.dumps options, or with bytes changed; or a
+    structurally right payload with junk values."""
+    if draw(st.booleans()):
+        cls = draw(st.sampled_from(protocol.MESSAGE_TYPES))
+        payload = draw(test_fuzz.shaped_payloads)
+    else:
+        frames = [f for _, _, session in test_fuzz.SESSIONS[backend] for f in session]
+        frame = draw(st.sampled_from(frames))
+        how = draw(st.sampled_from(["as sent", "rewritten", "mutated"]))
+        if how == "as sent":
+            return frame
+        body = bytearray(frame[4 + transport._HEADER :])
+        cls = transport._TYPE_CLASSES[frame[4 + transport._HEADER - 1]]
+        if how == "mutated":
+            for _ in range(draw(st.integers(1, 3))):
+                body[draw(st.integers(0, len(body) - 1))] = draw(st.sampled_from(b'0aA9 ,:"[]{}\\'))
+            return test_fuzz._frame(transport._TYPE_BYTES[cls], bytes(body))
+        payload = json.loads(body)
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")]))
+    text = json.dumps(payload, sort_keys=draw(st.booleans()), separators=separators)
+    return test_fuzz._frame(transport._TYPE_BYTES[cls], text.encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(backend=st.sampled_from(sorted(test_fuzz.BACKENDS)), data=st.data())
+def test_every_frame_that_decodes_is_the_encoding_of_its_message(backend, data):
+    codec = transport.Codec(test_fuzz.BACKENDS[backend])
+    frame = data.draw(_candidate_frames(backend))
+    try:
+        sid, msg, _ = codec.decode_frame(frame)
+    except TransportError:
+        return
+    assert codec.encode_frame(sid, msg) == frame
 
 
 # toylwe keys at n=1, m=3: A carries m*n = 3 entries and u must carry m = 3
