@@ -1,5 +1,6 @@
-"""Verifier state machines and the message vocabulary, FIELDS: each message's
-fields and their kinds, which the wire codec and the verifier's checks read.
+"""Verifier state machines and the message vocabulary, FIELDS: it declares each
+message once, as its fields and their kinds, which the wire codec and the
+verifier's checks read; each message class is a frozen dataclass built from it.
 
 Implements the 2N-coordinate self-test (round types Preimage/Hadamard, questions
 q in {0,1,2,3}, verdict cases A-D) and the N-coordinate dimension test
@@ -17,7 +18,7 @@ cause, so undecodable-d rejections are distinguishable in statistics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -40,61 +41,30 @@ def partner(i: int, n: int) -> int:
 # Messages
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Keys:
-    keys: tuple
-
-
-@dataclass(frozen=True)
-class Images:
-    y: tuple
-
-
-@dataclass(frozen=True)
-class RoundType:
-    kind: str  # PREIMAGE | HADAMARD
-
-
-@dataclass(frozen=True)
-class PreimageAnswer:
-    b: tuple
-    x: tuple
-
-
-@dataclass(frozen=True)
-class HadamardD:
-    d: tuple
-
-
-@dataclass(frozen=True)
-class Question:
-    q: int
-
-
-@dataclass(frozen=True)
-class FinalAnswer:
-    v: tuple
-
-
-@dataclass(frozen=True)
-class Verdict:
-    accept: int
-    reason: str
-
-
-# message class -> its (field, kind) pairs, in field order. A bit, wbits (w-bit
-# int), image (a u32, or for toylwe a length-m tuple of u32s) or key (a
+# message class -> its (field, kind) pairs, in field order; each message is
+# declared here once, as a frozen dataclass built by _message. A bit, wbits
+# (w-bit int), image (a u32, or for toylwe a length-m tuple of u32s) or key (a
 # PublicKey) field has one entry per coordinate; an int or str field is one value.
-FIELDS = {
-    Keys: (("keys", "key"),),
-    Images: (("y", "image"),),
-    RoundType: (("kind", "str"),),
-    PreimageAnswer: (("b", "bit"), ("x", "wbits")),
-    HadamardD: (("d", "wbits"),),
-    Question: (("q", "int"),),
-    FinalAnswer: (("v", "bit"),),
-    Verdict: (("accept", "int"), ("reason", "str")),
-}
+FIELDS = {}
+
+
+def _message(name: str, *fields: tuple) -> type:
+    """The frozen dataclass `name` with the given (field, kind) pairs as its
+    fields, recorded in FIELDS."""
+    cls = make_dataclass(name, [field for field, _ in fields], frozen=True)
+    cls.__module__ = __name__  # make_dataclass leaves "types", which pickle cannot find
+    FIELDS[cls] = fields
+    return cls
+
+
+Keys = _message("Keys", ("keys", "key"))
+Images = _message("Images", ("y", "image"))
+RoundType = _message("RoundType", ("kind", "str"))  # kind: PREIMAGE | HADAMARD
+PreimageAnswer = _message("PreimageAnswer", ("b", "bit"), ("x", "wbits"))
+HadamardD = _message("HadamardD", ("d", "wbits"))
+Question = _message("Question", ("q", "int"))
+FinalAnswer = _message("FinalAnswer", ("v", "bit"))
+Verdict = _message("Verdict", ("accept", "int"), ("reason", "str"))
 MESSAGE_TYPES = tuple(FIELDS)
 
 

@@ -93,7 +93,8 @@ def measure_pair(
 
 class DeviceInterface:
     """Message-driven prover. handle() consumes one verifier message and
-    returns the reply (None once a Verdict arrives)."""
+    returns the reply (None once a Verdict arrives); it raises ContractError
+    on a message out of order, so the hooks run only in protocol order."""
 
     def __init__(self, kind: str, rng: np.random.Generator):
         if kind not in protocol.KINDS:
@@ -168,8 +169,6 @@ class HonestProver(DeviceInterface):
 
     # -- preimage round --------------------------------------------------------
     def on_preimage(self):
-        if self.records is None:
-            raise ContractError("preimage answer requested before keys")
         bs, xs = [], []
         for pairs in self.records:
             b, x = pairs[int(self.rng.integers(len(pairs)))] if len(pairs) > 1 else pairs[0]
@@ -179,8 +178,6 @@ class HonestProver(DeviceInterface):
 
     # -- hadamard round ----------------------------------------------------------
     def on_hadamard(self):
-        if self.records is None:
-            raise ContractError("hadamard answer requested before keys")
         ds = []
         self.qubits = []
         for key, pairs in zip(self.keys, self.records):
@@ -199,8 +196,6 @@ class HonestProver(DeviceInterface):
 
     # -- final answer ---------------------------------------------------------
     def on_question(self, q: int):
-        if self.qubits is None:
-            raise ContractError("question answered before the hadamard round")
         qubits = self.qubits
         if not protocol.paired(self.kind):
             bases = protocol.question_bases(self.kind, len(qubits), q)
@@ -244,8 +239,6 @@ class FullsimProver(HonestProver):
         return labels[outcome]
 
     def on_preimage(self):
-        if self.records is None:
-            raise ContractError("preimage answer requested before keys")
         bs, xs = [], []
         for state in self._full_states:
             b, state = state.measure("b", _COMP, self.rng)
@@ -255,8 +248,6 @@ class FullsimProver(HonestProver):
         return bs, xs
 
     def on_hadamard(self):
-        if self.records is None:
-            raise ContractError("hadamard answer requested before keys")
         ds = []
         self.qubits = []
         for state in self._full_states:

@@ -3,6 +3,9 @@ used: referenced somewhere in `src/` outside its own definition, wrapped by
 the benchmark tracer, or a public entry point. Code that nothing calls is
 deleted, not kept."""
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -110,15 +113,11 @@ def test_every_module_level_import_is_used():
     assert unused == [], "imported but never used: " + ", ".join(unused)
 
 
-def _is_dataclass(decorator) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
-
-
 def test_every_dataclass_field_is_read():
-    """Every field of a `@dataclass` is read as an attribute (`obj.field`)
-    somewhere in `src/`; a field that is only ever filled in is deleted with
-    the code that fills it."""
+    """Every field of a dataclass in the package, whether written with
+    `@dataclass` or built by `make_dataclass`, is read as an attribute
+    (`obj.field`) somewhere in `src/`; a field that is only ever filled in is
+    deleted with the code that fills it."""
     trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     read = {
         sub.attr
@@ -126,13 +125,15 @@ def test_every_dataclass_field_is_read():
         for sub in ast.walk(tree)
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
     }
+    modules = [
+        importlib.import_module(f"selftestsim.{m.name}") for m in pkgutil.iter_modules(selftestsim.__path__)
+    ]
     unread = [
-        f"{cls.name}.{field.target.id}"
-        for tree in trees
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
-        for field in cls.body
-        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
-        and field.target.id not in read
+        f"{cls.__name__}.{field.name}"
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
     ]
     assert unread == [], "dataclass fields never read in src/: " + ", ".join(unread)

@@ -90,11 +90,32 @@ def test_honest_diamond_bell_correlations():
         assert verdict.accept == 1 or verdict.reason.endswith(".bot")
 
 
-def test_out_of_order_message_raises():
-    keys, _ = fixed_keys(theta=0)
+_KEYS = protocol.Keys(keys=fixed_keys(theta=0)[0])
+_PREIMAGE_ROUND = protocol.RoundType(kind=protocol.PREIMAGE)
+
+
+@pytest.mark.parametrize(
+    "accepted, refused",
+    [
+        ((), protocol.Question(q=0)),
+        ((), protocol.RoundType(kind=protocol.HADAMARD)),
+        ((_KEYS,), _KEYS),
+        ((_KEYS, _PREIMAGE_ROUND), protocol.Question(q=0)),
+        ((_KEYS, _PREIMAGE_ROUND, protocol.Verdict(accept=1, reason="accept")), _KEYS),
+        ((), protocol.Images(y=(0, 0))),
+    ],
+    ids=["question-first", "roundtype-first", "keys-twice", "question-after-preimage",
+         "keys-after-verdict", "images"],
+)
+def test_out_of_order_message_raises(accepted, refused):
+    """handle is the one order guard: it refuses each message out of the
+    Keys, RoundType, (Question,) Verdict order, and a message the verifier
+    never sends, before any hook runs."""
     p = HonestProver("selftest", np.random.default_rng(0))
+    for message in accepted:
+        p.handle(message)
     with pytest.raises(ContractError):
-        p.handle(protocol.Question(q=0))
+        p.handle(refused)
 
 
 def test_fullsim_budget_error_toylwe():

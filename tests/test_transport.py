@@ -1,6 +1,8 @@
 """Wire codec and channel tests."""
+import copy
 import dataclasses
 import json
+import pickle
 import socket
 import struct
 import threading
@@ -111,6 +113,18 @@ def test_fields_name_every_message_and_its_dataclass_fields():
     for cls, fields in protocol.FIELDS.items():
         assert [name for name, _ in fields] == [f.name for f in dataclasses.fields(cls)]
         assert {kind for _, kind in fields} <= kinds
+        # each class built from FIELDS is a frozen dataclass of protocol:
+        # immutable, picklable, copyable and hashable, with the dataclass repr
+        assert cls.__module__ == "selftestsim.protocol"
+        msg = cls(*(7 for _ in fields))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, fields[0][0], 8)
+        assert pickle.loads(pickle.dumps(msg)) == msg
+        assert copy.deepcopy(msg) == msg and hash(copy.deepcopy(msg)) == hash(msg)
+        assert repr(msg) == f"{cls.__name__}({', '.join(f'{name}=7' for name, _ in fields)})"
+    # equality compares the class, not only the values
+    assert protocol.Images(y=(3,)) != protocol.FinalAnswer(v=(3,))
+    assert protocol.Question(q=1) != protocol.RoundType(kind=1)
 
 
 @given(
