@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -366,12 +365,12 @@ class DeviceModel:
     def t_theta(self, theta) -> float:
         """Preimage-test pass mass, computed once per theta; the environment
         is a unit vector, so it does not enter. A product-form model's mass
-        is the product over coordinates of each one's share on preimages."""
+        is 1: its support at each y_i holds exactly the (b, x) f maps to y_i."""
+        if self.d_meas is None:
+            return 1.0
         if theta not in self._t_cache:
             keys = self.keys[theta]
-            if self.d_meas is None:
-                total = math.prod(_preimage_share(key, coord) for key, coord in zip(keys, self.psi[theta]))
-            elif self.preimage is None:
+            if self.preimage is None:
                 total = 0.0
             else:
                 ys = sorted(self.psi[theta])
@@ -386,30 +385,21 @@ class DeviceModel:
 # Honest model construction
 # ---------------------------------------------------------------------------
 
-def _coord_y_support(key: entcf.PublicKey, trapdoor: entcf.Trapdoor):
-    """(y, weight, support) triples for one honest coordinate, in y order: the
+def _coord_y_support(key: entcf.PublicKey):
+    """(y, weight, support) triples for one honest coordinate, in y order,
+    from the public table alone, as the honest device prepares them: the
     state at y is the sum of amplitude |b, x> over its (b, x, amplitude)
-    support, an injective key's one preimage or a claw's two, and each
-    preimage carries mass 2^-(w+1)."""
+    support, the (b, x) with f_b(x) = y, b first, then x (an injective key's
+    one preimage or a claw's two), and each preimage carries mass 2^-(w+1)."""
+    w = key.params.w
+    # (f_b(x), b, x) of every table entry, sorted: by y, then b, then x
+    entries = sorted((y, i >> w, i & (2**w - 1)) for i, y in enumerate(key.table.ravel().tolist()))
     out = []
-    for y in entcf.image_iter(key):
-        bs = (entcf.decode_b(trapdoor, y),) if trapdoor.family == entcf.FAMILY_G else (0, 1)
-        support = tuple((b, entcf.decode_x(b, trapdoor, y), 1.0 / np.sqrt(len(bs))) for b in bs)
-        out.append((y, len(bs) * 2.0 ** -(key.params.w + 1), support))
+    for y, group in itertools.groupby(entries, key=lambda entry: entry[0]):
+        pairs = [(b, x) for _, b, x in group]
+        amp = 1.0 / np.sqrt(len(pairs))
+        out.append((y, len(pairs) * 2.0 ** -(w + 1), tuple((b, x, amp) for b, x in pairs)))
     return out
-
-
-def _preimage_share(key: entcf.PublicKey, coord) -> float:
-    """sum_{y_i} weight sum_{(b, x) preimage of y_i} |amplitude|^2 over one
-    coordinate's (y_i, weight, support) triples, divided by the same sum over
-    the whole support: the coordinate has unit mass, and the ratio cancels
-    the round-off of amplitudes such as 1/sqrt(2)."""
-    hit = total = 0.0
-    for y, weight, support in coord:
-        found = entcf.preimages(key, y)
-        hit += sum(weight * abs(amp) ** 2 for b, x, amp in support if (b, x) in found)
-        total += sum(weight * abs(amp) ** 2 for _, _, amp in support)
-    return float(hit / total)
 
 
 def _cz_signs(n: int) -> np.ndarray:
@@ -429,13 +419,13 @@ def build_honest_model(
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
-    # t_theta's preimage lookups scan X
+    # the verifier's decodings in _coord_codes scan the key table once per image
     entcf.check_scan(params)
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, psi = {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
-        psi[theta] = [_coord_y_support(key, trap) for key, trap in zip(keys[theta], trapdoors[theta])]
+        psi[theta] = [_coord_y_support(key) for key in keys[theta]]
     questions = {q: question_measurement(protocol_kind, n, q) for q in protocol.questions(protocol_kind)}
     return DeviceModel(protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, name="honest")
 

@@ -125,8 +125,6 @@ def _build_model(args, rng: np.random.Generator):
         )
     if args.model == "random":
         return analysis.build_random_model(config, rng)
-    if name == "random" and value.isdecimal():
-        return analysis.build_random_model(config, np.random.default_rng(int(value)))
     raise ParameterError(f"unknown model {args.model!r}")
 
 

@@ -102,7 +102,10 @@ _HAD = "hadamard"
 
 def paired(kind: str) -> bool:
     """Whether coordinate i has a CZ partner: the self-test's 2N coordinates
-    are paired as (i, i+N); the dimension test's N coordinates are not."""
+    are paired as (i, i+N); the dimension test's N coordinates are not.
+    Every protocol-table lookup asks this, so an unknown kind is refused here."""
+    if kind not in KINDS:
+        raise ParameterError(f"unknown protocol kind {kind!r}")
     return kind == "selftest"
 
 
@@ -393,7 +396,5 @@ class DimTestVerifier(_VerifierBase):
 
 
 def make_verifier(kind: str, config, rng: np.random.Generator) -> _VerifierBase:
-    if kind not in KINDS:
-        raise ParameterError(f"unknown protocol kind {kind!r}")
     verifier = SelfTestVerifier if paired(kind) else DimTestVerifier
     return verifier(config, rng)

@@ -253,7 +253,7 @@ def _never_called(*args, **kwargs):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
-    # dimtest N=1 w=17: t_theta's preimage lookups would scan 2^17 x's
+    # dimtest N=1 w=17: the verifier's decodings would scan a 2^18-entry key table per image
     cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(17))
     with pytest.raises(DomainError, match="capped"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
@@ -732,21 +732,41 @@ def test_soundness_distances_stay_small():
     assert peak <= 2**20
 
 
-def test_preimage_mass_computed_once_per_coordinate_value(monkeypatch):
-    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
-    model = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
-    calls = []
-    preimages = entcf.preimages
+def _refused(*args):
+    raise AssertionError("the honest model called a trapdoor decoder or a preimage scan")
 
-    def counted(key, y):
-        calls.append((key, y))
-        return preimages(key, y)
 
-    monkeypatch.setattr(entcf, "preimages", counted)
-    report = analysis.analysis_report(model, np.random.default_rng(0))
-    assert report["failures"]["eps_P"] == pytest.approx(0.0, abs=1e-12)
-    distinct = sum(len(coord) for theta in model.thetas for coord in model.psi[theta])
-    assert 0 < len(calls) <= distinct
+def test_honest_model_is_built_from_the_public_table(monkeypatch):
+    """The honest state comes from the key's forward table alone, as the
+    honest device prepares it: no trapdoor decoding and no preimage scan,
+    and every preimage test passes exactly."""
+    for config, kind in (
+        (SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(3)), "selftest"),
+        (DimTestConfig(N=2, entcf=entcf.EntcfParams.ideal(5)), "dimtest"),
+    ):
+        with monkeypatch.context() as patch:
+            for name in ("preimages", "decode_b", "decode_x", "decode_h"):
+                patch.setattr(entcf, name, _refused)
+            model = analysis.build_honest_model(config, kind, np.random.default_rng(3))
+            assert [model.t_theta(theta) for theta in model.thetas] == [1.0] * len(model.thetas)
+        assert analysis.failure_report(model).eps_P == 0.0
+        if kind == "selftest":
+            assert analysis.gamma_report(model).gamma_P == 0.0
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+@pytest.mark.parametrize("family", [entcf.FAMILY_F, entcf.FAMILY_G])
+def test_coord_y_support_matches_the_preimage_scan(family, w):
+    """Oracle: each image's support is its preimage scan, in order, with
+    mass 2^-(w+1) per preimage spread evenly over the amplitudes."""
+    for seed in range(3):
+        key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(w), np.random.default_rng(seed))
+        coord = analysis._coord_y_support(key)
+        assert [y for y, _, _ in coord] == entcf.image_iter(key)
+        for y, weight, support in coord:
+            assert [(b, x) for b, x, _ in support] == entcf.preimages(key, y)
+            assert weight == len(support) * 2.0 ** -(w + 1)
+            assert [amp for _, _, amp in support] == [1.0 / np.sqrt(len(support))] * len(support)
 
 
 def test_first_min_breaks_ties_by_order_not_round_off():

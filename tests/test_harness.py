@@ -199,6 +199,20 @@ def test_bad_args():
         )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: analysis.build_honest_model(CFG, "selftset", np.random.default_rng(0)),
+        lambda: harness.session_stats([], "selftset", 1),
+        lambda: protocol.question_bases("x", 1, 0),
+    ],
+    ids=["build_honest_model", "session_stats", "question_bases"],
+)
+def test_unknown_protocol_kind_is_refused(call):
+    with pytest.raises(ParameterError, match="unknown protocol kind"):
+        call()
+
+
 def test_replay_audit_is_total_on_malformed_records():
     _, transcripts = harness.run_sessions("selftest", "honest", CFG, 6, seed=4)
     assert harness.replay_audit(transcripts, "selftest", CFG, 4)
@@ -573,6 +587,7 @@ def test_cli_analyze_rejects_w1(capsys):
         ["analyze", "--model", "bitflip=abc"],
         ["analyze", "--model", "random=x"],
         ["analyze", "--model", "random=-1"],
+        ["analyze", "--model", "random=3"],
         ["analyze", "--protocol", "dimtest", "--model", "bitflip=0.1"],
         ["entcf-check", "--keys", "0"],
         ["entcf-check", "--keys", "-1"],
@@ -626,7 +641,8 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
     for argv in (
         # selftest bitflip at N=3 w=2: V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries
         ["--n", "3", "--w", "2", "--model", "bitflip=0.1"],
-        # dimtest honest at N=1 w=17: the preimage lookups would scan 2^17 x's
+        # dimtest honest at N=1 w=17: the verifier's decodings would scan a
+        # 2^18-entry key table per image
         ["--protocol", "dimtest", "--n", "1", "--w", "17", "--model", "honest"],
         # selftest random at N=5: V has 2^10 * (2^10)^2 = 2^30 entries
         ["--n", "5", "--model", "random"],
