@@ -100,21 +100,16 @@ def _check_size(logical: int, env_dim: int, projectors: int = 0) -> None:
         raise ModelError(f"model of {size} array entries exceeds budget {_ENTRY_BUDGET}")
 
 
-def _decode_once(keys: np.ndarray, decode) -> np.ndarray:
-    """decode(key) for each entry of keys, called once per distinct key
-    through a dict memo; a None decoding is -1."""
-    memo: dict = {}
-    values = [memo[k] if k in memo else memo.setdefault(k, decode(k)) for k in keys.tolist()]
-    return np.array([-1 if v is None else v for v in values], dtype=np.int8)
-
-
-def _coord_codes(trap: entcf.Trapdoor, ys: np.ndarray, ds: np.ndarray, w: int) -> np.ndarray:
+def _coord_codes(trap: entcf.Trapdoor, ys: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """(outcomes, 2) codes of one coordinate's (y_i, d_i) outcomes: b-hat_i,
-    then h-hat_i, -1 for None. protocol.decode_bhat runs once per distinct
-    y_i and decode_hhat once per distinct (y_i, d_i)."""
-    bhat = _decode_once(ys, lambda y: protocol.decode_bhat([trap], [y])[0])
-    hhat = _decode_once(ys << w | ds, lambda k: protocol.decode_hhat([trap], [k >> w], [k % 2**w])[0])
-    return np.stack([bhat, hhat], axis=1)
+    then h-hat_i, -1 for None. protocol.decode_bhat and decode_hhat pass the
+    whole coordinate's arrays to one array decode of its trapdoor."""
+    (bhat,), (hhat,) = protocol.decode_bhat([trap], [ys]), protocol.decode_hhat([trap], [ys], [ds])
+    codes = np.full((ys.size, 2), -1, dtype=np.int8)
+    for k, decoded in enumerate((bhat, hhat)):
+        if decoded is not None:
+            codes[:, k] = decoded
+    return codes
 
 
 def _bits(codes) -> tuple:
@@ -168,7 +163,9 @@ class ClassTable:
     with nonzero mass that share a decoding and whose blocks are parallel;
     the row is their common direction scaled to the root of their summed
     mass, so |row><row| is the sum of their |block><block|. A product-form
-    model merges every such set; an explicit model keeps a row per label.
+    model merges every such set: its rows are products of coord_classes,
+    which holds every theta's coordinate classes from one pass. An explicit
+    model keeps a row per label.
     rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]].
     blocks are the rows with a Sigma(theta, v), ordered by v, rows[stack],
     block_v their v's, and residual the mass of the other rows. The arrays
@@ -293,7 +290,7 @@ class DeviceModel:
     def _label_rows(self, theta):
         """(rows, codes) of an explicit model: one row per (y, d) label with
         nonzero mass, in label order."""
-        L, w = self.logical, self.w
+        L = self.logical
         ys = sorted(self.psi[theta])
         d_tuples = self.d_meas[theta].outcomes
         psi = np.array([self.psi[theta][y] for y in ys])
@@ -304,7 +301,7 @@ class DeviceModel:
         y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
         codes = np.empty((keep.size, 2 * L), dtype=np.int8)
         for i, trap in enumerate(self.trapdoors[theta]):
-            codes[:, [i, L + i]] = _coord_codes(trap, y_arr[:, i], d_arr[:, i], w)
+            codes[:, [i, L + i]] = _coord_codes(trap, y_arr[:, i], d_arr[:, i])
         return grid[keep], codes
 
     def _product_rows(self, theta):
@@ -313,7 +310,7 @@ class DeviceModel:
         tensored with env. Parallel factors give parallel products, so each
         product is one decoding class."""
         L = self.logical
-        classes = [self._coord_classes(theta, i) for i in range(L)]
+        classes = self.coord_classes[theta]
         grid = np.indices([len(codes) for codes, _ in classes]).reshape(L, -1)
         rows = np.ones((grid.shape[1], 1), dtype=complex)
         for (_, vecs), pick in zip(classes, grid):
@@ -324,21 +321,30 @@ class DeviceModel:
         codes = np.array([coord_codes[pick] for (coord_codes, _), pick in zip(classes, grid)])  # (L, rows, 2)
         return rows, np.concatenate([codes[:, :, 0].T, codes[:, :, 1].T], axis=1)
 
-    def _coord_classes(self, theta, i):
-        """(codes, vecs) of coordinate i. Column d of the Hadamard round maps
-        an image's support {(b_k, x_k, a_k)} to 2^(-w/2) sum_k (-1)^(d.x_k)
-        a_k |b_k>. Up to sign, that vector is the same for every d when the
-        image has one preimage, and depends on d only through parity(d & t),
-        t = x_0 xor x_1, when it has a claw's two. So an image has one
-        outcome per coset of d's (one or two), of mass weight * |coset| /
-        2^w, decoded once at the coset's smallest nonzero d. The outcomes
-        are grouped by their code (b-hat_i, h-hat_i) and by direction; a
-        class's vector is its first outcome's direction scaled to the root
-        of the class mass. Outcomes are (image, coset) arrays, image-major."""
-        coord = self.psi[theta][i]
-        # each image's first and last (b, x, amplitude) terms; a lone preimage's amplitude counts once
-        b, x, amp = (np.array([[s[0][k], s[-1][k]] for _, _, s in coord]) for k in range(3))
-        amp[:, 1] *= [len(s) - 1 for _, _, s in coord]
+    @functools.cached_property
+    def coord_classes(self) -> dict:
+        """theta -> [(codes, vecs) of each coordinate], for every (theta,
+        coordinate) of a product-form model in one pass. Column d of the
+        Hadamard round maps an image's support {(b_k, x_k, a_k)} to 2^(-w/2)
+        sum_k (-1)^(d.x_k) a_k |b_k>. Up to sign, that vector is the same for
+        every d when the image has one preimage, and depends on d only
+        through parity(d & t), t = x_0 xor x_1, when it has a claw's two. So
+        an image has one outcome per coset of d's (one or two), of mass
+        weight * |coset| / 2^w, decoded at the coset's smallest nonzero d by
+        one array decode per coordinate. One np.unique groups the outcomes,
+        coordinate-major, by (coordinate, code), and one bincount sums each
+        class's mass; a class's vector is its first outcome's direction
+        scaled to the root of that mass, classes in order of first outcome.
+        Every outcome must be parallel to its class's first within 1e-12, or
+        ModelError; on the honest psi a code fixes the direction up to sign."""
+        coords = [(theta, i) for theta in self.thetas for i in range(self.logical)]
+        owner = np.repeat(np.arange(len(coords)), [len(self.psi[theta][i]) for theta, i in coords])
+        # per image: y, weight, support size, then its first and last (b, x, amplitude) terms
+        per_image = ((y, wt, len(s), *s[0], *s[-1]) for theta, i in coords for y, wt, s in self.psi[theta][i])
+        images = np.fromiter(itertools.chain.from_iterable(per_image), dtype=float).reshape(-1, 9)
+        b, x = images[:, [3, 6]].astype(np.int64), images[:, [4, 7]].astype(np.int64)
+        amp = images[:, [5, 8]]
+        amp[:, 1] *= images[:, 2] - 1  # a lone preimage's amplitude counts once
         t = x[:, 0] ^ x[:, 1]
         # smallest nonzero d per coset: 1, 2 or 3 for parity(d & t) = 0 (w >= 2), t's low bit for 1
         ds = np.stack([np.where(t & 1 == 0, 1, np.where(t & 2 == 0, 2, 3)), t & -t], axis=1)
@@ -346,20 +352,26 @@ class DeviceModel:
         vecs = (signs * amp[:, None, :]) @ (b[:, :, None] == np.arange(2))  # (images, cosets, 2)
         keep = np.stack([np.ones_like(t, dtype=bool), t != 0], axis=1).ravel()
         units = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).reshape(-1, 2)[keep].astype(complex)
-        masses = np.repeat(np.array([weight for _, weight, _ in coord]) / (1 + (t != 0)), 2)[keep]
-        ys = np.repeat(np.array([y for y, _, _ in coord], dtype=np.int64), 2)[keep]
-        codes = _coord_codes(self.trapdoors[theta][i], ys, ds.ravel()[keep], self.w)
-        out_codes, out_vecs = [], []
-        left = np.arange(len(units))
-        while left.size:
-            unit = units[left[0]]
-            same = np.all(codes[left] == codes[left[0]], axis=1) & (
-                np.abs(units[left] @ unit.conj()) ** 2 >= 1.0 - 1e-12
-            )
-            out_codes.append(codes[left[0]])
-            out_vecs.append(np.sqrt(np.sum(masses[left[same]])) * unit)
-            left = left[~same]
-        return np.array(out_codes), np.array(out_vecs)
+        masses = np.repeat(images[:, 1] / (1 + (t != 0)), 2)[keep]
+        ys = np.repeat(images[:, 0].astype(np.int64), 2)[keep]
+        ds, owner = ds.ravel()[keep], np.repeat(owner, 2)[keep]
+        bounds = np.searchsorted(owner, np.arange(len(coords) + 1))
+        codes = np.concatenate([
+            _coord_codes(self.trapdoors[theta][i], ys[lo:hi], ds[lo:hi])
+            for (theta, i), lo, hi in zip(coords, bounds, bounds[1:])
+        ])
+        groups = owner * 9 + (codes + 1) @ [3, 1]  # (coordinate, code)
+        _, first, inverse = np.unique(groups, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # classes by first outcome, so coordinate-major
+        first, inverse = first[order], np.argsort(order)[inverse]
+        if np.any(np.abs(np.sum(units * units[first][inverse].conj(), axis=1)) ** 2 < 1.0 - 1e-12):
+            raise ModelError("outcomes that share a decoding are not parallel")
+        vecs = np.sqrt(np.bincount(inverse, weights=masses))[:, None] * units[first]
+        bounds = np.searchsorted(owner[first], np.arange(len(coords) + 1))
+        out = {theta: [] for theta in self.thetas}
+        for (theta, _), lo, hi in zip(coords, bounds, bounds[1:]):
+            out[theta].append((codes[first[lo:hi]], vecs[lo:hi]))
+        return out
 
     # -- preimage test mass ---------------------------------------------------
     def t_theta(self, theta) -> float:
@@ -419,7 +431,8 @@ def build_honest_model(
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
-    # the verifier's decodings in _coord_codes scan the key table once per image
+    # the key tables and psi hold 2^(w+1) entries per coordinate, and
+    # _coord_codes sorts each table once to decode a coordinate's images
     entcf.check_scan(params)
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, psi = {}, {}, {}

@@ -13,7 +13,9 @@ Two pluggable backends:
 
 Conventions: preimages x and Hadamard strings d are ints holding w bits
 (little-endian bit order); images are ints (Ideal) or length-m tuples over Z_q
-(ToyLwe); the undefined decoding is None.
+(ToyLwe); the undefined decoding is None. The ideal decoders also take an
+array of images (and of d's) and answer an array, UNDECODED for None, through
+one sort of the key table; a scalar image keeps the cheaper scan.
 """
 from __future__ import annotations
 
@@ -311,10 +313,26 @@ def _lwe_search(trapdoor: Trapdoor, b: int, y) -> int | None:
     return None
 
 
+UNDECODED = -1  # an array decoding's entry for None
+
+
+def _lookup(values: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Index of each entry of ys in values, whose entries are distinct, or
+    UNDECODED: one argsort of values and one searchsorted of ys."""
+    order = np.argsort(values)
+    at = order.take(np.searchsorted(values, ys, sorter=order), mode="clip")
+    return np.where(values[at] == ys, at, UNDECODED)
+
+
 def decode_b(trapdoor: Trapdoor, y) -> int | None:
-    """b-hat: which injective function produced y. G keys only."""
+    """b-hat: which injective function produced y. G keys only. An array of
+    ideal images gets an array, UNDECODED where the decoding is None."""
     if trapdoor.family != FAMILY_G:
         raise FamilyError("decode_b is defined only for G trapdoors")
+    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
+        # the rows share no image, so the flat table's entries are distinct;
+        # b = flat index >> w, and UNDECODED >> w is UNDECODED
+        return _lookup(trapdoor.key.table.ravel(), y) >> trapdoor.params.w
     if trapdoor.params.backend == "ideal":
         # one scan of both rows; they share no image, so at most one entry hits
         hits = trapdoor.key.table == y
@@ -327,9 +345,12 @@ def decode_b(trapdoor: Trapdoor, y) -> int | None:
 
 
 def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
-    """x-hat: the preimage with y in Supp(f_{k,b}(x)), or None."""
+    """x-hat: the preimage with y in Supp(f_{k,b}(x)), or None. An array of
+    ideal images gets an array, UNDECODED where the decoding is None."""
     if b is None:
         return None
+    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
+        return _lookup(trapdoor.key.table[b], y)
     if trapdoor.params.backend == "ideal":
         # one scan of the row; its images are distinct, so at most one entry hits
         hits = trapdoor.key.table[b] == y
@@ -342,10 +363,15 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
     return _lwe_search(trapdoor, b, y)
 
 
-def decode_h(trapdoor: Trapdoor, y, d: int) -> int | None:
-    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range."""
+def decode_h(trapdoor: Trapdoor, y, d) -> int | None:
+    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range.
+    An array of ideal images, with an array of d's, gets an array,
+    UNDECODED where the decoding is None."""
     if trapdoor.family != FAMILY_F:
         raise FamilyError("decode_h is defined only for F trapdoors")
+    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
+        h = np.bitwise_count(d & trapdoor.s).astype(np.int64) & 1  # an ideal claw's x0 xor x1 is s
+        return np.where((decode_x(0, trapdoor, y) < 0) | (d == 0), UNDECODED, h)
     if d == 0:
         return None
     x0 = decode_x(0, trapdoor, y)

@@ -247,7 +247,8 @@ def hadamard_verdict(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict
 # ---------------------------------------------------------------------------
 
 def decode_bhat(trapdoors, y) -> list:
-    """b-hat per coordinate: decode_b on G coordinates, None elsewhere."""
+    """b-hat per coordinate: decode_b on G coordinates, None elsewhere. A
+    coordinate's y may be an array of ideal images, decoded as one array."""
     return [
         entcf.decode_b(t, yi) if t.family == entcf.FAMILY_G else None
         for t, yi in zip(trapdoors, y)
@@ -255,7 +256,8 @@ def decode_bhat(trapdoors, y) -> list:
 
 
 def decode_hhat(trapdoors, y, d) -> list:
-    """h-hat per coordinate: decode_h on F coordinates, None elsewhere."""
+    """h-hat per coordinate: decode_h on F coordinates, None elsewhere. A
+    coordinate's y and d may be arrays of ideal images and d's."""
     return [
         entcf.decode_h(t, yi, di) if t.family == entcf.FAMILY_F else None
         for t, yi, di in zip(trapdoors, y, d)

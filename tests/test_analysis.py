@@ -615,35 +615,116 @@ def test_class_rows_keep_coordinate_order():
             assert np.max(overlap) == pytest.approx(np.vdot(rest, rest).real, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind,w", [("selftest", 2), ("dimtest", 4)])
-def test_class_tables_decode_each_coordinate_value_once(kind, w, monkeypatch):
-    """At most one decode_b per injective image, one decode_h per coset of a
-    claw image (two), and one protocol.decode_hhat per outcome: never one
-    per (image, d) pair."""
+@pytest.mark.parametrize("kind,w", [("selftest", 2), ("dimtest", 4), ("dimtest", 12)])
+def test_class_tables_make_one_array_decode_per_coordinate(kind, w, monkeypatch):
+    """Every class table of a model together decodes each (theta,
+    coordinate) with one array decode, through the entcf attributes the
+    benchmark tracer wraps: decode_b on an injective coordinate, decode_h
+    (and the decode_x it makes) on a claw one. No image is decoded alone,
+    and the reports decode nothing more."""
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
-    calls = {"b": 0, "h": 0, "hhat": 0}
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            key = (name, any(isinstance(arg, np.ndarray) for arg in args))
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(entcf, "decode_b", counted("b", entcf.decode_b))
-    monkeypatch.setattr(entcf, "decode_h", counted("h", entcf.decode_h))
-    monkeypatch.setattr(protocol, "decode_hhat", counted("hhat", protocol.decode_hhat))
-    images = {entcf.FAMILY_G: 0, entcf.FAMILY_F: 0}
+    for name in ("decode_b", "decode_x", "decode_h"):
+        monkeypatch.setattr(entcf, name, counted(name, getattr(entcf, name)))
     for theta in model.thetas:
         model.class_table(theta)
-        for trap, coord in zip(model.trapdoors[theta], model.psi[theta]):
-            images[trap.family] += len(coord)
-    assert 0 < calls["b"] <= images[entcf.FAMILY_G]
-    assert 0 < calls["h"] <= 2 * images[entcf.FAMILY_F]
-    assert calls["hhat"] <= images[entcf.FAMILY_G] + 2 * images[entcf.FAMILY_F]
-    calls.update(b=0, h=0, hhat=0)
+    families = [trap.family for theta in model.thetas for trap in model.trapdoors[theta]]
+    claws = families.count(entcf.FAMILY_F)
+    want = {("decode_b", True): len(families) - claws, ("decode_h", True): claws, ("decode_x", True): claws}
+    assert calls == {key: count for key, count in want.items() if count}
+    calls.clear()
     analysis.failure_report(model)
-    assert calls == {"b": 0, "h": 0, "hhat": 0}
+    assert calls == {}
+
+
+def _ref_coord_classes(model, theta, i):
+    """Reference: coordinate i's (codes, vecs) as the analysis built them one
+    coordinate at a time, each outcome decoded alone by the scalar decoders
+    and the classes split off in a loop: the outcomes that share the first
+    remaining one's code and, within 1e-12, its direction."""
+    coord, trap = model.psi[theta][i], model.trapdoors[theta][i]
+    b, x, amp = (np.array([[s[0][k], s[-1][k]] for _, _, s in coord]) for k in range(3))
+    amp[:, 1] *= [len(s) - 1 for _, _, s in coord]
+    t = x[:, 0] ^ x[:, 1]
+    ds = np.stack([np.where(t & 1 == 0, 1, np.where(t & 2 == 0, 2, 3)), t & -t], axis=1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(ds[:, :, None] & x[:, None, :]) & 1)
+    vecs = (signs * amp[:, None, :]) @ (b[:, :, None] == np.arange(2))
+    keep = np.stack([np.ones_like(t, dtype=bool), t != 0], axis=1).ravel()
+    units = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).reshape(-1, 2)[keep].astype(complex)
+    masses = np.repeat(np.array([weight for _, weight, _ in coord]) / (1 + (t != 0)), 2)[keep]
+    ys = np.repeat([y for y, _, _ in coord], 2)[keep].tolist()
+    decoded = [
+        protocol.decode_bhat([trap], [y]) + protocol.decode_hhat([trap], [y], [d])
+        for y, d in zip(ys, ds.ravel()[keep].tolist())
+    ]
+    codes = np.array([[-1 if v is None else v for v in pair] for pair in decoded], dtype=np.int8)
+    out_codes, out_vecs = [], []
+    left = np.arange(len(units))
+    while left.size:
+        unit = units[left[0]]
+        same = np.all(codes[left] == codes[left[0]], axis=1) & (
+            np.abs(units[left] @ unit.conj()) ** 2 >= 1.0 - 1e-12
+        )
+        out_codes.append(codes[left[0]])
+        out_vecs.append(np.sqrt(np.sum(masses[left[same]])) * unit)
+        left = left[~same]
+    return np.array(out_codes), np.array(out_vecs)
+
+
+def _product_models(kind, n, w, seed):
+    """The honest, bitflip=0.2 and wrongbasis models of one seed; bitflip
+    only where its size guard admits it."""
+    cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=n, entcf=entcf.EntcfParams.ideal(w))
+    honest = analysis.build_honest_model(cfg, kind, np.random.default_rng(seed))
+    yield honest
+    try:
+        yield analysis.build_bitflip_model(honest, 0.2)
+    except ModelError:
+        assert (kind, n) == ("selftest", 3)
+    yield analysis.build_wrongbasis_model(honest)
+
+
+@pytest.mark.parametrize("kind", ["selftest", "dimtest"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_classes_equal_the_per_coordinate_reference(kind, n):
+    for w, seed in itertools.product((2, 3, 4, 6), (0, 5, 11)):
+        for model in _product_models(kind, n, w, seed):
+            for theta in model.thetas:
+                for i in range(model.logical):
+                    got, want = model.coord_classes[theta][i], _ref_coord_classes(model, theta, i)
+                    assert np.array_equal(got[0], want[0]), (model.name, w, seed, theta, i)
+                    assert np.array_equal(got[1], want[1]), (model.name, w, seed, theta, i)
+
+
+def test_classes_refuse_a_shared_code_with_two_directions():
+    """An injective image whose support carries the other b keeps its
+    decoded b-hat but leaves the other qubit direction: its outcome shares a
+    code with the row's other images and is not parallel to them."""
+    cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
+    honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
+    theta = honest.thetas[0]
+    i = next(i for i, trap in enumerate(honest.trapdoors[theta]) if trap.family == entcf.FAMILY_G)
+    psi = {key: list(coords) for key, coords in honest.psi.items()}
+    coord = list(psi[theta][i])
+    y, weight, ((b, x, amp),) = coord[0]
+    coord[0] = (y, weight, ((1 - b, x, amp),))
+    psi[theta][i] = coord
+    tampered = analysis.DeviceModel(
+        honest.protocol, honest.n, honest.w, honest.logical, honest.thetas, honest.keys, honest.trapdoors,
+        psi, honest.questions, name="tampered",
+    )
+    with pytest.raises(ModelError, match="not parallel"):
+        tampered.class_table(theta)
+    assert all(len(table.rows) for table in map(honest.class_table, honest.thetas))
 
 
 def _per_image_claw_basis(w, x0, x1):
@@ -689,7 +770,7 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
                         code = (bhat[0], hhat[0])
                         want[code] = want.get(code, 0) + np.outer(vec, vec.conj())
             got = {}
-            for code, vec in zip(*model._coord_classes(theta, i)):
+            for code, vec in zip(*model.coord_classes[theta][i]):
                 code = analysis._bits(code)
                 got[code] = got.get(code, 0) + np.outer(vec, vec.conj())
             assert set(got) == set(want), (theta, i)

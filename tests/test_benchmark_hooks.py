@@ -83,5 +83,6 @@ def test_session_path_calls_the_traced_names(monkeypatch, tmp_path):
     assert calls["gen_keypair"] == 4 * 5
     assert calls["session_streams"] == 1
     # each message is encoded once and rebuilt once on the other side
-    messages = sum(len(json.loads(line)["messages"]) for line in (tmp_path / "transcripts.jsonl").open())
+    lines = (tmp_path / "transcripts.jsonl").read_text().splitlines()
+    messages = sum(len(json.loads(line)["messages"]) for line in lines)
     assert calls["to_payload"] == calls["from_payload"] == messages

@@ -112,23 +112,42 @@ def _scan_decode_h(trapdoor, y, d):
     return None if x0 is None or x1 is None else entcf.parity(d & (x0 ^ x1))
 
 
+def _as_none(decoded: np.ndarray) -> list:
+    """An array decoding as a list, None where it holds UNDECODED."""
+    return [None if v == entcf.UNDECODED else v for v in decoded.tolist()]
+
+
 @pytest.mark.parametrize("w", [2, 4, 8])
 def test_ideal_decoding_matches_the_table_scans(w):
+    """Each decoding of one image, and each entry of all the images decoded
+    as one array (shuffled, so the array is not sorted), equals its scan
+    reference; None is the array's UNDECODED."""
     rng = np.random.default_rng(w)
     params = entcf.EntcfParams.ideal(w)
     for _ in range(3):
         _, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
         _, g_trap = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
-        ds = {0, 1, f_trap.s, 2**w - 1, *rng.integers(2**w, size=4).tolist()}
+        ds = sorted({0, 1, f_trap.s, 2**w - 1, *rng.integers(2**w, size=4).tolist()})
         # the whole image space holds every image of both tables and some in
         # neither; the last two lie outside the space
-        for y in [*range(params.image_space_size), 2**w * 8, 2**32 - 1]:
-            assert entcf.decode_b(g_trap, y) == _scan_decode_b(g_trap, y)
-            for trap in (f_trap, g_trap):
-                for b in (0, 1):
-                    assert entcf.decode_x(b, trap, y) == _scan_decode_x(b, trap, y)
-            for d in ds:
-                assert entcf.decode_h(f_trap, y, d) == _scan_decode_h(f_trap, y, d)
+        ys = rng.permutation([*range(params.image_space_size), 2**w * 8, 2**32 - 1]).tolist()
+        y_arr = np.array(ys, dtype=np.int64)
+        want = [_scan_decode_b(g_trap, y) for y in ys]
+        assert [entcf.decode_b(g_trap, y) for y in ys] == want
+        assert _as_none(entcf.decode_b(g_trap, y_arr)) == want
+        for trap in (f_trap, g_trap):
+            for b in (0, 1):
+                want = [_scan_decode_x(b, trap, y) for y in ys]
+                assert [entcf.decode_x(b, trap, y) for y in ys] == want
+                assert _as_none(entcf.decode_x(b, trap, y_arr)) == want
+        for d in ds:
+            want = [_scan_decode_h(f_trap, y, d) for y in ys]
+            assert [entcf.decode_h(f_trap, y, d) for y in ys] == want
+            assert _as_none(entcf.decode_h(f_trap, y_arr, np.full(len(ys), d))) == want
+        # one array of mixed d's, 0 among them
+        d_arr = rng.choice(ds, size=len(ys))
+        want = [_scan_decode_h(f_trap, y, d) for y, d in zip(ys, d_arr.tolist())]
+        assert _as_none(entcf.decode_h(f_trap, y_arr, d_arr)) == want
 
 
 @given(b=st.integers(0, 1), x=st.integers(0, 7), y=st.integers(0, 17))
