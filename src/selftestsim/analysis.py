@@ -431,8 +431,8 @@ def build_honest_model(
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
-    # the key tables and psi hold 2^(w+1) entries per coordinate, and
-    # _coord_codes sorts each table once to decode a coordinate's images
+    # decoding scans nothing (it indexes each trapdoor's inverse); the cap
+    # bounds each coordinate's 2^(w+1)-entry key table, inverse and psi
     entcf.check_scan(params)
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors, psi = {}, {}, {}
@@ -491,7 +491,7 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs("selftest", theta, n, params, rng)
-        y_lists = [sorted(entcf.image_iter(k)) for k in keys[theta]]
+        y_lists = [entcf.image_iter(k) for k in keys[theta]]
         chosen = set()
         while len(chosen) < 4:
             chosen.add(tuple(ys[rng.integers(len(ys))] for ys in y_lists))

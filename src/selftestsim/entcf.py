@@ -8,21 +8,22 @@ Two pluggable backends:
   distinguishable; it exists for completeness and functional testing only.
 - ToyLwe: a toy LWE instantiation over Z_q^n with q a power of two. The domain
   {0,1}^w is the bit decomposition of z in Z_q^n (w = n*log2(q)); supports are
-  infinity-norm noise balls of radius B around A.z + b.u. Decoding is exhaustive
-  preimage search, capped at |X| <= 2^16. No cryptographic strength is claimed.
+  infinity-norm noise balls of radius B around A.z + b.u. Decoding tests y
+  against the support of every x in one array pass over X, capped at
+  |X| <= 2^16. No cryptographic strength is claimed.
 
 Conventions: preimages x and Hadamard strings d are ints holding w bits
 (little-endian bit order); images are ints (Ideal) or length-m tuples over Z_q
-(ToyLwe); the undefined decoding is None. The ideal decoders also take an
-array of images (and of d's) and answer an array, UNDECODED for None, through
-one sort of the key table; a scalar image keeps the cheaper scan.
+(ToyLwe); the undefined decoding is None. An ideal trapdoor decodes by
+indexing the inverse of its key table, which serves one image and an array of
+images (and of d's) alike; an array gets an array, UNDECODED for None.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,14 +33,16 @@ FAMILY_F = "F"
 FAMILY_G = "G"
 
 _DECODE_CAP = 2**16  # largest |X| the exhaustive scans over X allow
+UNDECODED = -1  # an array decoding's entry for None
 
 
-def parity(n: int) -> int:
-    return bin(n).count("1") & 1
+def parity(n):
+    """The parity of n's bits; an array of ints gets an array of parities."""
+    return n.bit_count() & 1 if isinstance(n, int) else np.bitwise_count(n).astype(np.int64) & 1
 
 
 def check_scan(params: EntcfParams) -> None:
-    """Refuse |X| > 2^16: ToyLwe keygen and decoding, and preimages, scan X."""
+    """Refuse |X| > 2^16: ToyLwe keygen and the public preimages scan X."""
     if 2**params.w > _DECODE_CAP:
         raise DomainError(f"exhaustive scans of X capped at |X| <= 2^16, got 2^{params.w}")
 
@@ -141,13 +144,16 @@ class Trapdoor:
     """Secret inversion data. Never serialized onto the protocol wire.
 
     Ideal: the key's tables plus, for F, the claw shift s (nonzero, with
-    f_{k,1}(x) = f_{k,0}(x ^ s)). ToyLwe: the secret vector s in Z_q^n.
+    f_{k,1}(x) = f_{k,0}(x ^ s)), and their inverse: inverse[y] = b << w | x
+    for the (b, x) with table[b, x] == y (an F key's x0), or UNDECODED.
+    ToyLwe: the secret vector s in Z_q^n.
     """
 
     family: str  # FAMILY_F | FAMILY_G
     key: PublicKey
     s: int = 0  # ideal F: claw shift over preimage bits
     s_vec: tuple[int, ...] = ()  # toylwe secret
+    inverse: np.ndarray | None = field(default=None, compare=False, repr=False)  # ideal
 
     @property
     def params(self) -> EntcfParams:
@@ -162,18 +168,20 @@ def _lwe_bits(q: int) -> int:
     return q.bit_length() - 1
 
 
-def x_to_z(x: int, params: EntcfParams) -> np.ndarray:
-    """Bit-decomposition inverse: w-bit preimage -> vector in Z_q^n."""
-    k = _lwe_bits(params.q)
-    return np.array([(x >> (j * k)) & (params.q - 1) for j in range(params.n)], dtype=np.int64)
+def x_to_z(x, params: EntcfParams) -> np.ndarray:
+    """Bit-decomposition inverse: w-bit preimage -> vector in Z_q^n. A column
+    of preimages, shape (k, 1), gives one such row each."""
+    return (x >> (_lwe_bits(params.q) * np.arange(params.n))) & (params.q - 1)
+
+
+def _domain(params: EntcfParams) -> np.ndarray:
+    """The (2^w, n) array whose row x is x_to_z(x)."""
+    return x_to_z(np.arange(2**params.w)[:, None], params)
 
 
 def z_to_x(z: np.ndarray, params: EntcfParams) -> int:
-    k = _lwe_bits(params.q)
-    x = 0
-    for j in range(params.n):
-        x |= (int(z[j]) % params.q) << (j * k)
-    return x
+    """Bit decomposition: vector in Z_q^n -> w-bit preimage; x_to_z's inverse."""
+    return int(((z % params.q) << (_lwe_bits(params.q) * np.arange(params.n))).sum())
 
 
 def _centered(v: np.ndarray, q: int) -> np.ndarray:
@@ -198,18 +206,31 @@ def gen_keypair(family: str, params: EntcfParams, rng: np.random.Generator) -> t
     return _gen_toylwe(family, params, rng)
 
 
+@functools.lru_cache(maxsize=64)
+def _positions(size: int) -> np.ndarray:
+    """np.arange(size), made once per size (keygen scatters it) and read-only."""
+    positions = np.arange(size)
+    positions.flags.writeable = False
+    return positions
+
+
 def _gen_ideal(family, params, rng):
     # each table is a fresh int64 array taken from one permutation: F's rows
-    # are f0 = its first 2^w entries and f1(x) = f0(x ^ s), G's its first 2^(w+1)
+    # are f0 = its first 2^w entries and f1(x) = f0(x ^ s), G's its first 2^(w+1);
+    # an image's position in it is x0 (F) or b << w | x (G), so the
+    # permutation's inverse, UNDECODED past the rows, is the trapdoor's
     perm = rng.permutation(params.image_space_size)
     size_x = 2**params.w
+    inverse = np.empty_like(perm)
+    inverse[perm] = _positions(perm.size)
+    inverse[perm[(1 if family == FAMILY_F else 2) * size_x :]] = UNDECODED
     if family == FAMILY_F:
         s = 1 + int(rng.integers(size_x - 1))
-        x = np.arange(size_x)
+        x = _positions(size_x)
         key = PublicKey(params=params, table=perm[np.array([x, x ^ s])])
-        return key, Trapdoor(family=FAMILY_F, key=key, s=s)
+        return key, Trapdoor(family=FAMILY_F, key=key, s=s, inverse=inverse)
     key = PublicKey(params=params, table=perm[: 2 * size_x].reshape(2, size_x).copy())
-    return key, Trapdoor(family=FAMILY_G, key=key)
+    return key, Trapdoor(family=FAMILY_G, key=key, inverse=inverse)
 
 
 _KEYGEN_TRIES = 10_000
@@ -219,10 +240,10 @@ def _gen_toylwe(family, params, rng):
     q, B = params.q, params.B
     check_scan(params)
     offset = np.full(params.m, q // 2, dtype=np.int64)
-    lattice_x = np.stack([x_to_z(x, params) for x in range(2**params.w)])
+    domain = _domain(params)
     for _ in range(_KEYGEN_TRIES):
         A = rng.integers(0, q, size=(params.m, params.n), dtype=np.int64)
-        lattice = (lattice_x @ A.T) % q
+        lattice = (domain @ A.T) % q
         margin = np.abs(_centered(lattice, q)).max(axis=1)
         # distinct preimages must keep disjoint supports at either b
         if margin[1:].min() <= 2 * B:
@@ -303,81 +324,62 @@ def chk(keys, y, b, x) -> int:
 # Decoding maps
 # ---------------------------------------------------------------------------
 
-def _lwe_search(trapdoor: Trapdoor, b: int, y) -> int | None:
-    """Exhaustive preimage search; returns the smallest matching x or None."""
-    params = trapdoor.params
-    check_scan(params)
-    for x in range(2**params.w):
-        if support_contains(trapdoor.key, b, x, y):
-            return x
-    return None
+def _lwe_preimages(key: PublicKey, b: int, y) -> np.ndarray:
+    """Every x with y in Supp(f_{k,b}(x)), ascending: one array pass over X."""
+    params = key.params
+    centers = _domain(params) @ key.A.T + b * key.u
+    diff = _centered(np.asarray(y, dtype=np.int64) - centers, params.q)
+    return np.flatnonzero(np.abs(diff).max(axis=1) <= params.B)
 
 
-UNDECODED = -1  # an array decoding's entry for None
-
-
-def _lookup(values: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Index of each entry of ys in values, whose entries are distinct, or
-    UNDECODED: one argsort of values and one searchsorted of ys."""
-    order = np.argsort(values)
-    at = order.take(np.searchsorted(values, ys, sorter=order), mode="clip")
-    return np.where(values[at] == ys, at, UNDECODED)
+def _ideal_decode(trapdoor: Trapdoor, y, rule, defined=True):
+    """rule(i) of i = trapdoor.inverse[y] where y is an image of the tables,
+    `defined` holds and rule(i) lies in [0, 2^w), else None; an array of
+    images (and of `defined`) gets an array, UNDECODED for None. An int y
+    stays on Python ints. A y outside the image space (the wire admits up to
+    2^32 - 1, and numpy wraps a negative index) is undecodable."""
+    inverse, size_x = trapdoor.inverse, 2**trapdoor.params.w
+    if isinstance(y, np.ndarray):
+        i = inverse.take(y, mode="clip")
+        v = rule(i)
+        found = (y >= 0) & (y < inverse.size) & (i != UNDECODED) & defined
+        return np.where(found & (v < size_x), v, UNDECODED)
+    i = int(inverse[y]) if 0 <= y < inverse.size else UNDECODED
+    v = rule(i) if i != UNDECODED and defined else UNDECODED
+    return int(v) if 0 <= v < size_x else None
 
 
 def decode_b(trapdoor: Trapdoor, y) -> int | None:
-    """b-hat: which injective function produced y. G keys only. An array of
-    ideal images gets an array, UNDECODED where the decoding is None."""
+    """b-hat: which injective function produced y. G keys only."""
     if trapdoor.family != FAMILY_G:
         raise FamilyError("decode_b is defined only for G trapdoors")
-    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
-        # the rows share no image, so the flat table's entries are distinct;
-        # b = flat index >> w, and UNDECODED >> w is UNDECODED
-        return _lookup(trapdoor.key.table.ravel(), y) >> trapdoor.params.w
     if trapdoor.params.backend == "ideal":
-        # one scan of both rows; they share no image, so at most one entry hits
-        hits = trapdoor.key.table == y
-        first = int(hits.argmax())
-        return first // hits.shape[1] if hits.flat[first] else None
-    for b in (0, 1):
-        if _lwe_search(trapdoor, b, y) is not None:
-            return b
-    return None
+        return _ideal_decode(trapdoor, y, lambda i: i >> trapdoor.params.w)
+    return next((b for b in (0, 1) if _lwe_preimages(trapdoor.key, b, y).size), None)
 
 
 def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
-    """x-hat: the preimage with y in Supp(f_{k,b}(x)), or None. An array of
-    ideal images gets an array, UNDECODED where the decoding is None."""
+    """x-hat: the preimage with y in Supp(f_{k,b}(x)), or None."""
     if b is None:
         return None
-    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
-        return _lookup(trapdoor.key.table[b], y)
     if trapdoor.params.backend == "ideal":
-        # one scan of the row; its images are distinct, so at most one entry hits
-        hits = trapdoor.key.table[b] == y
-        x = int(hits.argmax())
-        return x if hits[x] else None
-    if trapdoor.family == FAMILY_F and b == 1:
-        # invert side 0 and take the claw partner
-        x0 = _lwe_search(trapdoor, 0, y)
-        return None if x0 is None else claw_partner(trapdoor, x0)
-    return _lwe_search(trapdoor, b, y)
+        # row b holds y at i ^ (b * s) on an F key (the claw partner of x0 = i)
+        # and at i ^ (b << w) on a G key, outside X if y is in the other row
+        flip = b * (trapdoor.s if trapdoor.family == FAMILY_F else 2**trapdoor.params.w)
+        return _ideal_decode(trapdoor, y, lambda i: i ^ flip)
+    xs = _lwe_preimages(trapdoor.key, b, y)
+    return int(xs[0]) if xs.size else None
 
 
 def decode_h(trapdoor: Trapdoor, y, d) -> int | None:
-    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range.
-    An array of ideal images, with an array of d's, gets an array,
-    UNDECODED where the decoding is None."""
+    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range."""
     if trapdoor.family != FAMILY_F:
         raise FamilyError("decode_h is defined only for F trapdoors")
-    if isinstance(y, np.ndarray) and trapdoor.params.backend == "ideal":
-        h = np.bitwise_count(d & trapdoor.s).astype(np.int64) & 1  # an ideal claw's x0 xor x1 is s
-        return np.where((decode_x(0, trapdoor, y) < 0) | (d == 0), UNDECODED, h)
-    if d == 0:
-        return None
-    x0 = decode_x(0, trapdoor, y)
-    if x0 is None:
-        return None
-    return parity(d & (x0 ^ claw_partner(trapdoor, x0)))
+    if trapdoor.params.backend == "ideal":
+        # an ideal claw's x0 xor x1 is s
+        return _ideal_decode(trapdoor, y, lambda i: parity(d & trapdoor.s), d != 0)
+    x0 = decode_x(0, trapdoor, y) if d != 0 else None
+    return None if x0 is None else parity(d & (x0 ^ claw_partner(trapdoor, x0)))
 
 
 def claw_partner(trapdoor: Trapdoor, x0: int) -> int:
@@ -397,16 +399,11 @@ def preimages(key: PublicKey, y) -> list[tuple[int, int]]:
     if params.backend == "ideal":
         bs, xs = (key.table == y).nonzero()  # row-major: b first, then x
         return list(zip(bs.tolist(), xs.tolist()))
-    return [
-        (b, x)
-        for b in (0, 1)
-        for x in range(2**params.w)
-        if support_contains(key, b, x, y)
-    ]
+    return [(b, x) for b in (0, 1) for x in _lwe_preimages(key, b, y).tolist()]
 
 
 def image_iter(key: PublicKey):
     """All images with nonzero mass under uniform (b, x); Ideal backend only."""
     if key.params.backend != "ideal":
         raise DomainError("image_iter is Ideal-only (ToyLwe unions are huge)")
-    return sorted({int(v) for v in key.table.ravel()})
+    return np.unique(key.table).tolist()

@@ -253,7 +253,8 @@ def _never_called(*args, **kwargs):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
-    # dimtest N=1 w=17: the verifier's decodings would scan a 2^18-entry key table per image
+    # dimtest N=1 w=17: past check_scan's cap, each coordinate would hold a
+    # 2^18-entry key table, its inverse and psi
     cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(17))
     with pytest.raises(DomainError, match="capped"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
@@ -620,8 +621,8 @@ def test_class_tables_make_one_array_decode_per_coordinate(kind, w, monkeypatch)
     """Every class table of a model together decodes each (theta,
     coordinate) with one array decode, through the entcf attributes the
     benchmark tracer wraps: decode_b on an injective coordinate, decode_h
-    (and the decode_x it makes) on a claw one. No image is decoded alone,
-    and the reports decode nothing more."""
+    on a claw one, which indexes the trapdoor's inverse itself and makes no
+    decode_x. No image is decoded alone, and the reports decode nothing more."""
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
     calls = {}
@@ -639,7 +640,7 @@ def test_class_tables_make_one_array_decode_per_coordinate(kind, w, monkeypatch)
         model.class_table(theta)
     families = [trap.family for theta in model.thetas for trap in model.trapdoors[theta]]
     claws = families.count(entcf.FAMILY_F)
-    want = {("decode_b", True): len(families) - claws, ("decode_h", True): claws, ("decode_x", True): claws}
+    want = {("decode_b", True): len(families) - claws, ("decode_h", True): claws}
     assert calls == {key: count for key, count in want.items() if count}
     calls.clear()
     analysis.failure_report(model)

@@ -129,8 +129,9 @@ def test_ideal_decoding_matches_the_table_scans(w):
         _, g_trap = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
         ds = sorted({0, 1, f_trap.s, 2**w - 1, *rng.integers(2**w, size=4).tolist()})
         # the whole image space holds every image of both tables and some in
-        # neither; the last two lie outside the space
-        ys = rng.permutation([*range(params.image_space_size), 2**w * 8, 2**32 - 1]).tolist()
+        # neither; the last three lie outside the space, and an unchecked
+        # index would wrap -1 round to the last image
+        ys = rng.permutation([*range(params.image_space_size), 2**w * 8, 2**32 - 1, -1]).tolist()
         y_arr = np.array(ys, dtype=np.int64)
         want = [_scan_decode_b(g_trap, y) for y in ys]
         assert [entcf.decode_b(g_trap, y) for y in ys] == want
@@ -236,6 +237,57 @@ def test_toylwe_decodes(lwe_pair):
         delta = x ^ x1
         for d in range(1, 2**f_key.params.w):
             assert entcf.decode_h(f_trap, y, d) == entcf.parity(d & delta)
+
+
+def _lwe_scan(key):
+    """Reference: the per-x scan. scan(b, y) is every x whose support
+    Supp(f_{k,b}(x)) holds y, by one membership test per x in the boxes
+    `support` enumerates (scan.boxes); y's coordinates count mod q, as in
+    support_contains."""
+    q = key.params.q
+    boxes = [[entcf.support(key, b, x) for x in range(2**key.params.w)] for b in (0, 1)]
+
+    def scan(b, y):
+        y = tuple(c % q for c in y)
+        return [x for x, box in enumerate(boxes[b]) if y in box]
+
+    scan.boxes = boxes[0] + boxes[1]
+    return scan
+
+
+@pytest.mark.parametrize("n,m,q", [(1, 3, 16), (1, 3, 64), (2, 4, 16)])
+def test_toylwe_decoding_matches_the_per_x_scans(n, m, q):
+    """preimages, decode_b, decode_x (both b, both families) and decode_h
+    (every d, 0 included) equal what the per-x scans give: the smallest x
+    found, and an F key's x1 as the claw partner of its x0. At the CLI's n=1,
+    m=3, B=1 the images are every image of every support box, some of them
+    lifted by q and by 2^32 - q (the wire's u32 range), and some off all
+    boxes; at n=2 (w=8, two limbs) a seeded sample of on- and off-box ones."""
+    params = entcf.EntcfParams.toylwe(n=n, m=m, q=q, B=1)
+    rng = np.random.default_rng(0)
+    (f_key, f_trap), (g_key, g_trap) = (entcf.gen_keypair(fam, params, rng) for fam in ("F", "G"))
+    f_scan, g_scan = _lwe_scan(f_key), _lwe_scan(g_key)
+    size_x = 2**params.w
+    on_box = set().union(*f_scan.boxes, *g_scan.boxes)
+    off_box = [y for y in map(tuple, rng.integers(q, size=(300, m)).tolist()) if y not in on_box][:100]
+    on_box = sorted(on_box)
+    if n == 1:
+        ys = on_box + off_box + [tuple(c + lift for c in y) for lift in (q, 2**32 - q) for y in on_box[::61]]
+    else:
+        ys = [on_box[i] for i in rng.choice(len(on_box), size=300, replace=False)] + off_box
+    for k, y in enumerate(ys):
+        f_xs, g_xs = [f_scan(b, y) for b in (0, 1)], [g_scan(b, y) for b in (0, 1)]
+        assert entcf.preimages(f_key, y) == [(b, x) for b in (0, 1) for x in f_xs[b]]
+        assert entcf.preimages(g_key, y) == [(b, x) for b in (0, 1) for x in g_xs[b]]
+        assert entcf.decode_b(g_trap, y) == next((b for b in (0, 1) if g_xs[b]), None)
+        x0 = f_xs[0][0] if f_xs[0] else None
+        x1 = None if x0 is None else entcf.claw_partner(f_trap, x0)
+        assert [entcf.decode_x(b, f_trap, y) for b in (0, 1)] == [x0, x1]
+        assert [entcf.decode_x(b, g_trap, y) for b in (0, 1)] == [xs[0] if xs else None for xs in g_xs]
+        # each image at one d, cycling through all of them; the first three at every d
+        for d in range(size_x) if k < 3 else [k % size_x]:
+            want = None if d == 0 or x0 is None else entcf.parity(d & (x0 ^ x1))
+            assert entcf.decode_h(f_trap, y, d) == want
 
 
 def test_toylwe_key_codec(lwe_pair):
