@@ -206,14 +206,6 @@ def gen_keypair(family: str, params: EntcfParams, rng: np.random.Generator) -> t
     return _gen_toylwe(family, params, rng)
 
 
-@functools.lru_cache(maxsize=64)
-def _positions(size: int) -> np.ndarray:
-    """np.arange(size), made once per size (keygen scatters it) and read-only."""
-    positions = np.arange(size)
-    positions.flags.writeable = False
-    return positions
-
-
 def _gen_ideal(family, params, rng):
     # each table is a fresh int64 array taken from one permutation: F's rows
     # are f0 = its first 2^w entries and f1(x) = f0(x ^ s), G's its first 2^(w+1);
@@ -222,11 +214,11 @@ def _gen_ideal(family, params, rng):
     perm = rng.permutation(params.image_space_size)
     size_x = 2**params.w
     inverse = np.empty_like(perm)
-    inverse[perm] = _positions(perm.size)
+    inverse[perm] = np.arange(perm.size)
     inverse[perm[(1 if family == FAMILY_F else 2) * size_x :]] = UNDECODED
     if family == FAMILY_F:
         s = 1 + int(rng.integers(size_x - 1))
-        x = _positions(size_x)
+        x = np.arange(size_x)
         key = PublicKey(params=params, table=perm[np.array([x, x ^ s])])
         return key, Trapdoor(family=FAMILY_F, key=key, s=s, inverse=inverse)
     key = PublicKey(params=params, table=perm[: 2 * size_x].reshape(2, size_x).copy())
@@ -336,15 +328,16 @@ def _ideal_decode(trapdoor: Trapdoor, y, rule, defined=True):
     """rule(i) of i = trapdoor.inverse[y] where y is an image of the tables,
     `defined` holds and rule(i) lies in [0, 2^w), else None; an array of
     images (and of `defined`) gets an array, UNDECODED for None. An int y
-    stays on Python ints. A y outside the image space (the wire admits up to
-    2^32 - 1, and numpy wraps a negative index) is undecodable."""
+    indexes as a Python int (numpy would read a bool as a mask). A y outside
+    the image space (the wire admits up to 2^32 - 1, and numpy wraps a
+    negative index) is undecodable."""
     inverse, size_x = trapdoor.inverse, 2**trapdoor.params.w
     if isinstance(y, np.ndarray):
         i = inverse.take(y, mode="clip")
         v = rule(i)
         found = (y >= 0) & (y < inverse.size) & (i != UNDECODED) & defined
         return np.where(found & (v < size_x), v, UNDECODED)
-    i = int(inverse[y]) if 0 <= y < inverse.size else UNDECODED
+    i = int(inverse[int(y)]) if 0 <= y < inverse.size else UNDECODED
     v = rule(i) if i != UNDECODED and defined else UNDECODED
     return int(v) if 0 <= v < size_x else None
 

@@ -133,18 +133,20 @@ def test_ideal_decoding_matches_the_table_scans(w):
         # index would wrap -1 round to the last image
         ys = rng.permutation([*range(params.image_space_size), 2**w * 8, 2**32 - 1, -1]).tolist()
         y_arr = np.array(ys, dtype=np.int64)
-        want = [_scan_decode_b(g_trap, y) for y in ys]
-        assert [entcf.decode_b(g_trap, y) for y in ys] == want
-        assert _as_none(entcf.decode_b(g_trap, y_arr)) == want
+        # one image alone may also be a bool (the wire admits it as an int),
+        # which numpy would read as an index mask
+        scalars = [*ys, True, False]
+        assert [entcf.decode_b(g_trap, y) for y in scalars] == [_scan_decode_b(g_trap, y) for y in scalars]
+        assert _as_none(entcf.decode_b(g_trap, y_arr)) == [_scan_decode_b(g_trap, y) for y in ys]
         for trap in (f_trap, g_trap):
             for b in (0, 1):
-                want = [_scan_decode_x(b, trap, y) for y in ys]
-                assert [entcf.decode_x(b, trap, y) for y in ys] == want
-                assert _as_none(entcf.decode_x(b, trap, y_arr)) == want
+                want = [_scan_decode_x(b, trap, y) for y in scalars]
+                assert [entcf.decode_x(b, trap, y) for y in scalars] == want
+                assert _as_none(entcf.decode_x(b, trap, y_arr)) == want[: len(ys)]
         for d in ds:
-            want = [_scan_decode_h(f_trap, y, d) for y in ys]
-            assert [entcf.decode_h(f_trap, y, d) for y in ys] == want
-            assert _as_none(entcf.decode_h(f_trap, y_arr, np.full(len(ys), d))) == want
+            want = [_scan_decode_h(f_trap, y, d) for y in scalars]
+            assert [entcf.decode_h(f_trap, y, d) for y in scalars] == want
+            assert _as_none(entcf.decode_h(f_trap, y_arr, np.full(len(ys), d))) == want[: len(ys)]
         # one array of mixed d's, 0 among them
         d_arr = rng.choice(ds, size=len(ys))
         want = [_scan_decode_h(f_trap, y, d) for y, d in zip(ys, d_arr.tolist())]

@@ -505,6 +505,25 @@ def test_image_domain_edges_still_accepted():
     )
 
 
+def test_ideal_bool_images_decode_as_ints():
+    """A bool image passes the wire's int check; decode_b (G) at the images
+    and decode_h (F) at the d's read it as 0 or 1, never as an index mask."""
+    rounds = set()
+    for seed in range(16):
+        v = protocol.SelfTestVerifier(
+            SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2)), np.random.default_rng(seed)
+        )
+        v.step(None)
+        kind = v.step(protocol.Images(y=(True, False))).kind
+        rounds.add(kind)
+        if kind == protocol.HADAMARD:
+            assert isinstance(v.step(protocol.HadamardD(d=(1, 1))), protocol.Question)
+            assert isinstance(v.step(protocol.FinalAnswer(v=(0, 0))), protocol.Verdict)
+        else:
+            assert isinstance(v.step(protocol.PreimageAnswer(b=(0, 0), x=(0, 0))), protocol.Verdict)
+    assert rounds == {protocol.PREIMAGE, protocol.HADAMARD}
+
+
 def test_preimage_answer_bool_entries_are_bits():
     v = _verifier_awaiting(protocol.PREIMAGE)
     out = v.step(protocol.PreimageAnswer(b=(True, False), x=(True, 0)))
