@@ -183,23 +183,22 @@ class ClassTable:
 class DeviceModel:
     """Block-diagonal device description, in one of two forms.
 
-    A product-form model (d_meas None; the honest family) keeps psi
-    factored: psi[theta][i] lists coordinate i's (y_i, weight, support)
-    triples, the state on qubit (x) x register being the sum of
-    amplitude |b, x> over the support's (b, x, amplitude) terms, and psi's
-    block at y is the product of its coordinates' sqrt(weight) * state,
-    times the CZ signs when the protocol pairs coordinates. It measures each
-    x register in the Hadamard basis, a claw coordinate's column d answering
-    the smallest nonzero d of its h-parity, so d = 0 is never answered. Its
-    preimage measurement is the computational basis on qubits and x
-    registers.
+    A product-form model (d_meas None; the honest family) holds no psi: its
+    state is read from the key tables (_honest_images), coordinate i's state
+    at y_i on qubit (x) x register being the uniform superposition of the
+    |b, x> with f_b(x) = y_i, and its block at y the product of its
+    coordinates' sqrt(weight) * state, times the CZ signs when the protocol
+    pairs coordinates. It measures each x register in the Hadamard basis, a
+    claw coordinate's column d answering the smallest nonzero d of its
+    h-parity, so d = 0 is never answered. Its preimage measurement is the
+    computational basis on qubits and x registers.
     An explicit model (d_meas given) has no x registers and keeps psi[theta]:
     dict y -> pure vector on the logical qubits (squared norm = Pr[y]); its
     d-measurement is the y-independent Measurement d_meas[theta], labelled by
     d tuples, and its preimage measurement `preimage` is labelled by (b, x)
     tuples (None: no preimage passes).
-    env: unit vector on the environment, in a product with psi (default: no
-    environment).
+    env: unit vector on the environment, in a product with the state
+    (default: no environment).
     questions[q]: the Measurement of question q on logical (x) env, labelled
     by answer tuples u; `dim` is the size of that space.
     """
@@ -213,7 +212,7 @@ class DeviceModel:
         thetas: list,
         keys: dict,
         trapdoors: dict,
-        psi: dict,
+        psi: dict | None,
         questions: dict,
         d_meas: dict | None = None,
         preimage: Measurement | None = None,
@@ -324,9 +323,10 @@ class DeviceModel:
     @functools.cached_property
     def coord_classes(self) -> dict:
         """theta -> [(codes, vecs) of each coordinate], for every (theta,
-        coordinate) of a product-form model in one pass. Column d of the
-        Hadamard round maps an image's support {(b_k, x_k, a_k)} to 2^(-w/2)
-        sum_k (-1)^(d.x_k) a_k |b_k>. Up to sign, that vector is the same for
+        coordinate) of a product-form model in one pass over _honest_images
+        of all their key tables. Column d of the Hadamard round maps an
+        image's support {(b_k, x_k, a_k)} to 2^(-w/2) sum_k (-1)^(d.x_k) a_k
+        |b_k>. Up to sign, that vector is the same for
         every d when the image has one preimage, and depends on d only
         through parity(d & t), t = x_0 xor x_1, when it has a claw's two. So
         an image has one outcome per coset of d's (one or two), of mass
@@ -336,15 +336,11 @@ class DeviceModel:
         class's mass; a class's vector is its first outcome's direction
         scaled to the root of that mass, classes in order of first outcome.
         Every outcome must be parallel to its class's first within 1e-12, or
-        ModelError; on the honest psi a code fixes the direction up to sign."""
+        ModelError; on the honest state a code fixes the direction up to
+        sign."""
         coords = [(theta, i) for theta in self.thetas for i in range(self.logical)]
-        owner = np.repeat(np.arange(len(coords)), [len(self.psi[theta][i]) for theta, i in coords])
-        # per image: y, weight, support size, then its first and last (b, x, amplitude) terms
-        per_image = ((y, wt, len(s), *s[0], *s[-1]) for theta, i in coords for y, wt, s in self.psi[theta][i])
-        images = np.fromiter(itertools.chain.from_iterable(per_image), dtype=float).reshape(-1, 9)
-        b, x = images[:, [3, 6]].astype(np.int64), images[:, [4, 7]].astype(np.int64)
-        amp = images[:, [5, 8]]
-        amp[:, 1] *= images[:, 2] - 1  # a lone preimage's amplitude counts once
+        tables = np.stack([self.keys[theta][i].table for theta, i in coords])
+        owner, ys, weight, b, x, amp = _honest_images(tables)
         t = x[:, 0] ^ x[:, 1]
         # smallest nonzero d per coset: 1, 2 or 3 for parity(d & t) = 0 (w >= 2), t's low bit for 1
         ds = np.stack([np.where(t & 1 == 0, 1, np.where(t & 2 == 0, 2, 3)), t & -t], axis=1)
@@ -352,8 +348,8 @@ class DeviceModel:
         vecs = (signs * amp[:, None, :]) @ (b[:, :, None] == np.arange(2))  # (images, cosets, 2)
         keep = np.stack([np.ones_like(t, dtype=bool), t != 0], axis=1).ravel()
         units = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).reshape(-1, 2)[keep].astype(complex)
-        masses = np.repeat(images[:, 1] / (1 + (t != 0)), 2)[keep]
-        ys = np.repeat(images[:, 0].astype(np.int64), 2)[keep]
+        masses = np.repeat(weight / (1 + (t != 0)), 2)[keep]
+        ys = np.repeat(ys, 2)[keep]
         ds, owner = ds.ravel()[keep], np.repeat(owner, 2)[keep]
         bounds = np.searchsorted(owner, np.arange(len(coords) + 1))
         codes = np.concatenate([
@@ -397,21 +393,24 @@ class DeviceModel:
 # Honest model construction
 # ---------------------------------------------------------------------------
 
-def _coord_y_support(key: entcf.PublicKey):
-    """(y, weight, support) triples for one honest coordinate, in y order,
-    from the public table alone, as the honest device prepares them: the
-    state at y is the sum of amplitude |b, x> over its (b, x, amplitude)
-    support, the (b, x) with f_b(x) = y, b first, then x (an injective key's
-    one preimage or a claw's two), and each preimage carries mass 2^-(w+1)."""
-    w = key.params.w
-    # (f_b(x), b, x) of every table entry, sorted: by y, then b, then x
-    entries = sorted((y, i >> w, i & (2**w - 1)) for i, y in enumerate(key.table.ravel().tolist()))
-    out = []
-    for y, group in itertools.groupby(entries, key=lambda entry: entry[0]):
-        pairs = [(b, x) for _, b, x in group]
-        amp = 1.0 / np.sqrt(len(pairs))
-        out.append((y, len(pairs) * 2.0 ** -(w + 1), tuple((b, x, amp) for b, x in pairs)))
-    return out
+def _honest_images(tables: np.ndarray):
+    """(owner, y, weight, b, x, amp) of every image of a stack of (2, 2^w)
+    key tables, by table, then y: the honest device's state at y is the sum
+    of amplitude |b, x> over the (b, x) with f_b(x) = y, b first, then x (an
+    injective key's one preimage or a claw's two), each preimage of mass
+    2^-(w+1). b, x and amp are (images, 2) arrays of the first and last
+    preimage; a lone preimage is both, its second amplitude 0. Public: the
+    tables alone, no trapdoor and no preimage scan."""
+    flat = tables.reshape(len(tables), -1)
+    size = flat.shape[1]
+    keyed = (np.arange(len(flat))[:, None] << 32 | flat).ravel()  # by table, then y (images are u32)
+    entries = np.argsort(keyed, kind="stable")  # stable: b first, then x
+    _, first, counts = np.unique(keyed[entries], return_index=True, return_counts=True)
+    ends = entries[np.stack([first, first + counts - 1], axis=1)]
+    b, x = np.divmod(ends % size, size // 2)
+    amp = np.repeat(1.0 / np.sqrt(counts)[:, None], 2, axis=1)
+    amp[:, 1] *= counts - 1  # a lone preimage's amplitude counts once
+    return ends[:, 0] // size, flat.ravel()[ends[:, 0]], counts / size, b, x, amp
 
 
 def _cz_signs(n: int) -> np.ndarray:
@@ -432,15 +431,14 @@ def build_honest_model(
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
     # decoding scans nothing (it indexes each trapdoor's inverse); the cap
-    # bounds each coordinate's 2^(w+1)-entry key table, inverse and psi
+    # bounds each coordinate's 2^(w+1)-entry key table and inverse
     entcf.check_scan(params)
     thetas = protocol.thetas(protocol_kind, n)
-    keys, trapdoors, psi = {}, {}, {}
+    keys, trapdoors = {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs(protocol_kind, theta, n, params, rng)
-        psi[theta] = [_coord_y_support(key) for key in keys[theta]]
     questions = {q: question_measurement(protocol_kind, n, q) for q in protocol.questions(protocol_kind)}
-    return DeviceModel(protocol_kind, n, w, logical, thetas, keys, trapdoors, psi, questions, name="honest")
+    return DeviceModel(protocol_kind, n, w, logical, thetas, keys, trapdoors, None, questions, name="honest")
 
 
 def check_bitflip(protocol_kind: str, n: int, p: float) -> None:
@@ -455,7 +453,7 @@ def check_bitflip(protocol_kind: str, n: int, p: float) -> None:
 
 def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
     """Dilate the answer-bit flips into an environment register: the flip
-    pattern e lives in a product state beside the honest psi, and question q
+    pattern e lives in a product state beside the honest state, and question q
     measures in the basis kron(B_q, 1_env), whose column (u, e) answers
     u xor e; so P_q^u is sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
     check_bitflip(honest.protocol, honest.n, p)

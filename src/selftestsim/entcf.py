@@ -276,12 +276,9 @@ def support(key: PublicKey, b: int, x: int) -> frozenset:
     _check_x(key.params, x)
     if key.params.backend == "ideal":
         return frozenset({int(key.table[b, x])})
-    center = _lwe_center(key, b, x)
-    q, B, m = key.params.q, key.params.B, key.params.m
-    out = set()
-    for e in itertools.product(range(-B, B + 1), repeat=m):
-        out.add(tuple((center + np.array(e)) % q))
-    return frozenset(out)
+    B = key.params.B
+    offsets = np.array(list(itertools.product(range(-B, B + 1), repeat=key.params.m)))
+    return frozenset(map(tuple, ((_lwe_center(key, b, x) + offsets) % key.params.q).tolist()))
 
 
 def support_contains(key: PublicKey, b: int, x: int, y) -> bool:

@@ -366,7 +366,8 @@ class _VerifierBase:
     def _malformed(self, incoming) -> str | None:
         """Reject reason for a reply that is not the awaited message type
         with n_coords entries per field ("protocol"), or that has a field
-        entry outside its domain ("protocol.<field>"); None if well formed."""
+        entry outside its domain ("protocol.<field>": an ideal image is a u32,
+        a toylwe image's coordinates lie in [0, q)); None if well formed."""
         cls = _AWAITED[self.phase]
         if not isinstance(incoming, cls):
             return "protocol"
@@ -376,11 +377,11 @@ class _VerifierBase:
                 return "protocol"
         for name, kind in FIELDS[cls]:
             entries = getattr(incoming, name)
+            bound = {"bit": 2, "wbits": 2**self.params.w, "image": 2**32}[kind]
             if kind == "image" and self.params.backend == "toylwe":
                 if not all(isinstance(e, tuple) and len(e) == self.params.m for e in entries):
                     return f"protocol.{name}"
-                entries = [c for e in entries for c in e]
-            bound = {"bit": 2, "wbits": 2**self.params.w, "image": 2**32}[kind]
+                entries, bound = [c for e in entries for c in e], self.params.q  # reduced mod q
             for e in entries:
                 if not (isinstance(e, (int, np.integer)) and 0 <= e < bound):
                     return f"protocol.{name}"

@@ -164,7 +164,7 @@ def test_honest_soundness_distances():
 )
 def test_honest_reports_at_scale(kind, n, w, tmp_path, capsys):
     # models with up to 2,101,248 (y, d) labels per report at w=2; their
-    # class tables have a few dozen rows, and psi is never built over x
+    # class tables have a few dozen rows, and no state is built over x
     path = tmp_path / "report.json"
     argv = ["analyze", "--protocol", kind, "--n", str(n), "--w", str(w), "--seed", "7", "--report", str(path)]
     assert cli.main(argv) == 0

@@ -1,4 +1,5 @@
 """White-box analysis unit tests (the heavy suites live in test_acceptance)."""
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,6 +26,19 @@ def honest_dim():
     return analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
 
 
+def _triples(key):
+    """Oracle: one honest coordinate's (y, weight, support) triples, in y
+    order, from the trapdoor-free scans: the support at y lists its preimages
+    (b, x), b first, then x, each of mass 2^-(w+1) spread evenly over the
+    amplitudes."""
+    out = []
+    for y in entcf.image_iter(key):
+        pairs = entcf.preimages(key, y)
+        amp = 1.0 / np.sqrt(len(pairs))
+        out.append((y, len(pairs) * 2.0 ** -(key.params.w + 1), tuple((b, x, amp) for b, x in pairs)))
+    return out
+
+
 def _dense_state(support, w):
     """The (2, 2^w) state on qubit (x) x register of one image's (b, x,
     amplitude) support."""
@@ -47,11 +61,13 @@ def _hadamard_columns(trap, w):
 
 
 def test_psi_blocks_are_normalized(honest):
+    assert honest.psi is None  # a product-form model's state is read from its key tables
     for theta in honest.thetas:
-        # psi is a product over coordinates, so each factor has unit mass
-        for coord in honest.psi[theta]:
+        # the honest state is a product over coordinates, so each factor has unit mass
+        for key in honest.keys[theta]:
             mass = sum(
-                weight * np.sum(np.abs(_dense_state(support, honest.w)) ** 2) for _, weight, support in coord
+                weight * np.sum(np.abs(_dense_state(support, honest.w)) ** 2)
+                for _, weight, support in _triples(key)
             )
             assert mass == pytest.approx(1.0, abs=1e-12)
         mass = sum(np.vdot(v, v).real for v in _ref_psi(honest, theta).values())
@@ -254,7 +270,7 @@ def _never_called(*args, **kwargs):
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
     # dimtest N=1 w=17: past check_scan's cap, each coordinate would hold a
-    # 2^18-entry key table, its inverse and psi
+    # 2^18-entry key table and its inverse
     cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(17))
     with pytest.raises(DomainError, match="capped"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
@@ -399,15 +415,15 @@ def _ref_rank1(u, w):
 def _ref_psi(model, theta, n_y=None):
     """dict y -> psi block on logical (x) x for the first n_y y's (all when
     None), in y order: an explicit model's stored blocks, or a product-form
-    model's coordinate triples multiplied out with the CZ signs, one y at a
-    time."""
+    model's coordinate triples (_triples of its keys) multiplied out with the
+    CZ signs, one y at a time."""
     if model.d_meas is not None:
         return dict(itertools.islice(sorted(model.psi[theta].items()), n_y))
     L = model.logical
     cz = analysis._cz_signs(model.n) if protocol.paired(model.protocol) else np.ones(2**L)
     order = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))  # qubits, then x registers
     out = {}
-    for combo in itertools.islice(itertools.product(*model.psi[theta]), n_y):
+    for combo in itertools.islice(itertools.product(*map(_triples, model.keys[theta])), n_y):
         states = [_dense_state(support, model.w) for _, _, support in combo]
         tens = functools.reduce(np.multiply.outer, states)
         block = np.transpose(tens, order).reshape(2**L, -1) * cz[:, None]
@@ -652,7 +668,7 @@ def _ref_coord_classes(model, theta, i):
     coordinate at a time, each outcome decoded alone by the scalar decoders
     and the classes split off in a loop: the outcomes that share the first
     remaining one's code and, within 1e-12, its direction."""
-    coord, trap = model.psi[theta][i], model.trapdoors[theta][i]
+    coord, trap = _triples(model.keys[theta][i]), model.trapdoors[theta][i]
     b, x, amp = (np.array([[s[0][k], s[-1][k]] for _, _, s in coord]) for k in range(3))
     amp[:, 1] *= [len(s) - 1 for _, _, s in coord]
     t = x[:, 0] ^ x[:, 1]
@@ -707,21 +723,21 @@ def test_batched_classes_equal_the_per_coordinate_reference(kind, n):
 
 
 def test_classes_refuse_a_shared_code_with_two_directions():
-    """An injective image whose support carries the other b keeps its
-    decoded b-hat but leaves the other qubit direction: its outcome shares a
-    code with the row's other images and is not parallel to them."""
+    """An injective key whose public table swaps f_0(0) and f_1(0), under
+    the original trapdoor, puts each of the two images on the other b: its
+    decoded b-hat stays, so its outcome shares a code with the row's other
+    images and is not parallel to them."""
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
     theta = honest.thetas[0]
     i = next(i for i, trap in enumerate(honest.trapdoors[theta]) if trap.family == entcf.FAMILY_G)
-    psi = {key: list(coords) for key, coords in honest.psi.items()}
-    coord = list(psi[theta][i])
-    y, weight, ((b, x, amp),) = coord[0]
-    coord[0] = (y, weight, ((1 - b, x, amp),))
-    psi[theta][i] = coord
+    table = honest.keys[theta][i].table.copy()
+    table[0, 0], table[1, 0] = table[1, 0], table[0, 0]
+    keys = {key: list(coords) for key, coords in honest.keys.items()}
+    keys[theta][i] = dataclasses.replace(keys[theta][i], table=table)
     tampered = analysis.DeviceModel(
-        honest.protocol, honest.n, honest.w, honest.logical, honest.thetas, honest.keys, honest.trapdoors,
-        psi, honest.questions, name="tampered",
+        honest.protocol, honest.n, honest.w, honest.logical, honest.thetas, keys, honest.trapdoors,
+        None, honest.questions, name="tampered",
     )
     with pytest.raises(ModelError, match="not parallel"):
         tampered.class_table(theta)
@@ -756,9 +772,9 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=n, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(w))
     for theta in model.thetas:
-        for i, (trap, coord) in enumerate(zip(model.trapdoors[theta], model.psi[theta])):
+        for i, (trap, key) in enumerate(zip(model.trapdoors[theta], model.keys[theta])):
             want = {}
-            for y, weight, support in coord:
+            for y, weight, support in _triples(key):
                 state = _dense_state(support, w)
                 if trap.family == entcf.FAMILY_G:
                     rows = qsim.hadamard_matrix(w).T
@@ -780,20 +796,23 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
 
 
 def test_class_tables_of_a_wide_coordinate_stay_small():
-    # dimtest N=1 w=8: each image leaves one or two qubit vectors; dense
+    # dimtest N=1: each image leaves one or two qubit vectors; at w=8 dense
     # (2, 2^w) states times the Hadamard basis peaked near 26 MiB, and a
-    # grid of one matrix per image near 1 GB
-    tracemalloc.start()
-    try:
-        model = analysis.build_honest_model(
-            DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(8)), "dimtest", np.random.default_rng(7)
-        )
-        for theta in model.thetas:
-            model.class_table(theta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # grid of one matrix per image near 1 GB; at w=12 Python (y, weight,
+    # support) triples per image peaked near 8.8 MiB, the key tables read
+    # as arrays near 4.2 MiB
+    for w, mib in ((8, 4), (12, 6)):
+        tracemalloc.start()
+        try:
+            model = analysis.build_honest_model(
+                DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(w)), "dimtest", np.random.default_rng(7)
+            )
+            for theta in model.thetas:
+                model.class_table(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, w
 
 
 def test_soundness_distances_stay_small():
@@ -839,16 +858,19 @@ def test_honest_model_is_built_from_the_public_table(monkeypatch):
 @pytest.mark.parametrize("w", [2, 3, 4])
 @pytest.mark.parametrize("family", [entcf.FAMILY_F, entcf.FAMILY_G])
 def test_coord_y_support_matches_the_preimage_scan(family, w):
-    """Oracle: each image's support is its preimage scan, in order, with
-    mass 2^-(w+1) per preimage spread evenly over the amplitudes."""
+    """Oracle: each image's first and last preimage are those of its
+    preimage scan, in order, with mass 2^-(w+1) per preimage spread evenly
+    over the amplitudes; a lone preimage is padded with amplitude 0."""
     for seed in range(3):
         key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(w), np.random.default_rng(seed))
-        coord = analysis._coord_y_support(key)
-        assert [y for y, _, _ in coord] == entcf.image_iter(key)
-        for y, weight, support in coord:
-            assert [(b, x) for b, x, _ in support] == entcf.preimages(key, y)
-            assert weight == len(support) * 2.0 ** -(w + 1)
-            assert [amp for _, _, amp in support] == [1.0 / np.sqrt(len(support))] * len(support)
+        owner, ys, weights, bs, xs, amps = analysis._honest_images(np.stack([key.table, key.table]))
+        assert owner.tolist() == [0] * (ys.size // 2) + [1] * (ys.size // 2)
+        assert ys.tolist() == entcf.image_iter(key) * 2
+        for y, weight, b, x, amp in zip(ys.tolist(), weights, bs.tolist(), xs.tolist(), amps.tolist()):
+            scan = entcf.preimages(key, y)
+            assert list(zip(b, x)) == [scan[0], scan[-1]]
+            assert weight == len(scan) * 2.0 ** -(w + 1)
+            assert amp == [1.0 / np.sqrt(len(scan)), (len(scan) - 1) / np.sqrt(len(scan))]
 
 
 def test_first_min_breaks_ties_by_order_not_round_off():

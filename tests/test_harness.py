@@ -642,7 +642,7 @@ def test_cli_analyze_over_budget_is_one_error_line(capsys, monkeypatch):
         # selftest bitflip at N=3 w=2: V has 2^6 * (2^6 * 2^6)^2 = 2^30 entries
         ["--n", "3", "--w", "2", "--model", "bitflip=0.1"],
         # dimtest honest at N=1 w=17: past check_scan's cap, each coordinate
-        # would hold a 2^18-entry key table, its inverse and psi
+        # would hold a 2^18-entry key table and its inverse
         ["--protocol", "dimtest", "--n", "1", "--w", "17", "--model", "honest"],
         # selftest random at N=5: V has 2^10 * (2^10)^2 = 2^30 entries
         ["--n", "5", "--model", "random"],

@@ -485,10 +485,14 @@ def test_ideal_image_outside_u32_rejects(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [2**70, "abc", b"x", None, (1, 2), [1, 2, 3], (1, 2, 2**32), (1, 2, -1)],
-    ids=["2^70", "str", "bytes", "None", "2-tuple", "list", "entry-2^32", "entry-negative"],
+    [2**70, "abc", b"x", None, (1, 2), [1, 2, 3], (1, 2, 2**32), (1, 2, -1), (1, 2, 16), (1, 2, 2**32 - 1)],
+    ids=[
+        "2^70", "str", "bytes", "None", "2-tuple", "list", "entry-2^32", "entry-negative", "entry-q",
+        "entry-2^32-1",
+    ],
 )
 def test_toylwe_image_outside_codec_domain_rejects(bad):
+    # a coordinate must be reduced mod q (16): y_i + q would decode like y_i
     assert _images_reply(TOYLWE, bad, (0, 0, 0), seeds=range(4)) == {
         protocol.Verdict(accept=0, reason="protocol.y")
     }
@@ -501,7 +505,7 @@ def test_image_domain_edges_still_accepted():
     )
     assert all(
         isinstance(out, protocol.RoundType)
-        for out in _images_reply(TOYLWE, (0, np.int64(5), 2**32 - 1), (0, 0, 0), seeds=range(4))
+        for out in _images_reply(TOYLWE, (0, np.int64(5), TOYLWE.q - 1), (0, 0, 0), seeds=range(4))
     )
 
 
