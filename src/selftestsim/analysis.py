@@ -131,7 +131,7 @@ class Measurement:
     answers labels[j]. `outcomes` are the distinct labels, sorted, and
     projectors[k], built once, is the sum of |b_j><b_j| over the columns j
     that answer outcomes[k]. A basis that is not square and orthonormal is
-    refused. basis and projectors are read-only."""
+    refused. basis, projectors and observables are read-only and kept on the instance."""
 
     def __init__(self, basis: np.ndarray, labels):
         self.labels = list(labels)
@@ -152,9 +152,11 @@ class Measurement:
         then a row-wise dot taken, so a row P_k annihilates has mass 0.0."""
         return np.einsum("...d,...d->...", rows.conj(), rows @ self.projectors.swapaxes(1, 2)).real
 
-    def observable(self, i: int) -> np.ndarray:
-        """The +-1 observable of answer bit i, sum_k (-1)^(outcomes[k][i]) P_k."""
-        return np.tensordot([1.0 - 2.0 * u[i] for u in self.outcomes], self.projectors, axes=1)
+    @functools.cached_property
+    def observables(self) -> np.ndarray:
+        """observables[i] is answer bit i's +-1 observable, sum_k (-1)^(outcomes[k][i]) P_k."""
+        signs = [[1.0 - 2.0 * u[i] for u in self.outcomes] for i in range(len(self.outcomes[0]))]
+        return _frozen(np.array([np.tensordot(sign, self.projectors, axes=1) for sign in signs]))
 
 
 @dataclass(frozen=True)
@@ -246,12 +248,6 @@ class DeviceModel:
             self.protocol, self.n, self.w, self.logical, self.thetas, self.keys, self.trapdoors,
             self.psi, questions, d_meas=self.d_meas, preimage=self.preimage, env=env, name=name,
         )
-
-    def Z(self, i: int) -> np.ndarray:
-        return self.questions[0].observable(i)
-
-    def X(self, i: int) -> np.ndarray:
-        return self.questions[1].observable(i)
 
     def outcome_masses(self, theta, q: int) -> np.ndarray:
         """questions[q].masses of theta's class rows, computed once."""
@@ -413,10 +409,11 @@ def _honest_images(tables: np.ndarray):
     return ends[:, 0] // size, flat.ravel()[ends[:, 0]], counts / size, b, x, amp
 
 
+@functools.lru_cache(maxsize=None)
 def _cz_signs(n: int) -> np.ndarray:
-    """(-1)^(sum_i q_i q_(N+i)) over the 2N-qubit computational basis."""
+    """(-1)^(sum_i q_i q_(N+i)) over the 2N-qubit computational basis, read-only."""
     bits = (np.arange(2 ** (2 * n))[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * (np.sum(bits[:, :n] & bits[:, n:], axis=1) % 2)
+    return _frozen(1.0 - 2.0 * (np.sum(bits[:, :n] & bits[:, n:], axis=1) % 2))
 
 
 def build_honest_model(
@@ -641,7 +638,8 @@ def failure_report(model: DeviceModel) -> FailureReport:
     that decoding's summed mass; a decoding whose mass is exactly 0.0 adds
     nothing whatever its verdict, and is skipped. A (theta, question)'s
     (outcomes, decodings) masses are one product of its outcome masses with
-    the rows x decodings indicator of the table's index.
+    the rows x decodings indicator of the table's index; one row-major
+    nonzero scan lists the cells to judge, in the order they are summed.
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
@@ -652,14 +650,12 @@ def failure_report(model: DeviceModel) -> FailureReport:
         indicator = np.eye(len(table.decodings))[table.index]
         for q in questions:
             masses = model.outcome_masses(theta, q) @ indicator
-            for u, mass in zip(model.questions[q].outcomes, masses):
-                for k in np.flatnonzero(mass):
-                    bhat, hhat = table.decodings[k]
-                    verdict = protocol.hadamard_verdict(
-                        model.protocol, model.n, theta, q, u, list(bhat), list(hhat)
-                    )
-                    if verdict.accept:
-                        accept[q] += float(mass[k])
+            cells = np.nonzero(masses)
+            for r, k, mass in zip(*(c.tolist() for c in cells), masses[cells].tolist()):
+                bhat, hhat = table.decodings[k]
+                u = model.questions[q].outcomes[r]
+                if protocol.hadamard_verdict(model.protocol, model.n, theta, q, u, [*bhat], [*hhat]).accept:
+                    accept[q] += mass
     eps_h = {q: 1.0 - accept[q] / n_thetas for q in questions}
     return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h))
 
@@ -720,7 +716,7 @@ def swap_isometry(model: DeviceModel) -> np.ndarray:
     Built once per model and cached on it; callers must not modify it."""
     if model._swap_cache is None:
         L, dim = model.logical, model.dim
-        xs = [model.X(i) for i in range(L)]
+        xs = model.questions[1].observables
         v = np.zeros((2**L, dim, dim), dtype=complex)
         for u, term in zip(model.questions[0].outcomes, model.questions[0].projectors):
             for i in reversed(range(L)):
@@ -731,6 +727,12 @@ def swap_isometry(model: DeviceModel) -> np.ndarray:
     return model._swap_cache
 
 
+@functools.lru_cache(maxsize=None)
+def _einsum_path(spec: str, *shapes) -> tuple:
+    """The contraction order np.einsum's optimize=True picks for spec, searched once per operand shapes."""
+    return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize=True)[0])
+
+
 def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     """Deviations for V'V = 1, V'(Z_k x 1)V = Z_k, and agreement of V with
     the circuit: Hadamard layer on the ancilla, controlled-Z_i layer,
@@ -739,12 +741,13 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     L = model.logical
     dim = model.dim
     v = swap_isometry(model)
-    zs, xs = [model.Z(k) for k in range(L)], [model.X(k) for k in range(L)]
+    zs, xs = model.questions[0].observables, model.questions[1].observables
     vtv_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
     # anc_bits[k, a] is ancilla qubit k of row a, qubit 0 most significant
     anc_bits = (np.arange(2**L)[None, :] >> np.arange(L - 1, -1, -1)[:, None]) & 1
     v_rows = v.reshape(2**L, dim, dim)
-    zk = np.einsum("ka,aji,ajl->kil", 1.0 - 2.0 * anc_bits, v_rows.conj(), v_rows, optimize=True)
+    spec, operands = "ka,aji,ajl->kil", (1.0 - 2.0 * anc_bits, v_rows.conj(), v_rows)
+    zk = np.einsum(spec, *operands, optimize=_einsum_path(spec, *(a.shape for a in operands)))
     zk_dev = max(float(np.max(np.abs(zk[k] - zs[k]))) for k in range(L))
     h_layer = qsim.hadamard_matrix(L)
     circ_dev = 0.0
@@ -765,6 +768,13 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 # tau states and soundness distances
 # ---------------------------------------------------------------------------
+
+def _unique_v(vs: np.ndarray, **kwargs):
+    """np.unique(vs, axis=0, return_index=True, **kwargs) of rows of v bits, by one
+    np.unique of the rows read as integers, first bit most significant."""
+    _, first, *rest = np.unique(vs @ (1 << np.arange(vs.shape[1] - 1, -1, -1)), return_index=True, **kwargs)
+    return vs[first], first, *rest
+
 
 @functools.lru_cache(maxsize=None)
 def tau_vector(protocol_kind: str, n: int, theta, v: tuple) -> np.ndarray:
@@ -808,9 +818,8 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     L, dim = model.logical, model.dim
     v_iso = swap_isometry(model)
     table = model.class_table(theta)
-    blocks, vs = table.blocks, table.block_v
-    v_rows, row_v = np.unique(vs, axis=0, return_inverse=True)
-    row_v = row_v.ravel()
+    blocks = table.blocks
+    v_rows, _, row_v = _unique_v(table.block_v, return_inverse=True)
     v_keys = [tuple(int(b) for b in row) for row in v_rows]
     taus = np.array([tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex)
     taus = taus.reshape(-1, 2**L)[row_v]
@@ -882,7 +891,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
     v_iso = swap_isometry(model)
     table = model.class_table(THETA_ALL_G)
     mass = _mass(table.blocks)
-    v_rows, start, count = np.unique(table.block_v, axis=0, return_index=True, return_counts=True)
+    v_rows, start, count = _unique_v(table.block_v, return_counts=True)
     projs = model.questions[1].projectors
     n_meas = len(projs)
     # the weights of the factor columns V m_u, then e_j (x) a, for a block of unit mass

@@ -174,9 +174,12 @@ def x_to_z(x, params: EntcfParams) -> np.ndarray:
     return (x >> (_lwe_bits(params.q) * np.arange(params.n))) & (params.q - 1)
 
 
+@functools.lru_cache(maxsize=16)
 def _domain(params: EntcfParams) -> np.ndarray:
-    """The (2^w, n) array whose row x is x_to_z(x)."""
-    return x_to_z(np.arange(2**params.w)[:, None], params)
+    """The (2^w, n) array whose row x is x_to_z(x), cached and read-only."""
+    domain = x_to_z(np.arange(2**params.w)[:, None], params)
+    domain.flags.writeable = False
+    return domain
 
 
 def z_to_x(z: np.ndarray, params: EntcfParams) -> int:

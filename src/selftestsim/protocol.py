@@ -18,6 +18,7 @@ cause, so undecodable-d rejections are distinguishable in statistics.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -121,11 +122,12 @@ def thetas(kind: str, n: int) -> tuple:
     return (*range(n), THETA_ALL_G)
 
 
-def families(kind: str, theta, n: int) -> list[str]:
+@functools.lru_cache(maxsize=256)
+def families(kind: str, theta, n: int) -> tuple[str, ...]:
     """Key family per coordinate: F on the claw coordinate(s), G elsewhere."""
     if theta == THETA_DIAMOND:
-        return [entcf.FAMILY_F] * n_coords(kind, n)
-    return [entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(n_coords(kind, n))]
+        return (entcf.FAMILY_F,) * n_coords(kind, n)
+    return tuple(entcf.FAMILY_F if i == theta else entcf.FAMILY_G for i in range(n_coords(kind, n)))
 
 
 def keypairs(kind: str, theta, n: int, params: entcf.EntcfParams, rng: np.random.Generator):
@@ -139,8 +141,9 @@ def questions(kind: str) -> tuple:
     return (0, 1, 2, 3) if paired(kind) else (0, 1)
 
 
-def question_bases(kind: str, n: int, q: int) -> list[str]:
-    """Per-coordinate measurement basis for question q.
+@functools.lru_cache(maxsize=256)
+def question_bases(kind: str, n: int, q: int) -> tuple[str, ...]:
+    """Per-coordinate measurement basis for question q, cached.
 
     Self-test (2n coordinates): q=0 all computational, q=1 all Hadamard,
     q=2 first n computational / last n Hadamard, q=3 the reverse. Dimension
@@ -149,10 +152,10 @@ def question_bases(kind: str, n: int, q: int) -> list[str]:
     if q not in questions(kind):
         raise ParameterError(f"bad question {q}")
     if not paired(kind):
-        return [_HAD if q else _COMP] * n
+        return (_HAD if q else _COMP,) * n
     first = _COMP if q in (0, 2) else _HAD
     second = _COMP if q in (0, 3) else _HAD
-    return [first] * n + [second] * n
+    return (first,) * n + (second,) * n
 
 
 def theta_class(kind: str, theta, n: int) -> str:

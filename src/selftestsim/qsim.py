@@ -8,6 +8,8 @@ v standing for the rank-one operator v v-dagger.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, SelfTestError
@@ -17,11 +19,14 @@ ATOL = 1e-10
 CHUNK_ENTRIES = 2**14
 
 
+@functools.lru_cache(maxsize=16)
 def hadamard_matrix(nbits: int) -> np.ndarray:
+    """The 2^nbits x 2^nbits Hadamard transform, cached and read-only."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     out = np.array([[1.0]], dtype=complex)
     for _ in range(nbits):
         out = np.kron(out, h)
+    out.flags.writeable = False
     return out
 
 

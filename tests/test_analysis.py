@@ -1,9 +1,12 @@
 """White-box analysis unit tests (the heavy suites live in test_acceptance)."""
+import argparse
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +129,13 @@ def test_bitflip_projectors_are_shifted_honest_projectors(honest):
 
 def test_marginal_observables_commute_and_square(honest):
     eye = np.eye(honest.dim)
+    zs, xs = honest.questions[0].observables, honest.questions[1].observables
     for i in range(honest.logical):
-        for obs in (honest.Z(i), honest.X(i)):  # Hermitian binary observables
+        for obs in (zs[i], xs[i]):  # Hermitian binary observables
             assert np.allclose(obs, obs.conj().T, atol=1e-9)
             assert np.allclose(obs @ obs, eye, atol=1e-9)
         for j in range(honest.logical):
-            comm = honest.Z(i) @ honest.Z(j) - honest.Z(j) @ honest.Z(i)
+            comm = zs[i] @ zs[j] - zs[j] @ zs[i]
             assert np.max(np.abs(comm)) < 1e-12  # [Z_i, Z_j] = 0 exactly
 
 
@@ -962,6 +966,86 @@ def test_failure_report_skips_decodings_without_mass(monkeypatch):
     assert len(calls) == 912 + 2560
     assert (report.eps_P, report.eps_H, report.eps) == (0.0, eps_h, protocol.eps(0.0, eps_h))
     assert all(abs(e) <= 1e-15 for e in eps_h.values())
+
+
+def _ref_failure_report(model):
+    """(failure_report, verdicts taken) with the per-outcome scan: one
+    np.flatnonzero per row of each (theta, q) masses @ indicator matrix."""
+    n_thetas = len(model.thetas)
+    eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
+    accept = dict.fromkeys(sorted(model.questions), 0.0)
+    verdicts = 0
+    for theta in model.thetas:
+        table = model.class_table(theta)
+        indicator = np.eye(len(table.decodings))[table.index]
+        for q in accept:
+            masses = model.outcome_masses(theta, q) @ indicator
+            for u, mass in zip(model.questions[q].outcomes, masses):
+                for k in np.flatnonzero(mass):
+                    verdicts += 1
+                    bhat, hhat = table.decodings[k]
+                    if protocol.hadamard_verdict(model.protocol, model.n, theta, q, u, list(bhat), list(hhat)).accept:
+                        accept[q] += float(mass[k])
+    eps_h = {q: 1.0 - a / n_thetas for q, a in accept.items()}
+    return analysis.FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h)), verdicts
+
+
+def _cli_model(kind, model, n, w, seed):
+    args = argparse.Namespace(protocol=kind, model=model, n=n, w=w)
+    return cli._build_model(args, np.random.default_rng(seed))
+
+
+FAILURE_SCAN_CASES = [
+    *(("selftest", model, 1) for model in ("honest", "bitflip=0.1", "wrongbasis", "random")),
+    *(("dimtest", model, 3) for model in ("honest", "classical")),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("kind,name,n", FAILURE_SCAN_CASES)
+def test_failure_scan_matches_the_per_row_scan(kind, name, n, seed, monkeypatch):
+    """One nonzero scan of each masses matrix gives the per-row scan's
+    report bit for bit, with one verdict per cell that carries mass."""
+    model = _cli_model(kind, name, n, 2, seed)
+    calls = []
+    verdict = protocol.hadamard_verdict
+    monkeypatch.setattr(protocol, "hadamard_verdict", lambda *args: calls.append(args) or verdict(*args))
+    got = analysis.failure_report(model)
+    scanned = len(calls)
+    want, cells = _ref_failure_report(model)
+    assert scanned == cells > 0
+    assert (got.eps_P, got.eps_H, got.eps) == (want.eps_P, want.eps_H, want.eps)
+
+
+def test_no_cache_keeps_a_model_alive():
+    """Every cache keyed on a model or a Measurement lives on it, so a model
+    and its measurements are freed once a report on it is done."""
+    refs = []
+    for model in (_cli_model("selftest", "bitflip=0.1", 1, 2, 0), _cli_model("dimtest", "classical", 3, 2, 0)):
+        analysis.analysis_report(model, np.random.default_rng(1))
+        measurements = [*model.questions.values(), *(model.d_meas or {}).values()]
+        refs += [weakref.ref(obj) for obj in (model, *measurements)]
+    del model, measurements
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_cached_arrays_are_read_only_and_reports_do_not_share_state(tmp_path):
+    cached = [
+        qsim.hadamard_matrix(2),
+        analysis._cz_signs(1),
+        analysis.question_measurement("selftest", 1, 1).observables,
+        _cli_model("selftest", "bitflip=0.1", 1, 2, 0).questions[0].observables,
+        entcf._domain(entcf.EntcfParams.toylwe(1, 3, 16, 1)),
+    ]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+    first = ["analyze", "--protocol", "selftest", "--n", "1", "--w", "2", "--model", "honest", "--seed", "0"]
+    other = ["analyze", "--protocol", "dimtest", "--n", "3", "--w", "2", "--model", "classical", "--seed", "0"]
+    for k, argv in enumerate((first, other, first)):
+        assert cli.main([*argv, "--report", str(tmp_path / f"{k}.json")]) == 0
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -23,12 +23,12 @@ def test_partner_involution():
 
 
 def test_families_per_theta():
-    assert protocol.families("selftest", 0, 2) == ["F", "G", "G", "G"]
-    assert protocol.families("selftest", 3, 2) == ["G", "G", "G", "F"]
-    assert protocol.families("selftest", THETA_ALL_G, 2) == ["G"] * 4
-    assert protocol.families("selftest", THETA_DIAMOND, 2) == ["F"] * 4
-    assert protocol.families("dimtest", 1, 3) == ["G", "F", "G"]
-    assert protocol.families("dimtest", THETA_ALL_G, 3) == ["G"] * 3
+    assert protocol.families("selftest", 0, 2) == ("F", "G", "G", "G")
+    assert protocol.families("selftest", 3, 2) == ("G", "G", "G", "F")
+    assert protocol.families("selftest", THETA_ALL_G, 2) == ("G",) * 4
+    assert protocol.families("selftest", THETA_DIAMOND, 2) == ("F",) * 4
+    assert protocol.families("dimtest", 1, 3) == ("G", "F", "G")
+    assert protocol.families("dimtest", THETA_ALL_G, 3) == ("G",) * 3
 
 
 # ---------------------------------------------------------------------------

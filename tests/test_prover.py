@@ -36,12 +36,12 @@ def drive_hadamard(p, keys, q):
 
 
 def test_question_bases_patterns():
-    assert question_bases("selftest", 2, 0) == ["computational"] * 4
-    assert question_bases("selftest", 2, 1) == ["hadamard"] * 4
-    assert question_bases("selftest", 2, 2) == ["computational"] * 2 + ["hadamard"] * 2
-    assert question_bases("selftest", 2, 3) == ["hadamard"] * 2 + ["computational"] * 2
-    assert question_bases("dimtest", 3, 1) == ["hadamard"] * 3
-    assert question_bases("dimtest", 3, 0) == ["computational"] * 3
+    assert question_bases("selftest", 2, 0) == ("computational",) * 4
+    assert question_bases("selftest", 2, 1) == ("hadamard",) * 4
+    assert question_bases("selftest", 2, 2) == ("computational",) * 2 + ("hadamard",) * 2
+    assert question_bases("selftest", 2, 3) == ("hadamard",) * 2 + ("computational",) * 2
+    assert question_bases("dimtest", 3, 1) == ("hadamard",) * 3
+    assert question_bases("dimtest", 3, 0) == ("computational",) * 3
     with pytest.raises(ParameterError):
         question_bases("selftest", 1, 4)
     with pytest.raises(ParameterError):
