@@ -23,12 +23,13 @@ a decoding class. theta uses the protocol module's encoding.
 
 Every question, d and preimage measurement is a Measurement: an orthonormal
 basis whose columns carry outcome labels. The failure, gamma, zeta and chi
-reports all read one array of outcome masses <row|P_u|row> per (theta,
-question): a gamma term is the Sigma mass whose answer bits agree with v, a
-zeta or chi term four times the Sigma mass on which they disagree; the
-failure report sums them per decoding with one product. soundness_distance
-stacks a question's branches P_u b and lifts them a chunk of outcomes at a
-time, a chunk's arrays together within qsim.CHUNK_ENTRIES entries.
+reports all read outcome masses <row|P_u|row>, one masses call per question
+over every theta's rows: a gamma term is the Sigma mass whose answer bits
+agree with v, a zeta or chi term four times the Sigma mass on which they
+disagree; the failure report sums them per decoding with one product.
+soundness_distance stacks the Sigma rows of a group of thetas and lifts them
+at once, and their branches P_u b a chunk of outcomes at a time, within
+qsim.CHUNK_ENTRIES entries; each theta keeps the sums it has alone.
 """
 from __future__ import annotations
 
@@ -149,8 +150,12 @@ class Measurement:
 
     def masses(self, rows: np.ndarray) -> np.ndarray:
         """(outcomes, rows) array of <b|P_k|b> for each row b: P_k is applied,
-        then a row-wise dot taken, so a row P_k annihilates has mass 0.0."""
-        return np.einsum("...d,...d->...", rows.conj(), rows @ self.projectors.swapaxes(1, 2)).real
+        then a row-wise dot taken, so a row P_k annihilates has mass 0.0. The
+        projectors are applied a chunk at a time, each chunk's product within
+        qsim.CHUNK_ENTRIES entries (at least one projector)."""
+        step, projs = max(1, qsim.CHUNK_ENTRIES // max(rows.size, 1)), self.projectors.swapaxes(1, 2)
+        applied = (rows @ projs[k : k + step] for k in range(0, len(projs), step))
+        return np.concatenate([np.einsum("...d,...d->...", rows.conj(), chunk) for chunk in applied]).real
 
     @functools.cached_property
     def observables(self) -> np.ndarray:
@@ -240,6 +245,7 @@ class DeviceModel:
         self._masses: dict = {}
         self._t_cache: dict = {}
         self._swap_cache: np.ndarray | None = None
+        self._soundness: dict | None = None
 
     def derived(self, questions: dict, env: np.ndarray, name: str) -> "DeviceModel":
         """This device with other question measurements and environment; the
@@ -250,10 +256,14 @@ class DeviceModel:
         )
 
     def outcome_masses(self, theta, q: int) -> np.ndarray:
-        """questions[q].masses of theta's class rows, computed once."""
-        if (theta, q) not in self._masses:
-            self._masses[theta, q] = _frozen(self.questions[q].masses(self.class_table(theta).rows))
-        return self._masses[theta, q]
+        """questions[q].masses of theta's class rows: a read-only column slice
+        of one masses call over every theta's rows, made once per question."""
+        if q not in self._masses:
+            rows = [self.class_table(t).rows for t in self.thetas]
+            masses = _frozen(self.questions[q].masses(np.concatenate(rows)))
+            bounds = [0, *itertools.accumulate(map(len, rows))]
+            self._masses[q] = {t: masses[:, lo:hi] for t, lo, hi in zip(self.thetas, bounds, bounds[1:])}
+        return self._masses[q][theta]
 
     # -- sigma rows ------------------------------------------------------------
     def class_table(self, theta) -> ClassTable:
@@ -736,10 +746,9 @@ def _einsum_path(spec: str, *shapes) -> tuple:
 def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     """Deviations for V'V = 1, V'(Z_k x 1)V = Z_k, and agreement of V with
     the circuit: Hadamard layer on the ancilla, controlled-Z_i layer,
-    Hadamard layer, controlled-X_i layer, applied to random states held as
-    (2^L, dim) arrays whose row a is ancilla basis state a."""
-    L = model.logical
-    dim = model.dim
+    Hadamard layer, controlled-X_i layer, applied to three random states held
+    as one (3, 2^L, dim) stack whose row a is ancilla basis state a."""
+    L, dim = model.logical, model.dim
     v = swap_isometry(model)
     zs, xs = model.questions[0].observables, model.questions[1].observables
     vtv_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
@@ -749,19 +758,17 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     spec, operands = "ka,aji,ajl->kil", (1.0 - 2.0 * anc_bits, v_rows.conj(), v_rows)
     zk = np.einsum(spec, *operands, optimize=_einsum_path(spec, *(a.shape for a in operands)))
     zk_dev = max(float(np.max(np.abs(zk[k] - zs[k]))) for k in range(L))
-    h_layer = qsim.hadamard_matrix(L)
-    circ_dev = 0.0
-    for _ in range(3):
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        rows = np.zeros((2**L, dim), dtype=complex)
-        rows[0] = state
-        for paulis in (zs, xs):
-            rows = h_layer @ rows
-            for i in range(L):
-                on = anc_bits[i] == 1
-                rows[on] = rows[on] @ paulis[i].T
-        circ_dev = max(circ_dev, float(np.max(np.abs(rows.ravel() - v @ state))))
+    states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(3)]
+    states = [state / np.linalg.norm(state) for state in states]
+    rows = np.zeros((3, 2**L, dim), dtype=complex)
+    rows[:, 0] = states
+    for paulis in (zs, xs):
+        rows = qsim.hadamard_matrix(L) @ rows
+        for i in range(L):
+            # a view of the rows with ancilla qubit i set, multiplied as one (2^(L-1), dim) matrix per state
+            on = rows.reshape(3, 2**i, 2, -1, dim)[:, :, 1]
+            on[...] = (on.reshape(3, -1, dim) @ paulis[i].T).reshape(on.shape)
+    circ_dev = float(np.max(np.abs(rows.reshape(3, -1) - [v @ state for state in states])))
     return {"vtv": vtv_dev, "zk": zk_dev, "circuit": circ_dev}
 
 
@@ -770,10 +777,10 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 def _unique_v(vs: np.ndarray, **kwargs):
-    """np.unique(vs, axis=0, return_index=True, **kwargs) of rows of v bits, by one
-    np.unique of the rows read as integers, first bit most significant."""
+    """np.unique(vs, axis=0, return_index=True, **kwargs) of rows of v bits, the rows as
+    tuples, by one np.unique of the rows read as integers, first bit most significant."""
     _, first, *rest = np.unique(vs @ (1 << np.arange(vs.shape[1] - 1, -1, -1)), return_index=True, **kwargs)
-    return vs[first], first, *rest
+    return list(map(tuple, vs[first].tolist())), first, *rest
 
 
 @functools.lru_cache(maxsize=None)
@@ -804,40 +811,53 @@ def question_measurement(protocol_kind: str, n: int, q: int) -> Measurement:
 
 def soundness_distance(model: DeviceModel, theta) -> dict:
     """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1 and
-    the post-measurement analogues per question.
+    the post-measurement analogues per question. The first call computes
+    every theta's and caches them on the model; do not modify the result.
 
-    Every Sigma-assigned row of theta's class table is lifted by one matmul
-    against the swap isometry; each row contributes a rank-one difference
-    whose trace norm comes from qsim.trace_norm_diff_rank1 over the stacked
-    rows. A question's branches P_u b are stacked as (outcomes, rows, dim)
-    and lifted by one product per chunk of outcomes, with one
-    trace_norm_diff_rank1 call: at least one outcome, and as many as keep the
-    four chunk-sized arrays alive at once (lifted branches, targets and that
-    call's two temporaries) within qsim.CHUNK_ENTRIES entries.
+    Thetas are stacked in groups, as many as keep four arrays of their
+    lifted rows within qsim.CHUNK_ENTRIES entries, or one. A group's Sigma
+    rows are lifted by one matmul against the swap isometry, with one
+    qsim.trace_norm_diff_rank1 call for their rank-one differences; a
+    question's branches P_u b likewise, a chunk of outcomes at a time: at
+    least one, and as many as keep four chunk-sized arrays (lifted branches,
+    targets and that call's two temporaries) within qsim.CHUNK_ENTRIES
+    entries. A theta's sums keep the order they have in a group of it alone:
+    per_v is a bincount over its rows, post_measurement[q] one np.sum per
+    chunk it would have alone, over its branches in (outcome, row) order.
     """
+    if model._soundness is None:
+        model._soundness, width = {}, 2**model.logical * model.dim
+        rows = max(len(model.class_table(t).blocks) for t in model.thetas)
+        per = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
+        for lo in range(0, len(model.thetas), per):
+            model._soundness.update(_soundness_group(model, model.thetas[lo : lo + per]))
+    return model._soundness[theta]
+
+
+def _soundness_group(model: DeviceModel, thetas: list) -> dict:
+    """theta -> soundness_distance for one group of thetas."""
     L, dim = model.logical, model.dim
     v_iso = swap_isometry(model)
-    table = model.class_table(theta)
-    blocks = table.blocks
-    v_rows, _, row_v = _unique_v(table.block_v, return_inverse=True)
-    v_keys = [tuple(int(b) for b in row) for row in v_rows]
-    taus = np.array([tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex)
-    taus = taus.reshape(-1, 2**L)[row_v]
-    lifted = (blocks @ v_iso.T).reshape(-1, 2**L, dim)
-    alpha = np.einsum("kl,kld->kd", taus.conj(), lifted)
-    target = taus[:, :, None] * alpha[:, None, :]
-    rows = blocks.shape[0]
-    dists = qsim.trace_norm_diff_rank1(lifted.reshape(rows, -1), target.reshape(rows, -1))
-    per_v = dict(zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)).tolist()))
-    post = {}
-    width = v_iso.shape[0]
+    tables = [model.class_table(theta) for theta in thetas]
+    blocks = np.concatenate([table.blocks for table in tables])
+    v_sets = [_unique_v(table.block_v, return_inverse=True) for table in tables]
+    taus = np.concatenate([  # [r]: the ideal state of row r's (theta, v)
+        np.array([tau_vector(model.protocol, model.n, t, v) for v in keys], dtype=complex)
+        .reshape(-1, 2**L)[row_v] for t, (keys, _, row_v) in zip(thetas, v_sets)
+    ])
+    lifted = blocks @ v_iso.T
+    alpha = np.einsum("kl,kld->kd", taus.conj(), lifted.reshape(-1, 2**L, dim))
+    dists = qsim.trace_norm_diff_rank1(lifted, (taus[:, :, None] * alpha[:, None, :]).reshape(lifted.shape))
+    rows, width = lifted.shape
+    del lifted  # freed before the branches are lifted, as the four chunk arrays assume
     step = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
+    post = {}  # q -> (outcomes, rows) trace norms of the branches
     for q in sorted(model.questions):
         meas = model.questions[q]
         ideal = question_measurement(model.protocol, model.n, q).basis
         ideal = ideal[:, [bits_to_int(u) for u in meas.outcomes]].T  # [k]: outcome k's ideal column
         overlap = ideal.conj() @ taus.T  # [k, r]: <ideal_k|tau_r>
-        post[q] = 0.0
+        post[q] = np.empty((len(ideal), rows))
         for lo in range(0, len(ideal), step):
             k = slice(lo, lo + step)
             measured = blocks @ meas.projectors[k].swapaxes(1, 2)  # [k, r]: P_k b_r
@@ -846,8 +866,16 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
             coef = ideal[k, None, :] * overlap[k, :, None]  # [k, r]: ideal_k <ideal_k|tau_r>
             target = (coef[..., None] * alpha[:, None, :]).reshape(-1, width)
             # the lift is a temporary: it is freed before the next chunk's is made
-            post[q] += float(np.sum(qsim.trace_norm_diff_rank1(measured.reshape(-1, dim) @ v_iso.T, target)))
-    return {"per_v": per_v, "total": float(sum(per_v.values())), "post_measurement": post}
+            dist = qsim.trace_norm_diff_rank1(measured.reshape(-1, dim) @ v_iso.T, target)
+            post[q][k] = dist.reshape(-1, rows)
+    out, bounds = {}, [0, *itertools.accumulate(len(table.blocks) for table in tables)]
+    for theta, (keys, _, row_v), lo, hi in zip(thetas, v_sets, bounds, bounds[1:]):
+        per_v = dict(zip(keys, np.bincount(row_v, weights=dists[lo:hi], minlength=len(keys)).tolist()))
+        step, sums = max(1, qsim.CHUNK_ENTRIES // max(4 * (hi - lo) * width, 1)), dict.fromkeys(post, 0.0)
+        for q, k in [(q, k) for q in post for k in range(0, len(post[q]), step)]:
+            sums[q] += float(np.sum(post[q][k : k + step, lo:hi].ravel()))
+        out[theta] = {"per_v": per_v, "total": float(sum(per_v.values())), "post_measurement": sums}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -891,17 +919,16 @@ def dimension_certificate(model: DeviceModel) -> dict:
     v_iso = swap_isometry(model)
     table = model.class_table(THETA_ALL_G)
     mass = _mass(table.blocks)
-    v_rows, start, count = _unique_v(table.block_v, return_counts=True)
+    v_keys, start, count = _unique_v(table.block_v, return_counts=True)
     projs = model.questions[1].projectors
     n_meas = len(projs)
     # the weights of the factor columns V m_u, then e_j (x) a, for a block of unit mass
     unit = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))])
     candidates, dists = [], []
-    for v_row, lo, hi in zip(v_rows, start, start + count):
+    for v, lo, hi in zip(v_keys, start, start + count):
         trace = float(np.sum(mass[lo:hi]))
         if trace <= 1e-12:
             continue
-        v = tuple(int(b) for b in v_row)
         _, _, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v)
         candidates.append((v, lo, hi, trace))
         dists.append(float(np.sum(qsim.trace_norm_lowrank(factors, unit / trace))))

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, entcf, harness
+from . import entcf, harness
 from .errors import ParameterError, SelfTestError
 from .protocol import KINDS, DimTestConfig, SelfTestConfig
 
@@ -99,6 +99,7 @@ def _run_command(args) -> int:
 
 
 def _build_model(args, rng: np.random.Generator):
+    from . import analysis  # loaded on the analyze path only
     params = entcf.EntcfParams.ideal(args.w)
     if args.protocol == "dimtest":
         config = DimTestConfig(N=args.n, entcf=params)
@@ -120,9 +121,7 @@ def _build_model(args, rng: np.random.Generator):
         honest = analysis.build_honest_model(config, "selftest", rng)
         return analysis.build_bitflip_model(honest, p)
     if args.model == "wrongbasis":
-        return analysis.build_wrongbasis_model(
-            analysis.build_honest_model(config, "selftest", rng)
-        )
+        return analysis.build_wrongbasis_model(analysis.build_honest_model(config, "selftest", rng))
     if args.model == "random":
         return analysis.build_random_model(config, rng)
     raise ParameterError(f"unknown model {args.model!r}")
@@ -137,6 +136,7 @@ def _analyze_command(args) -> int:
         folder = os.path.dirname(args.report) or "."
         if os.path.isdir(args.report) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ParameterError(f"cannot write the report to {args.report!r}")
+    from . import analysis
     rng = np.random.default_rng(_seed(args))
     model = _build_model(args, rng)
     report = analysis.analysis_report(model, rng)
@@ -154,9 +154,18 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
     rng = np.random.default_rng(seed)
     params = _entcf_params(argparse.Namespace(backend=backend, w=w))
     size_x = 2**params.w
+    ds = np.arange(size_x)
+
+    def image_range(key, b: int) -> frozenset:
+        return frozenset().union(*(entcf.support(key, b, x) for x in range(size_x)))
+
     for trial in range(n_keys):
         f_key, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
         g_key, g_trap = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
+        if image_range(f_key, 0) != image_range(f_key, 1):
+            failures.append(f"trial {trial}: F range mismatch")
+        if image_range(g_key, 0) & image_range(g_key, 1):
+            failures.append(f"trial {trial}: G ranges intersect")
         for x in range(size_x):
             x1 = entcf.claw_partner(f_trap, x)
             if entcf.support(f_key, 0, x) != entcf.support(f_key, 1, x1):
@@ -168,17 +177,6 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
                             failures.append(f"trial {trial}: chk rejects a support member")
                         if (b, x) not in entcf.preimages(key, y):
                             failures.append(f"trial {trial}: preimage scan misses (b, x)")
-        f_ranges = [
-            frozenset().union(*(entcf.support(f_key, b, x) for x in range(size_x)))
-            for b in (0, 1)
-        ]
-        if f_ranges[0] != f_ranges[1]:
-            failures.append(f"trial {trial}: F range mismatch")
-        g0 = frozenset().union(*(entcf.support(g_key, 0, x) for x in range(size_x)))
-        g1 = frozenset().union(*(entcf.support(g_key, 1, x) for x in range(size_x)))
-        if g0 & g1:
-            failures.append(f"trial {trial}: G ranges intersect")
-        for x in range(size_x):
             for b in (0, 1):
                 for y in entcf.support(g_key, b, x):
                     if entcf.decode_b(g_trap, y) != b:
@@ -188,13 +186,14 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
             for y in entcf.support(f_key, 0, x):
                 if entcf.decode_x(0, f_trap, y) != x:
                     failures.append(f"trial {trial}: decode_x inversion failure (F)")
-                x1 = entcf.claw_partner(f_trap, x)
                 if entcf.decode_x(1, f_trap, y) != x1:
                     failures.append(f"trial {trial}: claw-side decode mismatch")
-                for d in range(1, size_x):
-                    if entcf.decode_h(f_trap, y, d) != entcf.parity(d & (x ^ x1)):
-                        failures.append(f"trial {trial}: h-hat equation mismatch")
-                if entcf.decode_h(f_trap, y, 0) is not None:
+                # y decoded once at every d; an ideal image goes as an array of y's
+                hs = entcf.decode_h(f_trap, np.full(size_x, y) if params.backend == "ideal" else y, ds)
+                failures += [f"trial {trial}: h-hat equation mismatch"] * np.count_nonzero(
+                    hs[1:] != entcf.parity(ds[1:] & (x ^ x1))
+                )
+                if hs[0] != entcf.UNDECODED:
                     failures.append(f"trial {trial}: h-hat defined at d=0")
     return failures
 

@@ -365,14 +365,16 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
 
 
 def decode_h(trapdoor: Trapdoor, y, d) -> int | None:
-    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range."""
+    """h-hat = d . (x-hat_0 xor x-hat_1), or None for d = 0^w / y out of range.
+    A ToyLwe image takes an array of d's too, decoded once: it gets an array."""
     if trapdoor.family != FAMILY_F:
         raise FamilyError("decode_h is defined only for F trapdoors")
     if trapdoor.params.backend == "ideal":
         # an ideal claw's x0 xor x1 is s
         return _ideal_decode(trapdoor, y, lambda i: parity(d & trapdoor.s), d != 0)
-    x0 = decode_x(0, trapdoor, y) if d != 0 else None
-    return None if x0 is None else parity(d & (x0 ^ claw_partner(trapdoor, x0)))
+    x0 = decode_x(0, trapdoor, y) if np.any(d != 0) else None
+    h = None if x0 is None else parity(d & (x0 ^ claw_partner(trapdoor, x0)))
+    return np.where(d != 0, UNDECODED if h is None else h, UNDECODED) if isinstance(d, np.ndarray) else h
 
 
 def claw_partner(trapdoor: Trapdoor, x0: int) -> int:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import entcf, protocol, qsim
+from . import entcf, protocol
 from .errors import BudgetError, ContractError, DomainError, ParameterError
 
 # most amplitudes one fullsim coordinate may hold
@@ -218,6 +218,7 @@ class FullsimProver(HonestProver):
 
     def _sample_y(self, key):
         """y from Born-measuring the coordinate's superposition; keeps the state it leaves."""
+        from . import qsim  # only this prover loads the state-vector engine
         if key.params.backend == "toylwe" and len(self.keys) > 1:
             raise BudgetError("fullsim with a toylwe backend handles one coordinate only")
         w = key.params.w

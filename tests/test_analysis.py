@@ -1030,6 +1030,144 @@ def test_no_cache_keeps_a_model_alive():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
+def _ref_soundness_by_theta(model, theta):
+    """soundness_distance of one theta alone: its own lift, trace norm call
+    and chunks of outcomes, each chunk's distances summed by one np.sum."""
+    L, dim = model.logical, model.dim
+    v_iso = analysis.swap_isometry(model)
+    table = model.class_table(theta)
+    blocks = table.blocks
+    v_rows, row_v = np.unique(table.block_v, axis=0, return_inverse=True)
+    row_v = row_v.ravel()
+    v_keys = [tuple(int(b) for b in row) for row in v_rows]
+    taus = np.array([analysis.tau_vector(model.protocol, model.n, theta, v) for v in v_keys], dtype=complex)
+    taus = taus.reshape(-1, 2**L)[row_v]
+    lifted = (blocks @ v_iso.T).reshape(-1, 2**L, dim)
+    alpha = np.einsum("kl,kld->kd", taus.conj(), lifted)
+    target = taus[:, :, None] * alpha[:, None, :]
+    rows = blocks.shape[0]
+    dists = qsim.trace_norm_diff_rank1(lifted.reshape(rows, -1), target.reshape(rows, -1))
+    per_v = dict(zip(v_keys, np.bincount(row_v, weights=dists, minlength=len(v_keys)).tolist()))
+    post = {}
+    width = v_iso.shape[0]
+    step = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
+    for q in sorted(model.questions):
+        meas = model.questions[q]
+        ideal = analysis.question_measurement(model.protocol, model.n, q).basis
+        ideal = ideal[:, [analysis.bits_to_int(u) for u in meas.outcomes]].T
+        overlap = ideal.conj() @ taus.T
+        post[q] = 0.0
+        for lo in range(0, len(ideal), step):
+            k = slice(lo, lo + step)
+            measured = blocks @ meas.projectors[k].swapaxes(1, 2)
+            measured[np.vecdot(measured, measured).real < analysis.ATOL**2] = 0.0
+            coef = ideal[k, None, :] * overlap[k, :, None]
+            target = (coef[..., None] * alpha[:, None, :]).reshape(-1, width)
+            post[q] += float(np.sum(qsim.trace_norm_diff_rank1(measured.reshape(-1, dim) @ v_iso.T, target)))
+    return {"per_v": per_v, "total": float(sum(per_v.values())), "post_measurement": post}
+
+
+def _ref_swap_circuit(model, rng):
+    """swap_identity_checks' circuit deviation, one random state at a time."""
+    L, dim = model.logical, model.dim
+    v = analysis.swap_isometry(model)
+    zs, xs = model.questions[0].observables, model.questions[1].observables
+    anc_bits = (np.arange(2**L)[None, :] >> np.arange(L - 1, -1, -1)[:, None]) & 1
+    circ_dev = 0.0
+    for _ in range(3):
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        rows = np.zeros((2**L, dim), dtype=complex)
+        rows[0] = state
+        for paulis in (zs, xs):
+            rows = qsim.hadamard_matrix(L) @ rows
+            for i in range(L):
+                on = anc_bits[i] == 1
+                rows[on] = rows[on] @ paulis[i].T
+        circ_dev = max(circ_dev, float(np.max(np.abs(rows.ravel() - v @ state))))
+    return circ_dev
+
+
+STACKED_CASES = [
+    *(("selftest", name, 1, 2, seed) for name in ("honest", "bitflip=0.1", "wrongbasis") for seed in (0, 7)),
+    ("selftest", "wrongbasis", 1, 3, 0),
+    ("selftest", "random", 1, 2, 3),
+    ("selftest", "honest", 2, 2, 0),
+]
+
+
+@pytest.mark.parametrize("kind,name,n,w,seed", STACKED_CASES)
+@pytest.mark.parametrize("budget", [qsim.CHUNK_ENTRIES, 512])
+def test_stacked_soundness_equals_the_per_theta_loop(kind, name, n, w, seed, budget, monkeypatch):
+    """Every theta's distances from the stacked groups equal, bit for bit,
+    those of the theta alone. At the default budget all N=1 thetas are one
+    group, and at N=2 each theta is a group of its own whose chunks hold one
+    outcome each. A budget of 512 entries puts two honest N=1 thetas in a
+    group chunked an outcome at a time, while each alone sums two chunks of
+    two outcomes."""
+    monkeypatch.setattr(qsim, "CHUNK_ENTRIES", budget)
+    model = _cli_model(kind, name, n, w, seed)
+    for theta in model.thetas:
+        assert analysis.soundness_distance(model, theta) == _ref_soundness_by_theta(model, theta)
+
+
+def test_soundness_stacks_thetas_within_the_chunk_budget(monkeypatch):
+    """selftest honest N=1 makes one trace norm call for every theta's Sigma
+    rows and one per question, where a theta at a time made four times as
+    many; at N=2 each call's four arrays stay within CHUNK_ENTRIES."""
+    rank1 = qsim.trace_norm_diff_rank1
+    sizes = []
+    monkeypatch.setattr(qsim, "trace_norm_diff_rank1", lambda u, w: sizes.append(u.size) or rank1(u, w))
+    for n, calls in ((1, 1 + 4), (2, 6 * (1 + 4 * 16))):
+        sizes.clear()
+        model = _cli_model("selftest", "honest", n, 2, 0)
+        reports = [analysis.soundness_distance(model, theta) for theta in model.thetas]
+        assert len(sizes) == calls
+        assert max(sizes) * 4 <= qsim.CHUNK_ENTRIES
+        assert all(analysis.soundness_distance(model, theta) is r for theta, r in zip(model.thetas, reports))
+        assert len(sizes) == calls
+
+
+# random: dense observables, whose products round differently if a view is multiplied row by row
+SWAP_MODELS = [
+    ("selftest", "honest", 1), ("selftest", "bitflip=0.1", 1), ("selftest", "random", 1), ("selftest", "honest", 2),
+    ("selftest", "random", 2), ("dimtest", "honest", 1), ("dimtest", "classical", 3),
+]
+
+
+@pytest.mark.parametrize("kind,name,n", SWAP_MODELS)
+def test_stacked_swap_circuit_equals_the_per_state_loop(kind, name, n):
+    """The three states pushed through the circuit as one stack give the
+    per-state loop's deviation bit for bit, from the same draws."""
+    model = _cli_model(kind, name, n, 2 if kind == "selftest" else 4, 0)
+    for seed in range(5):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert analysis.swap_identity_checks(model, got_rng)["circuit"] == _ref_swap_circuit(model, want_rng)
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize(
+    "kind,name,n,w,seed",
+    [("selftest", "honest", 1, 2, 0), ("selftest", "bitflip=0.1", 1, 2, 0), ("selftest", "honest", 2, 2, 0),
+     *(("selftest", "random", 1, 2, seed) for seed in range(6)), ("dimtest", "honest", 1, 4, 0),
+     ("dimtest", "classical", 3, 2, 0)],
+)
+def test_outcome_masses_are_slices_of_one_stacked_call(kind, name, n, w, seed):
+    """Each theta's masses equal those of its rows alone, and so does their
+    product with the decoding indicator, which numpy computes with another
+    kernel (and other round-off) when the masses are laid out contiguously
+    rather than as the real part of a complex array: random seed 3 shows it."""
+    model = _cli_model(kind, name, n, w, seed)
+    for q, meas in model.questions.items():
+        for theta in model.thetas:
+            table = model.class_table(theta)
+            got = model.outcome_masses(theta, q)
+            want = np.einsum("...d,...d->...", table.rows.conj(), table.rows @ meas.projectors.swapaxes(1, 2)).real
+            indicator = np.eye(len(table.decodings))[table.index]
+            assert np.array_equal(got, want) and np.array_equal(got @ indicator, want @ indicator)
+            assert not got.flags.writeable and got is model.outcome_masses(theta, q)
+
+
 def test_cached_arrays_are_read_only_and_reports_do_not_share_state(tmp_path):
     cached = [
         qsim.hadamard_matrix(2),

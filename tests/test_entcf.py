@@ -260,11 +260,12 @@ def _lwe_scan(key):
 @pytest.mark.parametrize("n,m,q", [(1, 3, 16), (1, 3, 64), (2, 4, 16)])
 def test_toylwe_decoding_matches_the_per_x_scans(n, m, q):
     """preimages, decode_b, decode_x (both b, both families) and decode_h
-    (every d, 0 included) equal what the per-x scans give: the smallest x
-    found, and an F key's x1 as the claw partner of its x0. At the CLI's n=1,
-    m=3, B=1 the images are every image of every support box, some of them
-    lifted by q and by 2^32 - q (the wire's u32 range), and some off all
-    boxes; at n=2 (w=8, two limbs) a seeded sample of on- and off-box ones."""
+    (every d, 0 included, one at a time and as one array of d's) equal what
+    the per-x scans give: the smallest x found, and an F key's x1 as the
+    claw partner of its x0. At the CLI's n=1, m=3, B=1 the images are every
+    image of every support box, some of them lifted by q and by 2^32 - q
+    (the wire's u32 range), and some off all boxes; at n=2 (w=8, two limbs)
+    a seeded sample of on- and off-box ones."""
     params = entcf.EntcfParams.toylwe(n=n, m=m, q=q, B=1)
     rng = np.random.default_rng(0)
     (f_key, f_trap), (g_key, g_trap) = (entcf.gen_keypair(fam, params, rng) for fam in ("F", "G"))
@@ -286,10 +287,11 @@ def test_toylwe_decoding_matches_the_per_x_scans(n, m, q):
         x1 = None if x0 is None else entcf.claw_partner(f_trap, x0)
         assert [entcf.decode_x(b, f_trap, y) for b in (0, 1)] == [x0, x1]
         assert [entcf.decode_x(b, g_trap, y) for b in (0, 1)] == [xs[0] if xs else None for xs in g_xs]
-        # each image at one d, cycling through all of them; the first three at every d
+        want = [None if d == 0 or x0 is None else entcf.parity(d & (x0 ^ x1)) for d in range(size_x)]
+        # every d at once, as one array; one d alone, cycling through them, and every d for the first three
+        assert _as_none(entcf.decode_h(f_trap, y, np.arange(size_x))) == want
         for d in range(size_x) if k < 3 else [k % size_x]:
-            want = None if d == 0 or x0 is None else entcf.parity(d & (x0 ^ x1))
-            assert entcf.decode_h(f_trap, y, d) == want
+            assert entcf.decode_h(f_trap, y, d) == want[d]
 
 
 def test_toylwe_key_codec(lwe_pair):

@@ -4,9 +4,9 @@ recorded at commit d1ab99f: `tests/data/run_golden.json` holds the sha256 of
 TCP dimension-test run and one TCP self-test run with toylwe keys and images
 (recorded at 8a39965). A speed-up that moves a single draw, or changes how a
 transcript is encoded, changes a hash. `tests/data/analyze_report_hashes.json`
-holds the sha256 of whole `analyze --report` files (recorded at 5b0ec89),
-`swap` deviations included, so a report number that moves by one bit
-changes its hash."""
+holds the sha256 of whole `analyze --report` files (recorded at 5b0ec89, the
+self-test N=2 one at 83e963c), `swap` deviations included, so a report
+number that moves by one bit changes its hash."""
 import contextlib
 import hashlib
 import io

@@ -710,6 +710,21 @@ def test_package_runs_as_a_module():
     assert done.stdout.startswith("entcf-check: OK")
 
 
+def test_run_commands_import_neither_analysis_nor_qsim():
+    """The run path compiles and loads no analysis or state-vector engine;
+    the package still hands them out on first use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, selftestsim.cli, selftestsim.harness\n"
+        "print(sorted({'selftestsim.analysis', 'selftestsim.qsim'} & set(sys.modules)))\n"
+        "import selftestsim\n"
+        "print(selftestsim.analysis.__name__, selftestsim.qsim.__name__)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "selftestsim.analysis selftestsim.qsim"]
+
+
 def test_cli_memory_error_is_one_error_line(capsys, monkeypatch):
     def out_of_memory(model, rng):
         raise MemoryError("Unable to allocate 4.88 GiB")
