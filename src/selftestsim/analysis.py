@@ -22,20 +22,23 @@ labels whose blocks are parallel and share a decoding are summed as one row:
 a decoding class. theta uses the protocol module's encoding.
 
 Every question, d and preimage measurement is a Measurement: an orthonormal
-basis whose columns carry outcome labels. The failure, gamma, zeta and chi
-reports all read outcome masses <row|P_u|row>, one masses call per question
-over every theta's rows: a gamma term is the Sigma mass whose answer bits
-agree with v, a zeta or chi term four times the Sigma mass on which they
-disagree; the failure report sums them per decoding with one product.
-soundness_distance stacks the Sigma rows of a group of thetas and lifts them
-at once, and their branches P_u b a chunk of outcomes at a time, within
-qsim.CHUNK_ENTRIES entries; each theta keeps the sums it has alone.
+basis whose columns carry outcome labels, whose branches are P_u applied to
+rows. A DeviceModel's fields are its inputs; what the reports read is
+derived from them once, as cached properties: tables (each theta's class
+rows), masses (outcome masses <row|P_u|row>, one masses call per question
+over every theta's rows), preimage_mass, swap (the swap isometry V) and
+soundness. A gamma term is the Sigma mass whose answer bits agree with v, a
+zeta or chi term four times the Sigma mass on which they disagree; the
+failure report sums them per decoding with one product. soundness stacks
+the Sigma rows of a group of thetas and lifts them at once, and their
+branches a chunk of outcomes at a time, within qsim.CHUNK_ENTRIES entries;
+each theta keeps the sums it has alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +48,6 @@ from .protocol import THETA_ALL_G, THETA_DIAMOND
 
 # most entries one array of the analysis may have
 _ENTRY_BUDGET = 2**25
-ATOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +150,17 @@ class Measurement:
         cols = [self.basis[:, [label == u for label in self.labels]] for u in self.outcomes]
         return _frozen(np.array([c @ c.conj().T for c in cols]))
 
+    def branches(self, rows: np.ndarray, k=slice(None)) -> np.ndarray:
+        """[k, r]: P_k b_r, the projectors k (all by default) applied to each row."""
+        return rows @ self.projectors[k].swapaxes(1, 2)
+
     def masses(self, rows: np.ndarray) -> np.ndarray:
         """(outcomes, rows) array of <b|P_k|b> for each row b: P_k is applied,
         then a row-wise dot taken, so a row P_k annihilates has mass 0.0. The
         projectors are applied a chunk at a time, each chunk's product within
         qsim.CHUNK_ENTRIES entries (at least one projector)."""
-        step, projs = max(1, qsim.CHUNK_ENTRIES // max(rows.size, 1)), self.projectors.swapaxes(1, 2)
-        applied = (rows @ projs[k : k + step] for k in range(0, len(projs), step))
+        step = max(1, qsim.CHUNK_ENTRIES // max(rows.size, 1))
+        applied = (self.branches(rows, slice(k, k + step)) for k in range(0, len(self.outcomes), step))
         return np.concatenate([np.einsum("...d,...d->...", rows.conj(), chunk) for chunk in applied]).real
 
     @functools.cached_property
@@ -187,8 +193,10 @@ class ClassTable:
     residual: float
 
 
+@dataclass(eq=False)
 class DeviceModel:
-    """Block-diagonal device description, in one of two forms.
+    """Block-diagonal device description, in one of two forms; its fields are
+    the inputs, and everything derived from them is a cached property.
 
     A product-form model (d_meas None; the honest family) holds no psi: its
     state is read from the key tables (_honest_images), coordinate i's state
@@ -210,67 +218,40 @@ class DeviceModel:
     by answer tuples u; `dim` is the size of that space.
     """
 
-    def __init__(
-        self,
-        protocol_kind: str,
-        n: int,
-        w: int,
-        logical: int,
-        thetas: list,
-        keys: dict,
-        trapdoors: dict,
-        psi: dict | None,
-        questions: dict,
-        d_meas: dict | None = None,
-        preimage: Measurement | None = None,
-        env: np.ndarray | None = None,
-        name: str = "model",
-    ):
-        self.protocol = protocol_kind
-        self.n = n
-        self.w = w
-        self.logical = logical
-        self.env = np.ones(1, dtype=complex) if env is None else env
-        self.env_dim = self.env.size
-        self.dim = 2**logical * self.env_dim
-        self.thetas = list(thetas)
-        self.keys = keys
-        self.trapdoors = trapdoors
-        self.psi = psi
-        self.questions = questions
-        self.d_meas = d_meas
-        self.preimage = preimage
-        self.name = name
-        self._tables: dict = {}
-        self._masses: dict = {}
-        self._t_cache: dict = {}
-        self._swap_cache: np.ndarray | None = None
-        self._soundness: dict | None = None
+    protocol: str
+    n: int
+    w: int
+    logical: int
+    thetas: tuple
+    keys: dict
+    trapdoors: dict
+    psi: dict | None
+    questions: dict
+    d_meas: dict | None = None
+    preimage: Measurement | None = None
+    env: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
+    name: str = "model"
 
-    def derived(self, questions: dict, env: np.ndarray, name: str) -> "DeviceModel":
-        """This device with other question measurements and environment; the
-        states and the other measurements are shared."""
-        return DeviceModel(
-            self.protocol, self.n, self.w, self.logical, self.thetas, self.keys, self.trapdoors,
-            self.psi, questions, d_meas=self.d_meas, preimage=self.preimage, env=env, name=name,
-        )
+    @functools.cached_property
+    def dim(self) -> int:
+        return 2**self.logical * self.env.size
 
-    def outcome_masses(self, theta, q: int) -> np.ndarray:
-        """questions[q].masses of theta's class rows: a read-only column slice
-        of one masses call over every theta's rows, made once per question."""
-        if q not in self._masses:
-            rows = [self.class_table(t).rows for t in self.thetas]
-            masses = _frozen(self.questions[q].masses(np.concatenate(rows)))
-            bounds = [0, *itertools.accumulate(map(len, rows))]
-            self._masses[q] = {t: masses[:, lo:hi] for t, lo, hi in zip(self.thetas, bounds, bounds[1:])}
-        return self._masses[q][theta]
+    @functools.cached_property
+    def tables(self) -> dict:
+        """theta -> ClassTable: theta's sigma rows and decodings."""
+        return {theta: self._build_table(theta) for theta in self.thetas}
 
-    # -- sigma rows ------------------------------------------------------------
-    def class_table(self, theta) -> ClassTable:
-        """theta's sigma rows and decodings, built once."""
-        if theta not in self._tables:
-            self._tables[theta] = self._build_table(theta)
-        return self._tables[theta]
+    @functools.cached_property
+    def masses(self) -> dict:
+        """q -> theta -> questions[q].masses of theta's class rows: a read-only
+        column slice of one masses call per question over every theta's rows."""
+        rows = np.concatenate([self.tables[t].rows for t in self.thetas])
+        bounds = [0, *itertools.accumulate(len(self.tables[t].rows) for t in self.thetas)]
+        out = {}
+        for q, meas in self.questions.items():
+            masses = _frozen(meas.masses(rows))
+            out[q] = {t: masses[:, lo:hi] for t, lo, hi in zip(self.thetas, bounds, bounds[1:])}
+        return out
 
     def _build_table(self, theta) -> ClassTable:
         L = self.logical
@@ -299,9 +280,9 @@ class DeviceModel:
         ys = sorted(self.psi[theta])
         d_tuples = self.d_meas[theta].outcomes
         psi = np.array([self.psi[theta][y] for y in ys])
-        rest = (psi @ self.d_meas[theta].projectors.swapaxes(1, 2)).swapaxes(0, 1)  # [y, d]: P_d psi_y
+        rest = self.d_meas[theta].branches(psi).swapaxes(0, 1)  # [y, d]: P_d psi_y
         grid = (rest[..., None] * self.env).reshape(-1, self.dim)
-        keep = np.flatnonzero(_mass(grid) >= ATOL**2)
+        keep = np.flatnonzero(_mass(grid) >= qsim.ATOL**2)
         yrow, dcol = np.divmod(keep, len(d_tuples))
         y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
         codes = np.empty((keep.size, 2 * L), dtype=np.int8)
@@ -375,24 +356,50 @@ class DeviceModel:
             out[theta].append((codes[first[lo:hi]], vecs[lo:hi]))
         return out
 
-    # -- preimage test mass ---------------------------------------------------
-    def t_theta(self, theta) -> float:
-        """Preimage-test pass mass, computed once per theta; the environment
-        is a unit vector, so it does not enter. A product-form model's mass
-        is 1: its support at each y_i holds exactly the (b, x) f maps to y_i."""
+    @functools.cached_property
+    def preimage_mass(self) -> dict:
+        """theta -> preimage-test pass mass; the environment is a unit vector,
+        so it does not enter. A product-form model's mass is 1: its support at
+        each y_i holds exactly the (b, x) f maps to y_i."""
         if self.d_meas is None:
-            return 1.0
-        if theta not in self._t_cache:
-            keys = self.keys[theta]
-            if self.preimage is None:
-                total = 0.0
-            else:
-                ys = sorted(self.psi[theta])
-                masses = self.preimage.masses(np.array([self.psi[theta][y] for y in ys]))
-                passed = [[entcf.chk(keys, y, b, x) == 0 for y in ys] for b, x in self.preimage.outcomes]
-                total = float(np.sum(masses[np.array(passed)]))
-            self._t_cache[theta] = total
-        return self._t_cache[theta]
+            return dict.fromkeys(self.thetas, 1.0)
+        if self.preimage is None:
+            return dict.fromkeys(self.thetas, 0.0)
+        out = {}
+        for theta in self.thetas:
+            keys, ys = self.keys[theta], sorted(self.psi[theta])
+            masses = self.preimage.masses(np.array([self.psi[theta][y] for y in ys]))
+            passed = [[entcf.chk(keys, y, b, x) == 0 for y in ys] for b, x in self.preimage.outcomes]
+            out[theta] = float(np.sum(masses[np.array(passed)]))
+        return out
+
+    @functools.cached_property
+    def swap(self) -> np.ndarray:
+        """The swap isometry V = sum_u |u> (x) prod_i X_i^{u_i} prod_j
+        Z_j^{(u_j)}, products in ascending index order, as a (2^L * dim, dim)
+        matrix. The Z_j are the marginals of question 0, so prod_j
+        Z_j^{(u_j)} is its projector P_u. Read-only."""
+        L, dim = self.logical, self.dim
+        xs = self.questions[1].observables
+        v = np.zeros((2**L, dim, dim), dtype=complex)
+        for u, term in zip(self.questions[0].outcomes, self.questions[0].projectors):
+            for i in reversed(range(L)):
+                if u[i]:
+                    term = xs[i] @ term
+            v[bits_to_int(u)] = term
+        return _frozen(v.reshape(-1, dim))
+
+    @functools.cached_property
+    def soundness(self) -> dict:
+        """theta -> soundness_distance, with thetas stacked in groups, as many
+        as keep four arrays of their lifted rows within qsim.CHUNK_ENTRIES
+        entries, or one, and each group computed by _soundness_group."""
+        out, width = {}, 2**self.logical * self.dim
+        rows = max(len(self.tables[t].blocks) for t in self.thetas)
+        per = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
+        for lo in range(0, len(self.thetas), per):
+            out.update(_soundness_group(self, self.thetas[lo : lo + per]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +482,13 @@ def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
         )
         for q, meas in honest.questions.items()
     }
-    return honest.derived(questions, env, f"bitflip({p})")
+    return replace(honest, questions=questions, env=env, name=f"bitflip({p})")
 
 
 def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
     questions = dict(honest.questions)
     questions[0], questions[1] = honest.questions[1], honest.questions[0]
-    return honest.derived(questions, honest.env, "wrongbasis")
+    return replace(honest, questions=questions, name="wrongbasis")
 
 
 def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator) -> DeviceModel:
@@ -568,7 +575,7 @@ def build_classical_model(
 
 def sigma_residual(model: DeviceModel, theta) -> float:
     """trace norm of sigma^theta minus the sum of its Sigma(theta, v) parts."""
-    return model.class_table(theta).residual
+    return model.tables[theta].residual
 
 
 @dataclass
@@ -596,9 +603,9 @@ def _agreement(model: DeviceModel, theta, q: int, bits: list, v_bit: int) -> flo
     """The Sigma mass of theta whose question-q answer bits `bits` xor to bit
     v_bit of the block's v. For the +-1 observable O = sum_u (-1)^(xor of
     u's bits) P_u and a block b of v, it is (|b|^2 + (-1)^(v[v_bit]) <b|O|b>) / 2."""
-    table = model.class_table(theta)
+    table = model.tables[theta]
     parity = np.array([sum(u[j] for j in bits) % 2 for u in model.questions[q].outcomes])
-    masses = model.outcome_masses(theta, q)[:, table.stack]
+    masses = model.masses[q][theta][:, table.stack]
     return float(np.sum(masses[parity[:, None] == table.block_v[:, v_bit]]))
 
 
@@ -615,7 +622,7 @@ def gamma_report(model: DeviceModel) -> GammaReport:
     def gamma(terms) -> float:
         return 1.0 - min(_agreement(model, *term) for term in terms)
 
-    gamma_p = 1.0 - min(model.t_theta(theta) for theta in model.thetas)
+    gamma_p = 1.0 - min(model.preimage_mass.values())
     non_diamond = [t for t in model.thetas if t != THETA_DIAMOND]
     gamma_t0 = gamma((t, 0, [i], i) for t in non_diamond for i in coords if i != t)
     gamma_t1 = gamma((t, 1, [t], t) for t in coords)
@@ -652,14 +659,14 @@ def failure_report(model: DeviceModel) -> FailureReport:
     nonzero scan lists the cells to judge, in the order they are summed.
     """
     n_thetas = len(model.thetas)
-    eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
+    eps_p = 1.0 - sum(model.preimage_mass.values()) / n_thetas
     questions = sorted(model.questions)
     accept = dict.fromkeys(questions, 0.0)
     for theta in model.thetas:
-        table = model.class_table(theta)
+        table = model.tables[theta]
         indicator = np.eye(len(table.decodings))[table.index]
         for q in questions:
-            masses = model.outcome_masses(theta, q) @ indicator
+            masses = model.masses[q][theta] @ indicator
             cells = np.nonzero(masses)
             for r, k, mass in zip(*(c.tolist() for c in cells), masses[cells].tolist()):
                 bhat, hhat = table.decodings[k]
@@ -677,7 +684,7 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
     for theta in model.thetas:
         if theta == THETA_DIAMOND:
             continue
-        sigma = float(np.sum(_mass(model.class_table(theta).blocks)))
+        sigma = float(np.sum(_mass(model.tables[theta].blocks)))
         for i in range(2 * model.n):
             if i != theta:
                 out["zeta"][(theta, i)] = 4.0 * (sigma - _agreement(model, theta, 0, [i], i))
@@ -719,24 +726,6 @@ def check_gamma_bounds(gammas: GammaReport, failures: FailureReport, n: int) -> 
 # Swap isometry
 # ---------------------------------------------------------------------------
 
-def swap_isometry(model: DeviceModel) -> np.ndarray:
-    """V = sum_u |u> (x) prod_i X_i^{u_i} prod_j Z_j^{(u_j)}, products in
-    ascending index order, as a (2^L * dim, dim) matrix. The Z_j are the
-    marginals of question 0, so prod_j Z_j^{(u_j)} is its projector P_u.
-    Built once per model and cached on it; callers must not modify it."""
-    if model._swap_cache is None:
-        L, dim = model.logical, model.dim
-        xs = model.questions[1].observables
-        v = np.zeros((2**L, dim, dim), dtype=complex)
-        for u, term in zip(model.questions[0].outcomes, model.questions[0].projectors):
-            for i in reversed(range(L)):
-                if u[i]:
-                    term = xs[i] @ term
-            v[bits_to_int(u)] = term
-        model._swap_cache = v.reshape(-1, dim)
-    return model._swap_cache
-
-
 @functools.lru_cache(maxsize=None)
 def _einsum_path(spec: str, *shapes) -> tuple:
     """The contraction order np.einsum's optimize=True picks for spec, searched once per operand shapes."""
@@ -749,7 +738,7 @@ def swap_identity_checks(model: DeviceModel, rng: np.random.Generator) -> dict:
     Hadamard layer, controlled-X_i layer, applied to three random states held
     as one (3, 2^L, dim) stack whose row a is ancilla basis state a."""
     L, dim = model.logical, model.dim
-    v = swap_isometry(model)
+    v = model.swap
     zs, xs = model.questions[0].observables, model.questions[1].observables
     vtv_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
     # anc_bits[k, a] is ancilla qubit k of row a, qubit 0 most significant
@@ -811,12 +800,14 @@ def question_measurement(protocol_kind: str, n: int, q: int) -> Measurement:
 
 def soundness_distance(model: DeviceModel, theta) -> dict:
     """Per-v distances sum_v ||V sigma^{theta,v} V' - tau (x) alpha||_1 and
-    the post-measurement analogues per question. The first call computes
-    every theta's and caches them on the model; do not modify the result.
+    the post-measurement analogues per question: model.soundness[theta],
+    every theta's computed by the first call; do not modify the result."""
+    return model.soundness[theta]
 
-    Thetas are stacked in groups, as many as keep four arrays of their
-    lifted rows within qsim.CHUNK_ENTRIES entries, or one. A group's Sigma
-    rows are lifted by one matmul against the swap isometry, with one
+
+def _soundness_group(model: DeviceModel, thetas: tuple) -> dict:
+    """theta -> soundness_distance for one group of thetas. The group's
+    Sigma rows are lifted by one matmul against the swap isometry, with one
     qsim.trace_norm_diff_rank1 call for their rank-one differences; a
     question's branches P_u b likewise, a chunk of outcomes at a time: at
     least one, and as many as keep four chunk-sized arrays (lifted branches,
@@ -825,20 +816,9 @@ def soundness_distance(model: DeviceModel, theta) -> dict:
     per_v is a bincount over its rows, post_measurement[q] one np.sum per
     chunk it would have alone, over its branches in (outcome, row) order.
     """
-    if model._soundness is None:
-        model._soundness, width = {}, 2**model.logical * model.dim
-        rows = max(len(model.class_table(t).blocks) for t in model.thetas)
-        per = max(1, qsim.CHUNK_ENTRIES // max(4 * rows * width, 1))
-        for lo in range(0, len(model.thetas), per):
-            model._soundness.update(_soundness_group(model, model.thetas[lo : lo + per]))
-    return model._soundness[theta]
-
-
-def _soundness_group(model: DeviceModel, thetas: list) -> dict:
-    """theta -> soundness_distance for one group of thetas."""
     L, dim = model.logical, model.dim
-    v_iso = swap_isometry(model)
-    tables = [model.class_table(theta) for theta in thetas]
+    v_iso = model.swap
+    tables = [model.tables[theta] for theta in thetas]
     blocks = np.concatenate([table.blocks for table in tables])
     v_sets = [_unique_v(table.block_v, return_inverse=True) for table in tables]
     taus = np.concatenate([  # [r]: the ideal state of row r's (theta, v)
@@ -860,9 +840,9 @@ def _soundness_group(model: DeviceModel, thetas: list) -> dict:
         post[q] = np.empty((len(ideal), rows))
         for lo in range(0, len(ideal), step):
             k = slice(lo, lo + step)
-            measured = blocks @ meas.projectors[k].swapaxes(1, 2)  # [k, r]: P_k b_r
+            measured = meas.branches(blocks, k)  # [k, r]: P_k b_r
             # a branch the measurement annihilates contributes its target's mass
-            measured[np.vecdot(measured, measured).real < ATOL**2] = 0.0
+            measured[np.vecdot(measured, measured).real < qsim.ATOL**2] = 0.0
             coef = ideal[k, None, :] * overlap[k, :, None]  # [k, r]: ideal_k <ideal_k|tau_r>
             target = (coef[..., None] * alpha[:, None, :]).reshape(-1, width)
             # the lift is a temporary: it is freed before the next chunk's is made
@@ -916,12 +896,10 @@ def dimension_certificate(model: DeviceModel) -> dict:
     if model.protocol != "dimtest":
         raise ModelError("the dimension certificate runs on a dimension-test model")
     n = model.n
-    v_iso = swap_isometry(model)
-    table = model.class_table(THETA_ALL_G)
+    table = model.tables[THETA_ALL_G]
     mass = _mass(table.blocks)
     v_keys, start, count = _unique_v(table.block_v, return_counts=True)
-    projs = model.questions[1].projectors
-    n_meas = len(projs)
+    n_meas = len(model.questions[1].outcomes)
     # the weights of the factor columns V m_u, then e_j (x) a, for a block of unit mass
     unit = np.concatenate([np.full(n_meas, 1.0), np.full(2**n, -(2.0**-n))])
     candidates, dists = [], []
@@ -929,14 +907,14 @@ def dimension_certificate(model: DeviceModel) -> dict:
         trace = float(np.sum(mass[lo:hi]))
         if trace <= 1e-12:
             continue
-        _, _, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v)
+        _, _, factors = _certificate_arrays(model, table.blocks[lo:hi], v)
         candidates.append((v, lo, hi, trace))
         dists.append(float(np.sum(qsim.trace_norm_lowrank(factors, unit / trace))))
     if not candidates:
         raise ModelError("degenerate model: no Sigma-supported blocks")
     best = _first_min(dists)
     v_min, lo, hi, trace = candidates[best]
-    measured, alpha, factors = _certificate_arrays(model, projs, table.blocks[lo:hi], v_min)
+    measured, alpha, factors = _certificate_arrays(model, table.blocks[lo:hi], v_min)
     rho_mass = np.sum(np.abs(measured) ** 2, axis=(1, 2))
     alpha_mass = np.sum(np.abs(alpha) ** 2, axis=1)
     if alpha_mass.sum() / trace < 1e-12:
@@ -952,7 +930,7 @@ def dimension_certificate(model: DeviceModel) -> dict:
     rho_star = measured[c].T @ measured[c].conj() / rho_mass[c]
     alpha_star = np.outer(alpha[c], alpha[c].conj()) / alpha_mass[c]
     eps = float(eps_all[star])
-    rank, ok = rank_bound_check(v_iso, rho_star, alpha_star, n, eps)
+    rank, ok = rank_bound_check(model.swap, rho_star, alpha_star, n, eps)
     return {
         "v_min": v_min,
         "v_distance": dists[best],
@@ -963,14 +941,13 @@ def dimension_certificate(model: DeviceModel) -> dict:
     }
 
 
-def _certificate_arrays(model: DeviceModel, projs: np.ndarray, blocks: np.ndarray, v: tuple):
+def _certificate_arrays(model: DeviceModel, blocks: np.ndarray, v: tuple):
     """(measured, alpha, factors) of v's Sigma rows: the (blocks, n_meas,
-    dim) branches P_u b, the extracted ancilla vectors, and the (blocks,
-    2^N * dim, n_meas + 2^N) columns V m_u, then e_j (x) a."""
-    n, dim = model.n, model.dim
-    v_iso = swap_isometry(model)
+    dim) branches P_u b of question 1, the extracted ancilla vectors, and
+    the (blocks, 2^N * dim, n_meas + 2^N) columns V m_u, then e_j (x) a."""
+    n, dim, v_iso = model.n, model.dim, model.swap
     tau = tau_vector("dimtest", n, THETA_ALL_G, v)
-    measured = np.swapaxes(blocks @ projs.swapaxes(-1, -2), 0, 1)
+    measured = np.swapaxes(model.questions[1].branches(blocks), 0, 1)
     alpha = np.einsum("l,kld->kd", tau.conj(), (blocks @ v_iso.T).reshape(-1, 2**model.logical, dim))
     lifted = measured @ v_iso.T
     ancilla = np.einsum("jl,kd->kjld", np.eye(2**n), alpha).reshape(len(blocks), 2**n, -1)

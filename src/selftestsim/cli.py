@@ -18,6 +18,7 @@ import numpy as np
 from . import entcf, harness
 from .errors import ParameterError, SelfTestError
 from .protocol import KINDS, DimTestConfig, SelfTestConfig
+from .prover import parse_device_spec
 
 
 def _entcf_params(args) -> entcf.EntcfParams:
@@ -100,29 +101,25 @@ def _run_command(args) -> int:
 
 def _build_model(args, rng: np.random.Generator):
     from . import analysis  # loaded on the analyze path only
+    name, p = parse_device_spec(args.model)
     params = entcf.EntcfParams.ideal(args.w)
     if args.protocol == "dimtest":
         config = DimTestConfig(N=args.n, entcf=params)
-        if args.model == "classical":
+        if name == "classical":
             return analysis.build_classical_model(config, rng)
-        if args.model != "honest":
+        if name != "honest":
             raise ParameterError(f"unknown dimension-test model {args.model!r}")
         return analysis.build_honest_model(config, "dimtest", rng)
     config = SelfTestConfig(N=args.n, entcf=params)
-    if args.model == "honest":
+    if name == "honest":
         return analysis.build_honest_model(config, "selftest", rng)
-    name, _, value = args.model.partition("=")
-    if name == "bitflip" and value:
-        try:
-            p = float(value)
-        except ValueError:
-            raise ParameterError(f"bad flip probability in {args.model!r}") from None
+    if name == "bitflip":
         analysis.check_bitflip("selftest", args.n, p)
         honest = analysis.build_honest_model(config, "selftest", rng)
         return analysis.build_bitflip_model(honest, p)
-    if args.model == "wrongbasis":
+    if name == "wrongbasis":
         return analysis.build_wrongbasis_model(analysis.build_honest_model(config, "selftest", rng))
-    if args.model == "random":
+    if name == "random":
         return analysis.build_random_model(config, rng)
     raise ParameterError(f"unknown model {args.model!r}")
 

@@ -112,6 +112,15 @@ class PublicKey:
             body = self.A.astype(">u4").tobytes() + self.u.astype(">u4").tobytes()
         return head + body
 
+    @functools.cached_property
+    def lwe_centers(self) -> np.ndarray:
+        """ToyLwe: the (2, 2^w, m) array whose [b, x] is A.x_to_z(x) + b.u,
+        not reduced mod q, computed once per key and read-only."""
+        lattice = _domain(self.params) @ self.A.T
+        centers = np.stack([lattice, lattice + self.u])
+        centers.flags.writeable = False
+        return centers
+
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PublicKey":
         if len(raw) < 3 or raw[0] != 1:
@@ -192,8 +201,7 @@ def _centered(v: np.ndarray, q: int) -> np.ndarray:
 
 
 def _lwe_center(key: PublicKey, b: int, x: int) -> np.ndarray:
-    z = x_to_z(x, key.params)
-    return (key.A @ z + b * key.u) % key.params.q
+    return key.lwe_centers[b, x] % key.params.q
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +326,8 @@ def chk(keys, y, b, x) -> int:
 
 def _lwe_preimages(key: PublicKey, b: int, y) -> np.ndarray:
     """Every x with y in Supp(f_{k,b}(x)), ascending: one array pass over X."""
-    params = key.params
-    centers = _domain(params) @ key.A.T + b * key.u
-    diff = _centered(np.asarray(y, dtype=np.int64) - centers, params.q)
-    return np.flatnonzero(np.abs(diff).max(axis=1) <= params.B)
+    diff = _centered(np.asarray(y, dtype=np.int64) - key.lwe_centers[b], key.params.q)
+    return np.flatnonzero(np.abs(diff).max(axis=1) <= key.params.B)
 
 
 def _ideal_decode(trapdoor: Trapdoor, y, rule, defined=True):

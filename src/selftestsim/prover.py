@@ -318,21 +318,31 @@ class ClassicalGuessProver(DeviceInterface):
         return list(self.b)
 
 
+def parse_device_spec(spec: str) -> tuple[str, float | None]:
+    """(name, p) of a device spec `name[=p]`, for a prover and an analysis
+    model alike: bitflip needs its flip probability p, and any other spec is
+    a name alone, with p None."""
+    name, _, value = spec.partition("=")
+    if name != "bitflip":
+        return spec, None
+    try:
+        return name, float(value)
+    except ValueError:
+        raise ParameterError(f"bitflip needs a flip probability, bitflip=P, not {spec!r}") from None
+
+
 def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> DeviceInterface:
     """Parse a prover spec string: honest, honest-fullsim, classical,
     bitflip=P, wrongbasis."""
-    if spec == "honest":
+    name, p = parse_device_spec(spec)
+    if name == "honest":
         return HonestProver(protocol_kind, rng)
-    if spec == "honest-fullsim":
+    if name == "honest-fullsim":
         return FullsimProver(protocol_kind, rng)
-    if spec == "bitflip" or spec.startswith("bitflip="):
-        try:
-            p = float(spec.split("=", 1)[1]) if "=" in spec else 0.0
-        except ValueError:
-            raise ParameterError(f"bad flip probability in {spec!r}") from None
+    if name == "bitflip":
         return BitFlipProver(protocol_kind, rng, p)
-    if spec == "classical":
+    if name == "classical":
         return ClassicalGuessProver(protocol_kind, rng)
-    if spec == "wrongbasis":
+    if name == "wrongbasis":
         return WrongBasisProver(protocol_kind, rng)
     raise ParameterError(f"unknown prover spec {spec!r}")

@@ -135,7 +135,7 @@ def test_honest_logical_marginals_are_ideal():
     n, w = 1, 2
     model = analysis.build_honest_model(selftest_config(n, w), "selftest", rng)
     for theta in model.thetas:
-        table = model.class_table(theta)
+        table = model.tables[theta]
         assert table.residual <= 1e-12
         for v in {tuple(v) for v in table.block_v.tolist()}:
             tau = analysis.tau_vector("selftest", n, theta, v)

@@ -157,7 +157,7 @@ def _sigma_v_of(model, theta, label):
 
 def test_sigma_mass_bounded(honest):
     for theta in honest.thetas:
-        table = honest.class_table(theta)
+        table = honest.tables[theta]
         total = float(np.sum(np.abs(table.blocks) ** 2))
         assert total + table.residual == pytest.approx(1.0, abs=1e-9)
         assert total <= 1.0 + 1e-9
@@ -236,7 +236,7 @@ def test_swap_isometry_rejects_nonprojective(honest):
     # has no orthonormal basis, so no model (and no isometry) gets built
     with pytest.raises(ModelError):
         half = analysis.Measurement(np.full((4, 4), 0.5), analysis.all_bit_tuples(2))
-        analysis.swap_isometry(honest.derived({0: half, 1: half}, honest.env, "bad"))
+        dataclasses.replace(honest, questions={0: half, 1: half}, name="bad").swap
 
 
 def test_rank_bound_rejects_nonisometry():
@@ -469,7 +469,7 @@ def _ref_sigma_blocks(model, theta, n_y=None):
             outcomes = [(d, _rank_one_factor(op)) for d, op in sorted(summed.items())]
         for d, rest in outcomes:
             rest = np.multiply.outer(rest, model.env).ravel()
-            if np.vdot(rest, rest).real >= analysis.ATOL**2:
+            if np.vdot(rest, rest).real >= qsim.ATOL**2:
                 out[(y, d)] = rest
     return out
 
@@ -489,7 +489,7 @@ def _ref_soundness(model, theta):
     """(per_v, total, post_measurement), one label block and one outcome at a
     time."""
     L, dim = model.logical, model.dim
-    v_iso = analysis.swap_isometry(model)
+    v_iso = model.swap
     groups = _ref_groups(model, theta)
     per_v = {}
     post = {q: 0.0 for q in sorted(model.questions)}
@@ -544,7 +544,7 @@ def _ref_certificate(model):
     """(v_distance, min over blocks of eps_c) from dense trace norms, one
     label block at a time; v is the smallest within 1e-12 of the minimum."""
     n, L, dim = model.n, model.logical, model.dim
-    v_iso = analysis.swap_isometry(model)
+    v_iso = model.swap
     groups = _ref_groups(model, THETA_ALL_G)
     mass = {v: sum(np.vdot(b, b).real for b in blk.values()) for v, blk in groups.items()}
     dists = {}
@@ -602,7 +602,7 @@ def test_sigma_blocks_match_per_outcome_reference():
     each group's summed |b><b| is one class row's outer product."""
     for model in _class_models():
         for theta in model.thetas:
-            table = model.class_table(theta)
+            table = model.tables[theta]
             groups = {}
             for label, rest in _ref_sigma_blocks(model, theta).items():
                 key = (_decoding_of(model, theta, label), _phase_key(rest))
@@ -629,7 +629,7 @@ def test_class_rows_keep_coordinate_order():
     cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(2))
     for theta in model.thetas:
-        table = model.class_table(theta)
+        table = model.tables[theta]
         for label, rest in _ref_sigma_blocks(model, theta, 16).items():
             rows = table.rows[[table.decodings[k] == _decoding_of(model, theta, label) for k in table.index]]
             overlap = np.abs(rows.conj() @ rest) ** 2 / np.sum(np.abs(rows) ** 2, axis=1)
@@ -656,8 +656,7 @@ def test_class_tables_make_one_array_decode_per_coordinate(kind, w, monkeypatch)
 
     for name in ("decode_b", "decode_x", "decode_h"):
         monkeypatch.setattr(entcf, name, counted(name, getattr(entcf, name)))
-    for theta in model.thetas:
-        model.class_table(theta)
+    model.tables
     families = [trap.family for theta in model.thetas for trap in model.trapdoors[theta]]
     claws = families.count(entcf.FAMILY_F)
     want = {("decode_b", True): len(families) - claws, ("decode_h", True): claws}
@@ -744,8 +743,8 @@ def test_classes_refuse_a_shared_code_with_two_directions():
         None, honest.questions, name="tampered",
     )
     with pytest.raises(ModelError, match="not parallel"):
-        tampered.class_table(theta)
-    assert all(len(table.rows) for table in map(honest.class_table, honest.thetas))
+        tampered.tables
+    assert all(len(table.rows) for table in honest.tables.values())
 
 
 def _per_image_claw_basis(w, x0, x1):
@@ -786,7 +785,7 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
                     rows = _per_image_claw_basis(w, entcf.decode_x(0, trap, y), entcf.decode_x(1, trap, y))
                 for d, row in enumerate(rows):
                     vec = np.sqrt(weight) * (state @ row.conj())
-                    if np.vdot(vec, vec).real >= analysis.ATOL**2:
+                    if np.vdot(vec, vec).real >= qsim.ATOL**2:
                         bhat, hhat = protocol.decode_bhat([trap], [y]), protocol.decode_hhat([trap], [y], [d])
                         code = (bhat[0], hhat[0])
                         want[code] = want.get(code, 0) + np.outer(vec, vec.conj())
@@ -811,8 +810,7 @@ def test_class_tables_of_a_wide_coordinate_stay_small():
             model = analysis.build_honest_model(
                 DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(w)), "dimtest", np.random.default_rng(7)
             )
-            for theta in model.thetas:
-                model.class_table(theta)
+            model.tables
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -825,8 +823,7 @@ def test_soundness_distances_stay_small():
     # question at once peaked near 4.0 MiB
     cfg = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(7))
-    for theta in model.thetas:
-        model.class_table(theta)
+    model.tables
     tracemalloc.start()
     try:
         for theta in model.thetas:
@@ -853,7 +850,7 @@ def test_honest_model_is_built_from_the_public_table(monkeypatch):
             for name in ("preimages", "decode_b", "decode_x", "decode_h"):
                 patch.setattr(entcf, name, _refused)
             model = analysis.build_honest_model(config, kind, np.random.default_rng(3))
-            assert [model.t_theta(theta) for theta in model.thetas] == [1.0] * len(model.thetas)
+            assert [model.preimage_mass[theta] for theta in model.thetas] == [1.0] * len(model.thetas)
         assert analysis.failure_report(model).eps_P == 0.0
         if kind == "selftest":
             assert analysis.gamma_report(model).gamma_P == 0.0
@@ -935,9 +932,9 @@ def _unskipped_eps_h(model):
     without mass included: failure_report's loop without its skip."""
     accept = dict.fromkeys(sorted(model.questions), 0.0)
     for theta in model.thetas:
-        table = model.class_table(theta)
+        table = model.tables[theta]
         for q in accept:
-            for u, weights in zip(model.questions[q].outcomes, model.outcome_masses(theta, q)):
+            for u, weights in zip(model.questions[q].outcomes, model.masses[q][theta]):
                 mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
                 for k, (bhat, hhat) in enumerate(table.decodings):
                     args = (model.protocol, model.n, theta, q, u, list(bhat), list(hhat))
@@ -972,14 +969,14 @@ def _ref_failure_report(model):
     """(failure_report, verdicts taken) with the per-outcome scan: one
     np.flatnonzero per row of each (theta, q) masses @ indicator matrix."""
     n_thetas = len(model.thetas)
-    eps_p = 1.0 - sum(model.t_theta(theta) for theta in model.thetas) / n_thetas
+    eps_p = 1.0 - sum(model.preimage_mass[theta] for theta in model.thetas) / n_thetas
     accept = dict.fromkeys(sorted(model.questions), 0.0)
     verdicts = 0
     for theta in model.thetas:
-        table = model.class_table(theta)
+        table = model.tables[theta]
         indicator = np.eye(len(table.decodings))[table.index]
         for q in accept:
-            masses = model.outcome_masses(theta, q) @ indicator
+            masses = model.masses[q][theta] @ indicator
             for u, mass in zip(model.questions[q].outcomes, masses):
                 for k in np.flatnonzero(mass):
                     verdicts += 1
@@ -1034,8 +1031,8 @@ def _ref_soundness_by_theta(model, theta):
     """soundness_distance of one theta alone: its own lift, trace norm call
     and chunks of outcomes, each chunk's distances summed by one np.sum."""
     L, dim = model.logical, model.dim
-    v_iso = analysis.swap_isometry(model)
-    table = model.class_table(theta)
+    v_iso = model.swap
+    table = model.tables[theta]
     blocks = table.blocks
     v_rows, row_v = np.unique(table.block_v, axis=0, return_inverse=True)
     row_v = row_v.ravel()
@@ -1060,7 +1057,7 @@ def _ref_soundness_by_theta(model, theta):
         for lo in range(0, len(ideal), step):
             k = slice(lo, lo + step)
             measured = blocks @ meas.projectors[k].swapaxes(1, 2)
-            measured[np.vecdot(measured, measured).real < analysis.ATOL**2] = 0.0
+            measured[np.vecdot(measured, measured).real < qsim.ATOL**2] = 0.0
             coef = ideal[k, None, :] * overlap[k, :, None]
             target = (coef[..., None] * alpha[:, None, :]).reshape(-1, width)
             post[q] += float(np.sum(qsim.trace_norm_diff_rank1(measured.reshape(-1, dim) @ v_iso.T, target)))
@@ -1070,7 +1067,7 @@ def _ref_soundness_by_theta(model, theta):
 def _ref_swap_circuit(model, rng):
     """swap_identity_checks' circuit deviation, one random state at a time."""
     L, dim = model.logical, model.dim
-    v = analysis.swap_isometry(model)
+    v = model.swap
     zs, xs = model.questions[0].observables, model.questions[1].observables
     anc_bits = (np.arange(2**L)[None, :] >> np.arange(L - 1, -1, -1)[:, None]) & 1
     circ_dev = 0.0
@@ -1160,21 +1157,24 @@ def test_outcome_masses_are_slices_of_one_stacked_call(kind, name, n, w, seed):
     model = _cli_model(kind, name, n, w, seed)
     for q, meas in model.questions.items():
         for theta in model.thetas:
-            table = model.class_table(theta)
-            got = model.outcome_masses(theta, q)
+            table = model.tables[theta]
+            got = model.masses[q][theta]
             want = np.einsum("...d,...d->...", table.rows.conj(), table.rows @ meas.projectors.swapaxes(1, 2)).real
             indicator = np.eye(len(table.decodings))[table.index]
             assert np.array_equal(got, want) and np.array_equal(got @ indicator, want @ indicator)
-            assert not got.flags.writeable and got is model.outcome_masses(theta, q)
+            assert not got.flags.writeable and got is model.masses[q][theta]
 
 
 def test_cached_arrays_are_read_only_and_reports_do_not_share_state(tmp_path):
+    lwe, bitflip = entcf.EntcfParams.toylwe(1, 3, 16, 1), _cli_model("selftest", "bitflip=0.1", 1, 2, 0)
     cached = [
         qsim.hadamard_matrix(2),
         analysis._cz_signs(1),
         analysis.question_measurement("selftest", 1, 1).observables,
-        _cli_model("selftest", "bitflip=0.1", 1, 2, 0).questions[0].observables,
-        entcf._domain(entcf.EntcfParams.toylwe(1, 3, 16, 1)),
+        bitflip.questions[0].observables,
+        bitflip.swap,
+        entcf._domain(lwe),
+        entcf.gen_keypair(entcf.FAMILY_F, lwe, np.random.default_rng(0))[0].lwe_centers,
     ]
     for arr in cached:
         with pytest.raises(ValueError):

@@ -601,6 +601,18 @@ def test_cli_bad_spec_is_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ["bitflip", "bitflip=", "bitflip=abc", "bitflip=1.5", "bitflipx"])
+def test_cli_device_spec_is_refused_by_both_workloads(capsys, spec):
+    """A run's --prover and analyze's --model read one grammar, name[=p]:
+    each refuses the same malformed bitflip spec with one error line."""
+    for argv in (["selftest", "run", "--prover", spec, "--sessions", "2"], ["analyze", "--model", spec]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), argv
+
+
 def test_cli_analyze_dimtest_n2_certifies_dimension_4(capsys):
     argv = ["analyze", "--protocol", "dimtest", "--n", "2", "--w", "2", "--model", "honest"]
     assert cli.main(argv) == 0

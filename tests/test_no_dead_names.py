@@ -1,7 +1,7 @@
 """Every function, class, method and module-level constant in the package is
 used: referenced somewhere in `src/` outside its own definition, wrapped by
 the benchmark tracer, or a public entry point. Code that nothing calls is
-deleted, not kept."""
+deleted, not kept. Nor does any code write another object's private state."""
 import ast
 import dataclasses
 import importlib
@@ -137,3 +137,20 @@ def test_every_dataclass_field_is_read():
         if field.name not in read
     ]
     assert unread == [], "dataclass fields never read in src/: " + ", ".join(unread)
+
+
+def test_no_private_attribute_is_written_from_outside():
+    """An attribute with a leading underscore (dunders aside) is written only
+    through `self`, by its own object's methods: state a module function
+    would fill in on another object is a cached property of that object."""
+    writes = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert writes == [], "private attributes written from outside their object: " + ", ".join(writes)
