@@ -28,23 +28,26 @@ derived from them once, as cached properties: tables (each theta's class
 rows), masses (outcome masses <row|P_u|row>, one masses call per question
 over every theta's rows), preimage_mass, swap (the swap isometry V) and
 soundness. A gamma term is the Sigma mass whose answer bits agree with v, a
-zeta or chi term four times the Sigma mass on which they disagree; the
-failure report sums them per decoding with one product. soundness stacks
-the Sigma rows of a group of thetas and lifts them at once, and their
-branches a chunk of outcomes at a time, within qsim.CHUNK_ENTRIES entries;
-each theta keeps the sums it has alone.
+zeta or chi term four times the Sigma mass on which they disagree. Decodings
+stay int codes (protocol's encoding); the failure report sums masses per
+decoding with one product and judges them with one Hadamard-round rule
+evaluation per (theta, question). soundness stacks the Sigma rows of a group
+of thetas and lifts them at once, and their branches a chunk of outcomes at
+a time, within qsim.CHUNK_ENTRIES entries; each theta keeps the sums it has
+alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
-from .protocol import THETA_ALL_G, THETA_DIAMOND
+from .protocol import COMPUTATIONAL, HADAMARD_BASIS, THETA_ALL_G, THETA_DIAMOND
 
 # most entries one array of the analysis may have
 _ENTRY_BUDGET = 2**25
@@ -66,9 +69,9 @@ def all_bit_tuples(n: int):
 
 
 def _kron_basis(bases) -> np.ndarray:
-    """Kronecker product of per-qubit bases, "computational" or "hadamard":
+    """Kronecker product of per-qubit bases, COMPUTATIONAL or HADAMARD_BASIS:
     column bits_to_int(u) is the pattern state of answer u."""
-    qubit = {"computational": np.eye(2, dtype=complex), "hadamard": qsim.hadamard_matrix(1)}
+    qubit = {COMPUTATIONAL: np.eye(2, dtype=complex), HADAMARD_BASIS: qsim.hadamard_matrix(1)}
     return functools.reduce(np.kron, [qubit[b] for b in bases], np.ones((1, 1), dtype=complex))
 
 
@@ -103,20 +106,13 @@ def _check_size(logical: int, env_dim: int, projectors: int = 0) -> None:
         raise ModelError(f"model of {size} array entries exceeds budget {_ENTRY_BUDGET}")
 
 
-def _coord_codes(trap: entcf.Trapdoor, ys: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """(outcomes, 2) codes of one coordinate's (y_i, d_i) outcomes: b-hat_i,
-    then h-hat_i, -1 for None. protocol.decode_bhat and decode_hhat pass the
-    whole coordinate's arrays to one array decode of its trapdoor."""
-    (bhat,), (hhat,) = protocol.decode_bhat([trap], [ys]), protocol.decode_hhat([trap], [ys], [ds])
-    codes = np.full((ys.size, 2), -1, dtype=np.int8)
-    for k, decoded in enumerate((bhat, hhat)):
-        if decoded is not None:
-            codes[:, k] = decoded
-    return codes
-
-
-def _bits(codes) -> tuple:
-    return tuple(None if c < 0 else c for c in codes)
+def _label_codes(trapdoors, ys, ds) -> np.ndarray:
+    """(labels, 2L) codes of labels given per coordinate, ys[i] and ds[i]
+    arrays: b-hat per coordinate, then h-hat, entcf.UNDECODED for None.
+    protocol.decode_bhat and decode_hhat make one array decode per coordinate."""
+    decoded = protocol.decode_bhat(trapdoors, ys) + protocol.decode_hhat(trapdoors, ys, ds)
+    undecoded = np.full(len(ys[0]), entcf.UNDECODED)
+    return np.array([undecoded if c is None else c for c in decoded], dtype=np.int8).T
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -179,14 +175,15 @@ class ClassTable:
     model merges every such set: its rows are products of coord_classes,
     which holds every theta's coordinate classes from one pass. An explicit
     model keeps a row per label.
-    rows[k] decodes to the distinct (b-hat, h-hat) pair decodings[index[k]].
-    blocks are the rows with a Sigma(theta, v), ordered by v, rows[stack],
-    block_v their v's, and residual the mass of the other rows. The arrays
-    are read-only."""
+    rows[k] decodes to decodings[index[k]], a row of the (decodings, 2L)
+    array of distinct codes: b-hat per coordinate, then h-hat, entcf.UNDECODED
+    for None. blocks are the rows with a Sigma(theta, v), ordered by v,
+    rows[stack], block_v their v's, and residual the mass of the other rows.
+    The arrays are read-only."""
 
     rows: np.ndarray
     index: np.ndarray
-    decodings: list
+    decodings: np.ndarray
     stack: np.ndarray
     blocks: np.ndarray
     block_v: np.ndarray
@@ -254,29 +251,22 @@ class DeviceModel:
         return out
 
     def _build_table(self, theta) -> ClassTable:
-        L = self.logical
         rows, codes = self._product_rows(theta) if self.d_meas is None else self._label_rows(theta)
-        key = (codes + 1).astype(np.int64) @ 3 ** np.arange(2 * L)
+        key = (codes + 1).astype(np.int64) @ 3 ** np.arange(codes.shape[1])
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(first)  # distinct decodings in order of first row
         index = np.argsort(order)[index.ravel()]
-        decodings = [(_bits(row[:L]), _bits(row[L:])) for row in codes[first[order]].tolist()]
-        vs = [protocol.sigma_v(self.protocol, self.n, theta, list(b), list(h)) for b, h in decodings]
-        v_keys = sorted({v for v in vs if v is not None})
-        rank = np.array([-1 if v is None else v_keys.index(v) for v in vs], dtype=int)[index]
-        stack = np.flatnonzero(rank >= 0)
-        stack = stack[np.argsort(rank[stack], kind="stable")]
-        block_v = np.array(v_keys, dtype=int).reshape(-1, L)[rank[stack]]
-        residual = float(np.sum(_mass(rows[rank < 0])))
+        v, found = protocol.sigma_v(self.protocol, self.n, theta, codes)
+        stack = np.flatnonzero(found)
+        stack = stack[np.lexsort(v[stack].T[::-1])]  # by v, first bit first; lexsort is stable
         return ClassTable(
-            _frozen(rows), _frozen(index), decodings, _frozen(stack), _frozen(rows[stack]),
-            _frozen(block_v), residual,
+            _frozen(rows), _frozen(index), _frozen(codes[first[order]]), _frozen(stack), _frozen(rows[stack]),
+            _frozen(v[stack]), float(np.sum(_mass(rows[~found]))),
         )
 
     def _label_rows(self, theta):
         """(rows, codes) of an explicit model: one row per (y, d) label with
         nonzero mass, in label order."""
-        L = self.logical
         ys = sorted(self.psi[theta])
         d_tuples = self.d_meas[theta].outcomes
         psi = np.array([self.psi[theta][y] for y in ys])
@@ -285,10 +275,7 @@ class DeviceModel:
         keep = np.flatnonzero(_mass(grid) >= qsim.ATOL**2)
         yrow, dcol = np.divmod(keep, len(d_tuples))
         y_arr, d_arr = np.array(ys, dtype=np.int64)[yrow], np.array(d_tuples, dtype=np.int64)[dcol]
-        codes = np.empty((keep.size, 2 * L), dtype=np.int8)
-        for i, trap in enumerate(self.trapdoors[theta]):
-            codes[:, [i, L + i]] = _coord_codes(trap, y_arr[:, i], d_arr[:, i])
-        return grid[keep], codes
+        return grid[keep], _label_codes(self.trapdoors[theta], y_arr.T, d_arr.T)
 
     def _product_rows(self, theta):
         """(rows, codes) of a product-form model: the product of its
@@ -340,7 +327,7 @@ class DeviceModel:
         ds, owner = ds.ravel()[keep], np.repeat(owner, 2)[keep]
         bounds = np.searchsorted(owner, np.arange(len(coords) + 1))
         codes = np.concatenate([
-            _coord_codes(self.trapdoors[theta][i], ys[lo:hi], ds[lo:hi])
+            _label_codes([self.trapdoors[theta][i]], [ys[lo:hi]], [ds[lo:hi]])
             for (theta, i), lo, hi in zip(coords, bounds, bounds[1:])
         ])
         groups = owner * 9 + (codes + 1) @ [3, 1]  # (coordinate, code)
@@ -650,30 +637,27 @@ def gamma_report(model: DeviceModel) -> GammaReport:
 def failure_report(model: DeviceModel) -> FailureReport:
     """Exact failure probabilities from the model's block algebra.
 
-    Rows with the same decoded bits get the same verdict, so each verdict
-    is taken once per distinct decoding of the class table and applied to
-    that decoding's summed mass; a decoding whose mass is exactly 0.0 adds
-    nothing whatever its verdict, and is skipped. A (theta, question)'s
+    Rows with the same decoding get the same verdict, so a (theta, question)'s
     (outcomes, decodings) masses are one product of its outcome masses with
-    the rows x decodings indicator of the table's index; one row-major
-    nonzero scan lists the cells to judge, in the order they are summed.
+    the rows x decodings indicator of the table's index, and one evaluation
+    of the Hadamard-round rule judges the cells of that matrix's row-major
+    nonzero scan; a cell of mass 0.0 adds nothing whatever its verdict. The
+    accepted masses are added one by one in that order (sum() may
+    compensate round-off, which would move a report's bits).
     """
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.preimage_mass.values()) / n_thetas
-    questions = sorted(model.questions)
-    accept = dict.fromkeys(questions, 0.0)
+    answers = {q: np.array(meas.outcomes) for q, meas in model.questions.items()}
+    accepted = {q: [] for q in sorted(model.questions)}
     for theta in model.thetas:
         table = model.tables[theta]
         indicator = np.eye(len(table.decodings))[table.index]
-        for q in questions:
-            masses = model.masses[q][theta] @ indicator
-            cells = np.nonzero(masses)
-            for r, k, mass in zip(*(c.tolist() for c in cells), masses[cells].tolist()):
-                bhat, hhat = table.decodings[k]
-                u = model.questions[q].outcomes[r]
-                if protocol.hadamard_verdict(model.protocol, model.n, theta, q, u, [*bhat], [*hhat]).accept:
-                    accept[q] += mass
-    eps_h = {q: 1.0 - accept[q] / n_thetas for q in questions}
+        for q, masses in accepted.items():
+            cell_masses = model.masses[q][theta] @ indicator
+            r, k = np.nonzero(cell_masses)
+            ok = protocol.hadamard_rule(model.protocol, model.n, theta, q, answers[q][r], table.decodings[k])
+            masses.extend(cell_masses[r[ok], k[ok]].tolist())
+    eps_h = {q: 1.0 - functools.reduce(operator.add, m, 0.0) / n_thetas for q, m in accepted.items()}
     return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h))
 
 
@@ -777,15 +761,15 @@ def tau_vector(protocol_kind: str, n: int, theta, v: tuple) -> np.ndarray:
     """The ideal state of (theta, v), cached and read-only."""
     logical = protocol.n_coords(protocol_kind, n)
     if theta == THETA_DIAMOND:
-        state = _kron_basis(["hadamard"] * logical)[:, 0] * _cz_signs(n)
+        state = _kron_basis([HADAMARD_BASIS] * logical)[:, 0] * _cz_signs(n)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         flip = np.array([[1.0]], dtype=complex)
         for bit in v:
             flip = np.kron(flip, x if bit else np.eye(2))
         return _frozen(flip @ state)
-    bases = ["computational"] * logical
+    bases = [COMPUTATIONAL] * logical
     if theta != THETA_ALL_G:
-        bases[theta] = "hadamard"
+        bases[theta] = HADAMARD_BASIS
     return _frozen(_kron_basis(bases)[:, bits_to_int(v)].copy())
 
 

@@ -12,9 +12,9 @@ verifier, the provers, the harness and the white-box analysis read them here.
 
 theta is encoded as: an int in [0, 2N) for a claw coordinate (0-indexed),
 THETA_ALL_G ("all_g") for the all-injective case, THETA_DIAMOND ("diamond")
-for the all-claw case. Undefined decodings are None and any comparison against
-None fails (reject); reason codes carry a ".bot" suffix when a None was the
-cause, so undecodable-d rejections are distinguishable in statistics.
+for the all-claw case. Both rules read decodings as int codes, UNDECODED for
+None; a check that reads UNDECODED rejects with a ".bot" suffix on its reason
+code, so undecodable-d rejections are distinguishable in statistics.
 """
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ HadamardD = _message("HadamardD", ("d", "wbits"))
 Question = _message("Question", ("q", "int"))
 FinalAnswer = _message("FinalAnswer", ("v", "bit"))
 Verdict = _message("Verdict", ("accept", "int"), ("reason", "str"))
+ACCEPT = Verdict(accept=1, reason="accept")
 MESSAGE_TYPES = tuple(FIELDS)
 
 
@@ -97,8 +98,9 @@ class DimTestConfig(_Config):
 
 KINDS = ("selftest", "dimtest")
 
-_COMP = "computational"
-_HAD = "hadamard"
+# measurement basis names, per coordinate
+COMPUTATIONAL = "computational"
+HADAMARD_BASIS = "hadamard"
 
 
 def paired(kind: str) -> bool:
@@ -152,9 +154,9 @@ def question_bases(kind: str, n: int, q: int) -> tuple[str, ...]:
     if q not in questions(kind):
         raise ParameterError(f"bad question {q}")
     if not paired(kind):
-        return (_HAD if q else _COMP,) * n
-    first = _COMP if q in (0, 2) else _HAD
-    second = _COMP if q in (0, 3) else _HAD
+        return (HADAMARD_BASIS if q else COMPUTATIONAL,) * n
+    first = COMPUTATIONAL if q in (0, 2) else HADAMARD_BASIS
+    second = COMPUTATIONAL if q in (0, 3) else HADAMARD_BASIS
     return (first,) * n + (second,) * n
 
 
@@ -179,74 +181,7 @@ def eps(eps_p: float, eps_h: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Verdict (pure)
-# ---------------------------------------------------------------------------
-
-def _hadamard_rule(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    """The Hadamard-round verdict of either protocol.
-
-    bhat/hhat are per-coordinate decoded bits (None where undefined):
-    bhat[i] = b-hat(k_i, y_i) on injective coordinates, hhat[i] =
-    h-hat(k_i, y_i, d_i) on claw coordinates. First, every injective
-    coordinate that q measures in the computational basis must answer b-hat.
-    Then every claw coordinate that q measures in the Hadamard basis must
-    answer h-hat xor its CZ partner's known bit: an injective partner's b-hat
-    (".equation"), or a claw partner's own answer when q measures that
-    partner in the computational basis (".bell"); with no partner (dimension
-    test) the check is h-hat alone. A None decoding rejects with ".bot".
-    """
-    bases = question_bases(kind, n, q)
-    if len(v) != len(bases):
-        raise ProtocolError("answer arity mismatch")
-    fams = families(kind, theta, n)
-    fail = None
-    for i, basis in enumerate(bases):
-        if fams[i] == entcf.FAMILY_G and basis == _COMP and bhat[i] != v[i]:
-            fail = ".bhat.bot" if bhat[i] is None else ".bhat"
-            break
-    else:
-        for i, basis in enumerate(bases):
-            if fams[i] != entcf.FAMILY_F or basis != _HAD:
-                continue
-            known, tag = 0, ".equation"
-            if paired(kind):
-                j = partner(i, n)
-                if fams[j] == entcf.FAMILY_G:
-                    known = bhat[j]
-                elif bases[j] == _COMP:
-                    known, tag = v[j], ".bell"
-                else:
-                    continue
-            if hhat[i] is None or known is None:
-                fail = tag + ".bot"
-                break
-            if hhat[i] ^ known != v[i]:
-                fail = tag
-                break
-    if fail is None:
-        return Verdict(accept=1, reason="accept")
-    return Verdict(accept=0, reason=f"{_CASES[kind][theta_class(kind, theta, n)]}.q{q}{fail}")
-
-
-def selftest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    """Hadamard-round verdict for the self-test (2n coordinates, cases A-D)."""
-    return _hadamard_rule("selftest", n, theta, q, v, bhat, hhat)
-
-
-def dimtest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    """Hadamard-round verdict for the dimension test (n coordinates, cases A-B)."""
-    return _hadamard_rule("dimtest", n, theta, q, v, bhat, hhat)
-
-
-def hadamard_verdict(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict:
-    """The Hadamard-round verdict of protocol kind: selftest_verdict or
-    dimtest_verdict, looked up at call time so wrappers of either see it."""
-    verdict = selftest_verdict if paired(kind) else dimtest_verdict
-    return verdict(n, theta, q, v, bhat, hhat)
-
-
-# ---------------------------------------------------------------------------
-# Trapdoor decodings and the Sigma(theta, v) rule
+# The Hadamard-round rule and the Sigma(theta, v) rule, on decoding codes
 # ---------------------------------------------------------------------------
 
 def decode_bhat(trapdoors, y) -> list:
@@ -267,25 +202,107 @@ def decode_hhat(trapdoors, y, d) -> list:
     ]
 
 
-def sigma_v(kind: str, n: int, theta, bhat, hhat):
-    """The unique v with the decoded label in Sigma(theta, v), or None.
+@functools.lru_cache(maxsize=256)
+def decoded_bit_codes(kind: str, n: int, theta) -> tuple:
+    """Per coordinate i, the indices into a label's codes (b-hat of each
+    coordinate, then h-hat) whose parity is the bit the label decodes to at
+    i: b-hat_i on an injective coordinate; on a claw, h-hat_i, xor its CZ
+    partner's b-hat when that partner is injective. Both rules read it."""
+    fams, size = families(kind, theta, n), n_coords(kind, n)
+    return tuple(
+        (i,) if fam == entcf.FAMILY_G
+        else (size + i, partner(i, n)) if paired(kind) and fams[partner(i, n)] == entcf.FAMILY_G
+        else (size + i,)
+        for i, fam in enumerate(fams)
+    )
 
-    Injective coordinates fix v_i = b-hat_i. The claw coordinate fixes
-    h-hat = v_theta (dimension test) or v_theta xor v_partner (self-test);
-    under THETA_DIAMOND every coordinate is a claw and h-hat_i = v_partner(i).
-    A None decoding puts the label in no Sigma(theta, v).
-    """
+
+def _marks(index_sets, size: int) -> np.ndarray:
+    """The read-only (size, len(index_sets)) 0/1 matrix whose column k marks index_sets[k]."""
+    out = np.array([[int(i in at) for at in index_sets] for i in range(size)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def pair_checks(kind: str, n: int, theta, q: int) -> tuple:
+    """The Hadamard-round rule of (theta, q): (checks, code_marks,
+    answer_marks). A check (reject, bot, codes, answers) reads one
+    coordinate and its CZ partner, and fails with Verdict `bot` if a code at
+    `codes` is UNDECODED, else with `reject` if their parity is not that of
+    the answer bits at `answers`; checks are in judging order, and the two
+    _marks matrices have a column per check. First every injective
+    coordinate q measures computationally must answer b-hat (".bhat"); then
+    every claw coordinate q measures in the Hadamard basis must answer h-hat
+    xor its partner's known bit: an injective partner's b-hat (".equation"),
+    or a claw partner's answer where q measures it computationally
+    (".bell"); with no partner (dimension test), h-hat alone."""
+    bases, fams = question_bases(kind, n, q), families(kind, theta, n)
+    bits, prefix = decoded_bit_codes(kind, n, theta), f"{_CASES[kind][theta_class(kind, theta, n)]}.q{q}"
+    injective, claws = [], []
+    for i, (fam, basis) in enumerate(zip(fams, bases)):
+        j = partner(i, n) if paired(kind) else i
+        if fam == entcf.FAMILY_G:
+            if basis == COMPUTATIONAL:
+                injective.append((f"{prefix}.bhat", bits[i], (i,)))
+        elif basis == HADAMARD_BASIS and (j == i or fams[j] == entcf.FAMILY_G):
+            claws.append((f"{prefix}.equation", bits[i], (i,)))
+        elif basis == HADAMARD_BASIS and bases[j] == COMPUTATIONAL:
+            claws.append((f"{prefix}.bell", bits[i], (i, j)))
+    checks = tuple((Verdict(0, r), Verdict(0, f"{r}.bot"), at, ans) for r, at, ans in (*injective, *claws))
+    return checks, _marks([c[2] for c in checks], 2 * len(bases)), _marks([c[3] for c in checks], len(bases))
+
+
+def hadamard_rule(kind: str, n: int, theta, q: int, v, codes):
+    """The checks of pair_checks on decoding codes (b-hat per coordinate,
+    then h-hat; entcf.UNDECODED for None). On one session's v (L bits) and
+    codes (2L ints): the Verdict of its first failing check, or ACCEPT. On
+    arrays over cells, v (cells, L) and codes (cells, 2L): each cell's
+    acceptance, as a bool array."""
+    (checks, code_marks, answer_marks), undecoded = pair_checks(kind, n, theta, q), entcf.UNDECODED
+    if isinstance(codes, np.ndarray):  # a cell fails a check on parity 1 or on any UNDECODED code
+        failed = (codes @ code_marks + v @ answer_marks) % 2 + (codes == undecoded) @ code_marks
+        return np.all(failed == 0, axis=1)
+    for reject, bot, reads, answers in checks:
+        parity = 0
+        for c in reads:
+            if codes[c] == undecoded:
+                return bot
+            parity ^= codes[c]
+        for a in answers:
+            parity ^= v[a]
+        if parity:
+            return reject
+    return ACCEPT
+
+
+def _verdict(kind: str, n: int, theta, q: int, v, bhat, hhat) -> Verdict:
+    """The Hadamard-round verdict on per-coordinate decodings, None where undefined."""
+    if len(v) != n_coords(kind, n):
+        raise ProtocolError("answer arity mismatch")
+    return hadamard_rule(kind, n, theta, q, v, [entcf.UNDECODED if c is None else c for c in (*bhat, *hhat)])
+
+
+def selftest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
+    """Hadamard-round verdict for the self-test (2n coordinates, cases A-D)."""
+    return _verdict("selftest", n, theta, q, v, bhat, hhat)
+
+
+def dimtest_verdict(n: int, theta, q: int, v, bhat, hhat) -> Verdict:
+    """Hadamard-round verdict for the dimension test (n coordinates, cases A-B)."""
+    return _verdict("dimtest", n, theta, q, v, bhat, hhat)
+
+
+def sigma_v(kind: str, n: int, theta, codes: np.ndarray):
+    """(v, found) of a (rows, 2L) code array: where found[r], v[r] is the
+    unique v with row r's label in Sigma(theta, v), its bits those the label
+    decodes to, except that under THETA_DIAMOND h-hat_i fixes v_partner(i).
+    An UNDECODED code puts the label in no Sigma(theta, v)."""
+    at = decoded_bit_codes(kind, n, theta)
     if theta == THETA_DIAMOND:
-        v = [hhat[partner(i, n)] for i in range(2 * n)]
-    else:
-        v = list(bhat)
-        if theta != THETA_ALL_G:
-            v[theta] = hhat[theta]
-    if None in v:
-        return None
-    if paired(kind) and theta not in (THETA_ALL_G, THETA_DIAMOND):
-        v[theta] ^= v[partner(theta, n)]
-    return tuple(v)
+        at = [at[partner(i, n)] for i in range(len(at))]
+    reads = _marks(at, codes.shape[1])
+    return (codes @ reads) % 2, np.all((codes == entcf.UNDECODED) @ reads == 0, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +370,7 @@ class _VerifierBase:
             b, x = [int(e) for e in incoming.b], [int(e) for e in incoming.x]
             ok = entcf.chk(self.keys, self.y, b, x) == 0
             return self._finish(
-                Verdict(accept=1, reason="accept") if ok else Verdict(accept=0, reason="preimage.chk")
+                ACCEPT if ok else Verdict(accept=0, reason="preimage.chk")
             )
         if self.phase == "await_d":
             self.hhat = decode_hhat(self.trapdoors, self.y, tuple(incoming.d))
@@ -361,10 +378,10 @@ class _VerifierBase:
             self.q = qs[int(self.rng.integers(len(qs)))]
             self.phase = "await_answer"
             return Question(q=self.q)
+        # looked up at call time, so wrappers of either verdict see it
+        verdict = selftest_verdict if paired(self.kind) else dimtest_verdict
         v = tuple(incoming.v)
-        return self._finish(
-            hadamard_verdict(self.kind, self.config.N, self.theta, self.q, v, self.bhat, self.hhat)
-        )
+        return self._finish(verdict(self.config.N, self.theta, self.q, v, self.bhat, self.hhat))
 
     def _malformed(self, incoming) -> str | None:
         """Reject reason for a reply that is not the awaited message type

@@ -22,12 +22,10 @@ import numpy as np
 
 from . import entcf, protocol
 from .errors import BudgetError, ContractError, DomainError, ParameterError
+from .protocol import COMPUTATIONAL, HADAMARD_BASIS
 
 # most amplitudes one fullsim coordinate may hold
 FULLSIM_BUDGET = 2**20
-
-_COMP = "computational"
-_HAD = "hadamard"
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -39,9 +37,9 @@ _PHASE = {0: (_SQRT_HALF, _SQRT_HALF), 1: (_SQRT_HALF, -_SQRT_HALF)}
 
 def _in_basis(a0, a1, basis: str):
     """Amplitudes of the qubit a0|0> + a1|1> in a measurement basis."""
-    if basis == _HAD:
+    if basis == HADAMARD_BASIS:
         return (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
-    if basis != _COMP:
+    if basis != COMPUTATIONAL:
         raise DomainError(f"unknown basis {basis!r}")
     return a0, a1
 
@@ -235,15 +233,15 @@ class FullsimProver(HonestProver):
         state = qsim.StateVector(
             tens, [("b", 2), ("x", 2**w), ("y", len(labels))], normalize=True
         )
-        outcome, state = state.measure("y", _COMP, self.rng)
+        outcome, state = state.measure("y", COMPUTATIONAL, self.rng)
         self._full_states.append(state)
         return labels[outcome]
 
     def on_preimage(self):
         bs, xs = [], []
         for state in self._full_states:
-            b, state = state.measure("b", _COMP, self.rng)
-            x, _ = state.measure("x", _COMP, self.rng)
+            b, state = state.measure("b", COMPUTATIONAL, self.rng)
+            x, _ = state.measure("x", COMPUTATIONAL, self.rng)
             bs.append(b)
             xs.append(x)
         return bs, xs
@@ -252,7 +250,7 @@ class FullsimProver(HonestProver):
         ds = []
         self.qubits = []
         for state in self._full_states:
-            d, state = state.measure("x", _HAD, self.rng)
+            d, state = state.measure("x", HADAMARD_BASIS, self.rng)
             ds.append(d)
             self.qubits.append(tuple(state.amps.tolist()))
         return ds

@@ -139,20 +139,28 @@ def test_marginal_observables_commute_and_square(honest):
             assert np.max(np.abs(comm)) < 1e-12  # [Z_i, Z_j] = 0 exactly
 
 
+def _codes(decoded) -> tuple:
+    """Decodings with None as entcf.UNDECODED: a row of a class table's decodings."""
+    return tuple(entcf.UNDECODED if c is None else c for c in decoded)
+
+
+def _decodings(table) -> list:
+    """A class table's decodings as tuples of codes."""
+    return [tuple(codes) for codes in table.decodings.tolist()]
+
+
 def _decoding_of(model, theta, label):
-    """(b-hat, h-hat) of one (y, d) label under the model's trapdoors."""
+    """The codes (b-hat per coordinate, then h-hat) of one (y, d) label
+    under the model's trapdoors."""
     y, d = label
     traps = model.trapdoors[theta]
-    return tuple(protocol.decode_bhat(traps, y)), tuple(protocol.decode_hhat(traps, y, d))
+    return _codes(protocol.decode_bhat(traps, y) + protocol.decode_hhat(traps, y, d))
 
 
 def _sigma_v_of(model, theta, label):
-    """protocol.sigma_v of one (y, d) label under the model's trapdoors."""
-    y, d = label
-    traps = model.trapdoors[theta]
-    bhat = protocol.decode_bhat(traps, y)
-    hhat = protocol.decode_hhat(traps, y, d)
-    return protocol.sigma_v(model.protocol, model.n, theta, bhat, hhat)
+    """protocol.sigma_v of one (y, d) label under the model's trapdoors, or None."""
+    v, found = protocol.sigma_v(model.protocol, model.n, theta, np.array([_decoding_of(model, theta, label)]))
+    return tuple(v[0].tolist()) if found[0] else None
 
 
 def test_sigma_mass_bounded(honest):
@@ -164,7 +172,7 @@ def test_sigma_mass_bounded(honest):
         # a decoding's rows are stacked under the shared Sigma(theta, v)
         # rule's v of its labels, or left out of the stack when it has none
         for label in _ref_sigma_blocks(honest, theta, 2):
-            k = table.decodings.index(_decoding_of(honest, theta, label))
+            k = _decodings(table).index(_decoding_of(honest, theta, label))
             stacked = np.isin(table.stack, np.flatnonzero(table.index == k))
             v = _sigma_v_of(honest, theta, label)
             assert stacked.any() == (v is not None)
@@ -608,14 +616,14 @@ def test_sigma_blocks_match_per_outcome_reference():
                 key = (_decoding_of(model, theta, label), _phase_key(rest))
                 groups.setdefault(key, []).append(rest)
             assert len(groups) == len(table.rows), (model.name, theta)
-            unmatched = list(range(len(table.rows)))
+            unmatched, decodings = list(range(len(table.rows))), _decodings(table)
             for (decoding, _), blocks in groups.items():
                 blocks = np.array(blocks)
                 summed = blocks.T @ blocks.conj()
                 match = [
                     k
                     for k in unmatched
-                    if table.decodings[table.index[k]] == decoding
+                    if decodings[table.index[k]] == decoding
                     and np.max(np.abs(np.outer(table.rows[k], table.rows[k].conj()) - summed)) <= 1e-12
                 ]
                 assert len(match) == 1, (model.name, theta, decoding)
@@ -629,9 +637,9 @@ def test_class_rows_keep_coordinate_order():
     cfg = DimTestConfig(N=3, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(2))
     for theta in model.thetas:
-        table = model.tables[theta]
+        table, decodings = model.tables[theta], _decodings(model.tables[theta])
         for label, rest in _ref_sigma_blocks(model, theta, 16).items():
-            rows = table.rows[[table.decodings[k] == _decoding_of(model, theta, label) for k in table.index]]
+            rows = table.rows[[decodings[k] == _decoding_of(model, theta, label) for k in table.index]]
             overlap = np.abs(rows.conj() @ rest) ** 2 / np.sum(np.abs(rows) ** 2, axis=1)
             assert np.max(overlap) == pytest.approx(np.vdot(rest, rest).real, rel=1e-12)
 
@@ -786,12 +794,12 @@ def test_coordinate_classes_match_per_image_claw_basis(kind, n, w):
                 for d, row in enumerate(rows):
                     vec = np.sqrt(weight) * (state @ row.conj())
                     if np.vdot(vec, vec).real >= qsim.ATOL**2:
-                        bhat, hhat = protocol.decode_bhat([trap], [y]), protocol.decode_hhat([trap], [y], [d])
-                        code = (bhat[0], hhat[0])
+                        decoded = protocol.decode_bhat([trap], [y]) + protocol.decode_hhat([trap], [y], [d])
+                        code = _codes(decoded)
                         want[code] = want.get(code, 0) + np.outer(vec, vec.conj())
             got = {}
             for code, vec in zip(*model.coord_classes[theta][i]):
-                code = analysis._bits(code)
+                code = tuple(code.tolist())
                 got[code] = got.get(code, 0) + np.outer(vec, vec.conj())
             assert set(got) == set(want), (theta, i)
             for code, summed in want.items():
@@ -927,51 +935,68 @@ def test_failure_report_matches_dense_reference(honest):
         assert got.eps == pytest.approx(got.eps_P / 2.0 + np.mean(list(eps_h.values())) / 2.0, abs=1e-9)
 
 
+def _cell_verdict(model, theta, q, u, codes):
+    """The verifier's verdict on one (answer, decoding) cell of a class table."""
+    verdict = protocol.selftest_verdict if model.protocol == "selftest" else protocol.dimtest_verdict
+    decoded = [None if c == entcf.UNDECODED else c for c in codes]
+    return verdict(model.n, theta, q, u, decoded[: model.logical], decoded[model.logical :])
+
+
+def _judged_cells(monkeypatch) -> list:
+    """The cells protocol.hadamard_rule is handed as arrays from now on, in
+    order, as (theta, q, answer, codes) tuples."""
+    cells, rule = [], protocol.hadamard_rule
+
+    def recorded(kind, n, theta, q, v, codes):
+        if isinstance(codes, np.ndarray):
+            cells.extend((theta, q, tuple(u), tuple(c)) for u, c in zip(v.tolist(), codes.tolist()))
+        return rule(kind, n, theta, q, v, codes)
+
+    monkeypatch.setattr(protocol, "hadamard_rule", recorded)
+    return cells
+
+
 def _unskipped_eps_h(model):
-    """eps_H with a verdict on every decoding of every class table, those
-    without mass included: failure_report's loop without its skip."""
+    """(eps_H, verdicts taken) with a verdict on every decoding of every
+    class table, those without mass included: failure_report without its skip."""
     accept = dict.fromkeys(sorted(model.questions), 0.0)
+    verdicts = 0
     for theta in model.thetas:
         table = model.tables[theta]
         for q in accept:
             for u, weights in zip(model.questions[q].outcomes, model.masses[q][theta]):
                 mass = np.bincount(table.index, weights=weights, minlength=len(table.decodings))
-                for k, (bhat, hhat) in enumerate(table.decodings):
-                    args = (model.protocol, model.n, theta, q, u, list(bhat), list(hhat))
-                    if protocol.hadamard_verdict(*args).accept:
+                for k, codes in enumerate(table.decodings.tolist()):
+                    verdicts += 1
+                    if _cell_verdict(model, theta, q, u, codes).accept:
                         accept[q] += float(mass[k])
-    return {q: 1.0 - a / len(model.thetas) for q, a in accept.items()}
+    return {q: 1.0 - a / len(model.thetas) for q, a in accept.items()}, verdicts
 
 
 def test_failure_report_skips_decodings_without_mass(monkeypatch):
     """dimtest honest N=4 w=2, seed 7: the report is bit for bit the one a
-    verdict on every decoding gives, from 912 verdicts instead of 2,560;
-    only the decodings that carry mass are judged."""
+    verdict on every decoding gives, though the rule judges 912 cells
+    instead of 2,560: exactly the (answer, decoding) cells that carry mass."""
     cfg = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(2))
     model = analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(7))
-    calls = []
-    verdict = protocol.hadamard_verdict
-
-    def counted(*args):
-        calls.append(args)
-        return verdict(*args)
-
-    monkeypatch.setattr(protocol, "hadamard_verdict", counted)
+    cells = _judged_cells(monkeypatch)
     report = analysis.failure_report(model)
-    assert len(calls) == 912
-    eps_h = _unskipped_eps_h(model)
-    assert len(calls) == 912 + 2560
+    judged = list(cells)
+    assert len(judged) == 912 and judged == _ref_failure_report(model)[1]
+    eps_h, verdicts = _unskipped_eps_h(model)
+    assert verdicts == 2560
     assert (report.eps_P, report.eps_H, report.eps) == (0.0, eps_h, protocol.eps(0.0, eps_h))
     assert all(abs(e) <= 1e-15 for e in eps_h.values())
 
 
 def _ref_failure_report(model):
-    """(failure_report, verdicts taken) with the per-outcome scan: one
-    np.flatnonzero per row of each (theta, q) masses @ indicator matrix."""
+    """(failure_report, cells judged) with the per-outcome scan: one
+    np.flatnonzero per row of each (theta, q) masses @ indicator matrix and
+    one verifier verdict per (theta, q, answer, codes) cell it lists."""
     n_thetas = len(model.thetas)
     eps_p = 1.0 - sum(model.preimage_mass[theta] for theta in model.thetas) / n_thetas
     accept = dict.fromkeys(sorted(model.questions), 0.0)
-    verdicts = 0
+    cells = []
     for theta in model.thetas:
         table = model.tables[theta]
         indicator = np.eye(len(table.decodings))[table.index]
@@ -979,12 +1004,12 @@ def _ref_failure_report(model):
             masses = model.masses[q][theta] @ indicator
             for u, mass in zip(model.questions[q].outcomes, masses):
                 for k in np.flatnonzero(mass):
-                    verdicts += 1
-                    bhat, hhat = table.decodings[k]
-                    if protocol.hadamard_verdict(model.protocol, model.n, theta, q, u, list(bhat), list(hhat)).accept:
+                    codes = tuple(table.decodings[k].tolist())
+                    cells.append((theta, q, u, codes))
+                    if _cell_verdict(model, theta, q, u, codes).accept:
                         accept[q] += float(mass[k])
     eps_h = {q: 1.0 - a / n_thetas for q, a in accept.items()}
-    return analysis.FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h)), verdicts
+    return analysis.FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h)), cells
 
 
 def _cli_model(kind, model, n, w, seed):
@@ -994,6 +1019,7 @@ def _cli_model(kind, model, n, w, seed):
 
 FAILURE_SCAN_CASES = [
     *(("selftest", model, 1) for model in ("honest", "bitflip=0.1", "wrongbasis", "random")),
+    *(("selftest", "honest", n) for n in (2, 3)),
     *(("dimtest", model, 3) for model in ("honest", "classical")),
 ]
 
@@ -1002,15 +1028,14 @@ FAILURE_SCAN_CASES = [
 @pytest.mark.parametrize("kind,name,n", FAILURE_SCAN_CASES)
 def test_failure_scan_matches_the_per_row_scan(kind, name, n, seed, monkeypatch):
     """One nonzero scan of each masses matrix gives the per-row scan's
-    report bit for bit, with one verdict per cell that carries mass."""
+    report bit for bit, and the rule judges exactly the cells that carry
+    mass, in the per-row scan's order."""
     model = _cli_model(kind, name, n, 2, seed)
-    calls = []
-    verdict = protocol.hadamard_verdict
-    monkeypatch.setattr(protocol, "hadamard_verdict", lambda *args: calls.append(args) or verdict(*args))
+    cells = _judged_cells(monkeypatch)
     got = analysis.failure_report(model)
-    scanned = len(calls)
-    want, cells = _ref_failure_report(model)
-    assert scanned == cells > 0
+    judged = list(cells)
+    want, want_cells = _ref_failure_report(model)
+    assert judged == want_cells and judged
     assert (got.eps_P, got.eps_H, got.eps) == (want.eps_P, want.eps_H, want.eps)
 
 

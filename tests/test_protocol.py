@@ -269,13 +269,23 @@ def _sampled_cases(kind, n, count, seed):
     ids=["selftest-1-all", "dimtest-1-all", "dimtest-2-all", "selftest-2-sample", "selftest-3-sample"],
 )
 def test_verdict_rule_matches_case_tables(kind, n, cases, count):
+    """Every case, judged alone and again in the array path: one evaluation
+    over the stacked cells of each (theta, q), whose acceptance per cell is
+    the case tables'."""
     rule, reference = _VERDICTS[kind]
-    checked = 0
+    checked, stacked = 0, {}
     for theta, q, v, bhat, hhat in cases():
+        want = reference(n, theta, q, v, bhat, hhat)
         got = rule(n, theta, q, v, list(bhat), list(hhat))
-        assert got == reference(n, theta, q, v, bhat, hhat), (theta, q, v, bhat, hhat)
+        assert got == want, (theta, q, v, bhat, hhat)
+        codes = [entcf.UNDECODED if c is None else c for c in (*bhat, *hhat)]
+        for column, value in zip(stacked.setdefault((theta, q), ([], [], [])), (v, codes, want.accept == 1)):
+            column.append(value)
         checked += 1
     assert checked == count
+    for (theta, q), (vs, codes, accepts) in stacked.items():
+        got = protocol.hadamard_rule(kind, n, theta, q, np.array(vs), np.array(codes, dtype=np.int8))
+        assert got.tolist() == accepts, (theta, q)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +296,9 @@ def _label_sigma_v(theta, y, d, traps, n):
     """(b-hat, h-hat, sigma_v) of a self-test label."""
     bhat = protocol.decode_bhat(traps, y)
     hhat = protocol.decode_hhat(traps, y, d)
-    return bhat, hhat, protocol.sigma_v("selftest", n, theta, bhat, hhat)
+    codes = np.array([[entcf.UNDECODED if c is None else c for c in (*bhat, *hhat)]])
+    v, found = protocol.sigma_v("selftest", n, theta, codes)
+    return bhat, hhat, tuple(v[0].tolist()) if found[0] else None
 
 
 def test_sigma_membership_consistency():
