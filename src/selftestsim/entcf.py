@@ -33,6 +33,7 @@ FAMILY_F = "F"
 FAMILY_G = "G"
 
 _DECODE_CAP = 2**16  # largest |X| the exhaustive scans over X allow
+_U32 = np.dtype(">u4")  # a key's wire entries: built once, not parsed from ">u4" per key
 UNDECODED = -1  # an array decoding's entry for None
 
 
@@ -106,10 +107,10 @@ class PublicKey:
         p = self.params
         if p.backend == "ideal":
             head = struct.pack(">BBBI", 1, 0, p.w, p.image_space_size)
-            body = self.table.astype(">u4").tobytes()
+            body = self.table.astype(_U32).tobytes()
         else:
             head = struct.pack(">BBBHHIH", 1, 1, p.w, p.n, p.m, p.q, p.B)
-            body = self.A.astype(">u4").tobytes() + self.u.astype(">u4").tobytes()
+            body = self.A.astype(_U32).tobytes() + self.u.astype(_U32).tobytes()
         return head + body
 
     @functools.cached_property
@@ -128,12 +129,12 @@ class PublicKey:
         kind = raw[1]
         if kind == 0:
             _, _, w, size = struct.unpack(">BBBI", raw[:7])
-            table = np.frombuffer(raw, dtype=">u4", offset=7).astype(np.int64)
+            table = np.frombuffer(raw, dtype=_U32, offset=7).astype(np.int64)
             return cls(params=_ideal_params(w, size), table=table.reshape(2, 2**w))
         if kind == 1:
             _, _, w, n, m, q, B = struct.unpack(">BBBHHIH", raw[:13])
             params = EntcfParams(backend="toylwe", w=w, n=n, m=m, q=q, B=B)
-            flat = np.frombuffer(raw[13:], dtype=">u4").astype(np.int64)
+            flat = np.frombuffer(raw[13:], dtype=_U32).astype(np.int64)
             if len(flat) != m * n + m:
                 raise ProtocolError("toylwe key needs m*n entries of A and m of u")
             return cls(params=params, A=flat[: m * n].reshape(m, n), u=flat[m * n :])

@@ -280,7 +280,7 @@ def run_sessions(
     kind, colon, port = transport_spec.partition(":")
     if kind != "tcp" and transport_spec != "inproc":
         raise ParameterError(f"unknown transport {transport_spec!r}")
-    if colon and not (port.isdecimal() and int(port) < 2**16):
+    if colon and not (port.isascii() and port.isdecimal() and int(port) < 2**16):
         raise ParameterError(f"bad TCP port in {transport_spec!r}")
     port = int(port or 0) if kind == "tcp" else None
     out = None if out_dir is None else pathlib.Path(out_dir)

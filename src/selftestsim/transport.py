@@ -13,9 +13,10 @@ the prover's answer to each message the same way; only the carrying differs.
 In process it hands each payload straight to the other side and rebuilds the
 message from it, so both ends see exactly what a TCP peer would decode and the
 recorded payloads and transcripts are the same over either transport. Over TCP
-it carries framed bytes, each read with one recv in the common case; a
-channel whose peer is read by the same thread pumps its sends, so a frame
-larger than the kernel's socket buffers goes through without a second thread.
+it carries framed bytes on blocking sockets, each read with one recv in the
+common case and each wait bounded by the kernel's 10 s socket timeout; a channel
+whose peer is read by the same thread pumps its sends, which never block, so a
+frame larger than the kernel's socket buffers goes through without a second thread.
 """
 from __future__ import annotations
 
@@ -32,14 +33,16 @@ from .errors import ProtocolError, TransportError
 VERSION = 0x01
 SESSION_ID_BYTES = 16
 _HEADER = 1 + SESSION_ID_BYTES + 1  # version + session id + type byte
+_FRAME_HEAD = struct.Struct(f">IB{SESSION_ID_BYTES}sB")  # length prefix, then the _HEADER bytes
 
 _TYPE_BYTES = {cls: i + 1 for i, cls in enumerate(protocol.MESSAGE_TYPES)}
 _TYPE_CLASSES = {v: k for k, v in _TYPE_BYTES.items()}
 _READ = 1 << 16  # the fewest bytes a recv asks for
-TIMEOUT_S = 10.0  # longest wait for a peer's next frame
+TIMEOUT_S = 10.0  # longest wait for a peer's next frame, or for room to send one
 
 # one encoder for every frame: json.dumps with these options builds a new one per call
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_PARSE_JSON = json.JSONDecoder().raw_decode  # (value, end) of the JSON at the start of a text
 
 
 def _exact(kind):
@@ -137,40 +140,34 @@ class Codec:
         if len(session_id) != SESSION_ID_BYTES:
             raise TransportError("session id must be 16 bytes")
         payload = self.to_payload(msg)
-        body = (
-            bytes([VERSION])
-            + session_id
-            + bytes([_TYPE_BYTES[type(msg)]])
-            + payload_json(type(msg), payload).encode("utf-8")
-        )
-        frame = Frame(struct.pack(">I", len(body)) + body)
+        text = payload_json(type(msg), payload).encode("utf-8")
+        head = _FRAME_HEAD.pack(_HEADER + len(text), VERSION, session_id, _TYPE_BYTES[type(msg)])
+        frame = Frame(head + text)
         frame.payload = payload
         return frame
 
     def decode_frame(self, frame: bytes):
         """(session_id, message, payload) from one complete frame, whose JSON
         must be the one text of its message: no other spacing, order or key."""
-        if len(frame) < 4:
+        if len(frame) < _FRAME_HEAD.size:
             raise TransportError("truncated frame")
-        (length,) = struct.unpack(">I", frame[:4])
-        if len(frame) != 4 + length or length < _HEADER:
+        length, version, session_id, type_byte = _FRAME_HEAD.unpack_from(frame)
+        if len(frame) != 4 + length:
             raise TransportError("frame length mismatch")
-        body = frame[4:]
-        if body[0] != VERSION:
-            raise TransportError(f"unknown wire version {body[0]}")
-        session_id = body[1 : 1 + SESSION_ID_BYTES]
-        cls = _TYPE_CLASSES.get(body[1 + SESSION_ID_BYTES])
+        if version != VERSION:
+            raise TransportError(f"unknown wire version {version}")
+        cls = _TYPE_CLASSES.get(type_byte)
         if cls is None:
             raise TransportError("unknown message type byte")
         try:
-            text = body[_HEADER:].decode("utf-8")
-            payload = json.loads(text)
+            text = frame[_FRAME_HEAD.size :].decode("utf-8")
+            payload, end = _PARSE_JSON(text)
         # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
         # deeply nested arrays raise RecursionError
         except (ValueError, RecursionError) as exc:
             raise TransportError(f"bad payload JSON: {exc}") from exc
         msg = self.from_payload(cls, payload)
-        if text != payload_json(cls, payload):
+        if end != len(text) or text != payload_json(cls, payload):
             raise TransportError("payload JSON is not the canonical encoding of its message")
         return session_id, msg, payload
 
@@ -184,8 +181,8 @@ class TcpChannel:
     names: a frame with another id, or a socket error, is a TransportError.
     Bytes read past the end of a frame wait in the channel for the next recv.
     `peer`, when set, is the channel at the socket's other end, read by the
-    same thread: a send that fills the kernel's buffers then drains them into
-    the peer instead of waiting for a reader that cannot run."""
+    same thread: a send then never blocks, and what fills the kernel's buffers
+    drains into the peer instead of waiting for a reader that cannot run."""
 
     def __init__(self, codec: Codec, session_id: bytes, sock: socket.socket):
         self.codec = codec
@@ -206,7 +203,7 @@ class TcpChannel:
             else:
                 unsent = memoryview(frame)
                 # the peer reads all that went out, so the next send finds the kernel's buffers empty
-                while unsent := unsent[(sent := self.sock.send(unsent)) :]:
+                while unsent := unsent[(sent := self.sock.send(unsent, socket.MSG_DONTWAIT)) :]:
                     self.peer._read_to(len(self.peer._buffer) + sent)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
@@ -217,7 +214,7 @@ class TcpChannel:
         while len(self._buffer) < size:
             try:
                 chunk = self.sock.recv(max(size - len(self._buffer), _READ))
-            except OSError as exc:  # a timeout included
+            except OSError as exc:  # the kernel's timeout included
                 raise TransportError(f"recv failed: {exc}") from exc
             if not chunk:
                 raise TransportError("connection closed mid-frame")
@@ -230,7 +227,8 @@ class TcpChannel:
             raise TransportError("channel closed")
         self._read_to(4)
         size = 4 + int.from_bytes(self._buffer[:4], "big")
-        self._read_to(size)
+        if len(self._buffer) != size:  # mostly it holds this one frame, which slices without a copy
+            self._read_to(size)
         frame, self._buffer = self._buffer[:size], self._buffer[size:]
         session_id, msg, payload = self.codec.decode_frame(frame)
         if session_id != self.session_id:
@@ -245,9 +243,12 @@ class TcpChannel:
             pass
 
 
-def _nodelay(sock: socket.socket) -> socket.socket:
-    # each frame is one request or reply that the peer waits for: Nagle's
-    # algorithm would hold it back for the delayed ACK of the previous one
+def _link_socket(sock: socket.socket) -> socket.socket:
+    """sock, blocking, with TIMEOUT_S as the kernel's bound on each wait: a Python timeout polls first."""
+    bound = struct.pack("@ll", int(TIMEOUT_S), round(TIMEOUT_S % 1 * 1e6))  # a struct timeval
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        sock.setsockopt(socket.SOL_SOCKET, option, bound)
+    # each frame is a request or reply the peer waits for: Nagle would hold it for the last one's delayed ACK
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
@@ -273,10 +274,8 @@ class Link:
         """Make this link the verifier's channel for one session, with its id
         and prover; over TCP, connect afresh if the last connection failed."""
         if self._listener is not None and not (self._ends and self._ends[0].open):
-            sock = socket.create_connection(self._listener.getsockname(), timeout=TIMEOUT_S)
-            conn = self._listener.accept()[0]
-            conn.settimeout(TIMEOUT_S)
-            self._ends = [TcpChannel(self.codec, session_id, _nodelay(s)) for s in (sock, conn)]
+            pair = socket.create_connection(self._listener.getsockname()), self._listener.accept()[0]
+            self._ends = [TcpChannel(self.codec, session_id, _link_socket(s)) for s in pair]
             self._ends[0].peer, self._ends[1].peer = self._ends[1], self._ends[0]
         for end in self._ends:
             end.session_id = session_id

@@ -54,9 +54,9 @@ def test_every_worker_package_name_exists(monkeypatch):
     assert {m for m, _ in package} >= {"cli", "harness", "entcf"} and not missing, missing
 
 
-def test_session_path_calls_the_traced_names(monkeypatch, tmp_path):
-    """A fast path that skipped these module attributes would read as zero in
-    `entcf.keygen_us`, `harness.streams_us` or `transport.decode_us`."""
+def _traced_calls(monkeypatch, tmp_path, spec):
+    """(calls per traced name, messages in the transcripts) of a selftest run
+    over the transport spec names."""
     from selftestsim import cli, entcf, harness, transport
 
     calls = Counter()
@@ -75,14 +75,34 @@ def test_session_path_calls_the_traced_names(monkeypatch, tmp_path):
         (harness, "session_streams"),
         (transport.Codec, "to_payload"),
         (transport.Codec, "from_payload"),
+        (transport.Codec, "encode_frame"),
+        (transport.Codec, "decode_frame"),
+        (transport.TcpChannel, "send"),
+        (transport.TcpChannel, "recv"),
     ):
         counted(owner, attr)
     argv = ["selftest", "run", "--n", "2", "--w", "4", "--sessions", "5", "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--transport", spec]) == 0
+    lines = (tmp_path / "transcripts.jsonl").read_text().splitlines()
+    return calls, sum(len(json.loads(line)["messages"]) for line in lines)
+
+
+def test_session_path_calls_the_traced_names(monkeypatch, tmp_path):
+    """A fast path that skipped these module attributes would read as zero in
+    `entcf.keygen_us`, `harness.streams_us` or `transport.decode_us`."""
+    calls, messages = _traced_calls(monkeypatch, tmp_path, "inproc")
     assert calls["gen_keypair"] == 4 * 5
     assert calls["session_streams"] == 1
     # each message is encoded once and rebuilt once on the other side
-    lines = (tmp_path / "transcripts.jsonl").read_text().splitlines()
-    messages = sum(len(json.loads(line)["messages"]) for line in lines)
     assert calls["to_payload"] == calls["from_payload"] == messages
+
+
+def test_tcp_session_path_calls_the_traced_frame_names(monkeypatch, tmp_path):
+    """Over TCP each message is one frame, encoded and sent by one channel,
+    received and decoded by the other: a path around these would read as zero
+    in `transport.encode_us`, `transport.decode_us`, `transport.tcp_send_us`
+    or `transport.tcp_recv_wait_us`."""
+    calls, messages = _traced_calls(monkeypatch, tmp_path, "tcp")
+    framed = ("encode_frame", "decode_frame", "send", "recv", "to_payload", "from_payload")
+    assert [calls[attr] for attr in framed] == [messages] * len(framed)

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -180,7 +181,7 @@ def test_bad_args():
         harness.run_sessions("selftest", "honest", CFG, 0, seed=1)
     with pytest.raises(ParameterError):
         harness.run_sessions("selftest", "honest", CFG, 1, seed=1, transport_spec="pigeon")
-    for spec in ("tcp:abc", "tcp:-1", "tcp:", "tcp:65536"):
+    for spec in ("tcp:abc", "tcp:-1", "tcp:", "tcp:65536", "tcp:١٢", "tcp:１２"):
         with pytest.raises(ParameterError):
             harness.run_sessions("selftest", "honest", CFG, 1, seed=1, transport_spec=spec)
     for prover_spec in ("bitflip=abc", "bitflipx"):
@@ -384,18 +385,23 @@ def test_tcp_run_uses_one_connection(monkeypatch):
 
 
 def test_tcp_sockets_send_without_delay(monkeypatch):
-    nodelay = {}
+    nodelay, waits, timeouts = {}, set(), (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO)
     send = transport.TcpChannel.send
 
     def recording(chan, msg):
         option = chan.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         nodelay.setdefault(type(msg).__name__, set()).add(option)
+        bound = [chan.sock.getsockopt(socket.SOL_SOCKET, option, 16) for option in timeouts]
+        waits.add((chan.sock.gettimeout(), *bound))
         return send(chan, msg)
 
     monkeypatch.setattr(transport.TcpChannel, "send", recording)
     harness.run_sessions("selftest", "honest", CFG, 3, seed=6, transport_spec="tcp")
     # Keys leave the verifier's socket, Images the prover's
     assert nodelay["Keys"] == nodelay["Images"] == {1}
+    # both block, with the kernel bounding each wait by TIMEOUT_S (a struct timeval)
+    ten_seconds = struct.pack("@ll", 10, 0)
+    assert transport.TIMEOUT_S == 10.0 and waits == {(None, ten_seconds, ten_seconds)}
 
 
 def test_failed_sessions_do_not_disturb_the_next_over_one_link(monkeypatch):
@@ -449,21 +455,22 @@ def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
     """Both ends run on one thread, so a send that fills the kernel's buffers
     must drain them into the peer itself. The buffers shrink to 4 KiB before
     the connection is made, so its window is small too; dimtest N=4 w=8 has
-    17 KB Keys frames."""
+    17 KB Keys frames. The link's sockets block, so each of these sends must
+    ask the kernel not to wait."""
     def small(sock):
         for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
             sock.setsockopt(socket.SOL_SOCKET, option, 4096)
         return sock
 
-    def create_connection(address, timeout):
+    def create_connection(address):
         sock = small(socket.socket())
-        sock.settimeout(timeout)
         sock.connect(address)
         return sock
 
     send, partial = socket.socket.send, []
 
     def counting(sock, data, *flags):
+        assert sock.gettimeout() is None and flags == (socket.MSG_DONTWAIT,)
         sent = send(sock, data, *flags)
         partial.append(sent < len(data))
         return sent

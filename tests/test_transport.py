@@ -1,8 +1,10 @@
 """Wire codec and channel tests."""
+import contextlib
 import copy
 import dataclasses
 import json
 import pickle
+import signal
 import socket
 import struct
 import threading
@@ -346,6 +348,16 @@ def test_unknown_type_byte_rejected():
         CODEC.decode_frame(bytes(frame))
 
 
+def test_frame_layout_byte_for_byte():
+    """A 4-byte big-endian length, the version, the session id, the type byte,
+    then the canonical JSON."""
+    assert CODEC.encode_frame(bytes(range(16)), protocol.Question(q=1)) == (
+        bytes.fromhex("00000019" "01" "000102030405060708090a0b0c0d0e0f" "06") + b'{"q":1}'
+    )
+    frame = CODEC.encode_frame(SID, protocol.Keys(keys=(IDEAL_KEY,)))
+    assert frame == bytes.fromhex("0000006d" "01") + SID + b'\x01{"keys":["' + IDEAL_KEY_HEX.encode() + b'"]}'
+
+
 def test_bad_session_id_length():
     with pytest.raises(TransportError):
         CODEC.encode_frame(b"\x00" * 4, protocol.Question(q=1))
@@ -481,3 +493,68 @@ def test_session_id_mismatch():
         receiver.recv()
     sender.close()
     receiver.close()
+
+
+def _link_pair(buffer_bytes=None):
+    """(client, server) sockets of one loopback connection, each set up as
+    `Link` sets up its own, with the kernel's buffers shrunk first if given."""
+    def sized(sock):
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF) if buffer_bytes else ():
+            sock.setsockopt(socket.SOL_SOCKET, option, buffer_bytes)
+        return sock
+
+    with sized(socket.create_server(("127.0.0.1", 0))) as listener:
+        client = sized(socket.socket())
+        client.connect(listener.getsockname())
+        server = listener.accept()[0]
+    return transport._link_socket(client), transport._link_socket(server)
+
+
+@contextlib.contextmanager
+def _fail_after(seconds):
+    """Fail, rather than hang, a wait that outlasts seconds."""
+    def fail(signum, frame):
+        raise AssertionError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_recv_from_a_silent_peer_ends_at_the_kernel_timeout(monkeypatch):
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
+    client, server = _link_pair()
+    chan = transport.TcpChannel(CODEC, SID, client)
+    start = time.perf_counter()
+    try:
+        with _fail_after(5), pytest.raises(TransportError):
+            chan.recv()
+    finally:
+        chan.close()
+        server.close()
+    assert client.gettimeout() is None  # the kernel bounds the wait, not a poll
+    assert 0.1 < time.perf_counter() - start < 1.0
+
+
+def test_send_to_a_peer_that_never_reads_ends_at_the_kernel_timeout(monkeypatch):
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
+    params = entcf.EntcfParams.ideal(8)
+    codec = transport.Codec(params)
+    keys = tuple(entcf.gen_keypair(entcf.FAMILY_F, params, np.random.default_rng(i))[0] for i in range(64))
+    msg = protocol.Keys(keys=keys)
+    client, server = _link_pair(buffer_bytes=4096)
+    chan = transport.TcpChannel(codec, SID, client)
+    start = time.perf_counter()
+    try:
+        # 263 KB: far more than the two 4 KiB buffers hold
+        assert len(codec.encode_frame(SID, msg)) > 250_000
+        with _fail_after(5), pytest.raises(TransportError):
+            chan.send(msg)
+    finally:
+        chan.close()
+        server.close()
+    assert time.perf_counter() - start < 2.0
