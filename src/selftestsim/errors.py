@@ -25,10 +25,6 @@ class ContractError(SelfTestError, RuntimeError):
     """Device callback invoked out of order."""
 
 
-class BudgetError(SelfTestError, RuntimeError):
-    """Requested simulation exceeds the configured size budget."""
-
-
 class TransportError(SelfTestError, RuntimeError):
     """Framing/transport failure (timeout, truncation, bad version)."""
 

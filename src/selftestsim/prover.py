@@ -1,14 +1,11 @@
 """Device-side provers: the honest quantum device and scripted cheats.
 
-The honest device has two classes. HonestProver samples the image y
-classically per coordinate and tracks only the logical qubit that survives
-the Hadamard d-measurement (a basis state for injective coordinates, a
-phase state (|0> + (-1)^h |1>)/sqrt(2) for claw coordinates); the CZ layer
-and the final question-dependent measurement of each pair are then computed
-in closed form on its 2x2 amplitude table (measure_pair). FullsimProver
-builds the per-coordinate superposition sum_{b,x} |b>|x>|f_b(x)> explicitly
-and Born-measures every step up to the final one; it is the
-cross-validation oracle for the collapsed fast path and is budget-limited.
+The honest device is HonestProver. It samples the image y classically per
+coordinate and tracks only the logical qubit that survives the Hadamard
+d-measurement (a basis state for injective coordinates, a phase state
+(|0> + (-1)^h |1>)/sqrt(2) for claw coordinates); the CZ layer and the final
+question-dependent measurement of each pair are then computed in closed form
+on its 2x2 amplitude table (measure_pair), with no state vector.
 
 Cheat provers: ClassicalGuess holds no qubits and guesses unknown equation
 bits; BitFlip(p) is the honest prover with flipped answer bits; WrongBasis
@@ -21,11 +18,8 @@ import math
 import numpy as np
 
 from . import entcf, protocol
-from .errors import BudgetError, ContractError, DomainError, ParameterError
+from .errors import ContractError, DomainError, ParameterError
 from .protocol import COMPUTATIONAL, HADAMARD_BASIS
-
-# most amplitudes one fullsim coordinate may hold
-FULLSIM_BUDGET = 2**20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -100,7 +94,6 @@ class DeviceInterface:
         self.kind = kind
         self.rng = rng
         self._expect = "keys"
-        self.verdict = None
 
     def handle(self, message):
         if isinstance(message, protocol.Keys):
@@ -120,7 +113,6 @@ class DeviceInterface:
             self._expect = "verdict"
             return protocol.FinalAnswer(v=tuple(self.on_question(message.q)))
         if isinstance(message, protocol.Verdict):
-            self.verdict = message
             self._expect = "done"
             return None
         raise ContractError(f"unexpected message {type(message).__name__}")
@@ -150,20 +142,18 @@ class HonestProver(DeviceInterface):
         super().__init__(kind, rng)
         self.keys = None
         self.records = None  # per coordinate: list[(b, x)] preimage pairs of y
-        self.y = None
         self.qubits = None  # per coordinate: amplitude pair after d-measurement
 
     # -- keys round ----------------------------------------------------------
     def on_keys(self, keys):
         self.keys = list(keys)
-        self.y = [self._sample_y(k) for k in self.keys]
-        self.records = [entcf.preimages(key, y) for key, y in zip(self.keys, self.y)]
-        return self.y
-
-    def _sample_y(self, key):
-        b = int(self.rng.integers(2))
-        x = int(self.rng.integers(2 ** key.params.w))
-        return entcf.forward_sample(key, b, x, self.rng)
+        y = []
+        for key in self.keys:
+            b = int(self.rng.integers(2))
+            x = int(self.rng.integers(2 ** key.params.w))
+            y.append(entcf.forward_sample(key, b, x, self.rng))
+        self.records = [entcf.preimages(key, yi) for key, yi in zip(self.keys, y)]
+        return y
 
     # -- preimage round --------------------------------------------------------
     def on_preimage(self):
@@ -204,56 +194,6 @@ class HonestProver(DeviceInterface):
         for i in range(n):
             v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
         return v
-
-
-class FullsimProver(HonestProver):
-    """The honest device as a full state vector, up to the final measurement,
-    which it shares with HonestProver."""
-
-    def __init__(self, kind: str, rng: np.random.Generator):
-        super().__init__(kind, rng)
-        self._full_states = []  # per coordinate: the state its y measurement leaves
-
-    def _sample_y(self, key):
-        """y from Born-measuring the coordinate's superposition; keeps the state it leaves."""
-        from . import qsim  # only this prover loads the state-vector engine
-        if key.params.backend == "toylwe" and len(self.keys) > 1:
-            raise BudgetError("fullsim with a toylwe backend handles one coordinate only")
-        w = key.params.w
-        supports = {(b, x): entcf.support(key, b, x) for b in (0, 1) for x in range(2**w)}
-        labels = sorted(frozenset().union(*supports.values()))
-        if 2 ** (1 + w) * len(labels) > FULLSIM_BUDGET:
-            raise BudgetError("fullsim coordinate exceeds the simulator budget")
-        index = {y: i for i, y in enumerate(labels)}
-        tens = np.zeros((2, 2**w, len(labels)), dtype=complex)
-        for (b, x), supp in supports.items():
-            amp = 1.0 / np.sqrt(2.0 * 2**w * len(supp))
-            for y in supp:
-                tens[b, x, index[y]] += amp
-        state = qsim.StateVector(
-            tens, [("b", 2), ("x", 2**w), ("y", len(labels))], normalize=True
-        )
-        outcome, state = state.measure("y", COMPUTATIONAL, self.rng)
-        self._full_states.append(state)
-        return labels[outcome]
-
-    def on_preimage(self):
-        bs, xs = [], []
-        for state in self._full_states:
-            b, state = state.measure("b", COMPUTATIONAL, self.rng)
-            x, _ = state.measure("x", COMPUTATIONAL, self.rng)
-            bs.append(b)
-            xs.append(x)
-        return bs, xs
-
-    def on_hadamard(self):
-        ds = []
-        self.qubits = []
-        for state in self._full_states:
-            d, state = state.measure("x", HADAMARD_BASIS, self.rng)
-            ds.append(d)
-            self.qubits.append(tuple(state.amps.tolist()))
-        return ds
 
 
 class WrongBasisProver(HonestProver):
@@ -330,13 +270,10 @@ def parse_device_spec(spec: str) -> tuple[str, float | None]:
 
 
 def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> DeviceInterface:
-    """Parse a prover spec string: honest, honest-fullsim, classical,
-    bitflip=P, wrongbasis."""
+    """Parse a prover spec string: honest, classical, bitflip=P, wrongbasis."""
     name, p = parse_device_spec(spec)
     if name == "honest":
         return HonestProver(protocol_kind, rng)
-    if name == "honest-fullsim":
-        return FullsimProver(protocol_kind, rng)
     if name == "bitflip":
         return BitFlipProver(protocol_kind, rng, p)
     if name == "classical":

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks: protocol statistics at scale, exhaustive
 family properties, white-box analysis identities, and reproducibility."""
 import collections
+import itertools
 import json
 import time
 
@@ -9,6 +10,8 @@ import pytest
 
 from selftestsim import analysis, cli, entcf, harness, protocol, prover, qsim
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
+
+import oracles
 
 
 def selftest_config(n, w):
@@ -78,7 +81,7 @@ def test_collapsed_matches_fullsim_distribution():
     )
     samples = 20_000
     fast = _hadamard_samples(prover.HonestProver, keys, samples, seed=1)
-    full = _hadamard_samples(prover.FullsimProver, keys, samples, seed=2)
+    full = _hadamard_samples(oracles.FullsimProver, keys, samples, seed=2)
     for i in range(2):
         assert set(fast[i]) == set(full[i])
         support = set(fast[i]) | set(full[i])
@@ -87,6 +90,71 @@ def test_collapsed_matches_fullsim_distribution():
         )
         assert tv <= 0.05
     assert time.monotonic() - start < 120.0
+
+
+def _collapsed_distribution(kind, keys, q):
+    """{(y, d, v): probability} of HonestProver's Hadamard round on keys.
+    Each queue of its integers() draws (b_i and x_i per coordinate, then
+    each d_i) has weight 1 / (2 * 4^w) per coordinate; the answer bits'
+    weights are their random() thresholds, read by bisection."""
+    size = 2 ** keys[0].params.w
+    queues = itertools.product(*[range(2), range(size)] * len(keys), *[range(size)] * len(keys))
+    out = collections.defaultdict(float)
+    for queue in queues:
+        device = prover.HonestProver(kind, oracles.FixedDraws(*queue))
+        y, d = tuple(device.on_keys(keys)), tuple(device.on_hadamard())
+
+        def answer(us):
+            device.rng = oracles.FixedDraws(*us)
+            return device.on_question(q)
+
+        for v, weight in oracles.answer_distribution(answer, len(keys)).items():
+            out[(y, d, v)] += weight / (2 * size * size) ** len(keys)
+    return out
+
+
+def _fullsim_distribution(kind, keys, q):
+    """{(y, d, v): Born probability} of the fullsim oracle's Hadamard round
+    on keys."""
+
+    def run(rng):
+        device = oracles.FullsimProver(kind, rng)
+        y = device.handle(protocol.Keys(keys=keys)).y
+        d = device.handle(protocol.RoundType(kind=protocol.HADAMARD)).d
+        v = device.handle(protocol.Question(q=q)).v
+        return y, d, v
+
+    return oracles.born_distribution(run)
+
+
+@pytest.mark.parametrize(
+    "kind, families, w, q",
+    [
+        pytest.param("dimtest", (fam,), w, q, id=f"{fam}-w{w}-q{q}")
+        for fam in (entcf.FAMILY_F, entcf.FAMILY_G)
+        for w in (2, 3, 4)
+        for q in (0, 1)
+    ]
+    + [
+        pytest.param("selftest", (entcf.FAMILY_F, entcf.FAMILY_G), 2, q, id=f"FG-pair-w2-q{q}")
+        for q in (0, 1, 2, 3)
+    ],
+)
+def test_collapsed_matches_fullsim_exactly(kind, families, w, q, monkeypatch):
+    """The collapsed path's probability of every (y, d, v) equals the
+    fullsim oracle's Born probability: one F and one G coordinate in both
+    bases, and one self-test CZ pair, F with G, under every question."""
+    rng = np.random.default_rng(w)
+    params = entcf.EntcfParams.ideal(w)
+    keys = tuple(entcf.gen_keypair(fam, params, rng)[0] for fam in families)
+    collapsed = _collapsed_distribution(kind, keys, q)
+    # the oracle takes its answer on the state vector too
+    monkeypatch.setattr(prover, "measure_pair", oracles.reference_measure_pair)
+    monkeypatch.setattr(prover, "measure_qubit_vector", oracles.reference_measure_qubit_vector)
+    born = _fullsim_distribution(kind, keys, q)
+    assert sum(born.values()) == pytest.approx(1.0, abs=1e-12)
+    for outcome in set(collapsed) | set(born):
+        assert abs(collapsed.get(outcome, 0.0) - born.get(outcome, 0.0)) <= 1e-12, outcome
 
 
 # ---------------------------------------------------------------------------

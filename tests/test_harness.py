@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from selftestsim import analysis, cli, entcf, harness, protocol, prover, transport
-from selftestsim.errors import ParameterError
+from selftestsim.errors import DomainError, ParameterError
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
 
 CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
@@ -500,17 +500,19 @@ def test_tcp_run_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
-def test_prover_error_aborts_the_batch_on_both_transports(capsys, transport):
-    # the fullsim prover refuses w=10 keys when it receives them
-    argv = ["selftest", "run", "--n", "1", "--w", "10", "--prover", "honest-fullsim"]
-    argv += ["--sessions", "2", "--transport", transport]
+def test_prover_error_aborts_the_batch_on_both_transports(capsys, monkeypatch, transport):
+    def refuse(self, keys):
+        raise DomainError("the device refuses its keys")
+
+    monkeypatch.setattr(prover.HonestProver, "on_keys", refuse)
+    argv = ["selftest", "run", "--prover", "honest", "--sessions", "2", "--transport", transport]
     start = time.perf_counter()
     assert cli.main(argv) == 1
     # the prover closes its socket, so no session waits out the 10 s timeout
     assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: fullsim coordinate exceeds the simulator budget"]
+    assert captured.err.splitlines() == ["error: the device refuses its keys"]
 
 
 def test_gamma_bounds_only_in_selftest_stats():
@@ -608,10 +610,13 @@ def test_cli_bad_spec_is_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-@pytest.mark.parametrize("spec", ["bitflip", "bitflip=", "bitflip=abc", "bitflip=1.5", "bitflipx"])
+@pytest.mark.parametrize(
+    "spec", ["bitflip", "bitflip=", "bitflip=abc", "bitflip=1.5", "bitflipx", "honest-fullsim"]
+)
 def test_cli_device_spec_is_refused_by_both_workloads(capsys, spec):
     """A run's --prover and analyze's --model read one grammar, name[=p]:
-    each refuses the same malformed bitflip spec with one error line."""
+    each refuses the same malformed bitflip spec, and a device neither
+    knows, with one error line."""
     for argv in (["selftest", "run", "--prover", spec, "--sessions", "2"], ["analyze", "--model", spec]):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
@@ -730,11 +735,17 @@ def test_package_runs_as_a_module():
 
 
 def test_run_commands_import_neither_analysis_nor_qsim():
-    """The run path compiles and loads no analysis or state-vector engine;
-    the package still hands them out on first use."""
+    """The run path compiles and loads no analysis or state-vector engine,
+    also while it runs sessions of every prover on both transports; the
+    package still hands them out on first use."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, selftestsim.cli, selftestsim.harness\n"
+        "import contextlib, io, itertools, sys, selftestsim.cli, selftestsim.harness\n"
+        "specs = ('honest', 'classical', 'bitflip=0.1', 'wrongbasis')\n"
+        "for kind, spec, link in itertools.product(('selftest', 'dimtest'), specs, ('inproc', 'tcp')):\n"
+        "    argv = [kind, 'run', '--sessions', '2', '--prover', spec, '--transport', link]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert selftestsim.cli.main(argv) == 0, argv\n"
         "print(sorted({'selftestsim.analysis', 'selftestsim.qsim'} & set(sys.modules)))\n"
         "import selftestsim\n"
         "print(selftestsim.analysis.__name__, selftestsim.qsim.__name__)"

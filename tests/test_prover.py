@@ -5,15 +5,25 @@ import numpy as np
 import pytest
 
 from selftestsim import entcf, harness, protocol, prover, qsim
-from selftestsim.errors import BudgetError, ContractError, DomainError, ParameterError
+from selftestsim.errors import ContractError, DomainError, ParameterError
 from selftestsim.prover import (
     ClassicalGuessProver,
-    FullsimProver,
     HonestProver,
     WrongBasisProver,
     make_prover,
 )
 from selftestsim.protocol import question_bases
+
+import oracles
+from oracles import (
+    BudgetError,
+    FixedDraws,
+    FullsimProver,
+    answer_distribution,
+    reference_measure_pair,
+    reference_measure_qubit_vector,
+    threshold,
+)
 
 
 def fixed_keys(theta, n=1, w=2, seed=0):
@@ -129,7 +139,7 @@ def test_fullsim_budget_error_toylwe():
 
 def test_fullsim_budget_error_small_budget(monkeypatch):
     keys, _ = fixed_keys(theta=0)
-    monkeypatch.setattr(prover, "FULLSIM_BUDGET", 4)
+    monkeypatch.setattr(oracles, "FULLSIM_BUDGET", 4)
     p = FullsimProver("selftest", np.random.default_rng(0))
     with pytest.raises(BudgetError):
         p.on_keys(keys)
@@ -199,7 +209,9 @@ def test_wrongbasis_answers_the_swapped_question(kind, theta):
 def test_make_prover_unknown_spec():
     with pytest.raises(ParameterError):
         make_prover("nope", "selftest", np.random.default_rng(0))
-    for spec in ("bitflip", "bitflip=2.0", "bitflip=abc", "bitflip=", "bitflipx", "bitflip0.5"):
+    for spec in (
+        "bitflip", "bitflip=2.0", "bitflip=abc", "bitflip=", "bitflipx", "bitflip0.5", "honest-fullsim",
+    ):
         with pytest.raises(ParameterError):
             make_prover(spec, "selftest", np.random.default_rng(0))
     assert make_prover("bitflip=0.25", "dimtest", np.random.default_rng(0)).p == 0.25
@@ -208,23 +220,6 @@ def test_make_prover_unknown_spec():
 # ---------------------------------------------------------------------------
 # Closed-form measurement against the state-vector reference
 # ---------------------------------------------------------------------------
-
-def reference_measure_qubit_vector(vec, basis, rng):
-    state = qsim.StateVector(vec, [("q", 2)], normalize=True)
-    outcome, _ = state.measure("q", basis, rng)
-    return outcome
-
-
-def reference_measure_pair(vec_i, vec_j, basis_i, basis_j, rng):
-    """State-vector CZ and measurement; the closed form must match it draw
-    for draw."""
-    amps = np.kron(vec_i, vec_j)
-    state = qsim.StateVector(amps, [("i", 2), ("j", 2)], normalize=True)
-    state = qsim.controlled_z(state, "i", "j")
-    out_i, state = state.measure("i", basis_i, rng)
-    out_j, _ = state.measure("j", basis_j, rng)
-    return out_i, out_j
-
 
 def reference_pair_distribution(vec_i, vec_j, basis_i, basis_j):
     """Joint outcome probabilities p[out_i][out_j] from the dense state after CZ."""
@@ -235,41 +230,13 @@ def reference_pair_distribution(vec_i, vec_j, basis_i, basis_j):
     return (probs / probs.sum()).reshape(2, 2)
 
 
-class FixedDraws:
-    """Stands in for a Generator whose random() returns the queued values."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
-def _threshold(outcome_of_u) -> float:
-    """P(outcome 0) for a sampler that returns 0 iff its draw u is below a
-    threshold, found by bisection on u. 50 halvings give 2^-50 resolution and
-    keep u below 1, which random() never returns."""
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = (lo + hi) / 2
-        if outcome_of_u(mid) == 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def closed_form_pair_distribution(vec_i, vec_j, basis_i, basis_j):
-    def pair(u_i, u_j):
-        return prover.measure_pair(vec_i, vec_j, basis_i, basis_j, FixedDraws(u_i, u_j))
+    def pair(us):
+        return prover.measure_pair(vec_i, vec_j, basis_i, basis_j, FixedDraws(*us))
 
-    p_i0 = _threshold(lambda u: pair(u, 0.5)[0])
     out = np.zeros((2, 2))
-    # u = 0 draws outcome 0 and u just below 1 draws outcome 1 when either has mass
-    for out_i, u_i, weight in ((0, 0.0, p_i0), (1, np.nextafter(1.0, 0.0), 1.0 - p_i0)):
-        if weight > 0.0:
-            p_j0 = _threshold(lambda u: pair(u_i, u)[1])
-            out[out_i] = weight * p_j0, weight * (1.0 - p_j0)
+    for (out_i, out_j), weight in answer_distribution(pair, 2).items():
+        out[out_i, out_j] = weight
     return out
 
 
@@ -318,7 +285,7 @@ def test_measure_qubit_vector_matches_state_vector_reference(name, basis):
     vec = QUBITS[name]
     change = qsim.hadamard_matrix(1) if basis == "hadamard" else np.eye(2)
     expect = np.abs(change @ np.asarray(vec, dtype=complex)) ** 2
-    got = _threshold(lambda u: prover.measure_qubit_vector(vec, basis, FixedDraws(u)))
+    got = threshold(lambda u: prover.measure_qubit_vector(vec, basis, FixedDraws(u)))
     assert got == pytest.approx(expect[0] / expect.sum(), abs=1e-12)
     for seed in range(8):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
