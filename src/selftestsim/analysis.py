@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -565,27 +565,6 @@ def sigma_residual(model: DeviceModel, theta) -> float:
     return model.tables[theta].residual
 
 
-@dataclass
-class GammaReport:
-    gamma_P: float
-    gamma_T0: float
-    gamma_T1: float
-    gamma_T0_tilde: float
-    gamma_T0_tilde_prime: float
-    gamma_T1_tilde: float
-    gamma_T: float
-    gamma_diamond_0: float
-    gamma_diamond_1: float
-    gamma_diamond: float
-
-
-@dataclass
-class FailureReport:
-    eps_P: float
-    eps_H: dict
-    eps: float
-
-
 def _agreement(model: DeviceModel, theta, q: int, bits: list, v_bit: int) -> float:
     """The Sigma mass of theta whose question-q answer bits `bits` xor to bit
     v_bit of the block's v. For the +-1 observable O = sum_u (-1)^(xor of
@@ -596,7 +575,7 @@ def _agreement(model: DeviceModel, theta, q: int, bits: list, v_bit: int) -> flo
     return float(np.sum(masses[parity[:, None] == table.block_v[:, v_bit]]))
 
 
-def gamma_report(model: DeviceModel) -> GammaReport:
+def gamma_report(model: DeviceModel) -> dict:
     """Each gamma is 1 minus the least agreement mass of its terms: question
     0 tests Z_i, question 1 X_theta, questions 2 and 3 the tilde observables
     (Z on the coordinates they measure computationally, X on the others) and
@@ -620,21 +599,21 @@ def gamma_report(model: DeviceModel) -> GammaReport:
     gamma_t = max(gamma_t0, gamma_t1, gamma_t0t, gamma_t0tp, gamma_t1t)
     gd0 = gamma((THETA_DIAMOND, 2, [i, n + i], i) for i in range(n))
     gd1 = gamma((THETA_DIAMOND, 3, [i, n + i], n + i) for i in range(n))
-    return GammaReport(
-        gamma_P=gamma_p,
-        gamma_T0=gamma_t0,
-        gamma_T1=gamma_t1,
-        gamma_T0_tilde=gamma_t0t,
-        gamma_T0_tilde_prime=gamma_t0tp,
-        gamma_T1_tilde=gamma_t1t,
-        gamma_T=gamma_t,
-        gamma_diamond_0=gd0,
-        gamma_diamond_1=gd1,
-        gamma_diamond=max(gd0, gd1),
-    )
+    return {
+        "gamma_P": gamma_p,
+        "gamma_T0": gamma_t0,
+        "gamma_T1": gamma_t1,
+        "gamma_T0_tilde": gamma_t0t,
+        "gamma_T0_tilde_prime": gamma_t0tp,
+        "gamma_T1_tilde": gamma_t1t,
+        "gamma_T": gamma_t,
+        "gamma_diamond_0": gd0,
+        "gamma_diamond_1": gd1,
+        "gamma_diamond": max(gd0, gd1),
+    }
 
 
-def failure_report(model: DeviceModel) -> FailureReport:
+def failure_report(model: DeviceModel) -> dict:
     """Exact failure probabilities from the model's block algebra.
 
     Rows with the same decoding get the same verdict, so a (theta, question)'s
@@ -658,7 +637,7 @@ def failure_report(model: DeviceModel) -> FailureReport:
             ok = protocol.hadamard_rule(model.protocol, model.n, theta, q, answers[q][r], table.decodings[k])
             masses.extend(cell_masses[r[ok], k[ok]].tolist())
     eps_h = {q: 1.0 - functools.reduce(operator.add, m, 0.0) / n_thetas for q, m in accepted.items()}
-    return FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h))
+    return {"eps_P": eps_p, "eps_H": eps_h, "eps": protocol.eps(eps_p, eps_h)}
 
 
 def zeta_chi_sums(model: DeviceModel) -> dict:
@@ -681,27 +660,28 @@ def _check(name: str, lhs, rhs) -> dict:
     return {"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + 1e-9)}
 
 
-def check_gamma_bounds(gammas: GammaReport, failures: FailureReport, n: int) -> list[dict]:
-    """The gamma-versus-failure inequality suite; each entry reports lhs,
-    rhs, and whether lhs <= rhs + 1e-9."""
+def check_gamma_bounds(gammas: dict, failures: dict, n: int) -> list[dict]:
+    """The gamma-versus-failure inequality suite over the gamma_report and
+    failure_report dicts; each entry reports lhs, rhs, and whether
+    lhs <= rhs + 1e-9."""
     m = 2 * n + 2
-    eh = failures.eps_H
+    eh = failures["eps_H"]
     checks = [
-        ("gamma_P <= (2N+2) eps_P", gammas.gamma_P, m * failures.eps_P),
-        ("gamma_T0 <= (2N+2) eps_H0", gammas.gamma_T0, m * eh[0]),
-        ("gamma_T1 <= (2N+2) eps_H1", gammas.gamma_T1, m * eh[1]),
+        ("gamma_P <= (2N+2) eps_P", gammas["gamma_P"], m * failures["eps_P"]),
+        ("gamma_T0 <= (2N+2) eps_H0", gammas["gamma_T0"], m * eh[0]),
+        ("gamma_T1 <= (2N+2) eps_H1", gammas["gamma_T1"], m * eh[1]),
         (
             "tilde-gamma sum <= (2N+2)(eps_H2 + eps_H3)",
-            gammas.gamma_T0_tilde
-            + gammas.gamma_T0_tilde_prime
-            + gammas.gamma_T1_tilde
-            + gammas.gamma_diamond_0
-            + gammas.gamma_diamond_1,
+            gammas["gamma_T0_tilde"]
+            + gammas["gamma_T0_tilde_prime"]
+            + gammas["gamma_T1_tilde"]
+            + gammas["gamma_diamond_0"]
+            + gammas["gamma_diamond_1"],
             m * (eh[2] + eh[3]),
         ),
-        ("gamma_P <= 2(2N+2) eps", gammas.gamma_P, 2 * m * failures.eps),
-        ("gamma_T <= 8(2N+2) eps", gammas.gamma_T, 8 * m * failures.eps),
-        ("gamma_diamond <= 8(2N+2) eps", gammas.gamma_diamond, 8 * m * failures.eps),
+        ("gamma_P <= 2(2N+2) eps", gammas["gamma_P"], 2 * m * failures["eps"]),
+        ("gamma_T <= 8(2N+2) eps", gammas["gamma_T"], 8 * m * failures["eps"]),
+        ("gamma_diamond <= 8(2N+2) eps", gammas["gamma_diamond"], 8 * m * failures["eps"]),
     ]
     return [_check(name, lhs, rhs) for name, lhs, rhs in checks]
 
@@ -953,23 +933,23 @@ def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
     }
     failures = failure_report(model)
     report["failures"] = {
-        "eps_P": failures.eps_P,
-        "eps_H": {str(q): e for q, e in failures.eps_H.items()},
-        "eps": failures.eps,
+        "eps_P": failures["eps_P"],
+        "eps_H": {str(q): e for q, e in failures["eps_H"].items()},
+        "eps": failures["eps"],
     }
     if model.protocol == "selftest":
         gammas = gamma_report(model)
-        report["gammas"] = asdict(gammas)
+        report["gammas"] = gammas
         checks = check_gamma_bounds(gammas, failures, model.n)
         sums = zeta_chi_sums(model)
-        rhs = 4 * gammas.gamma_T
+        rhs = 4 * gammas["gamma_T"]
         for (theta, i), val in sums["zeta"].items():
             checks.append(_check(f"sum_v zeta(i={i}, theta={theta}) <= 4 gamma_T", val, rhs))
         for theta, val in sums["chi"].items():
             checks.append(_check(f"sum_v chi(theta={theta}) <= 4 gamma_T", val, rhs))
         for theta in model.thetas:
             name = f"||sigma^theta - sum_v sigma^theta_v||_1 <= gamma_P (theta={theta})"
-            checks.append(_check(name, sigma_residual(model, theta), gammas.gamma_P))
+            checks.append(_check(name, sigma_residual(model, theta), gammas["gamma_P"]))
         report["checks"] = checks
         report["soundness"] = {}
         for theta in model.thetas:

@@ -21,10 +21,10 @@ from .protocol import KINDS, DimTestConfig, SelfTestConfig
 from .prover import parse_device_spec
 
 
-def _entcf_params(args) -> entcf.EntcfParams:
-    if args.backend == "ideal":
-        return entcf.EntcfParams.ideal(args.w)
-    return entcf.EntcfParams.toylwe(n=1, m=3, q=2**args.w, B=1)
+def _entcf_params(backend: str, w: int) -> entcf.EntcfParams:
+    if backend == "ideal":
+        return entcf.EntcfParams.ideal(w)
+    return entcf.EntcfParams.toylwe(n=1, m=3, q=2**w, B=1)
 
 
 def _add_run_flags(sub):
@@ -81,7 +81,7 @@ def _seed(args) -> int:
 
 def _run_command(args) -> int:
     seed = _seed(args)
-    params = _entcf_params(args)
+    params = _entcf_params(args.backend, args.w)
     if args.command == "selftest":
         config = SelfTestConfig(N=args.n, entcf=params)
     else:
@@ -149,7 +149,7 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
     """Exhaustive family checks; returns a list of failure descriptions."""
     failures = []
     rng = np.random.default_rng(seed)
-    params = _entcf_params(argparse.Namespace(backend=backend, w=w))
+    params = _entcf_params(backend, w)
     size_x = 2**params.w
     ds = np.arange(size_x)
 

@@ -43,7 +43,8 @@ def parity(n):
 
 
 def check_scan(params: EntcfParams) -> None:
-    """Refuse |X| > 2^16: ToyLwe keygen and the public preimages scan X."""
+    """Refuse |X| > 2^16: keygen of either backend (a ToyLwe key scans X, an
+    ideal key holds a 2^(w+1)-row table) and the public preimages scan X."""
     if 2**params.w > _DECODE_CAP:
         raise DomainError(f"exhaustive scans of X capped at |X| <= 2^16, got 2^{params.w}")
 
@@ -213,6 +214,7 @@ def gen_keypair(family: str, params: EntcfParams, rng: np.random.Generator) -> t
     """Sample a key pair. Deterministic given (family, params, rng state)."""
     if family not in (FAMILY_F, FAMILY_G):
         raise ParameterError(f"unknown family {family!r}")
+    check_scan(params)
     if params.backend == "ideal":
         return _gen_ideal(family, params, rng)
     return _gen_toylwe(family, params, rng)
@@ -242,7 +244,6 @@ _KEYGEN_TRIES = 10_000
 
 def _gen_toylwe(family, params, rng):
     q, B = params.q, params.B
-    check_scan(params)
     offset = np.full(params.m, q // 2, dtype=np.int64)
     domain = _domain(params)
     for _ in range(_KEYGEN_TRIES):

@@ -1,8 +1,9 @@
 """Device-side provers: the honest quantum device and scripted cheats.
 
 The honest device is HonestProver. It samples the image y classically per
-coordinate and tracks only the logical qubit that survives the Hadamard
-d-measurement (a basis state for injective coordinates, a phase state
+coordinate, in the keys round every device shares (DeviceInterface.on_keys),
+and tracks only the logical qubit that survives the Hadamard d-measurement
+(a basis state for injective coordinates, a phase state
 (|0> + (-1)^h |1>)/sqrt(2) for claw coordinates); the CZ layer and the final
 question-dependent measurement of each pair are then computed in closed form
 on its 2x2 amplitude table (measure_pair), with no state vector.
@@ -123,7 +124,17 @@ class DeviceInterface:
 
     # hooks -----------------------------------------------------------------
     def on_keys(self, keys):
-        raise NotImplementedError
+        """The keys round every device shares: per key it draws b, then x, and
+        forwards y = f(b, x); it keeps the keys and the (b, x) it drew."""
+        self.keys = list(keys)
+        self.b, self.x, y = [], [], []
+        for key in self.keys:
+            b = int(self.rng.integers(2))
+            x = int(self.rng.integers(2 ** key.params.w))
+            self.b.append(b)
+            self.x.append(x)
+            y.append(entcf.forward_sample(key, b, x, self.rng))
+        return y
 
     def on_preimage(self):
         raise NotImplementedError
@@ -136,22 +147,13 @@ class DeviceInterface:
 
 
 class HonestProver(DeviceInterface):
-    """The honest device on the collapsed path."""
-
-    def __init__(self, kind: str, rng: np.random.Generator):
-        super().__init__(kind, rng)
-        self.keys = None
-        self.records = None  # per coordinate: list[(b, x)] preimage pairs of y
-        self.qubits = None  # per coordinate: amplitude pair after d-measurement
+    """The honest device on the collapsed path. It keeps, per coordinate, the
+    preimage pairs (b, x) of its y (`records`) and the amplitude pair its
+    d-measurement leaves (`qubits`)."""
 
     # -- keys round ----------------------------------------------------------
     def on_keys(self, keys):
-        self.keys = list(keys)
-        y = []
-        for key in self.keys:
-            b = int(self.rng.integers(2))
-            x = int(self.rng.integers(2 ** key.params.w))
-            y.append(entcf.forward_sample(key, b, x, self.rng))
+        y = super().on_keys(keys)
         self.records = [entcf.preimages(key, yi) for key, yi in zip(self.keys, y)]
         return y
 
@@ -225,24 +227,8 @@ class ClassicalGuessProver(DeviceInterface):
     """Holds no quantum state: picks (b_i, x_i) itself, forwards y_i = f(b_i, x_i),
     answers the preimage round perfectly, sends a nonzero d on the Hadamard
     round, and answers v_i = b_i (so every unknown equation bit is a uniform
-    guess while b-hat checks on injective coordinates always pass)."""
-
-    def __init__(self, kind: str, rng: np.random.Generator):
-        super().__init__(kind, rng)
-        self.keys = None
-        self.b = None
-        self.x = None
-
-    def on_keys(self, keys):
-        self.keys = list(keys)
-        self.b, self.x, y = [], [], []
-        for key in self.keys:
-            b = int(self.rng.integers(2))
-            x = int(self.rng.integers(2 ** key.params.w))
-            self.b.append(b)
-            self.x.append(x)
-            y.append(entcf.forward_sample(key, b, x, self.rng))
-        return y
+    guess while b-hat checks on injective coordinates always pass). Its keys
+    round is the shared one."""
 
     def on_preimage(self):
         return list(self.b), list(self.x)

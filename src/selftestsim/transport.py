@@ -62,7 +62,7 @@ def _each(encode, decode):
 
 def _unhex(text: str) -> bytes:
     """bytes.fromhex of lowercase hex only, without the spaces it skips."""
-    if len(text) != 2 * len(raw := bytes.fromhex(text)) or text.lower() != text:
+    if (raw := bytes.fromhex(text)).hex() != text:
         raise ValueError("hex must be lowercase without spaces")
     return raw
 

@@ -256,11 +256,11 @@ def _inequality_suite(model):
     assert all(c["ok"] for c in checks), [c for c in checks if not c["ok"]]
     sums = analysis.zeta_chi_sums(model)
     for val in sums["zeta"].values():
-        assert val <= 4 * gammas.gamma_T + 1e-9
+        assert val <= 4 * gammas["gamma_T"] + 1e-9
     for val in sums["chi"].values():
-        assert val <= 4 * gammas.gamma_T + 1e-9
+        assert val <= 4 * gammas["gamma_T"] + 1e-9
     for theta in model.thetas:
-        assert analysis.sigma_residual(model, theta) <= gammas.gamma_P + 1e-9
+        assert analysis.sigma_residual(model, theta) <= gammas["gamma_P"] + 1e-9
 
 
 def test_gamma_failure_inequalities_hold_for_all_models():

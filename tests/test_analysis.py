@@ -194,8 +194,8 @@ def test_sigma_v_unique(honest):
 
 def test_honest_failures_vanish(honest):
     f = analysis.failure_report(honest)
-    assert f.eps_P == pytest.approx(0.0, abs=1e-12)
-    assert all(e == pytest.approx(0.0, abs=1e-12) for e in f.eps_H.values())
+    assert f["eps_P"] == pytest.approx(0.0, abs=1e-12)
+    assert all(e == pytest.approx(0.0, abs=1e-12) for e in f["eps_H"].values())
 
 
 def test_gamma_report_requires_selftest(honest_dim):
@@ -208,9 +208,9 @@ def test_bitflip_gamma_matches_flip_rate(honest):
     bf = analysis.build_bitflip_model(honest, p)
     g = analysis.gamma_report(bf)
     # a single flipped coordinate costs exactly p of the tested mass
-    assert g.gamma_T0 == pytest.approx(p, abs=1e-9)
-    assert g.gamma_T1 == pytest.approx(p, abs=1e-9)
-    assert g.gamma_P == pytest.approx(0.0, abs=1e-9)  # preimage round unaffected
+    assert g["gamma_T0"] == pytest.approx(p, abs=1e-9)
+    assert g["gamma_T1"] == pytest.approx(p, abs=1e-9)
+    assert g["gamma_P"] == pytest.approx(0.0, abs=1e-9)  # preimage round unaffected
     with pytest.raises(ParameterError):
         analysis.build_bitflip_model(honest, 1.5)
 
@@ -218,8 +218,8 @@ def test_bitflip_gamma_matches_flip_rate(honest):
 def test_wrongbasis_fails_hadamard_tests(honest):
     wb = analysis.build_wrongbasis_model(honest)
     f = analysis.failure_report(wb)
-    assert f.eps_P == pytest.approx(0.0, abs=1e-12)
-    assert f.eps > 0.01
+    assert f["eps_P"] == pytest.approx(0.0, abs=1e-12)
+    assert f["eps"] > 0.01
     checks = analysis.check_gamma_bounds(analysis.gamma_report(wb), f, 1)
     assert all(c["ok"] for c in checks)
 
@@ -859,9 +859,9 @@ def test_honest_model_is_built_from_the_public_table(monkeypatch):
                 patch.setattr(entcf, name, _refused)
             model = analysis.build_honest_model(config, kind, np.random.default_rng(3))
             assert [model.preimage_mass[theta] for theta in model.thetas] == [1.0] * len(model.thetas)
-        assert analysis.failure_report(model).eps_P == 0.0
+        assert analysis.failure_report(model)["eps_P"] == 0.0
         if kind == "selftest":
-            assert analysis.gamma_report(model).gamma_P == 0.0
+            assert analysis.gamma_report(model)["gamma_P"] == 0.0
 
 
 @pytest.mark.parametrize("w", [2, 3, 4])
@@ -928,11 +928,11 @@ def test_failure_report_matches_dense_reference(honest):
     for model in [*_oracle_models(honest), *dimtest]:
         got = analysis.failure_report(model)
         eps_h = _ref_eps_h(model)
-        assert set(got.eps_H) == set(eps_h)
+        assert set(got["eps_H"]) == set(eps_h)
         for q, eps in eps_h.items():
-            assert got.eps_H[q] == pytest.approx(eps, abs=1e-9)
+            assert got["eps_H"][q] == pytest.approx(eps, abs=1e-9)
         # eps = eps_P / 2 + the mean of eps_H over the questions / 2
-        assert got.eps == pytest.approx(got.eps_P / 2.0 + np.mean(list(eps_h.values())) / 2.0, abs=1e-9)
+        assert got["eps"] == pytest.approx(got["eps_P"] / 2.0 + np.mean(list(eps_h.values())) / 2.0, abs=1e-9)
 
 
 def _cell_verdict(model, theta, q, u, codes):
@@ -985,7 +985,7 @@ def test_failure_report_skips_decodings_without_mass(monkeypatch):
     assert len(judged) == 912 and judged == _ref_failure_report(model)[1]
     eps_h, verdicts = _unskipped_eps_h(model)
     assert verdicts == 2560
-    assert (report.eps_P, report.eps_H, report.eps) == (0.0, eps_h, protocol.eps(0.0, eps_h))
+    assert (report["eps_P"], report["eps_H"], report["eps"]) == (0.0, eps_h, protocol.eps(0.0, eps_h))
     assert all(abs(e) <= 1e-15 for e in eps_h.values())
 
 
@@ -1009,7 +1009,7 @@ def _ref_failure_report(model):
                     if _cell_verdict(model, theta, q, u, codes).accept:
                         accept[q] += float(mass[k])
     eps_h = {q: 1.0 - a / n_thetas for q, a in accept.items()}
-    return analysis.FailureReport(eps_P=eps_p, eps_H=eps_h, eps=protocol.eps(eps_p, eps_h)), cells
+    return {"eps_P": eps_p, "eps_H": eps_h, "eps": protocol.eps(eps_p, eps_h)}, cells
 
 
 def _cli_model(kind, model, n, w, seed):
@@ -1036,7 +1036,7 @@ def test_failure_scan_matches_the_per_row_scan(kind, name, n, seed, monkeypatch)
     judged = list(cells)
     want, want_cells = _ref_failure_report(model)
     assert judged == want_cells and judged
-    assert (got.eps_P, got.eps_H, got.eps) == (want.eps_P, want.eps_H, want.eps)
+    assert (got["eps_P"], got["eps_H"], got["eps"]) == (want["eps_P"], want["eps_H"], want["eps"])
 
 
 def test_no_cache_keeps_a_model_alive():

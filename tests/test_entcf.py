@@ -326,6 +326,16 @@ def test_ideal_keygen_draws_are_unchanged():
     assert g_key.table.tolist() == ref.permutation(params.image_space_size)[:16].reshape(2, 8).tolist()
 
 
+@pytest.mark.parametrize("family", [entcf.FAMILY_F, entcf.FAMILY_G])
+def test_ideal_keygen_past_the_scan_cap_draws_nothing(family):
+    """Keygen refuses |X| = 2^17 for the ideal backend too, before any draw."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="2\\^16"):
+        entcf.gen_keypair(family, entcf.EntcfParams.ideal(17), rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize(
     "w,size,message",
     [(0, 34, "w must be >= 1"), (2, 3, "image_space_size must be >= 2^(w+1)")],

@@ -15,7 +15,7 @@ import pytest
 
 from selftestsim import analysis, cli, entcf, harness, protocol, prover, transport
 from selftestsim.errors import DomainError, ParameterError
-from selftestsim.protocol import DimTestConfig, SelfTestConfig
+from selftestsim.protocol import KINDS, DimTestConfig, SelfTestConfig
 
 CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
 DCFG = DimTestConfig(N=2, entcf=entcf.EntcfParams.ideal(4))
@@ -724,6 +724,21 @@ def test_cli_run_out_on_a_file_fails_before_any_session(capsys, monkeypatch, tmp
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("spec", ["honest", "classical", "bitflip=0.1", "wrongbasis"])
+def test_cli_run_past_the_scan_cap_is_refused_before_keygen(capsys, monkeypatch, kind, spec):
+    """An ideal run at w=17 is refused by keygen's check of the 2^16 cap
+    before any table is built, for every device and on both transports."""
+    monkeypatch.setattr(entcf, "_gen_ideal", _never_built)
+    for transport_spec in ("inproc", "tcp"):
+        argv = [kind, "run", "--w", "17", "--prover", spec, "--sessions", "2", "--transport", transport_spec]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "2^16" in lines[0], argv
 
 
 def test_package_runs_as_a_module():

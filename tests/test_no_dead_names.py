@@ -1,10 +1,12 @@
 """Every function, class, method and module-level constant in the package is
 used: referenced somewhere in `src/` outside its own definition, wrapped by
-the benchmark tracer, or a public entry point. Code that nothing calls is
-deleted, not kept. Nor does any code write another object's private state."""
+the benchmark tracer (that very function or method, not another of its name),
+or a public entry point. Code that nothing calls is deleted, not kept. Nor
+does any code write another object's private state."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -13,7 +15,7 @@ import selftestsim
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "selftestsim"
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
 
 # entry points called from outside the package: the audit of a run directory
 # and the names the package exports
@@ -41,47 +43,46 @@ def _references(node, module: str, modules: set) -> Counter:
 
 
 def _definitions(tree):
-    """(name, node) of the top-level functions, classes and constants (names
-    a module-level assignment binds), and of the methods of each class."""
+    """(class, name, node) of the top-level functions, classes and constants
+    (names a module-level assignment binds), with class None, and of the
+    methods of each class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield None, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((m.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
+            yield from ((node.name, m.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                yield from ((sub.id, node) for sub in ast.walk(target) if isinstance(sub, ast.Name))
+                yield from ((None, sub.id, node) for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
-def _traced_names() -> set:
-    """The attribute names perfbench/tracer.py wraps: the strings in
-    `_targets` and `_PROVER_HOOKS`."""
-    tree = ast.parse(TRACER.read_text())
-    owners = [
-        node
-        for node in tree.body
-        if (isinstance(node, ast.FunctionDef) and node.name == "_targets")
-        or (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_PROVER_HOOKS" for t in node.targets))
-    ]
+def _traced(monkeypatch) -> set:
+    """(module, class or None, attribute) of every `(owner, attribute)` pair
+    that perfbench/tracer.py's `_targets()` wraps, loaded as
+    `tests/test_benchmark_hooks.py` loads it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
     return {
-        sub.value
-        for node in owners
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        (owner.__module__, owner.__name__, attr) if isinstance(owner, type) else (owner.__name__, None, attr)
+        for owner, attr in tracer._targets()
     }
 
 
-def test_every_definition_is_referenced():
+def test_every_definition_is_referenced(monkeypatch):
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     modules = set(trees)
     everywhere = sum((_references(tree, m, modules) for m, tree in trees.items()), Counter())
-    exempt = ENTRY_POINTS | _traced_names()
+    traced = _traced(monkeypatch)
     dead = []
     for module, tree in trees.items():
         top_level = {id(node) for node in tree.body}
-        for name, node in _definitions(tree):
-            if name in exempt or (name.startswith("__") and name.endswith("__")):
+        for owner, name, node in _definitions(tree):
+            if name in ENTRY_POINTS or (name.startswith("__") and name.endswith("__")):
+                continue
+            if (f"selftestsim.{module}", owner, name) in traced:
                 continue
             # a module-level name is used as module.name; a method as obj.name
             key = (module, name) if id(node) in top_level else (None, name)
