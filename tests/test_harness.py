@@ -728,7 +728,7 @@ def test_cli_run_out_on_a_file_fails_before_any_session(capsys, monkeypatch, tmp
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("spec", ["honest", "classical", "bitflip=0.1", "wrongbasis"])
-def test_cli_run_past_the_scan_cap_is_refused_before_keygen(capsys, monkeypatch, kind, spec):
+def test_cli_run_past_the_scan_cap_is_refused_before_any_key(capsys, monkeypatch, kind, spec):
     """An ideal run at w=17 is refused by keygen's check of the 2^16 cap
     before any table is built, for every device and on both transports."""
     monkeypatch.setattr(entcf, "_gen_ideal", _never_built)
