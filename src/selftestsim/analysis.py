@@ -483,7 +483,7 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
     random labels, random pure state blocks on four valid y tuples."""
     params = config.entcf
     n, w = config.N, params.w
-    logical = 2 * n
+    logical = protocol.n_coords("selftest", n)
     dim = 2**logical
     thetas = protocol.thetas("selftest", n)
     _check_size(logical, 1, (4 + len(thetas) + 1) * dim)
@@ -505,7 +505,8 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
         while len(d_labels) < dim:
             d_labels.add(tuple(int(rng.integers(2**w)) for _ in range(logical)))
         d_meas[theta] = Measurement(basis, sorted(d_labels))
-    questions = {q: Measurement(haar_unitary(dim, rng), all_bit_tuples(logical)) for q in range(4)}
+    answers = all_bit_tuples(logical)
+    questions = {q: Measurement(haar_unitary(dim, rng), answers) for q in protocol.questions("selftest")}
     basis = haar_unitary(dim, rng)
     labels = set()
     while len(labels) < dim:
@@ -550,7 +551,7 @@ def build_classical_model(
         j = bits_to_int(v)
         psi[theta] = {tuple(y): basis[:, j].copy()}
         d_meas[theta] = Measurement(basis, [tuple(d)] * dim)
-    questions = {q: Measurement(basis, all_bit_tuples(logical)) for q in (0, 1)}
+    questions = {q: Measurement(basis, all_bit_tuples(logical)) for q in protocol.questions("dimtest")}
     return DeviceModel(
         "dimtest", n, w, logical, thetas, keys, trapdoors, psi, questions, d_meas=d_meas, name="classical"
     )
@@ -583,7 +584,7 @@ def gamma_report(model: DeviceModel) -> dict:
     if model.protocol != "selftest":
         raise ModelError("gamma quantities are defined for the self-test model")
     n = model.n
-    coords = list(range(2 * n))
+    coords = list(range(model.logical))
 
     def gamma(terms) -> float:
         return 1.0 - min(_agreement(model, *term) for term in terms)
@@ -648,7 +649,7 @@ def zeta_chi_sums(model: DeviceModel) -> dict:
         if theta == THETA_DIAMOND:
             continue
         sigma = float(np.sum(_mass(model.tables[theta].blocks)))
-        for i in range(2 * model.n):
+        for i in range(model.logical):
             if i != theta:
                 out["zeta"][(theta, i)] = 4.0 * (sigma - _agreement(model, theta, 0, [i], i))
         if theta != THETA_ALL_G:
@@ -661,29 +662,13 @@ def _check(name: str, lhs, rhs) -> dict:
 
 
 def check_gamma_bounds(gammas: dict, failures: dict, n: int) -> list[dict]:
-    """The gamma-versus-failure inequality suite over the gamma_report and
-    failure_report dicts; each entry reports lhs, rhs, and whether
-    lhs <= rhs + 1e-9."""
-    m = 2 * n + 2
-    eh = failures["eps_H"]
-    checks = [
-        ("gamma_P <= (2N+2) eps_P", gammas["gamma_P"], m * failures["eps_P"]),
-        ("gamma_T0 <= (2N+2) eps_H0", gammas["gamma_T0"], m * eh[0]),
-        ("gamma_T1 <= (2N+2) eps_H1", gammas["gamma_T1"], m * eh[1]),
-        (
-            "tilde-gamma sum <= (2N+2)(eps_H2 + eps_H3)",
-            gammas["gamma_T0_tilde"]
-            + gammas["gamma_T0_tilde_prime"]
-            + gammas["gamma_T1_tilde"]
-            + gammas["gamma_diamond_0"]
-            + gammas["gamma_diamond_1"],
-            m * (eh[2] + eh[3]),
-        ),
-        ("gamma_P <= 2(2N+2) eps", gammas["gamma_P"], 2 * m * failures["eps"]),
-        ("gamma_T <= 8(2N+2) eps", gammas["gamma_T"], 8 * m * failures["eps"]),
-        ("gamma_diamond <= 8(2N+2) eps", gammas["gamma_diamond"], 8 * m * failures["eps"]),
+    """The gamma-versus-failure inequality suite of protocol.GAMMA_BOUNDS over
+    the gamma_report and failure_report dicts; each entry reports lhs, rhs,
+    and whether lhs <= rhs + 1e-9."""
+    return [
+        _check(name, functools.reduce(operator.add, [gammas[g] for g in summed]), bound)
+        for name, summed, bound, _ in protocol.gamma_bounds(n, failures)
     ]
-    return [_check(name, lhs, rhs) for name, lhs, rhs in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -932,11 +917,7 @@ def analysis_report(model: DeviceModel, rng: np.random.Generator) -> dict:
         "w": model.w,
     }
     failures = failure_report(model)
-    report["failures"] = {
-        "eps_P": failures["eps_P"],
-        "eps_H": {str(q): e for q, e in failures["eps_H"].items()},
-        "eps": failures["eps"],
-    }
+    report["failures"] = {**failures, "eps_H": {str(q): e for q, e in failures["eps_H"].items()}}
     if model.protocol == "selftest":
         gammas = gamma_report(model)
         report["gammas"] = gammas

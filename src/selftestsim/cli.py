@@ -17,7 +17,7 @@ import numpy as np
 
 from . import entcf, harness
 from .errors import ParameterError, SelfTestError
-from .protocol import KINDS, DimTestConfig, SelfTestConfig
+from .protocol import CONFIGS, KINDS
 from .prover import parse_device_spec
 
 
@@ -81,11 +81,7 @@ def _seed(args) -> int:
 
 def _run_command(args) -> int:
     seed = _seed(args)
-    params = _entcf_params(args.backend, args.w)
-    if args.command == "selftest":
-        config = SelfTestConfig(N=args.n, entcf=params)
-    else:
-        config = DimTestConfig(N=args.n, entcf=params)
+    config = CONFIGS[args.command](N=args.n, entcf=_entcf_params(args.backend, args.w))
     stats, _ = harness.run_sessions(
         args.command,
         args.prover,
@@ -102,17 +98,13 @@ def _run_command(args) -> int:
 def _build_model(args, rng: np.random.Generator):
     from . import analysis  # loaded on the analyze path only
     name, p = parse_device_spec(args.model)
-    params = entcf.EntcfParams.ideal(args.w)
-    if args.protocol == "dimtest":
-        config = DimTestConfig(N=args.n, entcf=params)
-        if name == "classical":
-            return analysis.build_classical_model(config, rng)
-        if name != "honest":
-            raise ParameterError(f"unknown dimension-test model {args.model!r}")
-        return analysis.build_honest_model(config, "dimtest", rng)
-    config = SelfTestConfig(N=args.n, entcf=params)
+    config = CONFIGS[args.protocol](N=args.n, entcf=entcf.EntcfParams.ideal(args.w))
     if name == "honest":
-        return analysis.build_honest_model(config, "selftest", rng)
+        return analysis.build_honest_model(config, args.protocol, rng)
+    if args.protocol == "dimtest":
+        if name != "classical":
+            raise ParameterError(f"unknown dimension-test model {args.model!r}")
+        return analysis.build_classical_model(config, rng)
     if name == "bitflip":
         analysis.check_bitflip("selftest", args.n, p)
         honest = analysis.build_honest_model(config, "selftest", rng)

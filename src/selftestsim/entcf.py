@@ -46,7 +46,7 @@ def check_scan(params: EntcfParams) -> None:
     """Refuse |X| > 2^16: keygen of either backend (a ToyLwe key scans X, an
     ideal key holds a 2^(w+1)-row table) and the public preimages scan X."""
     if 2**params.w > _DECODE_CAP:
-        raise DomainError(f"exhaustive scans of X capped at |X| <= 2^16, got 2^{params.w}")
+        raise DomainError(f"|X| = 2^w is capped at 2^16, got 2^{params.w}")
 
 
 @dataclass(frozen=True)

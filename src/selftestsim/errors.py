@@ -18,11 +18,7 @@ class FamilyError(SelfTestError, TypeError):
 
 
 class ProtocolError(SelfTestError, RuntimeError):
-    """Out-of-sequence or malformed protocol message."""
-
-
-class ContractError(SelfTestError, RuntimeError):
-    """Device callback invoked out of order."""
+    """Out-of-sequence or malformed protocol message, on the verifier's side or the device's."""
 
 
 class TransportError(SelfTestError, RuntimeError):

@@ -23,7 +23,7 @@ import pathlib
 
 import numpy as np
 
-from . import protocol, transport
+from . import entcf, protocol, transport
 from .errors import ParameterError, TransportError
 from .prover import make_prover
 
@@ -149,16 +149,9 @@ def session_stats(transcripts: list[dict], protocol_kind: str, n: int) -> dict:
         "cells": {"|".join(c): {"sessions": sessions[c], "accepts": accepts[c]} for c in sorted(sessions)},
         "reasons": dict(sorted(reasons.items())),
     }
-    if protocol_kind == "selftest":
-        # the paper's gamma bounds are self-test quantities (m = 2N+2 thetas)
-        m = 2 * n + 2
-        stats["gamma_bounds"] = {
-            "gamma_P": m * eps_p,
-            "gamma_T0": m * eps_h[0],
-            "gamma_T1": m * eps_h[1],
-            "gamma_T": 8 * m * eps,
-            "gamma_diamond": 8 * m * eps,
-        }
+    if protocol_kind == "selftest":  # the paper's gamma bounds are self-test quantities
+        bounds = protocol.gamma_bounds(n, {"eps_P": eps_p, "eps_H": eps_h, "eps": eps})
+        stats["gamma_bounds"] = {key: bound for _, _, bound, key in bounds if key is not None}
     return stats
 
 
@@ -283,10 +276,13 @@ def run_sessions(
     if colon and not (port.isascii() and port.isdecimal() and int(port) < 2**16):
         raise ParameterError(f"bad TCP port in {transport_spec!r}")
     port = int(port or 0) if kind == "tcp" else None
+    # a bad device spec, a w past the keygen cap or a busy port is refused before the output directory is made
+    make_prover(prover_spec, protocol_kind, None)
+    entcf.check_scan(config.entcf)
     out = None if out_dir is None else pathlib.Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     with contextlib.closing(transport.Link(transport.Codec(config.entcf), port)) as link:
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
         transcripts = [
             run_one_session(index, protocol_kind, config, prover_spec, *streams, link)
             for index, streams in enumerate(session_streams(seed, sessions))

@@ -96,7 +96,8 @@ class DimTestConfig(_Config):
 # The protocol table: what differs between the self-test and the dimension test
 # ---------------------------------------------------------------------------
 
-KINDS = ("selftest", "dimtest")
+CONFIGS = {"selftest": SelfTestConfig, "dimtest": DimTestConfig}
+KINDS = tuple(CONFIGS)
 
 # measurement basis names, per coordinate
 COMPUTATIONAL = "computational"
@@ -178,6 +179,31 @@ _CASES = {
 def eps(eps_p: float, eps_h: dict) -> float:
     """eps = eps_P / 2 + mean_q eps_H(q) / 2, for eps_h: question -> eps_H."""
     return eps_p / 2.0 + sum(eps_h.values()) / (2.0 * len(eps_h))
+
+
+# The paper's bounds of the self-test's gammas by m = len(thetas("selftest", N)) = 2N+2 times a
+# failure term. Per row: the check, the gammas summed on its left, the factor of m, the failure term
+# of a failure_report dict, and the key of a run's Monte Carlo bound (None: a run has no such bound).
+GAMMA_BOUNDS = (
+    ("gamma_P <= (2N+2) eps_P", ("gamma_P",), 1, lambda f: f["eps_P"], "gamma_P"),
+    ("gamma_T0 <= (2N+2) eps_H0", ("gamma_T0",), 1, lambda f: f["eps_H"][0], "gamma_T0"),
+    ("gamma_T1 <= (2N+2) eps_H1", ("gamma_T1",), 1, lambda f: f["eps_H"][1], "gamma_T1"),
+    ("tilde-gamma sum <= (2N+2)(eps_H2 + eps_H3)",
+     ("gamma_T0_tilde", "gamma_T0_tilde_prime", "gamma_T1_tilde", "gamma_diamond_0", "gamma_diamond_1"),
+     1, lambda f: f["eps_H"][2] + f["eps_H"][3], None),
+    ("gamma_P <= 2(2N+2) eps", ("gamma_P",), 2, lambda f: f["eps"], None),
+    ("gamma_T <= 8(2N+2) eps", ("gamma_T",), 8, lambda f: f["eps"], "gamma_T"),
+    ("gamma_diamond <= 8(2N+2) eps", ("gamma_diamond",), 8, lambda f: f["eps"], "gamma_diamond"),
+)
+
+
+def gamma_bounds(n: int, failures: dict) -> list[tuple]:
+    """(check, gammas, bound, stats key) per GAMMA_BOUNDS row, on failures
+    {"eps_P", "eps_H": question -> eps_H, "eps"}: bound = (factor * m) * term."""
+    m = len(thetas("selftest", n))
+    return [
+        (check, lhs, (factor * m) * term(failures), key) for check, lhs, factor, term, key in GAMMA_BOUNDS
+    ]
 
 
 # ---------------------------------------------------------------------------

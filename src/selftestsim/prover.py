@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import entcf, protocol
-from .errors import ContractError, DomainError, ParameterError
+from .errors import DomainError, ParameterError, ProtocolError
 from .protocol import COMPUTATIONAL, HADAMARD_BASIS
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -86,12 +86,11 @@ def measure_pair(
 
 class DeviceInterface:
     """Message-driven prover. handle() consumes one verifier message and
-    returns the reply (None once a Verdict arrives); it raises ContractError
+    returns the reply (None once a Verdict arrives); it raises ProtocolError
     on a message out of order, so the hooks run only in protocol order."""
 
     def __init__(self, kind: str, rng: np.random.Generator):
-        if kind not in protocol.KINDS:
-            raise ParameterError(f"unknown protocol kind {kind!r}")
+        self.paired = protocol.paired(kind)  # refuses an unknown kind
         self.kind = kind
         self.rng = rng
         self._expect = "keys"
@@ -116,11 +115,11 @@ class DeviceInterface:
         if isinstance(message, protocol.Verdict):
             self._expect = "done"
             return None
-        raise ContractError(f"unexpected message {type(message).__name__}")
+        raise ProtocolError(f"unexpected message {type(message).__name__}")
 
     def _require(self, phase: str):
         if self._expect != phase:
-            raise ContractError(f"out-of-order message (expected {self._expect})")
+            raise ProtocolError(f"out-of-order message (expected {self._expect})")
 
     # hooks -----------------------------------------------------------------
     def on_keys(self, keys):
@@ -187,12 +186,12 @@ class HonestProver(DeviceInterface):
     # -- final answer ---------------------------------------------------------
     def on_question(self, q: int):
         qubits = self.qubits
-        if not protocol.paired(self.kind):
+        if not self.paired:
             bases = protocol.question_bases(self.kind, len(qubits), q)
             return [measure_qubit_vector(vec, b, self.rng) for vec, b in zip(qubits, bases)]
         n = len(qubits) // 2
         bases = protocol.question_bases(self.kind, n, q)
-        v = [None] * (2 * n)
+        v = [None] * len(qubits)
         for i in range(n):
             v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
         return v

@@ -189,13 +189,10 @@ class TcpChannel:
         self.session_id = session_id
         self.sock = sock
         self.peer: TcpChannel | None = None
-        self.open = True
         self._buffer = b""
 
     def send(self, msg) -> dict:
         """Write msg's frame; returns the payload the frame carries."""
-        if not self.open:
-            raise TransportError("channel closed")
         frame = self.codec.encode_frame(self.session_id, msg)
         try:
             if self.peer is None:
@@ -223,8 +220,6 @@ class TcpChannel:
     def recv(self):
         """(message, payload) from the next frame on the socket, waiting no
         longer than the socket's timeout for each read."""
-        if not self.open:
-            raise TransportError("channel closed")
         self._read_to(4)
         size = 4 + int.from_bytes(self._buffer[:4], "big")
         if len(self._buffer) != size:  # mostly it holds this one frame, which slices without a copy
@@ -236,7 +231,8 @@ class TcpChannel:
         return msg, payload
 
     def close(self) -> None:
-        self.open = False
+        """Close the socket and drop unread bytes: a later send or recv is a TransportError."""
+        self._buffer = b""
         try:
             self.sock.close()
         except OSError:
@@ -272,10 +268,13 @@ class Link:
 
     def session(self, session_id: bytes, prover) -> None:
         """Make this link the verifier's channel for one session, with its id
-        and prover; over TCP, connect afresh if the last connection failed."""
-        if self._listener is not None and not (self._ends and self._ends[0].open):
-            pair = socket.create_connection(self._listener.getsockname()), self._listener.accept()[0]
-            self._ends = [TcpChannel(self.codec, session_id, _link_socket(s)) for s in pair]
+        and prover; over TCP, connect afresh if the last connection failed,
+        accepting only the new client's own end (any other is closed)."""
+        if self._listener is not None and (not self._ends or self._ends[0].sock.fileno() == -1):
+            client = socket.create_connection(self._listener.getsockname())
+            while (server := self._listener.accept()[0]).getpeername() != client.getsockname():
+                server.close()
+            self._ends = [TcpChannel(self.codec, session_id, _link_socket(s)) for s in (client, server)]
             self._ends[0].peer, self._ends[1].peer = self._ends[1], self._ends[0]
         for end in self._ends:
             end.session_id = session_id

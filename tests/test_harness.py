@@ -1,4 +1,5 @@
 """Harness and CLI tests: determinism, stats, replay, exit codes."""
+import collections
 import itertools
 import json
 import os
@@ -524,6 +525,30 @@ def test_gamma_bounds_only_in_selftest_stats():
     assert "gamma_bounds" not in dimtest_stats
 
 
+def test_run_gamma_bounds_are_the_analysis_bounds_bit_for_bit():
+    """A self-test run's Monte Carlo gamma bounds are, bit for bit, the
+    right-hand sides the exact inequality suite gives for the run's eps_P,
+    eps_H and eps: the two workloads read one bound table."""
+    config = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(2))
+    stats, _ = harness.run_sessions("selftest", "bitflip=0.2", config, 80, seed=5)
+    failures = {
+        "eps_P": stats["eps_P"], "eps_H": {int(q): e for q, e in stats["eps_H"].items()}, "eps": stats["eps"]
+    }
+    assert all(e > 0.0 for e in failures["eps_H"].values())
+    gammas = collections.defaultdict(float)  # the left-hand sides play no part here
+    rhs = {c["name"]: c["rhs"] for c in analysis.check_gamma_bounds(gammas, failures, config.N)}
+    check_of = {
+        "gamma_P": "gamma_P <= (2N+2) eps_P",
+        "gamma_T0": "gamma_T0 <= (2N+2) eps_H0",
+        "gamma_T1": "gamma_T1 <= (2N+2) eps_H1",
+        "gamma_T": "gamma_T <= 8(2N+2) eps",
+        "gamma_diamond": "gamma_diamond <= 8(2N+2) eps",
+    }
+    assert {key: bound.hex() for key, bound in stats["gamma_bounds"].items()} == {
+        key: rhs[check].hex() for key, check in check_of.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -724,6 +749,26 @@ def test_cli_run_out_on_a_file_fails_before_any_session(capsys, monkeypatch, tmp
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--prover", "nosuch"], ["--w", "17"], ["--transport", "tcp:{busy}"]],
+    ids=["unknown-prover", "w-past-the-cap", "busy-port"],
+)
+def test_cli_refused_run_makes_no_out_directory(tmp_path, capsys, flags):
+    """A run refused for its device spec, for a w past the 2^16 cap or for a
+    busy TCP port exits 1 with one error line and leaves no output
+    directory, nor its parent."""
+    out = tmp_path / "runs" / "out"
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        flags = [flag.format(busy=listener.getsockname()[1]) for flag in flags]
+        assert cli.main(["selftest", "run", *flags, "--sessions", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from selftestsim import entcf, harness, protocol, prover, qsim
-from selftestsim.errors import ContractError, DomainError, ParameterError
+from selftestsim.errors import DomainError, ParameterError, ProtocolError
 from selftestsim.prover import (
     ClassicalGuessProver,
     HonestProver,
@@ -124,7 +124,7 @@ def test_out_of_order_message_raises(accepted, refused):
     p = HonestProver("selftest", np.random.default_rng(0))
     for message in accepted:
         p.handle(message)
-    with pytest.raises(ContractError):
+    with pytest.raises(ProtocolError):
         p.handle(refused)
 
 

@@ -558,3 +558,27 @@ def test_send_to_a_peer_that_never_reads_ends_at_the_kernel_timeout(monkeypatch)
         chan.close()
         server.close()
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_stray_connection_leaves_a_tcp_run_unchanged(monkeypatch):
+    """A connection another client opens to the link's port before the first
+    session is closed, never paired: each session's prover end is the link's
+    own connection, so the TCP run's stats and transcripts are the in-process run's."""
+    config = protocol.SelfTestConfig(N=1, entcf=PARAMS)
+    expected = harness.run_sessions("selftest", "honest", config, 3, seed=8)
+    strays, init = [], transport.Link.__init__
+
+    def init_then_stray(link, codec, port=None):
+        init(link, codec, port)
+        strays.append(socket.create_connection(link._listener.getsockname()))
+
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(transport.Link, "__init__", init_then_stray)
+    try:
+        with _fail_after(20):
+            run = harness.run_sessions("selftest", "honest", config, 3, seed=8, transport_spec="tcp")
+    finally:
+        for sock in strays:
+            sock.close()
+    assert len(strays) == 1
+    assert run == expected
