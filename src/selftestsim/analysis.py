@@ -48,6 +48,7 @@ import numpy as np
 from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
 from .protocol import COMPUTATIONAL, HADAMARD_BASIS, THETA_ALL_G, THETA_DIAMOND
+from .prover import check_flip_probability
 
 # most entries one array of the analysis may have
 _ENTRY_BUDGET = 2**25
@@ -431,9 +432,8 @@ def build_honest_model(
     n, w = config.N, params.w
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 1)
-    # decoding scans nothing (it indexes each trapdoor's inverse); the cap
-    # bounds each coordinate's 2^(w+1)-entry key table and inverse
-    entcf.check_scan(params)
+    # the model enumerates each coordinate's 2^(w+1) key-table images
+    entcf.check_scan(params, "the analysis")
     thetas = protocol.thetas(protocol_kind, n)
     keys, trapdoors = {}, {}
     for theta in thetas:
@@ -446,8 +446,7 @@ def check_bitflip(protocol_kind: str, n: int, p: float) -> None:
     """Refuse a flip probability outside [0, 1], or a bitflip model whose
     largest array (with an environment qubit per logical qubit) exceeds the
     budget, before the honest model it dilates is built."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("flip probability must lie in [0, 1]")
+    check_flip_probability(p)
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 2**logical)
 
@@ -487,6 +486,7 @@ def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator
     dim = 2**logical
     thetas = protocol.thetas("selftest", n)
     _check_size(logical, 1, (4 + len(thetas) + 1) * dim)
+    entcf.check_scan(params, "the analysis")
     keys, trapdoors, psi, d_meas = {}, {}, {}, {}
     for theta in thetas:
         keys[theta], trapdoors[theta] = protocol.keypairs("selftest", theta, n, params, rng)

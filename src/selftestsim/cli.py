@@ -24,6 +24,9 @@ from .prover import parse_device_spec
 def _entcf_params(backend: str, w: int) -> entcf.EntcfParams:
     if backend == "ideal":
         return entcf.EntcfParams.ideal(w)
+    if w < 4:
+        # at n=1, m=3, B=1, w <= 2 leaves 2*B*m >= q, and no A in Z_8^3 passes both G keygen margins
+        raise ParameterError(f"--backend toylwe needs --w >= 4, got --w {w}")
     return entcf.EntcfParams.toylwe(n=1, m=3, q=2**w, B=1)
 
 
@@ -142,6 +145,7 @@ def entcf_property_suite(backend: str, w: int, seed: int, n_keys: int) -> list[s
     failures = []
     rng = np.random.default_rng(seed)
     params = _entcf_params(backend, w)
+    entcf.check_scan(params, "entcf-check")  # it visits every x, and every d at each x
     size_x = 2**params.w
     ds = np.arange(size_x)
 

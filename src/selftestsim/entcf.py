@@ -2,10 +2,15 @@
 
 Two pluggable backends:
 
-- Ideal: deterministic truth tables (singleton supports). The claw structure is an
-  XOR shift, f_{k,1}(x) = f_{k,0}(x ^ s), giving a perfect matching with O(1)
-  trapdoor. Truth tables are public, so this backend is information-theoretically
-  distinguishable; it exists for completeness and functional testing only.
+- Ideal: f_{k,b}(x) = P(x ^ b.mask) for a public affine bijection P(z) =
+  (a.z + c) mod M of the image space [0, M), M = 2^(w+1) + 2: singleton
+  supports. An F key's mask is the claw shift s in [1, 2^w), so f_{k,1}(x) =
+  f_{k,0}(x ^ s), a perfect matching; a G key's has bit w set, so its rows are
+  P of the disjoint halves of [0, 2^(w+1)). Every map is one P or P^-1
+  evaluation. F and G keys share one 19-byte layout, but a key reveals P and
+  its mask, so its family and an F key's s, as the truth table it replaces
+  did: this backend is information-theoretically distinguishable; it exists
+  for completeness and functional testing only.
 - ToyLwe: a toy LWE instantiation over Z_q^n with q a power of two. The domain
   {0,1}^w is the bit decomposition of z in Z_q^n (w = n*log2(q)); supports are
   infinity-norm noise balls of radius B around A.z + b.u. Decoding tests y
@@ -14,16 +19,17 @@ Two pluggable backends:
 
 Conventions: preimages x and Hadamard strings d are ints holding w bits
 (little-endian bit order); images are ints (Ideal) or length-m tuples over Z_q
-(ToyLwe); the undefined decoding is None. An ideal trapdoor decodes by
-indexing the inverse of its key table, which serves one image and an array of
-images (and of d's) alike; an array gets an array, UNDECODED for None.
+(ToyLwe); the undefined decoding is None. An ideal decoder serves one image
+and an array of images (and of d's) alike, with the same expression; an array
+gets an array, UNDECODED for None.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +38,9 @@ from .errors import DomainError, FamilyError, ParameterError, ProtocolError
 FAMILY_F = "F"
 FAMILY_G = "G"
 
-_DECODE_CAP = 2**16  # largest |X| the exhaustive scans over X allow
+_W_CAP = {"toylwe": 16, "ideal": 30}  # largest w per backend; see check_scan
 _U32 = np.dtype(">u4")  # a key's wire entries: built once, not parsed from ">u4" per key
+_IDEAL_KEY = struct.Struct(">BBBIIII")  # version, backend, w, M, then a, c and mask
 UNDECODED = -1  # an array decoding's entry for None
 
 
@@ -42,11 +49,15 @@ def parity(n):
     return n.bit_count() & 1 if isinstance(n, int) else np.bitwise_count(n).astype(np.int64) & 1
 
 
-def check_scan(params: EntcfParams) -> None:
-    """Refuse |X| > 2^16: keygen of either backend (a ToyLwe key scans X, an
-    ideal key holds a 2^(w+1)-row table) and the public preimages scan X."""
-    if 2**params.w > _DECODE_CAP:
-        raise DomainError(f"|X| = 2^w is capped at 2^16, got 2^{params.w}")
+def check_scan(params: EntcfParams, visitor: str = "") -> None:
+    """Refuse a w past its cap before any key is drawn: ToyLwe keygen and
+    preimages scan X, as does a `visitor` of every x of either backend (the
+    analysis, the exhaustive checks), so |X| <= 2^16; an ideal key's
+    M = 2^(w+1) + 2 must fit the u32 image field, so |X| <= 2^30."""
+    cap = _W_CAP["toylwe" if visitor else params.backend]
+    if params.w > cap:
+        visitor = visitor or f"{params.backend} keys"
+        raise DomainError(f"|X| = 2^w is capped at 2^{cap} for {visitor}, got 2^{params.w}")
 
 
 @dataclass(frozen=True)
@@ -92,27 +103,36 @@ class EntcfParams:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Family-blind public key.
+    """Public key; F and G keys share one byte layout.
 
-    Ideal: full forward truth tables, shape (2, 2^w).
+    Ideal: a, c and mask of f_{k,b}(x) = P(x ^ b.mask), P(z) = (a.z + c) mod M
+    for a unit a mod M: 19 bytes that reveal P, the family (a G mask has bit
+    w set) and an F key's claw shift.
     ToyLwe: matrix A (m x n) and vector u (m,) over Z_q.
-    The byte encoding has identical length and layout for F and G keys.
     """
 
     params: EntcfParams
-    table: np.ndarray | None = None  # ideal
+    a: int = 0  # ideal
+    c: int = 0  # ideal
+    mask: int = 0  # ideal
     A: np.ndarray | None = None  # toylwe
     u: np.ndarray | None = None  # toylwe
 
     def to_bytes(self) -> bytes:
         p = self.params
         if p.backend == "ideal":
-            head = struct.pack(">BBBI", 1, 0, p.w, p.image_space_size)
-            body = self.table.astype(_U32).tobytes()
-        else:
-            head = struct.pack(">BBBHHIH", 1, 1, p.w, p.n, p.m, p.q, p.B)
-            body = self.A.astype(_U32).tobytes() + self.u.astype(_U32).tobytes()
-        return head + body
+            return _IDEAL_KEY.pack(1, 0, p.w, p.image_space_size, self.a, self.c, self.mask)
+        head = struct.pack(">BBBHHIH", 1, 1, p.w, p.n, p.m, p.q, p.B)
+        return head + self.A.astype(_U32).tobytes() + self.u.astype(_U32).tobytes()
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Ideal: the (2, 2^w) truth table whose [b, x] is f_{k,b}(x), evaluated
+        from P once per key and read-only; the analysis enumerates images by it."""
+        x = np.arange(2**self.params.w)
+        table = _permute(self, np.stack([x, x ^ self.mask]))
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def lwe_centers(self) -> np.ndarray:
@@ -129,9 +149,13 @@ class PublicKey:
             raise ProtocolError("bad key encoding version")
         kind = raw[1]
         if kind == 0:
-            _, _, w, size = struct.unpack(">BBBI", raw[:7])
-            table = np.frombuffer(raw, dtype=_U32, offset=7).astype(np.int64)
-            return cls(params=_ideal_params(w, size), table=table.reshape(2, 2**w))
+            if len(raw) != _IDEAL_KEY.size:
+                raise ProtocolError(f"an ideal key is {_IDEAL_KEY.size} bytes, not {len(raw)}")
+            _, _, w, size, a, c, mask = _IDEAL_KEY.unpack(raw)
+            params = _ideal_params(w, size)
+            if not (0 < a < size and math.gcd(a, size) == 1 and c < size and 0 < mask < 2 ** (w + 1)):
+                raise ProtocolError("an ideal key needs a unit a and c in [0, M), and mask in [1, 2^(w+1))")
+            return cls(params=params, a=a, c=c, mask=mask)
         if kind == 1:
             _, _, w, n, m, q, B = struct.unpack(">BBBHHIH", raw[:13])
             params = EntcfParams(backend="toylwe", w=w, n=n, m=m, q=q, B=B)
@@ -154,17 +178,14 @@ def _ideal_params(w: int, size: int) -> EntcfParams:
 class Trapdoor:
     """Secret inversion data. Never serialized onto the protocol wire.
 
-    Ideal: the key's tables plus, for F, the claw shift s (nonzero, with
-    f_{k,1}(x) = f_{k,0}(x ^ s)), and their inverse: inverse[y] = b << w | x
-    for the (b, x) with table[b, x] == y (an F key's x0), or UNDECODED.
+    Ideal: nothing beyond the key, whose public P^-1 inverts it; an F key's
+    mask is the claw shift s, f_{k,1}(x) = f_{k,0}(x ^ s).
     ToyLwe: the secret vector s in Z_q^n.
     """
 
     family: str  # FAMILY_F | FAMILY_G
     key: PublicKey
-    s: int = 0  # ideal F: claw shift over preimage bits
     s_vec: tuple[int, ...] = ()  # toylwe secret
-    inverse: np.ndarray | None = field(default=None, compare=False, repr=False)  # ideal
 
     @property
     def params(self) -> EntcfParams:
@@ -221,22 +242,17 @@ def gen_keypair(family: str, params: EntcfParams, rng: np.random.Generator) -> t
 
 
 def _gen_ideal(family, params, rng):
-    # each table is a fresh int64 array taken from one permutation: F's rows
-    # are f0 = its first 2^w entries and f1(x) = f0(x ^ s), G's its first 2^(w+1);
-    # an image's position in it is x0 (F) or b << w | x (G), so the
-    # permutation's inverse, UNDECODED past the rows, is the trapdoor's
-    perm = rng.permutation(params.image_space_size)
-    size_x = 2**params.w
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    inverse[perm[(1 if family == FAMILY_F else 2) * size_x :]] = UNDECODED
-    if family == FAMILY_F:
-        s = 1 + int(rng.integers(size_x - 1))
-        x = np.arange(size_x)
-        key = PublicKey(params=params, table=perm[np.array([x, x ^ s])])
-        return key, Trapdoor(family=FAMILY_F, key=key, s=s, inverse=inverse)
-    key = PublicKey(params=params, table=perm[: 2 * size_x].reshape(2, size_x).copy())
-    return key, Trapdoor(family=FAMILY_G, key=key, inverse=inverse)
+    # (a, c) uniform on [1, M) x [0, M) from one draw of a.M + c per try, until
+    # a is a unit mod M; then an F mask, the claw shift in [1, 2^w), or a G
+    # mask, 2^w | r for r in [0, 2^w)
+    size, size_x = params.image_space_size, 2**params.w
+    while True:
+        a, c = divmod(int(rng.integers(size, size * size)), size)
+        if math.gcd(a, size) == 1:
+            break
+    mask = int(rng.integers(1, size_x) if family == FAMILY_F else rng.integers(size_x, 2 * size_x))
+    key = PublicKey(params=params, a=a, c=c, mask=mask)
+    return key, Trapdoor(family=family, key=key)
 
 
 _KEYGEN_TRIES = 10_000
@@ -279,6 +295,20 @@ def _gen_toylwe(family, params, rng):
 # Forward evaluation
 # ---------------------------------------------------------------------------
 
+def _permute(key: PublicKey, z):
+    """P(z) = (a.z + c) mod M of an int, or of an int64 array in [0, 2^(w+1)):
+    for w <= 30, a.z < 2^32 * 2^31 = 2^63."""
+    return (key.a * z + key.c) % key.params.image_space_size
+
+
+def _unpermute(key: PublicKey, y):
+    """P^-1(y) = a^-1 (y - c) mod M of an int, or of an int64 array: y - c is
+    reduced mod M first, so for M = 2^(w+1) + 2 and w <= 30 no product
+    reaches 2^63. a^-1 costs less to compute per call than to cache."""
+    size = key.params.image_space_size
+    return (y - key.c) % size * pow(key.a, -1, size) % size
+
+
 def _check_x(params: EntcfParams, x: int) -> None:
     if not 0 <= x < 2**params.w:
         raise DomainError(f"preimage {x} outside {{0,1}}^{params.w}")
@@ -288,7 +318,7 @@ def support(key: PublicKey, b: int, x: int) -> frozenset:
     """Set of images with nonzero mass under f_{k,b}(x)."""
     _check_x(key.params, x)
     if key.params.backend == "ideal":
-        return frozenset({int(key.table[b, x])})
+        return frozenset({_permute(key, x ^ (b * key.mask))})
     B = key.params.B
     offsets = np.array(list(itertools.product(range(-B, B + 1), repeat=key.params.m)))
     return frozenset(map(tuple, ((_lwe_center(key, b, x) + offsets) % key.params.q).tolist()))
@@ -298,7 +328,7 @@ def support_contains(key: PublicKey, b: int, x: int, y) -> bool:
     """Membership test without enumeration; needs no trapdoor."""
     _check_x(key.params, x)
     if key.params.backend == "ideal":
-        return int(key.table[b, x]) == y
+        return _permute(key, x ^ (b * key.mask)) == y
     diff = _centered(np.array(y, dtype=np.int64) - _lwe_center(key, b, x), key.params.q)
     return bool(np.all(np.abs(diff) <= key.params.B))
 
@@ -307,7 +337,7 @@ def forward_sample(key: PublicKey, b: int, x: int, rng: np.random.Generator):
     """Draw one image from f_{k,b}(x)."""
     _check_x(key.params, x)
     if key.params.backend == "ideal":
-        return int(key.table[b, x])
+        return _permute(key, x ^ (b * key.mask))
     e = rng.integers(-key.params.B, key.params.B + 1, size=key.params.m)
     return tuple((_lwe_center(key, b, x) + e) % key.params.q)
 
@@ -333,21 +363,19 @@ def _lwe_preimages(key: PublicKey, b: int, y) -> np.ndarray:
 
 
 def _ideal_decode(trapdoor: Trapdoor, y, rule, defined=True):
-    """rule(i) of i = trapdoor.inverse[y] where y is an image of the tables,
-    `defined` holds and rule(i) lies in [0, 2^w), else None; an array of
-    images (and of `defined`) gets an array, UNDECODED for None. An int y
-    indexes as a Python int (numpy would read a bool as a mask). A y outside
-    the image space (the wire admits up to 2^32 - 1, and numpy wraps a
-    negative index) is undecodable."""
-    inverse, size_x = trapdoor.inverse, 2**trapdoor.params.w
+    """rule(z) of z = P^-1(y) where y lies in the image space [0, M) (the wire
+    admits up to 2^32 - 1), z in the rows' preimage range, [0, 2^w) for F and
+    [0, 2^(w+1)) for G, `defined` holds and rule(z) lies in [0, 2^w), else
+    None. An array of images (and of `defined`) runs the same expressions and
+    gets an array, UNDECODED for None."""
+    key, size_x = trapdoor.key, 2**trapdoor.params.w
+    z = _unpermute(key, y)
+    v = rule(z)
+    span = size_x if trapdoor.family == FAMILY_F else 2 * size_x
+    found = (y >= 0) & (y < key.params.image_space_size) & (z < span) & defined & (v < size_x)
     if isinstance(y, np.ndarray):
-        i = inverse.take(y, mode="clip")
-        v = rule(i)
-        found = (y >= 0) & (y < inverse.size) & (i != UNDECODED) & defined
-        return np.where(found & (v < size_x), v, UNDECODED)
-    i = int(inverse[int(y)]) if 0 <= y < inverse.size else UNDECODED
-    v = rule(i) if i != UNDECODED and defined else UNDECODED
-    return int(v) if 0 <= v < size_x else None
+        return np.where(found, v, UNDECODED)
+    return int(v) if found else None
 
 
 def decode_b(trapdoor: Trapdoor, y) -> int | None:
@@ -355,7 +383,7 @@ def decode_b(trapdoor: Trapdoor, y) -> int | None:
     if trapdoor.family != FAMILY_G:
         raise FamilyError("decode_b is defined only for G trapdoors")
     if trapdoor.params.backend == "ideal":
-        return _ideal_decode(trapdoor, y, lambda i: i >> trapdoor.params.w)
+        return _ideal_decode(trapdoor, y, lambda z: z >> trapdoor.params.w)
     return next((b for b in (0, 1) if _lwe_preimages(trapdoor.key, b, y).size), None)
 
 
@@ -364,10 +392,10 @@ def decode_x(b: int | None, trapdoor: Trapdoor, y) -> int | None:
     if b is None:
         return None
     if trapdoor.params.backend == "ideal":
-        # row b holds y at i ^ (b * s) on an F key (the claw partner of x0 = i)
-        # and at i ^ (b << w) on a G key, outside X if y is in the other row
-        flip = b * (trapdoor.s if trapdoor.family == FAMILY_F else 2**trapdoor.params.w)
-        return _ideal_decode(trapdoor, y, lambda i: i ^ flip)
+        # row b holds y at z ^ (b * mask): on an F key the claw partner of
+        # x0 = z, on a G key outside X if y is in the other row
+        flip = b * trapdoor.key.mask
+        return _ideal_decode(trapdoor, y, lambda z: z ^ flip)
     xs = _lwe_preimages(trapdoor.key, b, y)
     return int(xs[0]) if xs.size else None
 
@@ -378,8 +406,8 @@ def decode_h(trapdoor: Trapdoor, y, d) -> int | None:
     if trapdoor.family != FAMILY_F:
         raise FamilyError("decode_h is defined only for F trapdoors")
     if trapdoor.params.backend == "ideal":
-        # an ideal claw's x0 xor x1 is s
-        return _ideal_decode(trapdoor, y, lambda i: parity(d & trapdoor.s), d != 0)
+        # an ideal claw's x0 xor x1 is s, the key's mask
+        return _ideal_decode(trapdoor, y, lambda z: parity(d & trapdoor.key.mask), d != 0)
     x0 = decode_x(0, trapdoor, y) if np.any(d != 0) else None
     h = None if x0 is None else parity(d & (x0 ^ claw_partner(trapdoor, x0)))
     return np.where(d != 0, UNDECODED if h is None else h, UNDECODED) if isinstance(d, np.ndarray) else h
@@ -390,18 +418,22 @@ def claw_partner(trapdoor: Trapdoor, x0: int) -> int:
     if trapdoor.family != FAMILY_F:
         raise FamilyError("claws exist only for F keys")
     if trapdoor.params.backend == "ideal":
-        return x0 ^ trapdoor.s
+        return x0 ^ trapdoor.key.mask
     z1 = (x_to_z(x0, trapdoor.params) - np.array(trapdoor.s_vec)) % trapdoor.params.q
     return z_to_x(z1, trapdoor.params)
 
 
 def preimages(key: PublicKey, y) -> list[tuple[int, int]]:
-    """All (b, x) with y in Supp(f_{k,b}(x)). Public (trapdoor-free) exhaustive scan."""
+    """All (b, x) with y in Supp(f_{k,b}(x)), b first, then x. Public
+    (trapdoor-free): one P^-1 evaluation of an ideal key, row b holding y at
+    z ^ (b * mask) when that lies in X, or one ToyLwe scan of X."""
     params = key.params
-    check_scan(params)
     if params.backend == "ideal":
-        bs, xs = (key.table == y).nonzero()  # row-major: b first, then x
-        return list(zip(bs.tolist(), xs.tolist()))
+        if not 0 <= y < params.image_space_size:
+            return []
+        z = _unpermute(key, y)
+        return [(b, x) for b in (0, 1) if (x := z ^ (b * key.mask)) < 2**params.w]
+    check_scan(params)
     return [(b, x) for b in (0, 1) for x in _lwe_preimages(key, b, y).tolist()]
 
 

@@ -241,20 +241,8 @@ def session_streams(seed: int, sessions: int):
 
 
 # One transcript per line as canonical JSON, unsorted: run_one_session's records
-# and payloads built by Codec.to_payload or parsed from its frames have sorted
-# keys. _transcript_line writes the Keys payload, nearly all of a line, apart.
+# and payloads built by Codec.to_payload or parsed from its frames have sorted keys.
 _TRANSCRIPT_LINE = json.JSONEncoder(separators=(",", ":"), check_circular=False)
-
-
-def _transcript_line(record: dict) -> str:
-    """_TRANSCRIPT_LINE.encode(record), a first Keys payload written by transport.payload_json at
-    the line's first '"payload":null', which no JSON string can hold, as its quotes are escaped."""
-    messages = record["messages"]
-    if not messages or messages[0]["type"] != "Keys":
-        return _TRANSCRIPT_LINE.encode(record)
-    nulled = {**record, "messages": [{**messages[0], "payload": None}, *messages[1:]]}
-    head, _, tail = _TRANSCRIPT_LINE.encode(nulled).partition('"payload":null')
-    return f'{head}"payload":{transport.payload_json(protocol.Keys, messages[0]["payload"])}{tail}'
 
 
 def run_sessions(
@@ -296,7 +284,7 @@ def run_sessions(
         )
         with open(out / "transcripts.jsonl", "wb") as fh:
             for t in transcripts:
-                fh.write(_transcript_line(t).encode("utf-8") + b"\n")
+                fh.write(_TRANSCRIPT_LINE.encode(t).encode("utf-8") + b"\n")
     return stats, transcripts
 
 

@@ -211,8 +211,7 @@ class BitFlipProver(HonestProver):
     transcript-identical to the honest prover under the same seed."""
 
     def __init__(self, kind: str, rng: np.random.Generator, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError("flip probability must lie in [0, 1]")
+        check_flip_probability(p)
         super().__init__(kind, rng)
         self.p = p
 
@@ -239,6 +238,13 @@ class ClassicalGuessProver(DeviceInterface):
 
     def on_question(self, q: int):
         return list(self.b)
+
+
+def check_flip_probability(p: float) -> None:
+    """Refuse a flip probability outside [0, 1], for a bitflip prover and a
+    bitflip analysis model alike."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError("flip probability must lie in [0, 1]")
 
 
 def parse_device_spec(spec: str) -> tuple[str, float | None]:

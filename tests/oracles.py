@@ -1,5 +1,6 @@
-"""State-vector oracles of the honest device, and stand-in generators that
-read a device's exact outcome probabilities; test helpers only.
+"""State-vector oracles of the honest device, the table oracle of ideal
+keys, and stand-in generators that read a device's exact outcome
+probabilities; test helpers only.
 
 FullsimProver builds each coordinate's superposition
 sum_{b,x} |b>|x>|f_b(x)> as a dense state vector and Born-measures every
@@ -7,8 +8,13 @@ step up to the final one, which it shares with HonestProver. It is the
 cross-validation oracle of the collapsed path that every run takes, and is
 budget-limited. reference_measure_qubit_vector and reference_measure_pair
 are the state-vector references of that final step.
+
+TableKey is an ideal key as its whole truth table, the form ideal keys once
+had: every map is a scan of the table, the oracle of the succinct key's one
+P or P^-1 evaluation.
 """
 import collections
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +100,58 @@ def reference_measure_pair(vec_i, vec_j, basis_i, basis_j, rng):
     out_i, state = state.measure("i", basis_i, rng)
     out_j, _ = state.measure("j", basis_j, rng)
     return out_i, out_j
+
+
+# ---------------------------------------------------------------------------
+# Ideal keys as truth tables
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TableKey:
+    """An ideal key as its (2, 2^w) truth table, table[b, x] = f_b(x), with
+    the key's maps as scans of the table (decode_b and decode_h are what a
+    G and an F trapdoor decode)."""
+
+    params: entcf.EntcfParams
+    table: np.ndarray
+
+    @classmethod
+    def of(cls, key: entcf.PublicKey) -> "TableKey":
+        """The table of a succinct key, entry by entry from its definition
+        f_b(x) = P(x ^ b.mask), P(z) = (a.z + c) mod M, in Python ints."""
+        size = key.params.image_space_size
+        xs = range(2**key.params.w)
+        return cls(key.params, np.array([[(key.a * (x ^ (b * key.mask)) + key.c) % size for x in xs] for b in (0, 1)]))
+
+    def forward(self, b, x) -> int:
+        return int(self.table[b, x])
+
+    def contains(self, b, x, y) -> bool:
+        return int(self.table[b, x]) == y
+
+    def chk(self, y, b, x) -> int:
+        return 0 if self.contains(b, x, y) else 1
+
+    def preimages(self, y) -> list:
+        bs, xs = (self.table == y).nonzero()  # row-major: b first, then x
+        return list(zip(bs.tolist(), xs.tolist()))
+
+    def decode_b(self, y):
+        """The row that holds y, or None."""
+        return next((b for b in (0, 1) if y in self.table[b]), None)
+
+    def decode_x(self, b, y):
+        """y's index in row b, or None."""
+        row = self.table[b].tolist()
+        return row.index(y) if y in row else None
+
+    def decode_h(self, y, d):
+        """d . (x0 xor x1) of the two rows' preimages of y, or None for d = 0
+        or a y that is not in both rows."""
+        if d == 0:
+            return None
+        x0, x1 = (self.decode_x(b, y) for b in (0, 1))
+        return None if x0 is None or x1 is None else entcf.parity(d & (x0 ^ x1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from selftestsim import analysis, cli, entcf, protocol, qsim
 from selftestsim.errors import DomainError, ModelError, ParameterError
 from selftestsim.protocol import THETA_ALL_G, THETA_DIAMOND, DimTestConfig, SelfTestConfig
 
+from oracles import TableKey
+
 
 @pytest.fixture(scope="module")
 def honest():
@@ -59,8 +61,8 @@ def _hadamard_columns(trap, w):
     cols = qsim.hadamard_matrix(w).T
     if trap.family == entcf.FAMILY_G:
         return list(enumerate(cols))
-    first = [next(d for d in range(1, 2**w) if entcf.parity(d & trap.s) == p) for p in (0, 1)]
-    return [(first[entcf.parity(d & trap.s)], col) for d, col in enumerate(cols)]
+    first = [next(d for d in range(1, 2**w) if entcf.parity(d & trap.key.mask) == p) for p in (0, 1)]
+    return [(first[entcf.parity(d & trap.key.mask)], col) for d, col in enumerate(cols)]
 
 
 def test_psi_blocks_are_normalized(honest):
@@ -281,8 +283,8 @@ def _never_called(*args, **kwargs):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(entcf, "gen_keypair", _never_called)
-    # dimtest N=1 w=17: past check_scan's cap, each coordinate would hold a
-    # 2^18-entry key table and its inverse
+    # dimtest N=1 w=17: past the analysis's 2^16 cap, each coordinate's
+    # 2^18-entry key table would be enumerated
     cfg = DimTestConfig(N=1, entcf=entcf.EntcfParams.ideal(17))
     with pytest.raises(DomainError, match="capped"):
         analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(0))
@@ -649,7 +651,7 @@ def test_class_tables_make_one_array_decode_per_coordinate(kind, w, monkeypatch)
     """Every class table of a model together decodes each (theta,
     coordinate) with one array decode, through the entcf attributes the
     benchmark tracer wraps: decode_b on an injective coordinate, decode_h
-    on a claw one, which indexes the trapdoor's inverse itself and makes no
+    on a claw one, which evaluates the key's P^-1 itself and makes no
     decode_x. No image is decoded alone, and the reports decode nothing more."""
     cfg = (SelfTestConfig if kind == "selftest" else DimTestConfig)(N=1, entcf=entcf.EntcfParams.ideal(w))
     model = analysis.build_honest_model(cfg, kind, np.random.default_rng(3))
@@ -734,10 +736,10 @@ def test_batched_classes_equal_the_per_coordinate_reference(kind, n):
 
 
 def test_classes_refuse_a_shared_code_with_two_directions():
-    """An injective key whose public table swaps f_0(0) and f_1(0), under
-    the original trapdoor, puts each of the two images on the other b: its
-    decoded b-hat stays, so its outcome shares a code with the row's other
-    images and is not parallel to them."""
+    """An injective key whose table swaps f_0(0) and f_1(0), given as a
+    table oracle, under the original trapdoor, puts each of the two images
+    on the other b: its decoded b-hat stays, so its outcome shares a code
+    with the row's other images and is not parallel to them."""
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(3))
     theta = honest.thetas[0]
@@ -745,7 +747,7 @@ def test_classes_refuse_a_shared_code_with_two_directions():
     table = honest.keys[theta][i].table.copy()
     table[0, 0], table[1, 0] = table[1, 0], table[0, 0]
     keys = {key: list(coords) for key, coords in honest.keys.items()}
-    keys[theta][i] = dataclasses.replace(keys[theta][i], table=table)
+    keys[theta][i] = TableKey(keys[theta][i].params, table)  # the model reads only the table
     tampered = analysis.DeviceModel(
         honest.protocol, honest.n, honest.w, honest.logical, honest.thetas, keys, honest.trapdoors,
         None, honest.questions, name="tampered",

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selftestsim import entcf
-from selftestsim.errors import DomainError, FamilyError, ParameterError
+from selftestsim import entcf, protocol, transport
+from selftestsim.errors import DomainError, FamilyError, ParameterError, ProtocolError, TransportError
+
+from oracles import TableKey
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +38,8 @@ def test_claw_matching_ideal(ideal_pair):
     for x0 in range(8):
         x1 = entcf.claw_partner(trap, x0)
         assert entcf.support(key, 0, x0) == entcf.support(key, 1, x1)
-        assert x1 == x0 ^ trap.s
-    assert trap.s != 0
+        assert x1 == x0 ^ trap.key.mask
+    assert 0 < trap.key.mask < 8  # the claw shift
 
 
 def test_g_ranges_disjoint(ideal_pair):
@@ -90,28 +92,6 @@ def test_invalid_y_decodes_to_none(ideal_pair):
     assert entcf.decode_b(g_trap, spare_g) is None
 
 
-def _scan_decode_b(trapdoor, y):
-    """Reference: decode_b as a membership scan of each row of the table."""
-    for b in (0, 1):
-        if y in trapdoor.key.table[b]:
-            return b
-    return None
-
-
-def _scan_decode_x(b, trapdoor, y):
-    """Reference: decode_x as an index search of row b of the table."""
-    row = trapdoor.key.table[b].tolist()
-    return row.index(y) if y in row else None
-
-
-def _scan_decode_h(trapdoor, y, d):
-    """Reference: decode_h with both preimages found by their own row scan."""
-    if d == 0:
-        return None
-    x0, x1 = (_scan_decode_x(b, trapdoor, y) for b in (0, 1))
-    return None if x0 is None or x1 is None else entcf.parity(d & (x0 ^ x1))
-
-
 def _as_none(decoded: np.ndarray) -> list:
     """An array decoding as a list, None where it holds UNDECODED."""
     return [None if v == entcf.UNDECODED else v for v in decoded.tolist()]
@@ -120,14 +100,15 @@ def _as_none(decoded: np.ndarray) -> list:
 @pytest.mark.parametrize("w", [2, 4, 8])
 def test_ideal_decoding_matches_the_table_scans(w):
     """Each decoding of one image, and each entry of all the images decoded
-    as one array (shuffled, so the array is not sorted), equals its scan
-    reference; None is the array's UNDECODED."""
+    as one array (shuffled, so the array is not sorted), equals its scan of
+    the key's table oracle; None is the array's UNDECODED."""
     rng = np.random.default_rng(w)
     params = entcf.EntcfParams.ideal(w)
     for _ in range(3):
         _, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
         _, g_trap = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
-        ds = sorted({0, 1, f_trap.s, 2**w - 1, *rng.integers(2**w, size=4).tolist()})
+        f_table, g_table = TableKey.of(f_trap.key), TableKey.of(g_trap.key)
+        ds = sorted({0, 1, f_trap.key.mask, 2**w - 1, *rng.integers(2**w, size=4).tolist()})
         # the whole image space holds every image of both tables and some in
         # neither; the last three lie outside the space, and an unchecked
         # index would wrap -1 round to the last image
@@ -136,20 +117,20 @@ def test_ideal_decoding_matches_the_table_scans(w):
         # one image alone may also be a bool (the wire admits it as an int),
         # which numpy would read as an index mask
         scalars = [*ys, True, False]
-        assert [entcf.decode_b(g_trap, y) for y in scalars] == [_scan_decode_b(g_trap, y) for y in scalars]
-        assert _as_none(entcf.decode_b(g_trap, y_arr)) == [_scan_decode_b(g_trap, y) for y in ys]
-        for trap in (f_trap, g_trap):
+        assert [entcf.decode_b(g_trap, y) for y in scalars] == [g_table.decode_b(y) for y in scalars]
+        assert _as_none(entcf.decode_b(g_trap, y_arr)) == [g_table.decode_b(y) for y in ys]
+        for trap, table in ((f_trap, f_table), (g_trap, g_table)):
             for b in (0, 1):
-                want = [_scan_decode_x(b, trap, y) for y in scalars]
+                want = [table.decode_x(b, y) for y in scalars]
                 assert [entcf.decode_x(b, trap, y) for y in scalars] == want
                 assert _as_none(entcf.decode_x(b, trap, y_arr)) == want[: len(ys)]
         for d in ds:
-            want = [_scan_decode_h(f_trap, y, d) for y in scalars]
+            want = [f_table.decode_h(y, d) for y in scalars]
             assert [entcf.decode_h(f_trap, y, d) for y in scalars] == want
             assert _as_none(entcf.decode_h(f_trap, y_arr, np.full(len(ys), d))) == want[: len(ys)]
         # one array of mixed d's, 0 among them
         d_arr = rng.choice(ds, size=len(ys))
-        want = [_scan_decode_h(f_trap, y, d) for y, d in zip(ys, d_arr.tolist())]
+        want = [f_table.decode_h(y, d) for y, d in zip(ys, d_arr.tolist())]
         assert _as_none(entcf.decode_h(f_trap, y_arr, d_arr)) == want
 
 
@@ -163,8 +144,6 @@ def test_chk_equals_support_membership(ideal_pair, b, x, y):
 
 def test_chk_tuple_mismatch(ideal_pair):
     (key, _), _ = ideal_pair
-    from selftestsim.errors import ProtocolError
-
     with pytest.raises(ProtocolError):
         entcf.chk((key,), (1, 2), (0,), (0,))
 
@@ -181,11 +160,10 @@ def test_preimages_public_scan(ideal_pair):
 def test_key_codec_family_blind(ideal_pair):
     (f_key, _), (g_key, _) = ideal_pair
     f_raw, g_raw = f_key.to_bytes(), g_key.to_bytes()
-    assert len(f_raw) == len(g_raw)  # format does not leak the family
+    assert len(f_raw) == len(g_raw) == 19  # one layout; the mask tells the family
     for key, raw in ((f_key, f_raw), (g_key, g_raw)):
         back = entcf.PublicKey.from_bytes(raw)
-        assert np.array_equal(back.table, key.table)
-        assert back.params == key.params
+        assert back == key and np.array_equal(back.table, key.table)
 
 
 def test_forward_sample_in_support(ideal_pair):
@@ -302,37 +280,58 @@ def test_toylwe_key_codec(lwe_pair):
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_ideal_tables_are_fresh_int64_arrays(w):
+    """Each key evaluates its table once, into its own read-only array."""
     rng = np.random.default_rng(w)
     params = entcf.EntcfParams.ideal(w)
-    tables = [entcf.gen_keypair(fam, params, rng)[0].table for fam in ("F", "G", "F", "G")]
-    for table in tables:
+    keys = [entcf.gen_keypair(fam, params, rng)[0] for fam in ("F", "G", "F", "G")]
+    tables = [key.table for key in keys]
+    for key, table in zip(keys, tables):
         assert table.dtype == np.int64 and table.shape == (2, 2**w)
-        assert table.flags.owndata and table.flags.c_contiguous and table.flags.writeable
+        assert table.flags.owndata and table.flags.c_contiguous and not table.flags.writeable
+        assert key.table is table
     for a, b in itertools.combinations(tables, 2):
         assert not np.shares_memory(a, b)
 
 
 def test_ideal_keygen_draws_are_unchanged():
-    """f0 is the first 2^w entries of one permutation draw and f1(x) = f0(x ^ s)
-    for the next draw s; G's rows are the first 2^(w+1) entries of one draw."""
-    params = entcf.EntcfParams.ideal(3)
+    """Each try is one integers draw of a.M + c in [M, M^2), so (a, c) is
+    uniform on [1, M) x [0, M), until a is a unit mod M; then one draw of the
+    mask in [1, 2^w) for F or [2^w, 2^(w+1)) for G; the trapdoor holds the
+    key alone."""
+    params = entcf.EntcfParams.ideal(3)  # M = 18: a unit is odd and prime to 3
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    f_key, f_trap = entcf.gen_keypair(entcf.FAMILY_F, params, rng)
-    g_key, _ = entcf.gen_keypair(entcf.FAMILY_G, params, rng)
-    f0 = ref.permutation(params.image_space_size)[:8]
-    s = 1 + int(ref.integers(7))
-    assert f_trap.s == s
-    assert f_key.table.tolist() == [f0.tolist(), f0[np.arange(8) ^ s].tolist()]
-    assert g_key.table.tolist() == ref.permutation(params.image_space_size)[:16].reshape(2, 8).tolist()
+    keys = [entcf.gen_keypair(family, params, rng) for family in ("F", "G", "F", "G")]
+    tries = 0
+    for (key, trap), (low, high) in zip(keys, [(1, 8), (8, 16)] * 2):
+        while True:
+            tries += 1
+            a, c = divmod(int(ref.integers(18, 18 * 18)), 18)
+            if a % 2 and a % 3:
+                break
+        assert (key.a, key.c, key.mask) == (a, c, int(ref.integers(low, high)))
+        assert trap == entcf.Trapdoor(family=trap.family, key=key)
+    assert tries > len(keys)  # some draw was refused
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("family", [entcf.FAMILY_F, entcf.FAMILY_G])
 def test_ideal_keygen_past_the_scan_cap_draws_nothing(family):
-    """Keygen refuses |X| = 2^17 for the ideal backend too, before any draw."""
+    """Keygen refuses w = 31, whose M = 2^32 + 2 the u32 image field cannot
+    hold, before any draw; w = 30 is drawn."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="2\\^30"):
+        entcf.gen_keypair(family, entcf.EntcfParams.ideal(31), rng)
+    assert rng.bit_generator.state == state
+    key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(30), rng)
+    assert entcf.PublicKey.from_bytes(key.to_bytes()) == key
+
+
+def test_toylwe_keygen_past_the_scan_cap_draws_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(DomainError, match="2\\^16"):
-        entcf.gen_keypair(family, entcf.EntcfParams.ideal(17), rng)
+        entcf.gen_keypair(entcf.FAMILY_G, entcf.EntcfParams.toylwe(n=1, m=3, q=2**17, B=1), rng)
     assert rng.bit_generator.state == state
 
 
@@ -343,9 +342,95 @@ def test_ideal_keygen_past_the_scan_cap_draws_nothing(family):
 def test_bad_key_header_raises_on_every_call(w, size, message):
     """The parameters of a key header are cached; a header that fails
     validation is not, so it raises the same error each time."""
-    raw = struct.pack(">BBBI", 1, 0, w, size) + bytes(8 * 2**w)
+    raw = struct.pack(">BBBIIII", 1, 0, w, size, 1, 0, 1)
     for _ in range(2):
         with pytest.raises(ParameterError, match=re.escape(message)):
             entcf.PublicKey.from_bytes(raw)
-    good = entcf.PublicKey.from_bytes(struct.pack(">BBBI", 1, 0, 2, 10) + bytes(32))
-    assert good.params == entcf.EntcfParams.ideal(2)
+    good = entcf.PublicKey.from_bytes(struct.pack(">BBBIIII", 1, 0, 2, 10, 3, 9, 1))
+    assert good == entcf.PublicKey(params=entcf.EntcfParams.ideal(2), a=3, c=9, mask=1)
+
+
+@pytest.mark.parametrize("w", [1, 8, 16, 30])
+def test_an_ideal_key_is_19_bytes(w):
+    rng = np.random.default_rng(w)
+    for family in (entcf.FAMILY_F, entcf.FAMILY_G):
+        key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(w), rng)
+        raw = key.to_bytes()
+        assert len(raw) == 19
+        assert raw[:7] == struct.pack(">BBBI", 1, 0, w, 2 ** (w + 1) + 2)
+        assert raw[7:] == struct.pack(">III", key.a, key.c, key.mask)
+
+
+# w = 3: M = 18, so a must be odd and prime to 3
+@pytest.mark.parametrize(
+    "raw",
+    [
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 1)[:-1],
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 1) + b"\0",
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 0, 1, 1),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 4, 1, 1),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 9, 1, 1),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 23, 1, 1),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 18, 1),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 0),
+        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 16),
+    ],
+    ids=["short", "long", "a=0", "a-even", "a-shares-3", "a>=M", "c=M", "mask=0", "mask=2^(w+1)"],
+)
+def test_malformed_ideal_keys_are_refused(raw):
+    """PublicKey.from_bytes refuses a key of another length, an a that is no
+    unit mod M in [1, M), a c outside [0, M) and a mask outside
+    [1, 2^(w+1)); the codec turns each into a malformed-payload error."""
+    with pytest.raises(ProtocolError):
+        entcf.PublicKey.from_bytes(raw)
+    codec = transport.Codec(entcf.EntcfParams.ideal(3))
+    with pytest.raises(TransportError, match="malformed payload"):
+        codec.from_payload(protocol.Keys, {"keys": [raw.hex()]})
+
+
+def test_the_edges_of_an_ideal_key_decode():
+    raw = struct.pack(">BBBIIII", 1, 0, 3, 18, 17, 17, 15)
+    assert entcf.PublicKey.from_bytes(raw) == entcf.PublicKey(entcf.EntcfParams.ideal(3), a=17, c=17, mask=15)
+
+
+def _every_image(params) -> list:
+    """Every y of the image space, and three outside it: -1, M and 2^32 - 1."""
+    return [*range(params.image_space_size), -1, params.image_space_size, 2**32 - 1]
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+@pytest.mark.parametrize("family", [entcf.FAMILY_F, entcf.FAMILY_G])
+def test_succinct_keys_match_their_table_oracle(family, w):
+    """Every map of a succinct key equals the scan of the table built from
+    that key, over every (b, x), every image in the image space and out of
+    it, and every d: the forward map, membership, chk and the public
+    preimages, and the trapdoor's decoders, one image at a time and as one
+    array of images."""
+    params = entcf.EntcfParams.ideal(w)
+    rng = np.random.default_rng(w)
+    for _ in range(2):
+        key, trap = entcf.gen_keypair(family, params, rng)
+        table = TableKey.of(key)
+        assert np.array_equal(key.table, table.table)
+        ys, size_x = _every_image(params), 2**w
+        y_arr = np.array(ys)
+        for b in (0, 1):
+            for x in range(size_x):
+                assert entcf.forward_sample(key, b, x, rng) == table.forward(b, x)
+                for y in ys:
+                    assert entcf.support_contains(key, b, x, y) == table.contains(b, x, y)
+                    assert entcf.chk((key,), (y,), (b,), (x,)) == table.chk(y, b, x)
+        assert [entcf.preimages(key, y) for y in ys] == [table.preimages(y) for y in ys]
+        for b in (0, 1):
+            want = [table.decode_x(b, y) for y in ys]
+            assert [entcf.decode_x(b, trap, y) for y in ys] == want
+            assert _as_none(entcf.decode_x(b, trap, y_arr)) == want
+        if family == entcf.FAMILY_G:
+            want = [table.decode_b(y) for y in ys]
+            assert [entcf.decode_b(trap, y) for y in ys] == want
+            assert _as_none(entcf.decode_b(trap, y_arr)) == want
+            continue
+        for d in range(size_x):
+            want = [table.decode_h(y, d) for y in ys]
+            assert [entcf.decode_h(trap, y, d) for y in ys] == want
+            assert _as_none(entcf.decode_h(trap, y_arr, np.full(len(ys), d))) == want

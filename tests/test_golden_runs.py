@@ -4,12 +4,15 @@ recorded at commit d1ab99f: `tests/data/run_golden.json` holds the sha256 of
 TCP dimension-test run and one TCP self-test run with toylwe keys and images
 (recorded at 8a39965), and one run for each prover spec those three leave
 out: self-test `bitflip=0.3` and `wrongbasis`, and a TCP dimension-test
-`classical` run with toylwe keys (recorded at 4f57f18). A speed-up that moves
-a single draw, or changes how a transcript is encoded, changes a hash.
-`tests/data/analyze_report_hashes.json` holds the sha256 of whole
-`analyze --report` files (recorded at 5b0ec89, the self-test N=2 one at
-83e963c, the self-test `random` one at 4f57f18), `swap` deviations included,
-so a report number that moves by one bit changes its hash."""
+`classical` run with toylwe keys (recorded at 4f57f18); the four runs with
+ideal keys were re-recorded when ideal keys became succinct (a, c, mask)
+draws. A speed-up that moves a single draw, or changes how a transcript is
+encoded, changes a hash. `tests/data/analyze_report_hashes.json` holds the
+sha256 of whole `analyze --report` files (recorded at 5b0ec89, the self-test
+N=2 one at 83e963c, the self-test `random` one at 4f57f18; all but the two
+whose swap deviations kept their bits re-recorded with the succinct keys),
+`swap` deviations included, so a report number that moves by one bit
+changes its hash."""
 import contextlib
 import hashlib
 import io

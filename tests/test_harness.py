@@ -301,8 +301,12 @@ TOYLWE_CFG = SelfTestConfig(N=1, entcf=entcf.EntcfParams.toylwe(n=1, m=3, q=16, 
 
 @pytest.mark.parametrize("spec", ["inproc", "tcp"])
 @pytest.mark.parametrize("config", [CFG, TOYLWE_CFG], ids=["ideal", "toylwe"])
-def test_transcript_line_is_the_json_encoding_of_the_record(config, spec):
-    _, transcripts = harness.run_sessions("selftest", "bitflip=0.3", config, 30, seed=4, transport_spec=spec)
+def test_transcript_line_is_the_json_encoding_of_the_record(config, spec, tmp_path):
+    """Each line run_sessions writes, and the line its writer makes of a
+    record it never wrote, is the compact JSON encoding of the record."""
+    _, transcripts = harness.run_sessions(
+        "selftest", "bitflip=0.3", config, 30, seed=4, transport_spec=spec, out_dir=tmp_path
+    )
     record = transcripts[0]
     # a reply payload that carries a key besides its fields, as json.loads parses
     # it (decode_frame refuses such a frame)
@@ -316,8 +320,10 @@ def test_transcript_line_is_the_json_encoding_of_the_record(config, spec):
         {**record, "messages": [record["messages"][0], reply, *record["messages"][2:]]},
     ]
     assert "junk" in parsed and len(transcripts) == 30
-    for t in transcripts + variants:
-        assert harness._transcript_line(t) == harness._TRANSCRIPT_LINE.encode(t)
+    lines = (tmp_path / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(t, separators=(",", ":")) for t in transcripts]
+    for t in variants:
+        assert harness._TRANSCRIPT_LINE.encode(t) == json.dumps(t, separators=(",", ":"))
 
 
 def _longest_str(obj) -> int:
@@ -331,9 +337,10 @@ def _longest_str(obj) -> int:
 
 
 def test_key_hex_skips_the_json_encoders(monkeypatch, tmp_path):
-    """Keys frames and transcript lines write a key's hex (4,110 characters
-    at w=8) without the JSON encoders' escape scan: no string longer than 64
-    characters reaches the frame or the transcript encoder."""
+    """Keys frames write a key's hex (38 characters at w=8) without the frame
+    encoder's escape scan: no string that long reaches it. A transcript line
+    goes through its encoder whole, and a key's hex is the longest string in
+    it."""
     longest = {}
 
     class Spy:
@@ -352,7 +359,7 @@ def test_key_hex_skips_the_json_encoders(monkeypatch, tmp_path):
     )
     assert stats["sessions"] == 6 and "transport" not in stats["reasons"]
     assert sorted(longest) == ["frame", "line"]
-    assert max(max(lengths) for lengths in longest.values()) <= 64, longest
+    assert max(longest["frame"]) < 38 and longest["line"] == [38] * 6, longest
 
 
 def test_inproc_run_builds_no_frames(monkeypatch):
@@ -455,9 +462,9 @@ def test_tcp_runs_back_to_back_on_one_port():
 def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
     """Both ends run on one thread, so a send that fills the kernel's buffers
     must drain them into the peer itself. The buffers shrink to 4 KiB before
-    the connection is made, so its window is small too; dimtest N=4 w=8 has
-    17 KB Keys frames. The link's sockets block, so each of these sends must
-    ask the kernel not to wait."""
+    the connection is made, so its window is small too; dimtest N=1024 w=8
+    has 42 KB Keys frames. The link's sockets block, so each of these sends
+    must ask the kernel not to wait."""
     def small(sock):
         for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
             sock.setsockopt(socket.SOL_SOCKET, option, 4096)
@@ -480,7 +487,7 @@ def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
     monkeypatch.setattr(socket, "create_server", lambda *a, **k: small(create_server(*a, **k)))
     monkeypatch.setattr(socket, "create_connection", create_connection)
     monkeypatch.setattr(socket.socket, "send", counting)
-    config = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(8))
+    config = DimTestConfig(N=1024, entcf=entcf.EntcfParams.ideal(8))
     inproc = harness.run_sessions("dimtest", "classical", config, 6, seed=3)
     start = time.perf_counter()
     tcp = harness.run_sessions("dimtest", "classical", config, 6, seed=3, transport_spec="tcp")
@@ -530,7 +537,7 @@ def test_run_gamma_bounds_are_the_analysis_bounds_bit_for_bit():
     right-hand sides the exact inequality suite gives for the run's eps_P,
     eps_H and eps: the two workloads read one bound table."""
     config = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(2))
-    stats, _ = harness.run_sessions("selftest", "bitflip=0.2", config, 80, seed=5)
+    stats, _ = harness.run_sessions("selftest", "bitflip=0.2", config, 200, seed=5)
     failures = {
         "eps_P": stats["eps_P"], "eps_H": {int(q): e for q, e in stats["eps_H"].items()}, "eps": stats["eps"]
     }
@@ -753,11 +760,11 @@ def test_cli_run_out_on_a_file_fails_before_any_session(capsys, monkeypatch, tmp
 
 @pytest.mark.parametrize(
     "flags",
-    [["--prover", "nosuch"], ["--w", "17"], ["--transport", "tcp:{busy}"]],
+    [["--prover", "nosuch"], ["--w", "31"], ["--transport", "tcp:{busy}"]],
     ids=["unknown-prover", "w-past-the-cap", "busy-port"],
 )
 def test_cli_refused_run_makes_no_out_directory(tmp_path, capsys, flags):
-    """A run refused for its device spec, for a w past the 2^16 cap or for a
+    """A run refused for its device spec, for a w past the 2^30 cap or for a
     busy TCP port exits 1 with one error line and leaves no output
     directory, nor its parent."""
     out = tmp_path / "runs" / "out"
@@ -774,16 +781,68 @@ def test_cli_refused_run_makes_no_out_directory(tmp_path, capsys, flags):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("spec", ["honest", "classical", "bitflip=0.1", "wrongbasis"])
 def test_cli_run_past_the_scan_cap_is_refused_before_any_key(capsys, monkeypatch, kind, spec):
-    """An ideal run at w=17 is refused by keygen's check of the 2^16 cap
-    before any table is built, for every device and on both transports."""
+    """An ideal run at w=31, whose image space the u32 image field cannot
+    hold, is refused by the check of the 2^30 cap before any key is drawn,
+    for every device and on both transports."""
     monkeypatch.setattr(entcf, "_gen_ideal", _never_built)
     for transport_spec in ("inproc", "tcp"):
-        argv = [kind, "run", "--w", "17", "--prover", spec, "--sessions", "2", "--transport", transport_spec]
+        argv = [kind, "run", "--w", "31", "--prover", spec, "--sessions", "2", "--transport", transport_spec]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and "2^16" in lines[0], argv
+        assert len(lines) == 1 and lines[0].startswith("error:") and "2^30" in lines[0], argv
+
+
+def test_cli_toylwe_run_past_the_scan_cap_is_refused_before_any_key(capsys, monkeypatch, tmp_path):
+    """A toylwe run at w=17 is refused by the check of its 2^16 scan cap
+    before any key is drawn, and leaves no output directory."""
+    monkeypatch.setattr(entcf, "_gen_toylwe", _never_built)
+    for kind in KINDS:
+        argv = [kind, "run", "--backend", "toylwe", "--w", "17", "--sessions", "2", "--out", str(tmp_path / kind)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1 and "2^16" in lines[0], argv
+        assert not (tmp_path / kind).exists()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("command", ["selftest", "dimtest", "entcf-check"])
+def test_cli_toylwe_below_w_4_is_one_error_line(capsys, monkeypatch, tmp_path, command, w):
+    """At the CLI's n=1, m=3, B=1, toylwe has no parameters below w=2 and no
+    G key at w=3, so --w < 4 is refused naming both flags, before any key."""
+    monkeypatch.setattr(entcf, "gen_keypair", _never_built)
+    flags = ["--backend", "toylwe", "--w", str(w)]
+    argv = [command, *flags, "--keys", "1"] if command == "entcf-check" else [command, "run", *flags]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)] * (command != "entcf-check")) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+    assert "--backend toylwe" in lines[0] and "--w >= 4" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["ideal", "toylwe"])
+def test_cli_entcf_check_past_2_to_the_16_is_one_error_line(capsys, monkeypatch, backend):
+    """The exhaustive checks visit every x, so entcf-check keeps the 2^16 cap
+    on |X| for ideal keys too, which no longer scan X themselves."""
+    monkeypatch.setattr(entcf, "gen_keypair", _never_built)
+    assert cli.main(["entcf-check", "--backend", backend, "--w", "17", "--keys", "1"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:") and "2^16" in lines[0]
+
+
+@pytest.mark.parametrize("transport_spec", ["inproc", "tcp"])
+def test_runs_at_the_ideal_cap_replay(transport_spec):
+    """A w=30 self-test run, whose images fill most of the u32 field, runs
+    and passes its replay audit on either transport."""
+    config = SelfTestConfig(N=2, entcf=entcf.EntcfParams.ideal(30))
+    stats, transcripts = harness.run_sessions("selftest", "honest", config, 20, seed=5, transport_spec=transport_spec)
+    assert stats["sessions"] == 20 and stats["acceptance_rate"] == 1.0
+    assert harness.replay_audit(transcripts, "selftest", config, 5)
 
 
 def test_package_runs_as_a_module():

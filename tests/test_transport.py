@@ -50,16 +50,12 @@ def test_frame_roundtrip_every_variant(msg):
     assert sid == SID
     # the payload travels with the frame and comes back from the JSON as built
     assert payload == frame.payload == CODEC.to_payload(msg)
-    if isinstance(msg, protocol.Keys):
-        assert all(
-            np.array_equal(a.table, b.table) for a, b in zip(msg.keys, back.keys)
-        )
-    else:
-        assert back == msg
+    assert back == msg  # an ideal key is its integers, so keys compare too
 
 
 TOYLWE = entcf.EntcfParams.toylwe(n=1, m=3, q=16, B=1)
-IDEAL_KEY = entcf.PublicKey(params=PARAMS, table=np.array([[5, 0, 7, 2], [1, 6, 3, 4]]))
+# P(z) = (7z + 3) mod 10 with claw shift 2; its table is [[3, 0, 7, 4], [7, 4, 3, 0]]
+IDEAL_KEY = entcf.PublicKey(params=PARAMS, a=7, c=3, mask=2)
 TOYLWE_KEY = entcf.PublicKey(params=TOYLWE, A=np.array([[1], [2], [3]]), u=np.array([4, 5, 6]))
 
 # (parameters, message, the payload it travels as): one message of each type,
@@ -68,7 +64,7 @@ WIRE = [
     (
         PARAMS,
         protocol.Keys(keys=(IDEAL_KEY,)),
-        {"keys": ["0100020000000a" "00000005000000000000000700000002" "00000001000000060000000300000004"]},
+        {"keys": ["0100020000000a" "00000007" "00000003" "00000002"]},
     ),
     (
         TOYLWE,
@@ -100,7 +96,7 @@ def test_wire_payload_of_every_message(params, msg, payload):
     if isinstance(msg, protocol.Keys):
         for a, b in zip(msg.keys, back.keys, strict=True):
             assert a.params == b.params
-            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("table", "A", "u"))
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("a", "c", "mask", "A", "u"))
     else:
         assert back == msg
 
@@ -355,7 +351,7 @@ def test_frame_layout_byte_for_byte():
         bytes.fromhex("00000019" "01" "000102030405060708090a0b0c0d0e0f" "06") + b'{"q":1}'
     )
     frame = CODEC.encode_frame(SID, protocol.Keys(keys=(IDEAL_KEY,)))
-    assert frame == bytes.fromhex("0000006d" "01") + SID + b'\x01{"keys":["' + IDEAL_KEY_HEX.encode() + b'"]}'
+    assert frame == bytes.fromhex("00000045" "01") + SID + b'\x01{"keys":["' + IDEAL_KEY_HEX.encode() + b'"]}'
 
 
 def test_bad_session_id_length():
@@ -364,7 +360,7 @@ def test_bad_session_id_length():
 
 
 def _same_message(a, b) -> bool:
-    # keys hold numpy tables, so they compare through their canonical payload
+    # toylwe keys hold numpy arrays, so keys compare through their canonical payload
     if isinstance(a, protocol.Keys):
         return type(b) is protocol.Keys and CODEC.to_payload(a) == CODEC.to_payload(b)
     return type(a) is type(b) and a == b
@@ -544,13 +540,13 @@ def test_send_to_a_peer_that_never_reads_ends_at_the_kernel_timeout(monkeypatch)
     monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
     params = entcf.EntcfParams.ideal(8)
     codec = transport.Codec(params)
-    keys = tuple(entcf.gen_keypair(entcf.FAMILY_F, params, np.random.default_rng(i))[0] for i in range(64))
-    msg = protocol.Keys(keys=keys)
+    rng = np.random.default_rng(0)
+    msg = protocol.Keys(keys=tuple(entcf.gen_keypair(entcf.FAMILY_F, params, rng)[0] for _ in range(7000)))
     client, server = _link_pair(buffer_bytes=4096)
     chan = transport.TcpChannel(codec, SID, client)
     start = time.perf_counter()
     try:
-        # 263 KB: far more than the two 4 KiB buffers hold
+        # 287 KB: far more than the two 4 KiB buffers hold
         assert len(codec.encode_frame(SID, msg)) > 250_000
         with _fail_after(5), pytest.raises(TransportError):
             chan.send(msg)
