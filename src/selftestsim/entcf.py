@@ -7,10 +7,10 @@ Two pluggable backends:
   supports. An F key's mask is the claw shift s in [1, 2^w), so f_{k,1}(x) =
   f_{k,0}(x ^ s), a perfect matching; a G key's has bit w set, so its rows are
   P of the disjoint halves of [0, 2^(w+1)). Every map is one P or P^-1
-  evaluation. F and G keys share one 19-byte layout, but a key reveals P and
-  its mask, so its family and an F key's s, as the truth table it replaces
-  did: this backend is information-theoretically distinguishable; it exists
-  for completeness and functional testing only.
+  evaluation. F and G keys travel alike, as the numbers [a, c, mask], but a
+  key reveals P and its mask, so its family and an F key's s, as the truth
+  table it replaces did: this backend is information-theoretically
+  distinguishable; it exists for completeness and functional testing only.
 - ToyLwe: a toy LWE instantiation over Z_q^n with q a power of two. The domain
   {0,1}^w is the bit decomposition of z in Z_q^n (w = n*log2(q)); supports are
   infinity-norm noise balls of radius B around A.z + b.u. Decoding tests y
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ FAMILY_F = "F"
 FAMILY_G = "G"
 
 _W_CAP = {"toylwe": 16, "ideal": 30}  # largest w per backend; see check_scan
-_U32 = np.dtype(">u4")  # a key's wire entries: built once, not parsed from ">u4" per key
-_IDEAL_KEY = struct.Struct(">BBBIIII")  # version, backend, w, M, then a, c and mask
 UNDECODED = -1  # an array decoding's entry for None
 
 
@@ -49,11 +46,24 @@ def parity(n):
     return n.bit_count() & 1 if isinstance(n, int) else np.bitwise_count(n).astype(np.int64) & 1
 
 
+def int_list(values, bound: int | None = None, count: int | None = None) -> list:
+    """values if it is a list of ints (a bool is none), count of them when
+    count is given and each in [0, bound) when bound is, else ProtocolError:
+    one pass over the types, one min and one max."""
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise ProtocolError("expected a list of ints")
+    if count is not None and len(values) != count:
+        raise ProtocolError(f"expected {count} ints, got {len(values)}")
+    if bound is not None and values and not (min(values) >= 0 and max(values) < bound):
+        raise ProtocolError(f"expected ints in [0, {bound})")
+    return values
+
+
 def check_scan(params: EntcfParams, visitor: str = "") -> None:
     """Refuse a w past its cap before any key is drawn: ToyLwe keygen and
     preimages scan X, as does a `visitor` of every x of either backend (the
     analysis, the exhaustive checks), so |X| <= 2^16; an ideal key's
-    M = 2^(w+1) + 2 must fit the u32 image field, so |X| <= 2^30."""
+    M = 2^(w+1) + 2 must keep its images below the wire's 2^32, so |X| <= 2^30."""
     cap = _W_CAP["toylwe" if visitor else params.backend]
     if params.w > cap:
         visitor = visitor or f"{params.backend} keys"
@@ -103,12 +113,12 @@ class EntcfParams:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Public key; F and G keys share one byte layout.
+    """Public key; F and G keys share one layout of numbers.
 
     Ideal: a, c and mask of f_{k,b}(x) = P(x ^ b.mask), P(z) = (a.z + c) mod M
-    for a unit a mod M: 19 bytes that reveal P, the family (a G mask has bit
-    w set) and an F key's claw shift.
-    ToyLwe: matrix A (m x n) and vector u (m,) over Z_q.
+    for a unit a mod M, numbers [a, c, mask] that reveal P, the family (a G
+    mask has bit w set) and an F key's claw shift.
+    ToyLwe: matrix A (m x n) and vector u (m,) over Z_q; numbers A row by row, then u.
     """
 
     params: EntcfParams
@@ -118,12 +128,10 @@ class PublicKey:
     A: np.ndarray | None = None  # toylwe
     u: np.ndarray | None = None  # toylwe
 
-    def to_bytes(self) -> bytes:
-        p = self.params
-        if p.backend == "ideal":
-            return _IDEAL_KEY.pack(1, 0, p.w, p.image_space_size, self.a, self.c, self.mask)
-        head = struct.pack(">BBBHHIH", 1, 1, p.w, p.n, p.m, p.q, p.B)
-        return head + self.A.astype(_U32).tobytes() + self.u.astype(_U32).tobytes()
+    def numbers(self) -> list:
+        if self.params.backend == "ideal":
+            return [self.a, self.c, self.mask]
+        return self.A.ravel().tolist() + self.u.tolist()
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -144,34 +152,19 @@ class PublicKey:
         return centers
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "PublicKey":
-        if len(raw) < 3 or raw[0] != 1:
-            raise ProtocolError("bad key encoding version")
-        kind = raw[1]
-        if kind == 0:
-            if len(raw) != _IDEAL_KEY.size:
-                raise ProtocolError(f"an ideal key is {_IDEAL_KEY.size} bytes, not {len(raw)}")
-            _, _, w, size, a, c, mask = _IDEAL_KEY.unpack(raw)
-            params = _ideal_params(w, size)
-            if not (0 < a < size and math.gcd(a, size) == 1 and c < size and 0 < mask < 2 ** (w + 1)):
-                raise ProtocolError("an ideal key needs a unit a and c in [0, M), and mask in [1, 2^(w+1))")
+    def from_numbers(cls, params: EntcfParams, values) -> "PublicKey":
+        """The key of params whose numbers() are values; ProtocolError unless
+        they are such a key's: the right count of ints, and for an ideal key a
+        unit a mod M, c < M and mask in [1, 2^(w+1)), for toylwe each in [0, q)."""
+        if params.backend == "ideal":
+            size = params.image_space_size
+            a, c, mask = int_list(values, size, 3)
+            if math.gcd(a, size) != 1 or not 0 < mask < 2 ** (params.w + 1):
+                raise ProtocolError("an ideal key needs a unit a mod M and a mask in [1, 2^(w+1))")
             return cls(params=params, a=a, c=c, mask=mask)
-        if kind == 1:
-            _, _, w, n, m, q, B = struct.unpack(">BBBHHIH", raw[:13])
-            params = EntcfParams(backend="toylwe", w=w, n=n, m=m, q=q, B=B)
-            flat = np.frombuffer(raw[13:], dtype=_U32).astype(np.int64)
-            if len(flat) != m * n + m:
-                raise ProtocolError("toylwe key needs m*n entries of A and m of u")
-            return cls(params=params, A=flat[: m * n].reshape(m, n), u=flat[m * n :])
-        raise ProtocolError("bad key backend byte")
-
-
-@functools.lru_cache(maxsize=64)
-def _ideal_params(w: int, size: int) -> EntcfParams:
-    """The ideal parameters a key header names, validated once per header;
-    a header that fails validation raises each time (lru_cache keeps no
-    exception)."""
-    return EntcfParams(backend="ideal", w=w, image_space_size=size)
+        m, n = params.m, params.n
+        flat = np.array(int_list(values, params.q, m * n + m), dtype=np.int64)
+        return cls(params=params, A=flat[: m * n].reshape(m, n), u=flat[m * n :])
 
 
 @dataclass(frozen=True)

@@ -244,20 +244,21 @@ def decoded_bit_codes(kind: str, n: int, theta) -> tuple:
 
 
 def _marks(index_sets, size: int) -> np.ndarray:
-    """The read-only (size, len(index_sets)) 0/1 matrix whose column k marks index_sets[k]."""
-    out = np.array([[int(i in at) for at in index_sets] for i in range(size)], dtype=np.int64)
+    """The read-only (size, len(index_sets)) 0/1 matrix whose column k marks
+    index_sets[k], set by one scatter."""
+    out = np.zeros((size, len(index_sets)), dtype=np.int64)
+    out[[i for at in index_sets for i in at], [k for k, at in enumerate(index_sets) for _ in at]] = 1
     out.flags.writeable = False
     return out
 
 
 @functools.lru_cache(maxsize=256)
 def pair_checks(kind: str, n: int, theta, q: int) -> tuple:
-    """The Hadamard-round rule of (theta, q): (checks, code_marks,
-    answer_marks). A check (reject, bot, codes, answers) reads one
-    coordinate and its CZ partner, and fails with Verdict `bot` if a code at
-    `codes` is UNDECODED, else with `reject` if their parity is not that of
-    the answer bits at `answers`; checks are in judging order, and the two
-    _marks matrices have a column per check. First every injective
+    """The Hadamard-round rule of (theta, q), as its checks. A check (reject,
+    bot, codes, answers) reads one coordinate and its CZ partner, and fails
+    with Verdict `bot` if a code at `codes` is UNDECODED, else with `reject`
+    if their parity is not that of the answer bits at `answers`. In judging
+    order, first every injective
     coordinate q measures computationally must answer b-hat (".bhat"); then
     every claw coordinate q measures in the Hadamard basis must answer h-hat
     xor its partner's known bit: an injective partner's b-hat (".equation"),
@@ -265,18 +266,28 @@ def pair_checks(kind: str, n: int, theta, q: int) -> tuple:
     (".bell"); with no partner (dimension test), h-hat alone."""
     bases, fams = question_bases(kind, n, q), families(kind, theta, n)
     bits, prefix = decoded_bit_codes(kind, n, theta), f"{_CASES[kind][theta_class(kind, theta, n)]}.q{q}"
-    injective, claws = [], []
+    bhat, equation, bell = [
+        (Verdict(0, f"{prefix}.{r}"), Verdict(0, f"{prefix}.{r}.bot")) for r in ("bhat", "equation", "bell")
+    ]
+    injective, claws, pairs = [], [], paired(kind)
     for i, (fam, basis) in enumerate(zip(fams, bases)):
-        j = partner(i, n) if paired(kind) else i
+        j = partner(i, n) if pairs else i
         if fam == entcf.FAMILY_G:
             if basis == COMPUTATIONAL:
-                injective.append((f"{prefix}.bhat", bits[i], (i,)))
+                injective.append((*bhat, bits[i], (i,)))
         elif basis == HADAMARD_BASIS and (j == i or fams[j] == entcf.FAMILY_G):
-            claws.append((f"{prefix}.equation", bits[i], (i,)))
+            claws.append((*equation, bits[i], (i,)))
         elif basis == HADAMARD_BASIS and bases[j] == COMPUTATIONAL:
-            claws.append((f"{prefix}.bell", bits[i], (i, j)))
-    checks = tuple((Verdict(0, r), Verdict(0, f"{r}.bot"), at, ans) for r, at, ans in (*injective, *claws))
-    return checks, _marks([c[2] for c in checks], 2 * len(bases)), _marks([c[3] for c in checks], len(bases))
+            claws.append((*bell, bits[i], (i, j)))
+    return (*injective, *claws)
+
+
+@functools.lru_cache(maxsize=256)
+def _check_marks(kind: str, n: int, theta, q: int) -> tuple:
+    """(code_marks, answer_marks): the 0/1 matrices, (2L, checks) and (L, checks), whose column per
+    check of pair_checks marks the codes and answers it reads, for the cell path alone."""
+    checks, size = pair_checks(kind, n, theta, q), n_coords(kind, n)
+    return _marks([c[2] for c in checks], 2 * size), _marks([c[3] for c in checks], size)
 
 
 def hadamard_rule(kind: str, n: int, theta, q: int, v, codes):
@@ -285,11 +296,12 @@ def hadamard_rule(kind: str, n: int, theta, q: int, v, codes):
     codes (2L ints): the Verdict of its first failing check, or ACCEPT. On
     arrays over cells, v (cells, L) and codes (cells, 2L): each cell's
     acceptance, as a bool array."""
-    (checks, code_marks, answer_marks), undecoded = pair_checks(kind, n, theta, q), entcf.UNDECODED
+    undecoded = entcf.UNDECODED
     if isinstance(codes, np.ndarray):  # a cell fails a check on parity 1 or on any UNDECODED code
+        code_marks, answer_marks = _check_marks(kind, n, theta, q)
         failed = (codes @ code_marks + v @ answer_marks) % 2 + (codes == undecoded) @ code_marks
         return np.all(failed == 0, axis=1)
-    for reject, bot, reads, answers in checks:
+    for reject, bot, reads, answers in pair_checks(kind, n, theta, q):
         parity = 0
         for c in reads:
             if codes[c] == undecoded:

@@ -3,10 +3,13 @@
 One canonical encoding for every protocol message (a trapdoor never travels): a
 4-byte big-endian length prefix, a version byte (0x01), a 16-byte session id, a
 message type byte, and a canonical-JSON payload (UTF-8, sorted keys, no spaces)
-mapping each field to its value by its kind in `protocol.FIELDS`: keys and
-images as lowercase hex, numbers as JSON numbers, strings as they are.
-`payload_json` writes it, hex by joins as hex needs no escaping. A frame decodes
-only if each value has its kind's JSON type and its JSON is that very text.
+mapping each field to its value by its kind in `protocol.FIELDS`: numbers as
+JSON numbers, strings as they are. A key is its `PublicKey.numbers()`, decoded
+with the codec's parameters (the version byte versions the wire, so no key
+repeats them); an image is an int in [0, 2^32), or for toylwe a list of m such
+ints. `payload_json` writes it, numbers by `str` as they need no escaping. A
+frame decodes only if each value has its kind's JSON type and range and its
+JSON is that very text.
 
 One `Link` joins the verifier to the prover over either transport and holds
 the prover's answer to each message the same way; only the carrying differs.
@@ -39,6 +42,7 @@ _TYPE_BYTES = {cls: i + 1 for i, cls in enumerate(protocol.MESSAGE_TYPES)}
 _TYPE_CLASSES = {v: k for k, v in _TYPE_BYTES.items()}
 _READ = 1 << 16  # the fewest bytes a recv asks for
 TIMEOUT_S = 10.0  # longest wait for a peer's next frame, or for room to send one
+_IMAGE_BOUND = 2**32  # an image number lies in [0, 2^32)
 
 # one encoder for every frame: json.dumps with these options builds a new one per call
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
@@ -54,22 +58,8 @@ def _exact(kind):
     return decode
 
 
-def _each(encode, decode):
-    """(encode, decode) of a list field, from those of one entry."""
-    array = _exact(list)
-    return (lambda values: list(map(encode, values))), (lambda values: tuple(map(decode, array(values))))
-
-
-def _unhex(text: str) -> bytes:
-    """bytes.fromhex of lowercase hex only, without the spaces it skips."""
-    if (raw := bytes.fromhex(text)).hex() != text:
-        raise ValueError("hex must be lowercase without spaces")
-    return raw
-
-
-# a field's JSON text from its payload value, per kind: only strings need escaping
-_WRITE = dict.fromkeys(("image", "key"), lambda hexes: '["' + '","'.join(hexes) + '"]' if hexes else "[]")
-_WRITE.update(dict.fromkeys(("bit", "wbits", "int"), lambda value: str(value).replace(" ", "")))
+# a field's JSON text from its payload value, per kind: numbers and lists of them need no escaping
+_WRITE = dict.fromkeys(("bit", "wbits", "image", "key", "int"), lambda value: str(value).replace(" ", ""))
 _WRITE["str"] = lambda text: _CANONICAL_JSON.encode(text)
 
 
@@ -91,12 +81,18 @@ class Codec:
 
     def __init__(self, params: entcf.EntcfParams):
         self.params = params
+        ints = (lambda values: list(map(int, values)), lambda values: tuple(entcf.int_list(values)))
+        # one image to its numbers and back: an int, or for toylwe a list, then a tuple, of m
+        out, back = (int, int) if params.backend == "ideal" else ((lambda y_i: list(map(int, y_i))), tuple)
         # (encode, decode) of a field's value, per kind
         coder = {
-            "bit": _each(int, _exact(int)),
-            "wbits": _each(int, _exact(int)),
-            "image": _each(self.encode_y, self.decode_y),
-            "key": _each(lambda k: k.to_bytes().hex(), lambda h: PublicKey.from_bytes(_unhex(h))),
+            "bit": ints,
+            "wbits": ints,
+            "image": (lambda y: self._images(list(map(out, y))), lambda v: tuple(map(back, self._images(v)))),
+            "key": (
+                lambda keys: [key.numbers() for key in keys],
+                lambda values: tuple([PublicKey.from_numbers(params, v) for v in _exact(list)(values)]),
+            ),
             "int": (int, _exact(int)),
             "str": (lambda s: s, _exact(str)),
         }
@@ -105,20 +101,18 @@ class Codec:
             cls: [(name, *coder[kind]) for name, kind in fields] for cls, fields in protocol.FIELDS.items()
         }
 
-    # -- image coordinates ---------------------------------------------------
-    def encode_y(self, y_i) -> str:
+    # -- images ---------------------------------------------------------------
+    def _images(self, values):
+        """values, an image field's numbers (a list of m per image for toylwe),
+        if each lies in [0, 2^32), else TransportError, in either direction."""
         try:
             if self.params.backend == "ideal":
-                return struct.pack(">I", int(y_i)).hex()
-            return b"".join(struct.pack(">I", int(c)) for c in y_i).hex()
-        except struct.error as exc:
-            raise TransportError(f"image not encodable as u32: {exc}") from exc
-
-    def decode_y(self, text: str):
-        # hex of another length raises struct.error
-        if self.params.backend == "ideal":
-            return struct.unpack(">I", _unhex(text))[0]
-        return struct.unpack(f">{self.params.m}I", _unhex(text))
+                return entcf.int_list(values, _IMAGE_BOUND)
+            for image in _exact(list)(values):
+                entcf.int_list(image, _IMAGE_BOUND, self.params.m)
+        except (TypeError, ProtocolError) as exc:
+            raise TransportError(f"malformed images: {exc}") from exc
+        return values
 
     # -- message payloads ------------------------------------------------------
     def to_payload(self, msg) -> dict:
@@ -131,8 +125,8 @@ class Codec:
         try:
             # positional: FIELDS lists each class's fields in their order
             return cls(*[decode(payload[name]) for name, _, decode in self._coders[cls]])
-        # a key that PublicKey.from_bytes cannot parse raises ProtocolError or struct.error
-        except (KeyError, ValueError, TypeError, ProtocolError, struct.error) as exc:
+        # a key or a list of numbers out of its kind's type, count or range raises ProtocolError
+        except (KeyError, TypeError, ProtocolError) as exc:
             raise TransportError(f"malformed payload: {exc}") from exc
 
     # -- frames ---------------------------------------------------------------

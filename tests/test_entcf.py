@@ -1,7 +1,5 @@
 """Function-family unit tests: key generation, supports, decoding, codec."""
 import itertools
-import re
-import struct
 
 import numpy as np
 import pytest
@@ -159,10 +157,10 @@ def test_preimages_public_scan(ideal_pair):
 
 def test_key_codec_family_blind(ideal_pair):
     (f_key, _), (g_key, _) = ideal_pair
-    f_raw, g_raw = f_key.to_bytes(), g_key.to_bytes()
-    assert len(f_raw) == len(g_raw) == 19  # one layout; the mask tells the family
-    for key, raw in ((f_key, f_raw), (g_key, g_raw)):
-        back = entcf.PublicKey.from_bytes(raw)
+    f_numbers, g_numbers = f_key.numbers(), g_key.numbers()
+    assert len(f_numbers) == len(g_numbers) == 3  # one layout; the mask tells the family
+    for key, numbers in ((f_key, f_numbers), (g_key, g_numbers)):
+        back = entcf.PublicKey.from_numbers(key.params, numbers)
         assert back == key and np.array_equal(back.table, key.table)
 
 
@@ -274,8 +272,11 @@ def test_toylwe_decoding_matches_the_per_x_scans(n, m, q):
 
 def test_toylwe_key_codec(lwe_pair):
     (key, _), _ = lwe_pair
-    back = entcf.PublicKey.from_bytes(key.to_bytes())
+    numbers = key.numbers()
+    assert numbers == [*key.A.ravel().tolist(), *key.u.tolist()] and set(map(type, numbers)) == {int}
+    back = entcf.PublicKey.from_numbers(key.params, numbers)
     assert np.array_equal(back.A, key.A) and np.array_equal(back.u, key.u)
+    assert back.A.dtype == back.u.dtype == np.int64
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
@@ -324,7 +325,7 @@ def test_ideal_keygen_past_the_scan_cap_draws_nothing(family):
         entcf.gen_keypair(family, entcf.EntcfParams.ideal(31), rng)
     assert rng.bit_generator.state == state
     key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(30), rng)
-    assert entcf.PublicKey.from_bytes(key.to_bytes()) == key
+    assert entcf.PublicKey.from_numbers(key.params, key.numbers()) == key
 
 
 def test_toylwe_keygen_past_the_scan_cap_draws_nothing():
@@ -335,62 +336,39 @@ def test_toylwe_keygen_past_the_scan_cap_draws_nothing():
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize(
-    "w,size,message",
-    [(0, 34, "w must be >= 1"), (2, 3, "image_space_size must be >= 2^(w+1)")],
-)
-def test_bad_key_header_raises_on_every_call(w, size, message):
-    """The parameters of a key header are cached; a header that fails
-    validation is not, so it raises the same error each time."""
-    raw = struct.pack(">BBBIIII", 1, 0, w, size, 1, 0, 1)
-    for _ in range(2):
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            entcf.PublicKey.from_bytes(raw)
-    good = entcf.PublicKey.from_bytes(struct.pack(">BBBIIII", 1, 0, 2, 10, 3, 9, 1))
-    assert good == entcf.PublicKey(params=entcf.EntcfParams.ideal(2), a=3, c=9, mask=1)
-
-
 @pytest.mark.parametrize("w", [1, 8, 16, 30])
-def test_an_ideal_key_is_19_bytes(w):
+def test_an_ideal_key_is_its_three_numbers(w):
+    """An ideal key is [a, c, mask], Python ints that a JSON writer takes as
+    they are; the run's parameters are not repeated in it."""
     rng = np.random.default_rng(w)
     for family in (entcf.FAMILY_F, entcf.FAMILY_G):
-        key, _ = entcf.gen_keypair(family, entcf.EntcfParams.ideal(w), rng)
-        raw = key.to_bytes()
-        assert len(raw) == 19
-        assert raw[:7] == struct.pack(">BBBI", 1, 0, w, 2 ** (w + 1) + 2)
-        assert raw[7:] == struct.pack(">III", key.a, key.c, key.mask)
+        params = entcf.EntcfParams.ideal(w)
+        key, _ = entcf.gen_keypair(family, params, rng)
+        assert key.numbers() == [key.a, key.c, key.mask] and set(map(type, key.numbers())) == {int}
+        payload = transport.Codec(params).to_payload(protocol.Keys(keys=(key,)))
+        assert payload == {"keys": [[key.a, key.c, key.mask]]}
 
 
 # w = 3: M = 18, so a must be odd and prime to 3
 @pytest.mark.parametrize(
-    "raw",
-    [
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 1)[:-1],
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 1) + b"\0",
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 0, 1, 1),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 4, 1, 1),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 9, 1, 1),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 23, 1, 1),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 18, 1),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 0),
-        struct.pack(">BBBIIII", 1, 0, 3, 18, 5, 1, 16),
-    ],
+    "values",
+    [[5, 1], [5, 1, 1, 0], [0, 1, 1], [4, 1, 1], [9, 1, 1], [23, 1, 1], [5, 18, 1], [5, 1, 0], [5, 1, 16]],
     ids=["short", "long", "a=0", "a-even", "a-shares-3", "a>=M", "c=M", "mask=0", "mask=2^(w+1)"],
 )
-def test_malformed_ideal_keys_are_refused(raw):
-    """PublicKey.from_bytes refuses a key of another length, an a that is no
-    unit mod M in [1, M), a c outside [0, M) and a mask outside
+def test_malformed_ideal_keys_are_refused(values):
+    """PublicKey.from_numbers refuses a key of other than three numbers, an a
+    that is no unit mod M in [1, M), a c outside [0, M) and a mask outside
     [1, 2^(w+1)); the codec turns each into a malformed-payload error."""
+    params = entcf.EntcfParams.ideal(3)
     with pytest.raises(ProtocolError):
-        entcf.PublicKey.from_bytes(raw)
-    codec = transport.Codec(entcf.EntcfParams.ideal(3))
+        entcf.PublicKey.from_numbers(params, values)
     with pytest.raises(TransportError, match="malformed payload"):
-        codec.from_payload(protocol.Keys, {"keys": [raw.hex()]})
+        transport.Codec(params).from_payload(protocol.Keys, {"keys": [values]})
 
 
 def test_the_edges_of_an_ideal_key_decode():
-    raw = struct.pack(">BBBIIII", 1, 0, 3, 18, 17, 17, 15)
-    assert entcf.PublicKey.from_bytes(raw) == entcf.PublicKey(entcf.EntcfParams.ideal(3), a=17, c=17, mask=15)
+    params = entcf.EntcfParams.ideal(3)
+    assert entcf.PublicKey.from_numbers(params, [17, 17, 15]) == entcf.PublicKey(params, a=17, c=17, mask=15)
 
 
 def _every_image(params) -> list:

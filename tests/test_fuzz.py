@@ -177,11 +177,19 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
-# structurally right payloads whose values are junk: hex that is no key or
-# image, and numbers where ints are read
+# numbers at and past the edges of a key's or an image's range, and numbers of other JSON types
+junk_numbers = st.one_of(
+    st.integers(-3, 20),
+    st.integers(),
+    st.sampled_from([2**32 - 1, 2**32, True, False, 0.0, 1.0, -0.0, float("inf")]),
+)
+# a key's count is 3 (ideal) or m*n + m = 6 (toylwe here), and a toylwe image's m = 3
+number_lists = st.lists(junk_numbers, min_size=1, max_size=7)
+# structurally right payloads whose values are junk: numbers that are no key
+# or image, and numbers where ints are read
 shaped_payloads = st.one_of(
-    st.builds(lambda h: {"keys": h}, st.lists(st.binary(max_size=12).map(bytes.hex), max_size=2)),
-    st.builds(lambda h: {"y": h}, st.lists(st.binary(max_size=16).map(bytes.hex), max_size=2)),
+    st.builds(lambda k: {"keys": k}, st.lists(number_lists, max_size=2)),
+    st.builds(lambda y: {"y": y}, st.lists(junk_numbers | number_lists, max_size=2)),
     st.builds(lambda b, x: {"b": b, "x": x}, st.lists(json_values, max_size=2), st.lists(json_values, max_size=2)),
     st.builds(lambda q: {"q": q}, json_values),
     st.builds(lambda v: {"v": v}, st.lists(json_values, max_size=2)),

@@ -6,7 +6,9 @@ TCP dimension-test run and one TCP self-test run with toylwe keys and images
 out: self-test `bitflip=0.3` and `wrongbasis`, and a TCP dimension-test
 `classical` run with toylwe keys (recorded at 4f57f18); the four runs with
 ideal keys were re-recorded when ideal keys became succinct (a, c, mask)
-draws. A speed-up that moves a single draw, or changes how a transcript is
+draws, and every `transcripts.jsonl` hash again when keys and images became
+JSON numbers, each checked equal to the former file with its hex read as
+numbers (no `stats.json` hash moved). A speed-up that moves a single draw, or changes how a transcript is
 encoded, changes a hash. `tests/data/analyze_report_hashes.json` holds the
 sha256 of whole `analyze --report` files (recorded at 5b0ec89, the self-test
 N=2 one at 83e963c, the self-test `random` one at 4f57f18; all but the two

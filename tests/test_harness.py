@@ -101,7 +101,7 @@ def test_replay_audit_rejects_reordered_truncated_or_garbled_records():
     del truncated[0]["messages"][-1]  # the Verdict
     assert not harness.replay_audit(truncated, "selftest", CFG, 4)
     garbled = json.loads(json.dumps(transcripts))
-    _tamper(garbled, "Images", lambda p: p.update(y=["not hex"] * len(p["y"])))
+    _tamper(garbled, "Images", lambda p: p.update(y=["not a number"] * len(p["y"])))
     assert not harness.replay_audit(garbled, "selftest", CFG, 4)
     swapped = json.loads(json.dumps(transcripts))
     swapped[0]["session"], swapped[1]["session"] = swapped[1]["session"], swapped[0]["session"]
@@ -326,40 +326,34 @@ def test_transcript_line_is_the_json_encoding_of_the_record(config, spec, tmp_pa
         assert harness._TRANSCRIPT_LINE.encode(t) == json.dumps(t, separators=(",", ":"))
 
 
-def _longest_str(obj) -> int:
-    if isinstance(obj, str):
-        return len(obj)
-    if isinstance(obj, dict):
-        return max(map(_longest_str, [*obj, *obj.values()]), default=0)
-    if isinstance(obj, (list, tuple)):
-        return max(map(_longest_str, obj), default=0)
-    return 0
-
-
-def test_key_hex_skips_the_json_encoders(monkeypatch, tmp_path):
-    """Keys frames write a key's hex (38 characters at w=8) without the frame
-    encoder's escape scan: no string that long reaches it. A transcript line
-    goes through its encoder whole, and a key's hex is the longest string in
-    it."""
-    longest = {}
+def test_number_lists_skip_the_json_encoders(monkeypatch, tmp_path):
+    """Keys frames write each key's numbers (three ints at w=8) with `str`,
+    without the frame encoder's escape scan: only strings reach it. A
+    transcript line goes through its encoder whole, its keys' number lists
+    included."""
+    seen = {}
 
     class Spy:
         def __init__(self, name, encoder):
             self.name, self.encoder = name, encoder
 
         def encode(self, obj):
-            longest.setdefault(self.name, []).append(_longest_str(obj))
+            seen.setdefault(self.name, []).append(obj)
             return self.encoder.encode(obj)
 
     monkeypatch.setattr(transport, "_CANONICAL_JSON", Spy("frame", transport._CANONICAL_JSON))
     monkeypatch.setattr(harness, "_TRANSCRIPT_LINE", Spy("line", harness._TRANSCRIPT_LINE))
     config = DimTestConfig(N=4, entcf=entcf.EntcfParams.ideal(8))
-    stats, _ = harness.run_sessions(
+    stats, transcripts = harness.run_sessions(
         "dimtest", "classical", config, 6, seed=7, transport_spec="tcp", out_dir=tmp_path
     )
     assert stats["sessions"] == 6 and "transport" not in stats["reasons"]
-    assert sorted(longest) == ["frame", "line"]
-    assert max(longest["frame"]) < 38 and longest["line"] == [38] * 6, longest
+    assert sorted(seen) == ["frame", "line"]
+    assert {type(obj) for obj in seen["frame"]} == {str}, seen["frame"]
+    assert seen["line"] == transcripts
+    for record in transcripts:
+        keys = record["messages"][0]["payload"]["keys"]
+        assert len(keys) == 4 and all(len(key) == 3 and set(map(type, key)) == {int} for key in keys)
 
 
 def test_inproc_run_builds_no_frames(monkeypatch):
@@ -462,7 +456,7 @@ def test_tcp_runs_back_to_back_on_one_port():
 def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
     """Both ends run on one thread, so a send that fills the kernel's buffers
     must drain them into the peer itself. The buffers shrink to 4 KiB before
-    the connection is made, so its window is small too; dimtest N=1024 w=8
+    the connection is made, so its window is small too; dimtest N=3072 w=8
     has 42 KB Keys frames. The link's sockets block, so each of these sends
     must ask the kernel not to wait."""
     def small(sock):
@@ -487,7 +481,7 @@ def test_tcp_frames_larger_than_the_socket_buffers(monkeypatch):
     monkeypatch.setattr(socket, "create_server", lambda *a, **k: small(create_server(*a, **k)))
     monkeypatch.setattr(socket, "create_connection", create_connection)
     monkeypatch.setattr(socket.socket, "send", counting)
-    config = DimTestConfig(N=1024, entcf=entcf.EntcfParams.ideal(8))
+    config = DimTestConfig(N=3072, entcf=entcf.EntcfParams.ideal(8))
     inproc = harness.run_sessions("dimtest", "classical", config, 6, seed=3)
     start = time.perf_counter()
     tcp = harness.run_sessions("dimtest", "classical", config, 6, seed=3, transport_spec="tcp")

@@ -265,8 +265,13 @@ def _sampled_cases(kind, n, count, seed):
         ("dimtest", 2, lambda: _exhaustive_cases("dimtest", 2), 3 * 2 * 4 * 9 * 9),
         ("selftest", 2, lambda: _sampled_cases("selftest", 2, 20_000, seed=2), 20_000),
         ("selftest", 3, lambda: _sampled_cases("selftest", 3, 20_000, seed=3), 20_000),
+        # past N = 31 the 2N+2 thetas and 4 questions outnumber the 256 cached rules
+        ("selftest", 40, lambda: _sampled_cases("selftest", 40, 3_000, seed=40), 3_000),
     ],
-    ids=["selftest-1-all", "dimtest-1-all", "dimtest-2-all", "selftest-2-sample", "selftest-3-sample"],
+    ids=[
+        "selftest-1-all", "dimtest-1-all", "dimtest-2-all", "selftest-2-sample", "selftest-3-sample",
+        "selftest-40-sample",
+    ],
 )
 def test_verdict_rule_matches_case_tables(kind, n, cases, count):
     """Every case, judged alone and again in the array path: one evaluation
@@ -286,6 +291,22 @@ def test_verdict_rule_matches_case_tables(kind, n, cases, count):
     for (theta, q), (vs, codes, accepts) in stacked.items():
         got = protocol.hadamard_rule(kind, n, theta, q, np.array(vs), np.array(codes, dtype=np.int8))
         assert got.tolist() == accepts, (theta, q)
+
+
+def test_a_session_verdict_builds_no_mark_matrices(monkeypatch):
+    """A Monte Carlo session is judged by the checks alone; only the cell path
+    builds the 0/1 mark matrices. At N = 40 the (theta, q) rules outnumber
+    their cache, so a session that built them would build them afresh."""
+    from selftestsim import harness
+
+    def refuse(*args):
+        raise AssertionError("a session built a mark matrix")
+
+    monkeypatch.setattr(protocol, "_marks", refuse)
+    config = SelfTestConfig(N=40, entcf=entcf.EntcfParams.ideal(4))
+    stats, transcripts = harness.run_sessions("selftest", "honest", config, 60, seed=1)
+    hadamard = [t for t in transcripts if t["round_type"] == protocol.HADAMARD]
+    assert stats["sessions"] == 60 and hadamard and any(t["accept"] for t in hadamard)
 
 
 # ---------------------------------------------------------------------------

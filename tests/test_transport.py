@@ -61,22 +61,11 @@ TOYLWE_KEY = entcf.PublicKey(params=TOYLWE, A=np.array([[1], [2], [3]]), u=np.ar
 # (parameters, message, the payload it travels as): one message of each type,
 # and keys and images of both backends
 WIRE = [
-    (
-        PARAMS,
-        protocol.Keys(keys=(IDEAL_KEY,)),
-        {"keys": ["0100020000000a" "00000007" "00000003" "00000002"]},
-    ),
-    (
-        TOYLWE,
-        protocol.Keys(keys=(TOYLWE_KEY,)),
-        {"keys": ["01010400010003000000100001" "000000010000000200000003" "000000040000000500000006"]},
-    ),
-    (PARAMS, protocol.Images(y=(3, 2**32 - 1)), {"y": ["00000003", "ffffffff"]}),
-    (
-        TOYLWE,
-        protocol.Images(y=((1, 15, 0), (2, 3, 4))),
-        {"y": ["000000010000000f00000000", "000000020000000300000004"]},
-    ),
+    # an ideal key is [a, c, mask]; a toylwe key is A row by row, then u
+    (PARAMS, protocol.Keys(keys=(IDEAL_KEY,)), {"keys": [[7, 3, 2]]}),
+    (TOYLWE, protocol.Keys(keys=(TOYLWE_KEY,)), {"keys": [[1, 2, 3, 4, 5, 6]]}),
+    (PARAMS, protocol.Images(y=(3, 2**32 - 1)), {"y": [3, 4294967295]}),
+    (TOYLWE, protocol.Images(y=((1, 15, 0), (2, 3, 4))), {"y": [[1, 15, 0], [2, 3, 4]]}),
     (PARAMS, protocol.RoundType(kind=protocol.HADAMARD), {"kind": "hadamard"}),
     (PARAMS, protocol.PreimageAnswer(b=(0, 1), x=(3, 0)), {"b": [0, 1], "x": [3, 0]}),
     (PARAMS, protocol.HadamardD(d=(2, 1)), {"d": [2, 1]}),
@@ -156,9 +145,9 @@ def test_toylwe_image_roundtrip():
 @pytest.mark.parametrize("y", [-1, 2**32])
 def test_encode_y_out_of_range_is_a_transport_error(y):
     with pytest.raises(TransportError):
-        CODEC.encode_y(y)
+        CODEC.to_payload(protocol.Images(y=(y,)))
     with pytest.raises(TransportError):
-        transport.Codec(entcf.EntcfParams.toylwe(n=1, m=2, q=8, B=1)).encode_y((0, y))
+        transport.Codec(entcf.EntcfParams.toylwe(n=1, m=2, q=8, B=1)).to_payload(protocol.Images(y=((0, y),)))
     with pytest.raises(TransportError):
         CODEC.encode_frame(SID, protocol.Images(y=(3, y)))
 
@@ -204,7 +193,9 @@ def _frame(cls, payload) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-IDEAL_KEY_HEX = WIRE[0][2]["keys"][0]
+IDEAL_KEY_NUMBERS = WIRE[0][2]["keys"][0]
+# the same key's hex in the former layout: a 7-byte head, then a, c and mask as u32s
+IDEAL_KEY_HEX = "0100020000000a" "00000007" "00000003" "00000002"
 
 
 @pytest.mark.parametrize(
@@ -225,13 +216,13 @@ IDEAL_KEY_HEX = WIRE[0][2]["keys"][0]
         (protocol.HadamardD, {"d": [None]}),
         (protocol.RoundType, {"kind": ["preimage"]}),
         (protocol.Verdict, {"accept": 1, "reason": 7}),
-        (protocol.Keys, {"keys": [IDEAL_KEY_HEX.upper()]}),
-        (protocol.Keys, {"keys": [" " + IDEAL_KEY_HEX]}),
+        (protocol.Keys, {"keys": [IDEAL_KEY_HEX]}),
+        (protocol.Keys, {"keys": [[str(number) for number in IDEAL_KEY_NUMBERS]]}),
     ],
 )
 def test_values_of_another_json_type_or_hex_do_not_decode(cls, payload):
     """Each value must be of its kind's JSON type: an int (no bool, no float),
-    an array, a string, or lowercase hex of the exact length."""
+    an array or a string; a key or an image is numbers, so no hex decodes."""
     with pytest.raises(TransportError):
         CODEC.from_payload(cls, payload)
     with pytest.raises(TransportError):
@@ -296,7 +287,7 @@ def test_every_frame_that_decodes_is_the_encoding_of_its_message(backend, data):
     assert codec.encode_frame(sid, msg) == frame
 
 
-# toylwe keys at n=1, m=3: A carries m*n = 3 entries and u must carry m = 3
+# toylwe keys at n=1, m=3 in the former hex layout: A carried m*n = 3 entries and u m = 3
 TOYLWE_HEAD = "01010400010003000000100001" + "0000000d0000000a00000008"
 
 
@@ -311,8 +302,63 @@ TOYLWE_HEAD = "01010400010003000000100001" + "0000000d0000000a00000008"
     ],
 )
 def test_unparsable_key_is_a_transport_error(key_hex):
+    """Hex of the former key layout, a string, is no key: a key is numbers."""
     with pytest.raises(TransportError):
         CODEC.decode_frame(_frame(protocol.Keys, {"keys": [key_hex]}))
+
+
+# numbers of the wrong JSON type, or not canonical, or out of [0, 2^32)
+_JUNK_NUMBERS = {
+    "bool": b"true", "1.0": b"1.0", "1e0": b"1e0", "-0": b"-0", "-1": b"-1", "2^32": b"4294967296",
+}
+# w = 2: M = 10, so a unit a is odd and not 5, and a mask lies in [1, 8)
+_BAD_IDEAL_KEYS = {
+    "key-2-numbers": b"[7,3]", "key-4-numbers": b"[7,3,2,0]", "key-a=5": b"[5,3,2]", "key-a-even": b"[4,3,2]",
+    "key-c=M": b"[7,10,2]", "key-mask=0": b"[7,3,0]", "key-mask=2^(w+1)": b"[7,3,8]",
+}
+
+
+@pytest.mark.parametrize(
+    "cls, body",
+    [
+        *[(protocol.Images, b'{"y":[3,%s]}' % number) for number in _JUNK_NUMBERS.values()],
+        *[(protocol.Keys, b'{"keys":[[7,%s,2]]}' % number) for number in _JUNK_NUMBERS.values()],
+        *[(protocol.Keys, b'{"keys":[%s]}' % key) for key in _BAD_IDEAL_KEYS.values()],
+    ],
+    ids=[*[f"image-{n}" for n in _JUNK_NUMBERS], *[f"key-{n}" for n in _JUNK_NUMBERS], *_BAD_IDEAL_KEYS],
+)
+def test_numbers_out_of_their_type_or_range_do_not_decode(cls, body):
+    """An image or key number is an int in its range, as one canonical text:
+    no bool, float, exponent, -0 or number out of range, and a key of
+    exactly three numbers with a unit a, c < M and mask in [1, 2^(w+1))."""
+    with pytest.raises(TransportError):
+        CODEC.decode_frame(test_fuzz._frame(transport._TYPE_BYTES[cls], body))
+    if b"-0" not in body:  # -0 reads as 0: only the canonical-text check refuses it
+        with pytest.raises(TransportError):
+            CODEC.from_payload(cls, json.loads(body))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"y":[[1,2]]}',
+        b'{"y":[[1,2,3,4]]}',
+        b'{"y":[1]}',
+        b'{"y":[[1,2,true]]}',
+        b'{"keys":[[1,2,3,4,5,16]]}',
+        b'{"keys":[[16,2,3,4,5,6]]}',
+        b'{"keys":[[1,2,3,4,5]]}',
+        b'{"keys":[[1,2,3,4,5,6,7]]}',
+    ],
+    ids=["image-m-1", "image-m+1", "image-int", "image-bool", "key-u=q", "key-A=q", "key-short", "key-long"],
+)
+def test_toylwe_numbers_out_of_their_count_or_range_do_not_decode(body):
+    """A toylwe image is a list of m ints in [0, 2^32); a key is m*n + m
+    entries in [0, q), A row by row, then u."""
+    cls = protocol.Keys if body.startswith(b'{"keys"') else protocol.Images
+    codec, frame = transport.Codec(TOYLWE), test_fuzz._frame(transport._TYPE_BYTES[cls], body)
+    with pytest.raises(TransportError):
+        codec.decode_frame(frame)
 
 
 @pytest.mark.parametrize("body", [b"[" * 100_000, b"7" * 5_000, b'{"q": Infinity}'])
@@ -351,7 +397,8 @@ def test_frame_layout_byte_for_byte():
         bytes.fromhex("00000019" "01" "000102030405060708090a0b0c0d0e0f" "06") + b'{"q":1}'
     )
     frame = CODEC.encode_frame(SID, protocol.Keys(keys=(IDEAL_KEY,)))
-    assert frame == bytes.fromhex("00000045" "01") + SID + b'\x01{"keys":["' + IDEAL_KEY_HEX.encode() + b'"]}'
+    keys = ",".join(map(str, IDEAL_KEY_NUMBERS)).encode()
+    assert frame == bytes.fromhex("00000024" "01") + SID + b'\x01{"keys":[[' + keys + b"]]}"
 
 
 def test_bad_session_id_length():
@@ -541,12 +588,12 @@ def test_send_to_a_peer_that_never_reads_ends_at_the_kernel_timeout(monkeypatch)
     params = entcf.EntcfParams.ideal(8)
     codec = transport.Codec(params)
     rng = np.random.default_rng(0)
-    msg = protocol.Keys(keys=tuple(entcf.gen_keypair(entcf.FAMILY_F, params, rng)[0] for _ in range(7000)))
+    msg = protocol.Keys(keys=tuple(entcf.gen_keypair(entcf.FAMILY_F, params, rng)[0] for _ in range(22_000)))
     client, server = _link_pair(buffer_bytes=4096)
     chan = transport.TcpChannel(codec, SID, client)
     start = time.perf_counter()
     try:
-        # 287 KB: far more than the two 4 KiB buffers hold
+        # 289 KB, at about 13 bytes a key: far more than the two 4 KiB buffers hold
         assert len(codec.encode_frame(SID, msg)) > 250_000
         with _fail_after(5), pytest.raises(TransportError):
             chan.send(msg)
