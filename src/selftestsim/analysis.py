@@ -48,7 +48,6 @@ import numpy as np
 from . import entcf, protocol, qsim
 from .errors import ModelError, ParameterError
 from .protocol import COMPUTATIONAL, HADAMARD_BASIS, THETA_ALL_G, THETA_DIAMOND
-from .prover import check_flip_probability
 
 # most entries one array of the analysis may have
 _ENTRY_BUDGET = 2**25
@@ -426,6 +425,7 @@ def build_honest_model(
     protocol_kind: str,
     rng: np.random.Generator,
 ) -> DeviceModel:
+    protocol.check_config(protocol_kind, config)
     params = config.entcf
     if params.backend != "ideal" or params.w < 2:  # w >= 2: a claw's even coset has a nonzero d
         raise ModelError("white-box analysis supports the ideal backend with w >= 2 only")
@@ -442,21 +442,23 @@ def build_honest_model(
     return DeviceModel(protocol_kind, n, w, logical, thetas, keys, trapdoors, None, questions, name="honest")
 
 
-def check_bitflip(protocol_kind: str, n: int, p: float) -> None:
-    """Refuse a flip probability outside [0, 1], or a bitflip model whose
-    largest array (with an environment qubit per logical qubit) exceeds the
-    budget, before the honest model it dilates is built."""
-    check_flip_probability(p)
+def check_bitflip(protocol_kind: str, n: int) -> None:
+    """Refuse a bitflip model past the budget before the honest model it dilates is built."""
     logical = protocol.n_coords(protocol_kind, n)
     _check_size(logical, 2**logical)
 
 
-def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
-    """Dilate the answer-bit flips into an environment register: the flip
-    pattern e lives in a product state beside the honest state, and question q
-    measures in the basis kron(B_q, 1_env), whose column (u, e) answers
-    u xor e; so P_q^u is sum_e P_(u xor e) (x) |e><e| on logical (x) env."""
-    check_bitflip(honest.protocol, honest.n, p)
+def build_device_model(honest: DeviceModel, device) -> DeviceModel:
+    """An honest-family prover.Device's model, from the honest model: question
+    q measures as honest question device.question(q), and a flip probability
+    p is dilated into an environment qubit per logical qubit: the flip pattern
+    e is in a product state beside the honest state, and question q measures in
+    kron(B_q, 1_env), whose column (u, e) answers u xor e."""
+    questions = {q: honest.questions[device.question(q)] for q in honest.questions}
+    p = device.flip
+    if p is None:
+        return replace(honest, questions=questions, name=device.name)
+    check_bitflip(honest.protocol, honest.n)
     logical = honest.logical
     anc = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
     env = functools.reduce(np.kron, [anc] * logical)
@@ -466,15 +468,9 @@ def build_bitflip_model(honest: DeviceModel, p: float) -> DeviceModel:
             np.kron(meas.basis, np.eye(2**logical)),
             [tuple(a ^ b for a, b in zip(u, e)) for u in meas.labels for e in flips],
         )
-        for q, meas in honest.questions.items()
+        for q, meas in questions.items()
     }
     return replace(honest, questions=questions, env=env, name=f"bitflip({p})")
-
-
-def build_wrongbasis_model(honest: DeviceModel) -> DeviceModel:
-    questions = dict(honest.questions)
-    questions[0], questions[1] = honest.questions[1], honest.questions[0]
-    return replace(honest, questions=questions, name="wrongbasis")
 
 
 def build_random_model(config: protocol.SelfTestConfig, rng: np.random.Generator) -> DeviceModel:

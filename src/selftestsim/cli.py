@@ -18,7 +18,7 @@ import numpy as np
 from . import entcf, harness
 from .errors import ParameterError, SelfTestError
 from .protocol import CONFIGS, KINDS
-from .prover import parse_device_spec
+from .prover import HONEST_FAMILY, parse_device_spec
 
 
 def _entcf_params(backend: str, w: int) -> entcf.EntcfParams:
@@ -100,23 +100,19 @@ def _run_command(args) -> int:
 
 def _build_model(args, rng: np.random.Generator):
     from . import analysis  # loaded on the analyze path only
-    name, p = parse_device_spec(args.model)
+    device = parse_device_spec(args.model)
     config = CONFIGS[args.protocol](N=args.n, entcf=entcf.EntcfParams.ideal(args.w))
-    if name == "honest":
-        return analysis.build_honest_model(config, args.protocol, rng)
-    if args.protocol == "dimtest":
-        if name != "classical":
-            raise ParameterError(f"unknown dimension-test model {args.model!r}")
+    if args.protocol == "dimtest" and device.name not in ("honest", "classical"):
+        raise ParameterError(f"unknown dimension-test model {args.model!r}")
+    if args.protocol == "dimtest" and device.name == "classical":
         return analysis.build_classical_model(config, rng)
-    if name == "bitflip":
-        analysis.check_bitflip("selftest", args.n, p)
-        honest = analysis.build_honest_model(config, "selftest", rng)
-        return analysis.build_bitflip_model(honest, p)
-    if name == "wrongbasis":
-        return analysis.build_wrongbasis_model(analysis.build_honest_model(config, "selftest", rng))
-    if name == "random":
+    if device.name == "random":
         return analysis.build_random_model(config, rng)
-    raise ParameterError(f"unknown model {args.model!r}")
+    if device.name not in HONEST_FAMILY:
+        raise ParameterError(f"unknown model {args.model!r}")
+    if device.flip is not None:
+        analysis.check_bitflip(args.protocol, args.n)
+    return analysis.build_device_model(analysis.build_honest_model(config, args.protocol, rng), device)
 
 
 def _analyze_command(args) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,19 +76,17 @@ class EntcfParams:
 
     backend: str  # "ideal" | "toylwe"
     w: int
-    image_space_size: int = 0  # ideal only
     n: int = 0  # toylwe: secret dimension
     m: int = 0  # toylwe: number of samples
     q: int = 0  # toylwe: modulus (power of two)
     B: int = 0  # toylwe: noise bound
+    # ideal: M = 2^(w+1) + 2, set from w, whose slack past the range union keeps an invalid y reachable
+    image_space_size: int = field(init=False)
 
     def __post_init__(self):
         if self.w < 1:
             raise ParameterError("w must be >= 1")
-        if self.backend == "ideal":
-            if self.image_space_size < 2 ** (self.w + 1):
-                raise ParameterError("image_space_size must be >= 2^(w+1)")
-        elif self.backend == "toylwe":
+        if self.backend == "toylwe":
             if min(self.n, self.m, self.q, self.B) < 1:
                 raise ParameterError("toylwe dims must be positive")
             if 2 * self.B * self.m >= self.q:
@@ -97,13 +95,13 @@ class EntcfParams:
                 raise ParameterError("q must be a power of two")
             if self.w != self.n * (self.q.bit_length() - 1):
                 raise ParameterError("w must equal n*log2(q)")
-        else:
+        elif self.backend != "ideal":
             raise ParameterError(f"unknown backend {self.backend!r}")
+        object.__setattr__(self, "image_space_size", 2 ** (self.w + 1) + 2)
 
     @classmethod
     def ideal(cls, w: int) -> "EntcfParams":
-        # slack beyond the 2^(w+1) range union keeps "invalid y" reachable
-        return cls(backend="ideal", w=w, image_space_size=2 ** (w + 1) + 2)
+        return cls(backend="ideal", w=w)
 
     @classmethod
     def toylwe(cls, n: int, m: int, q: int, B: int) -> "EntcfParams":

@@ -264,8 +264,9 @@ def run_sessions(
     if colon and not (port.isascii() and port.isdecimal() and int(port) < 2**16):
         raise ParameterError(f"bad TCP port in {transport_spec!r}")
     port = int(port or 0) if kind == "tcp" else None
-    # a bad device spec, a w past the keygen cap or a busy port is refused before the output directory is made
+    # a bad device spec or config, a w past the keygen cap or a busy port is refused before the output is made
     make_prover(prover_spec, protocol_kind, None)
+    protocol.check_config(protocol_kind, config)
     entcf.check_scan(config.entcf)
     out = None if out_dir is None else pathlib.Path(out_dir)
     with contextlib.closing(transport.Link(transport.Codec(config.entcf), port)) as link:

@@ -113,6 +113,13 @@ def paired(kind: str) -> bool:
     return kind == "selftest"
 
 
+def check_config(kind: str, config) -> None:
+    """Refuse a config of the other protocol kind, after an unknown kind."""
+    if type(config) is not CONFIGS.get(kind):
+        paired(kind)  # an unknown kind is refused first
+        raise ParameterError(f"a {kind} needs a {CONFIGS[kind].__name__}, not a {type(config).__name__}")
+
+
 def n_coords(kind: str, n: int) -> int:
     return 2 * n if paired(kind) else n
 
@@ -364,6 +371,7 @@ class _VerifierBase:
     """
 
     def __init__(self, kind: str, config, rng: np.random.Generator):
+        check_config(kind, config)
         self.kind = kind
         self.config = config
         self.n_coords = n_coords(kind, config.N)

@@ -8,13 +8,15 @@ and tracks only the logical qubit that survives the Hadamard d-measurement
 question-dependent measurement of each pair are then computed in closed form
 on its 2x2 amplitude table (measure_pair), with no state vector.
 
-Cheat provers: ClassicalGuess holds no qubits and guesses unknown equation
-bits; BitFlip(p) is the honest prover with flipped answer bits; WrongBasis
-swaps the q=0 and q=1 measurement bases.
+Its variants are the Devices it reads: bitflip=P flips answer bits,
+wrongbasis swaps the q=0 and q=1 measurement bases. The cheat ClassicalGuess
+holds no qubits and guesses unknown equation bits.
 """
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +89,8 @@ def measure_pair(
 class DeviceInterface:
     """Message-driven prover. handle() consumes one verifier message and
     returns the reply (None once a Verdict arrives); it raises ProtocolError
-    on a message out of order, so the hooks run only in protocol order."""
+    on a message out of order, so the hooks run only in protocol order. A
+    device gives the hooks on_preimage, on_hadamard and on_question."""
 
     def __init__(self, kind: str, rng: np.random.Generator):
         self.paired = protocol.paired(kind)  # refuses an unknown kind
@@ -135,20 +138,44 @@ class DeviceInterface:
             y.append(entcf.forward_sample(key, b, x, self.rng))
         return y
 
-    def on_preimage(self):
-        raise NotImplementedError
 
-    def on_hadamard(self):
-        raise NotImplementedError
+@dataclass(frozen=True)
+class Device:
+    """A device spec's name and flip probability p, for a prover and an
+    analysis model alike. Asked q, an honest-family device measures in the
+    bases of question(q) (wrongbasis trades 0 and 1), then flips each answer
+    bit with probability `flip` (bitflip's p, else None). Left apart: the
+    prover `classical` passes preimage rounds, the model of that name fails
+    them; the honest prover's d may be 0, its model's never is; and `random`
+    is a model only."""
 
-    def on_question(self, q: int):
-        raise NotImplementedError
+    name: str
+    p: float | None = None
+
+    def __post_init__(self):
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ParameterError("flip probability must lie in [0, 1]")
+
+    def question(self, q: int) -> int:
+        return {0: 1, 1: 0}.get(q, q) if self.name == "wrongbasis" else q
+
+    @property
+    def flip(self) -> float | None:
+        return self.p if self.name == "bitflip" else None
+
+
+HONEST = Device("honest")
+HONEST_FAMILY = ("honest", "bitflip", "wrongbasis")
 
 
 class HonestProver(DeviceInterface):
-    """The honest device on the collapsed path. It keeps, per coordinate, the
-    preimage pairs (b, x) of its y (`records`) and the amplitude pair its
-    d-measurement leaves (`qubits`)."""
+    """The honest device on the collapsed path, or its `device` variant. It
+    keeps, per coordinate, the preimage pairs (b, x) of its y (`records`)
+    and the amplitude pair its d-measurement leaves (`qubits`)."""
+
+    def __init__(self, kind: str, rng: np.random.Generator, device: Device = HONEST):
+        super().__init__(kind, rng)
+        self.device = device
 
     # -- keys round ----------------------------------------------------------
     def on_keys(self, keys):
@@ -185,40 +212,20 @@ class HonestProver(DeviceInterface):
 
     # -- final answer ---------------------------------------------------------
     def on_question(self, q: int):
-        qubits = self.qubits
+        qubits, device = self.qubits, self.device
+        q = device.question(q)
         if not self.paired:
             bases = protocol.question_bases(self.kind, len(qubits), q)
-            return [measure_qubit_vector(vec, b, self.rng) for vec, b in zip(qubits, bases)]
-        n = len(qubits) // 2
-        bases = protocol.question_bases(self.kind, n, q)
-        v = [None] * len(qubits)
-        for i in range(n):
-            v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
+            v = [measure_qubit_vector(vec, b, self.rng) for vec, b in zip(qubits, bases)]
+        else:
+            n = len(qubits) // 2
+            bases = protocol.question_bases(self.kind, n, q)
+            v = [None] * len(qubits)
+            for i in range(n):
+                v[i], v[n + i] = measure_pair(qubits[i], qubits[n + i], bases[i], bases[n + i], self.rng)
+        if device.flip is not None:  # drawn after every honest draw, so bitflip=0 is the honest transcript
+            v = [int(bit) ^ int(flip) for bit, flip in zip(v, self.rng.random(len(v)) < device.flip)]
         return v
-
-
-class WrongBasisProver(HonestProver):
-    """Honest until the last step, then measures q=0 in the Hadamard basis and
-    q=1 in the computational basis: it answers the other of the two questions."""
-
-    def on_question(self, q: int):
-        return super().on_question({0: 1, 1: 0}.get(q, q))
-
-
-class BitFlipProver(HonestProver):
-    """The honest prover, with each answer bit v_i flipped independently with
-    probability p. The flip draws happen after every honest draw, so p = 0 is
-    transcript-identical to the honest prover under the same seed."""
-
-    def __init__(self, kind: str, rng: np.random.Generator, p: float):
-        check_flip_probability(p)
-        super().__init__(kind, rng)
-        self.p = p
-
-    def on_question(self, q: int):
-        v = super().on_question(q)
-        flips = self.rng.random(len(v)) < self.p
-        return [int(bit) ^ int(flip) for bit, flip in zip(v, flips)]
 
 
 class ClassicalGuessProver(DeviceInterface):
@@ -240,35 +247,26 @@ class ClassicalGuessProver(DeviceInterface):
         return list(self.b)
 
 
-def check_flip_probability(p: float) -> None:
-    """Refuse a flip probability outside [0, 1], for a bitflip prover and a
-    bitflip analysis model alike."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("flip probability must lie in [0, 1]")
-
-
-def parse_device_spec(spec: str) -> tuple[str, float | None]:
-    """(name, p) of a device spec `name[=p]`, for a prover and an analysis
-    model alike: bitflip needs its flip probability p, and any other spec is
-    a name alone, with p None."""
+@functools.lru_cache(maxsize=64)
+def parse_device_spec(spec: str) -> Device:
+    """The Device of a spec `name[=p]`, built once per spec, for --prover and
+    --model alike: bitflip needs its flip probability p, and any other spec is
+    a name alone."""
     name, _, value = spec.partition("=")
     if name != "bitflip":
-        return spec, None
+        return Device(spec)
     try:
-        return name, float(value)
+        p = float(value)
     except ValueError:
         raise ParameterError(f"bitflip needs a flip probability, bitflip=P, not {spec!r}") from None
+    return Device(name, p)
 
 
 def make_prover(spec: str, protocol_kind: str, rng: np.random.Generator) -> DeviceInterface:
     """Parse a prover spec string: honest, classical, bitflip=P, wrongbasis."""
-    name, p = parse_device_spec(spec)
-    if name == "honest":
-        return HonestProver(protocol_kind, rng)
-    if name == "bitflip":
-        return BitFlipProver(protocol_kind, rng, p)
-    if name == "classical":
+    device = parse_device_spec(spec)
+    if device.name == "classical":
         return ClassicalGuessProver(protocol_kind, rng)
-    if name == "wrongbasis":
-        return WrongBasisProver(protocol_kind, rng)
+    if device.name in HONEST_FAMILY:
+        return HonestProver(protocol_kind, rng, device)
     raise ParameterError(f"unknown prover spec {spec!r}")

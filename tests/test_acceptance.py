@@ -10,6 +10,7 @@ import pytest
 
 from selftestsim import analysis, cli, entcf, harness, protocol, prover, qsim
 from selftestsim.protocol import DimTestConfig, SelfTestConfig
+from selftestsim.prover import Device
 
 import oracles
 
@@ -182,8 +183,8 @@ def test_swap_isometry_identities():
     honest = analysis.build_honest_model(selftest_config(1, 2), "selftest", rng)
     models = [
         honest,
-        analysis.build_bitflip_model(honest, 0.1),
-        analysis.build_wrongbasis_model(honest),
+        analysis.build_device_model(honest, Device("bitflip", 0.1)),
+        analysis.build_device_model(honest, Device("wrongbasis")),
         analysis.build_honest_model(dimtest_config(2, 2), "dimtest", rng),
         analysis.build_classical_model(dimtest_config(3, 2), rng),
     ]
@@ -268,8 +269,8 @@ def test_gamma_failure_inequalities_hold_for_all_models():
     cfg = selftest_config(1, 2)
     honest = analysis.build_honest_model(cfg, "selftest", rng)
     models = [honest]
-    models += [analysis.build_bitflip_model(honest, p) for p in (0.05, 0.1, 0.25)]
-    models.append(analysis.build_wrongbasis_model(honest))
+    models += [analysis.build_device_model(honest, Device("bitflip", p)) for p in (0.05, 0.1, 0.25)]
+    models.append(analysis.build_device_model(honest, Device("wrongbasis")))
     models += _random_models(20, seed=8)
     for model in models:
         _inequality_suite(model)
@@ -355,6 +356,31 @@ def test_classical_guess_equation_failure_rate():
     assert cheat >= 0.2
     honest_stats, _ = harness.run_sessions("dimtest", "honest", cfg, sessions, seed=405)
     assert honest_stats["eps_H"]["1"] <= 0.03
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo runs and exact models of one device
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n", [("selftest", 1), ("dimtest", 2)])
+def test_monte_carlo_and_exact_agree_on_each_honest_family_device(kind, n):
+    """The exact eps_H of build_device_model and the Monte Carlo rate of a run
+    of the same spec agree per question within 4 standard errors, plus L 2^-w
+    for the honest device's d = 0, which its model never answers; eps_P is 0
+    on both sides. The dimtest variants are built through the API alone."""
+    w, sessions, seed = 8, 4000, 11
+    config = protocol.CONFIGS[kind](N=n, entcf=entcf.EntcfParams.ideal(w))
+    honest = analysis.build_honest_model(config, kind, np.random.default_rng(seed))
+    slack = protocol.n_coords(kind, n) * 2.0**-w
+    for spec in ("honest", "bitflip=0.1", "wrongbasis"):
+        exact = analysis.failure_report(analysis.build_device_model(honest, prover.parse_device_spec(spec)))
+        stats, transcripts = harness.run_sessions(kind, spec, config, sessions, seed)
+        assert exact["eps_P"] == pytest.approx(0.0, abs=1e-12) and stats["eps_P"] == 0.0
+        asked = collections.Counter(t["q"] for t in transcripts)
+        for q in protocol.questions(kind):
+            rate = stats["eps_H"][str(q)]
+            standard_error = np.sqrt(rate * (1.0 - rate) / asked[q])
+            assert abs(exact["eps_H"][q] - rate) <= 4 * standard_error + slack, (spec, q)
 
 
 # ---------------------------------------------------------------------------

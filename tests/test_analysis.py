@@ -14,6 +14,7 @@ import pytest
 
 from selftestsim import analysis, cli, entcf, protocol, qsim
 from selftestsim.errors import DomainError, ModelError, ParameterError
+from selftestsim.prover import Device
 from selftestsim.protocol import THETA_ALL_G, THETA_DIAMOND, DimTestConfig, SelfTestConfig
 
 from oracles import TableKey
@@ -114,7 +115,7 @@ def test_measurement_rejects_non_orthonormal_basis():
 def test_bitflip_projectors_are_shifted_honest_projectors(honest):
     """P^u of question q is sum_e P_(u xor e) (x) |e><e|, the honest
     projectors on the diagonal blocks of the flip register."""
-    bf = analysis.build_bitflip_model(honest, 0.2)
+    bf = analysis.build_device_model(honest, Device("bitflip", 0.2))
     flips = analysis.all_bit_tuples(honest.logical)
     for q, meas in honest.questions.items():
         honest_projs = _projector_dict(meas)
@@ -207,18 +208,18 @@ def test_gamma_report_requires_selftest(honest_dim):
 
 def test_bitflip_gamma_matches_flip_rate(honest):
     p = 0.1
-    bf = analysis.build_bitflip_model(honest, p)
+    bf = analysis.build_device_model(honest, Device("bitflip", p))
     g = analysis.gamma_report(bf)
     # a single flipped coordinate costs exactly p of the tested mass
     assert g["gamma_T0"] == pytest.approx(p, abs=1e-9)
     assert g["gamma_T1"] == pytest.approx(p, abs=1e-9)
     assert g["gamma_P"] == pytest.approx(0.0, abs=1e-9)  # preimage round unaffected
     with pytest.raises(ParameterError):
-        analysis.build_bitflip_model(honest, 1.5)
+        analysis.build_device_model(honest, Device("bitflip", 1.5))
 
 
 def test_wrongbasis_fails_hadamard_tests(honest):
-    wb = analysis.build_wrongbasis_model(honest)
+    wb = analysis.build_device_model(honest, Device("wrongbasis"))
     f = analysis.failure_report(wb)
     assert f["eps_P"] == pytest.approx(0.0, abs=1e-12)
     assert f["eps"] > 0.01
@@ -293,7 +294,7 @@ def test_budget_guard(monkeypatch):
     # refused before anything is built
     fits = analysis.DeviceModel("selftest", 3, 2, 6, [], {}, {}, {}, {})
     with pytest.raises(ModelError, match="exceeds budget"):
-        analysis.build_bitflip_model(fits, 0.1)
+        analysis.build_device_model(fits, Device("bitflip", 0.1))
     # random N=4 caches 4 question, 10 d- and 1 preimage projector stacks of
     # 2^8 * (2^8)^2 entries; the guard counts them all
     with pytest.raises(ModelError, match="exceeds budget"):
@@ -377,7 +378,7 @@ def _sigma_oracle_models():
     st1 = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     honest = analysis.build_honest_model(st1, "selftest", np.random.default_rng(5))
     yield honest
-    yield analysis.build_bitflip_model(honest, 0.2)
+    yield analysis.build_device_model(honest, Device("bitflip", 0.2))
     st3 = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(3))
     yield analysis.build_honest_model(st3, "selftest", np.random.default_rng(6))
     yield analysis.build_random_model(st1, np.random.default_rng(7))
@@ -594,14 +595,17 @@ def _every_model():
     """One model of each kind, both protocols."""
     yield from _sigma_oracle_models()
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
-    yield analysis.build_wrongbasis_model(analysis.build_honest_model(cfg, "selftest", np.random.default_rng(4)))
+    honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(4))
+    yield analysis.build_device_model(honest, Device("wrongbasis"))
 
 
 def _class_models():
     for w, seed in ((2, 1), (3, 2)):
         cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(w))
         honest = analysis.build_honest_model(cfg, "selftest", np.random.default_rng(seed))
-        yield from (honest, analysis.build_bitflip_model(honest, 0.2), analysis.build_wrongbasis_model(honest))
+        yield honest
+        yield analysis.build_device_model(honest, Device("bitflip", 0.2))
+        yield analysis.build_device_model(honest, Device("wrongbasis"))
     for n, seed in ((1, 3), (2, 4)):
         cfg = DimTestConfig(N=n, entcf=entcf.EntcfParams.ideal(3))
         yield analysis.build_honest_model(cfg, "dimtest", np.random.default_rng(seed))
@@ -717,10 +721,10 @@ def _product_models(kind, n, w, seed):
     honest = analysis.build_honest_model(cfg, kind, np.random.default_rng(seed))
     yield honest
     try:
-        yield analysis.build_bitflip_model(honest, 0.2)
+        yield analysis.build_device_model(honest, Device("bitflip", 0.2))
     except ModelError:
         assert (kind, n) == ("selftest", 3)
-    yield analysis.build_wrongbasis_model(honest)
+    yield analysis.build_device_model(honest, Device("wrongbasis"))
 
 
 @pytest.mark.parametrize("kind", ["selftest", "dimtest"])
@@ -903,7 +907,10 @@ def _oracle_models(honest):
     cfg = SelfTestConfig(N=1, entcf=entcf.EntcfParams.ideal(2))
     rng = np.random.default_rng(11)
     randoms = [analysis.build_random_model(cfg, rng) for _ in range(5)]
-    noisy = [analysis.build_wrongbasis_model(honest), analysis.build_bitflip_model(honest, 0.1)]
+    noisy = [
+        analysis.build_device_model(honest, Device("wrongbasis")),
+        analysis.build_device_model(honest, Device("bitflip", 0.1)),
+    ]
     return [honest, *noisy, *randoms]
 
 

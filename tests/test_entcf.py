@@ -22,13 +22,21 @@ def ideal_pair():
 
 def test_params_validation():
     with pytest.raises(ParameterError):
-        entcf.EntcfParams(backend="ideal", w=0, image_space_size=16)
+        entcf.EntcfParams(backend="ideal", w=0)
     with pytest.raises(ParameterError):
         entcf.EntcfParams(backend="nope", w=2)
     with pytest.raises(ParameterError):
         entcf.EntcfParams.toylwe(n=1, m=4, q=8, B=1)  # 2*B*m >= q
     with pytest.raises(ParameterError):
         entcf.EntcfParams(backend="toylwe", w=3, n=1, m=2, q=6, B=1)  # q not 2^k
+
+
+def test_image_space_size_follows_from_w():
+    # keygen draws a.M + c below M^2, in int64, for the one M of each w
+    for w in range(1, 31):
+        assert entcf.EntcfParams.ideal(w).image_space_size == 2 ** (w + 1) + 2
+    with pytest.raises(TypeError):
+        entcf.EntcfParams(backend="ideal", w=4, image_space_size=2**32)
 
 
 def test_claw_matching_ideal(ideal_pair):

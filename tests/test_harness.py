@@ -215,6 +215,32 @@ def test_unknown_protocol_kind_is_refused(call):
         call()
 
 
+def _audit_a_selftest_run_as_dimtest():
+    _, transcripts = harness.run_sessions("selftest", "honest", CFG, 2, seed=1)
+    harness.replay_audit(transcripts, "dimtest", CFG, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: protocol.SelfTestVerifier(DCFG, np.random.default_rng(0)),
+        _audit_a_selftest_run_as_dimtest,
+        lambda: analysis.build_honest_model(CFG, "dimtest", np.random.default_rng(0)),
+    ],
+    ids=["SelfTestVerifier", "replay_audit", "build_honest_model"],
+)
+def test_a_config_of_the_other_kind_is_refused(call):
+    with pytest.raises(ParameterError, match="needs a"):
+        call()
+
+
+def test_run_sessions_refuses_a_config_of_the_other_kind_before_any_session(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run_one_session", None)
+    with pytest.raises(ParameterError, match="a dimtest needs a DimTestConfig, not a SelfTestConfig"):
+        harness.run_sessions("dimtest", "honest", CFG, 20, seed=1, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_audit_is_total_on_malformed_records():
     _, transcripts = harness.run_sessions("selftest", "honest", CFG, 6, seed=4)
     assert harness.replay_audit(transcripts, "selftest", CFG, 4)

@@ -8,9 +8,10 @@ from selftestsim import entcf, harness, protocol, prover, qsim
 from selftestsim.errors import DomainError, ParameterError, ProtocolError
 from selftestsim.prover import (
     ClassicalGuessProver,
+    Device,
     HonestProver,
-    WrongBasisProver,
     make_prover,
+    parse_device_spec,
 )
 from selftestsim.protocol import question_bases
 
@@ -184,9 +185,8 @@ def test_wrongbasis_differs_from_honest_on_q0():
     diffs = 0
     for seed in range(60):
         h = HonestProver("selftest", np.random.default_rng(seed))
-        wy, wd, wv = drive_hadamard(
-            WrongBasisProver("selftest", np.random.default_rng(seed)), keys, q=0
-        )
+        wrong = HonestProver("selftest", np.random.default_rng(seed), Device("wrongbasis"))
+        wy, wd, wv = drive_hadamard(wrong, keys, q=0)
         hy, hd, hv = drive_hadamard(h, keys, q=0)
         assert wy == hy and wd == hd  # only the last measurement differs
         diffs += tuple(wv) != tuple(hv)
@@ -201,9 +201,22 @@ def test_wrongbasis_answers_the_swapped_question(kind, theta):
     keys = tuple(entcf.gen_keypair(f, params, rng)[0] for f in protocol.families(kind, theta, 1))
     for q, honest_q in [(0, 1), (1, 0), (2, 2), (3, 3)][: len(protocol.questions(kind))]:
         for seed in range(8):
-            wrong = drive_hadamard(WrongBasisProver(kind, np.random.default_rng(seed)), keys, q)
+            device = HonestProver(kind, np.random.default_rng(seed), Device("wrongbasis"))
+            wrong = drive_hadamard(device, keys, q)
             honest = drive_hadamard(HonestProver(kind, np.random.default_rng(seed)), keys, honest_q)
             assert wrong == honest
+
+
+def test_a_device_is_its_spec_name_and_p():
+    assert parse_device_spec("bitflip=0.25") is parse_device_spec("bitflip=0.25")  # built once per spec
+    wrong, flip = parse_device_spec("wrongbasis"), parse_device_spec("bitflip=0.25")
+    assert (wrong.name, wrong.p, flip.name, flip.p) == ("wrongbasis", None, "bitflip", 0.25)
+    assert [wrong.question(q) for q in range(4)] == [1, 0, 2, 3] and wrong.flip is None
+    assert [flip.question(q) for q in range(4)] == [0, 1, 2, 3] and flip.flip == 0.25
+    assert Device("wrongbasis", 0.25).flip is None  # only bitflip flips: no device is both
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ParameterError, match="flip probability must lie in"):
+            Device("bitflip", p)
 
 
 def test_make_prover_unknown_spec():
@@ -214,7 +227,7 @@ def test_make_prover_unknown_spec():
     ):
         with pytest.raises(ParameterError):
             make_prover(spec, "selftest", np.random.default_rng(0))
-    assert make_prover("bitflip=0.25", "dimtest", np.random.default_rng(0)).p == 0.25
+    assert make_prover("bitflip=0.25", "dimtest", np.random.default_rng(0)).device.p == 0.25
 
 
 # ---------------------------------------------------------------------------
